@@ -1,14 +1,17 @@
 """Command-line surface: build model tensors, check curvature conditions,
 run the verification suite, and integrate the reaction flow.
 
-Exit codes: 0 success, 1 a requested assertion failed, 2 invalid input or
-flags.  All seeded commands honor the CURVKIT_SEED environment variable when
---seed is not given.  JSON output is key-sorted and deterministic up to the
-timestamp / wall-time fields.
+Exit codes: 0 success, 1 a requested assertion failed (a non-finite
+measured value fails every assertion), 2 invalid input or flags, 3 the flow
+integrator could not reach the end time (step size underflow).  All seeded
+commands honor the CURVKIT_SEED environment variable when --seed is not
+given.  JSON output is strict (non-finite numbers are written as null),
+key-sorted and deterministic up to the timestamp / wall-time fields.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,7 +20,7 @@ import numpy as np
 from .core import (CurvatureError, model_fubini_study, model_r0, model_sj,
                    model_sphere, ricci, scalar_curvature,
                    standard_complex_structure, standard_quaternion_triple, weyl)
-from .flow import FlowConfig, cone_preservation_probe, integrate_q_flow
+from .flow import FlowConfig, FlowError, cone_preservation_probe, integrate_q_flow
 from .frames import OptimizerConfig, min_isotropic, pinching_constant
 from .tensor_io import load_tensor, save_tensor, write_trace_csv
 from .verify import run_verification_suite
@@ -29,8 +32,23 @@ def _env_seed(args, fallback: int) -> int:
     return int(os.environ.get("CURVKIT_SEED", fallback))
 
 
+def _finite_json(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
+def _dumps(obj) -> str:
+    return json.dumps(_finite_json(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_dumps(obj))
 
 
 def cmd_model(args) -> int:
@@ -81,7 +99,7 @@ def cmd_check(args) -> int:
         if asserted_value is None:
             print("--assert-nonneg has no meaning for --what weyl", file=sys.stderr)
             return 2
-        if asserted_value < -tol:
+        if not asserted_value >= -tol:
             return 1
     return 0
 
@@ -94,7 +112,7 @@ def cmd_verify(args) -> int:
     _emit(payload)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write(_dumps(payload))
     return 0 if report.passed else 1
 
 
@@ -150,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--tol", type=float, default=1e-8)
     c.add_argument("--assert-nonneg", action="store_true",
-                   help="exit 1 when the checked value is below -tol")
+                   help="exit 1 when the checked value is below -tol or not finite")
     c.set_defaults(func=cmd_check)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
@@ -180,6 +198,9 @@ def main(argv=None) -> int:
     except CurvatureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FlowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -5,14 +5,30 @@ A curvature tensor here is a quadrilinear form R(X, Y, Z, W) with
     R(X,Y,Z,W) = -R(Y,X,Z,W) = -R(X,Y,W,Z) = R(Z,W,X,Y),
     R(X,Y,Z,W) + R(Y,Z,X,W) + R(Z,X,Y,W) = 0   (first Bianchi identity).
 
-Canonical storage is the symmetric N x N coefficient matrix on the
-lexicographically ordered 2-form basis {e_i ^ e_j : i < j}, N = n(n-1)/2;
-the full rank-4 table is expanded on demand.  Values are immutable after
-construction and every operation is a pure function of its inputs.
+Canonical storage is the symmetric N x N coefficient matrix M on the
+lexicographically ordered 2-form basis {e_i ^ e_j : i < j}, N = n(n-1)/2,
+with M[ij, kl] = R_ijkl; the full rank-4 table is expanded on demand and is
+needed only at I/O boundaries and by the Ricci contractions.  Values are
+immutable after construction and every operation is a pure function of its
+inputs.
+
+The reaction term of dR/dt = Q(R) is Hamilton's Q(R) = R^2 + R#
+(Hamilton 1986, "Four-manifolds with positive curvature operator"; R# is the
+Lie-algebraic square of Boehm-Wilking 2008).  It is computed on the pair
+basis: with X the n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq, read off M by
+one signed gather, and Y the same matrix of S,
+
+    B(R, S).mat = M_R M_S + M_S M_R + P[ik,jl] - P[il,jk],   P = X Y^T + Y X^T,
+
+so that Q(R) = B(R, R) has Q.mat = 2 M^2 + 2 (X X^T)[ik,jl] - 2 (X X^T)[il,jk].
+The first Bianchi identity is likewise read on M: for i<j<k<l the cyclic sum
+is b = M[ij,kl] - M[ik,jl] + M[il,jk], and distinct quadruples involve
+disjoint entries.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +36,8 @@ import numpy as np
 CONSTRUCTION_TOL = 1e-9
 # Looser tolerance for feasibility of optimizer-produced configurations.
 FEASIBILITY_TOL = 1e-6
+# Relative tolerance of the Bianchi check on every reaction-term output.
+REACTION_TOL = 1e-10
 
 
 class CurvatureError(ValueError):
@@ -71,6 +89,109 @@ def _unpack_two_form(v: np.ndarray, n: int) -> np.ndarray:
     return A
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n x n tables (pos, sign) with e_i ^ e_p = sign[i, p] * (basis 2-form pos[i, p]).
+
+    The diagonal has sign 0 (and pos 0, so that gathers through it stay in range).
+    """
+    iu, ju = pair_indices(n)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    sign = np.zeros((n, n))
+    sign[iu, ju] = 1.0
+    sign[ju, iu] = -1.0
+    return _frozen(pos), _frozen(sign)
+
+
+@lru_cache(maxsize=None)
+def _swap_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the N x N matrix M, and signs, reading the n^2 x n^2
+    matrix X[(i,k),(p,q)] = R_ipkq = sign(i,p) sign(k,q) M[pos(i,p), pos(k,q)]."""
+    pos, sign = _pair_positions(n)
+    N = num_pairs(n)
+    # axes (i, k, p, q)
+    idx = pos[:, None, :, None] * N + pos[None, :, None, :]
+    sgn = sign[:, None, :, None] * sign[None, :, None, :]
+    return _frozen(idx.reshape(n * n, n * n)), _frozen(sgn.reshape(n * n, n * n))
+
+
+@lru_cache(maxsize=None)
+def _reaction_gather(n: int) -> np.ndarray:
+    """Flat indices into an n^2 x n^2 matrix Z of Z[(i,k),(j,l)], Z[(j,l),(i,k)],
+    Z[(i,l),(j,k)] and Z[(j,k),(i,l)] (axis 0), for the basis pairs (ij) on
+    rows and (kl) on columns."""
+    iu, ju = pair_indices(n)
+    i, j = iu[:, None], ju[:, None]
+    k, l = iu[None, :], ju[None, :]
+    ik, jl, il, jk = i * n + k, j * n + l, i * n + l, j * n + k
+    nn = n * n
+    return _frozen(np.stack([ik * nn + jl, jl * nn + ik, il * nn + jk, jk * nn + il]))
+
+
+@lru_cache(maxsize=None)
+def _bianchi_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the N x N matrix M of the entries (ij,kl), (ik,jl),
+    (il,jk) (axis 0) of every quadruple i<j<k<l (axis 1), and of their
+    transposes.  Distinct quadruples never share an entry."""
+    pos, _ = _pair_positions(n)
+    N = num_pairs(n)
+    i, j, k, l = np.array(list(combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
+    rows = np.stack([pos[i, j], pos[i, k], pos[i, l]])
+    cols = np.stack([pos[k, l], pos[j, l], pos[j, k]])
+    return _frozen(rows * N + cols), _frozen(cols * N + rows)
+
+
+_BIANCHI_SIGNS = np.array([1.0, -1.0, 1.0])[:, None]
+
+
+def bianchi_sums(mat: np.ndarray, n: int) -> np.ndarray:
+    """Cyclic sums b = M[ij,kl] - M[ik,jl] + M[il,jk] = R_ijkl + R_jkil + R_kijl,
+    one per quadruple i<j<k<l; the cyclic sum vanishes on repeated indices."""
+    e = np.take(mat, _bianchi_gather(n)[0])
+    return e[0] - e[1] + e[2]
+
+
+def bianchi_defect(mat: np.ndarray, n: int) -> float:
+    """Max |cyclic sum| of a symmetric coefficient matrix: the first-Bianchi
+    defect of its rank-4 table.  NaN if any involved entry is NaN."""
+    return float(np.max(np.abs(bianchi_sums(mat, n)), initial=0.0))
+
+
+def project_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
+    """Orthogonal projection of a symmetric coefficient matrix onto the
+    kernel of the cyclic sum: each quadruple's three entries and their
+    transposes move by -b/3 (1, -1, 1)."""
+    fwd, bwd = _bianchi_gather(n)
+    corr = _BIANCHI_SIGNS * (bianchi_sums(mat, n) / 3.0)
+    out = np.array(mat, dtype=float)
+    flat = out.reshape(-1)
+    flat[fwd] -= corr
+    flat[bwd] -= corr
+    return out
+
+
+def two_form_action(A: np.ndarray) -> np.ndarray:
+    """Matrix C_A of A acting on 2-forms: column kl is (A e_k) ^ (A e_l) in the pair basis."""
+    n = A.shape[0]
+    iu, ju = pair_indices(n)
+    return (A[iu[:, None], iu[None, :]] * A[ju[:, None], ju[None, :]]
+            - A[ju[:, None], iu[None, :]] * A[iu[:, None], ju[None, :]])
+
+
+def invariance_defect(R: "CurvatureTensor", structures) -> float:
+    """max |R(., ., A., A.) - R| over the matrices A in ``structures``,
+    computed on the pair basis as max |M C_A - M|."""
+    M = R.mat
+    return max((float(np.max(np.abs(M @ two_form_action(np.asarray(A)) - M)))
+                for A in structures), default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # The tensor type
 # ---------------------------------------------------------------------------
@@ -112,6 +233,8 @@ class CurvatureTensor:
         if T.ndim != 4 or len(set(T.shape)) != 1:
             raise CurvatureError(f"expected an (n,n,n,n) table, got shape {T.shape}")
         n = T.shape[0]
+        if not np.all(np.isfinite(T)):
+            raise CurvatureError("rank-4 table has non-finite entries")
         defect = symmetry_defect(T)
         ref = max(1.0, float(np.max(np.abs(T))), scale or 0.0)
         if defect > tol * ref:
@@ -140,8 +263,7 @@ class CurvatureTensor:
 
     def validation_defect(self) -> float:
         """Max first-Bianchi violation of the stored coefficients (absolute)."""
-        T = self.rank4
-        return float(np.max(np.abs(T + T.transpose(1, 2, 0, 3) + T.transpose(2, 0, 1, 3))))
+        return bianchi_defect(self.mat, self.n)
 
     # -- linear structure ----------------------------------------------------
 
@@ -196,16 +318,12 @@ def symmetry_defect(T: np.ndarray) -> float:
     return d
 
 
-def bianchi_cycle(T: np.ndarray) -> np.ndarray:
-    """Cyclic average b(T)_{ijkl} = (T_{ijkl} + T_{jkil} + T_{kijl}) / 3."""
-    return (T + T.transpose(1, 2, 0, 3) + T.transpose(2, 0, 1, 3)) / 3.0
-
-
 def project_to_curvature(table: np.ndarray, n: int | None = None) -> CurvatureTensor:
     """Orthogonal projection of an arbitrary rank-4 table onto curvature tensors.
 
-    First antisymmetrizes both index pairs and symmetrizes pair exchange, then
-    removes the fully antisymmetric (Bianchi-violating) part b(T).
+    Antisymmetrizes both index pairs while gathering onto the pair basis,
+    symmetrizes pair exchange, then removes the cyclic (Bianchi-violating)
+    part with :func:`project_bianchi`.
     """
     T = np.asarray(table, dtype=float)
     if T.ndim != 4 or len(set(T.shape)) != 1:
@@ -215,13 +333,10 @@ def project_to_curvature(table: np.ndarray, n: int | None = None) -> CurvatureTe
     n = T.shape[0]
     if n < 2:
         raise CurvatureError("need n >= 2")
-    A = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
-                + T.transpose(1, 0, 3, 2))
-    A = 0.5 * (A + A.transpose(2, 3, 0, 1))
-    P = A - bianchi_cycle(A)
     iu, ju = pair_indices(n)
-    M = P[iu[:, None], ju[:, None], iu[None, :], ju[None, :]]
-    return CurvatureTensor(n, M)
+    i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
+    M = 0.25 * (T[i, j, k, l] - T[j, i, k, l] - T[i, j, l, k] + T[j, i, l, k])
+    return CurvatureTensor(n, project_bianchi(0.5 * (M + M.T), n))
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +411,12 @@ def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> Curva
 # The reaction bilinear form B and its quadratic form Q
 # ---------------------------------------------------------------------------
 
-def _bform_rank4(R4: np.ndarray, S4: np.ndarray) -> np.ndarray:
-    """Raw rank-4 table of the symmetric bilinear reaction form B(R, S)."""
-    a = np.einsum("ijpq,klpq->ijkl", R4, S4, optimize=True)
-    first = 0.5 * (a + a.transpose(2, 3, 0, 1))
-    plus = (np.einsum("ipkq,jplq->ijkl", R4, S4, optimize=True)
-            + np.einsum("ipkq,jplq->ijkl", S4, R4, optimize=True))
-    minus = (np.einsum("iplq,jpkq->ijkl", R4, S4, optimize=True)
-             + np.einsum("iplq,jpkq->ijkl", S4, R4, optimize=True))
-    return first + plus - minus
+def _swap_table(mat: np.ndarray, n: int) -> np.ndarray:
+    """The n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq of the coefficients mat."""
+    idx, sgn = _swap_gather(n)
+    X = np.take(mat, idx)
+    X *= sgn
+    return X
 
 
 def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
@@ -314,10 +426,25 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
         1/2 sum_pq [R(X,Y,e_p,e_q) S(Z,W,e_p,e_q) + R(Z,W,e_p,e_q) S(X,Y,e_p,e_q)]
         + sum_pq [R(X,e_p,Z,e_q) S(Y,e_p,W,e_q) + R(Y,e_p,W,e_q) S(X,e_p,Z,e_q)]
         - sum_pq [R(X,e_p,W,e_q) S(Y,e_p,Z,e_q) + R(Y,e_p,Z,e_q) S(X,e_p,W,e_q)]
+
+    evaluated on the pair basis as in the module docstring, with P = Z + Z^T
+    for Z = X Y^T.  The result must pass the Bianchi check to REACTION_TOL
+    relative to max(1, |B|_max, |R| |S|); a larger defect, or any non-finite
+    entry, raises :class:`CurvatureError`.
     """
     R._check_same(S)
-    B4 = _bform_rank4(R.rank4, S.rank4)
-    return CurvatureTensor.from_rank4(B4, tol=1e-10, scale=R.norm() * S.norm())
+    n = R.n
+    X = _swap_table(R.mat, n)
+    Y = X if S is R else _swap_table(S.mat, n)
+    A = R.mat @ S.mat
+    z = np.take(X @ Y.T, _reaction_gather(n))
+    mat = A + A.T + z[0] + z[1] - z[2] - z[3]
+    defect = bianchi_defect(mat, n)
+    ref = float(np.max(np.abs(mat), initial=max(1.0, R.norm() * S.norm())))
+    if not defect <= REACTION_TOL * ref < np.inf:
+        raise CurvatureError(f"reaction term Bianchi defect {defect:.3e} exceeds "
+                             f"{REACTION_TOL:.1e} * {ref:.3e}")
+    return CurvatureTensor(n, mat)
 
 
 def qform(R: CurvatureTensor) -> CurvatureTensor:

@@ -2,15 +2,16 @@
 
 Classical RK4 with step doubling drives the adaptive integrator; every
 accepted state is re-projected onto the space of algebraic curvature tensors
-to stop cyclic-sum drift.  Self-similar ray solutions provide closed-form
-references for convergence checks.
+to stop cyclic-sum drift.  Stages and projection work on the coefficient
+matrix on 2-forms alone; no rank-4 table is formed.  Self-similar ray
+solutions provide closed-form references for convergence checks.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CurvatureTensor, project_to_curvature, qform, scalar_curvature
+from .core import CurvatureTensor, project_bianchi, qform, scalar_curvature
 from .frames import OptimizerConfig, min_isotropic
 
 
@@ -47,16 +48,18 @@ class FlowTrace:
 
 
 def _project(R: CurvatureTensor) -> CurvatureTensor:
-    return project_to_curvature(R.rank4)
+    """Remove the cyclic (Bianchi-violating) part of R's coefficients."""
+    return CurvatureTensor(R.n, project_bianchi(R.mat, R.n))
 
 
 def rk4_step(R: CurvatureTensor, h: float) -> CurvatureTensor:
     """One classical Runge-Kutta step of dR/dt = Q(R), re-projected."""
-    k1 = qform(R)
-    k2 = qform(R + (0.5 * h) * k1)
-    k3 = qform(R + (0.5 * h) * k2)
-    k4 = qform(R + h * k3)
-    return _project(R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    n, M = R.n, R.mat
+    k1 = qform(R).mat
+    k2 = qform(CurvatureTensor(n, M + (0.5 * h) * k1)).mat
+    k3 = qform(CurvatureTensor(n, M + (0.5 * h) * k2)).mat
+    k4 = qform(CurvatureTensor(n, M + h * k3)).mat
+    return _project(CurvatureTensor(n, M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
 
 
 def default_horizon(R0: CurvatureTensor) -> float:

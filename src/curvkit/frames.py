@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, curvature_map, evaluate, isotropic_from_columns,
-                   pair_indices, qform, wedge)
+                   QuaternionTriple, curvature_map, evaluate, invariance_defect,
+                   isotropic_from_columns, pair_indices, qform, wedge)
 
 
 @dataclass(frozen=True)
@@ -515,12 +515,8 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
         raise CurvatureError("tensor and triple dimensions differ")
     m = n // 4
 
-    T4 = R1.rank4
-    hk_residual = 0.0
-    for A in T.matrices:
-        conj = np.einsum("ijab,ak,bl->ijkl", T4, A, A, optimize=True)
-        hk_residual = max(hk_residual, float(np.max(np.abs(conj - T4))))
-    if hk_residual > 1e-8 * max(1.0, float(np.max(np.abs(T4)))):
+    hk_residual = invariance_defect(R1, T.matrices)
+    if not hk_residual <= 1e-8 * max(1.0, float(np.max(np.abs(R1.mat)))):
         raise CurvatureError(f"input fails the hyperkahler residual check: {hk_residual:.3e}")
 
     mats = T.matrices

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
-                   QuaternionTriple, num_pairs, pair_indices, scalar_curvature,
-                   model_quaternionic_projective)
+                   QuaternionTriple, _bianchi_gather, invariance_defect, num_pairs,
+                   scalar_curvature, model_quaternionic_projective, two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff for rank decisions
 MAX_BASIS_N = 10        # dense basis construction is capped here
@@ -68,40 +68,22 @@ def _coords_from_mat(M: np.ndarray) -> np.ndarray:
 
 
 def _bianchi_rows(n: int) -> np.ndarray:
-    """One row per quadruple i<j<k<l: M[ij,kl] - M[ik,jl] + M[jk,il] = 0."""
+    """One row per quadruple i<j<k<l: M[ij,kl] - M[ik,jl] + M[il,jk] = 0."""
     N = num_pairs(n)
-    pos = np.full((n, n), -1, dtype=int)
-    iu, ju = pair_indices(n)
-    pos[iu, ju] = np.arange(N)
     P, Q, w = _coord_maps(n)
-    col_of = np.full((N, N), -1, dtype=int)
-    col_of[P, Q] = np.arange(len(P))
-    col_of[Q, P] = np.arange(len(P))
-
-    rows = []
-    from itertools import combinations
-    for i, j, k, l in combinations(range(n), 4):
-        row = np.zeros(len(P))
-        for (a, b), s in (((pos[i, j], pos[k, l]), 1.0),
-                          ((pos[i, k], pos[j, l]), -1.0),
-                          ((pos[j, k], pos[i, l]), 1.0)):
-            c = col_of[a, b]
-            row[c] += s / w[c]
-        rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, len(P)))
-
-
-def _two_form_action(A: np.ndarray) -> np.ndarray:
-    """Matrix of A acting on 2-forms: (A e_k) ^ (A e_l) in the pair basis."""
-    n = A.shape[0]
-    iu, ju = pair_indices(n)
-    return (A[iu[:, None], iu[None, :]] * A[ju[:, None], ju[None, :]]
-            - A[ju[:, None], iu[None, :]] * A[iu[:, None], ju[None, :]])
+    col_of = np.empty((N, N), dtype=int)
+    col_of[P, Q] = col_of[Q, P] = np.arange(len(P))
+    cols = np.take(col_of, _bianchi_gather(n)[0])     # (3, quadruples)
+    quads = np.arange(cols.shape[1])
+    rows = np.zeros((len(quads), len(P)))
+    for c, s in zip(cols, (1.0, -1.0, 1.0)):
+        rows[quads, c] = s / w[c]
+    return rows
 
 
 def _invariance_rows(n: int, A: np.ndarray) -> np.ndarray:
     """Rows of the linearized constraint R(.,., A., A.) = R in coordinates."""
-    C = _two_form_action(A)
+    C = two_form_action(A)
     P, Q, w = _coord_maps(n)
     dim = len(P)
     rows = np.empty((C.shape[0] ** 2, dim))
@@ -187,14 +169,8 @@ def constraint_violation(space: CurvatureSubspace, R: CurvatureTensor) -> float:
     """Max-entry violation of the invariances defining the space (0 for generic)."""
     if space.structures is None:
         return 0.0
-    mats = [s.matrix if isinstance(s, ComplexStructure) else np.asarray(s)
-            for s in space.structures]
-    T4 = R.rank4
-    worst = 0.0
-    for A in mats:
-        conj = np.einsum("ijab,ak,bl->ijkl", T4, A, A, optimize=True)
-        worst = max(worst, float(np.max(np.abs(conj - T4))))
-    return worst
+    return invariance_defect(R, [s.matrix if isinstance(s, ComplexStructure) else s
+                                 for s in space.structures])
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +198,8 @@ def qk_decompose(R: CurvatureTensor, T: QuaternionTriple) -> QKDecomposition:
     R0 = model_quaternionic_projective(T)
     kappa = scalar_curvature(R) / scalar_curvature(R0)
     r1 = R - kappa * R0
-    T4 = r1.rank4
-    worst = 0.0
-    for A in T.matrices:
-        conj = np.einsum("ijab,ak,bl->ijkl", T4, A, A, optimize=True)
-        worst = max(worst, float(np.max(np.abs(conj - T4))))
-    return QKDecomposition(r1=r1, kappa=float(kappa), residual=worst)
+    return QKDecomposition(r1=r1, kappa=float(kappa),
+                           residual=invariance_defect(r1, T.matrices))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The on-disk tensor format is ``lambda2_sym_dense``: the symmetric matrix of
 the tensor on the lexicographic 2-form basis, stored row-major.  Reading
-validates shape, symmetry and the cyclic sum identity before returning a
-tensor, so a file that parses is safe to compute with.
+validates shape, finiteness, symmetry and the cyclic sum identity before
+returning a tensor, so a file that parses is safe to compute with.
 """
 
 import csv
@@ -35,10 +35,15 @@ def tensor_from_dict(d: dict) -> CurvatureTensor:
     if not isinstance(n, int) or n < 2:
         raise CurvatureError(f"invalid dimension {n!r}")
     N = num_pairs(n)
-    mat = np.asarray(coeffs, dtype=float)
+    try:
+        mat = np.asarray(coeffs, dtype=float)
+    except (TypeError, ValueError):
+        raise CurvatureError("coefficients are not a list of numbers") from None
     if mat.size != N * N:
         raise CurvatureError(f"expected {N * N} coefficients for n={n}, got {mat.size}")
     mat = mat.reshape(N, N)
+    if not np.all(np.isfinite(mat)):
+        raise CurvatureError("coefficients contain NaN or infinite values")
     scale = max(1.0, float(np.max(np.abs(mat))))
     sym = float(np.max(np.abs(mat - mat.T)))
     if sym > READ_TOL * scale:

@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes quantities from first principles (component loops,
-full n^4 coordinate systems) without going through the package's vectorized
-paths, so agreement is meaningful.
+full n^4 tables and coordinate systems) without going through the package's
+vectorized paths on the 2-form basis, so agreement is meaningful.
 """
 
 import numpy as np
@@ -43,6 +43,40 @@ def bform_loops(R4: np.ndarray, S4: np.ndarray) -> np.ndarray:
                                     + S4[i, p, l, q] * R4[j, p, k, q])
                     B[i, j, k, l] = acc
     return B
+
+
+def bform_einsum(R4: np.ndarray, S4: np.ndarray) -> np.ndarray:
+    """Rank-4 table of the reaction bilinear form B(R, S) from five n^4
+    einsum contractions of the full tables."""
+    a = np.einsum("ijpq,klpq->ijkl", R4, S4, optimize=True)
+    first = 0.5 * (a + a.transpose(2, 3, 0, 1))
+    plus = (np.einsum("ipkq,jplq->ijkl", R4, S4, optimize=True)
+            + np.einsum("ipkq,jplq->ijkl", S4, R4, optimize=True))
+    minus = (np.einsum("iplq,jpkq->ijkl", R4, S4, optimize=True)
+             + np.einsum("iplq,jpkq->ijkl", S4, R4, optimize=True))
+    return first + plus - minus
+
+
+def cyclic_defect(T: np.ndarray) -> float:
+    """Max |T_ijkl + T_jkil + T_kijl| over all index quadruples."""
+    return float(np.max(np.abs(T + T.transpose(1, 2, 0, 3) + T.transpose(2, 0, 1, 3))))
+
+
+def project_rank4(table: np.ndarray) -> np.ndarray:
+    """Projection onto curvature tensors done on the full table: antisymmetrize
+    both pairs, symmetrize pair exchange, subtract the cyclic average."""
+    T = np.asarray(table, dtype=float)
+    A = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
+                + T.transpose(1, 0, 3, 2))
+    A = 0.5 * (A + A.transpose(2, 3, 0, 1))
+    return A - (A + A.transpose(1, 2, 0, 3) + A.transpose(2, 0, 1, 3)) / 3.0
+
+
+def invariance_einsum(T4: np.ndarray, structures) -> float:
+    """max |R(., ., A., A.) - R| over the structures, on the full table."""
+    return max(float(np.max(np.abs(np.einsum("ijab,ak,bl->ijkl", T4, A, A,
+                                             optimize=True) - T4)))
+               for A in structures)
 
 
 def random_curvature(n: int, seed: int, scale: float = 1.0) -> CurvatureTensor:

@@ -169,3 +169,38 @@ def test_flow_assert_cone_passes(tmp_path, capsys):
     rep = last_json(out)
     assert rep["preserved"] is True
     assert rep["worst_margin"] >= 0.0
+
+
+def test_all_nan_tensor_file_exits_two(tmp_path, capsys):
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps({"format": "lambda2_sym_dense", "n": 4,
+                             "coeffs": [float("nan")] * 36}))
+    code, out, err = run(capsys, "check", "--in", str(p), "--what", "iso-min",
+                         "--assert-nonneg")
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_assert_nonneg_fails_on_non_finite_value(tmp_path, capsys, monkeypatch):
+    import curvkit.cli
+    from curvkit.frames import FrameSearchResult
+    p = str(tmp_path / "s.json")
+    main(["model", "--kind", "sphere", "--n", "4", "--out", p])
+    capsys.readouterr()
+    monkeypatch.setattr(curvkit.cli, "min_isotropic",
+                        lambda R, cfg: FrameSearchResult(float("nan"), None, False, 0))
+    code, out, _ = run(capsys, "check", "--in", p, "--what", "iso-min",
+                       "--assert-nonneg")
+    assert code == 1
+    assert json.loads(out, parse_constant=pytest.fail)["value"] is None
+
+
+def test_flow_step_underflow_exits_three(tmp_path, capsys):
+    p = str(tmp_path / "s.json")
+    main(["model", "--kind", "sphere", "--n", "4", "--out", p])
+    capsys.readouterr()
+    code, out, err = run(capsys, "flow", "--in", p, "--t-end", "0.02",
+                         "--dt", "1e-16")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: step size underflow")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from curvkit.core import CurvatureError, model_sphere
+from curvkit.core import CurvatureError, CurvatureTensor, model_sphere
 from curvkit.flow import FlowConfig, integrate_q_flow
 from curvkit.frames import OptimizerConfig
 from curvkit.tensor_io import (FORMAT_NAME, load_tensor, save_tensor,
@@ -44,12 +44,25 @@ def test_dict_shape():
     lambda d: d.pop("n"),
     lambda d: d.update(coeffs=d["coeffs"][:-1]),
     lambda d: d.update(n=5),
+    lambda d: d.update(coeffs="not numbers"),
+    lambda d: d.update(coeffs=[float("nan")] * len(d["coeffs"])),
+    lambda d: d["coeffs"].__setitem__(0, float("inf")),
 ])
 def test_reject_malformed_dict(mutate):
     d = tensor_to_dict(model_sphere(4, 1.0))
     mutate(d)
     with pytest.raises(CurvatureError):
         tensor_from_dict(d)
+
+
+def test_from_rank4_rejects_non_finite():
+    T = model_sphere(4, 1.0).rank4.copy()
+    T[0, 1, 0, 1] = np.nan
+    with pytest.raises(CurvatureError):
+        CurvatureTensor.from_rank4(T)
+    T[0, 1, 0, 1] = -np.inf
+    with pytest.raises(CurvatureError):
+        CurvatureTensor.from_rank4(T)
 
 
 def test_reject_asymmetric_coeffs():

@@ -1,0 +1,91 @@
+"""The pair-basis (Lambda^2) fast paths against their rank-4 oracles.
+
+B/Q, the Bianchi projection, the cyclic defect and the invariance defect are
+computed on the N x N coefficient matrix; each is compared here with the
+n^4-table computation it replaces.
+"""
+
+import numpy as np
+import pytest
+
+from curvkit.core import (CurvatureError, CurvatureTensor, bform, invariance_defect,
+                          model_fubini_study, num_pairs, project_bianchi, qform,
+                          standard_complex_structure, standard_quaternion_triple)
+from curvkit.flow import _project
+
+from helpers import (bform_einsum, cyclic_defect, invariance_einsum, project_rank4,
+                     random_curvature)
+
+SIZES = [4, 6, 8, 12]
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+
+def _pair_symmetric(n, seed):
+    """Random symmetric coefficients: all curvature symmetries but Bianchi."""
+    a = np.random.default_rng(seed).standard_normal((num_pairs(n), num_pairs(n)))
+    return CurvatureTensor(n, a + a.T)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bform_and_qform_match_einsum(n):
+    R = random_curvature(n, seed=300 + n)
+    S = random_curvature(n, seed=400 + n)
+    assert _rel(bform(R, S).rank4, bform_einsum(R.rank4, S.rank4)) <= 1e-12
+    assert _rel(qform(R).rank4, bform_einsum(R.rank4, R.rank4)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_flow_projection_matches_rank4(n):
+    R = _pair_symmetric(n, seed=500 + n)
+    P = _project(R)
+    assert _rel(P.rank4, project_rank4(R.rank4)) <= 1e-12
+    assert P.validation_defect() <= 1e-12 * max(1.0, P.norm())
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_validation_defect_matches_rank4(n):
+    R = _pair_symmetric(n, seed=600 + n)
+    expected = cyclic_defect(R.rank4)
+    assert expected > 0.1
+    assert abs(R.validation_defect() - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_invariance_defect_matches_einsum(n):
+    rng = np.random.default_rng(700 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mats = [standard_complex_structure(n).matrix, q]
+    if n % 4 == 0:
+        mats += list(standard_quaternion_triple(n).matrices)
+    R = random_curvature(n, seed=800 + n)
+    for A in mats:
+        expected = invariance_einsum(R.rank4, [A])
+        assert abs(invariance_defect(R, [A]) - expected) <= 1e-12 * max(1.0, expected)
+    # Fubini-Study is invariant under its own complex structure
+    FS, J = model_fubini_study(n // 2)
+    assert invariance_defect(FS, [J.matrix]) <= 1e-12
+
+
+def test_project_bianchi_is_idempotent_and_keeps_curvature_tensors():
+    R = random_curvature(6, seed=900)
+    np.testing.assert_allclose(project_bianchi(R.mat, 6), R.mat, atol=1e-13)
+    S = _pair_symmetric(6, seed=901)
+    once = project_bianchi(S.mat, 6)
+    np.testing.assert_allclose(project_bianchi(once, 6), once, atol=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bform_fails_closed():
+    R = random_curvature(5, seed=910)
+    with pytest.raises(CurvatureError):
+        qform(_pair_symmetric(5, seed=911))       # input violates Bianchi
+    bad = np.array(R.mat)
+    bad[0, 0] = np.nan                            # not on any Bianchi entry
+    with pytest.raises(CurvatureError):
+        qform(CurvatureTensor(5, bad))
+    bad[0, 0] = np.inf
+    with pytest.raises(CurvatureError):
+        bform(R, CurvatureTensor(5, bad))
