@@ -32,6 +32,20 @@ def _env_seed(args, fallback: int) -> int:
     return int(os.environ.get("CURVKIT_SEED", fallback))
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _finite_json(obj):
     """``obj`` with every non-finite float replaced by None (JSON null)."""
     if isinstance(obj, float):
@@ -164,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--what", required=True,
                    choices=["iso-min", "pinch", "ricci", "weyl"])
-    c.add_argument("--restarts", type=int, default=64)
+    c.add_argument("--restarts", type=positive_int, default=64)
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--tol", type=float, default=1e-8)
     c.add_argument("--assert-nonneg", action="store_true",
@@ -181,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("flow", help="integrate dR/dt = Q(R) from a tensor file")
     f.add_argument("--in", dest="infile", required=True)
-    f.add_argument("--t-end", type=float, default=None)
-    f.add_argument("--dt", type=float, default=1e-3)
-    f.add_argument("--monitor-every", type=int, default=10)
+    f.add_argument("--t-end", type=positive_float, default=None)
+    f.add_argument("--dt", type=positive_float, default=1e-3)
+    f.add_argument("--monitor-every", type=positive_int, default=10)
     f.add_argument("--out-csv", default=None)
     f.add_argument("--assert-cone", action="store_true",
                    help="exit 1 unless nonnegative isotropic curvature persists")

@@ -81,11 +81,12 @@ def _expansion_matrix(n: int) -> np.ndarray:
 
 
 def _unpack_two_form(v: np.ndarray, n: int) -> np.ndarray:
-    """Antisymmetric n x n matrix with upper-triangular entries v."""
+    """Antisymmetric n x n matrix with upper-triangular entries v; stacks
+    (..., N) give (..., n, n)."""
     iu, ju = pair_indices(n)
-    A = np.zeros((n, n))
-    A[iu, ju] = v
-    A -= A.T
+    A = np.zeros(v.shape[:-1] + (n, n))
+    A[..., iu, ju] = v
+    A[..., ju, iu] = -v
     return A
 
 

@@ -2,18 +2,24 @@
 
 The workhorse is projected gradient descent on the Stiefel manifold of
 orthonormal k-column matrices (k = 4 for isotropic frames, k = 1 for unit
-vectors): Euclidean gradient, tangent projection G - F sym(F^T G), QR
-retraction with positive-diagonal sign fix, Armijo backtracking, multistart.
-Results report values; frames are certificates, never compared directly.
+vectors; Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
+gradient, tangent projection G - F sym(F^T G), QR retraction with
+positive-diagonal sign fix (x / |x| for k = 1), Armijo backtracking,
+multistart.  One engine, ``_descend``, runs all starts of a search as one
+(B, n, k) stack, each row with its own step size.  Results say why the best
+restart stopped (``stop_reason``) and how long each restart ran; they report
+values, and frames are certificates, never compared directly.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, curvature_map, evaluate, invariance_defect,
-                   isotropic_from_columns, pair_indices, qform, wedge)
+                   QuaternionTriple, _frozen, _unpack_two_form, curvature_map, evaluate,
+                   invariance_defect, isotropic_from_columns, pair_indices, qform,
+                   wedge)
 
 
 @dataclass(frozen=True)
@@ -35,97 +41,152 @@ class OptimizerConfig:
 class FrameSearchResult:
     value: float
     frame_or_vector: object            # FourFrame for frame searches, 1-d array else
-    converged: bool
+    converged: bool                    # stop_reason == "grad_tol"
     iterations: int
     restart_values: list = field(default_factory=list)
     restart_frames: list = field(default_factory=list, repr=False)
+    stop_reason: str | None = None     # of the reported restart, one of STOP_REASONS
+    restart_iterations: list = field(default_factory=list)   # aligned with restart_values
 
 
 # ---------------------------------------------------------------------------
-# Stiefel descent core
+# Stiefel descent engine
 # ---------------------------------------------------------------------------
+
+STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters")
+_ARMIJO = 1e-4          # sufficient-decrease constant
+_BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
+
 
 def _retract(F: np.ndarray) -> np.ndarray:
-    """QR retraction onto orthonormal columns, sign-fixed for continuity."""
+    """QR retraction of a stack (..., n, k) onto orthonormal columns,
+    sign-fixed for continuity; for k = 1 this is x / |x|."""
+    if F.shape[-1] == 1:
+        return F / np.linalg.norm(F, axis=-2, keepdims=True)
     q, r = np.linalg.qr(F)
-    s = np.sign(np.diag(r))
-    s[s == 0] = 1.0
-    return q * s
+    s = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    return q * s[..., None, :]
 
 
-def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
-    """Minimize value_grad(F)[0] over orthonormal columns starting at F0.
+def _stiefel_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Projection G - F sym(F^T G) of a stack of gradients onto the tangent spaces."""
+    FtG = np.swapaxes(F, -1, -2) @ G
+    return G - F @ (0.5 * (FtG + np.swapaxes(FtG, -1, -2)))
 
-    Returns (value, F, converged, iterations); accepted steps are monotone.
+
+def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
+             retract=_retract, tangent=_stiefel_tangent):
+    """Minimize value_grad over a (B, n, k) stack of starts, all rows at once.
+
+    ``value_grad`` maps a (b, n, k) stack to values (b,) and Euclidean
+    gradients; ``retract`` maps trial points onto the constraint set (a NaN
+    row is an infeasible trial) and ``tangent`` projects gradients onto its
+    tangent spaces.  Each row backtracks on its own and leaves the stack at
+    ``grad_tol``, after 60 halvings without a decrease (``line_search_floor``)
+    or after ``max_iters``.  ``on_iterate(F, val, gnorm)`` is called with the
+    (n, k) frame of each active row at the start of each of its iterations.
+
+    Returns (values, frames, iterations, stop reasons), aligned with F0's rows.
     """
-    F = _retract(np.asarray(F0, dtype=float))
+    F = retract(np.asarray(F0, dtype=float))
     val, G = value_grad(F)
-    alpha = cfg.step
-    converged = False
-    iters = 0
-    for it in range(cfg.max_iters):
-        iters = it + 1
-        sym = 0.5 * (F.T @ G + G.T @ F)
-        Griem = G - F @ sym
-        gnorm = float(np.linalg.norm(Griem))
+    P = tangent(F, G)
+    g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
+    B = len(F)
+    a = np.full(B, cfg.step)            # next trial step of each row
+    # failed trials in the current iteration, iterations begun, rows of F0
+    tries, iters, rows = np.zeros(B, dtype=int), np.ones(B, dtype=int), np.arange(B)
+    ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
+    out = (np.empty(B), np.empty_like(F), np.empty(B, dtype=int), np.empty(B, dtype=int))
+    while True:
         if on_iterate is not None:
-            on_iterate(F, val, gnorm)
-        if gnorm <= cfg.grad_tol:
-            converged = True
-            break
-        a = alpha
-        accepted = False
-        for _ in range(60):
-            Fnew = _retract(F - a * Griem)
-            vnew, Gnew = value_grad(Fnew)
-            if vnew <= val - 1e-4 * a * gnorm * gnorm:
-                accepted = True
+            for i in np.flatnonzero(ok & (iters <= cfg.max_iters)):
+                on_iterate(F[i], val[i], np.sqrt(g2[i]))
+        # g2 changes only on acceptance, so a small g2 is met at an iteration start
+        over = iters > cfg.max_iters
+        done = (g2 <= cfg.grad_tol ** 2) | over | (tries == _BACKTRACKS)
+        if np.count_nonzero(done):
+            code = np.where(tries == _BACKTRACKS, 1, np.where(over, 2, 0))
+            for dst, src in zip(out, (val, F, np.minimum(iters, cfg.max_iters), code)):
+                dst[rows[done]] = src[done]
+            if done.all():
                 break
-            a *= 0.5
-        if not accepted:
-            break                      # at the numerical floor of the line search
-        F, val, G = Fnew, vnew, Gnew
-        alpha = min(a * 2.0, 1e3 * cfg.step)
-    return val, F, converged, iters
+            F, val, P, g2, a, tries, iters, rows = (
+                x[~done] for x in (F, val, P, g2, a, tries, iters, rows))
+        Ft = retract(F - a[:, None, None] * P)
+        vt, Gt = value_grad(Ft)
+        # a trial must decrease the value: at the floor, where the Armijo
+        # margin is below roundoff, a step that moves nothing is no progress
+        ok = (vt < val) & (vt <= val - _ARMIJO * a * g2)
+        Pt = tangent(Ft, Gt)
+        m = ok[:, None, None]
+        F, P = np.where(m, Ft, F), np.where(m, Pt, P)
+        val, g2 = np.where(ok, vt, val), np.where(ok, np.einsum("bij,bij->b", Pt, Pt), g2)
+        a = np.minimum(a * np.where(ok, 2.0, 0.5), 1e3 * cfg.step)
+        tries = np.where(ok, 0, tries + 1)
+        iters += ok
+    values, frames, iterations, codes = out
+    return values, frames, iterations, np.array(STOP_REASONS)[codes]
 
 
-def _random_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    return _retract(rng.standard_normal((n, k)))
+def _random_starts(cfg: OptimizerConfig, n: int, k: int) -> np.ndarray:
+    """(restarts, n, k) Gaussian starts; restart r draws from seed cfg.seed + r."""
+    return np.stack([np.random.default_rng(cfg.seed + r).standard_normal((n, k))
+                     for r in range(cfg.restarts)])
+
+
+def _search_result(values, frames, iterations, reasons, k: int, frame) -> FrameSearchResult:
+    """Result of a search whose best restart is row k, reported as ``frame``."""
+    return FrameSearchResult(value=float(values[k]), frame_or_vector=frame,
+                             converged=bool(reasons[k] == "grad_tol"),
+                             iterations=int(iterations[k]), restart_values=values.tolist(),
+                             restart_frames=list(frames), stop_reason=str(reasons[k]),
+                             restart_iterations=iterations.tolist())
 
 
 # ---------------------------------------------------------------------------
 # Isotropic curvature over 4-frames
 # ---------------------------------------------------------------------------
 
-def _iso_value_grad(mat: np.ndarray, n: int):
-    """Closure returning (value, Euclidean gradient) of the isotropic functional."""
+# The six wedges w_k = f_a ^ f_b of a frame, in the order 13, 14, 23, 24, 12,
+# 34; the value is sum_k c_k w_k . M w_pi(k) / 2.  As w . m = f_a^T A f_b for
+# A = R(., ., m), the gradient is sum_k A_k F _ISO_GRAD[k], A_k = R(., ., w_k).
+_ISO_A, _ISO_B = np.array([0, 0, 1, 1, 0, 2]), np.array([2, 3, 2, 3, 1, 3])
+_ISO_PI, _ISO_C = [0, 1, 2, 3, 5, 4], np.array([2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
+_ISO_GRAD = np.zeros((6, 4, 4))
+_ISO_GRAD[_ISO_PI, _ISO_B, _ISO_A], _ISO_GRAD[_ISO_PI, _ISO_A, _ISO_B] = _ISO_C, -_ISO_C
+
+
+@lru_cache(maxsize=None)
+def _iso_gather(n: int) -> np.ndarray:
+    """(4, 6, N) flat indices into an (n, 4) frame: with g = F.ravel()[idx],
+    g[0] g[1] - g[2] g[3] are the six wedges f_a[i] f_b[j] - f_a[j] f_b[i]."""
     iu, ju = pair_indices(n)
+    a, b = _ISO_A[:, None], _ISO_B[:, None]
+    return _frozen(np.stack([4 * iu + a, 4 * ju + b, 4 * ju + a, 4 * iu + b]))
 
-    def unpack(v):
-        A = np.zeros((n, n))
-        A[iu, ju] = v
-        A -= A.T
-        return A
 
-    def wdg(x, y):
-        return x[iu] * y[ju] - x[ju] * y[iu]
+def _iso_wedges(F: np.ndarray) -> np.ndarray:
+    """The six wedges of each frame in a stack (..., n, 4), as (..., 6, N)."""
+    g = F.reshape(F.shape[:-2] + (-1,))[..., _iso_gather(F.shape[-2])]
+    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
+
+
+def _iso_from_wedges(W: np.ndarray, MW: np.ndarray) -> np.ndarray:
+    return np.einsum("...kp,...kp,k->...", W, MW[..., _ISO_PI, :], _ISO_C / 2.0)
+
+
+def _iso_value_grad(mat: np.ndarray, n: int):
+    """Closure: isotropic values and Euclidean gradients on frames (..., n, 4)."""
+    N = len(mat)
+    K = np.hstack([mat, _unpack_two_form(mat, n).reshape(N, n * n)])  # w K = (M w, R(.,.,w))
 
     def value_grad(F):
-        f1, f2, f3, f4 = F.T
-        w13, w14 = wdg(f1, f3), wdg(f1, f4)
-        w23, w24 = wdg(f2, f3), wdg(f2, f4)
-        w12, w34 = wdg(f1, f2), wdg(f3, f4)
-        m13, m14, m23, m24 = mat @ w13, mat @ w14, mat @ w23, mat @ w24
-        m12, m34 = mat @ w12, mat @ w34
-        val = float(w13 @ m13 + w14 @ m14 + w23 @ m23 + w24 @ m24 - 2.0 * (w12 @ m34))
-        A13, A14 = unpack(m13), unpack(m14)
-        A23, A24 = unpack(m23), unpack(m24)
-        A12, A34 = unpack(m12), unpack(m34)
-        g1 = 2.0 * (A13 @ f3 + A14 @ f4 - A34 @ f2)
-        g2 = 2.0 * (A23 @ f3 + A24 @ f4 + A34 @ f1)
-        g3 = -2.0 * (A13 @ f1 + A23 @ f2 + A12 @ f4)
-        g4 = -2.0 * (A14 @ f1 + A24 @ f2 - A12 @ f3)
-        return val, np.column_stack([g1, g2, g3, g4])
+        W = _iso_wedges(F)
+        out = W @ K
+        A = out[..., N:].reshape(W.shape[:-1] + (n, n))
+        G = (A @ (F[..., None, :, :] @ _ISO_GRAD)).sum(axis=-3)
+        return _iso_from_wedges(W, out[..., :N]), G
 
     return value_grad
 
@@ -135,33 +196,20 @@ def _coordinate_probe_frames(n: int) -> np.ndarray:
     orientation-reversed copies: the cross term is odd under a single column
     sign flip, so the two classes see different values."""
     from itertools import combinations
-    quads = list(combinations(range(n), 4))
-    F = np.zeros((2 * len(quads), n, 4))
-    for b, q in enumerate(quads):
-        for a, idx in enumerate(q):
-            F[b, idx, a] = 1.0
-        F[b + len(quads)] = F[b]
-        F[b + len(quads), :, 3] *= -1.0
-    return F
+    quads = np.array(list(combinations(range(n), 4)))
+    F = np.zeros((len(quads), n, 4))
+    F[np.arange(len(quads))[:, None], quads, np.arange(4)] = 1.0
+    return np.concatenate([F, F * [1.0, 1.0, 1.0, -1.0]])
 
 
 def batch_isotropic(R: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
-    """Vectorized isotropic curvature of a (B, n, 4) stack of frames."""
-    iu, ju = pair_indices(R.n)
-    mat = R.mat
-    f = [frames[:, :, a] for a in range(4)]
-
-    def wdg(x, y):
-        return x[:, iu] * y[:, ju] - x[:, ju] * y[:, iu]
-
-    def quad(w, v):
-        return np.einsum("bp,bp->b", w @ mat, v)
-
-    w13, w14 = wdg(f[0], f[2]), wdg(f[0], f[3])
-    w23, w24 = wdg(f[1], f[2]), wdg(f[1], f[3])
-    w12, w34 = wdg(f[0], f[1]), wdg(f[2], f[3])
-    return (quad(w13, w13) + quad(w14, w14) + quad(w23, w23) + quad(w24, w24)
-            - 2.0 * quad(w12, w34))
+    """Vectorized isotropic curvature of a (B, n, 4) stack of frames, taken in
+    chunks that bound the memory of the wedge gather."""
+    vals = []
+    for i in range(0, len(frames), 128):
+        W = _iso_wedges(frames[i:i + 128])
+        vals.append(_iso_from_wedges(W, W @ R.mat))
+    return np.concatenate(vals)
 
 
 def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000,
@@ -178,11 +226,9 @@ def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000,
     while remaining > 0:
         b = min(batch, remaining)
         remaining -= b
-        raw = rng.standard_normal((b, R.n, 4))
-        q, r = np.linalg.qr(raw)
-        s = np.sign(np.einsum("bii->bi", r))   # uniform on the frame manifold
-        s[s == 0] = 1.0                        # (covers both orientation classes)
-        q = q * s[:, None, :]
+        # the sign-fixed QR is uniform on the frame manifold (covers both
+        # orientation classes)
+        q = _retract(rng.standard_normal((b, R.n, 4)))
         vals = batch_isotropic(R, q)
         i = int(np.argmin(vals))
         if vals[i] < best:
@@ -196,37 +242,30 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     """Multistart minimization of the isotropic curvature over orthonormal 4-frames.
 
     Restart r draws its starting frame from seed ``cfg.seed + r``; frames in
-    ``init_frames`` are run first (warm starts).  A fixed probe set of
-    axis-aligned frames guards the reported value: if a probe beats the best
-    restart, descent is re-run from that probe.
+    ``init_frames`` are run first (warm starts), all in one stack.  A fixed
+    probe set of axis-aligned frames guards the reported value: if a probe
+    beats the best restart, descent is re-run from that probe.
+    ``on_iterate(F, val, gnorm)`` sees every iteration of every restart.
     """
     cfg = cfg or OptimizerConfig()
     n = R.n
     value_grad = _iso_value_grad(R.mat, n)
 
-    starts = [F.matrix if isinstance(F, FourFrame) else np.asarray(F, dtype=float)
-              for F in (init_frames or [])]
-    starts += [_random_columns(np.random.default_rng(cfg.seed + r), n, 4)
-               for r in range(cfg.restarts)]
-
-    runs = []
-    for F0 in starts:
-        runs.append(_descend(value_grad, F0, cfg, on_iterate=on_iterate))
+    warm = [(F.matrix if isinstance(F, FourFrame) else np.asarray(F, dtype=float))[None]
+            for F in (init_frames or [])]
+    starts = np.concatenate(warm + [_random_starts(cfg, n, 4)])
+    values, frames, iterations, reasons = _descend(value_grad, starts, cfg, on_iterate)
 
     probes = _coordinate_probe_frames(n)
     probe_vals = batch_isotropic(R, probes)
-    best_run = min(r[0] for r in runs)
     i = int(np.argmin(probe_vals))
-    if probe_vals[i] < best_run - 1e-12:
-        runs.append(_descend(value_grad, probes[i], cfg, on_iterate=on_iterate))
+    if probe_vals[i] < values.min() - 1e-12:
+        v, f, it, rs = _descend(value_grad, probes[i:i + 1], cfg, on_iterate)
+        values, frames = np.concatenate([values, v]), np.concatenate([frames, f])
+        iterations, reasons = np.concatenate([iterations, it]), np.concatenate([reasons, rs])
 
-    values = [r[0] for r in runs]
     k = int(np.argmin(values))
-    val, F, converged, iters = runs[k]
-    return FrameSearchResult(value=val, frame_or_vector=FourFrame(F),
-                             converged=converged, iterations=iters,
-                             restart_values=values,
-                             restart_frames=[r[1] for r in runs])
+    return _search_result(values, frames, iterations, reasons, k, FourFrame(frames[k]))
 
 
 def pinching_constant(R: CurvatureTensor, cfg: OptimizerConfig | None = None) -> float:
@@ -239,26 +278,28 @@ def pinching_constant(R: CurvatureTensor, cfg: OptimizerConfig | None = None) ->
 # Holomorphic sectional maximization over unit vectors
 # ---------------------------------------------------------------------------
 
-def _hol_value_grad(R: CurvatureTensor, Jm: np.ndarray):
-    mat = R.mat
-    n = R.n
+def _structure_forms(Jm: np.ndarray) -> np.ndarray:
+    """(n, N n) matrix S of the symmetric forms Q_p with x^T Q_p x = (x ^ Jx)_p:
+    for a stack of vectors x, T = (x @ S) reshaped to (..., N, n) has rows
+    Q_p x, so that x ^ Jx = T x and its derivative in x is 2 T."""
+    n = len(Jm)
     iu, ju = pair_indices(n)
+    p = np.arange(len(iu))
+    Q = np.zeros((len(iu), n, n))
+    Q[p, iu], Q[p, ju] = Jm[ju], -Jm[iu]
+    return (Q + np.swapaxes(Q, 1, 2)).transpose(1, 0, 2).reshape(n, -1) / 2.0
 
-    def unpack(v):
-        A = np.zeros((n, n))
-        A[iu, ju] = v
-        A -= A.T
-        return A
 
-    def value_grad(X):  # X has one column; minimize -R(x,Jx,x,Jx)
-        x = X[:, 0]
-        jx = Jm @ x
-        w = x[iu] * jx[ju] - x[ju] * jx[iu]
-        mw = mat @ w
-        val = float(w @ mw)
-        A = unpack(mw)
-        grad = 2.0 * (A @ jx) + 2.0 * (Jm @ (A @ x))
-        return -val, -grad[:, None]
+def _hol_value_grad(R: CurvatureTensor, Jm: np.ndarray):
+    """Closure: -R(x,Jx,x,Jx) and its Euclidean gradient on columns (B, n, 1)."""
+    mat, n = R.mat, R.n
+    S = _structure_forms(Jm)
+
+    def value_grad(X):
+        T = (X[..., 0] @ S).reshape(len(X), len(mat), n)
+        w = (T @ X)[..., 0]                         # x ^ Jx
+        mw = w @ mat
+        return -np.einsum("bp,bp->b", w, mw), -4.0 * np.swapaxes(mw[:, None, :] @ T, 1, 2)
 
     return value_grad
 
@@ -269,18 +310,10 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     cfg = cfg or OptimizerConfig()
     if J.n != R.n:
         raise CurvatureError("complex structure dimension does not match tensor")
-    value_grad = _hol_value_grad(R, J.matrix)
-    runs = [_descend(value_grad,
-                     _random_columns(np.random.default_rng(cfg.seed + r), R.n, 1),
-                     cfg)
-            for r in range(cfg.restarts)]
-    values = [-r[0] for r in runs]
-    k = int(np.argmax(values))
-    negval, X, converged, iters = runs[k]
-    return FrameSearchResult(value=values[k], frame_or_vector=X[:, 0],
-                             converged=converged, iterations=iters,
-                             restart_values=values,
-                             restart_frames=[r[1][:, 0] for r in runs])
+    negvals, X, iterations, reasons = _descend(_hol_value_grad(R, J.matrix),
+                                               _random_starts(cfg, R.n, 1), cfg)
+    k = int(np.argmin(negvals))
+    return _search_result(-negvals, X[..., 0], iterations, reasons, k, X[k, :, 0])
 
 
 def _complement_basis(vectors: list[np.ndarray], n: int) -> np.ndarray:
@@ -337,40 +370,43 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
                                cfg: OptimizerConfig | None = None) -> FrameSearchResult:
     """Minimize R(X, JX, Y, JY) over unit X, Y with Y orthogonal to X and JX.
 
-    Y is kept inside the orthogonal complement of span{X, JX} by explicit
-    projection after every step, so the reported pair is feasible to machine
-    precision.  The returned frame is (X, JX, Y, JY).
+    The pairs (X, Y) of all restarts descend as one (B, n, 2) stack in the
+    shared engine, with their own retraction (normalize X, project Y off
+    span{X, JX} and normalize) and tangent projection, so the reported pair
+    is feasible to machine precision.  Each restart ends with an exact
+    minimization over Y at its final X.  The returned frame is (X, JX, Y, JY).
     """
     cfg = cfg or OptimizerConfig()
-    n = R.n
-    Jm = J.matrix
-    mat = R.mat
+    n, mat, Jm = R.n, R.mat, J.matrix
+    S = _structure_forms(Jm)
 
-    def objective(x, y):
-        return float(wedge(x, Jm @ x) @ mat @ wedge(y, Jm @ y))
+    def value_grad(F):                       # columns x, y of each (n, 2) row
+        V = np.swapaxes(F, 1, 2)
+        T = (V @ S).reshape(len(F), 2, len(mat), n)
+        W = (T @ V[..., None])[..., 0]       # x ^ Jx, y ^ Jy
+        MW = W @ mat
+        # d/dx of (x ^ Jx) . M (y ^ Jy) is 2 T_x^T M (y ^ Jy), and likewise in y
+        G = 2.0 * (MW[:, ::-1, None, :] @ T)[:, :, 0]
+        return np.einsum("bp,bp->b", W[:, 0], MW[:, 1]), np.swapaxes(G, 1, 2)
 
-    def grads(x, y):
-        Ax = curvature_map(R, x, Jm @ x)
-        Ay = curvature_map(R, y, Jm @ y)
-        gx = Ay @ (Jm @ x) + Jm @ (Ay @ x)
-        gy = Ax @ (Jm @ y) + Jm @ (Ax @ y)
-        return gx, gy
+    def retract(F):
+        x = F[..., 0] / np.linalg.norm(F[..., 0], axis=-1, keepdims=True)
+        jx = x @ Jm.T
+        y = F[..., 1]
+        y = y - (y * x).sum(-1, keepdims=True) * x - (y * jx).sum(-1, keepdims=True) * jx
+        nrm = np.linalg.norm(y, axis=-1, keepdims=True)
+        return np.stack([x, y / np.where(nrm > 1e-12, nrm, np.nan)], axis=-1)
 
-    def feasible_y(y, x):
-        jx = Jm @ x
-        y = y - (y @ x) * x - (y @ jx) * jx
-        nrm = np.linalg.norm(y)
-        return y / nrm if nrm > 1e-12 else None
-
-    def tangent_project(gx, gy, x, y):
-        jx, jy = Jm @ x, Jm @ y
-        rows = np.vstack([np.concatenate([2 * x, np.zeros(n)]),
-                          np.concatenate([np.zeros(n), 2 * y]),
-                          np.concatenate([y, x]),
-                          np.concatenate([-jy, jx])])
-        q, _ = np.linalg.qr(rows.T)
-        g = np.concatenate([gx, gy])
-        return g - q @ (q.T @ g)
+    def tangent(F, G):
+        # project g = (gx, gy) off the normals of |x|^2, |y|^2, <x, y>, <Jx, y>
+        x, y = F[..., 0], F[..., 1]
+        z = np.zeros_like(x)
+        C = np.stack([np.concatenate(c, axis=-1) for c in
+                      ((2 * x, z), (z, 2 * y), (y, x), (-(y @ Jm.T), x @ Jm.T))], axis=-1)
+        q = np.linalg.qr(C)[0]
+        g = np.swapaxes(G, -1, -2).reshape(len(G), 2 * n, 1)
+        P = g - q @ (np.swapaxes(q, -1, -2) @ g)
+        return np.swapaxes(P.reshape(len(G), 2, n), -1, -2)
 
     def polish_y(x):
         """Exact minimization over Y for fixed X (restricted eigenproblem)."""
@@ -381,53 +417,22 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
         vals, vecs = np.linalg.eigh(W.T @ B @ W)
         return W @ vecs[:, 0]
 
-    runs = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        y = feasible_y(rng.standard_normal(n), x)
-        if y is None:
-            continue
-        val = objective(x, y)
-        alpha = cfg.step
-        converged = False
-        iters = 0
-        for it in range(cfg.max_iters):
-            iters = it + 1
-            g = tangent_project(*grads(x, y), x, y)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= cfg.grad_tol:
-                converged = True
-                break
-            a, accepted = alpha, False
-            for _ in range(60):
-                xn = x - a * g[:n]
-                xn /= np.linalg.norm(xn)
-                yn = feasible_y(y - a * g[n:], xn)
-                if yn is not None:
-                    vn = objective(xn, yn)
-                    if vn <= val - 1e-4 * a * gnorm * gnorm:
-                        accepted = True
-                        break
-                a *= 0.5
-            if not accepted:
-                break
-            x, y, val = xn, yn, vn
-            alpha = min(a * 2.0, 1e3 * cfg.step)
-        ypol = polish_y(x)
-        if objective(x, ypol) < val:
-            y, val = ypol, objective(x, ypol)
-        runs.append((val, x, y, converged, iters))
+    starts = np.swapaxes(_random_starts(cfg, 2, n), 1, 2)     # x, then y, per seed
+    values, frames, iterations, reasons = _descend(value_grad, starts, cfg,
+                                                   retract=retract, tangent=tangent)
+    feasible = np.isfinite(values)          # a start with Y in span{X, JX} is dropped
+    values, frames, iterations, reasons = (
+        a[feasible] for a in (values, frames, iterations, reasons))
+    polished = frames.copy()
+    polished[:, :, 1] = [polish_y(x) for x in frames[:, :, 0]]
+    vpol = value_grad(polished)[0]
+    frames = np.where((vpol < values)[:, None, None], polished, frames)
+    values = np.minimum(vpol, values)
 
-    values = [r[0] for r in runs]
     k = int(np.argmin(values))
-    val, x, y, converged, iters = runs[k]
-    frame = FourFrame.from_vectors(x, Jm @ x, y, Jm @ y)
-    return FrameSearchResult(value=val, frame_or_vector=frame,
-                             converged=converged, iterations=iters,
-                             restart_values=values,
-                             restart_frames=[np.column_stack([r[1], r[2]]) for r in runs])
+    x, y = frames[k].T
+    return _search_result(values, frames, iterations, reasons, k,
+                          FourFrame.from_vectors(x, Jm @ x, y, Jm @ y))
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +543,8 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
 
     # alternation: ascent in X, exact eigen-solve in the coefficients
     for _ in range(60):
-        vg = _hol_value_grad(R1, A)
-        sub = OptimizerConfig(restarts=1, max_iters=cfg.max_iters,
-                              grad_tol=cfg.grad_tol, step=cfg.step, seed=cfg.seed)
-        negval, X, _, _ = _descend(vg, x[:, None], sub)
-        x = X[:, 0]
+        negvals, X, _, _ = _descend(_hol_value_grad(R1, A), x[None, :, None], cfg)
+        negval, x = float(negvals[0]), X[0, :, 0]
         ws = [wedge(x, M @ x) for M in mats]
         G = np.array([[float(ws[s] @ R1.mat @ ws[t]) for t in range(3)]
                       for s in range(3)])
@@ -595,7 +597,4 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
 
 def batch_holomorphic(R: CurvatureTensor, A: np.ndarray, Xs: np.ndarray) -> np.ndarray:
     """Vectorized R(x, Ax, x, Ax) over the rows of Xs."""
-    iu, ju = pair_indices(R.n)
-    AX = Xs @ A.T
-    w = Xs[:, iu] * AX[:, ju] - Xs[:, ju] * AX[:, iu]
-    return np.einsum("bp,bp->b", w @ R.mat, w)
+    return -_hol_value_grad(R, A)(Xs[..., None])[0]

@@ -10,6 +10,7 @@ decomposition with an explicit relative cutoff.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +43,16 @@ class CurvatureSubspace:
 # Coordinates: weighted upper triangle of the N x N coefficient matrix
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _coord_maps(n: int):
     """Index arrays (P, Q) with P <= Q and the weights making coordinates
-    isometric to the rank-4 Frobenius norm (diagonal 2, off-diagonal 2*sqrt(2))."""
+    isometric to the rank-4 Frobenius norm (diagonal 2, off-diagonal 2*sqrt(2));
+    cached, read-only."""
     N = num_pairs(n)
     P, Q = np.triu_indices(N)
     w = np.where(P == Q, 2.0, 2.0 * np.sqrt(2.0))
+    for a in (P, Q, w):
+        a.flags.writeable = False
     return P, Q, w
 
 
@@ -99,7 +104,8 @@ def _nullspace(A: np.ndarray, cutoff: float = SV_CUTOFF) -> np.ndarray:
     """Orthonormal nullspace basis (columns) with cutoff relative to sigma_max."""
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    # a tall system's thin vh is already square; only a wide one needs the full vh
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > cutoff * smax)) if smax > 0 else 0
     return vh[rank:].T

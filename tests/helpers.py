@@ -128,3 +128,205 @@ def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):
         else:
             lo = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Serial frame-search oracles: one start at a time, per-frame QR, closures
+# over single vectors.  These are the descent loops the batched engine in
+# curvkit.frames replaced; restart r draws from seed cfg.seed + r as there.
+# ---------------------------------------------------------------------------
+
+def retract_serial(F: np.ndarray) -> np.ndarray:
+    """QR retraction of one (n, k) matrix, sign-fixed for continuity."""
+    q, r = np.linalg.qr(F)
+    s = np.sign(np.diag(r))
+    s[s == 0] = 1.0
+    return q * s
+
+
+def descend_serial(value_grad, F0, cfg, on_iterate=None):
+    """Projected-gradient descent from one start with Armijo backtracking.
+
+    Returns (value, F, stop_reason, iterations).
+    """
+    F = retract_serial(np.asarray(F0, dtype=float))
+    val, G = value_grad(F)
+    alpha = cfg.step
+    reason = "max_iters"
+    iters = 0
+    for it in range(cfg.max_iters):
+        iters = it + 1
+        sym = 0.5 * (F.T @ G + G.T @ F)
+        Griem = G - F @ sym
+        gnorm = float(np.linalg.norm(Griem))
+        if on_iterate is not None:
+            on_iterate(F, val, gnorm)
+        if gnorm <= cfg.grad_tol:
+            reason = "grad_tol"
+            break
+        a = alpha
+        accepted = False
+        for _ in range(60):
+            Fnew = retract_serial(F - a * Griem)
+            vnew, Gnew = value_grad(Fnew)
+            if vnew <= val - 1e-4 * a * gnorm * gnorm:
+                accepted = True
+                break
+            a *= 0.5
+        if not accepted:
+            reason = "line_search_floor"
+            break
+        F, val, G = Fnew, vnew, Gnew
+        alpha = min(a * 2.0, 1e3 * cfg.step)
+    return val, F, reason, iters
+
+
+def iso_value_grad_serial(mat: np.ndarray, n: int):
+    """(value, Euclidean gradient) of the isotropic functional on one frame."""
+    iu, ju = np.triu_indices(n, 1)
+
+    def unpack(v):
+        A = np.zeros((n, n))
+        A[iu, ju] = v
+        A -= A.T
+        return A
+
+    def wdg(x, y):
+        return x[iu] * y[ju] - x[ju] * y[iu]
+
+    def value_grad(F):
+        f1, f2, f3, f4 = F.T
+        w13, w14 = wdg(f1, f3), wdg(f1, f4)
+        w23, w24 = wdg(f2, f3), wdg(f2, f4)
+        w12, w34 = wdg(f1, f2), wdg(f3, f4)
+        m13, m14, m23, m24 = mat @ w13, mat @ w14, mat @ w23, mat @ w24
+        m12, m34 = mat @ w12, mat @ w34
+        val = float(w13 @ m13 + w14 @ m14 + w23 @ m23 + w24 @ m24 - 2.0 * (w12 @ m34))
+        A13, A14 = unpack(m13), unpack(m14)
+        A23, A24 = unpack(m23), unpack(m24)
+        A12, A34 = unpack(m12), unpack(m34)
+        g1 = 2.0 * (A13 @ f3 + A14 @ f4 - A34 @ f2)
+        g2 = 2.0 * (A23 @ f3 + A24 @ f4 + A34 @ f1)
+        g3 = -2.0 * (A13 @ f1 + A23 @ f2 + A12 @ f4)
+        g4 = -2.0 * (A14 @ f1 + A24 @ f2 - A12 @ f3)
+        return val, np.column_stack([g1, g2, g3, g4])
+
+    return value_grad
+
+
+def hol_value_grad_serial(mat: np.ndarray, Jm: np.ndarray):
+    """(-R(x,Jx,x,Jx), its negated gradient) on one (n, 1) column."""
+    n = Jm.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+
+    def value_grad(X):
+        x = X[:, 0]
+        jx = Jm @ x
+        w = x[iu] * jx[ju] - x[ju] * jx[iu]
+        mw = mat @ w
+        A = np.zeros((n, n))
+        A[iu, ju] = mw
+        A -= A.T
+        grad = 2.0 * (A @ jx) + 2.0 * (Jm @ (A @ x))
+        return -float(w @ mw), -grad[:, None]
+
+    return value_grad
+
+
+def min_isotropic_serial(R: CurvatureTensor, cfg, init_frames=()):
+    """Restart runs [(value, F, stop_reason, iterations)] of the serial
+    min_isotropic: warm starts, seeded restarts, then the probe re-run."""
+    from curvkit.frames import _coordinate_probe_frames
+    vg = iso_value_grad_serial(R.mat, R.n)
+    starts = list(init_frames)
+    starts += [retract_serial(np.random.default_rng(cfg.seed + r).standard_normal((R.n, 4)))
+               for r in range(cfg.restarts)]
+    runs = [descend_serial(vg, F0, cfg) for F0 in starts]
+    probes = _coordinate_probe_frames(R.n)
+    probe_vals = [vg(F)[0] for F in probes]
+    i = int(np.argmin(probe_vals))
+    if probe_vals[i] < min(r[0] for r in runs) - 1e-12:
+        runs.append(descend_serial(vg, probes[i], cfg))
+    return runs
+
+
+def max_holomorphic_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
+    """Restart values of the serial max_holomorphic_sectional."""
+    vg = hol_value_grad_serial(R.mat, Jm)
+    return [-descend_serial(vg, retract_serial(
+        np.random.default_rng(cfg.seed + r).standard_normal((R.n, 1))), cfg)[0]
+        for r in range(cfg.restarts)]
+
+
+def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
+    """Restart values of the serial min_orthogonal_bisectional: its own Armijo
+    loop over (x, y), y projected off {x, Jx} after every step, then an exact
+    eigen-solve in y at the final x."""
+    from curvkit.core import curvature_map, wedge
+    n = R.n
+    mat = R.mat
+
+    def objective(x, y):
+        return float(wedge(x, Jm @ x) @ mat @ wedge(y, Jm @ y))
+
+    def grads(x, y):
+        Ax = curvature_map(R, x, Jm @ x)
+        Ay = curvature_map(R, y, Jm @ y)
+        return Ay @ (Jm @ x) + Jm @ (Ay @ x), Ax @ (Jm @ y) + Jm @ (Ax @ y)
+
+    def feasible_y(y, x):
+        jx = Jm @ x
+        y = y - (y @ x) * x - (y @ jx) * jx
+        nrm = np.linalg.norm(y)
+        return y / nrm if nrm > 1e-12 else None
+
+    def tangent_project(gx, gy, x, y):
+        jx, jy = Jm @ x, Jm @ y
+        rows = np.vstack([np.concatenate([2 * x, np.zeros(n)]),
+                          np.concatenate([np.zeros(n), 2 * y]),
+                          np.concatenate([y, x]),
+                          np.concatenate([-jy, jx])])
+        q, _ = np.linalg.qr(rows.T)
+        g = np.concatenate([gx, gy])
+        return g - q @ (q.T @ g)
+
+    def polish_y(x):
+        jx = Jm @ x
+        Omega = curvature_map(R, x, jx)
+        B = 0.5 * (Omega @ Jm + Jm @ Omega)
+        _, _, vh = np.linalg.svd(np.array([x, jx]), full_matrices=True)
+        W = vh[2:].T
+        return W @ np.linalg.eigh(W.T @ B @ W)[1][:, 0]
+
+    values = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        y = feasible_y(rng.standard_normal(n), x)
+        if y is None:
+            continue
+        val = objective(x, y)
+        alpha = cfg.step
+        for _ in range(cfg.max_iters):
+            g = tangent_project(*grads(x, y), x, y)
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= cfg.grad_tol:
+                break
+            a, accepted = alpha, False
+            for _ in range(60):
+                xn = x - a * g[:n]
+                xn /= np.linalg.norm(xn)
+                yn = feasible_y(y - a * g[n:], xn)
+                if yn is not None:
+                    vn = objective(xn, yn)
+                    if vn <= val - 1e-4 * a * gnorm * gnorm:
+                        accepted = True
+                        break
+                a *= 0.5
+            if not accepted:
+                break
+            x, y, val = xn, yn, vn
+            alpha = min(a * 2.0, 1e3 * cfg.step)
+        values.append(min(val, objective(x, polish_y(x))))
+    return values

@@ -81,6 +81,21 @@ def test_bad_flag_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--dt", "0"],
+    ["flow", "--t-end", "-1"],
+    ["flow", "--monitor-every", "0"],
+    ["check", "--what", "iso-min", "--restarts", "0"],
+])
+def test_invalid_numeric_flag_exits_two(tmp_path, capsys, argv):
+    p = str(tmp_path / "sphere.json")
+    assert main(["model", "--kind", "sphere", "--n", "4", "--out", p]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--in", p] + argv[1:])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--in", str(tmp_path / "nope.json"),
                        "--what", "weyl")
