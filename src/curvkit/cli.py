@@ -46,6 +46,13 @@ def positive_float(text: str) -> float:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _finite_json(obj):
     """``obj`` with every non-finite float replaced by None (JSON null)."""
     if isinstance(obj, float):
@@ -97,7 +104,7 @@ def cmd_check(args) -> int:
         value = res.value if args.what == "iso-min" else res.value / 4.0
         report.update(value=value, converged=res.converged,
                       iterations=res.iterations, restarts=args.restarts,
-                      seed=seed)
+                      seed=seed, stop_reason=res.stop_reason)
         asserted_value = value
     elif args.what == "ricci":
         ric = ricci(R)
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--kind", required=True,
                    choices=["sphere", "fubini-study", "r0", "sj"])
     m.add_argument("--n", type=int, required=True, help="ambient dimension")
-    m.add_argument("--param", type=float, default=1.0,
+    m.add_argument("--param", type=finite_float, default=1.0,
                    help="scale: sphere lambda / fubini-study c / sj scale")
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_model)

@@ -7,10 +7,9 @@ A curvature tensor here is a quadrilinear form R(X, Y, Z, W) with
 
 Canonical storage is the symmetric N x N coefficient matrix M on the
 lexicographically ordered 2-form basis {e_i ^ e_j : i < j}, N = n(n-1)/2,
-with M[ij, kl] = R_ijkl; the full rank-4 table is expanded on demand and is
-needed only at I/O boundaries and by the Ricci contractions.  Values are
-immutable after construction and every operation is a pure function of its
-inputs.
+with M[ij, kl] = R_ijkl; the full rank-4 table is a view expanded on demand,
+needed only at I/O boundaries.  Values are immutable after construction and
+every operation is a pure function of its inputs.
 
 The reaction term of dR/dt = Q(R) is Hamilton's Q(R) = R^2 + R#
 (Hamilton 1986, "Four-manifolds with positive curvature operator"; R# is the
@@ -21,6 +20,8 @@ one signed gather, and Y the same matrix of S,
     B(R, S).mat = M_R M_S + M_S M_R + P[ik,jl] - P[il,jk],   P = X Y^T + Y X^T,
 
 so that Q(R) = B(R, R) has Q.mat = 2 M^2 + 2 (X X^T)[ik,jl] - 2 (X X^T)[il,jk].
+The Kulkarni-Nomizu product of symmetric h, k is the same pattern applied to
+Z[(a,b),(c,d)] = h_ab k_cd, and Ric_pq = sum_i X[(i,i),(p,q)] reads n^3 entries.
 The first Bianchi identity is likewise read on M: for i<j<k<l the cyclic sum
 is b = M[ij,kl] - M[ik,jl] + M[il,jk], and distinct quadruples involve
 disjoint entries.
@@ -48,13 +49,16 @@ class CurvatureError(ValueError):
 # 2-form index bookkeeping
 # ---------------------------------------------------------------------------
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/column indices (i, j), i < j, of the lex-ordered 2-form basis."""
     iu, ju = np.triu_indices(n, 1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
+    return _frozen(iu), _frozen(ju)
 
 
 def num_pairs(n: int) -> int:
@@ -67,19 +71,6 @@ def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[iu] * y[ju] - x[ju] * y[iu]
 
 
-@lru_cache(maxsize=None)
-def _expansion_matrix(n: int) -> np.ndarray:
-    """n^2 x N matrix whose columns are the flattened matrices e_i e_j^T - e_j e_i^T."""
-    iu, ju = pair_indices(n)
-    N = len(iu)
-    W = np.zeros((n * n, N))
-    cols = np.arange(N)
-    W[iu * n + ju, cols] = 1.0
-    W[ju * n + iu, cols] = -1.0
-    W.flags.writeable = False
-    return W
-
-
 def _unpack_two_form(v: np.ndarray, n: int) -> np.ndarray:
     """Antisymmetric n x n matrix with upper-triangular entries v; stacks
     (..., N) give (..., n, n)."""
@@ -88,11 +79,6 @@ def _unpack_two_form(v: np.ndarray, n: int) -> np.ndarray:
     A[..., iu, ju] = v
     A[..., ju, iu] = -v
     return A
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -133,6 +119,22 @@ def _reaction_gather(n: int) -> np.ndarray:
     ik, jl, il, jk = i * n + k, j * n + l, i * n + l, j * n + k
     nn = n * n
     return _frozen(np.stack([ik * nn + jl, jl * nn + ik, il * nn + jk, jk * nn + il]))
+
+
+def _swap_table(mat: np.ndarray, n: int) -> np.ndarray:
+    """The n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq of the coefficients mat."""
+    idx, sgn = _swap_gather(n)
+    X = np.take(mat, idx)
+    X *= sgn
+    return X
+
+
+def _pair_product(Z: np.ndarray, n: int) -> np.ndarray:
+    """N x N matrix Z[ik,jl] + Z[jl,ik] - Z[il,jk] - Z[jk,il] of an n^2 x n^2
+    matrix Z, for the basis pairs (ij) on rows and (kl) on columns."""
+    z = np.take(Z, _reaction_gather(n))
+    del Z  # freed before the sums: held, the heap is trimmed and re-faulted per call at n = 12
+    return z[0] + z[1] - z[2] - z[3]
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +187,17 @@ def two_form_action(A: np.ndarray) -> np.ndarray:
             - A[ju[:, None], iu[None, :]] * A[iu[:, None], ju[None, :]])
 
 
+def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
+    """The tensor of a computed coefficient matrix whose Bianchi defect is at most
+    tol * max(1, |mat|_max, scale); else, or if either is not finite, CurvatureError."""
+    defect = bianchi_defect(mat, n)
+    ref = float(np.max(np.abs(mat), initial=max(1.0, scale)))
+    if not defect <= tol * ref < np.inf:
+        raise CurvatureError(f"{what} Bianchi defect {defect:.3e} exceeds "
+                             f"{tol:.1e} * {ref:.3e}")
+    return CurvatureTensor(n, mat)
+
+
 def invariance_defect(R: "CurvatureTensor", structures) -> float:
     """max |R(., ., A., A.) - R| over the matrices A in ``structures``,
     computed on the pair basis as max |M C_A - M|."""
@@ -205,19 +218,16 @@ class CurvatureTensor:
     examples directly.
     """
 
-    __slots__ = ("n", "mat", "label", "_rank4")
+    __slots__ = ("n", "mat", "label")
 
     def __init__(self, n: int, mat: np.ndarray, label: str | None = None):
         mat = np.asarray(mat, dtype=float)
         if n < 2 or mat.shape != (num_pairs(n), num_pairs(n)):
             raise CurvatureError(f"coefficient matrix has shape {mat.shape}, "
                                  f"expected ({num_pairs(n)}, {num_pairs(n)}) for n={n}")
-        mat = 0.5 * (mat + mat.T)
-        mat.flags.writeable = False
         self.n = n
-        self.mat = mat
+        self.mat = _frozen(0.5 * (mat + mat.T))
         self.label = label
-        self._rank4 = None
 
     # -- construction ------------------------------------------------------
 
@@ -250,13 +260,9 @@ class CurvatureTensor:
 
     @property
     def rank4(self) -> np.ndarray:
-        """Full (n,n,n,n) table R_{ijkl}; computed once and cached."""
-        if self._rank4 is None:
-            W = _expansion_matrix(self.n)
-            T = (W @ self.mat @ W.T).reshape(self.n, self.n, self.n, self.n)
-            T.flags.writeable = False
-            self._rank4 = T
-        return self._rank4
+        """Full (n,n,n,n) table R_{ijkl}, expanded from ``mat`` on every access."""
+        n = self.n
+        return _swap_table(self.mat, n).reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
     def norm(self) -> float:
         """Frobenius norm of the rank-4 table (= 2 |mat|_F)."""
@@ -356,29 +362,27 @@ def curvature_map(R: CurvatureTensor, z, w) -> np.ndarray:
     return _unpack_two_form(v, R.n)
 
 
-def first_slot_gradient(R: CurvatureTensor, y, z, w) -> np.ndarray:
-    """Vector g with g_i = R(e_i, y, z, w); the rest follow by the symmetries."""
-    return curvature_map(R, z, w) @ np.asarray(y, float)
-
-
 def ricci(R: CurvatureTensor) -> np.ndarray:
     """Ricci contraction Ric_{jl} = sum_i R_{ijil}; identity * (n-1) on the sphere model."""
-    return np.einsum("ijil->jl", R.rank4)
+    n = R.n
+    idx, sgn = _swap_gather(n)
+    return (np.take(R.mat, idx[::n + 1]) * sgn[::n + 1]).sum(axis=0).reshape(n, n)
 
 
 def scalar_curvature(R: CurvatureTensor) -> float:
-    return float(np.trace(ricci(R)))
+    """sum_ij R_{ijij} = 2 tr M."""
+    return 2.0 * float(np.trace(R.mat))
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rank-4 product (h @ k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
-    o = np.multiply.outer
-    return (o(h, k).transpose(0, 2, 1, 3) + o(k, h).transpose(0, 2, 1, 3)
-            - o(h, k).transpose(0, 2, 3, 1) - o(k, h).transpose(0, 2, 3, 1))
+    """Rank-4 product (h @ k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il
+    of symmetric n x n matrices h and k."""
+    return CurvatureTensor(len(h), _pair_product(np.outer(h, k), len(h))).rank4
 
 
 def weyl(R: CurvatureTensor) -> CurvatureTensor:
-    """Totally trace-free part of R (n >= 4)."""
+    """Totally trace-free part M - (ric0 @ g)/(n-2) - scal/(n(n-1)) id of R (n >= 4),
+    as g @ g is 2 id; fails closed on a Bianchi defect above 1e-8 * max(1, |W|_max)."""
     n = R.n
     if n < 4:
         raise CurvatureError("Weyl part requires n >= 4")
@@ -386,9 +390,9 @@ def weyl(R: CurvatureTensor) -> CurvatureTensor:
     ric = ricci(R)
     scal = float(np.trace(ric))
     ric0 = ric - (scal / n) * g
-    T = (R.rank4 - kulkarni_nomizu(ric0, g) / (n - 2)
-         - (scal / (2.0 * n * (n - 1))) * kulkarni_nomizu(g, g))
-    return CurvatureTensor.from_rank4(T, tol=1e-8)
+    mat = (R.mat - _pair_product(np.outer(ric0, g), n) / (n - 2)
+           - (scal / (n * (n - 1))) * np.eye(len(R.mat)))
+    return _checked(mat, n, "Weyl part", 1e-8)
 
 
 def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> CurvatureTensor:
@@ -396,6 +400,7 @@ def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> Curva
 
     The default target is n - 1 (unit-sphere normalization).  Uses
     Ric(h ^ g) = (n-2) h + tr(h) g to solve for the symmetric correction h.
+    Fails closed like :func:`weyl`.
     """
     n = R.n
     if n < 3:
@@ -405,20 +410,13 @@ def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> Curva
     delta = target * g - ricci(R)
     trh = np.trace(delta) / (2.0 * (n - 1))
     h = (delta - trh * g) / (n - 2.0)
-    return R + CurvatureTensor.from_rank4(kulkarni_nomizu(h, g), tol=1e-8)
+    mat = R.mat + _pair_product(np.outer(h, g), n)
+    return _checked(mat, n, "Einstein normalization", 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # The reaction bilinear form B and its quadratic form Q
 # ---------------------------------------------------------------------------
-
-def _swap_table(mat: np.ndarray, n: int) -> np.ndarray:
-    """The n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq of the coefficients mat."""
-    idx, sgn = _swap_gather(n)
-    X = np.take(mat, idx)
-    X *= sgn
-    return X
-
 
 def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
     """Symmetric bilinear form B(R, S); B(R, R) is the reaction term of the flow.
@@ -438,14 +436,8 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
     X = _swap_table(R.mat, n)
     Y = X if S is R else _swap_table(S.mat, n)
     A = R.mat @ S.mat
-    z = np.take(X @ Y.T, _reaction_gather(n))
-    mat = A + A.T + z[0] + z[1] - z[2] - z[3]
-    defect = bianchi_defect(mat, n)
-    ref = float(np.max(np.abs(mat), initial=max(1.0, R.norm() * S.norm())))
-    if not defect <= REACTION_TOL * ref < np.inf:
-        raise CurvatureError(f"reaction term Bianchi defect {defect:.3e} exceeds "
-                             f"{REACTION_TOL:.1e} * {ref:.3e}")
-    return CurvatureTensor(n, mat)
+    mat = A + A.T + _pair_product(X @ Y.T, n)
+    return _checked(mat, n, "reaction term", REACTION_TOL, R.norm() * S.norm())
 
 
 def qform(R: CurvatureTensor) -> CurvatureTensor:
@@ -476,8 +468,7 @@ class FourFrame:
         defect = float(np.max(np.abs(m.T @ m - np.eye(4))))
         if defect > self.tol:
             raise CurvatureError(f"frame Gram defect {defect:.3e} exceeds {self.tol:.1e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @classmethod
     def from_vectors(cls, e1, e2, e3, e4, tol: float = CONSTRUCTION_TOL) -> "FourFrame":
@@ -509,8 +500,7 @@ class ComplexStructure:
                      float(np.max(np.abs(J @ J + eye))))
         if defect > self.tol:
             raise CurvatureError(f"complex-structure defect {defect:.3e} exceeds {self.tol:.1e}")
-        J.flags.writeable = False
-        object.__setattr__(self, "matrix", J)
+        object.__setattr__(self, "matrix", _frozen(J))
 
     @property
     def n(self) -> int:
@@ -662,10 +652,9 @@ def model_kahler_form(J: ComplexStructure, scale: float = 1.0) -> CurvatureTenso
     S(X,Y,Z,W) = 2 g(JX,Y) g(JZ,W) + g(JX,Z) g(JY,W) - g(JX,W) g(JY,Z).
     """
     P = J.matrix.T  # P_{ij} = g(J e_i, e_j)
-    o = np.multiply.outer
-    T = (2.0 * o(P, P) + o(P, P).transpose(0, 2, 1, 3)
-         - o(P, P).transpose(0, 2, 3, 1)) * float(scale)
-    return CurvatureTensor.from_rank4(T, label="kahler-form")
+    p = P[pair_indices(J.n)]
+    mat = float(scale) * (2.0 * np.outer(p, p) + two_form_action(P))
+    return CurvatureTensor(J.n, mat, label="kahler-form")
 
 
 def model_fubini_study(m: int, c: float = 4.0) -> tuple[CurvatureTensor, ComplexStructure]:

@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _frozen, _unpack_two_form, curvature_map, evaluate,
-                   invariance_defect, isotropic_from_columns, pair_indices, qform,
-                   wedge)
+                   QuaternionTriple, _bianchi_gather, _frozen, _unpack_two_form,
+                   curvature_map, evaluate, invariance_defect, isotropic_from_columns,
+                   pair_indices, qform, wedge)
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,7 @@ def _iso_value_grad(mat: np.ndarray, n: int):
     return value_grad
 
 
+@lru_cache(maxsize=None)
 def _coordinate_probe_frames(n: int) -> np.ndarray:
     """All axis-aligned 4-frames (e_i, e_j, e_k, e_l), i<j<k<l, plus their
     orientation-reversed copies: the cross term is odd under a single column
@@ -199,7 +200,18 @@ def _coordinate_probe_frames(n: int) -> np.ndarray:
     quads = np.array(list(combinations(range(n), 4)))
     F = np.zeros((len(quads), n, 4))
     F[np.arange(len(quads))[:, None], quads, np.arange(4)] = 1.0
-    return np.concatenate([F, F * [1.0, 1.0, 1.0, -1.0]])
+    return _frozen(np.concatenate([F, F * [1.0, 1.0, 1.0, -1.0]]))
+
+
+def _coordinate_probe_values(mat: np.ndarray, n: int) -> np.ndarray:
+    """Isotropic values of the probe frames (e_i, e_j, e_k, +-e_l), in their order,
+    read off M: M[ik,ik] + M[il,il] + M[jk,jk] + M[jl,jl] -+ 2 M[ij,kl]."""
+    fwd = _bianchi_gather(n)[0]
+    r, c = divmod(fwd, len(mat))
+    d = np.diagonal(mat)
+    diag = d[r[1]] + d[r[2]] + d[c[1]] + d[c[2]]
+    cross = 2.0 * mat.flat[fwd[0]]
+    return np.concatenate([diag - cross, diag + cross])
 
 
 def batch_isotropic(R: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
@@ -256,11 +268,10 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     starts = np.concatenate(warm + [_random_starts(cfg, n, 4)])
     values, frames, iterations, reasons = _descend(value_grad, starts, cfg, on_iterate)
 
-    probes = _coordinate_probe_frames(n)
-    probe_vals = batch_isotropic(R, probes)
+    probe_vals = _coordinate_probe_values(R.mat, n)
     i = int(np.argmin(probe_vals))
     if probe_vals[i] < values.min() - 1e-12:
-        v, f, it, rs = _descend(value_grad, probes[i:i + 1], cfg, on_iterate)
+        v, f, it, rs = _descend(value_grad, _coordinate_probe_frames(n)[i:i + 1], cfg, on_iterate)
         values, frames = np.concatenate([values, v]), np.concatenate([frames, f])
         iterations, reasons = np.concatenate([iterations, it]), np.concatenate([reasons, rs])
 
@@ -316,6 +327,13 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     return _search_result(-negvals, X[..., 0], iterations, reasons, k, X[k, :, 0])
 
 
+def _bisectional_form(R: CurvatureTensor, A: np.ndarray, x: np.ndarray):
+    """(Omega, B) with Omega = R(x, Ax, ., .) and B = (Omega A + A Omega) / 2,
+    the symmetric matrix with y^T B y = R(x, Ax, y, Ay)."""
+    Omega = curvature_map(R, x, A @ x)
+    return Omega, 0.5 * (Omega @ A + A @ Omega)
+
+
 def _complement_basis(vectors: list[np.ndarray], n: int) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of the span."""
     V = np.array(vectors)
@@ -349,12 +367,11 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     Jm = J.matrix
     jx = Jm @ x
     W = _complement_basis([x, jx], R.n)
-    Omega = curvature_map(R, x, jx)          # Omega[k,l] = R(x, jx, e_k, e_l)
+    Omega, B = _bisectional_form(R, Jm, x)   # Omega[k,l] = R(x, jx, e_k, e_l)
     h = float(x @ Omega @ jx)                # R(x,jx,x,jx)
     u = Omega.T @ x                          # u_i = R(x, jx, x, e_i)
     deriv_y = float(np.linalg.norm(W.T @ u))
     deriv_jy = float(np.linalg.norm(W.T @ (Jm @ u)))
-    B = 0.5 * (Omega @ Jm + Jm @ Omega)
     lam_max = float(np.max(np.linalg.eigvalsh(W.T @ B @ W)))
     min_slack = h - 2.0 * lam_max
     passed = deriv_y <= tol and deriv_jy <= tol and min_slack >= -tol
@@ -410,10 +427,8 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
 
     def polish_y(x):
         """Exact minimization over Y for fixed X (restricted eigenproblem)."""
-        jx = Jm @ x
-        Omega = curvature_map(R, x, jx)
-        B = 0.5 * (Omega @ Jm + Jm @ Omega)
-        W = _complement_basis([x, jx], n)
+        B = _bisectional_form(R, Jm, x)[1]
+        W = _complement_basis([x, Jm @ x], n)
         vals, vecs = np.linalg.eigh(W.T @ B @ W)
         return W @ vecs[:, 0]
 
@@ -524,7 +539,7 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
     if not hk_residual <= 1e-8 * max(1.0, float(np.max(np.abs(R1.mat)))):
         raise CurvatureError(f"input fails the hyperkahler residual check: {hk_residual:.3e}")
 
-    mats = T.matrices
+    mats = np.array(T.matrices)
     rng = np.random.default_rng(cfg.seed)
     Xs = rng.standard_normal((256, n))
     Xs /= np.linalg.norm(Xs, axis=1, keepdims=True)
@@ -532,33 +547,31 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
     # coarse scan over the design
     best = (-np.inf, None, None)
     for coeffs in _design_26():
-        A = sum(c * M for c, M in zip(coeffs, mats))
+        A = np.tensordot(coeffs, mats, 1)
         vals = batch_holomorphic(R1, A, Xs)
         i = int(np.argmax(vals))
         if vals[i] > best[0]:
             best = (float(vals[i]), coeffs.copy(), Xs[i].copy())
 
     val, coeffs, x = best
-    A = sum(c * M for c, M in zip(coeffs, mats))
 
     # alternation: ascent in X, exact eigen-solve in the coefficients
     for _ in range(60):
+        A = np.tensordot(coeffs, mats, 1)
         negvals, X, _, _ = _descend(_hol_value_grad(R1, A), x[None, :, None], cfg)
         negval, x = float(negvals[0]), X[0, :, 0]
-        ws = [wedge(x, M @ x) for M in mats]
-        G = np.array([[float(ws[s] @ R1.mat @ ws[t]) for t in range(3)]
-                      for s in range(3)])
+        ws = np.array([wedge(x, M @ x) for M in mats])
+        G = ws @ R1.mat @ ws.T
         evals, evecs = np.linalg.eigh(G)
         new_coeffs = evecs[:, -1]
         new_val = float(evals[-1])
         if new_val <= -negval + 1e-12 * (1.0 + abs(new_val)):
             val = max(-negval, new_val)
             coeffs = new_coeffs if new_val >= -negval else coeffs
-            A = sum(c * M for c, M in zip(coeffs, mats))
             break
         coeffs, val = new_coeffs, new_val
-        A = sum(c * M for c, M in zip(coeffs, mats))
 
+    A = np.tensordot(coeffs, mats, 1)
     J = ComplexStructure(A)
     jx = A @ x
     q_val = evaluate(qform(R1), x, jx, x, jx)
@@ -567,12 +580,11 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
 
     # paired diagnostic basis of the quaternionic complement of X
     u = _complement_basis([coeffs], 3)[:, 0]
-    Iprime = sum(c * M for c, M in zip(u, mats))
-    Kprime = sum(c * M for c, M in zip(np.cross(u, coeffs), mats))
+    Iprime = np.tensordot(u, mats, 1)
+    Kprime = np.tensordot(np.cross(u, coeffs), mats, 1)
     span = [x, jx, Iprime @ x, Kprime @ x]
     W = _complement_basis(span, n)
-    Omega = curvature_map(R1, x, jx)
-    B = 0.5 * (Omega @ A + A @ Omega)
+    B = _bisectional_form(R1, A, x)[1]
     y2_max_excess = -val * val
     while W.shape[1] > 0:
         sub = W.T @ B @ W

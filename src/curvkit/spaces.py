@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
-                   QuaternionTriple, _bianchi_gather, invariance_defect, num_pairs,
+                   QuaternionTriple, _bianchi_gather, _frozen, invariance_defect, num_pairs,
                    scalar_curvature, model_quaternionic_projective, two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff for rank decisions
@@ -51,9 +51,7 @@ def _coord_maps(n: int):
     N = num_pairs(n)
     P, Q = np.triu_indices(N)
     w = np.where(P == Q, 2.0, 2.0 * np.sqrt(2.0))
-    for a in (P, Q, w):
-        a.flags.writeable = False
-    return P, Q, w
+    return _frozen(P), _frozen(Q), _frozen(w)
 
 
 def _mat_from_coords(x: np.ndarray, n: int) -> np.ndarray:
@@ -63,13 +61,6 @@ def _mat_from_coords(x: np.ndarray, n: int) -> np.ndarray:
     M[P, Q] = x / w
     M = M + np.triu(M, 1).T
     return M
-
-
-def _coords_from_mat(M: np.ndarray) -> np.ndarray:
-    N = M.shape[0]
-    n = int(round((1 + np.sqrt(1 + 8 * N)) / 2))
-    P, Q, w = _coord_maps(n)
-    return M[P, Q] * w
 
 
 def _bianchi_rows(n: int) -> np.ndarray:

@@ -56,7 +56,7 @@ def tensor_from_dict(d: dict) -> CurvatureTensor:
 
 
 def save_tensor(R: CurvatureTensor, path) -> None:
-    Path(path).write_text(json.dumps(tensor_to_dict(R), sort_keys=True))
+    Path(path).write_text(json.dumps(tensor_to_dict(R), sort_keys=True, allow_nan=False))
 
 
 def load_tensor(path) -> CurvatureTensor:

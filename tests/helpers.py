@@ -79,6 +79,57 @@ def invariance_einsum(T4: np.ndarray, structures) -> float:
                for A in structures)
 
 
+def expand_rank4(mat: np.ndarray, n: int) -> np.ndarray:
+    """Rank-4 table W M W^T of coefficients M, where the columns of the
+    n^2 x N matrix W are the flattened e_i e_j^T - e_j e_i^T, i < j."""
+    iu, ju = np.triu_indices(n, 1)
+    W = np.zeros((n * n, len(iu)))
+    W[iu * n + ju, np.arange(len(iu))] = 1.0
+    W[ju * n + iu, np.arange(len(iu))] = -1.0
+    return (W @ mat @ W.T).reshape(n, n, n, n)
+
+
+def ricci_einsum(T4: np.ndarray) -> np.ndarray:
+    """Ric_jl = sum_i T_ijil on the full table."""
+    return np.einsum("ijil->jl", T4)
+
+
+def kulkarni_nomizu_outer(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il from outer products."""
+    o = np.multiply.outer
+    return (o(h, k).transpose(0, 2, 1, 3) + o(k, h).transpose(0, 2, 1, 3)
+            - o(h, k).transpose(0, 2, 3, 1) - o(k, h).transpose(0, 2, 3, 1))
+
+
+def weyl_rank4(T4: np.ndarray) -> np.ndarray:
+    """T - (ric0 @ g)/(n-2) - scal/(2n(n-1)) (g @ g) on the full table."""
+    n = T4.shape[0]
+    g = np.eye(n)
+    ric = ricci_einsum(T4)
+    scal = float(np.trace(ric))
+    ric0 = ric - (scal / n) * g
+    return (T4 - kulkarni_nomizu_outer(ric0, g) / (n - 2)
+            - (scal / (2.0 * n * (n - 1))) * kulkarni_nomizu_outer(g, g))
+
+
+def einstein_normalize_rank4(T4: np.ndarray, target: float | None = None) -> np.ndarray:
+    """T + h @ g with Ric = target * id, solved on the full table."""
+    n = T4.shape[0]
+    target = float(n - 1) if target is None else float(target)
+    g = np.eye(n)
+    delta = target * g - ricci_einsum(T4)
+    h = (delta - np.trace(delta) / (2.0 * (n - 1)) * g) / (n - 2.0)
+    return T4 + kulkarni_nomizu_outer(h, g)
+
+
+def kahler_form_rank4(Jm: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """2 g(JX,Y) g(JZ,W) + g(JX,Z) g(JY,W) - g(JX,W) g(JY,Z) as a full table."""
+    P = Jm.T
+    o = np.multiply.outer
+    return (2.0 * o(P, P) + o(P, P).transpose(0, 2, 1, 3)
+            - o(P, P).transpose(0, 2, 3, 1)) * float(scale)
+
+
 def random_curvature(n: int, seed: int, scale: float = 1.0) -> CurvatureTensor:
     """Projection of a Gaussian rank-4 table (independent of the subspace
     sampler)."""

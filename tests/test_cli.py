@@ -51,7 +51,9 @@ def test_fubini_study_iso_min_nonneg(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--in", p, "--what", "iso-min",
                        "--restarts", "8", "--assert-nonneg", "--tol", "1e-6")
     assert code == 0
-    assert abs(last_json(out)["value"]) < 1e-6
+    rep = last_json(out)
+    assert abs(rep["value"]) < 1e-6
+    assert rep["stop_reason"] in ("grad_tol", "line_search_floor", "max_iters")
 
 
 def test_check_weyl_reports_but_rejects_assert(tmp_path, capsys):
@@ -94,6 +96,18 @@ def test_invalid_numeric_flag_exits_two(tmp_path, capsys, argv):
         main(argv[:1] + ["--in", p] + argv[1:])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["sphere", "fubini-study", "sj"])
+def test_model_non_finite_param_exits_two(tmp_path, capsys, kind):
+    p = tmp_path / "x.json"
+    try:
+        code = main(["model", "--kind", kind, "--n", "4", "--param", "nan",
+                     "--out", str(p)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not p.exists()
 
 
 def test_missing_input_exits_two(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from curvkit.core import (CurvatureError, isotropic_curvature, model_sphere,
                           standard_complex_structure, zero_tensor)
 from curvkit.frames import (OptimizerConfig, _coordinate_probe_frames,
-                            _iso_value_grad, _retract, batch_isotropic,
+                            _coordinate_probe_values, _iso_value_grad, _retract, batch_isotropic,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -61,6 +61,15 @@ def test_probe_set_dominance(light_cfg):
         res = min_isotropic(R, light_cfg)
         probe_vals = batch_isotropic(R, _coordinate_probe_frames(6))
         assert res.value <= np.min(probe_vals) + 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_probe_values_read_off_coefficients(n):
+    R = random_curvature(n, seed=1000 + n)
+    expected = batch_isotropic(R, _coordinate_probe_frames(n))
+    got = _coordinate_probe_values(R.mat, n)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_scale_equivariance(light_cfg):

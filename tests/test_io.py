@@ -31,6 +31,13 @@ def test_label_preserved(tmp_path):
     assert load_tensor(p).label == R.label
 
 
+def test_save_rejects_non_finite(tmp_path):
+    p = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        save_tensor(model_sphere(4, float("nan")), p)
+    assert not p.exists()
+
+
 def test_dict_shape():
     d = tensor_to_dict(model_sphere(4, 1.0))
     assert d["format"] == FORMAT_NAME

@@ -1,20 +1,26 @@
 """The pair-basis (Lambda^2) fast paths against their rank-4 oracles.
 
-B/Q, the Bianchi projection, the cyclic defect and the invariance defect are
-computed on the N x N coefficient matrix; each is compared here with the
-n^4-table computation it replaces.
+B/Q, the Bianchi projection, the cyclic defect, the invariance defect, the
+Ricci and Kulkarni-Nomizu contractions, the Weyl part, Einstein
+normalization and the Kaehler-form model are computed on the N x N
+coefficient matrix; each is compared here with the n^4-table computation it
+replaces.
 """
 
 import numpy as np
 import pytest
 
-from curvkit.core import (CurvatureError, CurvatureTensor, bform, invariance_defect,
-                          model_fubini_study, num_pairs, project_bianchi, qform,
-                          standard_complex_structure, standard_quaternion_triple)
-from curvkit.flow import _project
+from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, bform,
+                          einstein_normalize, invariance_defect, kulkarni_nomizu,
+                          model_fubini_study, model_kahler_form, num_pairs,
+                          project_bianchi, qform, ricci, scalar_curvature,
+                          standard_complex_structure, standard_quaternion_triple, weyl)
+from curvkit.flow import FlowConfig, _project, integrate_q_flow
+from curvkit.verify import run_verification_suite
 
-from helpers import (bform_einsum, cyclic_defect, invariance_einsum, project_rank4,
-                     random_curvature)
+from helpers import (bform_einsum, cyclic_defect, einstein_normalize_rank4, expand_rank4,
+                     invariance_einsum, kahler_form_rank4, kulkarni_nomizu_outer,
+                     project_rank4, random_curvature, ricci_einsum, weyl_rank4)
 
 SIZES = [4, 6, 8, 12]
 
@@ -89,3 +95,65 @@ def test_bform_fails_closed():
     bad[0, 0] = np.inf
     with pytest.raises(CurvatureError):
         bform(R, CurvatureTensor(5, bad))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rank4_view_matches_expansion(n):
+    R = random_curvature(n, seed=1100 + n)
+    assert _rel(R.rank4, expand_rank4(R.mat, n)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_ricci_weyl_and_normalization_match_rank4(n):
+    R = random_curvature(n, seed=1200 + n)
+    T = expand_rank4(R.mat, n)
+    assert _rel(ricci(R), ricci_einsum(T)) <= 1e-12
+    assert abs(scalar_curvature(R) - np.trace(ricci_einsum(T))) <= 1e-12 * max(1.0, R.norm())
+    assert _rel(weyl(R).rank4, weyl_rank4(T)) <= 1e-12
+    assert _rel(einstein_normalize(R).rank4, einstein_normalize_rank4(T)) <= 1e-12
+    assert _rel(einstein_normalize(R, target=-2.5).rank4,
+                einstein_normalize_rank4(T, target=-2.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kulkarni_nomizu_matches_outer_products(n):
+    rng = np.random.default_rng(1300 + n)
+    h, k = rng.standard_normal((2, n, n))
+    h, k = h + h.T, k + k.T
+    g = np.eye(n)
+    for a, b in ((h, k), (h, g), (g, g)):
+        assert _rel(kulkarni_nomizu(a, b), kulkarni_nomizu_outer(a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kahler_form_matches_rank4(n):
+    J = standard_complex_structure(n)
+    q, _ = np.linalg.qr(np.random.default_rng(1400 + n).standard_normal((n, n)))
+    for A in (J, ComplexStructure(q @ J.matrix @ q.T)):
+        assert _rel(model_kahler_form(A, scale=1.7).rank4,
+                    kahler_form_rank4(A.matrix, 1.7)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("op", [weyl, einstein_normalize])
+def test_weyl_and_normalization_fail_closed(op):
+    R = random_curvature(6, seed=1500)
+    with pytest.raises(CurvatureError):
+        op(_pair_symmetric(6, seed=1501))         # input violates Bianchi
+    bad = np.array(R.mat)
+    bad[0, 0] = np.nan
+    with pytest.raises(CurvatureError):
+        op(CurvatureTensor(6, bad))
+
+
+def test_library_paths_never_expand_rank4(monkeypatch):
+    R = random_curvature(6, seed=1600)
+
+    def refuse(self):
+        raise AssertionError("rank-4 table expanded")
+
+    monkeypatch.setattr(CurvatureTensor, "rank4", property(refuse))
+    _, trace = integrate_q_flow(R, FlowConfig(t_end=0.01))
+    assert trace.terminated_by == "t_end"
+    report = run_verification_suite(n=8, samples=2)
+    assert report.passed
