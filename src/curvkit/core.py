@@ -13,15 +13,28 @@ every operation is a pure function of its inputs.
 
 The reaction term of dR/dt = Q(R) is Hamilton's Q(R) = R^2 + R#
 (Hamilton 1986, "Four-manifolds with positive curvature operator"; R# is the
-Lie-algebraic square of Boehm-Wilking 2008).  It is computed on the pair
-basis: with X the n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq, read off M by
-one signed gather, and Y the same matrix of S,
+Lie-algebraic square of Boehm-Wilking 2008).  It is computed from the
+n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq without forming it.  X commutes
+with the swap (i,k) <-> (k,i), so it splits into two blocks.  On
+antisymmetric pairs it is M itself, by the first Bianchi identity
+X[(i,k),(p,q)] - X[(k,i),(p,q)] = R_ikpq.  On Sym^2 (pairs i <= k, size
+K = n(n+1)/2) it is the curvature operator Sigma[{ik},{pq}] = R_ipkq + R_kpiq.
+The cross terms vanish, so with W = diag(1 if p = q, 2 if p < q) and s(i,k)
+the sign of e_i ^ e_k against the basis (0 for i = k),
 
-    B(R, S).mat = M_R M_S + M_S M_R + P[ik,jl] - P[il,jk],   P = X Y^T + Y X^T,
+    (X_R X_S)[(i,k),(j,l)] = 1/4 (Sigma_R W Sigma_S)[{ik},{jl}]
+                             + 1/2 s(i,k) s(j,l) (M_R M_S)[ik,jl],
 
-so that Q(R) = B(R, R) has Q.mat = 2 M^2 + 2 (X X^T)[ik,jl] - 2 (X X^T)[il,jk].
-The Kulkarni-Nomizu product of symmetric h, k is the same pattern applied to
-Z[(a,b),(c,d)] = h_ab k_cd, and Ric_pq = sum_i X[(i,i),(p,q)] reads n^3 entries.
+and with H = (Sigma_R W Sigma_S + Sigma_S W Sigma_R)/4, P = M_R M_S + M_S M_R,
+
+    B(R, S).mat = P + H[{ik},{jl}] - H[{il},{jk}]
+                  + 1/2 s(i,k) s(j,l) P[ik,jl] - 1/2 s(i,l) s(j,k) P[il,jk]:
+
+one K x K product besides M_R M_S; Q(R) = B(R, R) takes it as the symmetric
+product H = V V^T with V = Sigma sqrt(W/2).  The Kulkarni-Nomizu product of
+symmetric h, k lives on Sym^2 alone: it is the H terms with H = Z + Z^T,
+Z = vec(h) vec(k)^T restricted to i <= k.  Ric_pq = sum_i X[(i,i),(p,q)]
+reads n^3 entries.
 The first Bianchi identity is likewise read on M: for i<j<k<l the cyclic sum
 is b = M[ij,kl] - M[ik,jl] + M[il,jk], and distinct quadruples involve
 disjoint entries.
@@ -108,19 +121,6 @@ def _swap_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(idx.reshape(n * n, n * n)), _frozen(sgn.reshape(n * n, n * n))
 
 
-@lru_cache(maxsize=None)
-def _reaction_gather(n: int) -> np.ndarray:
-    """Flat indices into an n^2 x n^2 matrix Z of Z[(i,k),(j,l)], Z[(j,l),(i,k)],
-    Z[(i,l),(j,k)] and Z[(j,k),(i,l)] (axis 0), for the basis pairs (ij) on
-    rows and (kl) on columns."""
-    iu, ju = pair_indices(n)
-    i, j = iu[:, None], ju[:, None]
-    k, l = iu[None, :], ju[None, :]
-    ik, jl, il, jk = i * n + k, j * n + l, i * n + l, j * n + k
-    nn = n * n
-    return _frozen(np.stack([ik * nn + jl, jl * nn + ik, il * nn + jk, jk * nn + il]))
-
-
 def _swap_table(mat: np.ndarray, n: int) -> np.ndarray:
     """The n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq of the coefficients mat."""
     idx, sgn = _swap_gather(n)
@@ -129,12 +129,71 @@ def _swap_table(mat: np.ndarray, n: int) -> np.ndarray:
     return X
 
 
-def _pair_product(Z: np.ndarray, n: int) -> np.ndarray:
-    """N x N matrix Z[ik,jl] + Z[jl,ik] - Z[il,jk] - Z[jk,il] of an n^2 x n^2
-    matrix Z, for the basis pairs (ij) on rows and (kl) on columns."""
-    z = np.take(Z, _reaction_gather(n))
-    del Z  # freed before the sums: held, the heap is trimmed and re-faulted per call at n = 12
-    return z[0] + z[1] - z[2] - z[3]
+@lru_cache(maxsize=None)
+def _sym_block_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into M, and coefficients, of the two terms (axis 0) of
+    V[{ik},{pq}] = sqrt(w_pq/2) (R_ipkq + R_kpiq), i <= k, p <= q, with
+    w_pq = 1 if p = q and 2 otherwise."""
+    pos, sign = _pair_positions(n)
+    N = num_pairs(n)
+    si, sk = np.triu_indices(n)
+    i, k = si[:, None], sk[:, None]
+    p, q = si[None, :], sk[None, :]
+    idx = np.stack([pos[i, p] * N + pos[k, q], pos[k, p] * N + pos[i, q]])
+    coef = np.stack([sign[i, p] * sign[k, q], sign[k, p] * sign[i, q]])
+    coef *= np.where(p == q, np.sqrt(0.5), 1.0)
+    return _frozen(idx), _frozen(coef)
+
+
+def _sym_block(mat: np.ndarray, n: int) -> np.ndarray:
+    """The K x K matrix V = Sigma sqrt(W/2) of the coefficients mat, where Sigma
+    is the swap table X on Sym^2 and W = diag(w): V V'^T = Sigma W Sigma'/2."""
+    idx, coef = _sym_block_gather(n)
+    V = np.take(mat, idx[0])
+    V *= coef[0]
+    t = np.take(mat, idx[1])
+    t *= coef[1]
+    V += t
+    return V
+
+
+@lru_cache(maxsize=None)
+def _reaction_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the basis pairs (ij) on rows and (kl) on columns: flat indices into a
+    K x K matrix on Sym^2 of its entries {ik},{jl} and {il},{jk} (axis 0); flat
+    indices into an N x N matrix on 2-forms of its entries ik,jl and il,jk; and
+    the coefficients s(i,k) s(j,l)/2 and -s(i,l) s(j,k)/2 of the latter, with
+    s the sign of e_a ^ e_b against the basis (0 for a = b).  Sym^2 has the
+    lex-ordered basis {i, k}, i <= k, of size K = n(n+1)/2."""
+    pos, sign = _pair_positions(n)
+    si, sk = np.triu_indices(n)
+    K = len(si)
+    spos = np.zeros((n, n), dtype=np.intp)
+    spos[si, sk] = spos[sk, si] = np.arange(K)
+    N = num_pairs(n)
+    iu, ju = pair_indices(n)
+    i, j = iu[:, None], ju[:, None]
+    k, l = iu[None, :], ju[None, :]
+    sym = np.stack([spos[i, k] * K + spos[j, l], spos[i, l] * K + spos[j, k]])
+    anti = np.stack([pos[i, k] * N + pos[j, l], pos[i, l] * N + pos[j, k]])
+    coef = 0.5 * np.stack([sign[i, k] * sign[j, l], -sign[i, l] * sign[j, k]])
+    return _frozen(sym), _frozen(anti), _frozen(coef)
+
+
+def _pair_product(H: np.ndarray, n: int) -> np.ndarray:
+    """N x N matrix H[{ik},{jl}] - H[{il},{jk}] of a symmetric K x K matrix H,
+    for the basis pairs (ij) on rows and (kl) on columns."""
+    h = np.take(H, _reaction_gather(n)[0])
+    return h[0] - h[1]
+
+
+def _kulkarni_nomizu_mat(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Pair-basis matrix of the Kulkarni-Nomizu product of symmetric h and k:
+    Z + Z^T on Sym^2, Z = vec(h) vec(k)^T, through :func:`_pair_product`."""
+    n = len(h)
+    tri = np.triu_indices(n)
+    Z = np.outer(h[tri], k[tri])
+    return _pair_product(Z + Z.T, n)
 
 
 @lru_cache(maxsize=None)
@@ -187,14 +246,20 @@ def two_form_action(A: np.ndarray) -> np.ndarray:
             - A[ju[:, None], iu[None, :]] * A[iu[:, None], ju[None, :]])
 
 
-def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
-    """The tensor of a computed coefficient matrix whose Bianchi defect is at most
-    tol * max(1, |mat|_max, scale); else, or if either is not finite, CurvatureError."""
+def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
+                     scale: float = 1.0) -> None:
+    """CurvatureError unless the Bianchi defect of mat is at most
+    tol * max(1, |mat|_max, scale) and both are finite."""
     defect = bianchi_defect(mat, n)
     ref = float(np.max(np.abs(mat), initial=max(1.0, scale)))
     if not defect <= tol * ref < np.inf:
         raise CurvatureError(f"{what} Bianchi defect {defect:.3e} exceeds "
                              f"{tol:.1e} * {ref:.3e}")
+
+
+def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
+    """The tensor of a computed coefficient matrix that passes :func:`_require_bianchi`."""
+    _require_bianchi(mat, n, what, tol, scale)
     return CurvatureTensor(n, mat)
 
 
@@ -377,7 +442,7 @@ def scalar_curvature(R: CurvatureTensor) -> float:
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rank-4 product (h @ k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il
     of symmetric n x n matrices h and k."""
-    return CurvatureTensor(len(h), _pair_product(np.outer(h, k), len(h))).rank4
+    return CurvatureTensor(len(h), _kulkarni_nomizu_mat(h, k)).rank4
 
 
 def weyl(R: CurvatureTensor) -> CurvatureTensor:
@@ -390,7 +455,7 @@ def weyl(R: CurvatureTensor) -> CurvatureTensor:
     ric = ricci(R)
     scal = float(np.trace(ric))
     ric0 = ric - (scal / n) * g
-    mat = (R.mat - _pair_product(np.outer(ric0, g), n) / (n - 2)
+    mat = (R.mat - _kulkarni_nomizu_mat(ric0, g) / (n - 2)
            - (scal / (n * (n - 1))) * np.eye(len(R.mat)))
     return _checked(mat, n, "Weyl part", 1e-8)
 
@@ -410,7 +475,7 @@ def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> Curva
     delta = target * g - ricci(R)
     trh = np.trace(delta) / (2.0 * (n - 1))
     h = (delta - trh * g) / (n - 2.0)
-    mat = R.mat + _pair_product(np.outer(h, g), n)
+    mat = R.mat + _kulkarni_nomizu_mat(h, g)
     return _checked(mat, n, "Einstein normalization", 1e-8)
 
 
@@ -426,17 +491,30 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
         + sum_pq [R(X,e_p,Z,e_q) S(Y,e_p,W,e_q) + R(Y,e_p,W,e_q) S(X,e_p,Z,e_q)]
         - sum_pq [R(X,e_p,W,e_q) S(Y,e_p,Z,e_q) + R(Y,e_p,Z,e_q) S(X,e_p,W,e_q)]
 
-    evaluated on the pair basis as in the module docstring, with P = Z + Z^T
-    for Z = X Y^T.  The result must pass the Bianchi check to REACTION_TOL
-    relative to max(1, |B|_max, |R| |S|); a larger defect, or any non-finite
-    entry, raises :class:`CurvatureError`.
+    evaluated on the Sym^2 and 2-form blocks as in the module docstring.  That
+    split holds only for tensors that satisfy the first Bianchi identity, so
+    each input must pass the Bianchi check to CONSTRUCTION_TOL relative to
+    max(1, |M|_max), and the result to REACTION_TOL relative to
+    max(1, |B|_max, |R| |S|); a larger defect, or any non-finite entry,
+    raises :class:`CurvatureError`.
     """
     R._check_same(S)
     n = R.n
-    X = _swap_table(R.mat, n)
-    Y = X if S is R else _swap_table(S.mat, n)
+    for T in (R,) if S is R else (R, S):
+        _require_bianchi(T.mat, n, "reaction input", CONSTRUCTION_TOL)
+    V = _sym_block(R.mat, n)
+    if S is R:
+        H = V @ V.T
+    else:
+        H = V @ _sym_block(S.mat, n).T
+        H += H.T
+        H *= 0.5
     A = R.mat @ S.mat
-    mat = A + A.T + _pair_product(X @ Y.T, n)
+    P = A + A.T
+    _, anti, coef = _reaction_gather(n)
+    a = np.take(P, anti)
+    a *= coef
+    mat = P + _pair_product(H, n) + a[0] + a[1]
     return _checked(mat, n, "reaction term", REACTION_TOL, R.norm() * S.norm())
 
 
@@ -462,7 +540,7 @@ class FourFrame:
     tol: float = CONSTRUCTION_TOL
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 4:
             raise CurvatureError(f"a 4-frame needs an (n, 4) matrix with n >= 4, got {m.shape}")
         defect = float(np.max(np.abs(m.T @ m - np.eye(4))))
@@ -491,7 +569,7 @@ class ComplexStructure:
     tol: float = CONSTRUCTION_TOL
 
     def __post_init__(self):
-        J = np.asarray(self.matrix, dtype=float)
+        J = np.array(self.matrix, dtype=float)
         n = J.shape[0]
         if J.ndim != 2 or J.shape != (n, n) or n % 2 != 0:
             raise CurvatureError("a complex structure needs a square matrix of even size")

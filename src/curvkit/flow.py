@@ -54,8 +54,13 @@ def _project(R: CurvatureTensor) -> CurvatureTensor:
 
 def rk4_step(R: CurvatureTensor, h: float) -> CurvatureTensor:
     """One classical Runge-Kutta step of dR/dt = Q(R), re-projected."""
+    return _rk4_from(R, qform(R).mat, h)
+
+
+def _rk4_from(R: CurvatureTensor, k1: np.ndarray, h: float) -> CurvatureTensor:
+    """:func:`rk4_step` with its first stage k1 = Q(R).mat given, so that the
+    full step and the first half step of step doubling share it."""
     n, M = R.n, R.mat
-    k1 = qform(R).mat
     k2 = qform(CurvatureTensor(n, M + (0.5 * h) * k1)).mat
     k3 = qform(CurvatureTensor(n, M + (0.5 * h) * k2)).mat
     k4 = qform(CurvatureTensor(n, M + h * k3)).mat
@@ -85,10 +90,11 @@ def integrate_q_flow(R0: CurvatureTensor,
     """Integrate dR/dt = Q(R) from R0 with adaptive step doubling.
 
     Local error is estimated from one full step against two half steps
-    (err = ||difference|| / 15); a step is accepted when err stays below
-    rel_tol * max(1, ||R||).  The trace records t, scalar curvature, minimum
-    isotropic curvature (warm-started search) and tensor norm every
-    ``monitor_every`` accepted steps and at both endpoints.
+    (err = ||difference|| / 15), which share their first stage Q(R); a step
+    is accepted when err stays below rel_tol * max(1, ||R||).  The trace
+    records t, scalar curvature, minimum isotropic curvature (warm-started
+    search) and tensor norm every ``monitor_every`` accepted steps and at
+    both endpoints.
     """
     cfg = cfg or FlowConfig()
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
@@ -122,8 +128,9 @@ def integrate_q_flow(R0: CurvatureTensor,
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, t_end):
             raise FlowError(f"step size underflow at t={t:.6g}")
-        full = rk4_step(R, h)
-        half = rk4_step(rk4_step(R, 0.5 * h), 0.5 * h)
+        k1 = qform(R).mat
+        full = _rk4_from(R, k1, h)
+        half = rk4_step(_rk4_from(R, k1, 0.5 * h), 0.5 * h)
         err = (full - half).norm() / 15.0
         scale = cfg.rel_tol * max(1.0, half.norm())
         if err <= scale:

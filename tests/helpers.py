@@ -8,6 +8,7 @@ vectorized paths on the 2-form basis, so agreement is meaningful.
 import numpy as np
 
 from curvkit.core import CurvatureTensor, project_to_curvature
+from curvkit.flow import _project, rk4_step
 
 
 def evaluate_table(R: CurvatureTensor, x, y, z, w) -> float:
@@ -128,6 +129,31 @@ def kahler_form_rank4(Jm: np.ndarray, scale: float = 1.0) -> np.ndarray:
     o = np.multiply.outer
     return (2.0 * o(P, P) + o(P, P).transpose(0, 2, 1, 3)
             - o(P, P).transpose(0, 2, 3, 1)) * float(scale)
+
+
+def q_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
+                  rel_tol: float = 1e-8):
+    """Step-doubling integration of dR/dt = Q(R) with the step control of
+    ``integrate_q_flow`` but three independent ``rk4_step`` calls per attempt
+    and no monitoring; returns (R, accepted, rejected)."""
+    R = _project(R0)
+    t, h = 0.0, min(dt_init, t_end)
+    accepted = rejected = 0
+    while t < t_end:
+        h = min(h, t_end - t)
+        full = rk4_step(R, h)
+        half = rk4_step(rk4_step(R, 0.5 * h), 0.5 * h)
+        err = (full - half).norm() / 15.0
+        scale = rel_tol * max(1.0, half.norm())
+        if err <= scale:
+            R, t = half, t + h
+            accepted += 1
+            grow = 0.9 * (scale / err) ** 0.2 if err > 0 else 2.0
+            h *= min(2.0, max(0.2, grow))
+        else:
+            rejected += 1
+            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+    return R, accepted, rejected
 
 
 def random_curvature(n: int, seed: int, scale: float = 1.0) -> CurvatureTensor:

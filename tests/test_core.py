@@ -259,6 +259,24 @@ def test_complex_structure_validation():
         standard_complex_structure(5)
 
 
+def test_four_frame_leaves_caller_array_writable():
+    m = np.eye(6)[:, :4].copy()
+    F = FourFrame(m)
+    m[0, 0] = 2.0
+    assert F.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        F.matrix[0, 0] = 2.0
+
+
+def test_complex_structure_leaves_caller_array_writable():
+    m = standard_complex_structure(4).matrix.copy()
+    J = ComplexStructure(m)
+    m[0, 0] = 2.0
+    assert J.matrix[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        J.matrix[0, 0] = 2.0
+
+
 def test_quaternion_triple_relations(t8):
     I, J, K = t8.matrices
     np.testing.assert_allclose(I @ J, K, atol=1e-14)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from curvkit import flow
 from curvkit.core import (inner, model_sphere, scalar_curvature,
                           standard_quaternion_triple, zero_tensor)
 from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
@@ -11,7 +12,7 @@ from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
 from curvkit.frames import OptimizerConfig
 from curvkit.spaces import curvature_space_basis, sample
 
-from helpers import random_curvature, shift_into_cone
+from helpers import q_flow_serial, random_curvature, shift_into_cone
 from curvkit import model_r0, min_isotropic
 
 
@@ -117,6 +118,37 @@ def test_rk4_single_step_order():
         errs.append(abs(lam - scalar_blowup_oracle(6.0, 1.0, 0.04)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(p - 4.0) < 0.3 for p in orders)
+
+
+def _generic_flow_start():
+    """A generic n = 5 tensor and a first step so large that it is rejected."""
+    R0 = random_curvature(5, seed=72)
+    t_end = 4.0 * default_horizon(R0)
+    return R0, FlowConfig(t_end=t_end, dt_init=t_end, rel_tol=1e-10,
+                          monitor_every=10**6, optimizer=LIGHT_OPT)
+
+
+def test_step_doubling_makes_eleven_q_calls_per_attempt(monkeypatch):
+    calls = []
+    real = flow.qform
+
+    def counted(R):
+        calls.append(R)
+        return real(R)
+
+    monkeypatch.setattr(flow, "qform", counted)
+    R0, cfg = _generic_flow_start()
+    _, trace = integrate_q_flow(R0, cfg)
+    assert trace.steps_rejected > 0 and trace.steps_accepted > 0
+    assert len(calls) == 11 * (trace.steps_accepted + trace.steps_rejected)
+
+
+def test_step_doubling_matches_serial_oracle():
+    R0, cfg = _generic_flow_start()
+    R, trace = integrate_q_flow(R0, cfg)
+    S, accepted, rejected = q_flow_serial(R0, cfg.t_end, cfg.dt_init, cfg.rel_tol)
+    assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
+    assert np.array_equal(R.mat, S.mat)
 
 
 def test_config_validation():

@@ -35,11 +35,12 @@ def _pair_symmetric(n, seed):
     return CurvatureTensor(n, a + a.T)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", [2, 3, 5] + SIZES)
 def test_bform_and_qform_match_einsum(n):
     R = random_curvature(n, seed=300 + n)
     S = random_curvature(n, seed=400 + n)
     assert _rel(bform(R, S).rank4, bform_einsum(R.rank4, S.rank4)) <= 1e-12
+    assert _rel(bform(R, R).rank4, bform_einsum(R.rank4, R.rank4)) <= 1e-12
     assert _rel(qform(R).rank4, bform_einsum(R.rank4, R.rank4)) <= 1e-12
 
 
@@ -95,6 +96,18 @@ def test_bform_fails_closed():
     bad[0, 0] = np.inf
     with pytest.raises(CurvatureError):
         bform(R, CurvatureTensor(5, bad))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bform_rejects_each_bad_input():
+    R = random_curvature(6, seed=920)
+    violating = CurvatureTensor(6, R.mat + 1e-6 * _pair_symmetric(6, seed=921).mat)
+    bad = np.array(R.mat)
+    bad[0, 0] = np.nan
+    for S in (violating, CurvatureTensor(6, bad)):
+        for args in ((R, S), (S, R)):
+            with pytest.raises(CurvatureError, match="reaction input"):
+                bform(*args)
 
 
 @pytest.mark.parametrize("n", SIZES)
