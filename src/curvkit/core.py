@@ -149,12 +149,9 @@ def _sym_block(mat: np.ndarray, n: int) -> np.ndarray:
     """The K x K matrix V = Sigma sqrt(W/2) of the coefficients mat, where Sigma
     is the swap table X on Sym^2 and W = diag(w): V V'^T = Sigma W Sigma'/2."""
     idx, coef = _sym_block_gather(n)
-    V = np.take(mat, idx[0])
-    V *= coef[0]
-    t = np.take(mat, idx[1])
-    t *= coef[1]
-    V += t
-    return V
+    t = mat.take(idx)
+    t *= coef
+    return t[0] + t[1]
 
 
 @lru_cache(maxsize=None)
@@ -180,20 +177,32 @@ def _reaction_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(sym), _frozen(anti), _frozen(coef)
 
 
-def _pair_product(H: np.ndarray, n: int) -> np.ndarray:
-    """N x N matrix H[{ik},{jl}] - H[{il},{jk}] of a symmetric K x K matrix H,
-    for the basis pairs (ij) on rows and (kl) on columns."""
-    h = np.take(H, _reaction_gather(n)[0])
-    return h[0] - h[1]
+def _reaction_mat(P: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
+    """N x N matrix P[ij,kl] + H[{ik},{jl}] - H[{il},{jk}]
+    + 1/2 s(i,k) s(j,l) P[ik,jl] - 1/2 s(i,l) s(j,k) P[il,jk] of a symmetric
+    N x N matrix P on 2-forms and a symmetric K x K matrix H on Sym^2.  It is
+    exactly symmetric: entry (kl, ij) sums the same five values as (ij, kl),
+    in the same order."""
+    sym, anti, coef = _reaction_gather(n)
+    h = H.take(sym)
+    a = P.take(anti)
+    a *= coef
+    mat = P + h[0]
+    mat -= h[1]
+    mat += a[0]
+    mat += a[1]
+    return mat
 
 
 def _kulkarni_nomizu_mat(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Pair-basis matrix of the Kulkarni-Nomizu product of symmetric h and k:
-    Z + Z^T on Sym^2, Z = vec(h) vec(k)^T, through :func:`_pair_product`."""
+    the Sym^2 terms of :func:`_reaction_mat` with H = Z + Z^T,
+    Z = vec(h) vec(k)^T on i <= k, and P = 0."""
     n = len(h)
     tri = np.triu_indices(n)
     Z = np.outer(h[tri], k[tri])
-    return _pair_product(Z + Z.T, n)
+    N = num_pairs(n)
+    return _reaction_mat(np.zeros((N, N)), Z + Z.T, n)
 
 
 @lru_cache(maxsize=None)
@@ -215,14 +224,16 @@ _BIANCHI_SIGNS = np.array([1.0, -1.0, 1.0])[:, None]
 def bianchi_sums(mat: np.ndarray, n: int) -> np.ndarray:
     """Cyclic sums b = M[ij,kl] - M[ik,jl] + M[il,jk] = R_ijkl + R_jkil + R_kijl,
     one per quadruple i<j<k<l; the cyclic sum vanishes on repeated indices."""
-    e = np.take(mat, _bianchi_gather(n)[0])
-    return e[0] - e[1] + e[2]
+    e = mat.take(_bianchi_gather(n)[0])
+    b = e[0] - e[1]
+    b += e[2]
+    return b
 
 
 def bianchi_defect(mat: np.ndarray, n: int) -> float:
     """Max |cyclic sum| of a symmetric coefficient matrix: the first-Bianchi
     defect of its rank-4 table.  NaN if any involved entry is NaN."""
-    return float(np.max(np.abs(bianchi_sums(mat, n)), initial=0.0))
+    return float(abs(bianchi_sums(mat, n)).max(initial=0.0))
 
 
 def project_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
@@ -251,16 +262,19 @@ def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
     """CurvatureError unless the Bianchi defect of mat is at most
     tol * max(1, |mat|_max, scale) and both are finite."""
     defect = bianchi_defect(mat, n)
-    ref = float(np.max(np.abs(mat), initial=max(1.0, scale)))
+    ref = float(abs(mat).max(initial=max(1.0, scale)))
     if not defect <= tol * ref < np.inf:
         raise CurvatureError(f"{what} Bianchi defect {defect:.3e} exceeds "
                              f"{tol:.1e} * {ref:.3e}")
 
 
 def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
-    """The tensor of a computed coefficient matrix that passes :func:`_require_bianchi`."""
+    """The tensor of a computed, exactly symmetric coefficient matrix that
+    passes :func:`_require_bianchi`, stored as it is."""
     _require_bianchi(mat, n, what, tol, scale)
-    return CurvatureTensor(n, mat)
+    T = object.__new__(CurvatureTensor)
+    T.n, T.mat, T.label = n, _frozen(mat), None
+    return T
 
 
 def invariance_defect(R: "CurvatureTensor", structures) -> float:
@@ -500,22 +514,20 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
     """
     R._check_same(S)
     n = R.n
-    for T in (R,) if S is R else (R, S):
-        _require_bianchi(T.mat, n, "reaction input", CONSTRUCTION_TOL)
+    _require_bianchi(R.mat, n, "reaction input", CONSTRUCTION_TOL)
     V = _sym_block(R.mat, n)
     if S is R:
         H = V @ V.T
+        scale = R.norm() ** 2
     else:
+        _require_bianchi(S.mat, n, "reaction input", CONSTRUCTION_TOL)
         H = V @ _sym_block(S.mat, n).T
         H += H.T
         H *= 0.5
+        scale = R.norm() * S.norm()
     A = R.mat @ S.mat
-    P = A + A.T
-    _, anti, coef = _reaction_gather(n)
-    a = np.take(P, anti)
-    a *= coef
-    mat = P + _pair_product(H, n) + a[0] + a[1]
-    return _checked(mat, n, "reaction term", REACTION_TOL, R.norm() * S.norm())
+    mat = _reaction_mat(A + A.T, H, n)
+    return _checked(mat, n, "reaction term", REACTION_TOL, scale)
 
 
 def qform(R: CurvatureTensor) -> CurvatureTensor:

@@ -124,8 +124,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         checks.append(_skip("r0-ricci", "Ric(R0) = (m+2) id", 1e-10,
                             "requires n divisible by 4"))
 
-    # Built once, here: built before the hyper-Kahler checks, they raise the
-    # suite's peak memory.
+    # Built once, here, and reused by the sampled checks; built before the
+    # hyper-Kahler checks, they raise the suite's peak memory.
     generic = curvature_space_basis(n)
     kahler = kahler_subspace(J) if even else None
     dims_dev = 0.0
@@ -157,6 +157,23 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
             return
         measured, detail = fn()
         checks.append(_result(check_id, anchor, measured, tol, detail))
+
+    def sphere_shift():
+        rng = np.random.default_rng([seed, 4])
+        G = model_sphere(n, 1.0)
+        worst = 0.0
+        for _ in range(samples):
+            R = einstein_normalize(sample(generic, seed=int(rng.integers(2**31))))
+            kappa = float(rng.uniform(0.25, 3.0))
+            QS = qform(R + (-kappa) * G)
+            rhs = qform(R) + (2.0 * (n - 1) * kappa * (kappa - 2.0)) * G
+            worst = max(worst, (QS - rhs).norm() / max(1.0, QS.norm()))
+        return worst, f"{samples} normalized samples"
+
+    sampled("sphere-shift-q-identity",
+            "Q(R - k G) = Q(R) + 2(n-1) k (k-2) G when Ric(R) = (n-1) id",
+            1e-8, True, sphere_shift, "requires samples >= 1")
+    del generic  # its last use: freed before the frame searches below
 
     def q_additivity():
         rng = np.random.default_rng([seed, 1])
@@ -223,22 +240,6 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     sampled("kahler-iso-frame-identity",
             "iso(X, JX, Y, JY) = 0 for Kahler tensors", 1e-9,
             even, kahler_iso, "requires even n and samples >= 1")
-
-    def sphere_shift():
-        rng = np.random.default_rng([seed, 4])
-        G = model_sphere(n, 1.0)
-        worst = 0.0
-        for _ in range(samples):
-            R = einstein_normalize(sample(generic, seed=int(rng.integers(2**31))))
-            kappa = float(rng.uniform(0.25, 3.0))
-            QS = qform(R + (-kappa) * G)
-            rhs = qform(R) + (2.0 * (n - 1) * kappa * (kappa - 2.0)) * G
-            worst = max(worst, (QS - rhs).norm() / max(1.0, QS.norm()))
-        return worst, f"{samples} normalized samples"
-
-    sampled("sphere-shift-q-identity",
-            "Q(R - k G) = Q(R) + 2(n-1) k (k-2) G when Ric(R) = (n-1) id",
-            1e-8, True, sphere_shift, "requires samples >= 1")
 
     def boundary_q():
         cfg = frames.OptimizerConfig(restarts=16, seed=seed)

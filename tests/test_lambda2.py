@@ -40,8 +40,19 @@ def test_bform_and_qform_match_einsum(n):
     R = random_curvature(n, seed=300 + n)
     S = random_curvature(n, seed=400 + n)
     assert _rel(bform(R, S).rank4, bform_einsum(R.rank4, S.rank4)) <= 1e-12
-    assert _rel(bform(R, R).rank4, bform_einsum(R.rank4, R.rank4)) <= 1e-12
+    # a distinct object with R's entries takes the general (S is not R) branch
+    assert _rel(bform(R, CurvatureTensor(n, R.mat.copy())).rank4,
+                bform_einsum(R.rank4, R.rank4)) <= 1e-12
     assert _rel(qform(R).rank4, bform_einsum(R.rank4, R.rank4)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_computed_tensors_are_stored_exactly_symmetric(n):
+    # these results are stored without re-symmetrization
+    R = random_curvature(n, seed=450 + n)
+    S = random_curvature(n, seed=460 + n)
+    for T in (bform(R, S), bform(S, R), qform(R), weyl(R), einstein_normalize(R)):
+        assert np.array_equal(T.mat, T.mat.T)
 
 
 @pytest.mark.parametrize("n", SIZES)
