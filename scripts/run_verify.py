@@ -25,13 +25,14 @@ def main(argv=None) -> int:
     width = max(len(c.check_id) for c in report.checks)
     print(f"suite={report.suite} n={report.n} seed={report.seed} "
           f"samples={report.samples}  ({report.wall_time_s:.1f}s)")
-    print("-" * (width + 44))
+    print("-" * (width + 54))
     for c in sorted(report.checks, key=lambda c: c.check_id):
         measured = "" if c.measured is None else f"{c.measured:.3e}"
-        print(f"{c.check_id:<{width}}  {c.status:<12} {measured:>12} {c.tolerance:>9.0e}")
+        print(f"{c.check_id:<{width}}  {c.status:<12} {measured:>12} {c.tolerance:>9.0e}"
+              f" {c.wall_s:>8.3f}s")
         if c.status == "fail":
             print(f"{'':<{width}}  -> {c.detail}")
-    print("-" * (width + 44))
+    print("-" * (width + 54))
     n_fail = sum(1 for c in report.checks if c.status == "fail")
     n_skip = sum(1 for c in report.checks if c.status not in ("pass", "fail"))
     print(f"{len(report.checks)} checks, {n_fail} failed, {n_skip} inapplicable")

@@ -43,6 +43,7 @@ disjoint entries.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -268,13 +269,19 @@ def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
                              f"{tol:.1e} * {ref:.3e}")
 
 
-def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
-    """The tensor of a computed, exactly symmetric coefficient matrix that
-    passes :func:`_require_bianchi`, stored as it is."""
-    _require_bianchi(mat, n, what, tol, scale)
+def _stored(mat: np.ndarray, n: int) -> "CurvatureTensor":
+    """The tensor of a computed, exactly symmetric coefficient matrix, stored
+    as it is: the constructor's 0.5 (M + M^T) would only copy it.  Nothing is
+    checked here; ``bform`` checks each of its inputs."""
     T = object.__new__(CurvatureTensor)
     T.n, T.mat, T.label = n, _frozen(mat), None
     return T
+
+
+def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
+    """:func:`_stored` of a matrix that passes :func:`_require_bianchi`."""
+    _require_bianchi(mat, n, what, tol, scale)
+    return _stored(mat, n)
 
 
 def invariance_defect(R: "CurvatureTensor", structures) -> float:
@@ -294,17 +301,23 @@ class CurvatureTensor:
 
     Use :func:`CurvatureTensor.from_rank4` or :func:`project_to_curvature` to
     build one from a raw rank-4 table; the models below construct standard
-    examples directly.
+    examples directly.  The constructor symmetrizes ``mat`` and raises
+    :class:`CurvatureError` for a bool or non-integer ``n``, a wrong shape or
+    a non-finite entry.
     """
 
     __slots__ = ("n", "mat", "label")
 
     def __init__(self, n: int, mat: np.ndarray, label: str | None = None):
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 2:
+            raise CurvatureError(f"dimension must be an integer >= 2, got {n!r}")
         mat = np.asarray(mat, dtype=float)
-        if n < 2 or mat.shape != (num_pairs(n), num_pairs(n)):
+        if mat.shape != (num_pairs(n), num_pairs(n)):
             raise CurvatureError(f"coefficient matrix has shape {mat.shape}, "
                                  f"expected ({num_pairs(n)}, {num_pairs(n)}) for n={n}")
-        self.n = n
+        if not np.isfinite(mat).all():
+            raise CurvatureError("coefficient matrix has non-finite entries")
+        self.n = int(n)
         self.mat = _frozen(0.5 * (mat + mat.T))
         self.label = label
 

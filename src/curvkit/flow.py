@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CurvatureTensor, project_bianchi, qform, scalar_curvature
+from .core import CurvatureTensor, _stored, project_bianchi, qform, scalar_curvature
 from .frames import OptimizerConfig, min_isotropic
 
 
@@ -48,8 +48,9 @@ class FlowTrace:
 
 
 def _project(R: CurvatureTensor) -> CurvatureTensor:
-    """Remove the cyclic (Bianchi-violating) part of R's coefficients."""
-    return CurvatureTensor(R.n, project_bianchi(R.mat, R.n))
+    """Remove the cyclic (Bianchi-violating) part of R's coefficients; the
+    projection moves (ij, kl) and (kl, ij) alike, so symmetry stays exact."""
+    return _stored(project_bianchi(R.mat, R.n), R.n)
 
 
 def rk4_step(R: CurvatureTensor, h: float) -> CurvatureTensor:
@@ -59,12 +60,14 @@ def rk4_step(R: CurvatureTensor, h: float) -> CurvatureTensor:
 
 def _rk4_from(R: CurvatureTensor, k1: np.ndarray, h: float) -> CurvatureTensor:
     """:func:`rk4_step` with its first stage k1 = Q(R).mat given, so that the
-    full step and the first half step of step doubling share it."""
+    full step and the first half step of step doubling share it.  Stages are
+    sums of exactly symmetric matrices, so they are stored as they are;
+    ``qform`` checks each stage input against Bianchi and for finiteness."""
     n, M = R.n, R.mat
-    k2 = qform(CurvatureTensor(n, M + (0.5 * h) * k1)).mat
-    k3 = qform(CurvatureTensor(n, M + (0.5 * h) * k2)).mat
-    k4 = qform(CurvatureTensor(n, M + h * k3)).mat
-    return _project(CurvatureTensor(n, M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+    k2 = qform(_stored(M + (0.5 * h) * k1, n)).mat
+    k3 = qform(_stored(M + (0.5 * h) * k2, n)).mat
+    k4 = qform(_stored(M + h * k3, n)).mat
+    return _project(_stored(M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n))
 
 
 def default_horizon(R0: CurvatureTensor) -> float:

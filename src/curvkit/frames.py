@@ -4,11 +4,13 @@ The workhorse is projected gradient descent on the Stiefel manifold of
 orthonormal k-column matrices (k = 4 for isotropic frames, k = 1 for unit
 vectors; Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
 gradient, tangent projection G - F sym(F^T G), QR retraction with
-positive-diagonal sign fix (x / |x| for k = 1), Armijo backtracking,
-multistart.  One engine, ``_descend``, runs all starts of a search as one
-(B, n, k) stack, each row with its own step size.  Results say why the best
-restart stopped (``stop_reason``) and how long each restart ran; they report
-values, and frames are certificates, never compared directly.
+positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
+trial step and a monotone Armijo backtrack (Barzilai-Borwein 1988; Wen-Yin
+2013 use BB steps on the Stiefel manifold), multistart.  One engine,
+``_descend``, runs all starts of a search as one (B, n, k) stack, each row
+with its own step size.  Results say why the best restart stopped
+(``stop_reason``) and how long each restart ran; they report values, and
+frames are certificates, never compared directly.
 """
 
 from dataclasses import dataclass, field
@@ -81,10 +83,14 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
     ``value_grad`` maps a (b, n, k) stack to values (b,) and Euclidean
     gradients; ``retract`` maps trial points onto the constraint set (a NaN
     row is an infeasible trial) and ``tangent`` projects gradients onto its
-    tangent spaces.  Each row backtracks on its own and leaves the stack at
-    ``grad_tol``, after 60 halvings without a decrease (``line_search_floor``)
-    or after ``max_iters``.  ``on_iterate(F, val, gnorm)`` is called with the
-    (n, k) frame of each active row at the start of each of its iterations.
+    tangent spaces.  Each row's first trial after an accepted step is the BB
+    step |s|^2 / |<s, y>|, with s the accepted move and y the change of the
+    projected gradient, clipped to [1e-6, 1e3] * cfg.step (the upper bound
+    when <s, y> = 0); a rejected trial halves the step (monotone Armijo
+    backtrack).  A row leaves the stack at ``grad_tol``, after 60 halvings
+    without a decrease (``line_search_floor``) or after ``max_iters``.
+    ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
+    active row at the start of each of its iterations.
 
     Returns (values, frames, iterations, stop reasons), aligned with F0's rows.
     """
@@ -94,6 +100,7 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
     g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
     B = len(F)
     a = np.full(B, cfg.step)            # next trial step of each row
+    lo, hi = 1e-6 * cfg.step, 1e3 * cfg.step
     # failed trials in the current iteration, iterations begun, rows of F0
     tries, iters, rows = np.zeros(B, dtype=int), np.ones(B, dtype=int), np.arange(B)
     ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
@@ -119,10 +126,15 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
         # margin is below roundoff, a step that moves nothing is no progress
         ok = (vt < val) & (vt <= val - _ARMIJO * a * g2)
         Pt = tangent(Ft, Gt)
+        # BB step of the accepted rows; a rejected (or NaN) row has no step
+        s, y = Ft - F, Pt - P
+        sy = np.abs(np.einsum("bij,bij->b", s, y))
+        bb = np.divide(np.einsum("bij,bij->b", s, s), sy, out=np.full(len(sy), hi),
+                       where=sy > 0)
+        a = np.where(ok, np.clip(bb, lo, hi), 0.5 * a)
         m = ok[:, None, None]
         F, P = np.where(m, Ft, F), np.where(m, Pt, P)
         val, g2 = np.where(ok, vt, val), np.where(ok, np.einsum("bij,bij->b", Pt, Pt), g2)
-        a = np.minimum(a * np.where(ok, 2.0, 0.5), 1e3 * cfg.step)
         tries = np.where(ok, 0, tries + 1)
         iters += ok
     values, frames, iterations, codes = out

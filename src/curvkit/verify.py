@@ -28,11 +28,12 @@ class CheckResult:
     measured: float | None
     tolerance: float
     detail: str = ""
+    wall_s: float = 0.0         # suite time since the previous check was recorded
 
     def to_dict(self) -> dict:
         return {"id": self.check_id, "anchor": self.anchor, "status": self.status,
                 "measured": self.measured, "tolerance": self.tolerance,
-                "detail": self.detail}
+                "detail": self.detail, "wall_s": self.wall_s}
 
 
 @dataclass
@@ -71,12 +72,23 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     """Run every identity check supported at dimension n.
 
     ``inject_defect`` perturbs one model tensor before the reaction eigenvalue
-    check, as a negative control: exactly that check must then fail.
+    check, as a negative control: exactly that check must then fail.  Each
+    check's ``wall_s`` is the time the suite spent since the previous check
+    was recorded, building the inputs it first uses included; checks computed
+    together (the two at the quaternionic maximizer) carry it on the first.
     """
     if not 4 <= n <= 8:
         raise ValueError("suite supports 4 <= n <= 8")
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[CheckResult] = []
+    lap = t0
+
+    def record(result: CheckResult) -> None:
+        nonlocal lap
+        now = time.perf_counter()
+        result.wall_s, lap = now - lap, now
+        checks.append(result)
+
     quaternionic = n % 4 == 0
     even = n % 2 == 0
 
@@ -90,18 +102,18 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     if hk is not None:
         worst = max((bform(b, sphere).norm() / (b.norm() * sphere.norm())
                      for b in hk.basis))
-        checks.append(_result("bform-hyperkahler-sphere", anchor_b0, worst, 1e-9,
-                              f"max over {len(hk.basis)} basis elements"))
+        record(_result("bform-hyperkahler-sphere", anchor_b0, worst, 1e-9,
+                       f"max over {len(hk.basis)} basis elements"))
         for name, A in zip("IJK", T.matrices):
             SA = model_sj(ComplexStructure(A))
             worst = max((bform(b, SA).norm() / (b.norm() * SA.norm())
                          for b in hk.basis))
-            checks.append(_result(f"bform-hyperkahler-sj-{name}",
-                                  f"B(b, S_{name}) = 0 for every hyper-Kahler basis element b",
-                                  worst, 1e-9))
+            record(_result(f"bform-hyperkahler-sj-{name}",
+                           f"B(b, S_{name}) = 0 for every hyper-Kahler basis element b",
+                           worst, 1e-9))
     else:
-        checks.append(_skip("bform-hyperkahler-sphere", anchor_b0, 1e-9,
-                            "requires n = 8"))
+        record(_skip("bform-hyperkahler-sphere", anchor_b0, 1e-9,
+                     "requires n = 8"))
 
     anchor_r0 = "Q(R0) = (2m+4) R0"
     if quaternionic:
@@ -116,13 +128,13 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
                 mat[0, 0] += 1e-3
                 R0 = CurvatureTensor(n, mat, label="defect-injected")
         dev = (qform(R0) + (-(2 * m + 4)) * R0).norm() / R0.norm()
-        checks.append(_result("q-r0-eigen", anchor_r0, dev, 1e-9))
+        record(_result("q-r0-eigen", anchor_r0, dev, 1e-9))
         ric_dev = float(np.max(np.abs(ricci(R0) - (m + 2) * np.eye(n))))
-        checks.append(_result("r0-ricci", "Ric(R0) = (m+2) id", ric_dev, 1e-10))
+        record(_result("r0-ricci", "Ric(R0) = (m+2) id", ric_dev, 1e-10))
     else:
-        checks.append(_skip("q-r0-eigen", anchor_r0, 1e-9, "requires n divisible by 4"))
-        checks.append(_skip("r0-ricci", "Ric(R0) = (m+2) id", 1e-10,
-                            "requires n divisible by 4"))
+        record(_skip("q-r0-eigen", anchor_r0, 1e-9, "requires n divisible by 4"))
+        record(_skip("r0-ricci", "Ric(R0) = (m+2) id", 1e-10,
+                     "requires n divisible by 4"))
 
     # Built once, here, and reused by the sampled checks; built before the
     # hyper-Kahler checks, they raise the suite's peak memory.
@@ -136,8 +148,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         expected = fixture_dimension(n, label)
         details.append(f"{label}:{space.dimension}(frozen {expected})")
         dims_dev = max(dims_dev, abs(space.dimension - expected))
-    checks.append(_result("subspace-dimensions", "plumbing", dims_dev, 0.0,
-                          ", ".join(details)))
+    record(_result("subspace-dimensions", "plumbing", dims_dev, 0.0,
+                   ", ".join(details)))
 
     fixed = [("round", sphere, float(n - 1))]
     if even:
@@ -147,16 +159,16 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         fixed.append(("quaternionic", model_r0(T), n // 4 + 2.0))
     worst = max(einstein_residual(R, rho) / max(1.0, R.norm())
                 for _, R, rho in fixed)
-    checks.append(_result("einstein-fixed-point", "Q(R) = 2 rho R for the model tensors",
-                          worst, 1e-9, ", ".join(name for name, _, _ in fixed)))
+    record(_result("einstein-fixed-point", "Q(R) = 2 rho R for the model tensors",
+                   worst, 1e-9, ", ".join(name for name, _, _ in fixed)))
 
     # ---- sampled checks ------------------------------------------------------
     def sampled(check_id, anchor, tol, requires, fn, why):
         if samples < 1 or not requires:
-            checks.append(_skip(check_id, anchor, tol, why))
+            record(_skip(check_id, anchor, tol, why))
             return
         measured, detail = fn()
-        checks.append(_result(check_id, anchor, measured, tol, detail))
+        record(_result(check_id, anchor, measured, tol, detail))
 
     def sphere_shift():
         rng = np.random.default_rng([seed, 4])
@@ -205,20 +217,20 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
 
     if hk is not None and samples >= 1:
         gap, first = qk_bound()
-        checks.append(_result("q-hol-bound-maximizer",
-                              "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer",
-                              gap, 1e-6, f"{samples} samples"))
-        checks.append(_result("max-hol-first-order",
-                              "R1(X,JX,X,Y) = R1(X,JX,X,JY) = 0 and "
-                              "2 R1(X,JX,Y,JY) <= R1(X,JX,X,JX) at the maximizer",
-                              first, 1e-5, f"{samples} samples"))
+        record(_result("q-hol-bound-maximizer",
+                       "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer",
+                       gap, 1e-6, f"{samples} samples"))
+        record(_result("max-hol-first-order",
+                       "R1(X,JX,X,Y) = R1(X,JX,X,JY) = 0 and "
+                       "2 R1(X,JX,Y,JY) <= R1(X,JX,X,JX) at the maximizer",
+                       first, 1e-5, f"{samples} samples"))
     else:
-        checks.append(_skip("q-hol-bound-maximizer",
-                            "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer",
-                            1e-6, "requires n = 8 and samples >= 1"))
-        checks.append(_skip("max-hol-first-order",
-                            "first-order maximality of R1(X,JX,X,JX)",
-                            1e-5, "requires n = 8 and samples >= 1"))
+        record(_skip("q-hol-bound-maximizer",
+                     "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer",
+                     1e-6, "requires n = 8 and samples >= 1"))
+        record(_skip("max-hol-first-order",
+                     "first-order maximality of R1(X,JX,X,JX)",
+                     1e-5, "requires n = 8 and samples >= 1"))
 
     def kahler_iso():
         rng = np.random.default_rng([seed, 3])
@@ -267,6 +279,6 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
 
     report = VerificationReport(suite="curvature-identities", n=n, seed=seed,
                                 samples=samples, checks=checks,
-                                wall_time_s=time.time() - t0,
+                                wall_time_s=time.perf_counter() - t0,
                                 timestamp=time.time())
     return report

@@ -7,8 +7,7 @@ vectorized paths on the 2-form basis, so agreement is meaningful.
 
 import numpy as np
 
-from curvkit.core import CurvatureTensor, project_to_curvature
-from curvkit.flow import _project, rk4_step
+from curvkit.core import CurvatureTensor, project_bianchi, project_to_curvature, qform
 
 
 def evaluate_table(R: CurvatureTensor, x, y, z, w) -> float:
@@ -131,18 +130,40 @@ def kahler_form_rank4(Jm: np.ndarray, scale: float = 1.0) -> np.ndarray:
             - o(P, P).transpose(0, 2, 3, 1)) * float(scale)
 
 
+def raw_tensor(n: int, mat) -> CurvatureTensor:
+    """A CurvatureTensor holding ``mat`` as given, past the constructor's
+    checks: for reaching the fail-closed checks of the operations themselves
+    with input the constructor rejects."""
+    R = object.__new__(CurvatureTensor)
+    R.n, R.mat, R.label = n, np.asarray(mat, dtype=float), None
+    return R
+
+
+def rk4_step_public(R: CurvatureTensor, h: float) -> CurvatureTensor:
+    """One classical RK4 step of dR/dt = Q(R), every stage and the combined
+    step built through the public (re-symmetrizing) constructor, then
+    re-projected onto the Bianchi kernel."""
+    n, M = R.n, R.mat
+    k1 = qform(R).mat
+    k2 = qform(CurvatureTensor(n, M + (0.5 * h) * k1)).mat
+    k3 = qform(CurvatureTensor(n, M + (0.5 * h) * k2)).mat
+    k4 = qform(CurvatureTensor(n, M + h * k3)).mat
+    step = CurvatureTensor(n, M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return CurvatureTensor(n, project_bianchi(step.mat, n))
+
+
 def q_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
                   rel_tol: float = 1e-8):
     """Step-doubling integration of dR/dt = Q(R) with the step control of
-    ``integrate_q_flow`` but three independent ``rk4_step`` calls per attempt
-    and no monitoring; returns (R, accepted, rejected)."""
-    R = _project(R0)
+    ``integrate_q_flow`` but three independent :func:`rk4_step_public` calls
+    per attempt and no monitoring; returns (R, accepted, rejected)."""
+    R = CurvatureTensor(R0.n, project_bianchi(R0.mat, R0.n))
     t, h = 0.0, min(dt_init, t_end)
     accepted = rejected = 0
     while t < t_end:
         h = min(h, t_end - t)
-        full = rk4_step(R, h)
-        half = rk4_step(rk4_step(R, 0.5 * h), 0.5 * h)
+        full = rk4_step_public(R, h)
+        half = rk4_step_public(rk4_step_public(R, 0.5 * h), 0.5 * h)
         err = (full - half).norm() / 15.0
         scale = rel_tol * max(1.0, half.norm())
         if err <= scale:
@@ -209,8 +230,9 @@ def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):
 
 # ---------------------------------------------------------------------------
 # Serial frame-search oracles: one start at a time, per-frame QR, closures
-# over single vectors.  These are the descent loops the batched engine in
-# curvkit.frames replaced; restart r draws from seed cfg.seed + r as there.
+# over single vectors, and the engine's step rule (Barzilai-Borwein first
+# trial, halving backtrack).  Restart r draws from seed cfg.seed + r as in
+# curvkit.frames.
 # ---------------------------------------------------------------------------
 
 def retract_serial(F: np.ndarray) -> np.ndarray:
@@ -221,20 +243,31 @@ def retract_serial(F: np.ndarray) -> np.ndarray:
     return q * s
 
 
+def bb_step_serial(s, y, cfg) -> float:
+    """Barzilai-Borwein step |s|^2 / |<s, y>| clipped to [1e-6, 1e3] * cfg.step,
+    the upper bound when <s, y> = 0."""
+    lo, hi = 1e-6 * cfg.step, 1e3 * cfg.step
+    sy = abs(float(np.sum(s * y)))
+    return hi if sy == 0.0 else min(max(float(np.sum(s * s)) / sy, lo), hi)
+
+
 def descend_serial(value_grad, F0, cfg, on_iterate=None):
-    """Projected-gradient descent from one start with Armijo backtracking.
+    """Projected-gradient descent from one start: a Barzilai-Borwein first
+    trial after each accepted step, then Armijo backtracking by halving.
 
     Returns (value, F, stop_reason, iterations).
     """
+    def riemannian(F, G):
+        return G - F @ (0.5 * (F.T @ G + G.T @ F))
+
     F = retract_serial(np.asarray(F0, dtype=float))
     val, G = value_grad(F)
+    Griem = riemannian(F, G)
     alpha = cfg.step
     reason = "max_iters"
     iters = 0
     for it in range(cfg.max_iters):
         iters = it + 1
-        sym = 0.5 * (F.T @ G + G.T @ F)
-        Griem = G - F @ sym
         gnorm = float(np.linalg.norm(Griem))
         if on_iterate is not None:
             on_iterate(F, val, gnorm)
@@ -253,8 +286,9 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
         if not accepted:
             reason = "line_search_floor"
             break
-        F, val, G = Fnew, vnew, Gnew
-        alpha = min(a * 2.0, 1e3 * cfg.step)
+        Pnew = riemannian(Fnew, Gnew)
+        alpha = bb_step_serial(Fnew - F, Pnew - Griem, cfg)
+        F, val, Griem = Fnew, vnew, Pnew
     return val, F, reason, iters
 
 
@@ -336,9 +370,9 @@ def max_holomorphic_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
 
 
 def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
-    """Restart values of the serial min_orthogonal_bisectional: its own Armijo
-    loop over (x, y), y projected off {x, Jx} after every step, then an exact
-    eigen-solve in y at the final x."""
+    """Restart values of the serial min_orthogonal_bisectional: its own
+    Barzilai-Borwein/Armijo loop over (x, y), y projected off {x, Jx} after
+    every step, then an exact eigen-solve in y at the final x."""
     from curvkit.core import curvature_map, wedge
     n = R.n
     mat = R.mat
@@ -384,9 +418,9 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
         if y is None:
             continue
         val = objective(x, y)
+        g = tangent_project(*grads(x, y), x, y)
         alpha = cfg.step
         for _ in range(cfg.max_iters):
-            g = tangent_project(*grads(x, y), x, y)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= cfg.grad_tol:
                 break
@@ -403,7 +437,8 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
                 a *= 0.5
             if not accepted:
                 break
-            x, y, val = xn, yn, vn
-            alpha = min(a * 2.0, 1e3 * cfg.step)
+            gn = tangent_project(*grads(xn, yn), xn, yn)
+            alpha = bb_step_serial(np.concatenate([xn - x, yn - y]), gn - g, cfg)
+            x, y, val, g = xn, yn, vn, gn
         values.append(min(val, objective(x, polish_y(x))))
     return values

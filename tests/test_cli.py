@@ -150,6 +150,8 @@ def test_verify_deterministic_output(tmp_path, capsys):
             d = json.load(fh)
         d.pop("timestamp")
         d.pop("wall_time_s")
+        for c in d["checks"]:
+            assert c.pop("wall_s") >= 0.0
         runs.append(d)
     assert runs[0] == runs[1]
 

@@ -42,6 +42,41 @@ def test_constructor_symmetrizes_and_freezes():
         R.mat[0, 0] = 1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_constructor_rejects_non_finite_anywhere(n, data, bad):
+    N = num_pairs(n)
+    i, j = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    mat = np.eye(N)
+    mat[i, j] = bad
+    with pytest.raises(CurvatureError, match="non-finite"):
+        CurvatureTensor(n, mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(-3, 9))
+def test_constructor_rejects_wrong_dimension(n, m):
+    mat = np.zeros((num_pairs(n), num_pairs(n)))
+    if m == n:
+        assert CurvatureTensor(m, mat).n == n
+    else:
+        with pytest.raises(CurvatureError):
+            CurvatureTensor(m, mat)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.booleans(), st.floats(allow_nan=True), st.just("4"), st.none()),
+       st.integers(0, 6))
+def test_constructor_rejects_bool_and_non_integer_dimension(n, size):
+    with pytest.raises(CurvatureError, match="dimension must be an integer"):
+        CurvatureTensor(n, np.zeros((size, size)))
+
+
+def test_constructor_accepts_numpy_integer_dimension():
+    R = CurvatureTensor(np.int64(4), np.eye(6))
+    assert R.n == 4 and type(R.n) is int
+
+
 def test_from_rank4_rejects_garbage():
     rng = np.random.default_rng(1)
     with pytest.raises(CurvatureError):

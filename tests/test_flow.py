@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvkit import flow
-from curvkit.core import (inner, model_sphere, scalar_curvature,
+from curvkit.core import (CurvatureError, inner, model_sphere, scalar_curvature,
                           standard_quaternion_triple, zero_tensor)
 from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
                           default_horizon, integrate_q_flow, rk4_step,
@@ -12,7 +12,8 @@ from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
 from curvkit.frames import OptimizerConfig
 from curvkit.spaces import curvature_space_basis, sample
 
-from helpers import q_flow_serial, random_curvature, shift_into_cone
+from helpers import (q_flow_serial, random_curvature, raw_tensor, rk4_step_public,
+                     shift_into_cone)
 from curvkit import model_r0, min_isotropic
 
 
@@ -149,6 +150,26 @@ def test_step_doubling_matches_serial_oracle():
     S, accepted, rejected = q_flow_serial(R0, cfg.t_end, cfg.dt_init, cfg.rel_tol)
     assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
     assert np.array_equal(R.mat, S.mat)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12))
+def test_rk4_step_on_raw_stages_matches_constructed_stages(n):
+    """Stages kept on the raw matrix give the same bits as stages built
+    through the re-symmetrizing constructor."""
+    R = random_curvature(n, seed=1700 + n)
+    h = 1e-2 / R.norm()
+    assert np.array_equal(rk4_step(R, h).mat, rk4_step_public(R, h).mat)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rk4_stages_fail_closed():
+    R = random_curvature(5, seed=1800)
+    bad = np.array(R.mat)
+    bad[0, 0] = np.nan
+    with pytest.raises(CurvatureError, match="reaction input"):
+        rk4_step(raw_tensor(5, bad), 1e-3)
+    with pytest.raises(CurvatureError, match="reaction input"):
+        rk4_step(R, np.inf)
 
 
 def test_config_validation():

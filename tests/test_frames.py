@@ -125,6 +125,22 @@ def test_pinching_values(light_cfg, fs4):
     assert abs(pinching_constant(fs4[0], light_cfg)) < 1e-8
 
 
+def test_pinch_scan_values_and_iteration_budget(fs4):
+    """The sphere -> Fubini-Study scan at n = 4 (11 tensors, 16 restarts,
+    seed 0): min iso is exactly 4 (1 - t), and the Barzilai-Borwein first
+    trial keeps the total descent work to 614 iterations (the doubling step
+    rule it replaced took 6179)."""
+    cfg = OptimizerConfig(restarts=16, seed=0)
+    sphere = model_sphere(4, 1.0)
+    total = 0
+    for k in range(11):
+        t = k / 10
+        res = min_isotropic((1.0 - t) * sphere + t * fs4[0], cfg)
+        assert abs(res.value - 4.0 * (1.0 - t)) <= 1e-8
+        total += sum(res.restart_iterations)
+    assert total < 1500
+
+
 def test_pinching_shift_leaves_zero_minimum(light_cfg):
     R = random_curvature(5, seed=50) + 4.0 * model_sphere(5, 1.0)
     kappa = pinching_constant(R, light_cfg)

@@ -12,7 +12,7 @@ from curvkit.tensor_io import (FORMAT_NAME, load_tensor, save_tensor,
                                tensor_from_dict, tensor_to_dict,
                                write_trace_csv)
 
-from helpers import random_curvature
+from helpers import random_curvature, raw_tensor
 
 
 def test_roundtrip_exact(tmp_path):
@@ -34,7 +34,7 @@ def test_label_preserved(tmp_path):
 def test_save_rejects_non_finite(tmp_path):
     p = tmp_path / "nan.json"
     with pytest.raises(ValueError):
-        save_tensor(model_sphere(4, float("nan")), p)
+        save_tensor(raw_tensor(4, np.full((6, 6), np.nan)), p)
     assert not p.exists()
 
 

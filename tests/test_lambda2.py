@@ -20,7 +20,8 @@ from curvkit.verify import run_verification_suite
 
 from helpers import (bform_einsum, cyclic_defect, einstein_normalize_rank4, expand_rank4,
                      invariance_einsum, kahler_form_rank4, kulkarni_nomizu_outer,
-                     project_rank4, random_curvature, ricci_einsum, weyl_rank4)
+                     project_rank4, random_curvature, raw_tensor, ricci_einsum,
+                     weyl_rank4)
 
 SIZES = [4, 6, 8, 12]
 
@@ -102,11 +103,11 @@ def test_bform_fails_closed():
         qform(_pair_symmetric(5, seed=911))       # input violates Bianchi
     bad = np.array(R.mat)
     bad[0, 0] = np.nan                            # not on any Bianchi entry
-    with pytest.raises(CurvatureError):
-        qform(CurvatureTensor(5, bad))
+    with pytest.raises(CurvatureError, match="reaction input"):
+        qform(raw_tensor(5, bad))
     bad[0, 0] = np.inf
-    with pytest.raises(CurvatureError):
-        bform(R, CurvatureTensor(5, bad))
+    with pytest.raises(CurvatureError, match="reaction input"):
+        bform(R, raw_tensor(5, bad))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -115,7 +116,7 @@ def test_bform_rejects_each_bad_input():
     violating = CurvatureTensor(6, R.mat + 1e-6 * _pair_symmetric(6, seed=921).mat)
     bad = np.array(R.mat)
     bad[0, 0] = np.nan
-    for S in (violating, CurvatureTensor(6, bad)):
+    for S in (violating, raw_tensor(6, bad)):
         for args in ((R, S), (S, R)):
             with pytest.raises(CurvatureError, match="reaction input"):
                 bform(*args)
@@ -166,8 +167,8 @@ def test_weyl_and_normalization_fail_closed(op):
         op(_pair_symmetric(6, seed=1501))         # input violates Bianchi
     bad = np.array(R.mat)
     bad[0, 0] = np.nan
-    with pytest.raises(CurvatureError):
-        op(CurvatureTensor(6, bad))
+    with pytest.raises(CurvatureError, match="Bianchi defect"):
+        op(raw_tensor(6, bad))
 
 
 def test_library_paths_never_expand_rank4(monkeypatch):

@@ -1,4 +1,4 @@
-"""The verification suite builds each input once."""
+"""The verification suite builds each input once and times each check."""
 
 from collections import Counter
 
@@ -20,3 +20,12 @@ def test_suite_builds_each_space_once_and_q_of_shift_once(monkeypatch):
     assert report.passed
     # at n = 6 only the sphere-shift check calls qform here: Q(R) and Q(R - k G)
     assert counts == {"curvature_space_basis": 1, "kahler_subspace": 1, "qform": 6}
+
+
+def test_every_applicable_check_reports_its_wall_time():
+    report = verify.run_verification_suite(n=8, samples=1)
+    applicable = [c for c in report.checks if c.status != "inapplicable"]
+    assert applicable and all(c.wall_s >= 0.0 for c in applicable)
+    assert all(c.to_dict()["wall_s"] == c.wall_s for c in report.checks)
+    # the laps partition the suite's run, so they cannot exceed its wall time
+    assert sum(c.wall_s for c in report.checks) <= report.wall_time_s + 1e-3
