@@ -1,13 +1,16 @@
-"""Best-of-k per-call timings of the reaction-term and frame layers; prints one JSON line.
+"""Best-of-k per-call timings of the reaction-term, frame and subspace layers; prints one JSON line.
 
 Times `qform`, `bform` (two distinct tensors) and `rk4_step` at each size on
-a projected Gaussian tensor, and the frame layers on the same tensor: the
-batched isotropic value and gradient `_iso_value_grad` and the QR retraction
-`_retract`, each on a stack of FRAMES frames, and a whole `min_isotropic`
-search with FRAMES restarts at optimizer seed 0, whose total descent
-iterations are reported beside its time.  Each time is the best over REPEATS
-of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for the search), in
-microseconds.  Run from the repository root as
+a projected Gaussian tensor, `project_to_curvature` of the Gaussian rank-4
+table, and the frame layers on the same tensor: the batched isotropic value
+and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
+stack of FRAMES frames, and a whole `min_isotropic` search with FRAMES
+restarts at optimizer seed 0, whose total descent iterations are reported
+beside its time.  The subspace constructors are timed at their own sizes:
+`curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
+`hyperkahler_subspace` (standard triple) at n = 8.  Each time is the best
+over REPEATS of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for
+the search and the subspaces), in microseconds.  Run from the repository root as
 ``PYTHONPATH=src python scripts/bench_layers.py``; point PYTHONPATH at another
 checkout's ``src`` to time that tree with the same script.
 """
@@ -23,12 +26,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from curvkit.core import bform, project_to_curvature, qform  # noqa: E402
+from curvkit.core import (bform, project_to_curvature, qform,  # noqa: E402
+                          standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import rk4_step  # noqa: E402
 from curvkit.frames import (OptimizerConfig, _iso_value_grad, _retract,  # noqa: E402
                             min_isotropic)
+from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa: E402
+                            kahler_subspace)
 
 SIZES = (4, 6, 8, 12)
+SPACE_SIZES = (4, 6, 8, 10)
 REPEATS = 7
 CALLS = 50
 SEARCH_CALLS = 3
@@ -50,12 +57,15 @@ def best_of(fn, calls: int = CALLS) -> float:
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
-    names = ("qform", "bform", "rk4_step", "_iso_value_grad", "_retract", "min_isotropic")
+    names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
+             "_retract", "min_isotropic", "curvature_space_basis", "kahler_subspace",
+             "hyperkahler_subspace")
     layers = {name: {} for name in names}
     iterations = {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
     for n in SIZES:
-        R, S = (project_to_curvature(rng.standard_normal((n, n, n, n))) for _ in range(2))
+        table, other = (rng.standard_normal((n, n, n, n)) for _ in range(2))
+        R, S = project_to_curvature(table), project_to_curvature(other)
         h = 1e-3 / R.norm()
         raw = rng.standard_normal((FRAMES, n, 4))
         frames = _retract(raw)
@@ -63,11 +73,21 @@ def main() -> int:
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
                                 ("bform", lambda: bform(R, S), CALLS),
                                 ("rk4_step", lambda: rk4_step(R, h), CALLS),
+                                ("project_to_curvature",
+                                 lambda: project_to_curvature(table), CALLS),
                                 ("_iso_value_grad", lambda: value_grad(frames), CALLS),
                                 ("_retract", lambda: _retract(raw), CALLS),
                                 ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS)):
             layers[name][str(n)] = round(1e6 * best_of(fn, calls), 2)
         iterations[str(n)] = sum(min_isotropic(R, cfg).restart_iterations)
+    for n in SPACE_SIZES:
+        J = standard_complex_structure(n)
+        for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
+                         ("kahler_subspace", lambda: kahler_subspace(J))):
+            layers[name][str(n)] = round(1e6 * best_of(fn, SEARCH_CALLS), 2)
+    T = standard_quaternion_triple(8)
+    layers["hyperkahler_subspace"]["8"] = round(
+        1e6 * best_of(lambda: hyperkahler_subspace(T), SEARCH_CALLS), 2)
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "min_isotropic_iterations": iterations, "repeats": REPEATS,

@@ -23,7 +23,7 @@ def main() -> None:
         rows.append({"n": n, "label": "generic",
                      "dimension": curvature_space_basis(n).dimension,
                      "constraint_cutoff": SV_CUTOFF, "seed_protocol": SEED_PROTOCOL})
-    for n in (4, 6, 8):
+    for n in (4, 6, 8, 10):
         rows.append({"n": n, "label": "kahler",
                      "dimension": kahler_subspace(standard_complex_structure(n)).dimension,
                      "constraint_cutoff": SV_CUTOFF, "seed_protocol": SEED_PROTOCOL})

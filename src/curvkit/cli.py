@@ -125,12 +125,35 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _verify_table(report) -> str:
+    """One line per check, sorted by id: status, measured value, tolerance and
+    wall time, with the detail of each failing check beneath it."""
+    width = max(len(c.check_id) for c in report.checks)
+    rule = "-" * (width + 54)
+    lines = [f"suite={report.suite} n={report.n} seed={report.seed} "
+             f"samples={report.samples}  ({report.wall_time_s:.1f}s)", rule]
+    for c in sorted(report.checks, key=lambda c: c.check_id):
+        measured = "" if c.measured is None else f"{c.measured:.3e}"
+        lines.append(f"{c.check_id:<{width}}  {c.status:<12} {measured:>12} "
+                     f"{c.tolerance:>9.0e} {c.wall_s:>8.3f}s")
+        if c.status == "fail":
+            lines.append(f"{'':<{width}}  -> {c.detail}")
+    n_fail = sum(c.status == "fail" for c in report.checks)
+    n_skip = sum(c.status == "inapplicable" for c in report.checks)
+    lines += [rule, f"{len(report.checks)} checks, {n_fail} failed, "
+                    f"{n_skip} inapplicable"]
+    return "\n".join(lines)
+
+
 def cmd_verify(args) -> int:
     seed = _env_seed(args, 7)
     report = run_verification_suite(n=args.n, seed=seed, samples=args.samples,
                                     inject_defect=args.inject_defect)
     payload = report.to_dict()
-    _emit(payload)
+    if args.format == "table":
+        print(_verify_table(report))
+    else:
+        _emit(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(_dumps(payload))
@@ -197,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--out", default=None, help="also write the JSON report here")
+    v.add_argument("--format", choices=["json", "table"], default="json",
+                   help="stdout layout: the JSON report, or one line per check")
     v.add_argument("--inject-defect", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 

@@ -59,6 +59,11 @@ class CurvatureError(ValueError):
     """Raised when an input violates a curvature symmetry or a frame constraint."""
 
 
+class NonFiniteError(CurvatureError):
+    """Raised when a given or computed coefficient matrix has a non-finite
+    entry, for example when a reaction term overflows."""
+
+
 # ---------------------------------------------------------------------------
 # 2-form index bookkeeping
 # ---------------------------------------------------------------------------
@@ -261,10 +266,13 @@ def two_form_action(A: np.ndarray) -> np.ndarray:
 def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
                      scale: float = 1.0) -> None:
     """CurvatureError unless the Bianchi defect of mat is at most
-    tol * max(1, |mat|_max, scale) and both are finite."""
+    tol * max(1, |mat|_max, scale); NonFiniteError unless both are finite."""
     defect = bianchi_defect(mat, n)
     ref = float(abs(mat).max(initial=max(1.0, scale)))
-    if not defect <= tol * ref < np.inf:
+    if not ref < np.inf:
+        raise NonFiniteError(f"{what} is not finite: Bianchi defect {defect:.3e}, "
+                             f"scale {ref:.3e}")
+    if not defect <= tol * ref:
         raise CurvatureError(f"{what} Bianchi defect {defect:.3e} exceeds "
                              f"{tol:.1e} * {ref:.3e}")
 
@@ -316,7 +324,7 @@ class CurvatureTensor:
             raise CurvatureError(f"coefficient matrix has shape {mat.shape}, "
                                  f"expected ({num_pairs(n)}, {num_pairs(n)}) for n={n}")
         if not np.isfinite(mat).all():
-            raise CurvatureError("coefficient matrix has non-finite entries")
+            raise NonFiniteError("coefficient matrix has non-finite entries")
         self.n = int(n)
         self.mat = _frozen(0.5 * (mat + mat.T))
         self.label = label

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CurvatureTensor, _stored, project_bianchi, qform, scalar_curvature
+from .core import (CurvatureTensor, NonFiniteError, _stored, project_bianchi, qform,
+                   scalar_curvature)
 from .frames import OptimizerConfig, min_isotropic
 
 
@@ -42,7 +43,10 @@ class FlowTrace:
     scalars: np.ndarray
     min_iso: np.ndarray
     norm: np.ndarray
-    terminated_by: str               # "t_end", "blowup_guard" or "max_steps"
+    # "t_end", "blowup_guard", "max_steps", or "non_finite": a step overflowed
+    # (a reaction term or the error estimate), and the flow returned its last
+    # accepted state, which is finite
+    terminated_by: str
     steps_accepted: int
     steps_rejected: int
 
@@ -97,7 +101,9 @@ def integrate_q_flow(R0: CurvatureTensor,
     is accepted when err stays below rel_tol * max(1, ||R||).  The trace
     records t, scalar curvature, minimum isotropic curvature (warm-started
     search) and tensor norm every ``monitor_every`` accepted steps and at
-    both endpoints.
+    both endpoints.  A step that overflows (a non-finite reaction term or
+    error estimate) ends the flow with ``terminated_by="non_finite"`` at the
+    last accepted state.
     """
     cfg = cfg or FlowConfig()
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
@@ -131,10 +137,17 @@ def integrate_q_flow(R0: CurvatureTensor,
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, t_end):
             raise FlowError(f"step size underflow at t={t:.6g}")
-        k1 = qform(R).mat
-        full = _rk4_from(R, k1, h)
-        half = rk4_step(_rk4_from(R, k1, 0.5 * h), 0.5 * h)
-        err = (full - half).norm() / 15.0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = qform(R).mat
+                full = _rk4_from(R, k1, h)
+                half = rk4_step(_rk4_from(R, k1, 0.5 * h), 0.5 * h)
+                err = (full - half).norm() / 15.0
+        except NonFiniteError:
+            err = np.inf
+        if not err < np.inf:
+            terminated_by = "non_finite"
+            break
         scale = cfg.rel_tol * max(1.0, half.norm())
         if err <= scale:
             R = half

@@ -1,23 +1,29 @@
 """Linear subspaces of curvature tensors cut out by holonomy-type invariances.
 
-All spaces are built the same way: the symmetric coefficient matrix on the
-2-form basis is parametrized by its weighted upper triangle (so that the
-Euclidean inner product of coordinates equals the Frobenius inner product of
-rank-4 tables), the defining linear constraints are stacked into one system,
-and an orthonormal basis of the nullspace is read off a singular value
-decomposition with an explicit relative cutoff.
+R is invariant under an orthogonal structure A iff its operator M on 2-forms
+satisfies M C_A = M, i.e. iff M is a symmetric operator on the 2-forms that
+C_A fixes.  So every space is built the same way, as K(h) = Sym^2(h) ∩ ker b:
+h is the common fixed 2-forms of the structures (u(m) for a complex
+structure, sp(m) for a quaternion triple; Besse, *Einstein Manifolds*,
+ch. 10), or all 2-forms for the generic space.  With U an orthonormal basis
+of h, M = U S U^T, and the symmetric d x d matrix S is parametrized by its
+weighted upper triangle (so that the Euclidean inner product of coordinates
+equals the Frobenius inner product of rank-4 tables).  An orthonormal basis
+of the nullspace of the Bianchi rows on these d(d+1)/2 unknowns is read off
+a singular value decomposition with an explicit relative cutoff.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
-                   QuaternionTriple, _bianchi_gather, _frozen, invariance_defect, num_pairs,
-                   scalar_curvature, model_quaternionic_projective, two_form_action)
+                   QuaternionTriple, _bianchi_gather, _frozen, _stored,
+                   invariance_defect, num_pairs, scalar_curvature,
+                   model_quaternionic_projective, two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff for rank decisions
 MAX_BASIS_N = 10        # dense basis construction is capped here
@@ -27,12 +33,21 @@ _FIXTURES = Path(__file__).parent / "fixtures" / "subspace_dims.json"
 
 @dataclass(frozen=True)
 class CurvatureSubspace:
-    """Orthonormal basis of a linear space of curvature tensors."""
+    """Orthonormal basis of a linear space of curvature tensors; ``stacked``
+    holds its matrices as one read-only (dimension, N, N) array (built from
+    ``basis`` when not given)."""
 
     n: int
     label: str                        # "generic" | "kahler" | "hyperkahler"
     basis: tuple[CurvatureTensor, ...]
     structures: tuple | None = None   # the J or (I, J, K) used to cut the space
+    stacked: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.stacked is None:
+            N = num_pairs(self.n)
+            stacked = np.array([b.mat for b in self.basis], dtype=float).reshape(-1, N, N)
+            object.__setattr__(self, "stacked", _frozen(stacked))
 
     @property
     def dimension(self) -> int:
@@ -40,55 +55,17 @@ class CurvatureSubspace:
 
 
 # ---------------------------------------------------------------------------
-# Coordinates: weighted upper triangle of the N x N coefficient matrix
+# K(h) = Sym^2(h) ∩ ker b
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _coord_maps(n: int):
-    """Index arrays (P, Q) with P <= Q and the weights making coordinates
-    isometric to the rank-4 Frobenius norm (diagonal 2, off-diagonal 2*sqrt(2));
-    cached, read-only."""
-    N = num_pairs(n)
-    P, Q = np.triu_indices(N)
+def _coord_maps(d: int):
+    """Upper-triangle index arrays (P, Q) of a d x d matrix S and the weights
+    making its coordinates isometric to the rank-4 Frobenius norm of U S U^T
+    (diagonal 2, off-diagonal 2*sqrt(2)); cached, read-only."""
+    P, Q = np.triu_indices(d)
     w = np.where(P == Q, 2.0, 2.0 * np.sqrt(2.0))
     return _frozen(P), _frozen(Q), _frozen(w)
-
-
-def _mat_from_coords(x: np.ndarray, n: int) -> np.ndarray:
-    P, Q, w = _coord_maps(n)
-    N = num_pairs(n)
-    M = np.zeros((N, N))
-    M[P, Q] = x / w
-    M = M + np.triu(M, 1).T
-    return M
-
-
-def _bianchi_rows(n: int) -> np.ndarray:
-    """One row per quadruple i<j<k<l: M[ij,kl] - M[ik,jl] + M[il,jk] = 0."""
-    N = num_pairs(n)
-    P, Q, w = _coord_maps(n)
-    col_of = np.empty((N, N), dtype=int)
-    col_of[P, Q] = col_of[Q, P] = np.arange(len(P))
-    cols = np.take(col_of, _bianchi_gather(n)[0])     # (3, quadruples)
-    quads = np.arange(cols.shape[1])
-    rows = np.zeros((len(quads), len(P)))
-    for c, s in zip(cols, (1.0, -1.0, 1.0)):
-        rows[quads, c] = s / w[c]
-    return rows
-
-
-def _invariance_rows(n: int, A: np.ndarray) -> np.ndarray:
-    """Rows of the linearized constraint R(.,., A., A.) = R in coordinates."""
-    C = two_form_action(A)
-    P, Q, w = _coord_maps(n)
-    dim = len(P)
-    rows = np.empty((C.shape[0] ** 2, dim))
-    for t in range(dim):
-        x = np.zeros(dim)
-        x[t] = 1.0
-        M = _mat_from_coords(x, n)
-        rows[:, t] = (M @ C - M).ravel()
-    return rows
 
 
 def _nullspace(A: np.ndarray, cutoff: float = SV_CUTOFF) -> np.ndarray:
@@ -102,12 +79,35 @@ def _nullspace(A: np.ndarray, cutoff: float = SV_CUTOFF) -> np.ndarray:
     return vh[rank:].T
 
 
-def _space_from_rows(n: int, rows: np.ndarray, label: str,
-                     structures: tuple | None) -> CurvatureSubspace:
-    null = _nullspace(rows)
-    basis = tuple(CurvatureTensor(n, _mat_from_coords(null[:, t], n))
-                  for t in range(null.shape[1]))
-    return CurvatureSubspace(n=n, label=label, basis=basis, structures=structures)
+def _fixed_two_forms(structures) -> np.ndarray:
+    """Orthonormal basis (columns) of the 2-forms that every structure fixes: h."""
+    C = np.stack([two_form_action(np.asarray(A)) for A in structures])
+    return _nullspace((C - np.eye(C.shape[1])).reshape(-1, C.shape[1]))
+
+
+def _holonomy_space(n: int, U: np.ndarray | None, label: str,
+                    structures: tuple | None) -> CurvatureSubspace:
+    """Orthonormal basis of K(h), h spanned by the orthonormal columns of U
+    (N x d), or U = None for all 2-forms (U = I, so M = S).  Entry (r, c) of
+    U S U^T is the sum over p <= q of S_pq (U[r,p] U[c,q] + U[r,q] U[c,p]),
+    halved for p = q; a quadruple's Bianchi row adds its three entries with
+    signs +, -, +.  For U = I these rows are exactly +-1/w."""
+    N = num_pairs(n)
+    V = np.eye(N) if U is None else U
+    P, Q, w = _coord_maps(V.shape[1])
+    r, c = np.divmod(_bianchi_gather(n)[0], N)        # (3, quadruples) each
+    Vr, Vc = V[r], V[c]
+    coef = Vr[..., P] * Vc[..., Q] + Vr[..., Q] * Vc[..., P]
+    coef *= np.where(P == Q, 0.5, 1.0) / w
+    null = _nullspace(coef[0] - coef[1] + coef[2])   # (d(d+1)/2, dimension)
+    M = np.zeros((null.shape[1], V.shape[1], V.shape[1]))
+    M[:, P, Q] = M[:, Q, P] = null.T / w
+    if U is not None:                                 # symmetrized against roundoff
+        M = U @ M @ U.T
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+    stacked = _frozen(M)
+    return CurvatureSubspace(n=n, label=label, basis=tuple(_stored(m, n) for m in stacked),
+                             structures=structures, stacked=stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -118,29 +118,28 @@ def curvature_space_basis(n: int, cap: int = MAX_BASIS_N) -> CurvatureSubspace:
     """Orthonormal basis of all curvature tensors on R^n; dimension n^2(n^2-1)/12."""
     if not 4 <= n <= cap:
         raise CurvatureError(f"generic basis supported for 4 <= n <= {cap}, got {n}")
-    return _space_from_rows(n, _bianchi_rows(n), "generic", None)
+    return _holonomy_space(n, None, "generic", None)
 
 
 def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
-    """Curvature tensors invariant under J: R(X,Y,JZ,JW) = R(X,Y,Z,W)."""
+    """Curvature tensors invariant under J: R(X,Y,JZ,JW) = R(X,Y,Z,W);
+    K(u(m)), of dimension (m(m+1)/2)^2 for n = 2m."""
     n = J.n
     if not 4 <= n <= MAX_BASIS_N:
         raise CurvatureError(f"subspace construction supported for 4 <= n <= {MAX_BASIS_N}")
-    rows = np.vstack([_bianchi_rows(n), _invariance_rows(n, J.matrix)])
-    return _space_from_rows(n, rows, "kahler", (J,))
+    return _holonomy_space(n, _fixed_two_forms([J.matrix]), "kahler", (J,))
 
 
 def hyperkahler_subspace(T: QuaternionTriple) -> CurvatureSubspace:
-    """Curvature tensors invariant under all of I, J, K; requires n = 4m >= 8."""
+    """Curvature tensors invariant under all of I, J, K; requires n = 4m >= 8.
+    K(sp(m)), of dimension C(2m+3, 4)."""
     n = T.n
     if n < 8:
         raise CurvatureError("hyperkahler invariance forces R = 0 against the "
                              "generic split at n = 4; need n >= 8")
     if n > MAX_BASIS_N:
         raise CurvatureError(f"subspace construction supported up to n = {MAX_BASIS_N}")
-    rows = np.vstack([_bianchi_rows(n)]
-                     + [_invariance_rows(n, A) for A in T.matrices])
-    return _space_from_rows(n, rows, "hyperkahler", T.matrices)
+    return _holonomy_space(n, _fixed_two_forms(T.matrices), "hyperkahler", T.matrices)
 
 
 def sample(space: CurvatureSubspace, seed: int, scale: float = 1.0) -> CurvatureTensor:
@@ -149,15 +148,13 @@ def sample(space: CurvatureSubspace, seed: int, scale: float = 1.0) -> Curvature
         raise CurvatureError("cannot sample from an empty subspace")
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(space.dimension) * float(scale)
-    mat = sum(c * b.mat for c, b in zip(coeffs, space.basis))
-    return CurvatureTensor(space.n, mat)
+    return CurvatureTensor(space.n, np.tensordot(coeffs, space.stacked, axes=1))
 
 
 def project_onto(space: CurvatureSubspace, R: CurvatureTensor):
     """Coefficients of the orthogonal projection and the relative residual norm."""
-    coeffs = np.array([4.0 * np.vdot(b.mat, R.mat) for b in space.basis])
-    proj = sum(c * b.mat for c, b in zip(coeffs, space.basis)) if space.dimension \
-        else np.zeros_like(R.mat)
+    coeffs = 4.0 * np.tensordot(space.stacked, R.mat, axes=2)
+    proj = np.tensordot(coeffs, space.stacked, axes=1)
     resid = 2.0 * float(np.linalg.norm(R.mat - proj))
     return coeffs, resid / max(1.0, R.norm())
 

@@ -136,8 +136,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         record(_skip("r0-ricci", "Ric(R0) = (m+2) id", 1e-10,
                      "requires n divisible by 4"))
 
-    # Built once, here, and reused by the sampled checks; built before the
-    # hyper-Kahler checks, they raise the suite's peak memory.
+    # Built once, here, and reused by the sampled checks.
     generic = curvature_space_basis(n)
     kahler = kahler_subspace(J) if even else None
     dims_dev = 0.0
@@ -185,7 +184,6 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     sampled("sphere-shift-q-identity",
             "Q(R - k G) = Q(R) + 2(n-1) k (k-2) G when Ric(R) = (n-1) id",
             1e-8, True, sphere_shift, "requires samples >= 1")
-    del generic  # its last use: freed before the frame searches below
 
     def q_additivity():
         rng = np.random.default_rng([seed, 1])

@@ -7,7 +7,8 @@ vectorized paths on the 2-form basis, so agreement is meaningful.
 
 import numpy as np
 
-from curvkit.core import CurvatureTensor, project_bianchi, project_to_curvature, qform
+from curvkit.core import (CurvatureTensor, _bianchi_gather, num_pairs, project_bianchi,
+                          project_to_curvature, qform, two_form_action)
 
 
 def evaluate_table(R: CurvatureTensor, x, y, z, w) -> float:
@@ -210,6 +211,40 @@ def generic_dimension_bruteforce(n: int) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(s > 1e-8 * s[0]))
     return dim - rank
+
+
+def stacked_rows_basis(n: int, structures=()) -> np.ndarray:
+    """(dimension, N, N) orthonormal basis of the curvature tensors invariant
+    under every matrix in ``structures``, on all N(N+1)/2 weighted upper-triangle
+    coordinates of M: the Bianchi rows stacked with one block of rows
+    M C_A - M = 0 per structure, each column built from one unit coordinate,
+    and the nullspace of the whole system from one SVD (cutoff 1e-8)."""
+    N = num_pairs(n)
+    P, Q = np.triu_indices(N)
+    w = np.where(P == Q, 2.0, 2.0 * np.sqrt(2.0))
+    col_of = np.empty((N, N), dtype=int)
+    col_of[P, Q] = col_of[Q, P] = np.arange(len(P))
+    cols = np.take(col_of, _bianchi_gather(n)[0])     # (3, quadruples)
+    bianchi = np.zeros((cols.shape[1], len(P)))
+    for c, sign in zip(cols, (1.0, -1.0, 1.0)):
+        bianchi[np.arange(cols.shape[1]), c] = sign / w[c]
+    blocks = [bianchi]
+
+    def unit(t):
+        M = np.zeros((N, N))
+        M[P[t], Q[t]] = M[Q[t], P[t]] = 1.0 / w[t]
+        return M
+
+    for A in structures:
+        C = two_form_action(np.asarray(A))
+        blocks.append(np.stack([(unit(t) @ C - unit(t)).ravel()
+                                for t in range(len(P))], axis=1))
+    _, s, vh = np.linalg.svd(np.vstack(blocks))
+    rank = int(np.sum(s > 1e-8 * s[0]))
+    null = vh[rank:]
+    mats = np.zeros((len(null), N, N))
+    mats[:, P, Q] = mats[:, Q, P] = null / w
+    return mats
 
 
 def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):

@@ -156,6 +156,31 @@ def test_verify_deterministic_output(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+def test_verify_table_format(tmp_path, capsys):
+    p = str(tmp_path / "rep.json")
+    code, out, _ = run(capsys, "verify", "--n", "4", "--samples", "1",
+                       "--format", "table", "--out", p)
+    assert code == 0
+    with open(p) as fh:
+        checks = sorted(c["id"] for c in json.load(fh)["checks"])
+    lines = out.splitlines()
+    assert lines[0].startswith("suite=curvature-identities n=4 seed=7 samples=1")
+    rows = lines[2:-2]
+    assert [row.split()[0] for row in rows] == checks
+    assert all(row.split()[1] in ("pass", "inapplicable") for row in rows)
+    assert lines[-1] == f"{len(checks)} checks, 0 failed, " \
+        f"{sum(row.split()[1] == 'inapplicable' for row in rows)} inapplicable"
+
+
+def test_verify_table_format_shows_failures(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "8", "--samples", "0",
+                       "--inject-defect", "--format", "table")
+    assert code == 1
+    failing = [line for line in out.splitlines() if " fail " in line]
+    assert len(failing) == 1 and failing[0].startswith("q-r0-eigen")
+    assert "1 failed" in out.splitlines()[-1]
+
+
 def test_env_seed_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CURVKIT_SEED", "3")
     _, out, _ = run(capsys, "verify", "--n", "4", "--samples", "0")

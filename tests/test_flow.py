@@ -1,11 +1,13 @@
 """Evolution tests: exact rays, step control, cone monitoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from curvkit import flow
-from curvkit.core import (CurvatureError, inner, model_sphere, scalar_curvature,
-                          standard_quaternion_triple, zero_tensor)
+from curvkit.core import (CurvatureError, NonFiniteError, inner, model_sphere, qform,
+                          scalar_curvature, standard_quaternion_triple, zero_tensor)
 from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
                           default_horizon, integrate_q_flow, rk4_step,
                           scalar_blowup_oracle)
@@ -97,6 +99,26 @@ def test_step_underflow_near_singularity():
     cfg = FlowConfig(t_end=0.17, blowup_guard=1e30, optimizer=LIGHT_OPT)
     with pytest.raises(FlowError):
         integrate_q_flow(model_sphere(4, 1.0), cfg)
+
+
+def test_overflow_stops_with_last_finite_state():
+    """A reaction term that overflows ends the flow instead of raising."""
+    R0 = model_sphere(4, 1e150)
+    cfg = FlowConfig(t_end=1.0, blowup_guard=1e300, optimizer=LIGHT_OPT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, trace = integrate_q_flow(R0, cfg)
+    assert trace.terminated_by == "non_finite"
+    assert np.isfinite(R.mat).all()
+    assert R.norm() >= R0.norm()
+    assert np.isfinite(trace.norm).all() and trace.times[-1] < 1.0
+
+
+def test_overflowing_reaction_term_raises_non_finite_error():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="not finite"):
+            qform(model_sphere(4, 1e160))
+    assert issubclass(NonFiniteError, CurvatureError)
 
 
 def test_max_steps_cap():

@@ -1,18 +1,21 @@
 """Subspaces of curvature tensors: dimensions, sampling, projections."""
 
+import math
+
 import numpy as np
 import pytest
 
-from curvkit.core import ricci, standard_complex_structure, model_sphere
-from curvkit.spaces import (constraint_violation, curvature_space_basis,
-                            fixture_dimension, hyperkahler_subspace,
-                            kahler_subspace, load_fixtures, project_onto,
-                            qk_decompose, sample)
+from curvkit.core import (ComplexStructure, QuaternionTriple, model_sphere, pair_indices,
+                          ricci, standard_complex_structure, standard_quaternion_triple)
+from curvkit.spaces import (_fixed_two_forms, _holonomy_space, constraint_violation,
+                            curvature_space_basis, fixture_dimension,
+                            hyperkahler_subspace, kahler_subspace, load_fixtures,
+                            project_onto, qk_decompose, sample)
 
-from helpers import generic_dimension_bruteforce, random_curvature
+from helpers import generic_dimension_bruteforce, random_curvature, stacked_rows_basis
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_generic_dimension_closed_form(n):
     space = curvature_space_basis(n)
     assert space.dimension == n * n * (n * n - 1) // 12
@@ -123,3 +126,86 @@ def test_sphere_lives_in_generic_space():
     space = curvature_space_basis(5)
     _, residual = project_onto(space, model_sphere(5, 2.0))
     assert residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# K(h) against the stacked-rows oracle and the closed forms
+# ---------------------------------------------------------------------------
+
+def _conjugated(mats, seed):
+    """The matrices Q A Q^T for one seeded random orthogonal Q."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((mats[0].shape[0],) * 2))[0]
+    return [Q @ A @ Q.T for A in mats]
+
+
+def _space_and_structures(label, n, conjugate):
+    if label == "generic":
+        return curvature_space_basis(n), ()
+    if label == "kahler":
+        (Jm,) = _conjugated([standard_complex_structure(n).matrix], 2000 + n) \
+            if conjugate else [standard_complex_structure(n).matrix]
+        return kahler_subspace(ComplexStructure(Jm)), (Jm,)
+    mats = standard_quaternion_triple(n).matrices
+    if conjugate:
+        mats = _conjugated(mats, 3000 + n)
+    T = QuaternionTriple(*(ComplexStructure(A) for A in mats))
+    return hyperkahler_subspace(T), tuple(mats)
+
+
+@pytest.mark.parametrize("label,n,conjugate",
+                         [("generic", n, False) for n in range(4, 9)]
+                         + [("kahler", n, c) for n in (4, 6, 8) for c in (False, True)]
+                         + [("hyperkahler", 8, c) for c in (False, True)])
+def test_projector_matches_stacked_rows_oracle(label, n, conjugate):
+    space, structures = _space_and_structures(label, n, conjugate)
+    B = space.stacked.reshape(space.dimension, -1)
+    O = stacked_rows_basis(n, structures).reshape(-1, B.shape[1])
+    assert B.shape == O.shape
+    np.testing.assert_allclose(4.0 * B.T @ B, 4.0 * O.T @ O, rtol=0, atol=1e-10)
+
+
+def test_generic_basis_is_the_stacked_rows_basis():
+    """With h = all 2-forms the Bianchi rows are the oracle's own."""
+    for n in (4, 6, 8):
+        np.testing.assert_allclose(curvature_space_basis(n).stacked,
+                                   stacked_rows_basis(n), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("label,n,expected",
+                         [("kahler", 2 * m, (m * (m + 1) // 2) ** 2) for m in (2, 3, 4, 5)]
+                         + [("hyperkahler", 8, math.comb(2 * 2 + 3, 4))])
+def test_structured_dimension_closed_form(label, n, expected):
+    """(m(m+1)/2)^2 for Kahler n = 2m, C(2m+3, 4) for hyper-Kahler n = 4m."""
+    assert _space_and_structures(label, n, False)[0].dimension == expected
+
+
+def test_stacked_basis_is_read_only_and_matches_basis(hk8):
+    assert hk8.stacked.shape == (35, 28, 28)
+    assert not hk8.stacked.flags.writeable
+    for b, m in zip(hk8.basis, hk8.stacked):
+        np.testing.assert_array_equal(b.mat, m)
+
+
+def test_sample_and_projection_match_sequential_sums(hk8, generic_spaces):
+    for space in (hk8, generic_spaces[6]):
+        R = sample(space, seed=21)
+        coeffs = np.random.default_rng(21).standard_normal(space.dimension)
+        seq = sum(c * b.mat for c, b in zip(coeffs, space.basis))
+        np.testing.assert_allclose(R.mat, seq, rtol=0, atol=1e-14)
+        got, _ = project_onto(space, R)
+        want = [4.0 * np.vdot(b.mat, R.mat) for b in space.basis]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_quaternionic_kahler_space_checks_qk_decompose(t8, r0_8):
+    """K(sp(2) + sp(1)) = hyper-Kahler + R R0 (Alekseevsky; Besse 14.45)."""
+    iu, ju = pair_indices(8)
+    forms = np.stack([A[iu, ju] for A in t8.matrices], axis=1)   # Kahler forms
+    U = np.linalg.qr(np.hstack([_fixed_two_forms(t8.matrices), forms]))[0]
+    assert U.shape == (28, 13)
+    qk = _holonomy_space(8, U, "quaternionic-kahler", None)
+    assert qk.dimension == 36
+    _, residual = project_onto(qk, r0_8)
+    assert residual <= 1e-12
+    for seed in range(3):
+        assert qk_decompose(sample(qk, seed=seed), t8).residual <= 1e-10
