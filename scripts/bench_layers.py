@@ -8,9 +8,12 @@ stack of FRAMES frames, and a whole `min_isotropic` search with FRAMES
 restarts at optimizer seed 0, whose total descent iterations are reported
 beside its time.  The subspace constructors are timed at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
-`hyperkahler_subspace` (standard triple) at n = 8.  Each time is the best
-over REPEATS of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for
-the search and the subspaces), in microseconds.  Run from the repository root as
+`hyperkahler_subspace` (standard triple) at n = 8, and `qk_q_bound_check`
+at n = 8, whose time is the best over REPEATS of one pass over QK_SAMPLES
+hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as in the verify suite)
+divided by QK_SAMPLES.  Every other time is the best over REPEATS of the mean
+of back-to-back calls (CALLS, or SEARCH_CALLS for the search and the
+subspaces), in microseconds.  Run from the repository root as
 ``PYTHONPATH=src python scripts/bench_layers.py``; point PYTHONPATH at another
 checkout's ``src`` to time that tree with the same script.
 """
@@ -30,9 +33,9 @@ from curvkit.core import (bform, project_to_curvature, qform,  # noqa: E402
                           standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import rk4_step  # noqa: E402
 from curvkit.frames import (OptimizerConfig, _iso_value_grad, _retract,  # noqa: E402
-                            min_isotropic)
+                            min_isotropic, qk_q_bound_check)
 from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa: E402
-                            kahler_subspace)
+                            kahler_subspace, sample)
 
 SIZES = (4, 6, 8, 12)
 SPACE_SIZES = (4, 6, 8, 10)
@@ -40,6 +43,7 @@ REPEATS = 7
 CALLS = 50
 SEARCH_CALLS = 3
 FRAMES = 16
+QK_SAMPLES = 20
 SEED = 0
 
 
@@ -59,7 +63,7 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
              "_retract", "min_isotropic", "curvature_space_basis", "kahler_subspace",
-             "hyperkahler_subspace")
+             "hyperkahler_subspace", "qk_q_bound_check")
     layers = {name: {} for name in names}
     iterations = {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
@@ -88,11 +92,16 @@ def main() -> int:
     T = standard_quaternion_triple(8)
     layers["hyperkahler_subspace"]["8"] = round(
         1e6 * best_of(lambda: hyperkahler_subspace(T), SEARCH_CALLS), 2)
+    hk = hyperkahler_subspace(T)
+    tensors = [sample(hk, seed=seed) for seed in range(QK_SAMPLES)]
+    qk_cfg = OptimizerConfig(restarts=4, seed=0)
+    layers["qk_q_bound_check"]["8"] = round(1e6 * best_of(
+        lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1) / QK_SAMPLES, 2)
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "min_isotropic_iterations": iterations, "repeats": REPEATS,
                       "calls": CALLS, "search_calls": SEARCH_CALLS, "frames": FRAMES,
-                      "seed": SEED, "numpy": np.__version__,
+                      "qk_samples": QK_SAMPLES, "seed": SEED, "numpy": np.__version__,
                       "python": sys.version.split()[0], "cpus": os.cpu_count()}))
     return 0
 

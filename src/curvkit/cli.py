@@ -39,6 +39,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -216,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
-    v.add_argument("--n", type=int, default=8)
+    v.add_argument("--n", type=int, choices=range(4, 9), default=8)
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--samples", type=int, default=20)
+    v.add_argument("--samples", type=nonnegative_int, default=20)
     v.add_argument("--out", default=None, help="also write the JSON report here")
     v.add_argument("--format", choices=["json", "table"], default="json",
                    help="stdout layout: the JSON report, or one line per check")

@@ -15,6 +15,9 @@ from .core import (CurvatureTensor, NonFiniteError, _stored, project_bianchi, qf
                    scalar_curvature)
 from .frames import OptimizerConfig, min_isotropic
 
+# the monitoring searches' optimizer when FlowConfig.optimizer is None
+_MONITOR_OPTIMIZER = OptimizerConfig(restarts=4, max_iters=300)
+
 
 class FlowError(RuntimeError):
     """Raised when the integrator cannot continue (step underflow)."""
@@ -109,7 +112,7 @@ def integrate_q_flow(R0: CurvatureTensor,
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    opt = cfg.optimizer or OptimizerConfig(restarts=4, max_iters=300)
+    opt = cfg.optimizer or _MONITOR_OPTIMIZER
 
     R = _project(R0)
     norm0 = max(1.0, R.norm())
@@ -194,7 +197,7 @@ def cone_preservation_probe(R0: CurvatureTensor,
     min_iso >= -1e-6 (1 + ||R||) at every monitoring time.
     """
     cfg = cfg or FlowConfig()
-    opt = cfg.optimizer or OptimizerConfig(restarts=4, max_iters=300)
+    opt = cfg.optimizer or _MONITOR_OPTIMIZER
     initial = min_isotropic(R0, opt).value
     if initial < -1e-8 * max(1.0, R0.norm()):
         raise ValueError(f"initial tensor outside the cone: min iso {initial:.3e}")

@@ -1,9 +1,10 @@
 """Batch verification suite over the algebraic identities of the toolkit.
 
 Each check measures one scalar defect and passes iff the measurement stays
-within its stated tolerance; structural checks run always, sampled checks are
-marked inapplicable when the sample budget is zero or the ambient dimension
-does not support them.  The suite is deterministic given (n, seed, samples).
+within its stated tolerance.  A check is marked inapplicable when the ambient
+dimension does not support it or, for a sampled check, when the sample budget
+is zero, so every dimension reports the same check ids with the same anchors.
+The suite is deterministic given (n, seed, samples).
 """
 
 import time
@@ -98,24 +99,21 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     hk = hyperkahler_subspace(T) if n == 8 else None
 
     # ---- structural checks (no sampling) ------------------------------------
-    anchor_b0 = "B(b, S) = 0 for every hyper-Kahler basis element b and round S"
-    if hk is not None:
-        worst = max((bform(b, sphere).norm() / (b.norm() * sphere.norm())
-                     for b in hk.basis))
-        record(_result("bform-hyperkahler-sphere", anchor_b0, worst, 1e-9,
+    hk_checks = [("bform-hyperkahler-sphere",
+                  "B(b, S) = 0 for every hyper-Kahler basis element b and round S", None)]
+    hk_checks += [(f"bform-hyperkahler-sj-{name}",
+                   f"B(b, S_{name}) = 0 for every hyper-Kahler basis element b", k)
+                  for k, name in enumerate("IJK")]
+    for check_id, anchor, k in hk_checks:
+        if hk is None:
+            record(_skip(check_id, anchor, 1e-9, "requires n = 8"))
+            continue
+        S = sphere if k is None else model_sj(ComplexStructure(T.matrices[k]))
+        worst = max(bform(b, S).norm() / (b.norm() * S.norm()) for b in hk.basis)
+        record(_result(check_id, anchor, worst, 1e-9,
                        f"max over {len(hk.basis)} basis elements"))
-        for name, A in zip("IJK", T.matrices):
-            SA = model_sj(ComplexStructure(A))
-            worst = max((bform(b, SA).norm() / (b.norm() * SA.norm())
-                         for b in hk.basis))
-            record(_result(f"bform-hyperkahler-sj-{name}",
-                           f"B(b, S_{name}) = 0 for every hyper-Kahler basis element b",
-                           worst, 1e-9))
-    else:
-        record(_skip("bform-hyperkahler-sphere", anchor_b0, 1e-9,
-                     "requires n = 8"))
 
-    anchor_r0 = "Q(R0) = (2m+4) R0"
+    anchor_r0, anchor_ricci = "Q(R0) = (2m+4) R0", "Ric(R0) = (m+2) id"
     if quaternionic:
         m = n // 4
         R0 = model_r0(T)
@@ -130,11 +128,10 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         dev = (qform(R0) + (-(2 * m + 4)) * R0).norm() / R0.norm()
         record(_result("q-r0-eigen", anchor_r0, dev, 1e-9))
         ric_dev = float(np.max(np.abs(ricci(R0) - (m + 2) * np.eye(n))))
-        record(_result("r0-ricci", "Ric(R0) = (m+2) id", ric_dev, 1e-10))
+        record(_result("r0-ricci", anchor_ricci, ric_dev, 1e-10))
     else:
         record(_skip("q-r0-eigen", anchor_r0, 1e-9, "requires n divisible by 4"))
-        record(_skip("r0-ricci", "Ric(R0) = (m+2) id", 1e-10,
-                     "requires n divisible by 4"))
+        record(_skip("r0-ricci", anchor_ricci, 1e-10, "requires n divisible by 4"))
 
     # Built once, here, and reused by the sampled checks.
     generic = curvature_space_basis(n)
@@ -213,22 +210,17 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
             worst_first = max(worst_first, fo.deriv_y, fo.deriv_jy, -min(0.0, fo.min_slack))
         return max(gaps), worst_first
 
+    anchor_qk = "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer"
+    anchor_first = ("R1(X,JX,X,Y) = R1(X,JX,X,JY) = 0 and "
+                    "2 R1(X,JX,Y,JY) <= R1(X,JX,X,JX) at the maximizer")
     if hk is not None and samples >= 1:
         gap, first = qk_bound()
-        record(_result("q-hol-bound-maximizer",
-                       "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer",
-                       gap, 1e-6, f"{samples} samples"))
-        record(_result("max-hol-first-order",
-                       "R1(X,JX,X,Y) = R1(X,JX,X,JY) = 0 and "
-                       "2 R1(X,JX,Y,JY) <= R1(X,JX,X,JX) at the maximizer",
-                       first, 1e-5, f"{samples} samples"))
+        record(_result("q-hol-bound-maximizer", anchor_qk, gap, 1e-6, f"{samples} samples"))
+        record(_result("max-hol-first-order", anchor_first, first, 1e-5, f"{samples} samples"))
     else:
-        record(_skip("q-hol-bound-maximizer",
-                     "Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer",
-                     1e-6, "requires n = 8 and samples >= 1"))
-        record(_skip("max-hol-first-order",
-                     "first-order maximality of R1(X,JX,X,JX)",
-                     1e-5, "requires n = 8 and samples >= 1"))
+        why = "requires n = 8 and samples >= 1"
+        record(_skip("q-hol-bound-maximizer", anchor_qk, 1e-6, why))
+        record(_skip("max-hol-first-order", anchor_first, 1e-5, why))
 
     def kahler_iso():
         rng = np.random.default_rng([seed, 3])

@@ -477,3 +477,52 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
             x, y, val, g = xn, yn, vn, gn
         values.append(min(val, objective(x, polish_y(x))))
     return values
+
+
+def qk_joint_search_serial(R1: CurvatureTensor, T, cfg):
+    """Reference joint maximization of R1(x, Jx, x, Jx) over unit x and unit
+    J = aI + bJ + cK, with no use of the Sp(1) symmetry.  A 26-point design
+    on the coefficient sphere (octahedron vertices, edge midpoints and cube
+    vertices) times 256 random unit vectors seeds an alternation of serial
+    ascent in x with an exact eigenvector solve in (a, b, c), for which the
+    value is the quadratic form of the Gram matrix G_ab = R1(x, A_a x, x, A_b x).
+
+    Returns (value, coeffs, x).
+    """
+    from itertools import product
+    n = T.n
+    iu, ju = np.triu_indices(n, 1)
+    mats = np.array(T.matrices)
+
+    def wedges(X, A):                        # rows x ^ Ax of the rows of X
+        AX = X @ A.T
+        return X[:, iu] * AX[:, ju] - X[:, ju] * AX[:, iu]
+
+    octa = [s * e for s in (1.0, -1.0) for e in np.eye(3)]
+    edges = [(sa * np.eye(3)[a] + sb * np.eye(3)[(a + 1) % 3]) / np.sqrt(2.0)
+             for a in range(3) for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
+    cube = [np.array(s) / np.sqrt(3.0) for s in product((1.0, -1.0), repeat=3)]
+
+    rng = np.random.default_rng(cfg.seed)
+    Xs = rng.standard_normal((256, n))
+    Xs /= np.linalg.norm(Xs, axis=1, keepdims=True)
+    val, coeffs, x = -np.inf, None, None
+    for c in octa + edges + cube:
+        W = wedges(Xs, np.tensordot(c, mats, 1))
+        vals = np.einsum("bp,bp->b", W @ R1.mat, W)
+        i = int(np.argmax(vals))
+        if vals[i] > val:
+            val, coeffs, x = float(vals[i]), c, Xs[i]
+
+    for _ in range(60):
+        negval, X, _, _ = descend_serial(
+            hol_value_grad_serial(R1.mat, np.tensordot(coeffs, mats, 1)), x[:, None], cfg)
+        x = X[:, 0]
+        ws = np.array([wedges(x[None], A)[0] for A in mats])
+        evals, evecs = np.linalg.eigh(ws @ R1.mat @ ws.T)
+        if evals[-1] <= -negval + 1e-12 * (1.0 + abs(evals[-1])):
+            if evals[-1] >= -negval:
+                coeffs = evecs[:, -1]
+            return max(-negval, float(evals[-1])), coeffs, x
+        coeffs, val = evecs[:, -1], float(evals[-1])
+    return val, coeffs, x

@@ -88,14 +88,19 @@ def test_bad_flag_exits_two(capsys):
     ["flow", "--t-end", "-1"],
     ["flow", "--monitor-every", "0"],
     ["check", "--what", "iso-min", "--restarts", "0"],
+    ["verify", "--n", "9"],
+    ["verify", "--n", "3"],
+    ["verify", "--samples", "-1"],
 ])
 def test_invalid_numeric_flag_exits_two(tmp_path, capsys, argv):
     p = str(tmp_path / "sphere.json")
     assert main(["model", "--kind", "sphere", "--n", "4", "--out", p]) == 0
+    tensor = [] if argv[0] == "verify" else ["--in", p]
     with pytest.raises(SystemExit) as exc:
-        main(argv[:1] + ["--in", p] + argv[1:])
+        main(argv[:1] + tensor + argv[1:])
     assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[-2]}" in err
 
 
 @pytest.mark.parametrize("kind", ["sphere", "fubini-study", "sj"])

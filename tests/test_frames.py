@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from curvkit.core import (CurvatureError, isotropic_curvature, model_sphere,
-                          standard_complex_structure, zero_tensor)
+from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, isotropic_curvature,
+                          model_sphere, rotate_triple, standard_complex_structure, wedge,
+                          zero_tensor)
 from curvkit.frames import (OptimizerConfig, _coordinate_probe_frames,
                             _coordinate_probe_values, _iso_value_grad, _retract, batch_isotropic,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
                             qk_q_bound_check, sample_frames_min)
-from curvkit.spaces import sample
+from curvkit.spaces import hyperkahler_subspace, sample
 
-from helpers import iso_table, random_curvature
+from helpers import iso_table, qk_joint_search_serial, random_curvature
 
 
 def test_config_validation():
@@ -296,6 +297,38 @@ def test_qk_bound_scale_covariance(t8, hk8):
     assert np.isclose(b.q_value, 4.0 * a.q_value, rtol=1e-5)
     assert np.isclose(b.bound, 4.0 * a.bound, rtol=1e-6)
     assert b.passed
+
+
+def _triple(t8, kind):
+    """The standard triple, an SO(3)-rotated one, or one conjugated by O(8)."""
+    rng = np.random.default_rng(11)
+    if kind == "rotated":
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return rotate_triple(t8, q * np.sign(np.linalg.det(q)))
+    if kind == "conjugated":
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        return QuaternionTriple(*(ComplexStructure(Q @ A @ Q.T) for A in t8.matrices))
+    return t8
+
+
+@pytest.mark.parametrize("kind", ["standard", "rotated", "conjugated"])
+def test_qk_bound_reaches_the_joint_maximum_at_i(t8, kind):
+    """Sp(1) symmetry puts the joint maximum over (X, J) at J = I: the search
+    over X alone matches the joint search over (X, J), and at its X no
+    combination aI + bJ + cK does better than I (top eigenvalue of the Gram
+    matrix R1(X, A X, X, B X) over A, B in the triple)."""
+    T = _triple(t8, kind)
+    hk = hyperkahler_subspace(T)
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for seed in range(3):
+        R1 = sample(hk, seed=seed)
+        rep = qk_q_bound_check(R1, T, cfg)
+        v = rep.max_value
+        assert rep.j_coeffs == (1.0, 0.0, 0.0)
+        assert v >= qk_joint_search_serial(R1, T, cfg)[0] - 1e-9 * max(1.0, abs(v))
+        x = max_holomorphic_sectional(R1, T.I, cfg).frame_or_vector
+        ws = np.array([wedge(x, A @ x) for A in T.matrices])
+        assert np.linalg.eigvalsh(ws @ R1.mat @ ws.T)[-1] - v <= 1e-12 * max(1.0, abs(v))
 
 
 def test_qk_bound_rejects_non_hyperkahler(t8, r0_8):

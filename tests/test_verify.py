@@ -29,3 +29,14 @@ def test_every_applicable_check_reports_its_wall_time():
     assert all(c.to_dict()["wall_s"] == c.wall_s for c in report.checks)
     # the laps partition the suite's run, so they cannot exceed its wall time
     assert sum(c.wall_s for c in report.checks) <= report.wall_time_s + 1e-3
+
+
+def test_every_dimension_reports_the_same_checks_and_anchors():
+    """A check inapplicable at n reads as at n = 8, with its one anchor."""
+    def checks(n):
+        return {c.check_id: c.anchor for c in verify.run_verification_suite(n=n, samples=1).checks}
+
+    full = checks(8)
+    assert len(full) == 14
+    for n in (4, 5, 6, 7):
+        assert checks(n) == full
