@@ -4,16 +4,18 @@ Times `qform`, `bform` (two distinct tensors) and `rk4_step` at each size on
 a projected Gaussian tensor, `project_to_curvature` of the Gaussian rank-4
 table, and the frame layers on the same tensor: the batched isotropic value
 and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
-stack of FRAMES frames, and a whole `min_isotropic` search with FRAMES
-restarts at optimizer seed 0, whose total descent iterations are reported
-beside its time.  The subspace constructors are timed at their own sizes:
-`curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
-`hyperkahler_subspace` (standard triple) at n = 8, and `qk_q_bound_check`
-at n = 8, whose time is the best over REPEATS of one pass over QK_SAMPLES
-hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as in the verify suite)
-divided by QK_SAMPLES.  Every other time is the best over REPEATS of the mean
-of back-to-back calls (CALLS, or SEARCH_CALLS for the search and the
-subspaces), in microseconds.  Run from the repository root as
+stack of FRAMES frames, the isotropic value `isotropic_from_columns` of one
+frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
+seed 0, whose total descent iterations are reported beside its time.  The
+subspace constructors are timed at their own sizes: `curvature_space_basis`
+and `kahler_subspace` (standard J) at SPACE_SIZES, `hyperkahler_subspace`
+(standard triple) at n = 8, and `qk_q_bound_check` at n = 8, whose time is
+the best over REPEATS of one pass over QK_SAMPLES hyper-Kahler samples
+(seeds 0, 1, ...; 4 restarts, as in the verify suite) divided by QK_SAMPLES;
+`maximizer_first_order_check` is timed at n = 8 on the first of those
+samples, at its maximizer for I.  Every other time is the best over REPEATS
+of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for the search and
+the subspaces), in microseconds.  Run from the repository root as
 ``PYTHONPATH=src python scripts/bench_layers.py``; point PYTHONPATH at another
 checkout's ``src`` to time that tree with the same script.
 """
@@ -29,10 +31,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from curvkit.core import (bform, project_to_curvature, qform,  # noqa: E402
-                          standard_complex_structure, standard_quaternion_triple)
+from curvkit.core import (bform, isotropic_from_columns, project_to_curvature,  # noqa: E402
+                          qform, standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import rk4_step  # noqa: E402
 from curvkit.frames import (OptimizerConfig, _iso_value_grad, _retract,  # noqa: E402
+                            max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, qk_q_bound_check)
 from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa: E402
                             kahler_subspace, sample)
@@ -62,8 +65,9 @@ def best_of(fn, calls: int = CALLS) -> float:
 def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
-             "_retract", "min_isotropic", "curvature_space_basis", "kahler_subspace",
-             "hyperkahler_subspace", "qk_q_bound_check")
+             "_retract", "isotropic_from_columns", "min_isotropic", "curvature_space_basis",
+             "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
+             "maximizer_first_order_check")
     layers = {name: {} for name in names}
     iterations = {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
@@ -81,6 +85,8 @@ def main() -> int:
                                  lambda: project_to_curvature(table), CALLS),
                                 ("_iso_value_grad", lambda: value_grad(frames), CALLS),
                                 ("_retract", lambda: _retract(raw), CALLS),
+                                ("isotropic_from_columns",
+                                 lambda: isotropic_from_columns(R.mat, frames[0]), CALLS),
                                 ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS)):
             layers[name][str(n)] = round(1e6 * best_of(fn, calls), 2)
         iterations[str(n)] = sum(min_isotropic(R, cfg).restart_iterations)
@@ -97,6 +103,9 @@ def main() -> int:
     qk_cfg = OptimizerConfig(restarts=4, seed=0)
     layers["qk_q_bound_check"]["8"] = round(1e6 * best_of(
         lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1) / QK_SAMPLES, 2)
+    x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
+    layers["maximizer_first_order_check"]["8"] = round(1e6 * best_of(
+        lambda: maximizer_first_order_check(tensors[0], T.I, x)), 2)
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "min_isotropic_iterations": iterations, "repeats": REPEATS,

@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["iso-min", "pinch", "ricci", "weyl"])
     c.add_argument("--restarts", type=positive_int, default=64)
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument("--tol", type=finite_float, default=1e-8)
     c.add_argument("--assert-nonneg", action="store_true",
                    help="exit 1 when the checked value is below -tol or not finite")
     c.set_defaults(func=cmd_check)

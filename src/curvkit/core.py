@@ -646,15 +646,6 @@ class QuaternionTriple:
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.I.matrix, self.J.matrix, self.K.matrix)
 
-    def combination(self, a: float, b: float, c: float) -> ComplexStructure:
-        """Unit combination a I + b J + c K, itself a complex structure."""
-        coeffs = np.array([a, b, c], dtype=float)
-        nrm = float(np.linalg.norm(coeffs))
-        if abs(nrm - 1.0) > FEASIBILITY_TOL:
-            raise CurvatureError("combination coefficients must lie on the unit sphere")
-        A = sum(c_s * M for c_s, M in zip(coeffs / nrm, self.matrices))
-        return ComplexStructure(A)
-
 
 def standard_complex_structure(n: int) -> ComplexStructure:
     """J acting blockwise: e_{2a} -> e_{2a+1}, e_{2a+1} -> -e_{2a}."""
@@ -713,17 +704,39 @@ def isotropic_curvature(R: CurvatureTensor, frame: FourFrame) -> float:
     - 2 R(e1,e2,e3,e4) on an orthonormal 4-frame."""
     if frame.n != R.n:
         raise CurvatureError("frame dimension does not match tensor dimension")
-    return isotropic_from_columns(R.mat, frame.matrix)
+    return float(isotropic_from_columns(R.mat, frame.matrix))
 
 
-def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> float:
-    """Isotropic-curvature value from the raw column matrix (no validation)."""
-    e1, e2, e3, e4 = F.T
-    w13, w14 = wedge(e1, e3), wedge(e1, e4)
-    w23, w24 = wedge(e2, e3), wedge(e2, e4)
-    w12, w34 = wedge(e1, e2), wedge(e3, e4)
-    return float(w13 @ mat @ w13 + w14 @ mat @ w14 + w23 @ mat @ w23
-                 + w24 @ mat @ w24 - 2.0 * (w12 @ mat @ w34))
+# The six wedges w_k = f_a ^ f_b of a frame, in the order 13, 14, 23, 24, 12,
+# 34; the value is sum_k c_k w_k . M w_pi(k) / 2.
+_ISO_A, _ISO_B = np.array([0, 0, 1, 1, 0, 2]), np.array([2, 3, 2, 3, 1, 3])
+_ISO_PI, _ISO_C = [0, 1, 2, 3, 5, 4], np.array([2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
+
+
+@lru_cache(maxsize=None)
+def _iso_gather(n: int) -> np.ndarray:
+    """(4, 6, N) flat indices into an (n, 4) frame: with g = F.ravel()[idx],
+    g[0] g[1] - g[2] g[3] are the six wedges f_a[i] f_b[j] - f_a[j] f_b[i]."""
+    iu, ju = pair_indices(n)
+    a, b = _ISO_A[:, None], _ISO_B[:, None]
+    return _frozen(np.stack([4 * iu + a, 4 * ju + b, 4 * ju + a, 4 * iu + b]))
+
+
+def _iso_wedges(F: np.ndarray) -> np.ndarray:
+    """The six wedges of each frame in a stack (..., n, 4), as (..., 6, N)."""
+    g = F.reshape(F.shape[:-2] + (-1,))[..., _iso_gather(F.shape[-2])]
+    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
+
+
+def _iso_from_wedges(W: np.ndarray, MW: np.ndarray) -> np.ndarray:
+    return np.einsum("...kp,...kp,k->...", W, MW[..., _ISO_PI, :], _ISO_C / 2.0)
+
+
+def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Isotropic-curvature values of a raw column matrix (n, 4) or a stack
+    (..., n, 4) of them, with shape (...); no validation."""
+    W = _iso_wedges(np.asarray(F, dtype=float))
+    return _iso_from_wedges(W, W @ mat)
 
 
 def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y,

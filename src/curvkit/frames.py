@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frozen, _unpack_two_form,
-                   curvature_map, evaluate, invariance_defect, isotropic_from_columns,
-                   pair_indices, qform)
+from .core import (_ISO_A, _ISO_B, _ISO_C, _ISO_PI, ComplexStructure, CurvatureError,
+                   CurvatureTensor, FourFrame, QuaternionTriple, _bianchi_gather, _frozen,
+                   _iso_from_wedges, _iso_wedges, _unpack_two_form, curvature_map, evaluate,
+                   invariance_defect, isotropic_from_columns, pair_indices, qform)
 
 
 @dataclass(frozen=True)
@@ -160,32 +160,10 @@ def _search_result(values, frames, iterations, reasons, k: int, frame) -> FrameS
 # Isotropic curvature over 4-frames
 # ---------------------------------------------------------------------------
 
-# The six wedges w_k = f_a ^ f_b of a frame, in the order 13, 14, 23, 24, 12,
-# 34; the value is sum_k c_k w_k . M w_pi(k) / 2.  As w . m = f_a^T A f_b for
-# A = R(., ., m), the gradient is sum_k A_k F _ISO_GRAD[k], A_k = R(., ., w_k).
-_ISO_A, _ISO_B = np.array([0, 0, 1, 1, 0, 2]), np.array([2, 3, 2, 3, 1, 3])
-_ISO_PI, _ISO_C = [0, 1, 2, 3, 5, 4], np.array([2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
+# With the wedges w_k = f_a ^ f_b of ``core._iso_wedges``, w . m = f_a^T A f_b
+# for A = R(., ., m), so the gradient is sum_k A_k F _ISO_GRAD[k], A_k = R(., ., w_k).
 _ISO_GRAD = np.zeros((6, 4, 4))
 _ISO_GRAD[_ISO_PI, _ISO_B, _ISO_A], _ISO_GRAD[_ISO_PI, _ISO_A, _ISO_B] = _ISO_C, -_ISO_C
-
-
-@lru_cache(maxsize=None)
-def _iso_gather(n: int) -> np.ndarray:
-    """(4, 6, N) flat indices into an (n, 4) frame: with g = F.ravel()[idx],
-    g[0] g[1] - g[2] g[3] are the six wedges f_a[i] f_b[j] - f_a[j] f_b[i]."""
-    iu, ju = pair_indices(n)
-    a, b = _ISO_A[:, None], _ISO_B[:, None]
-    return _frozen(np.stack([4 * iu + a, 4 * ju + b, 4 * ju + a, 4 * iu + b]))
-
-
-def _iso_wedges(F: np.ndarray) -> np.ndarray:
-    """The six wedges of each frame in a stack (..., n, 4), as (..., 6, N)."""
-    g = F.reshape(F.shape[:-2] + (-1,))[..., _iso_gather(F.shape[-2])]
-    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
-
-
-def _iso_from_wedges(W: np.ndarray, MW: np.ndarray) -> np.ndarray:
-    return np.einsum("...kp,...kp,k->...", W, MW[..., _ISO_PI, :], _ISO_C / 2.0)
 
 
 def _iso_value_grad(mat: np.ndarray, n: int):
@@ -229,11 +207,8 @@ def _coordinate_probe_values(mat: np.ndarray, n: int) -> np.ndarray:
 def batch_isotropic(R: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
     """Vectorized isotropic curvature of a (B, n, 4) stack of frames, taken in
     chunks that bound the memory of the wedge gather."""
-    vals = []
-    for i in range(0, len(frames), 128):
-        W = _iso_wedges(frames[i:i + 128])
-        vals.append(_iso_from_wedges(W, W @ R.mat))
-    return np.concatenate(vals)
+    return np.concatenate([isotropic_from_columns(R.mat, frames[i:i + 128])
+                           for i in range(0, len(frames), 128)])
 
 
 def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000,
@@ -339,19 +314,16 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     return _search_result(-negvals, X[..., 0], iterations, reasons, k, X[k, :, 0])
 
 
-def _bisectional_form(R: CurvatureTensor, A: np.ndarray, x: np.ndarray):
-    """(Omega, B) with Omega = R(x, Ax, ., .) and B = (Omega A + A Omega) / 2,
-    the symmetric matrix with y^T B y = R(x, Ax, y, Ay)."""
+def _restricted_bisectional(R: CurvatureTensor, A: np.ndarray, x: np.ndarray, vectors):
+    """(Omega, W, vals, vecs): Omega = R(x, Ax, ., .), an orthonormal basis W
+    (columns) of the orthogonal complement of ``vectors``, and the ascending
+    eigenpairs of W^T B W, where B = (Omega A + A Omega) / 2 is the symmetric
+    matrix with y^T B y = R(x, Ax, y, Ay)."""
     Omega = curvature_map(R, x, A @ x)
-    return Omega, 0.5 * (Omega @ A + A @ Omega)
-
-
-def _complement_basis(vectors: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of the span."""
-    V = np.array(vectors)
-    _, s, vh = np.linalg.svd(V, full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    return vh[rank:].T
+    _, s, vh = np.linalg.svd(np.array(vectors), full_matrices=True)
+    W = vh[int(np.sum(s > 1e-12)):].T
+    vals, vecs = np.linalg.eigh(W.T @ (0.5 * (Omega @ A + A @ Omega)) @ W)
+    return Omega, W, vals, vecs
 
 
 @dataclass(frozen=True)
@@ -373,19 +345,19 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     At a maximizer, R(X,JX,X,Y) = R(X,JX,X,JY) = 0 and
     2 R(X,JX,Y,JY) <= R(X,JX,X,JX) for every unit Y orthogonal to X and JX.
     The extrema over Y are computed exactly (norm of a projected functional,
-    top eigenvalue of the restricted bisectional form).
+    top eigenvalue of the restricted bisectional form).  For n = 2 no such Y
+    exists and the conditions hold vacuously (min_slack = +inf).
     """
     x = np.asarray(x, dtype=float)
     Jm = J.matrix
     jx = Jm @ x
-    W = _complement_basis([x, jx])
-    Omega, B = _bisectional_form(R, Jm, x)   # Omega[k,l] = R(x, jx, e_k, e_l)
+    # Omega[k,l] = R(x, jx, e_k, e_l)
+    Omega, W, vals, _ = _restricted_bisectional(R, Jm, x, [x, jx])
     h = float(x @ Omega @ jx)                # R(x,jx,x,jx)
     u = Omega.T @ x                          # u_i = R(x, jx, x, e_i)
     deriv_y = float(np.linalg.norm(W.T @ u))
     deriv_jy = float(np.linalg.norm(W.T @ (Jm @ u)))
-    lam_max = float(np.max(np.linalg.eigvalsh(W.T @ B @ W)))
-    min_slack = h - 2.0 * lam_max
+    min_slack = h - 2.0 * float(vals.max(initial=-np.inf))
     passed = deriv_y <= tol and deriv_jy <= tol and min_slack >= -tol
     return FirstOrderReport(value=h, deriv_y=deriv_y, deriv_jy=deriv_jy,
                             min_slack=min_slack, passed=passed, tol=tol)
@@ -404,9 +376,12 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     span{X, JX} and normalize) and tangent projection, so the reported pair
     is feasible to machine precision.  Each restart ends with an exact
     minimization over Y at its final X.  The returned frame is (X, JX, Y, JY).
+    No such Y exists for n < 4 (CurvatureError).
     """
     cfg = cfg or OptimizerConfig()
     n, mat, Jm = R.n, R.mat, J.matrix
+    if n < 4:
+        raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
     S = _structure_forms(Jm)
 
     def value_grad(F):                       # columns x, y of each (n, 2) row
@@ -439,9 +414,7 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
 
     def polish_y(x):
         """Exact minimization over Y for fixed X (restricted eigenproblem)."""
-        B = _bisectional_form(R, Jm, x)[1]
-        W = _complement_basis([x, Jm @ x])
-        vals, vecs = np.linalg.eigh(W.T @ B @ W)
+        _, W, _, vecs = _restricted_bisectional(R, Jm, x, [x, Jm @ x])
         return W @ vecs[:, 0]
 
     starts = np.swapaxes(_random_starts(cfg, 2, n), 1, 2)     # x, then y, per seed
@@ -485,9 +458,9 @@ def boundary_q_check(R: CurvatureTensor, frame: FourFrame, min_iso: float,
     ``min_iso`` is the caller's certificate for min isotropic curvature of R;
     a frame away from the boundary makes the check inapplicable, not failed.
     """
-    iso = isotropic_from_columns(R.mat, frame.matrix)
+    iso = float(isotropic_from_columns(R.mat, frame.matrix))
     applicable = abs(iso) <= tol and min_iso >= -tol
-    q_val = isotropic_from_columns(qform(R).mat, frame.matrix)
+    q_val = float(isotropic_from_columns(qform(R).mat, frame.matrix))
     passed = (q_val >= -tol) if applicable else None
     return BoundaryQReport(iso_value=iso, q_value=q_val, applicable=applicable,
                            passed=passed, tol=tol)
@@ -525,6 +498,16 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
     The hyper-Kahler residual gate is the precondition of this reduction: an
     input with R(., ., A., A.) != R for some A in T raises CurvatureError,
     since off Sym^2(sp(m)) the maximum over J need not be at I.
+
+    ``y2_max_excess`` is max 4 R1(X,IX,w,Iw)^2 - max_value^2 over the paired
+    basis {w, Iw} of the complement of span{X, IX, JX, KX} (-max_value^2 when
+    it is empty).  The gate puts Omega = R1(X, IX, ., .) in sp(m), so it
+    commutes with I, J and K.  So B = Omega I, with w^T B w = R1(X,IX,w,Iw),
+    compressed to that H-invariant complement commutes with I and
+    anticommutes with J: its spectrum is +-lambda, each with even
+    multiplicity, and the pairs {w, Iw} are its eigenvectors, one value per
+    pair.  The maximum is therefore 4 max lambda^2, read off one symmetric
+    eigenvalue problem.
     """
     cfg = cfg or OptimizerConfig()
     n = T.n
@@ -545,22 +528,9 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
     bound = (2 * m + 4) * val * val
     first = maximizer_first_order_check(R1, T.I, x, tol=max(tol, 1e-5))
 
-    # paired diagnostic basis of the quaternionic complement of X
-    W = _complement_basis([x] + [M @ x for M in T.matrices])
-    B = _bisectional_form(R1, A, x)[1]
-    y2_max_excess = -val * val
-    while W.shape[1] > 0:
-        sub = W.T @ B @ W
-        vals_, vecs_ = np.linalg.eigh(0.5 * (sub + sub.T))
-        w = W @ vecs_[:, 0]
-        w /= np.linalg.norm(w)
-        jw = A @ w
-        c_alpha = evaluate(R1, x, jx, w, jw)
-        y2_max_excess = max(y2_max_excess, 4.0 * c_alpha * c_alpha - val * val)
-        U = np.column_stack([w, jw])
-        proj = W - U @ (U.T @ W)
-        uu, ss, _ = np.linalg.svd(proj, full_matrices=False)
-        W = uu[:, ss > 1e-8]
+    # the paired diagnostic: B is +-lambda on the quaternionic complement of X
+    vals = _restricted_bisectional(R1, A, x, [x] + [M @ x for M in T.matrices])[2]
+    y2_max_excess = 4.0 * float(np.max(vals * vals, initial=0.0)) - val * val
 
     passed = q_val <= bound + tol
     return QKBoundReport(j_coeffs=(1.0, 0.0, 0.0),

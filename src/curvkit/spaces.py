@@ -33,21 +33,18 @@ _FIXTURES = Path(__file__).parent / "fixtures" / "subspace_dims.json"
 
 @dataclass(frozen=True)
 class CurvatureSubspace:
-    """Orthonormal basis of a linear space of curvature tensors; ``stacked``
-    holds its matrices as one read-only (dimension, N, N) array (built from
-    ``basis`` when not given)."""
+    """Orthonormal basis of a linear space of curvature tensors: ``stacked``
+    holds its matrices as one read-only (dimension, N, N) array, and
+    ``basis`` the same matrices as tensors."""
 
     n: int
     label: str                        # "generic" | "kahler" | "hyperkahler"
-    basis: tuple[CurvatureTensor, ...]
-    structures: tuple | None = None   # the J or (I, J, K) used to cut the space
-    stacked: np.ndarray | None = field(default=None, repr=False, compare=False)
+    stacked: np.ndarray = field(repr=False, compare=False)
+    structures: tuple | None = None   # the matrices J or (I, J, K) that cut the space
+    basis: tuple[CurvatureTensor, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.stacked is None:
-            N = num_pairs(self.n)
-            stacked = np.array([b.mat for b in self.basis], dtype=float).reshape(-1, N, N)
-            object.__setattr__(self, "stacked", _frozen(stacked))
+        object.__setattr__(self, "basis", tuple(_stored(m, self.n) for m in self.stacked))
 
     @property
     def dimension(self) -> int:
@@ -105,19 +102,17 @@ def _holonomy_space(n: int, U: np.ndarray | None, label: str,
     if U is not None:                                 # symmetrized against roundoff
         M = U @ M @ U.T
         M = 0.5 * (M + M.transpose(0, 2, 1))
-    stacked = _frozen(M)
-    return CurvatureSubspace(n=n, label=label, basis=tuple(_stored(m, n) for m in stacked),
-                             structures=structures, stacked=stacked)
+    return CurvatureSubspace(n=n, label=label, stacked=_frozen(M), structures=structures)
 
 
 # ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
 
-def curvature_space_basis(n: int, cap: int = MAX_BASIS_N) -> CurvatureSubspace:
+def curvature_space_basis(n: int) -> CurvatureSubspace:
     """Orthonormal basis of all curvature tensors on R^n; dimension n^2(n^2-1)/12."""
-    if not 4 <= n <= cap:
-        raise CurvatureError(f"generic basis supported for 4 <= n <= {cap}, got {n}")
+    if not 4 <= n <= MAX_BASIS_N:
+        raise CurvatureError(f"generic basis supported for 4 <= n <= {MAX_BASIS_N}, got {n}")
     return _holonomy_space(n, None, "generic", None)
 
 
@@ -127,7 +122,7 @@ def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
     n = J.n
     if not 4 <= n <= MAX_BASIS_N:
         raise CurvatureError(f"subspace construction supported for 4 <= n <= {MAX_BASIS_N}")
-    return _holonomy_space(n, _fixed_two_forms([J.matrix]), "kahler", (J,))
+    return _holonomy_space(n, _fixed_two_forms([J.matrix]), "kahler", (J.matrix,))
 
 
 def hyperkahler_subspace(T: QuaternionTriple) -> CurvatureSubspace:
@@ -161,10 +156,7 @@ def project_onto(space: CurvatureSubspace, R: CurvatureTensor):
 
 def constraint_violation(space: CurvatureSubspace, R: CurvatureTensor) -> float:
     """Max-entry violation of the invariances defining the space (0 for generic)."""
-    if space.structures is None:
-        return 0.0
-    return invariance_defect(R, [s.matrix if isinstance(s, ComplexStructure) else s
-                                 for s in space.structures])
+    return invariance_defect(R, space.structures or ())
 
 
 # ---------------------------------------------------------------------------

@@ -526,3 +526,30 @@ def qk_joint_search_serial(R1: CurvatureTensor, T, cfg):
             return max(-negval, float(evals[-1])), coeffs, x
         coeffs, val = evecs[:, -1], float(evals[-1])
     return val, coeffs, x
+
+
+def qk_paired_excess_serial(R1: CurvatureTensor, T, x: np.ndarray, val: float) -> float:
+    """Reference paired diagnostic of the quaternionic bound, as a loop over
+    I-pairs: on the orthogonal complement of span{x, Ix, Jx, Kx}, take the
+    bottom eigenvector w of the restricted form y -> R1(x, Ix, y, Iy) (from
+    the rank-4 table), record 4 R1(x, Ix, w, Iw)^2 - val^2, remove span{w, Iw}
+    and repeat until the complement is exhausted.  Returns the maximum
+    record, -val^2 for an empty complement."""
+    A = T.I.matrix
+    jx = A @ x
+    Omega = np.einsum("ijkl,i,j->kl", R1.rank4, x, jx)
+    B = 0.5 * (Omega @ A + A @ Omega)
+    _, s, vh = np.linalg.svd(np.array([x] + [M @ x for M in T.matrices]), full_matrices=True)
+    W = vh[int(np.sum(s > 1e-12)):].T
+    excess = -val * val
+    while W.shape[1] > 0:
+        sub = W.T @ B @ W
+        w = W @ np.linalg.eigh(0.5 * (sub + sub.T))[1][:, 0]
+        w /= np.linalg.norm(w)
+        jw = A @ w
+        c = evaluate_table(R1, x, jx, w, jw)
+        excess = max(excess, 4.0 * c * c - val * val)
+        U = np.column_stack([w, jw])
+        uu, ss, _ = np.linalg.svd(W - U @ (U.T @ W), full_matrices=False)
+        W = uu[:, ss > 1e-8]
+    return excess

@@ -91,6 +91,8 @@ def test_bad_flag_exits_two(capsys):
     ["verify", "--n", "9"],
     ["verify", "--n", "3"],
     ["verify", "--samples", "-1"],
+    ["check", "--what", "ricci", "--assert-nonneg", "--tol", "nan"],
+    ["check", "--what", "ricci", "--assert-nonneg", "--tol", "inf"],
 ])
 def test_invalid_numeric_flag_exits_two(tmp_path, capsys, argv):
     p = str(tmp_path / "sphere.json")

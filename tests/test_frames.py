@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, isotropic_curvature,
-                          model_sphere, rotate_triple, standard_complex_structure, wedge,
-                          zero_tensor)
+                          isotropic_from_columns, model_sphere, rotate_triple,
+                          standard_complex_structure, wedge, zero_tensor)
 from curvkit.frames import (OptimizerConfig, _coordinate_probe_frames,
                             _coordinate_probe_values, _iso_value_grad, _retract, batch_isotropic,
                             boundary_q_check, max_holomorphic_sectional,
@@ -14,7 +14,7 @@ from curvkit.frames import (OptimizerConfig, _coordinate_probe_frames,
                             qk_q_bound_check, sample_frames_min)
 from curvkit.spaces import hyperkahler_subspace, sample
 
-from helpers import iso_table, qk_joint_search_serial, random_curvature
+from helpers import iso_table, qk_joint_search_serial, qk_paired_excess_serial, random_curvature
 
 
 def test_config_validation():
@@ -102,8 +102,11 @@ def test_batch_isotropic_matches_scalar_path():
     rng = np.random.default_rng(48)
     frames = np.linalg.qr(rng.standard_normal((7, 6, 4)))[0]
     vals = batch_isotropic(R, frames)
+    stacked = isotropic_from_columns(R.mat, frames)
+    assert stacked.shape == (7,)
     for b in range(7):
         assert np.isclose(vals[b], iso_table(R, frames[b]))
+        assert np.isclose(stacked[b], iso_table(R, frames[b]))
 
 
 def test_warm_start_accepted(light_cfg):
@@ -211,6 +214,15 @@ def test_first_order_check_zero_tensor():
     assert maximizer_first_order_check(zero_tensor(6), J, x).passed
 
 
+def test_first_order_check_is_vacuous_at_n2():
+    """At n = 2 no unit Y is orthogonal to X and JX: the conditions hold vacuously."""
+    rep = maximizer_first_order_check(model_sphere(2), standard_complex_structure(2),
+                                      np.array([1.0, 0.0]))
+    assert rep.passed and rep.min_slack == np.inf
+    assert rep.deriv_y == rep.deriv_jy == 0.0
+    assert np.isclose(rep.value, 1.0)
+
+
 def test_first_order_check_rejects_non_maximizer(kahler4):
     J = standard_complex_structure(4)
     R = sample(kahler4, seed=63)
@@ -243,6 +255,11 @@ def test_min_orthogonal_bisectional_r0(t8, r0_8, light_cfg):
 def test_min_orthogonal_bisectional_zero(light_cfg):
     J = standard_complex_structure(6)
     assert abs(min_orthogonal_bisectional(zero_tensor(6), J, light_cfg).value) < 1e-12
+
+
+def test_min_orthogonal_bisectional_rejects_n2(light_cfg):
+    with pytest.raises(CurvatureError, match="n < 4"):
+        min_orthogonal_bisectional(model_sphere(2), standard_complex_structure(2), light_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +346,9 @@ def test_qk_bound_reaches_the_joint_maximum_at_i(t8, kind):
         x = max_holomorphic_sectional(R1, T.I, cfg).frame_or_vector
         ws = np.array([wedge(x, A @ x) for A in T.matrices])
         assert np.linalg.eigvalsh(ws @ R1.mat @ ws.T)[-1] - v <= 1e-12 * max(1.0, abs(v))
+        # the closed-form paired diagnostic against the loop over I-pairs
+        excess = qk_paired_excess_serial(R1, T, x, v)
+        assert abs(rep.y2_max_excess - excess) <= 1e-12 * max(1.0, v * v)
 
 
 def test_qk_bound_rejects_non_hyperkahler(t8, r0_8):
