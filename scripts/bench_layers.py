@@ -9,9 +9,11 @@ frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
 seed 0, whose total descent iterations are reported beside its time.  The
 subspace constructors are timed at their own sizes: `curvature_space_basis`
 and `kahler_subspace` (standard J) at SPACE_SIZES, `hyperkahler_subspace`
-(standard triple) at n = 8, and `qk_q_bound_check` at n = 8, whose time is
-the best over REPEATS of one pass over QK_SAMPLES hyper-Kahler samples
-(seeds 0, 1, ...; 4 restarts, as in the verify suite) divided by QK_SAMPLES;
+(standard triple) at n = 8, and `qk_q_bound_check` at n = 8 on QK_SAMPLES
+hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as in the verify suite),
+twice: one call per sample (`qk_q_bound_check`) and one call on the whole
+list, whose searches run as one descent stack (`qk_q_bound_check_batched`),
+each the best over REPEATS of one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
 samples, at its maximizer for I.  Every other time is the best over REPEATS
 of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for the search and
@@ -67,7 +69,7 @@ def main() -> int:
     names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
              "_retract", "isotropic_from_columns", "min_isotropic", "curvature_space_basis",
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
-             "maximizer_first_order_check")
+             "qk_q_bound_check_batched", "maximizer_first_order_check")
     layers = {name: {} for name in names}
     iterations = {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
@@ -103,6 +105,8 @@ def main() -> int:
     qk_cfg = OptimizerConfig(restarts=4, seed=0)
     layers["qk_q_bound_check"]["8"] = round(1e6 * best_of(
         lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1) / QK_SAMPLES, 2)
+    layers["qk_q_bound_check_batched"]["8"] = round(1e6 * best_of(
+        lambda: qk_q_bound_check(tensors, T, qk_cfg), 1) / QK_SAMPLES, 2)
     x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
     layers["maximizer_first_order_check"]["8"] = round(1e6 * best_of(
         lambda: maximizer_first_order_check(tensors[0], T.I, x)), 2)

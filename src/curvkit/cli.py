@@ -21,7 +21,7 @@ from .core import (CurvatureError, model_fubini_study, model_r0, model_sj,
                    model_sphere, ricci, scalar_curvature,
                    standard_complex_structure, standard_quaternion_triple, weyl)
 from .flow import FlowConfig, FlowError, cone_preservation_probe, integrate_q_flow
-from .frames import OptimizerConfig, min_isotropic, pinching_constant
+from .frames import OptimizerConfig, _pinching_from_iso, min_isotropic
 from .tensor_io import load_tensor, save_tensor, write_trace_csv
 from .verify import run_verification_suite
 
@@ -108,7 +108,7 @@ def cmd_check(args) -> int:
         seed = _env_seed(args, 0)
         cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
         res = min_isotropic(R, cfg)
-        value = res.value if args.what == "iso-min" else res.value / 4.0
+        value = res.value if args.what == "iso-min" else _pinching_from_iso(res.value)
         report.update(value=value, converged=res.converged,
                       iterations=res.iterations, restarts=args.restarts,
                       seed=seed, stop_reason=res.stop_reason)

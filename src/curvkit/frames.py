@@ -49,6 +49,7 @@ class FrameSearchResult:
     restart_frames: list = field(default_factory=list, repr=False)
     stop_reason: str | None = None     # of the reported restart, one of STOP_REASONS
     restart_iterations: list = field(default_factory=list)   # aligned with restart_values
+    restart_stop_reasons: list = field(default_factory=list)  # likewise
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +81,11 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
              retract=_retract, tangent=_stiefel_tangent):
     """Minimize value_grad over a (B, n, k) stack of starts, all rows at once.
 
-    ``value_grad`` maps a (b, n, k) stack to values (b,) and Euclidean
-    gradients; ``retract`` maps trial points onto the constraint set (a NaN
+    ``value_grad(F, rows)`` maps a (b, n, k) stack to values (b,) and
+    Euclidean gradients; ``rows`` (b,) are the indices into F0 of the active
+    rows in F, so one stack can carry rows whose functional differs (rows of
+    different tensors, see ``_hol_value_grad``); a closure of one functional
+    ignores it.  ``retract`` maps trial points onto the constraint set (a NaN
     row is an infeasible trial) and ``tangent`` projects gradients onto its
     tangent spaces.  Each row's first trial after an accepted step is the BB
     step |s|^2 / |<s, y>|, with s the accepted move and y the change of the
@@ -95,14 +99,15 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
     Returns (values, frames, iterations, stop reasons), aligned with F0's rows.
     """
     F = retract(np.asarray(F0, dtype=float))
-    val, G = value_grad(F)
+    B = len(F)
+    rows = np.arange(B)                 # the rows of F0 still in the stack
+    val, G = value_grad(F, rows)
     P = tangent(F, G)
     g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
-    B = len(F)
     a = np.full(B, cfg.step)            # next trial step of each row
     lo, hi = 1e-6 * cfg.step, 1e3 * cfg.step
-    # failed trials in the current iteration, iterations begun, rows of F0
-    tries, iters, rows = np.zeros(B, dtype=int), np.ones(B, dtype=int), np.arange(B)
+    # failed trials in the current iteration, iterations begun
+    tries, iters = np.zeros(B, dtype=int), np.ones(B, dtype=int)
     ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
     out = (np.empty(B), np.empty_like(F), np.empty(B, dtype=int), np.empty(B, dtype=int))
     while True:
@@ -121,7 +126,7 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
             F, val, P, g2, a, tries, iters, rows = (
                 x[~done] for x in (F, val, P, g2, a, tries, iters, rows))
         Ft = retract(F - a[:, None, None] * P)
-        vt, Gt = value_grad(Ft)
+        vt, Gt = value_grad(Ft, rows)
         # a trial must decrease the value: at the floor, where the Armijo
         # margin is below roundoff, a step that moves nothing is no progress
         ok = (vt < val) & (vt <= val - _ARMIJO * a * g2)
@@ -153,7 +158,8 @@ def _search_result(values, frames, iterations, reasons, k: int, frame) -> FrameS
                              converged=bool(reasons[k] == "grad_tol"),
                              iterations=int(iterations[k]), restart_values=values.tolist(),
                              restart_frames=list(frames), stop_reason=str(reasons[k]),
-                             restart_iterations=iterations.tolist())
+                             restart_iterations=iterations.tolist(),
+                             restart_stop_reasons=reasons.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def _iso_value_grad(mat: np.ndarray, n: int):
     N = len(mat)
     K = np.hstack([mat, _unpack_two_form(mat, n).reshape(N, n * n)])  # w K = (M w, R(.,.,w))
 
-    def value_grad(F):
+    def value_grad(F, rows=None):
         W = _iso_wedges(F)
         out = W @ K
         A = out[..., N:].reshape(W.shape[:-1] + (n, n))
@@ -266,10 +272,16 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     return _search_result(values, frames, iterations, reasons, k, FourFrame(frames[k]))
 
 
+def _pinching_from_iso(min_iso: float) -> float:
+    """Pinching constant of a tensor whose min isotropic curvature is
+    ``min_iso``: every frame sees the sphere shift as exactly 4 kappa."""
+    return min_iso / 4.0
+
+
 def pinching_constant(R: CurvatureTensor, cfg: OptimizerConfig | None = None) -> float:
     """Largest kappa with R - kappa * sphere still of nonnegative isotropic
-    curvature; every frame sees the sphere shift as exactly 4 kappa."""
-    return min_isotropic(R, cfg).value / 4.0
+    curvature."""
+    return _pinching_from_iso(min_isotropic(R, cfg).value)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +300,46 @@ def _structure_forms(Jm: np.ndarray) -> np.ndarray:
     return (Q + np.swapaxes(Q, 1, 2)).transpose(1, 0, 2).reshape(n, -1) / 2.0
 
 
-def _hol_value_grad(R: CurvatureTensor, Jm: np.ndarray):
-    """Closure: -R(x,Jx,x,Jx) and its Euclidean gradient on columns (B, n, 1)."""
-    mat, n = R.mat, R.n
+def _hol_value_grad(mats: np.ndarray, Jm: np.ndarray, r: int):
+    """Closure: -R(x,Jx,x,Jx) and its Euclidean gradient on columns (b, n, 1)
+    for a (T, N, N) stack of tensors, rows t r .. (t + 1) r - 1 of F0 taken
+    on tensor t.
+
+    Each pass puts the active rows' wedges x ^ Jx in their F0 rows of a zero
+    (T r, N) block and multiplies it, as (T, r, N), by the stack once, so no
+    (b, N, N) copy of the coefficient matrices is gathered and a row's
+    arithmetic is that of a T = 1 run of its tensor alone.
+    """
+    T, N, _ = mats.shape
+    n = len(Jm)
     S = _structure_forms(Jm)
 
-    def value_grad(X):
-        T = (X[..., 0] @ S).reshape(len(X), len(mat), n)
-        w = (T @ X)[..., 0]                         # x ^ Jx
-        mw = w @ mat
-        return -np.einsum("bp,bp->b", w, mw), -4.0 * np.swapaxes(mw[:, None, :] @ T, 1, 2)
+    def value_grad(X, rows):
+        Tx = (X[..., 0] @ S).reshape(len(X), N, n)
+        w = (Tx @ X)[..., 0]                        # x ^ Jx
+        block = np.zeros((T * r, N))
+        block[rows] = w
+        mw = (block.reshape(T, r, N) @ mats).reshape(T * r, N).take(rows, axis=0)
+        return -np.einsum("bp,bp->b", w, mw), -4.0 * np.swapaxes(mw[:, None, :] @ Tx, 1, 2)
 
     return value_grad
+
+
+def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
+                           cfg: OptimizerConfig) -> list[FrameSearchResult]:
+    """``max_holomorphic_sectional`` of every tensor of a (T, N, N) stack: the
+    T * cfg.restarts ascents run as one ``_descend`` stack, each tensor from
+    the same seeded starts, and each result is the best of its own rows."""
+    r = cfg.restarts
+    starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
+    negvals, X, iterations, reasons = _descend(_hol_value_grad(mats, Jm, r), starts, cfg)
+    results = []
+    for t in range(len(mats)):
+        own = slice(t * r, (t + 1) * r)
+        k = int(np.argmin(negvals[own]))
+        x = X[own, :, 0]
+        results.append(_search_result(-negvals[own], x, iterations[own], reasons[own], k, x[k]))
+    return results
 
 
 def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
@@ -308,22 +348,20 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     cfg = cfg or OptimizerConfig()
     if J.n != R.n:
         raise CurvatureError("complex structure dimension does not match tensor")
-    negvals, X, iterations, reasons = _descend(_hol_value_grad(R, J.matrix),
-                                               _random_starts(cfg, R.n, 1), cfg)
-    k = int(np.argmin(negvals))
-    return _search_result(-negvals, X[..., 0], iterations, reasons, k, X[k, :, 0])
+    return _max_holomorphic_stack(R.mat[None], J.matrix, cfg)[0]
 
 
-def _restricted_bisectional(R: CurvatureTensor, A: np.ndarray, x: np.ndarray, vectors):
-    """(Omega, W, vals, vecs): Omega = R(x, Ax, ., .), an orthonormal basis W
-    (columns) of the orthogonal complement of ``vectors``, and the ascending
-    eigenpairs of W^T B W, where B = (Omega A + A Omega) / 2 is the symmetric
-    matrix with y^T B y = R(x, Ax, y, Ay)."""
-    Omega = curvature_map(R, x, A @ x)
+def _complement(vectors) -> np.ndarray:
+    """Orthonormal basis (columns) of the orthogonal complement of ``vectors``."""
     _, s, vh = np.linalg.svd(np.array(vectors), full_matrices=True)
-    W = vh[int(np.sum(s > 1e-12)):].T
-    vals, vecs = np.linalg.eigh(W.T @ (0.5 * (Omega @ A + A @ Omega)) @ W)
-    return Omega, W, vals, vecs
+    return vh[int(np.sum(s > 1e-12)):].T
+
+
+def _restricted_bisectional(Omega: np.ndarray, A: np.ndarray, W: np.ndarray):
+    """Ascending eigenpairs of W^T B W for Omega = R(x, Ax, ., .) and
+    orthonormal columns W, where B = (Omega A + A Omega) / 2 is the symmetric
+    matrix with y^T B y = R(x, Ax, y, Ay)."""
+    return np.linalg.eigh(W.T @ (0.5 * (Omega @ A + A @ Omega)) @ W)
 
 
 @dataclass(frozen=True)
@@ -338,6 +376,20 @@ class FirstOrderReport:
     tol: float
 
 
+def _first_order(Omega: np.ndarray, Jm: np.ndarray, x: np.ndarray, W: np.ndarray,
+                 tol: float) -> FirstOrderReport:
+    """``maximizer_first_order_check`` from Omega = R(x, Jx, ., .) and an
+    orthonormal basis W (columns) of the complement of span{x, Jx}."""
+    h = float(x @ Omega @ (Jm @ x))          # R(x,jx,x,jx)
+    u = Omega.T @ x                          # u_i = R(x, jx, x, e_i)
+    deriv_y = float(np.linalg.norm(W.T @ u))
+    deriv_jy = float(np.linalg.norm(W.T @ (Jm @ u)))
+    min_slack = h - 2.0 * float(_restricted_bisectional(Omega, Jm, W)[0].max(initial=-np.inf))
+    passed = deriv_y <= tol and deriv_jy <= tol and min_slack >= -tol
+    return FirstOrderReport(value=h, deriv_y=deriv_y, deriv_jy=deriv_jy,
+                            min_slack=min_slack, passed=passed, tol=tol)
+
+
 def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
                                 x: np.ndarray, tol: float = 1e-5) -> FirstOrderReport:
     """Check the first-order maximality conditions of R(X,JX,X,JX) at X.
@@ -349,18 +401,8 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     exists and the conditions hold vacuously (min_slack = +inf).
     """
     x = np.asarray(x, dtype=float)
-    Jm = J.matrix
-    jx = Jm @ x
-    # Omega[k,l] = R(x, jx, e_k, e_l)
-    Omega, W, vals, _ = _restricted_bisectional(R, Jm, x, [x, jx])
-    h = float(x @ Omega @ jx)                # R(x,jx,x,jx)
-    u = Omega.T @ x                          # u_i = R(x, jx, x, e_i)
-    deriv_y = float(np.linalg.norm(W.T @ u))
-    deriv_jy = float(np.linalg.norm(W.T @ (Jm @ u)))
-    min_slack = h - 2.0 * float(vals.max(initial=-np.inf))
-    passed = deriv_y <= tol and deriv_jy <= tol and min_slack >= -tol
-    return FirstOrderReport(value=h, deriv_y=deriv_y, deriv_jy=deriv_jy,
-                            min_slack=min_slack, passed=passed, tol=tol)
+    jx = J.matrix @ x
+    return _first_order(curvature_map(R, x, jx), J.matrix, x, _complement([x, jx]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +426,7 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
     S = _structure_forms(Jm)
 
-    def value_grad(F):                       # columns x, y of each (n, 2) row
+    def value_grad(F, rows=None):            # columns x, y of each (n, 2) row
         V = np.swapaxes(F, 1, 2)
         T = (V @ S).reshape(len(F), 2, len(mat), n)
         W = (T @ V[..., None])[..., 0]       # x ^ Jx, y ^ Jy
@@ -414,8 +456,9 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
 
     def polish_y(x):
         """Exact minimization over Y for fixed X (restricted eigenproblem)."""
-        _, W, _, vecs = _restricted_bisectional(R, Jm, x, [x, Jm @ x])
-        return W @ vecs[:, 0]
+        jx = Jm @ x
+        W = _complement([x, jx])
+        return W @ _restricted_bisectional(curvature_map(R, x, jx), Jm, W)[1][:, 0]
 
     starts = np.swapaxes(_random_starts(cfg, 2, n), 1, 2)     # x, then y, per seed
     values, frames, iterations, reasons = _descend(value_grad, starts, cfg,
@@ -480,12 +523,24 @@ class QKBoundReport:
     hk_residual: float
     passed: bool
     tol: float
+    stop_reason: str        # of the maximizer search's best row, one of STOP_REASONS
+    iterations: int         # of that row
+    restart_stop_reasons: tuple   # of every row of the search
 
 
-def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
-                     cfg: OptimizerConfig | None = None,
-                     tol: float = 1e-6) -> QKBoundReport:
+def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = None,
+                     tol: float = 1e-6):
     """Verify Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer.
+
+    ``R1s`` is one CurvatureTensor, which gives one QKBoundReport, or a
+    sequence of them, which gives a list of reports in input order (``[]``
+    for an empty one).  Every tensor passes the dimension check and the
+    hyper-Kahler residual gate before any search runs, so a bad tensor
+    anywhere in the sequence raises CurvatureError and nothing is searched.
+    The maximizer searches of all tensors, ``cfg.restarts`` ascents from
+    the same seeded starts for each, then run as one ``_descend`` stack whose
+    rows belong to different tensors; each tensor's X is the best of its own
+    rows, exactly as in ``max_holomorphic_sectional(R1, T.I, cfg)``.
 
     The bound holds at the joint maximum of R1(X,JX,X,JX) over unit X and
     unit combinations J = aI + bJ + cK, and that maximum is reached at J = I.
@@ -493,11 +548,10 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
     quaternions q = a + bI + cJ + dK acting on R^n, so R1 is q-invariant.  As
     q I q^-1 covers the structure sphere,
     R1(X, qIq^-1 X, X, qIq^-1 X) = R1(q^-1 X, I q^-1 X, q^-1 X, I q^-1 X).
-    X is therefore the multistart maximizer ``max_holomorphic_sectional(R1,
-    T.I, cfg)`` (``cfg.restarts`` starts), and ``j_coeffs`` is (1, 0, 0).
-    The hyper-Kahler residual gate is the precondition of this reduction: an
-    input with R(., ., A., A.) != R for some A in T raises CurvatureError,
-    since off Sym^2(sp(m)) the maximum over J need not be at I.
+    X is therefore the multistart maximizer for I, and ``j_coeffs`` is
+    (1, 0, 0).  The hyper-Kahler residual gate is the precondition of this
+    reduction: an input with R(., ., A., A.) != R for some A in T raises
+    CurvatureError, since off Sym^2(sp(m)) the maximum over J need not be at I.
 
     ``y2_max_excess`` is max 4 R1(X,IX,w,Iw)^2 - max_value^2 over the paired
     basis {w, Iw} of the complement of span{X, IX, JX, KX} (-max_value^2 when
@@ -507,29 +561,47 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
     anticommutes with J: its spectrum is +-lambda, each with even
     multiplicity, and the pairs {w, Iw} are its eigenvectors, one value per
     pair.  The maximum is therefore 4 max lambda^2, read off one symmetric
-    eigenvalue problem.
+    eigenvalue problem.  Omega and one basis of that complement serve this
+    diagnostic and the first-order check alike: with JX and KX it spans the
+    complement of span{X, IX}.
     """
     cfg = cfg or OptimizerConfig()
-    n = T.n
-    if R1.n != n:
-        raise CurvatureError("tensor and triple dimensions differ")
-    m = n // 4
+    single = isinstance(R1s, CurvatureTensor)
+    tensors = [R1s] if single else list(R1s)
+    hk_residuals = []
+    for R1 in tensors:
+        if R1.n != T.n:
+            raise CurvatureError("tensor and triple dimensions differ")
+        # the precondition of the reduction to J = I (see the docstring)
+        hk_residual = invariance_defect(R1, T.matrices)
+        if not hk_residual <= 1e-8 * max(1.0, float(np.max(np.abs(R1.mat)))):
+            raise CurvatureError(f"input fails the hyperkahler residual check: {hk_residual:.3e}")
+        hk_residuals.append(hk_residual)
+    if not tensors:
+        return []
+    searches = _max_holomorphic_stack(np.stack([R1.mat for R1 in tensors]), T.I.matrix, cfg)
+    reports = [_qk_report(R1, T, res, hk_residual, tol)
+               for R1, res, hk_residual in zip(tensors, searches, hk_residuals)]
+    return reports[0] if single else reports
 
-    # the precondition of the reduction to J = I (see the docstring)
-    hk_residual = invariance_defect(R1, T.matrices)
-    if not hk_residual <= 1e-8 * max(1.0, float(np.max(np.abs(R1.mat)))):
-        raise CurvatureError(f"input fails the hyperkahler residual check: {hk_residual:.3e}")
 
-    res = max_holomorphic_sectional(R1, T.I, cfg)
+def _qk_report(R1: CurvatureTensor, T: QuaternionTriple, res: FrameSearchResult,
+               hk_residual: float, tol: float) -> QKBoundReport:
+    """The bound and both diagnostics of ``qk_q_bound_check`` at the maximizer
+    search ``res`` of R1 for I."""
     val, x = res.value, res.frame_or_vector
     A = T.I.matrix
-    jx = A @ x
-    q_val = evaluate(qform(R1), x, jx, x, jx)
-    bound = (2 * m + 4) * val * val
-    first = maximizer_first_order_check(R1, T.I, x, tol=max(tol, 1e-5))
+    ix, jx, kx = (M @ x for M in T.matrices)
+    q_val = evaluate(qform(R1), x, ix, x, ix)
+    bound = (2 * (T.n // 4) + 4) * val * val
+    Omega = curvature_map(R1, x, ix)
+    # x, Ix, Jx, Kx are orthonormal, so JX, KX and the complement of all four
+    # span the complement of span{x, Ix}
+    W = _complement([x, ix, jx, kx])
+    first = _first_order(Omega, A, x, np.column_stack([jx, kx, W]), tol=max(tol, 1e-5))
 
     # the paired diagnostic: B is +-lambda on the quaternionic complement of X
-    vals = _restricted_bisectional(R1, A, x, [x] + [M @ x for M in T.matrices])[2]
+    vals = _restricted_bisectional(Omega, A, W)[0]
     y2_max_excess = 4.0 * float(np.max(vals * vals, initial=0.0)) - val * val
 
     passed = q_val <= bound + tol
@@ -537,4 +609,6 @@ def qk_q_bound_check(R1: CurvatureTensor, T: QuaternionTriple,
                          max_value=val, q_value=q_val, bound=bound,
                          slack=bound - q_val, y2_max_excess=y2_max_excess,
                          first_order=first, hk_residual=hk_residual,
-                         passed=passed, tol=tol)
+                         passed=passed, tol=tol,
+                         stop_reason=res.stop_reason, iterations=res.iterations,
+                         restart_stop_reasons=tuple(res.restart_stop_reasons))

@@ -327,6 +327,17 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
     return val, F, reason, iters
 
 
+def rows_value_grad_serial(closures, owner):
+    """value_grad(F, rows) of a descent stack whose row i of F0 belongs to
+    ``closures[owner[i]]``, a serial one-frame closure: each active row is
+    evaluated alone by the closure of its own tensor."""
+    def value_grad(F, rows):
+        out = [closures[owner[r]](f) for f, r in zip(F, rows)]
+        return np.array([v for v, _ in out]), np.array([g for _, g in out])
+
+    return value_grad
+
+
 def iso_value_grad_serial(mat: np.ndarray, n: int):
     """(value, Euclidean gradient) of the isotropic functional on one frame."""
     iu, ju = np.triu_indices(n, 1)

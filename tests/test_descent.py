@@ -6,7 +6,7 @@ import pytest
 
 from curvkit.core import (model_fubini_study, model_sphere,
                           standard_complex_structure)
-from curvkit.frames import (STOP_REASONS, OptimizerConfig, _hol_value_grad,
+from curvkit.frames import (STOP_REASONS, OptimizerConfig, _descend, _hol_value_grad,
                             _iso_value_grad, _retract, max_holomorphic_sectional,
                             min_isotropic, min_orthogonal_bisectional)
 from curvkit.spaces import _nullspace
@@ -14,7 +14,7 @@ from curvkit.spaces import _nullspace
 from helpers import (hol_value_grad_serial, iso_value_grad_serial,
                      max_holomorphic_serial, min_isotropic_serial,
                      min_orthogonal_bisectional_serial, random_curvature,
-                     retract_serial)
+                     retract_serial, rows_value_grad_serial)
 
 SIZES = (4, 6, 8, 12)
 SEEDS = (0, 1, 2)
@@ -93,7 +93,7 @@ def test_batched_gradients_match_serial(n, seed):
     serial = iso_value_grad_serial(R.mat, n)
     Jm = standard_complex_structure(n).matrix
     xs = _retract(rng.standard_normal((5, n, 1)))
-    hvals, hgrads = _hol_value_grad(R, Jm)(xs)
+    hvals, hgrads = _hol_value_grad(R.mat[None], Jm, 5)(xs, np.arange(5))
     hserial = hol_value_grad_serial(R.mat, Jm)
     for b in range(5):
         v, G = serial(frames[b])
@@ -102,6 +102,45 @@ def test_batched_gradients_match_serial(n, seed):
         v, G = hserial(xs[b])
         assert abs(hvals[b] - v) <= 1e-13 * max(1.0, abs(v))
         assert np.max(np.abs(hgrads[b] - G)) <= 1e-13 * max(1.0, np.max(np.abs(G)))
+
+
+def assert_rows_match_separate_runs(mixed, separate, owner):
+    """Each row of the mixed stack against the same row of its tensor's own run."""
+    values, _, iterations, reasons = mixed
+    for t, (v, _, it, rs) in enumerate(separate):
+        own = owner == t
+        assert_values_match(values[own], v, rtol=1e-12)
+        assert reasons[own].tolist() == rs.tolist()
+        assert iterations[own].tolist() == it.tolist()
+
+
+@pytest.mark.parametrize("n", (4, 8))
+def test_descend_rows_of_two_tensors_match_separate_runs(n):
+    """The engine passes each call the F0 indices of its active rows, so a
+    value_grad can score each row on its own tensor, here interleaved."""
+    owner = np.array([0, 1, 1, 0, 1, 0, 0])
+    Rs = [random_curvature(n, seed=950 + 10 * n + t) for t in range(2)]
+    cfg = OptimizerConfig(max_iters=300)
+    F0 = np.random.default_rng(n).standard_normal((len(owner), n, 4))
+    closures = [iso_value_grad_serial(R.mat, n) for R in Rs]
+    mixed = _descend(rows_value_grad_serial(closures, owner), F0, cfg)
+    separate = [_descend(rows_value_grad_serial([c], np.zeros(len(F0), dtype=int)),
+                         F0[owner == t], cfg) for t, c in enumerate(closures)]
+    assert_rows_match_separate_runs(mixed, separate, owner)
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_stacked_holomorphic_rows_match_separate_runs(n):
+    """The holomorphic closure on a (2, N, N) stack, 4 rows per tensor,
+    against one T = 1 run per tensor."""
+    mats = np.stack([random_curvature(n, seed=980 + 10 * n + t).mat for t in range(2)])
+    Jm = standard_complex_structure(n).matrix
+    cfg = OptimizerConfig(max_iters=300)
+    X0 = np.random.default_rng(n).standard_normal((8, n, 1))
+    mixed = _descend(_hol_value_grad(mats, Jm, 4), X0, cfg)
+    separate = [_descend(_hol_value_grad(mats[t:t + 1], Jm, 4), X0[4 * t:4 * t + 4], cfg)
+                for t in range(2)]
+    assert_rows_match_separate_runs(mixed, separate, np.repeat([0, 1], 4))
 
 
 @pytest.mark.parametrize("k", (1, 2, 4))

@@ -6,7 +6,8 @@ import pytest
 from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, isotropic_curvature,
                           isotropic_from_columns, model_sphere, rotate_triple,
                           standard_complex_structure, wedge, zero_tensor)
-from curvkit.frames import (OptimizerConfig, _coordinate_probe_frames,
+from curvkit import frames
+from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _coordinate_probe_frames,
                             _coordinate_probe_values, _iso_value_grad, _retract, batch_isotropic,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
@@ -354,3 +355,78 @@ def test_qk_bound_reaches_the_joint_maximum_at_i(t8, kind):
 def test_qk_bound_rejects_non_hyperkahler(t8, r0_8):
     with pytest.raises(CurvatureError):
         qk_q_bound_check(r0_8, t8, OptimizerConfig(restarts=2, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# sequences of tensors: one descent stack
+# ---------------------------------------------------------------------------
+
+QK_FIELDS = ("max_value", "q_value", "bound", "y2_max_excess")
+
+
+@pytest.fixture(scope="module")
+def hk_samples(hk8):
+    return [sample(hk8, seed=seed) for seed in range(20)]
+
+
+@pytest.fixture(scope="module")
+def hk_reports(hk_samples, t8):
+    return qk_q_bound_check(hk_samples, t8, OptimizerConfig(restarts=4, seed=0))
+
+
+def assert_reports_match(a, b, rtol=1e-12):
+    for name in QK_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert abs(x - y) <= rtol * max(1.0, abs(y)), name
+
+
+def test_qk_bound_sequence_matches_one_search_per_tensor(hk_samples, hk_reports, t8):
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    assert len(hk_reports) == len(hk_samples)
+    for R1, rep in zip(hk_samples, hk_reports):
+        res = max_holomorphic_sectional(R1, t8.I, cfg)
+        assert abs(rep.max_value - res.value) <= 1e-12 * max(1.0, abs(res.value))
+        assert rep.passed and rep.first_order.passed
+        assert (rep.stop_reason, rep.iterations) == (res.stop_reason, res.iterations)
+        assert list(rep.restart_stop_reasons) == res.restart_stop_reasons
+        assert set(rep.restart_stop_reasons) <= set(STOP_REASONS)
+    # one tensor gives one report, the same as a sequence of one
+    single = qk_q_bound_check(hk_samples[3], t8, cfg)
+    assert isinstance(single, QKBoundReport)
+    assert_reports_match(single, qk_q_bound_check(hk_samples[3:4], t8, cfg)[0])
+    assert_reports_match(single, hk_reports[3])
+
+
+def test_qk_bound_sequence_order_is_kept(hk_samples, hk_reports, t8):
+    perm = np.random.default_rng(4).permutation(len(hk_samples))
+    permuted = qk_q_bound_check([hk_samples[i] for i in perm], t8,
+                                OptimizerConfig(restarts=4, seed=0))
+    for j, i in enumerate(perm):
+        assert_reports_match(permuted[j], hk_reports[i])
+
+
+def test_qk_bound_empty_sequence(t8):
+    assert qk_q_bound_check([], t8) == []
+
+
+@pytest.fixture
+def no_descent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent ran before every input was checked")
+    monkeypatch.setattr(frames, "_descend", refuse)
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_qk_bound_gate_fails_closed_before_any_descent(at, hk_samples, t8, r0_8, no_descent):
+    tensors = list(hk_samples[:4])
+    tensors.insert(at, r0_8)
+    with pytest.raises(CurvatureError, match="hyperkahler"):
+        qk_q_bound_check(tensors, t8, OptimizerConfig(restarts=2, seed=0))
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_qk_bound_dimension_mismatch_anywhere_raises(at, hk_samples, t8, no_descent):
+    tensors = list(hk_samples[:4])
+    tensors.insert(at, zero_tensor(4))
+    with pytest.raises(CurvatureError, match="dimensions differ"):
+        qk_q_bound_check(tensors, t8, OptimizerConfig(restarts=2, seed=0))

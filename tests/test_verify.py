@@ -40,3 +40,22 @@ def test_every_dimension_reports_the_same_checks_and_anchors():
     assert len(full) == 14
     for n in (4, 5, 6, 7):
         assert checks(n) == full
+
+
+def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
+    calls = []
+    check = verify.frames.qk_q_bound_check
+
+    def counted(R1s, T, cfg):
+        calls.append(len(R1s))
+        return check(R1s, T, cfg)
+
+    monkeypatch.setattr(verify.frames, "qk_q_bound_check", counted)
+    report = verify.run_verification_suite(n=8, samples=3)
+    assert report.passed and calls == [3]
+    detail = next(c.detail for c in report.checks if c.check_id == "q-hol-bound-maximizer")
+    head, stops = detail.split(": ")
+    assert head == "3 samples, 12 rows"
+    counts = dict(part.rsplit(" ", 1) for part in stops.split(", "))
+    assert set(counts) <= set(verify.frames.STOP_REASONS)
+    assert sum(int(c) for c in counts.values()) == 12
