@@ -6,14 +6,15 @@ table, and the frame layers on the same tensor: the batched isotropic value
 and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
 stack of FRAMES frames, the isotropic value `isotropic_from_columns` of one
 frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
-seed 0, whose total descent iterations are reported beside its time.  The
-subspace constructors are timed at their own sizes: `curvature_space_basis`
-and `kahler_subspace` (standard J) at SPACE_SIZES, `hyperkahler_subspace`
-(standard triple) at n = 8, and `qk_q_bound_check` at n = 8 on QK_SAMPLES
-hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as in the verify suite),
-twice: one call per sample (`qk_q_bound_check`) and one call on the whole
-list, whose searches run as one descent stack (`qk_q_bound_check_batched`),
-each the best over REPEATS of one pass divided by QK_SAMPLES;
+seed 0, whose total descent iterations and the count of its rows per stop
+reason (`grad_tol`, `line_search_floor`, `max_iters`) are reported beside
+its time.  The subspace constructors are timed at their own sizes:
+`curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
+`hyperkahler_subspace` (standard triple) at n = 8, and `qk_q_bound_check` at
+n = 8 on QK_SAMPLES hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as
+in the verify suite), twice: one call per sample (`qk_q_bound_check`) and
+one call on the whole list, whose searches run as one descent stack
+(`qk_q_bound_check_batched`), each the best over REPEATS of one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
 samples, at its maximizer for I.  Every other time is the best over REPEATS
 of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for the search and
@@ -36,8 +37,8 @@ import numpy as np  # noqa: E402
 from curvkit.core import (bform, isotropic_from_columns, project_to_curvature,  # noqa: E402
                           qform, standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import rk4_step  # noqa: E402
-from curvkit.frames import (OptimizerConfig, _iso_value_grad, _retract,  # noqa: E402
-                            max_holomorphic_sectional, maximizer_first_order_check,
+from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
+                            _retract, max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, qk_q_bound_check)
 from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa: E402
                             kahler_subspace, sample)
@@ -71,7 +72,7 @@ def main() -> int:
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
              "qk_q_bound_check_batched", "maximizer_first_order_check")
     layers = {name: {} for name in names}
-    iterations = {}
+    iterations, stop_reasons = {}, {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
     for n in SIZES:
         table, other = (rng.standard_normal((n, n, n, n)) for _ in range(2))
@@ -91,7 +92,9 @@ def main() -> int:
                                  lambda: isotropic_from_columns(R.mat, frames[0]), CALLS),
                                 ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS)):
             layers[name][str(n)] = round(1e6 * best_of(fn, calls), 2)
-        iterations[str(n)] = sum(min_isotropic(R, cfg).restart_iterations)
+        res = min_isotropic(R, cfg)
+        iterations[str(n)] = sum(res.restart_iterations)
+        stop_reasons[str(n)] = {r: res.restart_stop_reasons.count(r) for r in STOP_REASONS}
     for n in SPACE_SIZES:
         J = standard_complex_structure(n)
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
@@ -112,7 +115,8 @@ def main() -> int:
         lambda: maximizer_first_order_check(tensors[0], T.I, x)), 2)
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
-                      "min_isotropic_iterations": iterations, "repeats": REPEATS,
+                      "min_isotropic_iterations": iterations,
+                      "min_isotropic_stop_reasons": stop_reasons, "repeats": REPEATS,
                       "calls": CALLS, "search_calls": SEARCH_CALLS, "frames": FRAMES,
                       "qk_samples": QK_SAMPLES, "seed": SEED, "numpy": np.__version__,
                       "python": sys.version.split()[0], "cpus": os.cpu_count()}))

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 a requested assertion failed (a non-finite
 measured value fails every assertion), 2 invalid input or flags, 3 the flow
 integrator could not reach the end time (step size underflow).  All seeded
 commands honor the CURVKIT_SEED environment variable when --seed is not
-given.  JSON output is strict (non-finite numbers are written as null),
-key-sorted and deterministic up to the timestamp / wall-time fields.
+given; both take a nonnegative integer.  JSON output is strict (non-finite
+numbers are written as null), key-sorted and deterministic up to the
+timestamp / wall-time fields.
 """
 
 import argparse
@@ -27,9 +28,19 @@ from .verify import run_verification_suite
 
 
 def _env_seed(args, fallback: int) -> int:
+    """--seed if given, else CURVKIT_SEED, else ``fallback``; a CURVKIT_SEED
+    that is not a nonnegative integer exits 2, as a bad --seed does."""
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("CURVKIT_SEED", fallback))
+    text = os.environ.get("CURVKIT_SEED")
+    if text is None:
+        return fallback
+    try:
+        return nonnegative_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        print(f"error: CURVKIT_SEED must be a nonnegative integer, got {text!r}",
+              file=sys.stderr)
+        raise SystemExit(2)
 
 
 def positive_int(text: str) -> int:
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--what", required=True,
                    choices=["iso-min", "pinch", "ricci", "weyl"])
     c.add_argument("--restarts", type=positive_int, default=64)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=nonnegative_int, default=None)
     c.add_argument("--tol", type=finite_float, default=1e-8)
     c.add_argument("--assert-nonneg", action="store_true",
                    help="exit 1 when the checked value is below -tol or not finite")
@@ -224,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the identity verification suite")
     v.add_argument("--n", type=int, choices=range(4, 9), default=8)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=nonnegative_int, default=None)
     v.add_argument("--samples", type=nonnegative_int, default=20)
     v.add_argument("--out", default=None, help="also write the JSON report here")
     v.add_argument("--format", choices=["json", "table"], default="json",

@@ -701,42 +701,35 @@ def rotate_triple(T: QuaternionTriple, rot: np.ndarray) -> QuaternionTriple:
 
 def isotropic_curvature(R: CurvatureTensor, frame: FourFrame) -> float:
     """R(e1,e3,e1,e3) + R(e1,e4,e1,e4) + R(e2,e3,e2,e3) + R(e2,e4,e2,e4)
-    - 2 R(e1,e2,e3,e4) on an orthonormal 4-frame."""
+    - 2 R(e1,e2,e3,e4) on an orthonormal 4-frame; R.mat must satisfy the
+    first Bianchi identity (see ``isotropic_from_columns``)."""
     if frame.n != R.n:
         raise CurvatureError("frame dimension does not match tensor dimension")
     return float(isotropic_from_columns(R.mat, frame.matrix))
 
 
-# The six wedges w_k = f_a ^ f_b of a frame, in the order 13, 14, 23, 24, 12,
-# 34; the value is sum_k c_k w_k . M w_pi(k) / 2.
-_ISO_A, _ISO_B = np.array([0, 0, 1, 1, 0, 2]), np.array([2, 3, 2, 3, 1, 3])
-_ISO_PI, _ISO_C = [0, 1, 2, 3, 5, 4], np.array([2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
+# The 2-forms w_a = F C_a F^T of a frame: w_1 = f1^f3 - f2^f4, w_2 = f1^f4 + f2^f3.
+_ISO_FORMS = np.zeros((2, 4, 4))
+_ISO_FORMS[[0, 0, 1, 1], [0, 1, 0, 1], [2, 3, 3, 2]] = [1.0, -1.0, 1.0, 1.0]
+_ISO_FORMS = _frozen(_ISO_FORMS - _ISO_FORMS.transpose(0, 2, 1))
 
 
-@lru_cache(maxsize=None)
-def _iso_gather(n: int) -> np.ndarray:
-    """(4, 6, N) flat indices into an (n, 4) frame: with g = F.ravel()[idx],
-    g[0] g[1] - g[2] g[3] are the six wedges f_a[i] f_b[j] - f_a[j] f_b[i]."""
-    iu, ju = pair_indices(n)
-    a, b = _ISO_A[:, None], _ISO_B[:, None]
-    return _frozen(np.stack([4 * iu + a, 4 * ju + b, 4 * ju + a, 4 * iu + b]))
-
-
-def _iso_wedges(F: np.ndarray) -> np.ndarray:
-    """The six wedges of each frame in a stack (..., n, 4), as (..., 6, N)."""
-    g = F.reshape(F.shape[:-2] + (-1,))[..., _iso_gather(F.shape[-2])]
-    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
-
-
-def _iso_from_wedges(W: np.ndarray, MW: np.ndarray) -> np.ndarray:
-    return np.einsum("...kp,...kp,k->...", W, MW[..., _ISO_PI, :], _ISO_C / 2.0)
+def _iso_forms(F: np.ndarray) -> np.ndarray:
+    """The forms w_a = F C_a F^T of each frame in a stack (..., n, 4), on the
+    2-form basis, as (..., 2, N)."""
+    iu, ju = pair_indices(F.shape[-2])
+    forms = (F[..., None, :, :] @ _ISO_FORMS) @ np.swapaxes(F, -1, -2)[..., None, :, :]
+    return forms[..., iu, ju]
 
 
 def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Isotropic-curvature values of a raw column matrix (n, 4) or a stack
-    (..., n, 4) of them, with shape (...); no validation."""
-    W = _iso_wedges(np.asarray(F, dtype=float))
-    return _iso_from_wedges(W, W @ mat)
+    (..., n, 4) of them, with shape (...); no validation.  The value is
+    <M w_1, w_1> + <M w_2, w_2> (``_iso_forms``): by the first Bianchi
+    identity, which M must satisfy and ``CurvatureTensor(n, mat)`` does not
+    check, that is R1313 + R1414 + R2323 + R2424 - 2 R1234."""
+    W = _iso_forms(np.asarray(F, dtype=float))
+    return np.einsum("...ap,...ap->...", W, W @ mat)
 
 
 def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y,

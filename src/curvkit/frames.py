@@ -15,13 +15,14 @@ frames are certificates, never compared directly.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
-from .core import (_ISO_A, _ISO_B, _ISO_C, _ISO_PI, ComplexStructure, CurvatureError,
-                   CurvatureTensor, FourFrame, QuaternionTriple, _bianchi_gather, _frozen,
-                   _iso_from_wedges, _iso_wedges, _unpack_two_form, curvature_map, evaluate,
-                   invariance_defect, isotropic_from_columns, pair_indices, qform)
+from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
+                   QuaternionTriple, _bianchi_gather, _frozen, _iso_forms, _unpack_two_form,
+                   curvature_map, evaluate, invariance_defect, isotropic_from_columns,
+                   pair_indices, qform)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,8 @@ class OptimizerConfig:
             raise ValueError("restarts and max_iters must be positive")
         if self.grad_tol <= 0 or self.step <= 0:
             raise ValueError("grad_tol and step must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -166,23 +169,20 @@ def _search_result(values, frames, iterations, reasons, k: int, frame) -> FrameS
 # Isotropic curvature over 4-frames
 # ---------------------------------------------------------------------------
 
-# With the wedges w_k = f_a ^ f_b of ``core._iso_wedges``, w . m = f_a^T A f_b
-# for A = R(., ., m), so the gradient is sum_k A_k F _ISO_GRAD[k], A_k = R(., ., w_k).
-_ISO_GRAD = np.zeros((6, 4, 4))
-_ISO_GRAD[_ISO_PI, _ISO_B, _ISO_A], _ISO_GRAD[_ISO_PI, _ISO_A, _ISO_B] = _ISO_C, -_ISO_C
-
-
 def _iso_value_grad(mat: np.ndarray, n: int):
-    """Closure: isotropic values and Euclidean gradients on frames (..., n, 4)."""
+    """Closure: isotropic values and Euclidean gradients on frames (..., n, 4)
+    for M satisfying the first Bianchi identity: sum_a w_a . M w_a with the
+    forms of ``core._iso_forms``, and 2 sum_a A_a F C_a^T, A_a = R(., ., w_a)."""
     N = len(mat)
     K = np.hstack([mat, _unpack_two_form(mat, n).reshape(N, n * n)])  # w K = (M w, R(.,.,w))
+    CT = 2.0 * np.swapaxes(_ISO_FORMS, 1, 2)
 
     def value_grad(F, rows=None):
-        W = _iso_wedges(F)
+        W = _iso_forms(F)
         out = W @ K
         A = out[..., N:].reshape(W.shape[:-1] + (n, n))
-        G = (A @ (F[..., None, :, :] @ _ISO_GRAD)).sum(axis=-3)
-        return _iso_from_wedges(W, out[..., :N]), G
+        G = (A @ (F[..., None, :, :] @ CT)).sum(axis=-3)
+        return np.einsum("...ap,...ap->...", W, out[..., :N]), G
 
     return value_grad
 
@@ -212,7 +212,7 @@ def _coordinate_probe_values(mat: np.ndarray, n: int) -> np.ndarray:
 
 def batch_isotropic(R: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
     """Vectorized isotropic curvature of a (B, n, 4) stack of frames, taken in
-    chunks that bound the memory of the wedge gather."""
+    chunks that bound the memory of the (chunk, 2, n, n) form products."""
     return np.concatenate([isotropic_from_columns(R.mat, frames[i:i + 128])
                            for i in range(0, len(frames), 128)])
 

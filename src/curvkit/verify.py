@@ -84,6 +84,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     """
     if not 4 <= n <= 8:
         raise ValueError("suite supports 4 <= n <= 8")
+    if not seed >= 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     lap = t0

@@ -390,6 +390,18 @@ def hol_value_grad_serial(mat: np.ndarray, Jm: np.ndarray):
     return value_grad
 
 
+def min_isotropic_n4(R: CurvatureTensor) -> float:
+    """Exact minimum isotropic curvature of an n = 4 tensor: 2 min(a1 + a2,
+    c1 + c2) for the ascending eigenvalues a of M on Lambda^+ and c on
+    Lambda^- (Micallef-Moore 1988; Hamilton 1997).  With the lex basis 12,
+    13, 14, 23, 24, 34, Lambda^+- = span{e12 +- e34, e13 -+ e24, e14 +- e23}/sqrt 2."""
+    assert R.n == 4
+    plus = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0]])
+    minus = np.array([[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
+    a, c = (np.linalg.eigvalsh(B @ R.mat @ B.T / 2.0) for B in (plus, minus))
+    return 2.0 * min(a[0] + a[1], c[0] + c[1])
+
+
 def min_isotropic_serial(R: CurvatureTensor, cfg, init_frames=()):
     """Restart runs [(value, F, stop_reason, iterations)] of the serial
     min_isotropic: warm starts, seeded restarts, then the probe re-run."""

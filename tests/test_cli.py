@@ -93,6 +93,9 @@ def test_bad_flag_exits_two(capsys):
     ["verify", "--samples", "-1"],
     ["check", "--what", "ricci", "--assert-nonneg", "--tol", "nan"],
     ["check", "--what", "ricci", "--assert-nonneg", "--tol", "inf"],
+    ["check", "--what", "iso-min", "--seed", "-3"],
+    ["check", "--what", "pinch", "--seed", "1.5"],
+    ["verify", "--seed", "-1"],
 ])
 def test_invalid_numeric_flag_exits_two(tmp_path, capsys, argv):
     p = str(tmp_path / "sphere.json")
@@ -195,6 +198,23 @@ def test_env_seed_fallback(capsys, monkeypatch):
     _, out, _ = run(capsys, "verify", "--n", "4", "--samples", "0",
                     "--seed", "5")
     assert last_json(out)["seed"] == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_bad_env_seed_exits_two(tmp_path, capsys, monkeypatch, command, value):
+    p = str(tmp_path / "sphere.json")
+    assert main(["model", "--kind", "sphere", "--n", "4", "--out", p]) == 0
+    monkeypatch.setenv("CURVKIT_SEED", value)
+    argv = (["check", "--in", p, "--what", "iso-min", "--restarts", "2"] if command == "check"
+            else ["verify", "--n", "4", "--samples", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "CURVKIT_SEED" in captured.err and captured.out == ""
+    # an explicit --seed still wins over the environment
+    assert main(argv + ["--seed", "1"]) == 0
 
 
 def test_flow_summary_and_csv(tmp_path, capsys):

@@ -162,12 +162,32 @@ def test_stop_reason_grad_tol_on_sphere():
     assert res.restart_iterations == [1, 1, 1]
 
 
-def test_stop_reason_line_search_floor_on_fubini_study():
+def test_stop_reason_grad_tol_on_fubini_study():
     R, _ = model_fubini_study(4, 4.0)
     res = min_isotropic(R, OptimizerConfig(restarts=16, seed=0))
     assert abs(res.value) < 1e-12
-    assert res.stop_reason == "line_search_floor" and not res.converged
+    assert res.stop_reason == "grad_tol" and res.converged
     assert res.iterations < 500
+
+
+def test_stop_reason_line_search_floor_on_inconsistent_gradient():
+    """With the gradient's sign flipped the small trial steps climb, so each
+    row, whatever it accepts on the way, ends at the line-search floor (60
+    halvings without a decrease) well before max_iters."""
+    n = 6
+    R = random_curvature(n, seed=802)
+    value_grad = _iso_value_grad(R.mat, n)
+
+    def negated(F, rows):
+        val, G = value_grad(F)
+        return val, -G
+
+    F0 = np.random.default_rng(0).standard_normal((8, n, 4))
+    start = value_grad(_retract(F0))[0]
+    values, _, iterations, reasons = _descend(negated, F0, OptimizerConfig())
+    assert reasons.tolist() == ["line_search_floor"] * len(F0)
+    assert np.all(values <= start)
+    assert np.all(iterations < 500)
 
 
 def test_stop_reason_max_iters():

@@ -15,7 +15,8 @@ from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _coord
                             qk_q_bound_check, sample_frames_min)
 from curvkit.spaces import hyperkahler_subspace, sample
 
-from helpers import iso_table, qk_joint_search_serial, qk_paired_excess_serial, random_curvature
+from helpers import (iso_table, min_isotropic_n4, qk_joint_search_serial, qk_paired_excess_serial,
+                     random_curvature)
 
 
 def test_config_validation():
@@ -23,6 +24,14 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(grad_tol=-1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, "3", None])
+def test_config_rejects_bad_seed(seed):
+    """A negative, bool or non-integer seed fails at construction, not later
+    inside default_rng."""
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=seed)
 
 
 def test_sphere_constant_objective(light_cfg):
@@ -122,6 +131,17 @@ def test_fubini_study_min_is_zero(fs4, light_cfg):
     res = min_isotropic(fs4[0], light_cfg)
     assert abs(res.value) < 1e-8
     assert all(v >= -1e-8 for v in res.restart_values)
+
+
+def test_min_isotropic_matches_exact_n4_minimum():
+    """At n = 4 the minimum is read off the eigenvalues on Lambda^+ and
+    Lambda^-, so the search is held to it on tensors that are no model."""
+    assert np.isclose(min_isotropic_n4(model_sphere(4, 1.5)), 6.0)
+    cfg = OptimizerConfig(restarts=16, seed=0)
+    for seed in range(20):
+        R = random_curvature(4, seed=1100 + seed)
+        exact = min_isotropic_n4(R)
+        assert abs(min_isotropic(R, cfg).value - exact) <= 1e-12 * abs(exact)
 
 
 def test_pinching_values(light_cfg, fs4):

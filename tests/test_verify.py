@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from curvkit import verify
 
 
@@ -59,3 +61,8 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
     counts = dict(part.rsplit(" ", 1) for part in stops.split(", "))
     assert set(counts) <= set(verify.frames.STOP_REASONS)
     assert sum(int(c) for c in counts.values()) == 12
+
+
+def test_suite_rejects_negative_seed_at_entry():
+    with pytest.raises(ValueError, match="seed"):
+        verify.run_verification_suite(n=4, seed=-1, samples=0)
