@@ -8,6 +8,8 @@ stack of FRAMES frames, the isotropic value `isotropic_from_columns` of one
 frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
 seed 0, whose total descent iterations and the count of its rows per stop
 reason (`grad_tol`, `line_search_floor`, `max_iters`) are reported beside
+its time, and a whole `min_orthogonal_bisectional` search (standard J, the
+same restarts and seed), whose total descent iterations are reported beside
 its time.  The subspace constructors are timed at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
 `hyperkahler_subspace` (standard triple) at n = 8, and `qk_q_bound_check` at
@@ -39,7 +41,7 @@ from curvkit.core import (bform, isotropic_from_columns, project_to_curvature,  
 from curvkit.flow import rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
                             _retract, max_holomorphic_sectional, maximizer_first_order_check,
-                            min_isotropic, qk_q_bound_check)
+                            min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
 from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa: E402
                             kahler_subspace, sample)
 
@@ -68,11 +70,12 @@ def best_of(fn, calls: int = CALLS) -> float:
 def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
-             "_retract", "isotropic_from_columns", "min_isotropic", "curvature_space_basis",
+             "_retract", "isotropic_from_columns", "min_isotropic",
+             "min_orthogonal_bisectional", "curvature_space_basis",
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
              "qk_q_bound_check_batched", "maximizer_first_order_check")
     layers = {name: {} for name in names}
-    iterations, stop_reasons = {}, {}
+    iterations, stop_reasons, bis_iterations = {}, {}, {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
     for n in SIZES:
         table, other = (rng.standard_normal((n, n, n, n)) for _ in range(2))
@@ -81,6 +84,7 @@ def main() -> int:
         raw = rng.standard_normal((FRAMES, n, 4))
         frames = _retract(raw)
         value_grad = _iso_value_grad(R.mat, n)
+        J = standard_complex_structure(n)
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
                                 ("bform", lambda: bform(R, S), CALLS),
                                 ("rk4_step", lambda: rk4_step(R, h), CALLS),
@@ -90,11 +94,14 @@ def main() -> int:
                                 ("_retract", lambda: _retract(raw), CALLS),
                                 ("isotropic_from_columns",
                                  lambda: isotropic_from_columns(R.mat, frames[0]), CALLS),
-                                ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS)):
+                                ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS),
+                                ("min_orthogonal_bisectional",
+                                 lambda: min_orthogonal_bisectional(R, J, cfg), SEARCH_CALLS)):
             layers[name][str(n)] = round(1e6 * best_of(fn, calls), 2)
         res = min_isotropic(R, cfg)
         iterations[str(n)] = sum(res.restart_iterations)
         stop_reasons[str(n)] = {r: res.restart_stop_reasons.count(r) for r in STOP_REASONS}
+        bis_iterations[str(n)] = sum(min_orthogonal_bisectional(R, J, cfg).restart_iterations)
     for n in SPACE_SIZES:
         J = standard_complex_structure(n)
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
@@ -116,7 +123,8 @@ def main() -> int:
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "min_isotropic_iterations": iterations,
-                      "min_isotropic_stop_reasons": stop_reasons, "repeats": REPEATS,
+                      "min_isotropic_stop_reasons": stop_reasons,
+                      "min_orthogonal_bisectional_iterations": bis_iterations, "repeats": REPEATS,
                       "calls": CALLS, "search_calls": SEARCH_CALLS, "frames": FRAMES,
                       "qk_samples": QK_SAMPLES, "seed": SEED, "numpy": np.__version__,
                       "python": sys.version.split()[0], "cpus": os.cpu_count()}))

@@ -714,21 +714,21 @@ _ISO_FORMS[[0, 0, 1, 1], [0, 1, 0, 1], [2, 3, 3, 2]] = [1.0, -1.0, 1.0, 1.0]
 _ISO_FORMS = _frozen(_ISO_FORMS - _ISO_FORMS.transpose(0, 2, 1))
 
 
-def _iso_forms(F: np.ndarray) -> np.ndarray:
-    """The forms w_a = F C_a F^T of each frame in a stack (..., n, 4), on the
-    2-form basis, as (..., 2, N)."""
+def _frame_forms(F: np.ndarray, C: np.ndarray = _ISO_FORMS) -> np.ndarray:
+    """The forms w_a = F C_a F^T of a stack of frames (..., n, k) for antisymmetric
+    C (A, k, k), by default the isotropic pair, on the 2-form basis: (..., A, N)."""
     iu, ju = pair_indices(F.shape[-2])
-    forms = (F[..., None, :, :] @ _ISO_FORMS) @ np.swapaxes(F, -1, -2)[..., None, :, :]
+    forms = (F[..., None, :, :] @ C) @ np.swapaxes(F, -1, -2)[..., None, :, :]
     return forms[..., iu, ju]
 
 
 def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Isotropic-curvature values of a raw column matrix (n, 4) or a stack
     (..., n, 4) of them, with shape (...); no validation.  The value is
-    <M w_1, w_1> + <M w_2, w_2> (``_iso_forms``): by the first Bianchi
+    <M w_1, w_1> + <M w_2, w_2> (``_frame_forms``): by the first Bianchi
     identity, which M must satisfy and ``CurvatureTensor(n, mat)`` does not
     check, that is R1313 + R1414 + R2323 + R2424 - 2 R1234."""
-    W = _iso_forms(np.asarray(F, dtype=float))
+    W = _frame_forms(np.asarray(F, dtype=float))
     return np.einsum("...ap,...ap->...", W, W @ mat)
 
 

@@ -1,8 +1,9 @@
 """Searches over orthonormal frames and unit vectors for curvature functionals.
 
 The workhorse is projected gradient descent on the Stiefel manifold of
-orthonormal k-column matrices (k = 4 for isotropic frames, k = 1 for unit
-vectors; Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
+orthonormal k-column matrices (k = 4 for isotropic frames and for the
+J-frames (X, JX, Y, JY) of the bisectional search, k = 1 for unit vectors;
+Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
 gradient, tangent projection G - F sym(F^T G), QR retraction with
 positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
 trial step and a monotone Armijo backtrack (Barzilai-Borwein 1988; Wen-Yin
@@ -15,14 +16,15 @@ frames are certificates, never compared directly.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frozen, _iso_forms, _unpack_two_form,
+                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _unpack_two_form,
                    curvature_map, evaluate, invariance_defect, isotropic_from_columns,
                    pair_indices, qform)
+from .spaces import _nullspace
 
 
 @dataclass(frozen=True)
@@ -34,12 +36,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
-        if self.grad_tol <= 0 or self.step <= 0:
-            raise ValueError("grad_tol and step must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        for name in ("grad_tol", "step"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
 
 
 @dataclass
@@ -80,18 +84,17 @@ def _stiefel_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return G - F @ (0.5 * (FtG + np.swapaxes(FtG, -1, -2)))
 
 
-def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
-             retract=_retract, tangent=_stiefel_tangent):
+def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     """Minimize value_grad over a (B, n, k) stack of starts, all rows at once.
 
     ``value_grad(F, rows)`` maps a (b, n, k) stack to values (b,) and
     Euclidean gradients; ``rows`` (b,) are the indices into F0 of the active
     rows in F, so one stack can carry rows whose functional differs (rows of
     different tensors, see ``_hol_value_grad``); a closure of one functional
-    ignores it.  ``retract`` maps trial points onto the constraint set (a NaN
-    row is an infeasible trial) and ``tangent`` projects gradients onto its
-    tangent spaces.  Each row's first trial after an accepted step is the BB
-    step |s|^2 / |<s, y>|, with s the accepted move and y the change of the
+    ignores it.  Every search, the J-frames of ``min_orthogonal_bisectional``
+    too, steps along ``_stiefel_tangent`` and retracts by ``_retract``.  Each
+    row's first trial after an accepted step is the BB step |s|^2 / |<s, y>|,
+    with s the accepted move and y the change of the
     projected gradient, clipped to [1e-6, 1e3] * cfg.step (the upper bound
     when <s, y> = 0); a rejected trial halves the step (monotone Armijo
     backtrack).  A row leaves the stack at ``grad_tol``, after 60 halvings
@@ -101,11 +104,11 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
 
     Returns (values, frames, iterations, stop reasons), aligned with F0's rows.
     """
-    F = retract(np.asarray(F0, dtype=float))
+    F = _retract(np.asarray(F0, dtype=float))
     B = len(F)
     rows = np.arange(B)                 # the rows of F0 still in the stack
     val, G = value_grad(F, rows)
-    P = tangent(F, G)
+    P = _stiefel_tangent(F, G)
     g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
     a = np.full(B, cfg.step)            # next trial step of each row
     lo, hi = 1e-6 * cfg.step, 1e3 * cfg.step
@@ -128,13 +131,13 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None,
                 break
             F, val, P, g2, a, tries, iters, rows = (
                 x[~done] for x in (F, val, P, g2, a, tries, iters, rows))
-        Ft = retract(F - a[:, None, None] * P)
+        Ft = _retract(F - a[:, None, None] * P)
         vt, Gt = value_grad(Ft, rows)
         # a trial must decrease the value: at the floor, where the Armijo
         # margin is below roundoff, a step that moves nothing is no progress
         ok = (vt < val) & (vt <= val - _ARMIJO * a * g2)
-        Pt = tangent(Ft, Gt)
-        # BB step of the accepted rows; a rejected (or NaN) row has no step
+        Pt = _stiefel_tangent(Ft, Gt)
+        # BB step of the accepted rows; a rejected row has no step
         s, y = Ft - F, Pt - P
         sy = np.abs(np.einsum("bij,bij->b", s, y))
         bb = np.divide(np.einsum("bij,bij->b", s, s), sy, out=np.full(len(sy), hi),
@@ -169,22 +172,30 @@ def _search_result(values, frames, iterations, reasons, k: int, frame) -> FrameS
 # Isotropic curvature over 4-frames
 # ---------------------------------------------------------------------------
 
-def _iso_value_grad(mat: np.ndarray, n: int):
-    """Closure: isotropic values and Euclidean gradients on frames (..., n, 4)
-    for M satisfying the first Bianchi identity: sum_a w_a . M w_a with the
-    forms of ``core._iso_forms``, and 2 sum_a A_a F C_a^T, A_a = R(., ., w_a)."""
+def _form_value_grad(mat: np.ndarray, n: int, C: np.ndarray, swap: bool = False):
+    """Closure over M, which must satisfy the first Bianchi identity: on frames
+    F (..., n, k), with the forms w_a = F C_a F^T of a pair C
+    (``core._frame_forms``) and A_a = R(., ., w_a), the values
+    w_1 . M w_1 + w_2 . M w_2 and Euclidean gradients 2 sum_a A_a F C_a^T, or
+    with ``swap`` the values w_1 . M w_2 and gradients A_2 F C_1^T + A_1 F C_2^T."""
     N = len(mat)
-    K = np.hstack([mat, _unpack_two_form(mat, n).reshape(N, n * n)])  # w K = (M w, R(.,.,w))
-    CT = 2.0 * np.swapaxes(_ISO_FORMS, 1, 2)
+    c, s = (0.5, -1) if swap else (1.0, 1)     # w_1 . M w_2 = (w_1 . M w_2 + w_2 . M w_1) / 2
+    K = np.hstack([c * mat, _unpack_two_form(mat, n).reshape(N, n * n)])  # (c M w, R(.,.,w))
+    CT = 2.0 * c * np.swapaxes(C, 1, 2)[::s]
 
     def value_grad(F, rows=None):
-        W = _iso_forms(F)
+        W = _frame_forms(F, C)
         out = W @ K
         A = out[..., N:].reshape(W.shape[:-1] + (n, n))
         G = (A @ (F[..., None, :, :] @ CT)).sum(axis=-3)
-        return np.einsum("...ap,...ap->...", W, out[..., :N]), G
+        return np.einsum("...ap,...ap->...", W, out[..., ::s, :N]), G
 
     return value_grad
+
+
+def _iso_value_grad(mat: np.ndarray, n: int):
+    """Closure: isotropic values and Euclidean gradients on frames (..., n, 4)."""
+    return _form_value_grad(mat, n, _ISO_FORMS)
 
 
 @lru_cache(maxsize=None)
@@ -351,12 +362,6 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     return _max_holomorphic_stack(R.mat[None], J.matrix, cfg)[0]
 
 
-def _complement(vectors) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of ``vectors``."""
-    _, s, vh = np.linalg.svd(np.array(vectors), full_matrices=True)
-    return vh[int(np.sum(s > 1e-12)):].T
-
-
 def _restricted_bisectional(Omega: np.ndarray, A: np.ndarray, W: np.ndarray):
     """Ascending eigenpairs of W^T B W for Omega = R(x, Ax, ., .) and
     orthonormal columns W, where B = (Omega A + A Omega) / 2 is the symmetric
@@ -402,74 +407,68 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     """
     x = np.asarray(x, dtype=float)
     jx = J.matrix @ x
-    return _first_order(curvature_map(R, x, jx), J.matrix, x, _complement([x, jx]), tol)
+    W = _nullspace(np.array([x, jx]))
+    return _first_order(curvature_map(R, x, jx), J.matrix, x, W, tol)
 
 
 # ---------------------------------------------------------------------------
 # Orthogonal bisectional minimization over constrained pairs
 # ---------------------------------------------------------------------------
 
+# w_1 = f1 ^ f2 and w_2 = f3 ^ f4 of a J-frame F = (X, JX, Y, JY); J F = F E, E = -(C_1 + C_2)
+_BIS_FORMS = np.zeros((2, 4, 4))
+_BIS_FORMS[[0, 0, 1, 1], [0, 1, 2, 3], [1, 0, 3, 2]] = [1.0, -1.0, 1.0, -1.0]
+_J_FRAME = _frozen(-_frozen(_BIS_FORMS).sum(axis=0))
+
+
+def _bisectional_value_grad(mat: np.ndarray, Jm: np.ndarray):
+    """Closure: R(X, JX, Y, JY) = w_1 . M w_2 on J-frames (..., n, 4) and the
+    lift G - J G E of its Euclidean gradient G, whose column pairs are
+    (g_X, J g_X) and (g_Y, J g_Y), with g_X, g_Y its gradient in X and Y.
+    (The orthogonal projection (G - J G E) / 2 would halve every step.)"""
+    pair = _form_value_grad(mat, len(Jm), _BIS_FORMS, swap=True)
+
+    def value_grad(F, rows=None):
+        v, G = pair(F)
+        return v, G - Jm @ G @ _J_FRAME
+
+    return value_grad
+
+
 def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
                                cfg: OptimizerConfig | None = None) -> FrameSearchResult:
     """Minimize R(X, JX, Y, JY) over unit X, Y with Y orthogonal to X and JX.
 
-    The pairs (X, Y) of all restarts descend as one (B, n, 2) stack in the
-    shared engine, with their own retraction (normalize X, project Y off
-    span{X, JX} and normalize) and tangent projection, so the reported pair
-    is feasible to machine precision.  Each restart ends with an exact
-    minimization over Y at its final X.  The returned frame is (X, JX, Y, JY).
-    No such Y exists for n < 4 (CurvatureError).
+    These pairs, the complex Stiefel manifold V_2(C^m), are exactly the
+    orthonormal J-frames F = (X, JX, Y, JY), the frames with J F = F E for
+    E = e2 e1^T - e1 e2^T + e4 e3^T - e3 e4^T.  All restarts descend as one
+    (B, n, 4) stack of J-frames on the lifted gradient of
+    ``_bisectional_value_grad``; the engine's tangent projection keeps the
+    J-structure, and its sign-fixed QR of (x, Jx, y, Jy) is (x', Jx', y', Jy')
+    with y' the complex Gram-Schmidt of y.  Each restart ends with an exact
+    minimization over Y at its final X.  ``restart_frames`` holds the (X, Y)
+    columns; the frame is (X, JX, Y, JY).  No such Y exists for n < 4
+    (CurvatureError).
     """
     cfg = cfg or OptimizerConfig()
-    n, mat, Jm = R.n, R.mat, J.matrix
+    n, Jm = R.n, J.matrix
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
-    S = _structure_forms(Jm)
+    value_grad = _bisectional_value_grad(R.mat, Jm)
 
-    def value_grad(F, rows=None):            # columns x, y of each (n, 2) row
-        V = np.swapaxes(F, 1, 2)
-        T = (V @ S).reshape(len(F), 2, len(mat), n)
-        W = (T @ V[..., None])[..., 0]       # x ^ Jx, y ^ Jy
-        MW = W @ mat
-        # d/dx of (x ^ Jx) . M (y ^ Jy) is 2 T_x^T M (y ^ Jy), and likewise in y
-        G = 2.0 * (MW[:, ::-1, None, :] @ T)[:, :, 0]
-        return np.einsum("bp,bp->b", W[:, 0], MW[:, 1]), np.swapaxes(G, 1, 2)
+    def j_frames(x, y):                     # rows x, y (B, n) -> J-frames (B, n, 4)
+        return np.stack([x, x @ Jm.T, y, y @ Jm.T], axis=-1)
 
-    def retract(F):
-        x = F[..., 0] / np.linalg.norm(F[..., 0], axis=-1, keepdims=True)
-        jx = x @ Jm.T
-        y = F[..., 1]
-        y = y - (y * x).sum(-1, keepdims=True) * x - (y * jx).sum(-1, keepdims=True) * jx
-        nrm = np.linalg.norm(y, axis=-1, keepdims=True)
-        return np.stack([x, y / np.where(nrm > 1e-12, nrm, np.nan)], axis=-1)
-
-    def tangent(F, G):
-        # project g = (gx, gy) off the normals of |x|^2, |y|^2, <x, y>, <Jx, y>
-        x, y = F[..., 0], F[..., 1]
-        z = np.zeros_like(x)
-        C = np.stack([np.concatenate(c, axis=-1) for c in
-                      ((2 * x, z), (z, 2 * y), (y, x), (-(y @ Jm.T), x @ Jm.T))], axis=-1)
-        q = np.linalg.qr(C)[0]
-        g = np.swapaxes(G, -1, -2).reshape(len(G), 2 * n, 1)
-        P = g - q @ (np.swapaxes(q, -1, -2) @ g)
-        return np.swapaxes(P.reshape(len(G), 2, n), -1, -2)
-
-    def polish_y(x):
-        """Exact minimization over Y for fixed X (restricted eigenproblem)."""
+    def polish_y(x):                        # the restricted eigenproblem in Y
         jx = Jm @ x
-        W = _complement([x, jx])
+        W = _nullspace(np.array([x, jx]))
         return W @ _restricted_bisectional(curvature_map(R, x, jx), Jm, W)[1][:, 0]
 
-    starts = np.swapaxes(_random_starts(cfg, 2, n), 1, 2)     # x, then y, per seed
-    values, frames, iterations, reasons = _descend(value_grad, starts, cfg,
-                                                   retract=retract, tangent=tangent)
-    feasible = np.isfinite(values)          # a start with Y in span{X, JX} is dropped
-    values, frames, iterations, reasons = (
-        a[feasible] for a in (values, frames, iterations, reasons))
-    polished = frames.copy()
-    polished[:, :, 1] = [polish_y(x) for x in frames[:, :, 0]]
+    xy = _random_starts(cfg, 2, n)          # x, then y, per seed
+    values, frames, iterations, reasons = _descend(value_grad, j_frames(xy[:, 0], xy[:, 1]), cfg)
+    polished = j_frames(frames[..., 0], np.array([polish_y(x) for x in frames[..., 0]]))
     vpol = value_grad(polished)[0]
-    frames = np.where((vpol < values)[:, None, None], polished, frames)
+    frames = np.where((vpol < values)[:, None, None], polished, frames)[:, :, [0, 2]]
     values = np.minimum(vpol, values)
 
     k = int(np.argmin(values))
@@ -597,7 +596,7 @@ def _qk_report(R1: CurvatureTensor, T: QuaternionTriple, res: FrameSearchResult,
     Omega = curvature_map(R1, x, ix)
     # x, Ix, Jx, Kx are orthonormal, so JX, KX and the complement of all four
     # span the complement of span{x, Ix}
-    W = _complement([x, ix, jx, kx])
+    W = _nullspace(np.array([x, ix, jx, kx]))
     first = _first_order(Omega, A, x, np.column_stack([jx, kx, W]), tol=max(tol, 1e-5))
 
     # the paired diagnostic: B is +-lambda on the quaternionic complement of X

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, isotropic_curvature,
-                          isotropic_from_columns, model_sphere, rotate_triple,
-                          standard_complex_structure, wedge, zero_tensor)
+from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, evaluate,
+                          isotropic_curvature, isotropic_from_columns, model_sphere,
+                          rotate_triple, standard_complex_structure, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _coordinate_probe_frames,
                             _coordinate_probe_values, _iso_value_grad, _retract, batch_isotropic,
@@ -24,6 +24,19 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(grad_tol=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 2.5), ("restarts", True), ("restarts", "3"), ("max_iters", 2.5),
+    ("max_iters", 0), ("max_iters", False), ("grad_tol", float("nan")),
+    ("grad_tol", float("inf")), ("grad_tol", True), ("step", float("nan")),
+    ("step", float("inf")), ("step", 0.0), ("step", "0.1")])
+def test_config_rejects_bad_numbers(field, value):
+    """restarts and max_iters are non-bool integers >= 1, grad_tol and step
+    finite positive numbers; anything else fails at construction, not later
+    inside a search (a float count) or never (a NaN tolerance stops nothing)."""
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
 
 
 @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, "3", None])
@@ -266,6 +279,45 @@ def test_min_orthogonal_bisectional_fubini_study(fs8, light_cfg):
     # frame really is (X, JX, Y, JY)
     np.testing.assert_allclose(J.matrix @ F[:, 0], F[:, 1], atol=1e-8)
     np.testing.assert_allclose(J.matrix @ F[:, 2], F[:, 3], atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_bisectional_lifted_gradient_finite_difference(n):
+    """The lifted gradient L = (g_X, J g_X, g_Y, J g_Y) against central
+    differences of R(x, Jx, y, Jy) along J-structured directions
+    (dx, J dx, dy, J dy): <L, V> pairs each of g_X, g_Y twice, so the
+    derivative is <L, V> / 2."""
+    h = 1e-6
+    Jm = standard_complex_structure(n).matrix
+
+    def j_frame(x, y):
+        return np.column_stack([x, Jm @ x, y, Jm @ y])
+
+    for seed in range(5):
+        R = random_curvature(n, seed=70 + seed)
+        vg = frames._bisectional_value_grad(R.mat, Jm)
+        rng = np.random.default_rng(seed)
+        F = _retract(j_frame(*rng.standard_normal((2, n))))
+        _, L = vg(F)
+        np.testing.assert_allclose(Jm @ L, L @ frames._J_FRAME, atol=1e-12)
+        V = j_frame(*rng.standard_normal((2, n)))
+        num = (vg(F + h * V)[0] - vg(F - h * V)[0]) / (2.0 * h)
+        assert abs(num - 0.5 * np.vdot(L, V)) < 1e-6 * max(1.0, abs(num))
+        # the closure's value is R(X, JX, Y, JY) of the frame's columns
+        assert abs(vg(F)[0] - evaluate(R, *F.T)) < 1e-12 * max(1.0, abs(vg(F)[0]))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_min_orthogonal_bisectional_reports_j_frame(n, light_cfg):
+    """The reported frame satisfies J F = F E to 1e-12, and the restart
+    frames are the (X, Y) columns."""
+    J = standard_complex_structure(n)
+    res = min_orthogonal_bisectional(random_curvature(n, seed=80 + n), J, light_cfg)
+    F = res.frame_or_vector.matrix
+    assert np.linalg.norm(J.matrix @ F - F @ frames._J_FRAME) <= 1e-12
+    assert all(XY.shape == (n, 2) for XY in res.restart_frames)
+    np.testing.assert_array_equal(res.restart_frames[res.restart_values.index(res.value)],
+                                  F[:, [0, 2]])
 
 
 def test_min_orthogonal_bisectional_r0(t8, r0_8, light_cfg):
