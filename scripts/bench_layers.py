@@ -1,4 +1,4 @@
-"""Best-of-k per-call timings of the reaction-term, frame and subspace layers; prints one JSON line.
+"""Per-call timings of the reaction-term, frame and subspace layers; prints one JSON line.
 
 Times `qform`, `bform` (two distinct tensors) and `rk4_step` at each size on
 a projected Gaussian tensor, `project_to_curvature` of the Gaussian rank-4
@@ -16,11 +16,14 @@ its time.  The subspace constructors are timed at their own sizes:
 n = 8 on QK_SAMPLES hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as
 in the verify suite), twice: one call per sample (`qk_q_bound_check`) and
 one call on the whole list, whose searches run as one descent stack
-(`qk_q_bound_check_batched`), each the best over REPEATS of one pass divided by QK_SAMPLES;
+(`qk_q_bound_check_batched`), each timed by one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
-samples, at its maximizer for I.  Every other time is the best over REPEATS
-of the mean of back-to-back calls (CALLS, or SEARCH_CALLS for the search and
-the subspaces), in microseconds.  Run from the repository root as
+samples, at its maximizer for I.  Every other time is the mean of
+back-to-back calls (CALLS, or SEARCH_CALLS for the searches and the
+subspaces).  Each layer is timed REPEATS times and reported, in microseconds
+per call, as {"best", "q1", "median", "q3"} over those repeats: the best is
+the least noisy estimate of the cost, and the quartiles show the noise band a
+difference between two trees must clear.  Run from the repository root as
 ``PYTHONPATH=src python scripts/bench_layers.py``; point PYTHONPATH at another
 checkout's ``src`` to time that tree with the same script.
 """
@@ -55,16 +58,19 @@ QK_SAMPLES = 20
 SEED = 0
 
 
-def best_of(fn, calls: int = CALLS) -> float:
-    """Best over REPEATS of the mean seconds per call of ``calls`` calls."""
+def timed(fn, calls: int = CALLS, per: int = 1) -> dict:
+    """Best, quartiles and median over REPEATS of the mean microseconds per
+    call of ``calls`` calls, each call counting as ``per`` calls."""
     fn()
-    best = float("inf")
+    means = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
+        means.append(1e6 * (time.perf_counter() - t0) / (calls * per))
+    q1, median, q3 = np.percentile(means, [25, 50, 75])
+    return {"best": round(min(means), 2), "q1": round(q1, 2), "median": round(median, 2),
+            "q3": round(q3, 2)}
 
 
 def main() -> int:
@@ -97,7 +103,7 @@ def main() -> int:
                                 ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS),
                                 ("min_orthogonal_bisectional",
                                  lambda: min_orthogonal_bisectional(R, J, cfg), SEARCH_CALLS)):
-            layers[name][str(n)] = round(1e6 * best_of(fn, calls), 2)
+            layers[name][str(n)] = timed(fn, calls)
         res = min_isotropic(R, cfg)
         iterations[str(n)] = sum(res.restart_iterations)
         stop_reasons[str(n)] = {r: res.restart_stop_reasons.count(r) for r in STOP_REASONS}
@@ -106,20 +112,19 @@ def main() -> int:
         J = standard_complex_structure(n)
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
                          ("kahler_subspace", lambda: kahler_subspace(J))):
-            layers[name][str(n)] = round(1e6 * best_of(fn, SEARCH_CALLS), 2)
+            layers[name][str(n)] = timed(fn, SEARCH_CALLS)
     T = standard_quaternion_triple(8)
-    layers["hyperkahler_subspace"]["8"] = round(
-        1e6 * best_of(lambda: hyperkahler_subspace(T), SEARCH_CALLS), 2)
+    layers["hyperkahler_subspace"]["8"] = timed(lambda: hyperkahler_subspace(T), SEARCH_CALLS)
     hk = hyperkahler_subspace(T)
     tensors = [sample(hk, seed=seed) for seed in range(QK_SAMPLES)]
     qk_cfg = OptimizerConfig(restarts=4, seed=0)
-    layers["qk_q_bound_check"]["8"] = round(1e6 * best_of(
-        lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1) / QK_SAMPLES, 2)
-    layers["qk_q_bound_check_batched"]["8"] = round(1e6 * best_of(
-        lambda: qk_q_bound_check(tensors, T, qk_cfg), 1) / QK_SAMPLES, 2)
+    layers["qk_q_bound_check"]["8"] = timed(
+        lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1, QK_SAMPLES)
+    layers["qk_q_bound_check_batched"]["8"] = timed(
+        lambda: qk_q_bound_check(tensors, T, qk_cfg), 1, QK_SAMPLES)
     x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
-    layers["maximizer_first_order_check"]["8"] = round(1e6 * best_of(
-        lambda: maximizer_first_order_check(tensors[0], T.I, x)), 2)
+    layers["maximizer_first_order_check"]["8"] = timed(
+        lambda: maximizer_first_order_check(tensors[0], T.I, x))
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "min_isotropic_iterations": iterations,

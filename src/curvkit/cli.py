@@ -186,6 +186,8 @@ def cmd_flow(args) -> int:
     if args.assert_cone:
         try:
             probe = cone_preservation_probe(R0, cfg)
+        except CurvatureError:
+            raise
         except ValueError as exc:
             print(f"cone assertion failed: {exc}", file=sys.stderr)
             return 1

@@ -333,12 +333,11 @@ class CurvatureTensor:
 
     @classmethod
     def from_rank4(cls, table: np.ndarray, tol: float = CONSTRUCTION_TOL,
-                   label: str | None = None, scale: float | None = None) -> "CurvatureTensor":
+                   label: str | None = None) -> "CurvatureTensor":
         """Validate a rank-4 table against all curvature symmetries and store it.
 
         Raises :class:`CurvatureError` if any symmetry defect exceeds
-        ``tol * max(1, |table|_max, scale)``; pass ``scale`` when the table is
-        a near-cancelling combination of larger quantities.
+        ``tol * max(1, |table|_max)``.
         """
         T = np.asarray(table, dtype=float)
         if T.ndim != 4 or len(set(T.shape)) != 1:
@@ -347,7 +346,7 @@ class CurvatureTensor:
         if not np.all(np.isfinite(T)):
             raise CurvatureError("rank-4 table has non-finite entries")
         defect = symmetry_defect(T)
-        ref = max(1.0, float(np.max(np.abs(T))), scale or 0.0)
+        ref = max(1.0, float(np.max(np.abs(T))))
         if defect > tol * ref:
             raise CurvatureError(
                 f"symmetry defect {defect:.3e} exceeds {tol:.1e} * {ref:.3e}")
@@ -567,23 +566,22 @@ def einstein_residual(R: CurvatureTensor, rho: float) -> float:
 
 @dataclass(frozen=True)
 class FourFrame:
-    """Orthonormal 4-frame, stored as the n x 4 matrix of column vectors."""
+    """Orthonormal 4-frame (Gram defect <= CONSTRUCTION_TOL), stored as its n x 4 columns."""
 
     matrix: np.ndarray
-    tol: float = CONSTRUCTION_TOL
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 4:
             raise CurvatureError(f"a 4-frame needs an (n, 4) matrix with n >= 4, got {m.shape}")
         defect = float(np.max(np.abs(m.T @ m - np.eye(4))))
-        if defect > self.tol:
-            raise CurvatureError(f"frame Gram defect {defect:.3e} exceeds {self.tol:.1e}")
+        if defect > CONSTRUCTION_TOL:
+            raise CurvatureError(f"frame Gram defect {defect:.3e} exceeds {CONSTRUCTION_TOL:.1e}")
         object.__setattr__(self, "matrix", _frozen(m))
 
     @classmethod
-    def from_vectors(cls, e1, e2, e3, e4, tol: float = CONSTRUCTION_TOL) -> "FourFrame":
-        return cls(np.column_stack([e1, e2, e3, e4]), tol=tol)
+    def from_vectors(cls, e1, e2, e3, e4) -> "FourFrame":
+        return cls(np.column_stack([e1, e2, e3, e4]))
 
     @property
     def vectors(self) -> tuple[np.ndarray, ...]:
@@ -596,10 +594,9 @@ class FourFrame:
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """Orthogonal matrix J with J^2 = -id on R^n, n even."""
+    """Orthogonal matrix J with J^2 = -id on R^n, n even, both to CONSTRUCTION_TOL."""
 
     matrix: np.ndarray
-    tol: float = CONSTRUCTION_TOL
 
     def __post_init__(self):
         J = np.array(self.matrix, dtype=float)
@@ -609,8 +606,9 @@ class ComplexStructure:
         eye = np.eye(n)
         defect = max(float(np.max(np.abs(J.T @ J - eye))),
                      float(np.max(np.abs(J @ J + eye))))
-        if defect > self.tol:
-            raise CurvatureError(f"complex-structure defect {defect:.3e} exceeds {self.tol:.1e}")
+        if defect > CONSTRUCTION_TOL:
+            raise CurvatureError(f"complex-structure defect {defect:.3e} exceeds "
+                                 f"{CONSTRUCTION_TOL:.1e}")
         object.__setattr__(self, "matrix", _frozen(J))
 
     @property
@@ -623,19 +621,18 @@ class ComplexStructure:
 
 @dataclass(frozen=True)
 class QuaternionTriple:
-    """Complex structures (I, J, K) with IJ = K (hence IJK = -id); n = 4m."""
+    """Complex structures (I, J, K) with IJ = K to CONSTRUCTION_TOL (so IJK = -id); n = 4m."""
 
     I: ComplexStructure
     J: ComplexStructure
     K: ComplexStructure
-    tol: float = CONSTRUCTION_TOL
 
     def __post_init__(self):
         n = self.I.n
         if self.J.n != n or self.K.n != n or n % 4 != 0:
             raise CurvatureError("quaternion triple needs matching structures on R^(4m)")
         defect = float(np.max(np.abs(self.I.matrix @ self.J.matrix - self.K.matrix)))
-        if defect > self.tol:
+        if defect > CONSTRUCTION_TOL:
             raise CurvatureError(f"triple violates IJ = K by {defect:.3e}")
 
     @property
@@ -732,16 +729,16 @@ def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.einsum("...ap,...ap->...", W, W @ mat)
 
 
-def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y,
-                           tol: float = FEASIBILITY_TOL) -> float:
-    """R(X, JX, Y, JY) for unit X, Y with Y orthogonal to X and JX."""
+def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y) -> float:
+    """R(X, JX, Y, JY) for unit X, Y with Y orthogonal to X and JX, to FEASIBILITY_TOL."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jx = J(x)
     violation = max(abs(float(x @ x) - 1.0), abs(float(y @ y) - 1.0),
                     abs(float(x @ y)), abs(float(jx @ y)))
-    if violation > tol:
-        raise CurvatureError(f"bisectional constraint violation {violation:.3e} > {tol:.1e}")
+    if violation > FEASIBILITY_TOL:
+        raise CurvatureError(f"bisectional constraint violation {violation:.3e} "
+                             f"> {FEASIBILITY_TOL:.1e}")
     return evaluate(R, x, jx, y, J(y))
 
 

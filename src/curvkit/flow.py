@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CurvatureTensor, NonFiniteError, _stored, project_bianchi, qform,
-                   scalar_curvature)
-from .frames import OptimizerConfig, min_isotropic
+from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _stored, project_bianchi,
+                   qform, scalar_curvature)
+from .frames import OptimizerConfig, _require_numbers, min_isotropic
 
 # the monitoring searches' optimizer when FlowConfig.optimizer is None
 _MONITOR_OPTIMIZER = OptimizerConfig(restarts=4, max_iters=300)
@@ -34,10 +34,9 @@ class FlowConfig:
     optimizer: OptimizerConfig | None = None   # monitoring searches; light default
 
     def __post_init__(self):
-        if self.dt_init <= 0 or self.rel_tol <= 0:
-            raise ValueError("dt_init and rel_tol must be positive")
-        if self.monitor_every < 1 or self.max_steps < 1:
-            raise ValueError("monitor_every and max_steps must be positive")
+        times = ("dt_init",) if self.t_end is None else ("dt_init", "t_end")
+        _require_numbers(vars(self), (("monitor_every", 1), ("max_steps", 1)),
+                         times + ("rel_tol", "blowup_guard"))
 
 
 @dataclass
@@ -79,8 +78,13 @@ def _rk4_from(R: CurvatureTensor, k1: np.ndarray, h: float) -> CurvatureTensor:
 
 def default_horizon(R0: CurvatureTensor) -> float:
     """Conservative integration horizon scaled to the blow-up time of a
-    comparable round model (stays clear of the singularity)."""
-    return 0.8 / (2.0 * (R0.n - 1) * R0.norm())
+    comparable round model (stays clear of the singularity); CurvatureError
+    when it is infinite: a zero tensor never blows up."""
+    norm = R0.norm()
+    horizon = 0.8 / (2.0 * (R0.n - 1) * norm) if norm > 0 else np.inf
+    if horizon == np.inf:
+        raise CurvatureError(f"no finite default horizon at norm {norm:.3e}; pass t_end (--t-end)")
+    return horizon
 
 
 def scalar_blowup_oracle(c: float, lam0: float, t: float) -> float:
@@ -110,8 +114,6 @@ def integrate_q_flow(R0: CurvatureTensor,
     """
     cfg = cfg or FlowConfig()
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
     opt = cfg.optimizer or _MONITOR_OPTIMIZER
 
     R = _project(R0)

@@ -27,23 +27,28 @@ from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor
 from .spaces import _nullspace
 
 
+def _require_numbers(values: dict, integers, positives) -> None:
+    """Raise ValueError naming the first bad entry of ``values``: ``integers``
+    are (name, low) pairs whose values must be non-bool integers >= low,
+    ``positives`` names values that must be finite positive non-bool numbers."""
+    for name, low in integers:
+        v = values[name]
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    for name in positives:
+        v = values[name]
+        if isinstance(v, bool) or not isinstance(v, Real) or not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 64
     max_iters: int = 500
-    grad_tol: float = 1e-8
-    step: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        for name in ("grad_tol", "step"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+        _require_numbers(vars(self), (("restarts", 1), ("max_iters", 1), ("seed", 0)), ())
 
 
 @dataclass
@@ -64,6 +69,10 @@ class FrameSearchResult:
 # ---------------------------------------------------------------------------
 
 STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters")
+CHECK_TOL = 1e-6        # of boundary_q_check and qk_q_bound_check
+FIRST_ORDER_TOL = 1e-5  # of the first-order conditions at a holomorphic maximizer
+_STEP = 0.1             # first trial step; BB steps are clipped to [1e-6, 1e3] * _STEP
+_GRAD_TOL = 1e-8        # a row stops once its projected gradient norm is at most this
 _ARMIJO = 1e-4          # sufficient-decrease constant
 _BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
 
@@ -94,11 +103,12 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     ignores it.  Every search, the J-frames of ``min_orthogonal_bisectional``
     too, steps along ``_stiefel_tangent`` and retracts by ``_retract``.  Each
     row's first trial after an accepted step is the BB step |s|^2 / |<s, y>|,
-    with s the accepted move and y the change of the
-    projected gradient, clipped to [1e-6, 1e3] * cfg.step (the upper bound
-    when <s, y> = 0); a rejected trial halves the step (monotone Armijo
-    backtrack).  A row leaves the stack at ``grad_tol``, after 60 halvings
-    without a decrease (``line_search_floor``) or after ``max_iters``.
+    with s the accepted move and y the change of the projected gradient,
+    clipped to [1e-6, 1e3] * _STEP (the upper bound when <s, y> = 0; the
+    first trial is _STEP); a rejected trial halves the step (monotone Armijo
+    backtrack).  A row leaves the stack at projected gradient norm <= _GRAD_TOL
+    (``grad_tol``), after 60 halvings without a decrease (``line_search_floor``)
+    or after ``cfg.max_iters``.
     ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
     active row at the start of each of its iterations.
 
@@ -110,8 +120,8 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     val, G = value_grad(F, rows)
     P = _stiefel_tangent(F, G)
     g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
-    a = np.full(B, cfg.step)            # next trial step of each row
-    lo, hi = 1e-6 * cfg.step, 1e3 * cfg.step
+    a = np.full(B, _STEP)               # next trial step of each row
+    lo, hi = 1e-6 * _STEP, 1e3 * _STEP
     # failed trials in the current iteration, iterations begun
     tries, iters = np.zeros(B, dtype=int), np.ones(B, dtype=int)
     ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
@@ -122,7 +132,7 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
                 on_iterate(F[i], val[i], np.sqrt(g2[i]))
         # g2 changes only on acceptance, so a small g2 is met at an iteration start
         over = iters > cfg.max_iters
-        done = (g2 <= cfg.grad_tol ** 2) | over | (tries == _BACKTRACKS)
+        done = (g2 <= _GRAD_TOL ** 2) | over | (tries == _BACKTRACKS)
         if np.count_nonzero(done):
             code = np.where(tries == _BACKTRACKS, 1, np.where(over, 2, 0))
             for dst, src in zip(out, (val, F, np.minimum(iters, cfg.max_iters), code)):
@@ -221,35 +231,22 @@ def _coordinate_probe_values(mat: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([diag - cross, diag + cross])
 
 
-def batch_isotropic(R: CurvatureTensor, frames: np.ndarray) -> np.ndarray:
-    """Vectorized isotropic curvature of a (B, n, 4) stack of frames, taken in
-    chunks that bound the memory of the (chunk, 2, n, n) form products."""
-    return np.concatenate([isotropic_from_columns(R.mat, frames[i:i + 128])
-                           for i in range(0, len(frames), 128)])
-
-
-def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000,
-                      seed: int = 0, batch: int = 20_000):
+def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000, seed: int = 0):
     """Brute-force oracle: min isotropic curvature over random orthonormal frames.
 
-    Returns (value, frame matrix).  Independent of the gradient path; used to
-    cross-check optimizer output signs and values.
+    The frames, the sign-fixed QR of ``default_rng(seed)`` Gaussian draws, are
+    uniform on the frame manifold (both orientations); they are drawn and scored
+    128 at a time, and the first minimum wins.  Returns (value, frame matrix).
+    Independent of the gradient path; cross-checks optimizer signs and values.
     """
     rng = np.random.default_rng(seed)
-    best = np.inf
-    best_frame = None
-    remaining = num_samples
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
-        # the sign-fixed QR is uniform on the frame manifold (covers both
-        # orientation classes)
-        q = _retract(rng.standard_normal((b, R.n, 4)))
-        vals = batch_isotropic(R, q)
+    best, best_frame = np.inf, None
+    for start in range(0, num_samples, 128):
+        q = _retract(rng.standard_normal((min(128, num_samples - start), R.n, 4)))
+        vals = isotropic_from_columns(R.mat, q)
         i = int(np.argmin(vals))
         if vals[i] < best:
-            best = float(vals[i])
-            best_frame = q[i]
+            best, best_frame = float(vals[i]), q[i]
     return best, best_frame
 
 
@@ -396,7 +393,7 @@ def _first_order(Omega: np.ndarray, Jm: np.ndarray, x: np.ndarray, W: np.ndarray
 
 
 def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
-                                x: np.ndarray, tol: float = 1e-5) -> FirstOrderReport:
+                                x: np.ndarray, tol: float = FIRST_ORDER_TOL) -> FirstOrderReport:
     """Check the first-order maximality conditions of R(X,JX,X,JX) at X.
 
     At a maximizer, R(X,JX,X,Y) = R(X,JX,X,JY) = 0 and
@@ -492,20 +489,20 @@ class BoundaryQReport:
     tol: float
 
 
-def boundary_q_check(R: CurvatureTensor, frame: FourFrame, min_iso: float,
-                     tol: float = 1e-6) -> BoundaryQReport:
+def boundary_q_check(R: CurvatureTensor, frame: FourFrame, min_iso: float) -> BoundaryQReport:
     """On a zero frame of a tensor with nonnegative isotropic curvature, the
     reaction term's isotropic value must be nonnegative as well.
 
     ``min_iso`` is the caller's certificate for min isotropic curvature of R;
     a frame away from the boundary makes the check inapplicable, not failed.
+    Every comparison is to tol = CHECK_TOL, which the report carries.
     """
     iso = float(isotropic_from_columns(R.mat, frame.matrix))
-    applicable = abs(iso) <= tol and min_iso >= -tol
+    applicable = abs(iso) <= CHECK_TOL and min_iso >= -CHECK_TOL
     q_val = float(isotropic_from_columns(qform(R).mat, frame.matrix))
-    passed = (q_val >= -tol) if applicable else None
+    passed = (q_val >= -CHECK_TOL) if applicable else None
     return BoundaryQReport(iso_value=iso, q_value=q_val, applicable=applicable,
-                           passed=passed, tol=tol)
+                           passed=passed, tol=CHECK_TOL)
 
 
 @dataclass(frozen=True)
@@ -527,9 +524,9 @@ class QKBoundReport:
     restart_stop_reasons: tuple   # of every row of the search
 
 
-def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = None,
-                     tol: float = 1e-6):
-    """Verify Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 at the maximizer.
+def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = None):
+    """Verify Q(R1)(X,JX,X,JX) <= (2m+4) R1(X,JX,X,JX)^2 + CHECK_TOL at the
+    maximizer; its first-order conditions are checked to FIRST_ORDER_TOL.
 
     ``R1s`` is one CurvatureTensor, which gives one QKBoundReport, or a
     sequence of them, which gives a list of reports in input order (``[]``
@@ -579,13 +576,13 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
     if not tensors:
         return []
     searches = _max_holomorphic_stack(np.stack([R1.mat for R1 in tensors]), T.I.matrix, cfg)
-    reports = [_qk_report(R1, T, res, hk_residual, tol)
+    reports = [_qk_report(R1, T, res, hk_residual)
                for R1, res, hk_residual in zip(tensors, searches, hk_residuals)]
     return reports[0] if single else reports
 
 
 def _qk_report(R1: CurvatureTensor, T: QuaternionTriple, res: FrameSearchResult,
-               hk_residual: float, tol: float) -> QKBoundReport:
+               hk_residual: float) -> QKBoundReport:
     """The bound and both diagnostics of ``qk_q_bound_check`` at the maximizer
     search ``res`` of R1 for I."""
     val, x = res.value, res.frame_or_vector
@@ -597,17 +594,17 @@ def _qk_report(R1: CurvatureTensor, T: QuaternionTriple, res: FrameSearchResult,
     # x, Ix, Jx, Kx are orthonormal, so JX, KX and the complement of all four
     # span the complement of span{x, Ix}
     W = _nullspace(np.array([x, ix, jx, kx]))
-    first = _first_order(Omega, A, x, np.column_stack([jx, kx, W]), tol=max(tol, 1e-5))
+    first = _first_order(Omega, A, x, np.column_stack([jx, kx, W]), FIRST_ORDER_TOL)
 
     # the paired diagnostic: B is +-lambda on the quaternionic complement of X
     vals = _restricted_bisectional(Omega, A, W)[0]
     y2_max_excess = 4.0 * float(np.max(vals * vals, initial=0.0)) - val * val
 
-    passed = q_val <= bound + tol
+    passed = q_val <= bound + CHECK_TOL
     return QKBoundReport(j_coeffs=(1.0, 0.0, 0.0),
                          max_value=val, q_value=q_val, bound=bound,
                          slack=bound - q_val, y2_max_excess=y2_max_excess,
                          first_order=first, hk_residual=hk_residual,
-                         passed=passed, tol=tol,
+                         passed=passed, tol=CHECK_TOL,
                          stop_reason=res.stop_reason, iterations=res.iterations,
                          restart_stop_reasons=tuple(res.restart_stop_reasons))

@@ -65,14 +65,14 @@ def _coord_maps(d: int):
     return _frozen(P), _frozen(Q), _frozen(w)
 
 
-def _nullspace(A: np.ndarray, cutoff: float = SV_CUTOFF) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) with cutoff relative to sigma_max."""
+def _nullspace(A: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace basis (columns) with cutoff SV_CUTOFF relative to sigma_max."""
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     # a tall system's thin vh is already square; only a wide one needs the full vh
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > cutoff * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > SV_CUTOFF * smax)) if smax > 0 else 0
     return vh[rank:].T
 
 

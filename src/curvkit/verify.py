@@ -84,8 +84,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     """
     if not 4 <= n <= 8:
         raise ValueError("suite supports 4 <= n <= 8")
-    if not seed >= 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    frames._require_numbers({"seed": seed, "samples": samples}, (("seed", 0), ("samples", 0)), ())
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
     lap = t0

@@ -7,6 +7,7 @@ vectorized paths on the 2-form basis, so agreement is meaningful.
 
 import numpy as np
 
+from curvkit import frames
 from curvkit.core import (CurvatureTensor, _bianchi_gather, num_pairs, project_bianchi,
                           project_to_curvature, qform, two_form_action)
 
@@ -266,8 +267,8 @@ def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):
 # ---------------------------------------------------------------------------
 # Serial frame-search oracles: one start at a time, per-frame QR, closures
 # over single vectors, and the engine's step rule (Barzilai-Borwein first
-# trial, halving backtrack).  Restart r draws from seed cfg.seed + r as in
-# curvkit.frames.
+# trial, halving backtrack, frames._STEP and frames._GRAD_TOL).  Restart r
+# draws from seed cfg.seed + r as in curvkit.frames.
 # ---------------------------------------------------------------------------
 
 def retract_serial(F: np.ndarray) -> np.ndarray:
@@ -278,10 +279,10 @@ def retract_serial(F: np.ndarray) -> np.ndarray:
     return q * s
 
 
-def bb_step_serial(s, y, cfg) -> float:
-    """Barzilai-Borwein step |s|^2 / |<s, y>| clipped to [1e-6, 1e3] * cfg.step,
+def bb_step_serial(s, y) -> float:
+    """Barzilai-Borwein step |s|^2 / |<s, y>| clipped to [1e-6, 1e3] * frames._STEP,
     the upper bound when <s, y> = 0."""
-    lo, hi = 1e-6 * cfg.step, 1e3 * cfg.step
+    lo, hi = 1e-6 * frames._STEP, 1e3 * frames._STEP
     sy = abs(float(np.sum(s * y)))
     return hi if sy == 0.0 else min(max(float(np.sum(s * s)) / sy, lo), hi)
 
@@ -298,7 +299,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
     F = retract_serial(np.asarray(F0, dtype=float))
     val, G = value_grad(F)
     Griem = riemannian(F, G)
-    alpha = cfg.step
+    alpha = frames._STEP
     reason = "max_iters"
     iters = 0
     for it in range(cfg.max_iters):
@@ -306,7 +307,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
         gnorm = float(np.linalg.norm(Griem))
         if on_iterate is not None:
             on_iterate(F, val, gnorm)
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= frames._GRAD_TOL:
             reason = "grad_tol"
             break
         a = alpha
@@ -322,7 +323,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
             reason = "line_search_floor"
             break
         Pnew = riemannian(Fnew, Gnew)
-        alpha = bb_step_serial(Fnew - F, Pnew - Griem, cfg)
+        alpha = bb_step_serial(Fnew - F, Pnew - Griem)
         F, val, Griem = Fnew, vnew, Pnew
     return val, F, reason, iters
 
@@ -477,10 +478,10 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
             continue
         val = objective(x, y)
         g = tangent_project(*grads(x, y), x, y)
-        alpha = cfg.step
+        alpha = frames._STEP
         for _ in range(cfg.max_iters):
             gnorm = float(np.linalg.norm(g))
-            if gnorm <= cfg.grad_tol:
+            if gnorm <= frames._GRAD_TOL:
                 break
             a, accepted = alpha, False
             for _ in range(60):
@@ -496,7 +497,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
             if not accepted:
                 break
             gn = tangent_project(*grads(xn, yn), xn, yn)
-            alpha = bb_step_serial(np.concatenate([xn - x, yn - y]), gn - g, cfg)
+            alpha = bb_step_serial(np.concatenate([xn - x, yn - y]), gn - g)
             x, y, val, g = xn, yn, vn, gn
         values.append(min(val, objective(x, polish_y(x))))
     return values

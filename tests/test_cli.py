@@ -254,6 +254,16 @@ def test_flow_assert_cone_passes(tmp_path, capsys):
     assert rep["worst_margin"] >= 0.0
 
 
+@pytest.mark.parametrize("cone", [[], ["--assert-cone"]])
+def test_flow_zero_tensor_without_t_end_exits_two(tmp_path, capsys, cone):
+    p = str(tmp_path / "zero.json")
+    main(["model", "--kind", "sphere", "--n", "4", "--param", "0", "--out", p])
+    capsys.readouterr()
+    code, out, err = run(capsys, "flow", "--in", p, *cone)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--t-end" in err
+
+
 def test_all_nan_tensor_file_exits_two(tmp_path, capsys):
     p = tmp_path / "nan.json"
     p.write_text(json.dumps({"format": "lambda2_sym_dense", "n": 4,

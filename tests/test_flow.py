@@ -203,6 +203,32 @@ def test_config_validation():
         integrate_q_flow(model_sphere(4, 1.0), FlowConfig(t_end=-2.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", float("nan")), ("t_end", float("nan")), ("t_end", 0.0), ("dt_init", float("nan")),
+    ("dt_init", float("inf")), ("blowup_guard", float("nan")), ("blowup_guard", -1.0),
+    ("rel_tol", True), ("monitor_every", 2.5), ("monitor_every", 0), ("max_steps", True),
+    ("max_steps", 2.5)])
+def test_config_rejects_bad_numbers(field, value):
+    """Counts are non-bool integers >= 1 and the times, the tolerance and the
+    guard finite positive numbers; anything else fails at construction, not
+    inside the flow (a NaN rel_tol divided by zero, a NaN t_end or dt_init
+    stopped at t = 0, a NaN guard switched the guard off)."""
+    with pytest.raises(ValueError, match=field):
+        FlowConfig(**{field: value})
+
+
+def test_zero_tensor_needs_explicit_horizon():
+    """A zero tensor never blows up, so it has no default horizon; with an
+    explicit t_end it stays at zero up to t_end."""
+    with pytest.raises(CurvatureError, match="t_end"):
+        default_horizon(zero_tensor(4))
+    with pytest.raises(CurvatureError, match="t_end"):
+        integrate_q_flow(zero_tensor(4))
+    R, trace = integrate_q_flow(zero_tensor(4), FlowConfig(t_end=0.5, optimizer=LIGHT_OPT))
+    assert R.norm() == 0.0 and np.all(trace.norm == 0.0)
+    assert trace.times[-1] == 0.5 and trace.terminated_by == "t_end"
+
+
 # ---------------------------------------------------------------------------
 # cone preservation probe
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Frame search: optimizer behavior, analytic gradients, structured checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, ev
                           rotate_triple, standard_complex_structure, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _coordinate_probe_frames,
-                            _coordinate_probe_values, _iso_value_grad, _retract, batch_isotropic,
+                            _coordinate_probe_values, _iso_value_grad, _retract,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -22,19 +24,20 @@ from helpers import (iso_table, min_isotropic_n4, qk_joint_search_serial, qk_pai
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=-1.0)
+
+
+def test_config_fields():
+    """The step and the gradient tolerance are the engine's constants, not settings."""
+    names = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    assert names == ["restarts", "max_iters", "seed"]
 
 
 @pytest.mark.parametrize("field, value", [
     ("restarts", 2.5), ("restarts", True), ("restarts", "3"), ("max_iters", 2.5),
-    ("max_iters", 0), ("max_iters", False), ("grad_tol", float("nan")),
-    ("grad_tol", float("inf")), ("grad_tol", True), ("step", float("nan")),
-    ("step", float("inf")), ("step", 0.0), ("step", "0.1")])
+    ("max_iters", 0), ("max_iters", False)])
 def test_config_rejects_bad_numbers(field, value):
-    """restarts and max_iters are non-bool integers >= 1, grad_tol and step
-    finite positive numbers; anything else fails at construction, not later
-    inside a search (a float count) or never (a NaN tolerance stops nothing)."""
+    """restarts and max_iters are non-bool integers >= 1; anything else fails
+    at construction, not later inside a search (a float count)."""
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: value})
 
@@ -83,14 +86,14 @@ def test_probe_set_dominance(light_cfg):
     for seed in (42, 43):
         R = random_curvature(6, seed=seed)
         res = min_isotropic(R, light_cfg)
-        probe_vals = batch_isotropic(R, _coordinate_probe_frames(6))
+        probe_vals = isotropic_from_columns(R.mat, _coordinate_probe_frames(6))
         assert res.value <= np.min(probe_vals) + 1e-10
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
 def test_probe_values_read_off_coefficients(n):
     R = random_curvature(n, seed=1000 + n)
-    expected = batch_isotropic(R, _coordinate_probe_frames(n))
+    expected = isotropic_from_columns(R.mat, _coordinate_probe_frames(n))
     got = _coordinate_probe_values(R.mat, n)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
@@ -120,15 +123,25 @@ def test_oracle_deterministic():
     np.testing.assert_array_equal(f1, f2)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_oracle_is_argmin_of_one_stream(seed):
+    """The oracle scores the frames of one default_rng(seed) stream, however it
+    chunks them, and reports the first minimum, value and frame."""
+    R = random_curvature(6, seed=49)
+    q = _retract(np.random.default_rng(seed).standard_normal((300, 6, 4)))
+    vals = isotropic_from_columns(R.mat, q)
+    value, frame = sample_frames_min(R, num_samples=300, seed=seed)
+    assert value == vals.min()
+    np.testing.assert_array_equal(frame, q[np.argmin(vals)])
+
+
 def test_batch_isotropic_matches_scalar_path():
     R = random_curvature(6, seed=48)
     rng = np.random.default_rng(48)
     frames = np.linalg.qr(rng.standard_normal((7, 6, 4)))[0]
-    vals = batch_isotropic(R, frames)
     stacked = isotropic_from_columns(R.mat, frames)
     assert stacked.shape == (7,)
     for b in range(7):
-        assert np.isclose(vals[b], iso_table(R, frames[b]))
         assert np.isclose(stacked[b], iso_table(R, frames[b]))
 
 

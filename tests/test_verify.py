@@ -64,5 +64,9 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
 
 
 def test_suite_rejects_negative_seed_at_entry():
-    with pytest.raises(ValueError, match="seed"):
-        verify.run_verification_suite(n=4, seed=-1, samples=0)
+    """A seed or sample count that is negative, a bool or not an integer fails
+    at entry, naming the field, not deep in numpy or as a suite of skips."""
+    for field, value in (("seed", -1), ("seed", 1.5), ("seed", True), ("samples", 2.5),
+                         ("samples", -3), ("samples", False)):
+        with pytest.raises(ValueError, match=field):
+            verify.run_verification_suite(**{"n": 4, "seed": 0, "samples": 0, field: value})
