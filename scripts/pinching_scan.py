@@ -12,7 +12,7 @@ import sys
 from curvkit import model_r0
 from curvkit.core import (model_fubini_study, model_sphere,
                           standard_quaternion_triple)
-from curvkit.frames import OptimizerConfig, min_isotropic
+from curvkit.frames import OptimizerConfig, _pinching_from_iso, min_isotropic
 
 
 def endpoint(kind: str, n: int):
@@ -46,8 +46,9 @@ def main(argv=None) -> int:
         t = k / (args.steps - 1) if args.steps > 1 else 0.0
         R = (1.0 - t) * sphere + t * M
         res = min_isotropic(R, cfg)
-        rows.append((t, res.value, res.value / 4.0))
-        print(f"{t:6.3f} {res.value:12.8f} {res.value / 4.0:12.8f}")
+        pinching = _pinching_from_iso(res.value)
+        rows.append((t, res.value, pinching))
+        print(f"{t:6.3f} {res.value:12.8f} {pinching:12.8f}")
 
     if args.out_csv:
         with open(args.out_csv, "w", newline="") as fh:

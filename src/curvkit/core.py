@@ -116,26 +116,6 @@ def _pair_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _swap_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into the N x N matrix M, and signs, reading the n^2 x n^2
-    matrix X[(i,k),(p,q)] = R_ipkq = sign(i,p) sign(k,q) M[pos(i,p), pos(k,q)]."""
-    pos, sign = _pair_positions(n)
-    N = num_pairs(n)
-    # axes (i, k, p, q)
-    idx = pos[:, None, :, None] * N + pos[None, :, None, :]
-    sgn = sign[:, None, :, None] * sign[None, :, None, :]
-    return _frozen(idx.reshape(n * n, n * n)), _frozen(sgn.reshape(n * n, n * n))
-
-
-def _swap_table(mat: np.ndarray, n: int) -> np.ndarray:
-    """The n^2 x n^2 matrix X[(i,k),(p,q)] = R_ipkq of the coefficients mat."""
-    idx, sgn = _swap_gather(n)
-    X = np.take(mat, idx)
-    X *= sgn
-    return X
-
-
-@lru_cache(maxsize=None)
 def _sym_block_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into M, and coefficients, of the two terms (axis 0) of
     V[{ik},{pq}] = sqrt(w_pq/2) (R_ipkq + R_kpiq), i <= k, p <= q, with
@@ -153,7 +133,7 @@ def _sym_block_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sym_block(mat: np.ndarray, n: int) -> np.ndarray:
     """The K x K matrix V = Sigma sqrt(W/2) of the coefficients mat, where Sigma
-    is the swap table X on Sym^2 and W = diag(w): V V'^T = Sigma W Sigma'/2."""
+    is the block of X on Sym^2 and W = diag(w): V V'^T = Sigma W Sigma'/2."""
     idx, coef = _sym_block_gather(n)
     t = mat.take(idx)
     t *= coef
@@ -360,8 +340,11 @@ class CurvatureTensor:
     @property
     def rank4(self) -> np.ndarray:
         """Full (n,n,n,n) table R_{ijkl}, expanded from ``mat`` on every access."""
-        n = self.n
-        return _swap_table(self.mat, n).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        pos, sign = _pair_positions(self.n)
+        T = self.mat[pos[:, :, None, None], pos]
+        T *= sign[:, :, None, None]
+        T *= sign
+        return T
 
     def norm(self) -> float:
         """Frobenius norm of the rank-4 table (= 2 |mat|_F)."""
@@ -463,9 +446,12 @@ def curvature_map(R: CurvatureTensor, z, w) -> np.ndarray:
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
     """Ricci contraction Ric_{jl} = sum_i R_{ijil}; identity * (n-1) on the sphere model."""
-    n = R.n
-    idx, sgn = _swap_gather(n)
-    return (np.take(R.mat, idx[::n + 1]) * sgn[::n + 1]).sum(axis=0).reshape(n, n)
+    pos, sign = _pair_positions(R.n)
+    # R_ijil = s(i,j) s(i,l) M[pos(i,j), pos(i,l)], summed over i
+    G = R.mat[pos[:, :, None], pos[:, None, :]]
+    G *= sign[:, :, None]
+    G *= sign[:, None, :]
+    return G.sum(axis=0)
 
 
 def scalar_curvature(R: CurvatureTensor) -> float:

@@ -15,9 +15,6 @@ from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _stored, pro
                    qform, scalar_curvature)
 from .frames import OptimizerConfig, _require_numbers, min_isotropic
 
-# the monitoring searches' optimizer when FlowConfig.optimizer is None
-_MONITOR_OPTIMIZER = OptimizerConfig(restarts=4, max_iters=300)
-
 
 class FlowError(RuntimeError):
     """Raised when the integrator cannot continue (step underflow)."""
@@ -31,12 +28,15 @@ class FlowConfig:
     monitor_every: int = 10          # accepted steps between trace records
     blowup_guard: float = 1e3        # stop once ||R|| exceeds guard * max(1, ||R0||)
     max_steps: int = 50_000
-    optimizer: OptimizerConfig | None = None   # monitoring searches; light default
+    # the monitoring searches, lighter than a standalone search
+    optimizer: OptimizerConfig = OptimizerConfig(restarts=4, max_iters=300)
 
     def __post_init__(self):
         times = ("dt_init",) if self.t_end is None else ("dt_init", "t_end")
         _require_numbers(vars(self), (("monitor_every", 1), ("max_steps", 1)),
                          times + ("rel_tol", "blowup_guard"))
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise ValueError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
 
 
 @dataclass
@@ -114,7 +114,6 @@ def integrate_q_flow(R0: CurvatureTensor,
     """
     cfg = cfg or FlowConfig()
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
-    opt = cfg.optimizer or _MONITOR_OPTIMIZER
 
     R = _project(R0)
     norm0 = max(1.0, R.norm())
@@ -124,7 +123,7 @@ def integrate_q_flow(R0: CurvatureTensor,
 
     def record(t, Rt):
         nonlocal warm
-        res = min_isotropic(Rt, opt,
+        res = min_isotropic(Rt, cfg.optimizer,
                             init_frames=None if warm is None else [warm])
         warm = res.frame_or_vector
         times.append(t)
@@ -199,8 +198,7 @@ def cone_preservation_probe(R0: CurvatureTensor,
     min_iso >= -1e-6 (1 + ||R||) at every monitoring time.
     """
     cfg = cfg or FlowConfig()
-    opt = cfg.optimizer or _MONITOR_OPTIMIZER
-    initial = min_isotropic(R0, opt).value
+    initial = min_isotropic(R0, cfg.optimizer).value
     if initial < -1e-8 * max(1.0, R0.norm()):
         raise ValueError(f"initial tensor outside the cone: min iso {initial:.3e}")
     _, trace = integrate_q_flow(R0, cfg)

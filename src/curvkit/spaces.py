@@ -10,13 +10,14 @@ of h, M = U S U^T, and the symmetric d x d matrix S is parametrized by its
 weighted upper triangle (so that the Euclidean inner product of coordinates
 equals the Frobenius inner product of rank-4 tables).  An orthonormal basis
 of the nullspace of the Bianchi rows on these d(d+1)/2 unknowns is read off
-a singular value decomposition with an explicit relative cutoff.
+a singular value decomposition with an explicit relative cutoff.  The
+dimensions have closed forms, n^2(n^2-1)/12 (generic), (m(m+1)/2)^2 (Kahler,
+n = 2m) and C(2m+3, 4) (hyper-Kahler, n = 4m), which the verification suite
+and the tests compare against; no table of dimensions is stored.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff for rank decisions
 MAX_BASIS_N = 10        # dense basis construction is capped here
-
-_FIXTURES = Path(__file__).parent / "fixtures" / "subspace_dims.json"
 
 
 @dataclass(frozen=True)
@@ -187,18 +186,3 @@ def qk_decompose(R: CurvatureTensor, T: QuaternionTriple) -> QKDecomposition:
     return QKDecomposition(r1=r1, kappa=float(kappa),
                            residual=invariance_defect(r1, T.matrices))
 
-
-# ---------------------------------------------------------------------------
-# Frozen dimension fixtures
-# ---------------------------------------------------------------------------
-
-def load_fixtures() -> list[dict]:
-    with open(_FIXTURES) as fh:
-        return json.load(fh)
-
-
-def fixture_dimension(n: int, label: str) -> int:
-    for row in load_fixtures():
-        if row["n"] == n and row["label"] == label:
-            return row["dimension"]
-    raise KeyError(f"no frozen dimension for n={n}, label={label}")

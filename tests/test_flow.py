@@ -207,12 +207,13 @@ def test_config_validation():
     ("rel_tol", float("nan")), ("t_end", float("nan")), ("t_end", 0.0), ("dt_init", float("nan")),
     ("dt_init", float("inf")), ("blowup_guard", float("nan")), ("blowup_guard", -1.0),
     ("rel_tol", True), ("monitor_every", 2.5), ("monitor_every", 0), ("max_steps", True),
-    ("max_steps", 2.5)])
+    ("max_steps", 2.5), ("optimizer", 3), ("optimizer", None)])
 def test_config_rejects_bad_numbers(field, value):
-    """Counts are non-bool integers >= 1 and the times, the tolerance and the
-    guard finite positive numbers; anything else fails at construction, not
-    inside the flow (a NaN rel_tol divided by zero, a NaN t_end or dt_init
-    stopped at t = 0, a NaN guard switched the guard off)."""
+    """Counts are non-bool integers >= 1, the times, the tolerance and the
+    guard finite positive numbers, and the optimizer an OptimizerConfig;
+    anything else fails at construction, not inside the flow (a NaN rel_tol
+    divided by zero, a NaN t_end or dt_init stopped at t = 0, a NaN guard
+    switched the guard off, an int optimizer had no restarts)."""
     with pytest.raises(ValueError, match=field):
         FlowConfig(**{field: value})
 

@@ -8,8 +8,7 @@ import pytest
 from curvkit.core import (ComplexStructure, QuaternionTriple, model_sphere, pair_indices,
                           ricci, standard_complex_structure, standard_quaternion_triple)
 from curvkit.spaces import (_fixed_two_forms, _holonomy_space, constraint_violation,
-                            curvature_space_basis, fixture_dimension,
-                            hyperkahler_subspace, kahler_subspace, load_fixtures,
+                            curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             project_onto, qk_decompose, sample)
 
 from helpers import generic_dimension_bruteforce, random_curvature, stacked_rows_basis
@@ -25,25 +24,6 @@ def test_generic_dimension_closed_form(n):
 def test_generic_dimension_bruteforce_oracle(n):
     """Full n^4 coordinate system agrees with the pair-basis machinery."""
     assert generic_dimension_bruteforce(n) == curvature_space_basis(n).dimension
-
-
-def test_frozen_fixture_dimensions():
-    for row in load_fixtures():
-        label, n = row["label"], row["n"]
-        if label == "generic":
-            space = curvature_space_basis(n)
-        elif label == "kahler":
-            space = kahler_subspace(standard_complex_structure(n))
-        else:
-            from curvkit.core import standard_quaternion_triple
-            space = hyperkahler_subspace(standard_quaternion_triple(n))
-        assert space.dimension == row["dimension"], (label, n)
-
-
-def test_fixture_lookup():
-    assert fixture_dimension(8, "hyperkahler") == 35
-    with pytest.raises(KeyError):
-        fixture_dimension(9, "generic")
 
 
 def test_basis_orthonormal(hk8):

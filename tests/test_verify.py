@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from curvkit import verify
+from curvkit.spaces import CurvatureSubspace
 
 
 def test_suite_builds_each_space_once_and_q_of_shift_once(monkeypatch):
@@ -64,9 +65,31 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
 
 
 def test_suite_rejects_negative_seed_at_entry():
-    """A seed or sample count that is negative, a bool or not an integer fails
-    at entry, naming the field, not deep in numpy or as a suite of skips."""
+    """A seed or sample count that is negative, a bool or not an integer, or an
+    n that is not an integer in 4..8, fails at entry, naming the field, not
+    deep in numpy or as a suite of skips."""
     for field, value in (("seed", -1), ("seed", 1.5), ("seed", True), ("samples", 2.5),
-                         ("samples", -3), ("samples", False)):
+                         ("samples", -3), ("samples", False), ("n", 5.0), ("n", True),
+                         ("n", 3), ("n", 9)):
         with pytest.raises(ValueError, match=field):
             verify.run_verification_suite(**{"n": 4, "seed": 0, "samples": 0, field: value})
+
+
+def test_dimension_check_compares_with_the_closed_forms(monkeypatch):
+    """A space that loses a basis element fails the dimension check, which
+    names the closed form it missed; untouched, the suite passes at n = 4..8."""
+    for n in range(4, 9):
+        assert verify.run_verification_suite(n=n, samples=1).passed
+
+    def short(J):
+        space = kahler_subspace(J)
+        return CurvatureSubspace(space.n, space.label, space.stacked[1:], space.structures)
+
+    kahler_subspace = verify.kahler_subspace
+    monkeypatch.setattr(verify, "kahler_subspace", short)
+    for n, closed in ((4, 9), (6, 36), (8, 100)):
+        checks = {c.check_id: c for c in verify.run_verification_suite(n=n, samples=1).checks}
+        dims = checks["subspace-dimensions"]
+        assert dims.status == "fail" and dims.measured == 1.0
+        assert f"kahler:{closed - 1}(closed form {closed})" in dims.detail
+        assert [c for c in checks.values() if c.status == "fail"] == [dims]
