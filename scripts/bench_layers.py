@@ -6,17 +6,21 @@ table, and the frame layers on the same tensor: the batched isotropic value
 and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
 stack of FRAMES frames, the isotropic value `isotropic_from_columns` of one
 frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
-seed 0, whose total descent iterations and the count of its rows per stop
-reason (`grad_tol`, `line_search_floor`, `max_iters`) are reported beside
-its time, and a whole `min_orthogonal_bisectional` search (standard J, the
-same restarts and seed), whose total descent iterations are reported beside
-its time.  The subspace constructors are timed at their own sizes:
+seed 0, whose total descent iterations, stack passes and the count of its
+rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`) are
+reported beside its time, and a whole `min_orthogonal_bisectional` search
+(standard J, the same restarts and seed), whose total descent iterations
+and stack passes are reported beside its time.  A stack pass is one
+value-and-gradient call on a search's descent stack; a stack runs as long as
+its slowest row, so passes, not iterations, are the work of a search.  The
+subspace constructors are timed at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
 `hyperkahler_subspace` (standard triple) at n = 8, and `qk_q_bound_check` at
 n = 8 on QK_SAMPLES hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as
 in the verify suite), twice: one call per sample (`qk_q_bound_check`) and
 one call on the whole list, whose searches run as one descent stack
-(`qk_q_bound_check_batched`), each timed by one pass divided by QK_SAMPLES;
+(`qk_q_bound_check_batched`, whose stack passes are reported), each timed by
+one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
 samples, at its maximizer for I.  Every other time is the mean of
 back-to-back calls (CALLS, or SEARCH_CALLS for the searches and the
@@ -39,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+import curvkit.frames  # noqa: E402
 from curvkit.core import (bform, isotropic_from_columns, project_to_curvature,  # noqa: E402
                           qform, standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import rk4_step  # noqa: E402
@@ -73,6 +78,26 @@ def timed(fn, calls: int = CALLS, per: int = 1) -> dict:
             "q3": round(q3, 2)}
 
 
+def stack_passes(search) -> int:
+    """Value-and-gradient calls of the descents that one call of ``search`` runs."""
+    passes = 0
+    descend = curvkit.frames._descend
+
+    def counting(value_grad, F0, cfg, on_iterate=None):
+        def counted(F, rows):
+            nonlocal passes
+            passes += 1
+            return value_grad(F, rows)
+        return descend(counted, F0, cfg, on_iterate)
+
+    curvkit.frames._descend = counting
+    try:
+        search()
+    finally:
+        curvkit.frames._descend = descend
+    return passes
+
+
 def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
@@ -82,6 +107,7 @@ def main() -> int:
              "qk_q_bound_check_batched", "maximizer_first_order_check")
     layers = {name: {} for name in names}
     iterations, stop_reasons, bis_iterations = {}, {}, {}
+    passes, bis_passes = {}, {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
     for n in SIZES:
         table, other = (rng.standard_normal((n, n, n, n)) for _ in range(2))
@@ -108,6 +134,8 @@ def main() -> int:
         iterations[str(n)] = sum(res.restart_iterations)
         stop_reasons[str(n)] = {r: res.restart_stop_reasons.count(r) for r in STOP_REASONS}
         bis_iterations[str(n)] = sum(min_orthogonal_bisectional(R, J, cfg).restart_iterations)
+        passes[str(n)] = stack_passes(lambda: min_isotropic(R, cfg))
+        bis_passes[str(n)] = stack_passes(lambda: min_orthogonal_bisectional(R, J, cfg))
     for n in SPACE_SIZES:
         J = standard_complex_structure(n)
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
@@ -122,14 +150,18 @@ def main() -> int:
         lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1, QK_SAMPLES)
     layers["qk_q_bound_check_batched"]["8"] = timed(
         lambda: qk_q_bound_check(tensors, T, qk_cfg), 1, QK_SAMPLES)
+    qk_passes = stack_passes(lambda: qk_q_bound_check(tensors, T, qk_cfg))
     x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
     layers["maximizer_first_order_check"]["8"] = timed(
         lambda: maximizer_first_order_check(tensors[0], T.I, x))
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "min_isotropic_iterations": iterations,
+                      "min_isotropic_passes": passes,
                       "min_isotropic_stop_reasons": stop_reasons,
-                      "min_orthogonal_bisectional_iterations": bis_iterations, "repeats": REPEATS,
+                      "min_orthogonal_bisectional_iterations": bis_iterations,
+                      "min_orthogonal_bisectional_passes": bis_passes,
+                      "qk_q_bound_check_batched_passes": qk_passes, "repeats": REPEATS,
                       "calls": CALLS, "search_calls": SEARCH_CALLS, "frames": FRAMES,
                       "qk_samples": QK_SAMPLES, "seed": SEED, "numpy": np.__version__,
                       "python": sys.version.split()[0], "cpus": os.cpu_count()}))

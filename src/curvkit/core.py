@@ -131,13 +131,20 @@ def _sym_block_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(idx), _frozen(coef)
 
 
+def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The entries of an N x N matrix at the flat indices idx, shaped as idx;
+    of a (..., N, N) stack, shaped (..., *idx.shape)."""
+    return mat.reshape(mat.shape[:-2] + (-1,)).take(idx, axis=-1)
+
+
 def _sym_block(mat: np.ndarray, n: int) -> np.ndarray:
     """The K x K matrix V = Sigma sqrt(W/2) of the coefficients mat, where Sigma
-    is the block of X on Sym^2 and W = diag(w): V V'^T = Sigma W Sigma'/2."""
+    is the block of X on Sym^2 and W = diag(w): V V'^T = Sigma W Sigma'/2.
+    A (..., N, N) stack gives a (..., K, K) stack."""
     idx, coef = _sym_block_gather(n)
-    t = mat.take(idx)
+    t = _gather(mat, idx)
     t *= coef
-    return t[0] + t[1]
+    return t[..., 0, :, :] + t[..., 1, :, :]
 
 
 @lru_cache(maxsize=None)
@@ -166,17 +173,18 @@ def _reaction_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _reaction_mat(P: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
     """N x N matrix P[ij,kl] + H[{ik},{jl}] - H[{il},{jk}]
     + 1/2 s(i,k) s(j,l) P[ik,jl] - 1/2 s(i,l) s(j,k) P[il,jk] of a symmetric
-    N x N matrix P on 2-forms and a symmetric K x K matrix H on Sym^2.  It is
-    exactly symmetric: entry (kl, ij) sums the same five values as (ij, kl),
-    in the same order."""
+    N x N matrix P on 2-forms and a symmetric K x K matrix H on Sym^2, or of
+    matching (..., N, N) and (..., K, K) stacks of them.  It is exactly
+    symmetric: entry (kl, ij) sums the same five values as (ij, kl), in the
+    same order."""
     sym, anti, coef = _reaction_gather(n)
-    h = H.take(sym)
-    a = P.take(anti)
+    h = _gather(H, sym)
+    a = _gather(P, anti)
     a *= coef
-    mat = P + h[0]
-    mat -= h[1]
-    mat += a[0]
-    mat += a[1]
+    mat = P + h[..., 0, :, :]
+    mat -= h[..., 1, :, :]
+    mat += a[..., 0, :, :]
+    mat += a[..., 1, :, :]
     return mat
 
 
@@ -209,10 +217,11 @@ _BIANCHI_SIGNS = np.array([1.0, -1.0, 1.0])[:, None]
 
 def bianchi_sums(mat: np.ndarray, n: int) -> np.ndarray:
     """Cyclic sums b = M[ij,kl] - M[ik,jl] + M[il,jk] = R_ijkl + R_jkil + R_kijl,
-    one per quadruple i<j<k<l; the cyclic sum vanishes on repeated indices."""
-    e = mat.take(_bianchi_gather(n)[0])
-    b = e[0] - e[1]
-    b += e[2]
+    one per quadruple i<j<k<l (last axis; a stack of matrices gives a stack
+    of sums); the cyclic sum vanishes on repeated indices."""
+    e = _gather(mat, _bianchi_gather(n)[0])
+    b = e[..., 0, :] - e[..., 1, :]
+    b += e[..., 2, :]
     return b
 
 
@@ -247,8 +256,23 @@ def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
                      scale: float = 1.0) -> None:
     """CurvatureError unless the Bianchi defect of mat is at most
     tol * max(1, |mat|_max, scale); NonFiniteError unless both are finite."""
-    defect = bianchi_defect(mat, n)
-    ref = float(abs(mat).max(initial=max(1.0, scale)))
+    _bianchi_verdict(bianchi_defect(mat, n), float(abs(mat).max(initial=max(1.0, scale))),
+                     what, tol)
+
+
+def _require_bianchi_stack(mats: np.ndarray, n: int, what: str, tol: float,
+                           scales=1.0) -> None:
+    """:func:`_require_bianchi` of each matrix t of a (T, N, N) stack, against
+    its own scale ``scales[t]`` (or one scalar for all); the error of the
+    first that fails names its index t."""
+    defects = abs(bianchi_sums(mats, n)).max(axis=-1, initial=0.0)
+    refs = np.maximum(abs(mats).max(axis=(1, 2), initial=1.0), scales)
+    for t, (defect, ref) in enumerate(zip(defects, refs)):
+        _bianchi_verdict(float(defect), float(ref), f"{what} {t}", tol)
+
+
+def _bianchi_verdict(defect: float, ref: float, what: str, tol: float) -> None:
+    """The errors of :func:`_require_bianchi` for a defect and its scale ref."""
     if not ref < np.inf:
         raise NonFiniteError(f"{what} is not finite: Bianchi defect {defect:.3e}, "
                              f"scale {ref:.3e}")
@@ -534,6 +558,28 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
     A = R.mat @ S.mat
     mat = _reaction_mat(A + A.T, H, n)
     return _checked(mat, n, "reaction term", REACTION_TOL, scale)
+
+
+def _bform_stack(mats: np.ndarray, S: CurvatureTensor) -> np.ndarray:
+    """B(R_t, S) of every coefficient matrix R_t of a (T, N, N) stack, as a
+    (T, N, N) stack: :func:`bform`'s arithmetic with one gather and one
+    batched product for the whole stack.  Each R_t, S and each output pass
+    :func:`bform`'s checks, each against its own scale; the first failure
+    raises :class:`CurvatureError` (NonFiniteError for a non-finite one)."""
+    n = S.n
+    if mats.ndim != 3 or mats.shape[1:] != S.mat.shape:
+        raise CurvatureError(f"expected a (T, {len(S.mat)}, {len(S.mat)}) stack, "
+                             f"got shape {mats.shape}")
+    _require_bianchi_stack(mats, n, "reaction input", CONSTRUCTION_TOL)
+    _require_bianchi(S.mat, n, "reaction input", CONSTRUCTION_TOL)
+    H = _sym_block(mats, n) @ _sym_block(S.mat, n).T
+    H += np.swapaxes(H, 1, 2)
+    H *= 0.5
+    A = mats @ S.mat
+    out = _reaction_mat(A + np.swapaxes(A, 1, 2), H, n)
+    scales = 2.0 * np.linalg.norm(mats, axis=(1, 2)) * S.norm()
+    _require_bianchi_stack(out, n, "reaction term", REACTION_TOL, scales)
+    return out
 
 
 def qform(R: CurvatureTensor) -> CurvatureTensor:

@@ -6,8 +6,10 @@ J-frames (X, JX, Y, JY) of the bisectional search, k = 1 for unit vectors;
 Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
 gradient, tangent projection G - F sym(F^T G), QR retraction with
 positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
-trial step and a monotone Armijo backtrack (Barzilai-Borwein 1988; Wen-Yin
-2013 use BB steps on the Stiefel manifold), multistart.  One engine,
+trial step and a backtrack that accepts on Armijo decrease, or on the
+approximate Wolfe slope test where roundoff ties the values (Barzilai-Borwein
+1988; Wen-Yin 2013 use BB steps on the Stiefel manifold; Hager-Zhang 2005),
+multistart, on tensors scaled to |M|_max = 1.  One engine,
 ``_descend``, runs all starts of a search as one (B, n, k) stack, each row
 with its own step size.  Results say why the best restart stopped
 (``stop_reason``) and how long each restart ran; they report values, and
@@ -74,6 +76,8 @@ FIRST_ORDER_TOL = 1e-5  # of the first-order conditions at a holomorphic maximiz
 _STEP = 0.1             # first trial step; BB steps are clipped to [1e-6, 1e3] * _STEP
 _GRAD_TOL = 1e-8        # a row stops once its projected gradient norm is at most this
 _ARMIJO = 1e-4          # sufficient-decrease constant
+_WOLFE = 0.9            # curvature constant of the slope test on flat trials
+_FLAT = 16 * np.finfo(float).eps   # values this close, relative to max(1, |val|), tie
 _BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
 
 
@@ -105,10 +109,19 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     row's first trial after an accepted step is the BB step |s|^2 / |<s, y>|,
     with s the accepted move and y the change of the projected gradient,
     clipped to [1e-6, 1e3] * _STEP (the upper bound when <s, y> = 0; the
-    first trial is _STEP); a rejected trial halves the step (monotone Armijo
-    backtrack).  A row leaves the stack at projected gradient norm <= _GRAD_TOL
-    (``grad_tol``), after 60 halvings without a decrease (``line_search_floor``)
-    or after ``cfg.max_iters``.
+    first trial is _STEP); a rejected trial halves the step.  A trial with
+    value vt, move s and projected gradient Pt is accepted on value, by a
+    strict Armijo decrease vt < val, vt <= val - _ARMIJO a |P|^2, or, when
+    |vt - val| <= _FLAT max(1, |val|) and roundoff hides any decrease, on
+    slope, by Hager and Zhang's approximate Wolfe test (SIAM J. Optim. 16,
+    2005) with delta = _ARMIJO and sigma = _WOLFE:
+    <P, s> < 0 and sigma <P, s> <= <Pt, s> <= (1 - 2 delta) |<P, s>|.  The
+    lower bound rejects steps too short to change the slope, such as steps
+    along an ascent direction.  A row leaves the stack at projected gradient
+    norm <= _GRAD_TOL (``grad_tol``), after 60 rejected halvings
+    (``line_search_floor``) or after ``cfg.max_iters``.  The step and the
+    tolerances are absolute: the searches normalize their tensors first
+    (``_unit_scale``).
     ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
     active row at the start of each of its iterations.
 
@@ -143,12 +156,14 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
                 x[~done] for x in (F, val, P, g2, a, tries, iters, rows))
         Ft = _retract(F - a[:, None, None] * P)
         vt, Gt = value_grad(Ft, rows)
-        # a trial must decrease the value: at the floor, where the Armijo
-        # margin is below roundoff, a step that moves nothing is no progress
-        ok = (vt < val) & (vt <= val - _ARMIJO * a * g2)
         Pt = _stiefel_tangent(Ft, Gt)
-        # BB step of the accepted rows; a rejected row has no step
         s, y = Ft - F, Pt - P
+        # on value (strict Armijo), or on slope where the values tie to roundoff
+        flat = np.abs(vt - val) <= _FLAT * np.maximum(1.0, np.abs(val))
+        sp, spt = np.einsum("bij,bij->b", s, P), np.einsum("bij,bij->b", s, Pt)
+        wolfe = (sp < 0) & (_WOLFE * sp <= spt) & (spt <= (2 * _ARMIJO - 1) * sp)
+        ok = ((vt < val) & (vt <= val - _ARMIJO * a * g2)) | (flat & wolfe)
+        # BB step of the accepted rows; a rejected row has no step
         sy = np.abs(np.einsum("bij,bij->b", s, y))
         bb = np.divide(np.einsum("bij,bij->b", s, s), sy, out=np.full(len(sy), hi),
                        where=sy > 0)
@@ -160,6 +175,14 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
         iters += ok
     values, frames, iterations, codes = out
     return values, frames, iterations, np.array(STOP_REASONS)[codes]
+
+
+def _unit_scale(mats: np.ndarray) -> np.ndarray:
+    """|M|_max of each matrix of a (..., N, N) stack, 1 for a zero matrix.
+    The searches run on M / s, whose step and tolerances are absolute, and
+    report values times s: exact for s a power of two."""
+    s = np.abs(mats).max(axis=(-2, -1))
+    return np.where(s > 0, s, 1.0)
 
 
 def _random_starts(cfg: OptimizerConfig, n: int, k: int) -> np.ndarray:
@@ -259,25 +282,29 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     probe set of axis-aligned frames guards the reported value: if a probe
     beats the best restart, descent is re-run from that probe.
     ``on_iterate(F, val, gnorm)`` sees every iteration of every restart.
+    The search runs on M / s (``_unit_scale``) and scales back.
     """
     cfg = cfg or OptimizerConfig()
     n = R.n
-    value_grad = _iso_value_grad(R.mat, n)
+    s = float(_unit_scale(R.mat))
+    mat = R.mat / s
+    value_grad = _iso_value_grad(mat, n)
+    seen = None if on_iterate is None else lambda F, v, g: on_iterate(F, s * v, s * g)
 
     warm = [(F.matrix if isinstance(F, FourFrame) else np.asarray(F, dtype=float))[None]
             for F in (init_frames or [])]
     starts = np.concatenate(warm + [_random_starts(cfg, n, 4)])
-    values, frames, iterations, reasons = _descend(value_grad, starts, cfg, on_iterate)
+    values, frames, iterations, reasons = _descend(value_grad, starts, cfg, seen)
 
-    probe_vals = _coordinate_probe_values(R.mat, n)
+    probe_vals = _coordinate_probe_values(mat, n)
     i = int(np.argmin(probe_vals))
     if probe_vals[i] < values.min() - 1e-12:
-        v, f, it, rs = _descend(value_grad, _coordinate_probe_frames(n)[i:i + 1], cfg, on_iterate)
+        v, f, it, rs = _descend(value_grad, _coordinate_probe_frames(n)[i:i + 1], cfg, seen)
         values, frames = np.concatenate([values, v]), np.concatenate([frames, f])
         iterations, reasons = np.concatenate([iterations, it]), np.concatenate([reasons, rs])
 
     k = int(np.argmin(values))
-    return _search_result(values, frames, iterations, reasons, k, FourFrame(frames[k]))
+    return _search_result(s * values, frames, iterations, reasons, k, FourFrame(frames[k]))
 
 
 def _pinching_from_iso(min_iso: float) -> float:
@@ -337,16 +364,20 @@ def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
                            cfg: OptimizerConfig) -> list[FrameSearchResult]:
     """``max_holomorphic_sectional`` of every tensor of a (T, N, N) stack: the
     T * cfg.restarts ascents run as one ``_descend`` stack, each tensor from
-    the same seeded starts, and each result is the best of its own rows."""
+    the same seeded starts, and each result is the best of its own rows.
+    Each tensor is searched as M / s (``_unit_scale``) and scaled back."""
     r = cfg.restarts
+    s = _unit_scale(mats)
     starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
-    negvals, X, iterations, reasons = _descend(_hol_value_grad(mats, Jm, r), starts, cfg)
+    negvals, X, iterations, reasons = _descend(_hol_value_grad(mats / s[:, None, None], Jm, r),
+                                               starts, cfg)
     results = []
     for t in range(len(mats)):
         own = slice(t * r, (t + 1) * r)
         k = int(np.argmin(negvals[own]))
         x = X[own, :, 0]
-        results.append(_search_result(-negvals[own], x, iterations[own], reasons[own], k, x[k]))
+        results.append(_search_result(-s[t] * negvals[own], x, iterations[own], reasons[own],
+                                      k, x[k]))
     return results
 
 
@@ -445,12 +476,15 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     with y' the complex Gram-Schmidt of y.  Each restart ends with an exact
     minimization over Y at its final X.  ``restart_frames`` holds the (X, Y)
     columns; the frame is (X, JX, Y, JY).  No such Y exists for n < 4
-    (CurvatureError).
+    (CurvatureError).  The search runs on M / s (``_unit_scale``) and scales
+    back.
     """
     cfg = cfg or OptimizerConfig()
     n, Jm = R.n, J.matrix
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
+    s = float(_unit_scale(R.mat))
+    R = CurvatureTensor(n, R.mat / s)
     value_grad = _bisectional_value_grad(R.mat, Jm)
 
     def j_frames(x, y):                     # rows x, y (B, n) -> J-frames (B, n, 4)
@@ -470,7 +504,7 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
 
     k = int(np.argmin(values))
     x, y = frames[k].T
-    return _search_result(values, frames, iterations, reasons, k,
+    return _search_result(s * values, frames, iterations, reasons, k,
                           FourFrame.from_vectors(x, Jm @ x, y, Jm @ y))
 
 

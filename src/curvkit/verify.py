@@ -11,7 +11,8 @@ deterministic given (n, seed, samples).
 
 The quaternionic bound builds all its hyper-Kahler samples first and checks
 them in one ``frames.qk_q_bound_check`` call, whose maximizer searches run as
-one descent stack; its detail counts how the rows of that stack stopped.
+one descent stack.  Its detail, and that of the boundary check, counts how
+the rows of their searches stopped.
 """
 
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .core import (ComplexStructure, CurvatureTensor, FourFrame, bform,
+from .core import (ComplexStructure, CurvatureTensor, FourFrame, _bform_stack,
                    einstein_normalize, einstein_residual, isotropic_from_columns,
                    model_fubini_study, model_r0, model_sj, model_sphere, qform,
                    ricci, standard_complex_structure, standard_quaternion_triple)
@@ -64,6 +65,12 @@ class VerificationReport:
                 "checks": [c.to_dict() for c in sorted(self.checks,
                                                        key=lambda c: c.check_id)],
                 "wall_time_s": self.wall_time_s, "timestamp": self.timestamp}
+
+
+def _stop_counts(reasons: list) -> str:
+    """How many search rows stopped for each reason, as one phrase."""
+    return f"{len(reasons)} rows: " + ", ".join(
+        f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS if r in reasons)
 
 
 def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
@@ -117,8 +124,10 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
 
     # ---- structural checks (no sampling) ------------------------------------
     def bform_defects():
+        basis_norms = 2.0 * np.linalg.norm(hk.stacked, axis=(1, 2))   # CurvatureTensor.norm
         for S in [sphere] + [model_sj(ComplexStructure(A)) for A in T.matrices]:
-            yield (max(bform(b, S).norm() / (b.norm() * S.norm()) for b in hk.basis),
+            B = _bform_stack(hk.stacked, S)
+            yield (float(np.max(2.0 * np.linalg.norm(B, axis=(1, 2)) / (basis_norms * S.norm()))),
                    f"max over {hk.dimension} basis elements")
 
     run([("bform-hyperkahler-sphere",
@@ -202,9 +211,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         first = max(max(fo.deriv_y, fo.deriv_jy, -min(0.0, fo.min_slack))
                     for fo in (rep.first_order for rep in reports))
         reasons = [r for rep in reports for r in rep.restart_stop_reasons]
-        stops = ", ".join(f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS
-                          if r in reasons)
-        return [(gap, f"{samples} samples, {len(reasons)} rows: {stops}"),
+        return [(gap, f"{samples} samples, {_stop_counts(reasons)}"),
                 (first, f"{samples} samples")]
 
     run([("q-hol-bound-maximizer",
@@ -236,16 +243,17 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     def boundary_q():
         cfg = frames.OptimizerConfig(restarts=16, seed=seed)
         worst = -1e9
-        names = []
+        names, reasons = [], []
         for name, R, _ in models[1:]:
             res = frames.min_isotropic(R, cfg)
+            reasons += res.restart_stop_reasons
             rep = frames.boundary_q_check(R, res.frame_or_vector, min_iso=res.value)
             if rep.applicable:
                 worst = max(worst, -rep.q_value)
                 names.append(name)
         if not names:
-            return [(1e9, "no boundary frame found")]
-        return [(worst, "applicable on: " + ", ".join(names))]
+            return [(1e9, f"no boundary frame found; {_stop_counts(reasons)}")]
+        return [(worst, f"applicable on: {', '.join(names)}; {_stop_counts(reasons)}")]
 
     run([("boundary-q-nonneg",
           "iso_Q(F) >= 0 on zero-isotropic frames of nonnegative tensors", 1e-6)],

@@ -267,9 +267,29 @@ def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):
 # ---------------------------------------------------------------------------
 # Serial frame-search oracles: one start at a time, per-frame QR, closures
 # over single vectors, and the engine's step rule (Barzilai-Borwein first
-# trial, halving backtrack, frames._STEP and frames._GRAD_TOL).  Restart r
-# draws from seed cfg.seed + r as in curvkit.frames.
+# trial, halving backtrack, the acceptance test of accept_serial,
+# frames._STEP and frames._GRAD_TOL), on the tensor scaled to |M|_max = 1.
+# Restart r draws from seed cfg.seed + r as in curvkit.frames.
 # ---------------------------------------------------------------------------
+
+def unit_scaled(R: CurvatureTensor):
+    """(R / s, s) with s = |M|_max, s = 1 for the zero tensor."""
+    s = float(np.max(np.abs(R.mat))) or 1.0
+    return CurvatureTensor(R.n, R.mat / s), s
+
+
+def accept_serial(val, vnew, a, gnorm, P, Pnew, step) -> bool:
+    """A strict Armijo decrease, or, when the two values tie to within
+    16 eps max(1, |val|), the approximate Wolfe test on the slopes of the
+    step along the old and the new projected gradients (Hager-Zhang 2005):
+    <P, step> < 0 and 0.9 <P, step> <= <Pnew, step> <= (1 - 2e-4) |<P, step>|."""
+    if vnew < val and vnew <= val - 1e-4 * a * gnorm * gnorm:
+        return True
+    if abs(vnew - val) > 16 * np.finfo(float).eps * max(1.0, abs(val)):
+        return False
+    sp, spt = float(np.sum(P * step)), float(np.sum(Pnew * step))
+    return sp < 0 and 0.9 * sp <= spt <= (1 - 2e-4) * abs(sp)
+
 
 def retract_serial(F: np.ndarray) -> np.ndarray:
     """QR retraction of one (n, k) matrix, sign-fixed for continuity."""
@@ -289,7 +309,8 @@ def bb_step_serial(s, y) -> float:
 
 def descend_serial(value_grad, F0, cfg, on_iterate=None):
     """Projected-gradient descent from one start: a Barzilai-Borwein first
-    trial after each accepted step, then Armijo backtracking by halving.
+    trial after each accepted step, then backtracking by halving until a
+    trial passes ``accept_serial``.
 
     Returns (value, F, stop_reason, iterations).
     """
@@ -315,14 +336,14 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
         for _ in range(60):
             Fnew = retract_serial(F - a * Griem)
             vnew, Gnew = value_grad(Fnew)
-            if vnew <= val - 1e-4 * a * gnorm * gnorm:
+            Pnew = riemannian(Fnew, Gnew)
+            if accept_serial(val, vnew, a, gnorm, Griem, Pnew, Fnew - F):
                 accepted = True
                 break
             a *= 0.5
         if not accepted:
             reason = "line_search_floor"
             break
-        Pnew = riemannian(Fnew, Gnew)
         alpha = bb_step_serial(Fnew - F, Pnew - Griem)
         F, val, Griem = Fnew, vnew, Pnew
     return val, F, reason, iters
@@ -407,6 +428,7 @@ def min_isotropic_serial(R: CurvatureTensor, cfg, init_frames=()):
     """Restart runs [(value, F, stop_reason, iterations)] of the serial
     min_isotropic: warm starts, seeded restarts, then the probe re-run."""
     from curvkit.frames import _coordinate_probe_frames
+    R, scale = unit_scaled(R)
     vg = iso_value_grad_serial(R.mat, R.n)
     starts = list(init_frames)
     starts += [retract_serial(np.random.default_rng(cfg.seed + r).standard_normal((R.n, 4)))
@@ -417,23 +439,27 @@ def min_isotropic_serial(R: CurvatureTensor, cfg, init_frames=()):
     i = int(np.argmin(probe_vals))
     if probe_vals[i] < min(r[0] for r in runs) - 1e-12:
         runs.append(descend_serial(vg, probes[i], cfg))
-    return runs
+    return [(scale * v, F, reason, iters) for v, F, reason, iters in runs]
 
 
 def max_holomorphic_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
-    """Restart values of the serial max_holomorphic_sectional."""
+    """Restart values and stop reasons of the serial max_holomorphic_sectional."""
+    R, scale = unit_scaled(R)
     vg = hol_value_grad_serial(R.mat, Jm)
-    return [-descend_serial(vg, retract_serial(
-        np.random.default_rng(cfg.seed + r).standard_normal((R.n, 1))), cfg)[0]
+    runs = [descend_serial(vg, retract_serial(
+        np.random.default_rng(cfg.seed + r).standard_normal((R.n, 1))), cfg)
         for r in range(cfg.restarts)]
+    return [-scale * v for v, _, _, _ in runs], [reason for _, _, reason, _ in runs]
 
 
 def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
-    """Restart values of the serial min_orthogonal_bisectional: its own
-    Barzilai-Borwein/Armijo loop over (x, y), y projected off {x, Jx} after
-    every step, then an exact eigen-solve in y at the final x."""
+    """Restart values and stop reasons of the serial
+    min_orthogonal_bisectional: its own Barzilai-Borwein loop over (x, y)
+    with the test of ``accept_serial``, y projected off {x, Jx} after every
+    step, then an exact eigen-solve in y at the final x."""
     from curvkit.core import curvature_map, wedge
     n = R.n
+    R, scale = unit_scaled(R)
     mat = R.mat
 
     def objective(x, y):
@@ -468,7 +494,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
         W = vh[2:].T
         return W @ np.linalg.eigh(W.T @ B @ W)[1][:, 0]
 
-    values = []
+    values, reasons = [], []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         x = rng.standard_normal(n)
@@ -479,9 +505,11 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
         val = objective(x, y)
         g = tangent_project(*grads(x, y), x, y)
         alpha = frames._STEP
+        reason = "max_iters"
         for _ in range(cfg.max_iters):
             gnorm = float(np.linalg.norm(g))
             if gnorm <= frames._GRAD_TOL:
+                reason = "grad_tol"
                 break
             a, accepted = alpha, False
             for _ in range(60):
@@ -490,17 +518,20 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
                 yn = feasible_y(y - a * g[n:], xn)
                 if yn is not None:
                     vn = objective(xn, yn)
-                    if vn <= val - 1e-4 * a * gnorm * gnorm:
+                    gn = tangent_project(*grads(xn, yn), xn, yn)
+                    step = np.concatenate([xn - x, yn - y])
+                    if accept_serial(val, vn, a, gnorm, g, gn, step):
                         accepted = True
                         break
                 a *= 0.5
             if not accepted:
+                reason = "line_search_floor"
                 break
-            gn = tangent_project(*grads(xn, yn), xn, yn)
-            alpha = bb_step_serial(np.concatenate([xn - x, yn - y]), gn - g)
+            alpha = bb_step_serial(step, gn - g)
             x, y, val, g = xn, yn, vn, gn
-        values.append(min(val, objective(x, polish_y(x))))
-    return values
+        values.append(scale * min(val, objective(x, polish_y(x))))
+        reasons.append(reason)
+    return values, reasons
 
 
 def qk_joint_search_serial(R1: CurvatureTensor, T, cfg):

@@ -10,8 +10,9 @@ replaces.
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, bform,
-                          einstein_normalize, invariance_defect, kulkarni_nomizu,
+from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
+                          _bform_stack, _require_bianchi_stack, bform, einstein_normalize,
+                          invariance_defect, kulkarni_nomizu,
                           model_fubini_study, model_kahler_form, num_pairs,
                           project_bianchi, qform, ricci, scalar_curvature,
                           standard_complex_structure, standard_quaternion_triple, weyl)
@@ -120,6 +121,39 @@ def test_bform_rejects_each_bad_input():
         for args in ((R, S), (S, R)):
             with pytest.raises(CurvatureError, match="reaction input"):
                 bform(*args)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bform_stack_matches_per_tensor_bform(n):
+    mats = np.stack([random_curvature(n, seed=930 + 10 * n + t).mat for t in range(5)])
+    S = random_curvature(n, seed=939 + 10 * n)
+    stack = _bform_stack(mats, S)
+    assert stack.shape == mats.shape
+    for mat, B in zip(mats, stack):
+        assert _rel(B, bform(CurvatureTensor(n, mat), S).mat) <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bform_stack_fails_closed_per_tensor():
+    n = 6
+    S = random_curvature(n, seed=940)
+    mats = np.stack([random_curvature(n, seed=941 + t).mat for t in range(4)])
+    violating = mats.copy()
+    violating[2] += 1e-6 * _pair_symmetric(n, seed=945).mat
+    with pytest.raises(CurvatureError, match="reaction input 2 Bianchi defect"):
+        _bform_stack(violating, S)
+    non_finite = mats.copy()
+    non_finite[3, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="reaction input 3 is not finite"):
+        _bform_stack(non_finite, S)
+    with pytest.raises(CurvatureError, match="reaction input"):
+        _bform_stack(mats, _pair_symmetric(n, seed=946))
+    with pytest.raises(CurvatureError, match="stack"):
+        _bform_stack(mats[0], S)
+    # each tensor is held to its own scale, as B(R_t, S) is to |R_t| |S|
+    _require_bianchi_stack(violating, n, "scaled", 1e-9, np.array([1.0, 1.0, 1e6, 1.0]))
+    with pytest.raises(CurvatureError, match="scaled 2 Bianchi defect"):
+        _require_bianchi_stack(violating, n, "scaled", 1e-9, np.array([1e6, 1e6, 1.0, 1e6]))
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -64,6 +64,29 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
     assert sum(int(c) for c in counts.values()) == 12
 
 
+def test_boundary_check_counts_its_rows():
+    """16 restarts on each of the Fubini-Study and quaternionic models."""
+    report = verify.run_verification_suite(n=8, samples=1)
+    detail = next(c.detail for c in report.checks if c.check_id == "boundary-q-nonneg")
+    assert detail.startswith("applicable on: fubini-study, quaternionic; 32 rows: ")
+    counts = dict(part.rsplit(" ", 1) for part in detail.split(" rows: ")[1].split(", "))
+    assert set(counts) <= set(verify.frames.STOP_REASONS)
+    assert sum(int(c) for c in counts.values()) == 32
+
+
+def test_bform_checks_make_one_stacked_call_per_model(monkeypatch):
+    calls = []
+    stack = verify._bform_stack
+
+    def counted(mats, S):
+        calls.append(len(mats))
+        return stack(mats, S)
+
+    monkeypatch.setattr(verify, "_bform_stack", counted)
+    assert verify.run_verification_suite(n=8, samples=1).passed
+    assert calls == [35] * 4                  # the sphere and S_I, S_J, S_K
+
+
 def test_suite_rejects_negative_seed_at_entry():
     """A seed or sample count that is negative, a bool or not an integer, or an
     n that is not an integer in 4..8, fails at entry, naming the field, not
