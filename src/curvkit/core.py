@@ -540,32 +540,30 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
     each input must pass the Bianchi check to CONSTRUCTION_TOL relative to
     max(1, |M|_max), and the result to REACTION_TOL relative to
     max(1, |B|_max, |R| |S|); a larger defect, or any non-finite entry,
-    raises :class:`CurvatureError`.
+    raises :class:`CurvatureError`.  Q(R) = B(R, R) (``S is R``) takes one
+    Sym^2 block; any other S is the one-tensor stack of :func:`_bform_stack`,
+    whose errors name R as index 0.
     """
     R._check_same(S)
     n = R.n
+    if S is not R:
+        return _stored(_bform_stack(R.mat[None], S)[0], n)
     _require_bianchi(R.mat, n, "reaction input", CONSTRUCTION_TOL)
     V = _sym_block(R.mat, n)
-    if S is R:
-        H = V @ V.T
-        scale = R.norm() ** 2
-    else:
-        _require_bianchi(S.mat, n, "reaction input", CONSTRUCTION_TOL)
-        H = V @ _sym_block(S.mat, n).T
-        H += H.T
-        H *= 0.5
-        scale = R.norm() * S.norm()
-    A = R.mat @ S.mat
+    H = V @ V.T
+    scale = R.norm() ** 2
+    A = R.mat @ R.mat
     mat = _reaction_mat(A + A.T, H, n)
     return _checked(mat, n, "reaction term", REACTION_TOL, scale)
 
 
 def _bform_stack(mats: np.ndarray, S: CurvatureTensor) -> np.ndarray:
     """B(R_t, S) of every coefficient matrix R_t of a (T, N, N) stack, as a
-    (T, N, N) stack: :func:`bform`'s arithmetic with one gather and one
-    batched product for the whole stack.  Each R_t, S and each output pass
-    :func:`bform`'s checks, each against its own scale; the first failure
-    raises :class:`CurvatureError` (NonFiniteError for a non-finite one)."""
+    (T, N, N) stack, with one gather and one batched product for the whole
+    stack; :func:`bform` of an S that is not R is its T = 1 case.  Each R_t,
+    S and each output pass :func:`bform`'s checks, each against its own
+    scale; the first failure raises :class:`CurvatureError` (NonFiniteError
+    for a non-finite one)."""
     n = S.n
     if mats.ndim != 3 or mats.shape[1:] != S.mat.shape:
         raise CurvatureError(f"expected a (T, {len(S.mat)}, {len(S.mat)}) stack, "

@@ -261,7 +261,10 @@ def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000, seed: int 
     uniform on the frame manifold (both orientations); they are drawn and scored
     128 at a time, and the first minimum wins.  Returns (value, frame matrix).
     Independent of the gradient path; cross-checks optimizer signs and values.
+    CurvatureError for n < 4, which has no 4-frames.
     """
+    if R.n < 4:
+        raise CurvatureError("isotropic curvature needs n >= 4")
     rng = np.random.default_rng(seed)
     best, best_frame = np.inf, None
     for start in range(0, num_samples, 128):
@@ -283,9 +286,12 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     beats the best restart, descent is re-run from that probe.
     ``on_iterate(F, val, gnorm)`` sees every iteration of every restart.
     The search runs on M / s (``_unit_scale``) and scales back.
+    CurvatureError for n < 4, which has no 4-frames.
     """
     cfg = cfg or OptimizerConfig()
     n = R.n
+    if n < 4:
+        raise CurvatureError("isotropic curvature needs n >= 4")
     s = float(_unit_scale(R.mat))
     mat = R.mat / s
     value_grad = _iso_value_grad(mat, n)
@@ -315,7 +321,7 @@ def _pinching_from_iso(min_iso: float) -> float:
 
 def pinching_constant(R: CurvatureTensor, cfg: OptimizerConfig | None = None) -> float:
     """Largest kappa with R - kappa * sphere still of nonnegative isotropic
-    curvature."""
+    curvature; CurvatureError for n < 4, as ``min_isotropic``."""
     return _pinching_from_iso(min_isotropic(R, cfg).value)
 
 
@@ -473,34 +479,21 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     (B, n, 4) stack of J-frames on the lifted gradient of
     ``_bisectional_value_grad``; the engine's tangent projection keeps the
     J-structure, and its sign-fixed QR of (x, Jx, y, Jy) is (x', Jx', y', Jy')
-    with y' the complex Gram-Schmidt of y.  Each restart ends with an exact
-    minimization over Y at its final X.  ``restart_frames`` holds the (X, Y)
-    columns; the frame is (X, JX, Y, JY).  No such Y exists for n < 4
-    (CurvatureError).  The search runs on M / s (``_unit_scale``) and scales
-    back.
+    with y' the complex Gram-Schmidt of y.  Each restart's value is that of
+    its final J-frame.  ``restart_frames`` holds the (X, Y) columns; the
+    frame is (X, JX, Y, JY).  No such Y exists for n < 4 (CurvatureError).
+    The search runs on M / s (``_unit_scale``) and scales back.
     """
     cfg = cfg or OptimizerConfig()
     n, Jm = R.n, J.matrix
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
     s = float(_unit_scale(R.mat))
-    R = CurvatureTensor(n, R.mat / s)
-    value_grad = _bisectional_value_grad(R.mat, Jm)
-
-    def j_frames(x, y):                     # rows x, y (B, n) -> J-frames (B, n, 4)
-        return np.stack([x, x @ Jm.T, y, y @ Jm.T], axis=-1)
-
-    def polish_y(x):                        # the restricted eigenproblem in Y
-        jx = Jm @ x
-        W = _nullspace(np.array([x, jx]))
-        return W @ _restricted_bisectional(curvature_map(R, x, jx), Jm, W)[1][:, 0]
-
-    xy = _random_starts(cfg, 2, n)          # x, then y, per seed
-    values, frames, iterations, reasons = _descend(value_grad, j_frames(xy[:, 0], xy[:, 1]), cfg)
-    polished = j_frames(frames[..., 0], np.array([polish_y(x) for x in frames[..., 0]]))
-    vpol = value_grad(polished)[0]
-    frames = np.where((vpol < values)[:, None, None], polished, frames)[:, :, [0, 2]]
-    values = np.minimum(vpol, values)
+    x, y = np.moveaxis(_random_starts(cfg, 2, n), 1, 0)    # x, then y, per seed
+    starts = np.stack([x, x @ Jm.T, y, y @ Jm.T], axis=-1)
+    values, frames, iterations, reasons = _descend(_bisectional_value_grad(R.mat / s, Jm),
+                                                   starts, cfg)
+    frames = frames[:, :, [0, 2]]
 
     k = int(np.argmin(values))
     x, y = frames[k].T

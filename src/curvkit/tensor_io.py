@@ -1,9 +1,11 @@
 """Serialization: curvature tensors as JSON, flow traces as CSV.
 
 The on-disk tensor format is ``lambda2_sym_dense``: the symmetric matrix of
-the tensor on the lexicographic 2-form basis, stored row-major.  Reading
-validates shape, finiteness, symmetry and the cyclic sum identity before
-returning a tensor, so a file that parses is safe to compute with.
+the tensor on the lexicographic 2-form basis, stored row-major as a flat
+list of JSON numbers, and an optional string label.  Reading validates the
+entry and label types, shape, finiteness, symmetry and the cyclic sum
+identity before returning a tensor, so a file that parses is safe to
+compute with.
 """
 
 import csv
@@ -35,10 +37,13 @@ def tensor_from_dict(d: dict) -> CurvatureTensor:
     if not isinstance(n, int) or n < 2:
         raise CurvatureError(f"invalid dimension {n!r}")
     N = num_pairs(n)
+    # JSON numbers only: asarray would also read "1.0", true and nested lists
+    if not isinstance(coeffs, list) or not set(map(type, coeffs)) <= {int, float}:
+        raise CurvatureError("coefficients are not a flat list of numbers")
     try:
         mat = np.asarray(coeffs, dtype=float)
-    except (TypeError, ValueError):
-        raise CurvatureError("coefficients are not a list of numbers") from None
+    except OverflowError:
+        raise CurvatureError("coefficients contain an integer too large for a float") from None
     if mat.size != N * N:
         raise CurvatureError(f"expected {N * N} coefficients for n={n}, got {mat.size}")
     mat = mat.reshape(N, N)
@@ -48,7 +53,10 @@ def tensor_from_dict(d: dict) -> CurvatureTensor:
     sym = float(np.max(np.abs(mat - mat.T)))
     if sym > READ_TOL * scale:
         raise CurvatureError(f"coefficient matrix is not symmetric: defect {sym:.3e}")
-    R = CurvatureTensor(n, mat, label=d.get("label", ""))
+    label = d.get("label", "")
+    if not isinstance(label, str):
+        raise CurvatureError(f"label must be a string, got {label!r}")
+    R = CurvatureTensor(n, mat, label=label)
     bianchi = R.validation_defect()
     if bianchi > READ_TOL * scale:
         raise CurvatureError(f"cyclic sum identity violated: defect {bianchi:.3e}")

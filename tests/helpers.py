@@ -456,7 +456,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
     """Restart values and stop reasons of the serial
     min_orthogonal_bisectional: its own Barzilai-Borwein loop over (x, y)
     with the test of ``accept_serial``, y projected off {x, Jx} after every
-    step, then an exact eigen-solve in y at the final x."""
+    step; a restart's value is that of its final (x, y)."""
     from curvkit.core import curvature_map, wedge
     n = R.n
     R, scale = unit_scaled(R)
@@ -485,14 +485,6 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
         q, _ = np.linalg.qr(rows.T)
         g = np.concatenate([gx, gy])
         return g - q @ (q.T @ g)
-
-    def polish_y(x):
-        jx = Jm @ x
-        Omega = curvature_map(R, x, jx)
-        B = 0.5 * (Omega @ Jm + Jm @ Omega)
-        _, _, vh = np.linalg.svd(np.array([x, jx]), full_matrices=True)
-        W = vh[2:].T
-        return W @ np.linalg.eigh(W.T @ B @ W)[1][:, 0]
 
     values, reasons = [], []
     for r in range(cfg.restarts):
@@ -529,7 +521,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
                 break
             alpha = bb_step_serial(step, gn - g)
             x, y, val, g = xn, yn, vn, gn
-        values.append(scale * min(val, objective(x, polish_y(x))))
+        values.append(scale * val)
         reasons.append(reason)
     return values, reasons
 

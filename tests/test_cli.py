@@ -297,3 +297,17 @@ def test_flow_step_underflow_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: step size underflow")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("argv", [["check", "--what", "iso-min"], ["check", "--what", "pinch"],
+                                  ["flow", "--t-end", "0.01"],
+                                  ["flow", "--t-end", "0.01", "--assert-cone"]])
+def test_isotropic_commands_below_n4_exit_two(tmp_path, capsys, n, argv):
+    """No 4-frame exists for n < 4: an input error (2), not a failed assertion (1)."""
+    p = str(tmp_path / "s.json")
+    assert main(["model", "--kind", "sphere", "--n", str(n), "--out", p]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, "--in", p)
+    assert code == 2
+    assert out == "" and "n >= 4" in err

@@ -333,6 +333,29 @@ def test_min_orthogonal_bisectional_reports_j_frame(n, light_cfg):
                                   F[:, [0, 2]])
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_min_orthogonal_bisectional_minimizes_over_y(n):
+    """At each converged row's X, its value is the exact minimum over Y: the
+    bottom eigenvalue of y -> R(X, JX, y, Jy) on the complement of
+    span{X, JX}, from the rank-4 table and a full SVD."""
+    J = standard_complex_structure(n)
+    Jm = J.matrix
+    for seed in range(3):
+        R = random_curvature(n, seed=860 + 10 * n + seed)
+        T, tol = R.rank4, 1e-12 * max(1.0, float(np.max(np.abs(R.mat))))
+        res = min_orthogonal_bisectional(R, J, OptimizerConfig(8, seed=seed))
+        for v, XY, reason in zip(res.restart_values, res.restart_frames,
+                                 res.restart_stop_reasons):
+            if reason != "grad_tol":
+                continue
+            x = XY[:, 0]
+            omega = np.einsum("ijab,i,j->ab", T, x, Jm @ x)     # R(x, Jx, e_a, e_b)
+            B = omega @ Jm                                      # y^T B y = R(x, Jx, y, Jy)
+            W = np.linalg.svd(np.array([x, Jm @ x]))[2][2:].T
+            bottom = np.linalg.eigvalsh(W.T @ (0.5 * (B + B.T)) @ W)[0]
+            assert v - tol <= bottom <= v + tol
+
+
 def test_min_orthogonal_bisectional_r0(t8, r0_8, light_cfg):
     res = min_orthogonal_bisectional(r0_8, t8.J, light_cfg)
     assert abs(res.value) < 1e-8         # attained near Y = IX
@@ -341,6 +364,13 @@ def test_min_orthogonal_bisectional_r0(t8, r0_8, light_cfg):
 def test_min_orthogonal_bisectional_zero(light_cfg):
     J = standard_complex_structure(6)
     assert abs(min_orthogonal_bisectional(zero_tensor(6), J, light_cfg).value) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("search", [min_isotropic, pinching_constant, sample_frames_min])
+def test_isotropic_searches_reject_n_below_4(n, search):
+    with pytest.raises(CurvatureError, match="n >= 4"):
+        search(model_sphere(n))
 
 
 def test_min_orthogonal_bisectional_rejects_n2(light_cfg):

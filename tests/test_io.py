@@ -54,12 +54,28 @@ def test_dict_shape():
     lambda d: d.update(coeffs="not numbers"),
     lambda d: d.update(coeffs=[float("nan")] * len(d["coeffs"])),
     lambda d: d["coeffs"].__setitem__(0, float("inf")),
+    lambda d: d.update(coeffs=5),
+    lambda d: d.update(coeffs=[str(c) for c in d["coeffs"]]),
+    lambda d: d["coeffs"].__setitem__(0, "1.0"),
+    lambda d: d.update(coeffs=[bool(c) for c in d["coeffs"]]),
+    lambda d: d["coeffs"].__setitem__(1, False),
+    lambda d: d["coeffs"].__setitem__(1, None),
+    lambda d: d.update(coeffs=np.reshape(d["coeffs"], (6, 6)).tolist()),
+    lambda d: d["coeffs"].__setitem__(1, 10 ** 400),
+    lambda d: d.update(label=5),
+    lambda d: d.update(label=["sphere"]),
 ])
 def test_reject_malformed_dict(mutate):
     d = tensor_to_dict(model_sphere(4, 1.0))
     mutate(d)
     with pytest.raises(CurvatureError):
         tensor_from_dict(d)
+
+
+def test_integer_coeffs_are_numbers():
+    d = tensor_to_dict(model_sphere(4, 1.0))
+    d["coeffs"] = [int(c) for c in d["coeffs"]]
+    np.testing.assert_array_equal(tensor_from_dict(d).mat, model_sphere(4, 1.0).mat)
 
 
 def test_from_rank4_rejects_non_finite():

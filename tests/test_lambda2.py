@@ -125,12 +125,16 @@ def test_bform_rejects_each_bad_input():
 
 @pytest.mark.parametrize("n", SIZES)
 def test_bform_stack_matches_per_tensor_bform(n):
+    """Each row against the rank-4 einsum oracle; ``bform`` of R and S is the
+    one-row stack, bit for bit."""
     mats = np.stack([random_curvature(n, seed=930 + 10 * n + t).mat for t in range(5)])
     S = random_curvature(n, seed=939 + 10 * n)
     stack = _bform_stack(mats, S)
     assert stack.shape == mats.shape
     for mat, B in zip(mats, stack):
-        assert _rel(B, bform(CurvatureTensor(n, mat), S).mat) <= 1e-14
+        assert _rel(expand_rank4(B, n), bform_einsum(expand_rank4(mat, n), S.rank4)) <= 1e-13
+        R = CurvatureTensor(n, mat)
+        assert np.array_equal(bform(R, S).mat, _bform_stack(R.mat[None], S)[0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
