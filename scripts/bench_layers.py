@@ -6,7 +6,8 @@ table, and the frame layers on the same tensor: the batched isotropic value
 and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
 stack of FRAMES frames, the isotropic value `isotropic_from_columns` of one
 frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
-seed 0, whose total descent iterations, stack passes and the count of its
+seed 0 (FRAMES + 1 rows: the restarts and the best axis-aligned frame),
+whose total descent iterations, stack passes and the count of its
 rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`) are
 reported beside its time, and a whole `min_orthogonal_bisectional` search
 (standard J, the same restarts and seed), whose total descent iterations

@@ -101,7 +101,7 @@ def cmd_model(args) -> int:
     elif args.kind == "r0":
         if n % 4:
             raise CurvatureError("r0 requires n divisible by 4")
-        R = model_r0(standard_quaternion_triple(n))
+        R = model_r0(standard_quaternion_triple(n), scale=args.param)
     else:  # sj
         if n % 2:
             raise CurvatureError("sj requires even n")
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sphere", "fubini-study", "r0", "sj"])
     m.add_argument("--n", type=int, required=True, help="ambient dimension")
     m.add_argument("--param", type=finite_float, default=1.0,
-                   help="scale: sphere lambda / fubini-study c / sj scale")
+                   help="scale: sphere lambda / fubini-study c / r0 scale / sj scale")
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_model)
 

@@ -296,6 +296,12 @@ def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0)
     return _stored(mat, n)
 
 
+def _require_same_n(R: "CurvatureTensor", other, what: str) -> None:
+    """CurvatureError unless ``other`` (a structure, frame or space) has R's dimension."""
+    if other.n != R.n:
+        raise CurvatureError(f"tensor and {what} dimensions differ: {R.n} and {other.n}")
+
+
 def invariance_defect(R: "CurvatureTensor", structures) -> float:
     """max |R(., ., A., A.) - R| over the matrices A in ``structures``,
     computed on the pair basis as max |M C_A - M|."""
@@ -730,8 +736,7 @@ def isotropic_curvature(R: CurvatureTensor, frame: FourFrame) -> float:
     """R(e1,e3,e1,e3) + R(e1,e4,e1,e4) + R(e2,e3,e2,e3) + R(e2,e4,e2,e4)
     - 2 R(e1,e2,e3,e4) on an orthonormal 4-frame; R.mat must satisfy the
     first Bianchi identity (see ``isotropic_from_columns``)."""
-    if frame.n != R.n:
-        raise CurvatureError("frame dimension does not match tensor dimension")
+    _require_same_n(R, frame, "frame")
     return float(isotropic_from_columns(R.mat, frame.matrix))
 
 
@@ -761,6 +766,7 @@ def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y) -> float:
     """R(X, JX, Y, JY) for unit X, Y with Y orthogonal to X and JX, to FEASIBILITY_TOL."""
+    _require_same_n(R, J, "complex structure")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jx = J(x)
@@ -774,6 +780,7 @@ def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y) -> flo
 
 def holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure, x) -> float:
     """R(X, JX, X, JX); scales as |X|^4."""
+    _require_same_n(R, J, "complex structure")
     x = np.asarray(x, dtype=float)
     jx = J(x)
     return evaluate(R, x, jx, x, jx)

@@ -17,15 +17,14 @@ frames are certificates, never compared directly.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _unpack_two_form,
-                   curvature_map, evaluate, invariance_defect, isotropic_from_columns,
-                   pair_indices, qform)
+                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _require_same_n,
+                   _unpack_two_form, curvature_map, evaluate, invariance_defect,
+                   isotropic_from_columns, pair_indices, qform)
 from .spaces import _nullspace
 
 
@@ -231,27 +230,22 @@ def _iso_value_grad(mat: np.ndarray, n: int):
     return _form_value_grad(mat, n, _ISO_FORMS)
 
 
-@lru_cache(maxsize=None)
-def _coordinate_probe_frames(n: int) -> np.ndarray:
-    """All axis-aligned 4-frames (e_i, e_j, e_k, e_l), i<j<k<l, plus their
-    orientation-reversed copies: the cross term is odd under a single column
-    sign flip, so the two classes see different values."""
-    from itertools import combinations
-    quads = np.array(list(combinations(range(n), 4)))
-    F = np.zeros((len(quads), n, 4))
-    F[np.arange(len(quads))[:, None], quads, np.arange(4)] = 1.0
-    return _frozen(np.concatenate([F, F * [1.0, 1.0, 1.0, -1.0]]))
-
-
-def _coordinate_probe_values(mat: np.ndarray, n: int) -> np.ndarray:
-    """Isotropic values of the probe frames (e_i, e_j, e_k, +-e_l), in their order,
-    read off M: M[ik,ik] + M[il,il] + M[jk,jk] + M[jl,jl] -+ 2 M[ij,kl]."""
+def _best_probe(mat: np.ndarray, n: int) -> np.ndarray:
+    """The axis-aligned frame (e_i, e_j, e_k, +-e_l), i<j<k<l, of least isotropic
+    value, read off M as M[ik,ik] + M[il,il] + M[jk,jk] + M[jl,jl] -+ 2 M[ij,kl]
+    (the cross term is odd under a single column sign flip); the first
+    minimum over the + frames of every quadruple, then the - frames."""
     fwd = _bianchi_gather(n)[0]
     r, c = divmod(fwd, len(mat))
     d = np.diagonal(mat)
     diag = d[r[1]] + d[r[2]] + d[c[1]] + d[c[2]]
     cross = 2.0 * mat.flat[fwd[0]]
-    return np.concatenate([diag - cross, diag + cross])
+    flip, q = divmod(int(np.argmin(np.concatenate([diag - cross, diag + cross]))), len(diag))
+    iu, ju = pair_indices(n)
+    ij, kl = r[0, q], c[0, q]
+    F = np.zeros((n, 4))
+    F[[iu[ij], ju[ij], iu[kl], ju[kl]], np.arange(4)] = [1.0, 1.0, 1.0, 1.0 - 2.0 * flip]
+    return F
 
 
 def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000, seed: int = 0):
@@ -280,11 +274,12 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
                   init_frames=None, on_iterate=None) -> FrameSearchResult:
     """Multistart minimization of the isotropic curvature over orthonormal 4-frames.
 
-    Restart r draws its starting frame from seed ``cfg.seed + r``; frames in
-    ``init_frames`` are run first (warm starts), all in one stack.  A fixed
-    probe set of axis-aligned frames guards the reported value: if a probe
-    beats the best restart, descent is re-run from that probe.
-    ``on_iterate(F, val, gnorm)`` sees every iteration of every restart.
+    One ``_descend`` stack runs the frames of ``init_frames`` (warm starts,
+    each a finite (n, 4) matrix or a FourFrame, else CurvatureError), then
+    restart r from seed ``cfg.seed + r``, then the best axis-aligned frame
+    (``_best_probe``).  No row ends above its start beyond roundoff, so the
+    reported value is at most every axis-aligned frame's value.
+    ``on_iterate(F, val, gnorm)`` sees every iteration of every row.
     The search runs on M / s (``_unit_scale``) and scales back.
     CurvatureError for n < 4, which has no 4-frames.
     """
@@ -297,17 +292,12 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     value_grad = _iso_value_grad(mat, n)
     seen = None if on_iterate is None else lambda F, v, g: on_iterate(F, s * v, s * g)
 
-    warm = [(F.matrix if isinstance(F, FourFrame) else np.asarray(F, dtype=float))[None]
+    warm = [np.asarray(F.matrix if isinstance(F, FourFrame) else F, dtype=float)[None]
             for F in (init_frames or [])]
-    starts = np.concatenate(warm + [_random_starts(cfg, n, 4)])
+    if any(F.shape != (1, n, 4) or not np.isfinite(F).all() for F in warm):
+        raise CurvatureError(f"each warm start must be a finite ({n}, 4) frame")
+    starts = np.concatenate(warm + [_random_starts(cfg, n, 4), _best_probe(mat, n)[None]])
     values, frames, iterations, reasons = _descend(value_grad, starts, cfg, seen)
-
-    probe_vals = _coordinate_probe_values(mat, n)
-    i = int(np.argmin(probe_vals))
-    if probe_vals[i] < values.min() - 1e-12:
-        v, f, it, rs = _descend(value_grad, _coordinate_probe_frames(n)[i:i + 1], cfg, seen)
-        values, frames = np.concatenate([values, v]), np.concatenate([frames, f])
-        iterations, reasons = np.concatenate([iterations, it]), np.concatenate([reasons, rs])
 
     k = int(np.argmin(values))
     return _search_result(s * values, frames, iterations, reasons, k, FourFrame(frames[k]))
@@ -391,8 +381,7 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
                               cfg: OptimizerConfig | None = None) -> FrameSearchResult:
     """Multistart maximization of R(X, JX, X, JX) over unit X."""
     cfg = cfg or OptimizerConfig()
-    if J.n != R.n:
-        raise CurvatureError("complex structure dimension does not match tensor")
+    _require_same_n(R, J, "complex structure")
     return _max_holomorphic_stack(R.mat[None], J.matrix, cfg)[0]
 
 
@@ -439,6 +428,7 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     top eigenvalue of the restricted bisectional form).  For n = 2 no such Y
     exists and the conditions hold vacuously (min_slack = +inf).
     """
+    _require_same_n(R, J, "complex structure")
     x = np.asarray(x, dtype=float)
     jx = J.matrix @ x
     W = _nullspace(np.array([x, jx]))
@@ -486,6 +476,7 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     """
     cfg = cfg or OptimizerConfig()
     n, Jm = R.n, J.matrix
+    _require_same_n(R, J, "complex structure")
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
     s = float(_unit_scale(R.mat))
@@ -524,6 +515,7 @@ def boundary_q_check(R: CurvatureTensor, frame: FourFrame, min_iso: float) -> Bo
     a frame away from the boundary makes the check inapplicable, not failed.
     Every comparison is to tol = CHECK_TOL, which the report carries.
     """
+    _require_same_n(R, frame, "frame")
     iso = float(isotropic_from_columns(R.mat, frame.matrix))
     applicable = abs(iso) <= CHECK_TOL and min_iso >= -CHECK_TOL
     q_val = float(isotropic_from_columns(qform(R).mat, frame.matrix))
@@ -593,8 +585,7 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
     tensors = [R1s] if single else list(R1s)
     hk_residuals = []
     for R1 in tensors:
-        if R1.n != T.n:
-            raise CurvatureError("tensor and triple dimensions differ")
+        _require_same_n(R1, T, "triple")
         # the precondition of the reduction to J = I (see the docstring)
         hk_residual = invariance_defect(R1, T.matrices)
         if not hk_residual <= 1e-8 * max(1.0, float(np.max(np.abs(R1.mat)))):

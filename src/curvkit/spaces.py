@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
-                   QuaternionTriple, _bianchi_gather, _frozen, _stored,
+                   QuaternionTriple, _bianchi_gather, _frozen, _require_same_n, _stored,
                    invariance_defect, num_pairs, scalar_curvature,
                    model_quaternionic_projective, two_form_action)
 
@@ -125,12 +125,9 @@ def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
 
 
 def hyperkahler_subspace(T: QuaternionTriple) -> CurvatureSubspace:
-    """Curvature tensors invariant under all of I, J, K; requires n = 4m >= 8.
+    """Curvature tensors invariant under all of I, J, K, for n = 4m;
     K(sp(m)), of dimension C(2m+3, 4)."""
     n = T.n
-    if n < 8:
-        raise CurvatureError("hyperkahler invariance forces R = 0 against the "
-                             "generic split at n = 4; need n >= 8")
     if n > MAX_BASIS_N:
         raise CurvatureError(f"subspace construction supported up to n = {MAX_BASIS_N}")
     return _holonomy_space(n, _fixed_two_forms(T.matrices), "hyperkahler", T.matrices)
@@ -147,6 +144,7 @@ def sample(space: CurvatureSubspace, seed: int, scale: float = 1.0) -> Curvature
 
 def project_onto(space: CurvatureSubspace, R: CurvatureTensor):
     """Coefficients of the orthogonal projection and the relative residual norm."""
+    _require_same_n(R, space, "space")
     coeffs = 4.0 * np.tensordot(space.stacked, R.mat, axes=2)
     proj = np.tensordot(coeffs, space.stacked, axes=1)
     resid = 2.0 * float(np.linalg.norm(R.mat - proj))
@@ -155,6 +153,7 @@ def project_onto(space: CurvatureSubspace, R: CurvatureTensor):
 
 def constraint_violation(space: CurvatureSubspace, R: CurvatureTensor) -> float:
     """Max-entry violation of the invariances defining the space (0 for generic)."""
+    _require_same_n(R, space, "space")
     return invariance_defect(R, space.structures or ())
 
 
@@ -178,8 +177,7 @@ def qk_decompose(R: CurvatureTensor, T: QuaternionTriple) -> QKDecomposition:
     kappa = scal(R) / scal(R0); the residual reports how far R1 is from being
     invariant under the triple (zero iff R really is of quaternionic type).
     """
-    if R.n != T.n:
-        raise CurvatureError("tensor and triple dimensions differ")
+    _require_same_n(R, T, "triple")
     R0 = model_quaternionic_projective(T)
     kappa = scalar_curvature(R) / scalar_curvature(R0)
     r1 = R - kappa * R0

@@ -5,6 +5,9 @@ full n^4 tables and coordinate systems) without going through the package's
 vectorized paths on the 2-form basis, so agreement is meaningful.
 """
 
+import math
+from itertools import combinations
+
 import numpy as np
 
 from curvkit import frames
@@ -424,21 +427,29 @@ def min_isotropic_n4(R: CurvatureTensor) -> float:
     return 2.0 * min(a[0] + a[1], c[0] + c[1])
 
 
+def probe_frames(n: int) -> np.ndarray:
+    """All 2 C(n, 4) axis-aligned frames: (e_i, e_j, e_k, e_l) for each
+    i<j<k<l in lex order, then the same frames with e_l negated."""
+    F = np.zeros((2, math.comb(n, 4), n, 4))
+    for q, quad in enumerate(combinations(range(n), 4)):
+        for a, i in enumerate(quad):
+            F[:, q, i, a] = 1.0
+    F[1, :, :, 3] *= -1.0
+    return F.reshape(-1, n, 4)
+
+
 def min_isotropic_serial(R: CurvatureTensor, cfg, init_frames=()):
     """Restart runs [(value, F, stop_reason, iterations)] of the serial
-    min_isotropic: warm starts, seeded restarts, then the probe re-run."""
-    from curvkit.frames import _coordinate_probe_frames
+    min_isotropic: warm starts, seeded restarts, then the axis-aligned frame
+    of least value, each descended alone."""
     R, scale = unit_scaled(R)
     vg = iso_value_grad_serial(R.mat, R.n)
     starts = list(init_frames)
     starts += [retract_serial(np.random.default_rng(cfg.seed + r).standard_normal((R.n, 4)))
                for r in range(cfg.restarts)]
+    probes = probe_frames(R.n)
+    starts.append(probes[int(np.argmin([vg(F)[0] for F in probes]))])
     runs = [descend_serial(vg, F0, cfg) for F0 in starts]
-    probes = _coordinate_probe_frames(R.n)
-    probe_vals = [vg(F)[0] for F in probes]
-    i = int(np.argmin(probe_vals))
-    if probe_vals[i] < min(r[0] for r in runs) - 1e-12:
-        runs.append(descend_serial(vg, probes[i], cfg))
     return [(scale * v, F, reason, iters) for v, F, reason, iters in runs]
 
 

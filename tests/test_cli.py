@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from curvkit.cli import main
+from curvkit.core import model_r0, standard_quaternion_triple
+from curvkit.tensor_io import load_tensor
 
 
 def run(capsys, *argv):
@@ -41,6 +43,13 @@ def test_model_r0_ricci(tmp_path, capsys):
     rep = last_json(out)
     np.testing.assert_allclose(rep["eigenvalues"], 4.0, atol=1e-12)
     assert abs(rep["scal"] - 32.0) < 1e-10
+
+
+def test_model_r0_param_scales(tmp_path):
+    p = str(tmp_path / "r0.json")
+    assert main(["model", "--kind", "r0", "--n", "8", "--param", "2", "--out", p]) == 0
+    np.testing.assert_array_equal(load_tensor(p).mat,
+                                  model_r0(standard_quaternion_triple(8), scale=2.0).mat)
 
 
 def test_fubini_study_iso_min_nonneg(tmp_path, capsys):
@@ -108,7 +117,7 @@ def test_invalid_numeric_flag_exits_two(tmp_path, capsys, argv):
     assert "usage:" in err and f"argument {argv[-2]}" in err
 
 
-@pytest.mark.parametrize("kind", ["sphere", "fubini-study", "sj"])
+@pytest.mark.parametrize("kind", ["sphere", "fubini-study", "r0", "sj"])
 def test_model_non_finite_param_exits_two(tmp_path, capsys, kind):
     p = tmp_path / "x.json"
     try:

@@ -4,7 +4,8 @@ helpers.py, its stop reasons, and the thin-SVD nullspace."""
 import numpy as np
 import pytest
 
-from curvkit.core import (model_fubini_study, model_sphere,
+from curvkit import frames
+from curvkit.core import (isotropic_from_columns, model_fubini_study, model_sphere,
                           standard_complex_structure)
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _descend, _hol_value_grad,
                             _iso_value_grad, _retract, max_holomorphic_sectional,
@@ -13,7 +14,7 @@ from curvkit.spaces import _nullspace
 
 from helpers import (hol_value_grad_serial, iso_value_grad_serial,
                      max_holomorphic_serial, min_isotropic_serial,
-                     min_orthogonal_bisectional_serial, random_curvature,
+                     min_orthogonal_bisectional_serial, probe_frames, random_curvature,
                      retract_serial, rows_value_grad_serial)
 
 SIZES = (4, 6, 8, 12)
@@ -58,9 +59,10 @@ def test_min_isotropic_matches_serial(n, seed):
 
 
 @pytest.mark.parametrize("n, seed", [(4, 1), (6, 0), (8, 4)])
-def test_probe_rerun_matches_serial(n, seed):
-    """Two iterations leave the one restart above the best axis-aligned
-    frame, so the search re-runs from that probe as a one-row stack."""
+def test_probe_start_matches_serial(n, seed):
+    """After two iterations the one restart is still above the best
+    axis-aligned frame; that frame is the last start of the same stack, and
+    the search reports its row."""
     R = random_curvature(n, seed=900 + seed)
     cfg = OptimizerConfig(restarts=1, max_iters=2, seed=seed)
     res = min_isotropic(R, cfg)
@@ -68,6 +70,27 @@ def test_probe_rerun_matches_serial(n, seed):
     assert len(runs) == len(res.restart_values) == 2
     assert_values_match(res.restart_values, [r[0] for r in runs])
     assert res.restart_iterations == [r[3] for r in runs]
+    probes = isotropic_from_columns(R.mat, probe_frames(n))
+    assert res.value == res.restart_values[1] <= np.min(probes)
+
+
+@pytest.mark.parametrize("n, seed, restarts, max_iters, warm", [
+    (4, 1, 1, 2, 0), (6, 0, 1, 2, 0), (8, 4, 3, 500, 1)])
+def test_min_isotropic_descends_once(monkeypatch, n, seed, restarts, max_iters, warm):
+    """Warm, seeded and probe rows run as one stack, whichever row wins; the
+    first two cases are those where the probe beats every restart."""
+    calls = []
+    descend = frames._descend
+
+    def counted(value_grad, F0, cfg, on_iterate=None):
+        calls.append(len(F0))
+        return descend(value_grad, F0, cfg, on_iterate)
+
+    monkeypatch.setattr(frames, "_descend", counted)
+    R = random_curvature(n, seed=900 + seed)
+    cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+    min_isotropic(R, cfg, [np.eye(n)[:, :4]] * warm)
+    assert calls == [warm + restarts + 1]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -175,7 +198,7 @@ def test_stacked_retraction_matches_serial_qr(k):
 def test_stop_reason_grad_tol_on_sphere():
     res = min_isotropic(model_sphere(6, 1.0), OptimizerConfig(restarts=3, seed=0))
     assert res.stop_reason == "grad_tol" and res.converged
-    assert res.restart_iterations == [1, 1, 1]
+    assert res.restart_iterations == [1] * 4          # 3 seeded rows and the probe row
 
 
 def test_stop_reason_grad_tol_on_fubini_study():
@@ -189,10 +212,11 @@ def test_stop_reason_grad_tol_on_fubini_study():
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_stop_reason_grad_tol_on_random_tensors(n):
     """Near a minimum the values of a trial and its row tie to roundoff, and
-    the slope test still tells a good step: every row converges."""
+    the slope test still tells a good step: every row converges, the probe
+    row too."""
     R = random_curvature(n, seed=810 + n)
     res = min_isotropic(R, OptimizerConfig(restarts=16, seed=0))
-    assert res.restart_stop_reasons == ["grad_tol"] * 16
+    assert res.restart_stop_reasons == ["grad_tol"] * 17
 
 
 def test_stop_reason_line_search_floor_on_inconsistent_gradient():

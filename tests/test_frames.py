@@ -5,20 +5,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, CurvatureError, QuaternionTriple, evaluate,
-                          isotropic_curvature, isotropic_from_columns, model_sphere,
-                          rotate_triple, standard_complex_structure, wedge, zero_tensor)
+from curvkit.core import (ComplexStructure, CurvatureError, FourFrame, QuaternionTriple,
+                          evaluate, holomorphic_sectional, isotropic_curvature,
+                          isotropic_from_columns, model_sphere, orthogonal_bisectional,
+                          rotate_triple, standard_complex_structure, standard_quaternion_triple,
+                          wedge, zero_tensor)
 from curvkit import frames
-from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _coordinate_probe_frames,
-                            _coordinate_probe_values, _iso_value_grad, _retract,
+from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _best_probe,
+                            _iso_value_grad, _retract,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
                             qk_q_bound_check, sample_frames_min)
-from curvkit.spaces import hyperkahler_subspace, sample
+from curvkit.spaces import (constraint_violation, curvature_space_basis, hyperkahler_subspace,
+                            kahler_subspace, project_onto, qk_decompose, sample)
 
-from helpers import (iso_table, min_isotropic_n4, qk_joint_search_serial, qk_paired_excess_serial,
-                     random_curvature)
+from helpers import (iso_table, min_isotropic_n4, probe_frames, qk_joint_search_serial,
+                     qk_paired_excess_serial, random_curvature)
 
 
 def test_config_validation():
@@ -66,19 +69,25 @@ def test_result_internal_consistency(light_cfg):
 
 
 def test_iterates_stay_feasible_and_monotone():
+    """Each of the two rows of min_isotropic at restarts = 1, the seeded
+    start and the probe start, descended alone so that its iterates are not
+    interleaved with the other row's."""
     R = random_curvature(6, seed=41)
-    trail = []
-
-    def spy(F, val, gnorm):
-        trail.append((F.copy(), val))
-
     cfg = OptimizerConfig(restarts=1, seed=3)
-    min_isotropic(R, cfg, on_iterate=spy)
-    values = [v for _, v in trail]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    for F, _ in trail[:: max(1, len(trail) // 10)]:
-        defect = np.max(np.abs(F.T @ F - np.eye(4)))
-        assert defect < 1e-9
+    mat = R.mat / frames._unit_scale(R.mat)
+    for F0 in (frames._random_starts(cfg, 6, 4)[0], _best_probe(mat, 6)):
+        trail = []
+
+        def spy(F, val, gnorm):
+            trail.append((F.copy(), val))
+
+        frames._descend(_iso_value_grad(mat, 6), F0[None], cfg, spy)
+        values = [v for _, v in trail]
+        assert len(values) > 1
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        for F, _ in trail[:: max(1, len(trail) // 10)]:
+            defect = np.max(np.abs(F.T @ F - np.eye(4)))
+            assert defect < 1e-9
 
 
 def test_probe_set_dominance(light_cfg):
@@ -86,17 +95,28 @@ def test_probe_set_dominance(light_cfg):
     for seed in (42, 43):
         R = random_curvature(6, seed=seed)
         res = min_isotropic(R, light_cfg)
-        probe_vals = isotropic_from_columns(R.mat, _coordinate_probe_frames(6))
+        probe_vals = isotropic_from_columns(R.mat, probe_frames(6))
         assert res.value <= np.min(probe_vals) + 1e-10
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 12])
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 12])
 def test_probe_values_read_off_coefficients(n):
-    R = random_curvature(n, seed=1000 + n)
-    expected = isotropic_from_columns(R.mat, _coordinate_probe_frames(n))
-    got = _coordinate_probe_values(R.mat, n)
-    assert got.shape == expected.shape
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+    """The best probe, read off M, is the first minimum of the brute-force
+    enumeration of all 2 C(n, 4) axis-aligned frames."""
+    for seed in range(3):
+        R = random_curvature(n, seed=1000 + 10 * n + seed)
+        values = isotropic_from_columns(R.mat, probe_frames(n))
+        np.testing.assert_array_equal(_best_probe(R.mat, n),
+                                      probe_frames(n)[np.argmin(values)])
+
+
+@pytest.mark.parametrize("bad", [np.full((6, 4), np.nan), np.eye(6)[:, :3], np.eye(5)[:, :4],
+                                 [[1.0, 0.0, 0.0, np.inf]] * 6])
+def test_min_isotropic_rejects_bad_warm_starts(bad, light_cfg):
+    """A non-finite warm start would win the argmin as NaN, and one of the
+    wrong shape would fail inside numpy; both fail at entry."""
+    with pytest.raises(CurvatureError, match="warm start"):
+        min_isotropic(random_curvature(6, seed=48), light_cfg, init_frames=[np.eye(6)[:, :4], bad])
 
 
 def test_scale_equivariance(light_cfg):
@@ -545,3 +565,28 @@ def test_qk_bound_dimension_mismatch_anywhere_raises(at, hk_samples, t8, no_desc
     tensors.insert(at, zero_tensor(4))
     with pytest.raises(CurvatureError, match="dimensions differ"):
         qk_q_bound_check(tensors, t8, OptimizerConfig(restarts=2, seed=0))
+
+
+_J8, _X8 = standard_complex_structure(8), np.eye(8)[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda R, cfg: min_orthogonal_bisectional(R, _J8, cfg),
+    lambda R, cfg: maximizer_first_order_check(R, _J8, _X8),
+    lambda R, cfg: holomorphic_sectional(R, _J8, _X8),
+    lambda R, cfg: orthogonal_bisectional(R, _J8, _X8, np.eye(8)[2]),
+    lambda R, cfg: boundary_q_check(R, FourFrame(np.eye(8)[:, :4]), 0.0),
+    lambda R, cfg: project_onto(curvature_space_basis(5), R),
+    lambda R, cfg: constraint_violation(kahler_subspace(standard_complex_structure(4)), R),
+    lambda R, cfg: max_holomorphic_sectional(R, _J8, cfg),
+    lambda R, cfg: isotropic_curvature(R, FourFrame(np.eye(8)[:, :4])),
+    lambda R, cfg: qk_q_bound_check(R, standard_quaternion_triple(8), cfg),
+    lambda R, cfg: qk_decompose(R, standard_quaternion_triple(8)),
+], ids=["min_orthogonal_bisectional", "maximizer_first_order_check", "holomorphic_sectional",
+        "orthogonal_bisectional", "boundary_q_check", "project_onto", "constraint_violation",
+        "max_holomorphic_sectional", "isotropic_curvature", "qk_q_bound_check", "qk_decompose"])
+def test_dimension_mismatch_raises_curvature_error(call, light_cfg):
+    """A structure, frame or space of another n than the tensor's fails at
+    entry with CurvatureError, not inside numpy."""
+    with pytest.raises(CurvatureError, match="dimensions differ: 6 and"):
+        call(random_curvature(6, seed=50), light_cfg)

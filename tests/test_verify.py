@@ -65,13 +65,14 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
 
 
 def test_boundary_check_counts_its_rows():
-    """16 restarts on each of the Fubini-Study and quaternionic models."""
+    """16 restarts and the probe row on each of the Fubini-Study and
+    quaternionic models."""
     report = verify.run_verification_suite(n=8, samples=1)
     detail = next(c.detail for c in report.checks if c.check_id == "boundary-q-nonneg")
-    assert detail.startswith("applicable on: fubini-study, quaternionic; 32 rows: ")
+    assert detail.startswith("applicable on: fubini-study, quaternionic; 34 rows: ")
     counts = dict(part.rsplit(" ", 1) for part in detail.split(" rows: ")[1].split(", "))
     assert set(counts) <= set(verify.frames.STOP_REASONS)
-    assert sum(int(c) for c in counts.values()) == 32
+    assert sum(int(c) for c in counts.values()) == 34
 
 
 def test_bform_checks_make_one_stacked_call_per_model(monkeypatch):
