@@ -55,7 +55,7 @@ from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa
                             kahler_subspace, sample)
 
 SIZES = (4, 6, 8, 12)
-SPACE_SIZES = (4, 6, 8, 10)
+SPACE_SIZES = (4, 6, 8, 10, 12)
 REPEATS = 7
 CALLS = 50
 SEARCH_CALLS = 3

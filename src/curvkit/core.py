@@ -302,6 +302,14 @@ def _require_same_n(R: "CurvatureTensor", other, what: str) -> None:
         raise CurvatureError(f"tensor and {what} dimensions differ: {R.n} and {other.n}")
 
 
+def _require_vector(x, n: int, what: str) -> np.ndarray:
+    """``x`` as a float array, CurvatureError unless its shape is (n,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise CurvatureError(f"{what} must have shape ({n},), got {x.shape}")
+    return x
+
+
 def invariance_defect(R: "CurvatureTensor", structures) -> float:
     """max |R(., ., A., A.) - R| over the matrices A in ``structures``,
     computed on the pair basis as max |M C_A - M|."""
@@ -767,8 +775,8 @@ def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
 def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y) -> float:
     """R(X, JX, Y, JY) for unit X, Y with Y orthogonal to X and JX, to FEASIBILITY_TOL."""
     _require_same_n(R, J, "complex structure")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _require_vector(x, R.n, "x")
+    y = _require_vector(y, R.n, "y")
     jx = J(x)
     violation = max(abs(float(x @ x) - 1.0), abs(float(y @ y) - 1.0),
                     abs(float(x @ y)), abs(float(jx @ y)))
@@ -781,7 +789,7 @@ def orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure, x, y) -> flo
 def holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure, x) -> float:
     """R(X, JX, X, JX); scales as |X|^4."""
     _require_same_n(R, J, "complex structure")
-    x = np.asarray(x, dtype=float)
+    x = _require_vector(x, R.n, "x")
     jx = J(x)
     return evaluate(R, x, jx, x, jx)
 

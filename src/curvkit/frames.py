@@ -21,10 +21,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _require_same_n,
-                   _unpack_two_form, curvature_map, evaluate, invariance_defect,
-                   isotropic_from_columns, pair_indices, qform)
+from .core import (_ISO_FORMS, CONSTRUCTION_TOL, ComplexStructure, CurvatureError,
+                   CurvatureTensor, FourFrame, QuaternionTriple, _bianchi_gather, _frame_forms,
+                   _frozen, _require_same_n, _require_vector, _unpack_two_form, curvature_map,
+                   evaluate, invariance_defect, isotropic_from_columns, pair_indices, qform)
 from .spaces import _nullspace
 
 
@@ -275,7 +275,8 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     """Multistart minimization of the isotropic curvature over orthonormal 4-frames.
 
     One ``_descend`` stack runs the frames of ``init_frames`` (warm starts,
-    each a finite (n, 4) matrix or a FourFrame, else CurvatureError), then
+    each a FourFrame or a finite (n, 4) matrix whose smallest singular value
+    exceeds CONSTRUCTION_TOL times its largest, else CurvatureError), then
     restart r from seed ``cfg.seed + r``, then the best axis-aligned frame
     (``_best_probe``).  No row ends above its start beyond roundoff, so the
     reported value is at most every axis-aligned frame's value.
@@ -296,6 +297,11 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
             for F in (init_frames or [])]
     if any(F.shape != (1, n, 4) or not np.isfinite(F).all() for F in warm):
         raise CurvatureError(f"each warm start must be a finite ({n}, 4) frame")
+    for F in warm:
+        sv = np.linalg.svd(F[0], compute_uv=False)
+        if not sv[-1] > CONSTRUCTION_TOL * sv[0]:
+            raise CurvatureError(f"warm start columns are linearly dependent: smallest singular "
+                                 f"value {sv[-1]:.3e}, largest {sv[0]:.3e}")
     starts = np.concatenate(warm + [_random_starts(cfg, n, 4), _best_probe(mat, n)[None]])
     values, frames, iterations, reasons = _descend(value_grad, starts, cfg, seen)
 
@@ -429,7 +435,7 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     exists and the conditions hold vacuously (min_slack = +inf).
     """
     _require_same_n(R, J, "complex structure")
-    x = np.asarray(x, dtype=float)
+    x = _require_vector(x, R.n, "x")
     jx = J.matrix @ x
     W = _nullspace(np.array([x, jx]))
     return _first_order(curvature_map(R, x, jx), J.matrix, x, W, tol)

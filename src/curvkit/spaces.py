@@ -2,18 +2,24 @@
 
 R is invariant under an orthogonal structure A iff its operator M on 2-forms
 satisfies M C_A = M, i.e. iff M is a symmetric operator on the 2-forms that
-C_A fixes.  So every space is built the same way, as K(h) = Sym^2(h) ∩ ker b:
-h is the common fixed 2-forms of the structures (u(m) for a complex
-structure, sp(m) for a quaternion triple; Besse, *Einstein Manifolds*,
-ch. 10), or all 2-forms for the generic space.  With U an orthonormal basis
-of h, M = U S U^T, and the symmetric d x d matrix S is parametrized by its
-weighted upper triangle (so that the Euclidean inner product of coordinates
-equals the Frobenius inner product of rank-4 tables).  An orthonormal basis
-of the nullspace of the Bianchi rows on these d(d+1)/2 unknowns is read off
-a singular value decomposition with an explicit relative cutoff.  The
-dimensions have closed forms, n^2(n^2-1)/12 (generic), (m(m+1)/2)^2 (Kahler,
-n = 2m) and C(2m+3, 4) (hyper-Kahler, n = 4m), which the verification suite
-and the tests compare against; no table of dimensions is stored.
+C_A fixes.  So every space is K(h) = Sym^2(h) ∩ ker b: h is the common fixed
+2-forms of the structures (u(m) for a complex structure, sp(m) for a
+quaternion triple; Besse, *Einstein Manifolds*, ch. 10), or all 2-forms for
+the generic space.
+
+The generic space is written down in closed form: the Bianchi rows act on
+disjoint triples of entries of M (``core._bianchi_gather``), so ker b is
+spanned by the unit coordinates off every triple and by two orthonormal
+vectors orthogonal to the row (1, -1, 1) on each triple.  For h a proper
+subspace with orthonormal basis U, M = U S U^T, and the symmetric d x d
+matrix S is parametrized by its weighted upper triangle (so that the
+Euclidean inner product of coordinates equals the Frobenius inner product of
+rank-4 tables); an orthonormal basis of the nullspace of the Bianchi rows on
+these d(d+1)/2 unknowns is read off a singular value decomposition with an
+explicit relative cutoff.  The dimensions have closed forms, n^2(n^2-1)/12
+(generic), (m(m+1)/2)^2 (Kahler, n = 2m) and C(2m+3, 4) (hyper-Kahler,
+n = 4m), which the verification suite and the tests compare against; no
+table of dimensions is stored.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +33,7 @@ from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
                    model_quaternionic_projective, two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff for rank decisions
-MAX_BASIS_N = 10        # dense basis construction is capped here
+MAX_BASIS_N = 12        # dense basis construction is capped here
 
 
 @dataclass(frozen=True)
@@ -81,26 +87,55 @@ def _fixed_two_forms(structures) -> np.ndarray:
     return _nullspace((C - np.eye(C.shape[1])).reshape(-1, C.shape[1]))
 
 
-def _holonomy_space(n: int, U: np.ndarray | None, label: str,
-                    structures: tuple | None) -> CurvatureSubspace:
-    """Orthonormal basis of K(h), h spanned by the orthonormal columns of U
-    (N x d), or U = None for all 2-forms (U = I, so M = S).  Entry (r, c) of
-    U S U^T is the sum over p <= q of S_pq (U[r,p] U[c,q] + U[r,q] U[c,p]),
-    halved for p = q; a quadruple's Bianchi row adds its three entries with
-    signs +, -, +.  For U = I these rows are exactly +-1/w."""
+# The two orthonormal vectors orthogonal to the Bianchi row (1, -1, 1) that
+# span ker b on a quadruple's entries (ij,kl), (ik,jl), (il,jk), as entries
+# of M: coordinates over the off-diagonal weight 2 sqrt 2 of ``_coord_maps``.
+_TRIPLE_BASIS = _frozen(np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 2.0]])
+                        / np.sqrt([[2.0], [6.0]]) / (2.0 * np.sqrt(2.0)))
+
+
+def _generic_space(n: int) -> CurvatureSubspace:
+    """Orthonormal basis of all curvature tensors, K(Lambda^2), in closed form:
+    the unit weighted coordinate (``_coord_maps``: 1/2 on the diagonal,
+    1/(2 sqrt 2) off it and on its transpose) of every upper-triangle entry of
+    M in no quadruple's triple, then the first ``_TRIPLE_BASIS`` vector on
+    every quadruple i<j<k<l, then the second; C(n, 4) fewer than the
+    N(N+1)/2 symmetric coordinates, and at most 6 nonzero entries each."""
     N = num_pairs(n)
-    V = np.eye(N) if U is None else U
-    P, Q, w = _coord_maps(V.shape[1])
+    fwd, bwd = _bianchi_gather(n)                     # (3, quadruples), upper and lower
+    free = np.ones(N * N, dtype=bool)
+    free[fwd] = False
+    P, Q, w = _coord_maps(N)
+    keep = free[P * N + Q]
+    P, Q, w = P[keep], Q[keep], w[keep]
+    f, quads = len(P), fwd.shape[1]
+    M = np.zeros((f + 2 * quads, N * N))
+    e = np.arange(f)
+    M[e, P * N + Q] = M[e, Q * N + P] = 1.0 / w
+    T = M[f:].reshape(2, quads, N * N)                # a view: the triple elements
+    t = np.arange(quads)
+    T[:, t, fwd] = T[:, t, bwd] = _TRIPLE_BASIS[:, :, None]
+    return CurvatureSubspace(n=n, label="generic", stacked=_frozen(M.reshape(-1, N, N)))
+
+
+def _holonomy_space(n: int, U: np.ndarray, label: str,
+                    structures: tuple | None) -> CurvatureSubspace:
+    """Orthonormal basis of K(h) for h != Lambda^2 spanned by the orthonormal
+    columns of U (N x d), from the SVD of the Bianchi rows on S.  Entry (r, c)
+    of U S U^T is the sum over p <= q of S_pq (U[r,p] U[c,q] + U[r,q] U[c,p]),
+    halved for p = q; a quadruple's Bianchi row adds its three entries with
+    signs +, -, +.  The generic space is ``_generic_space``, with no SVD."""
+    N = num_pairs(n)
+    P, Q, w = _coord_maps(U.shape[1])
     r, c = np.divmod(_bianchi_gather(n)[0], N)        # (3, quadruples) each
-    Vr, Vc = V[r], V[c]
-    coef = Vr[..., P] * Vc[..., Q] + Vr[..., Q] * Vc[..., P]
+    Ur, Uc = U[r], U[c]
+    coef = Ur[..., P] * Uc[..., Q] + Ur[..., Q] * Uc[..., P]
     coef *= np.where(P == Q, 0.5, 1.0) / w
     null = _nullspace(coef[0] - coef[1] + coef[2])   # (d(d+1)/2, dimension)
-    M = np.zeros((null.shape[1], V.shape[1], V.shape[1]))
+    M = np.zeros((null.shape[1], U.shape[1], U.shape[1]))
     M[:, P, Q] = M[:, Q, P] = null.T / w
-    if U is not None:                                 # symmetrized against roundoff
-        M = U @ M @ U.T
-        M = 0.5 * (M + M.transpose(0, 2, 1))
+    M = U @ M @ U.T
+    M = 0.5 * (M + M.transpose(0, 2, 1))              # symmetrized against roundoff
     return CurvatureSubspace(n=n, label=label, stacked=_frozen(M), structures=structures)
 
 
@@ -112,7 +147,7 @@ def curvature_space_basis(n: int) -> CurvatureSubspace:
     """Orthonormal basis of all curvature tensors on R^n; dimension n^2(n^2-1)/12."""
     if not 4 <= n <= MAX_BASIS_N:
         raise CurvatureError(f"generic basis supported for 4 <= n <= {MAX_BASIS_N}, got {n}")
-    return _holonomy_space(n, None, "generic", None)
+    return _generic_space(n)
 
 
 def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:

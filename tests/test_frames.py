@@ -119,6 +119,15 @@ def test_min_isotropic_rejects_bad_warm_starts(bad, light_cfg):
         min_isotropic(random_curvature(6, seed=48), light_cfg, init_frames=[np.eye(6)[:, :4], bad])
 
 
+@pytest.mark.parametrize("bad", [np.zeros((6, 4)), np.ones((6, 4)), np.eye(6)[:, [0, 1, 2, 1]]],
+                         ids=["zeros", "ones", "repeated-column"])
+def test_min_isotropic_rejects_rank_deficient_warm_starts(bad, light_cfg):
+    """The QR retraction would complete dependent columns to some frame and
+    run that one; a warm start must have linearly independent columns."""
+    with pytest.raises(CurvatureError, match="linearly dependent"):
+        min_isotropic(random_curvature(6, seed=1), light_cfg, init_frames=[bad])
+
+
 def test_scale_equivariance(light_cfg):
     R = random_curvature(5, seed=44)
     base = min_isotropic(R, light_cfg).value
@@ -590,3 +599,22 @@ def test_dimension_mismatch_raises_curvature_error(call, light_cfg):
     entry with CurvatureError, not inside numpy."""
     with pytest.raises(CurvatureError, match="dimensions differ: 6 and"):
         call(random_curvature(6, seed=50), light_cfg)
+
+
+_J6, _E6 = standard_complex_structure(6), np.eye(6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda R, v: holomorphic_sectional(R, _J6, v),
+    lambda R, v: orthogonal_bisectional(R, _J6, v, _E6[2]),
+    lambda R, v: orthogonal_bisectional(R, _J6, _E6[0], v),
+    lambda R, v: maximizer_first_order_check(R, _J6, v),
+], ids=["holomorphic_sectional", "orthogonal_bisectional-x", "orthogonal_bisectional-y",
+        "maximizer_first_order_check"])
+@pytest.mark.parametrize("v", [np.ones(4), np.ones(7), np.ones((6, 1)), 1.0],
+                         ids=["short", "long", "column", "scalar"])
+def test_vector_length_mismatch_raises_curvature_error(call, v):
+    """A vector of another shape than (n,) fails at entry with CurvatureError,
+    not inside numpy."""
+    with pytest.raises(CurvatureError, match=r"must have shape \(6,\)"):
+        call(random_curvature(6, seed=1), v)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, QuaternionTriple, model_sphere, pair_indices,
-                          ricci, standard_complex_structure, standard_quaternion_triple)
+from curvkit.core import (ComplexStructure, QuaternionTriple, bianchi_sums, model_sphere,
+                          pair_indices, ricci, standard_complex_structure,
+                          standard_quaternion_triple)
 from curvkit.spaces import (_fixed_two_forms, _holonomy_space, constraint_violation,
                             curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             project_onto, qk_decompose, sample)
@@ -14,7 +15,7 @@ from curvkit.spaces import (_fixed_two_forms, _holonomy_space, constraint_violat
 from helpers import generic_dimension_bruteforce, random_curvature, stacked_rows_basis
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_generic_dimension_closed_form(n):
     space = curvature_space_basis(n)
     assert space.dimension == n * n * (n * n - 1) // 12
@@ -96,7 +97,7 @@ def test_qk_decompose_flags_non_quaternionic(t8):
 
 def test_dimension_guards():
     with pytest.raises(ValueError):
-        curvature_space_basis(11)
+        curvature_space_basis(13)
 
 
 def test_sphere_lives_in_generic_space():
@@ -141,11 +142,24 @@ def test_projector_matches_stacked_rows_oracle(label, n, conjugate):
     np.testing.assert_allclose(4.0 * B.T @ B, 4.0 * O.T @ O, rtol=0, atol=1e-10)
 
 
-def test_generic_basis_is_the_stacked_rows_basis():
-    """With h = all 2-forms the Bianchi rows are the oracle's own."""
-    for n in (4, 6, 8):
-        np.testing.assert_allclose(curvature_space_basis(n).stacked,
-                                   stacked_rows_basis(n), rtol=0, atol=1e-14)
+@pytest.mark.parametrize("n", range(4, 13))
+def test_generic_basis_is_closed_form(n):
+    """Orthonormal (4 B B^T = I), each element exactly Bianchi, and each on at
+    most one quadruple's three entries and their transposes."""
+    stacked = curvature_space_basis(n).stacked
+    B = stacked.reshape(len(stacked), -1)
+    np.testing.assert_allclose(4.0 * B @ B.T, np.eye(len(B)), rtol=0, atol=1e-14)
+    assert not bianchi_sums(stacked, n).any()
+    assert np.count_nonzero(B, axis=1).max() <= 6
+
+
+def test_generic_basis_needs_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for n in (4, 8):
+        assert curvature_space_basis(n).dimension == n * n * (n * n - 1) // 12
 
 
 @pytest.mark.parametrize("label,n,expected",
