@@ -16,12 +16,12 @@ value-and-gradient call on a search's descent stack; a stack runs as long as
 its slowest row, so passes, not iterations, are the work of a search.  The
 subspace constructors are timed at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
-`hyperkahler_subspace` (standard triple) at n = 8, and `qk_q_bound_check` at
-n = 8 on QK_SAMPLES hyper-Kahler samples (seeds 0, 1, ...; 4 restarts, as
-in the verify suite), twice: one call per sample (`qk_q_bound_check`) and
-one call on the whole list, whose searches run as one descent stack
-(`qk_q_bound_check_batched`, whose stack passes are reported), each timed by
-one pass divided by QK_SAMPLES;
+`hyperkahler_subspace` (standard triple) at those divisible by 4 (4, 8 and
+12), and `qk_q_bound_check` at n = 8 on QK_SAMPLES hyper-Kahler samples
+(seeds 0, 1, ...; 4 restarts, as in the verify suite), twice: one call per
+sample (`qk_q_bound_check`) and one call on the whole list, whose searches
+run as one descent stack (`qk_q_bound_check_batched`, whose stack passes are
+reported), each timed by one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
 samples, at its maximizer for I.  Every other time is the mean of
 back-to-back calls (CALLS, or SEARCH_CALLS for the searches and the
@@ -142,8 +142,11 @@ def main() -> int:
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
                          ("kahler_subspace", lambda: kahler_subspace(J))):
             layers[name][str(n)] = timed(fn, SEARCH_CALLS)
+        if n % 4 == 0:
+            T = standard_quaternion_triple(n)
+            layers["hyperkahler_subspace"][str(n)] = timed(lambda: hyperkahler_subspace(T),
+                                                           SEARCH_CALLS)
     T = standard_quaternion_triple(8)
-    layers["hyperkahler_subspace"]["8"] = timed(lambda: hyperkahler_subspace(T), SEARCH_CALLS)
     hk = hyperkahler_subspace(T)
     tensors = [sample(hk, seed=seed) for seed in range(QK_SAMPLES)]
     qk_cfg = OptimizerConfig(restarts=4, seed=0)

@@ -23,6 +23,7 @@ from .core import (CurvatureError, model_fubini_study, model_r0, model_sj,
                    standard_complex_structure, standard_quaternion_triple, weyl)
 from .flow import FlowConfig, FlowError, cone_preservation_probe, integrate_q_flow
 from .frames import OptimizerConfig, _pinching_from_iso, min_isotropic
+from .spaces import MAX_BASIS_N
 from .tensor_io import load_tensor, save_tensor, write_trace_csv
 from .verify import run_verification_suite
 
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
-    v.add_argument("--n", type=int, choices=range(4, 9), default=8)
+    v.add_argument("--n", type=int, choices=range(4, MAX_BASIS_N + 1), default=8)
     v.add_argument("--seed", type=nonnegative_int, default=None)
     v.add_argument("--samples", type=nonnegative_int, default=20)
     v.add_argument("--out", default=None, help="also write the JSON report here")

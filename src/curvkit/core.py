@@ -472,13 +472,13 @@ def project_to_curvature(table: np.ndarray, n: int | None = None) -> CurvatureTe
 
 def evaluate(R: CurvatureTensor, x, y, z, w) -> float:
     """R(x, y, z, w) for arbitrary (not necessarily unit) vectors."""
-    x, y, z, w = (np.asarray(v, dtype=float) for v in (x, y, z, w))
+    x, y, z, w = (_require_vector(v, R.n, name) for v, name in zip((x, y, z, w), "xyzw"))
     return float(wedge(x, y) @ R.mat @ wedge(z, w))
 
 
 def curvature_map(R: CurvatureTensor, z, w) -> np.ndarray:
     """Antisymmetric matrix A with A[i, j] = R(e_i, e_j, z, w)."""
-    v = R.mat @ wedge(np.asarray(z, float), np.asarray(w, float))
+    v = R.mat @ wedge(_require_vector(z, R.n, "z"), _require_vector(w, R.n, "w"))
     return _unpack_two_form(v, R.n)
 
 

@@ -39,21 +39,22 @@ MAX_BASIS_N = 12        # dense basis construction is capped here
 @dataclass(frozen=True)
 class CurvatureSubspace:
     """Orthonormal basis of a linear space of curvature tensors: ``stacked``
-    holds its matrices as one read-only (dimension, N, N) array, and
-    ``basis`` the same matrices as tensors."""
+    holds its matrices as one read-only (dimension, N, N) array, the one
+    copy of the basis; ``basis`` views those matrices as tensors."""
 
     n: int
     label: str                        # "generic" | "kahler" | "hyperkahler"
     stacked: np.ndarray = field(repr=False, compare=False)
     structures: tuple | None = None   # the matrices J or (I, J, K) that cut the space
-    basis: tuple[CurvatureTensor, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(_stored(m, self.n) for m in self.stacked))
+    @property
+    def basis(self) -> tuple[CurvatureTensor, ...]:
+        """The basis as tensors, built from ``stacked`` on each access."""
+        return tuple(_stored(m, self.n) for m in self.stacked)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Batch verification suite over the algebraic identities of the toolkit.
 
 Each check measures one scalar defect and passes iff the measurement stays
-within its stated tolerance.  Checks run in groups computed together; a group
-is marked inapplicable, with its reason, when the ambient dimension does not
-support it or, for a sampled group, when the sample budget is zero, so every
-dimension reports the same check ids with the same anchors.  The subspace
-dimensions are compared with their closed forms (Besse, *Einstein Manifolds*,
-ch. 10), not with numbers from the code under test.  The suite is
-deterministic given (n, seed, samples).
+within its stated tolerance.  Checks run in groups computed together, at
+every n the subspaces are built for (4 <= n <= ``spaces.MAX_BASIS_N``); a
+group is marked inapplicable, with its reason, when its structure (J, or the
+quaternion triple) does not exist at n or, for a sampled group, when the
+sample budget is zero, so every dimension reports the same check ids with
+the same anchors.  The subspace dimensions are compared with their closed
+forms (Besse, *Einstein Manifolds*, ch. 10), not with numbers from the code
+under test.  The suite is deterministic given (n, seed, samples).
 
 The quaternionic bound builds all its hyper-Kahler samples first and checks
 them in one ``frames.qk_q_bound_check`` call, whose maximizer searches run as
@@ -22,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .core import (ComplexStructure, CurvatureTensor, FourFrame, _bform_stack,
-                   einstein_normalize, einstein_residual, isotropic_from_columns,
-                   model_fubini_study, model_r0, model_sj, model_sphere, qform,
-                   ricci, standard_complex_structure, standard_quaternion_triple)
-from .spaces import curvature_space_basis, hyperkahler_subspace, kahler_subspace, sample
+from .core import (ComplexStructure, FourFrame, _bform_stack, einstein_normalize,
+                   einstein_residual, isotropic_from_columns, model_fubini_study,
+                   model_r0, model_sj, model_sphere, qform, ricci,
+                   standard_complex_structure, standard_quaternion_triple)
+from .spaces import (MAX_BASIS_N, curvature_space_basis, hyperkahler_subspace,
+                     kahler_subspace, sample)
 
 
 @dataclass
@@ -77,16 +79,17 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
                            inject_defect: bool = False) -> VerificationReport:
     """Run every identity check supported at dimension n.
 
-    ``inject_defect`` perturbs one model tensor before the reaction eigenvalue
-    check, as a negative control: exactly that check must then fail.  The
-    first check of each group carries as ``wall_s`` the time the suite spent
-    since the previous group was recorded, building the inputs it first uses
-    included; the group's later checks carry 0.
+    ``inject_defect`` adds a Ricci-flat hyper-Kahler sample to R0 before the
+    reaction eigenvalue check, as a negative control: at n divisible by 4
+    exactly that check must then fail.  The first check of each group
+    carries as ``wall_s`` the time the suite spent since the previous group
+    was recorded, building the inputs it first uses included; the group's
+    later checks carry 0.
     """
     frames._require_numbers({"n": n, "seed": seed, "samples": samples},
                             (("n", 4), ("seed", 0), ("samples", 0)), ())
-    if n > 8:
-        raise ValueError(f"n must be an integer with 4 <= n <= 8, got {n!r}")
+    if n > MAX_BASIS_N:
+        raise ValueError(f"n must be an integer with 4 <= n <= {MAX_BASIS_N}, got {n!r}")
     t0 = lap = time.perf_counter()
     checks: list[CheckResult] = []
 
@@ -106,7 +109,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
 
     quaternionic = n % 4 == 0
     even = n % 2 == 0
-    hk_samples = "" if n == 8 and samples else "requires n = 8 and samples >= 1"
+    hk_samples = "" if quaternionic and samples else "requires n divisible by 4 and samples >= 1"
     even_samples = "" if even and samples else "requires even n and samples >= 1"
 
     # Each model and space is built once and reused by every check that reads it.
@@ -114,7 +117,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     J = standard_complex_structure(n) if even else None
     T = standard_quaternion_triple(n) if quaternionic else None
     R0 = model_r0(T) if quaternionic else None
-    hk = hyperkahler_subspace(T) if n == 8 else None
+    hk = hyperkahler_subspace(T) if quaternionic else None
     # (name, tensor, rho) with Q(R) = 2 rho R
     models = [("round", sphere, n - 1.0)]
     if even:
@@ -135,17 +138,13 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         + [(f"bform-hyperkahler-sj-{name}",
             f"B(b, S_{name}) = 0 for every hyper-Kahler basis element b", 1e-9)
            for name in "IJK"],
-        "" if hk is not None else "requires n = 8", bform_defects)
+        "" if quaternionic else "requires n divisible by 4", bform_defects)
 
     def r0_identities():
         R, rho = R0, n // 4 + 2
-        if inject_defect and hk is not None:
+        if inject_defect:
             # Ricci-flat perturbation: only the eigenvalue identity breaks.
             R = R0 + 1e-3 * sample(hk, seed=seed)
-        elif inject_defect:
-            mat = R0.mat.copy()
-            mat[0, 0] += 1e-3
-            R = CurvatureTensor(n, mat, label="defect-injected")
         return [(einstein_residual(R, rho) / R.norm(), ""),
                 (np.max(np.abs(ricci(R) - rho * np.eye(n))), "")]
 

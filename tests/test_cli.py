@@ -7,6 +7,7 @@ import pytest
 
 from curvkit.cli import main
 from curvkit.core import model_r0, standard_quaternion_triple
+from curvkit.spaces import MAX_BASIS_N
 from curvkit.tensor_io import load_tensor
 
 
@@ -97,7 +98,7 @@ def test_bad_flag_exits_two(capsys):
     ["flow", "--t-end", "-1"],
     ["flow", "--monitor-every", "0"],
     ["check", "--what", "iso-min", "--restarts", "0"],
-    ["verify", "--n", "9"],
+    ["verify", "--n", "13"],
     ["verify", "--n", "3"],
     ["verify", "--samples", "-1"],
     ["check", "--what", "ricci", "--assert-nonneg", "--tol", "nan"],
@@ -149,6 +150,15 @@ def test_verify_structural_only(capsys):
     rep = last_json(out)
     assert rep["suite"] and rep["checks"]
     assert all(c["status"] != "fail" for c in rep["checks"])
+
+
+def test_verify_runs_at_the_largest_supported_n(capsys):
+    """--n takes every n the subspace constructors build, up to MAX_BASIS_N."""
+    code, out, _ = run(capsys, "verify", "--n", str(MAX_BASIS_N), "--samples", "0")
+    assert code == 0
+    rep = last_json(out)
+    assert rep["n"] == MAX_BASIS_N and rep["passed"]
+    assert {c["id"]: c["status"] for c in rep["checks"]}["q-r0-eigen"] == "pass"
 
 
 def test_verify_inject_defect_fails(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvkit.core import (ComplexStructure, CurvatureError, FourFrame, QuaternionTriple,
-                          evaluate, holomorphic_sectional, isotropic_curvature,
+                          curvature_map, evaluate, holomorphic_sectional, isotropic_curvature,
                           isotropic_from_columns, model_sphere, orthogonal_bisectional,
                           rotate_triple, standard_complex_structure, standard_quaternion_triple,
                           wedge, zero_tensor)
@@ -609,8 +609,13 @@ _J6, _E6 = standard_complex_structure(6), np.eye(6)
     lambda R, v: orthogonal_bisectional(R, _J6, v, _E6[2]),
     lambda R, v: orthogonal_bisectional(R, _J6, _E6[0], v),
     lambda R, v: maximizer_first_order_check(R, _J6, v),
+    lambda R, v: evaluate(R, v, _E6[1], _E6[2], _E6[3]),
+    lambda R, v: evaluate(R, _E6[0], _E6[1], _E6[2], v),
+    lambda R, v: curvature_map(R, v, _E6[1]),
+    lambda R, v: curvature_map(R, _E6[0], v),
 ], ids=["holomorphic_sectional", "orthogonal_bisectional-x", "orthogonal_bisectional-y",
-        "maximizer_first_order_check"])
+        "maximizer_first_order_check", "evaluate-x", "evaluate-w", "curvature_map-z",
+        "curvature_map-w"])
 @pytest.mark.parametrize("v", [np.ones(4), np.ones(7), np.ones((6, 1)), 1.0],
                          ids=["short", "long", "column", "scalar"])
 def test_vector_length_mismatch_raises_curvature_error(call, v):
