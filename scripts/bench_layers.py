@@ -1,6 +1,8 @@
 """Per-call timings of the reaction-term, frame and subspace layers; prints one JSON line.
 
-Times `qform`, `bform` (two distinct tensors) and `rk4_step` at each size on
+Times `qform`, `bform` (two distinct tensors), `rk4_step` and `dop853_step`
+(one accepted step of `integrate_q_flow`: Q(R) into the first row of the
+stage buffer, then `flow._dop853_step`, 12 reaction terms) at each size on
 a projected Gaussian tensor, `project_to_curvature` of the Gaussian rank-4
 table, and the frame layers on the same tensor: the batched isotropic value
 and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
@@ -45,9 +47,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import curvkit.frames  # noqa: E402
-from curvkit.core import (bform, isotropic_from_columns, project_to_curvature,  # noqa: E402
-                          qform, standard_complex_structure, standard_quaternion_triple)
-from curvkit.flow import rk4_step  # noqa: E402
+from curvkit.core import (_stored, bform, isotropic_from_columns,  # noqa: E402
+                          project_to_curvature, qform, standard_complex_structure,
+                          standard_quaternion_triple)
+from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
                             _retract, max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
@@ -99,10 +102,25 @@ def stack_passes(search) -> int:
     return passes
 
 
+def dop853_step(R, h: float):
+    """Factory of one accepted DOP853 step of ``integrate_q_flow`` from R, on
+    a stage buffer allocated once, as the integrator allocates it."""
+    K = np.empty((12,) + R.mat.shape)
+
+    def q(M):
+        return qform(_stored(M, R.n)).mat
+
+    def step():
+        K[0] = q(R.mat)
+        return _dop853_step(R, K, h, q)
+
+    return step
+
+
 def main() -> int:
     rng = np.random.default_rng(SEED)
-    names = ("qform", "bform", "rk4_step", "project_to_curvature", "_iso_value_grad",
-             "_retract", "isotropic_from_columns", "min_isotropic",
+    names = ("qform", "bform", "rk4_step", "dop853_step", "project_to_curvature",
+             "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
              "min_orthogonal_bisectional", "curvature_space_basis",
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
              "qk_q_bound_check_batched", "maximizer_first_order_check")
@@ -121,6 +139,7 @@ def main() -> int:
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
                                 ("bform", lambda: bform(R, S), CALLS),
                                 ("rk4_step", lambda: rk4_step(R, h), CALLS),
+                                ("dop853_step", dop853_step(R, h), CALLS),
                                 ("project_to_curvature",
                                  lambda: project_to_curvature(table), CALLS),
                                 ("_iso_value_grad", lambda: value_grad(frames), CALLS),

@@ -166,8 +166,12 @@ def _verify_table(report) -> str:
 
 def cmd_verify(args) -> int:
     seed = _env_seed(args, 7)
-    report = run_verification_suite(n=args.n, seed=seed, samples=args.samples,
-                                    inject_defect=args.inject_defect)
+    try:
+        report = run_verification_suite(n=args.n, seed=seed, samples=args.samples,
+                                        inject_defect=args.inject_defect)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = report.to_dict()
     if args.format == "table":
         print(_verify_table(report))
@@ -204,7 +208,9 @@ def cmd_flow(args) -> int:
                    norm_final=float(trace.norm[-1]),
                    scal_final=float(trace.scalars[-1]),
                    terminated_by=trace.terminated_by,
-                   steps_accepted=trace.steps_accepted)
+                   steps_accepted=trace.steps_accepted,
+                   steps_rejected=trace.steps_rejected,
+                   reaction_evals=trace.reaction_evals)
     _emit(summary)
     if args.out_csv:
         write_trace_csv(trace, args.out_csv)

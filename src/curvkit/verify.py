@@ -80,16 +80,19 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     """Run every identity check supported at dimension n.
 
     ``inject_defect`` adds a Ricci-flat hyper-Kahler sample to R0 before the
-    reaction eigenvalue check, as a negative control: at n divisible by 4
-    exactly that check must then fail.  The first check of each group
-    carries as ``wall_s`` the time the suite spent since the previous group
-    was recorded, building the inputs it first uses included; the group's
-    later checks carry 0.
+    reaction eigenvalue check, as a negative control: exactly that check must
+    then fail.  R0 exists only at n divisible by 4, so elsewhere the control
+    raises ValueError instead of passing unperturbed.  The first check of
+    each group carries as ``wall_s`` the time the suite spent since the
+    previous group was recorded, building the inputs it first uses included;
+    the group's later checks carry 0.
     """
     frames._require_numbers({"n": n, "seed": seed, "samples": samples},
                             (("n", 4), ("seed", 0), ("samples", 0)), ())
     if n > MAX_BASIS_N:
         raise ValueError(f"n must be an integer with 4 <= n <= {MAX_BASIS_N}, got {n!r}")
+    if inject_defect and n % 4:
+        raise ValueError(f"inject_defect perturbs R0, which requires n divisible by 4, got {n}")
     t0 = lap = time.perf_counter()
     checks: list[CheckResult] = []
 

@@ -169,6 +169,13 @@ def test_verify_inject_defect_fails(capsys):
     assert failing == ["q-r0-eigen"]
 
 
+@pytest.mark.parametrize("n", ["5", "6"])
+def test_verify_inject_defect_without_r0_exits_two(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n, "--samples", "0", "--inject-defect")
+    assert code == 2 and out == ""
+    assert "divisible by 4" in err
+
+
 def test_verify_deterministic_output(tmp_path, capsys):
     runs = []
     for k in range(2):
@@ -249,6 +256,19 @@ def test_flow_summary_and_csv(tmp_path, capsys):
     assert np.isclose(rep["t_final"], 0.02)
     with open(csv) as fh:
         assert fh.readline().strip() == "t,scal,min_iso,norm"
+
+
+def test_flow_summary_reports_rejected_steps_and_reaction_evals(tmp_path, capsys):
+    """A first step as long as the whole flow is rejected; the summary counts
+    it, and 12 reaction terms per accepted step and 11 per rejected one."""
+    p = str(tmp_path / "s.json")
+    main(["model", "--kind", "sphere", "--n", "4", "--out", p])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "flow", "--in", p, "--t-end", "0.1", "--dt", "0.1")
+    assert code == 0
+    rep = last_json(out)
+    assert rep["steps_accepted"] > 0 and rep["steps_rejected"] > 0
+    assert rep["reaction_evals"] == 12 * rep["steps_accepted"] + 11 * rep["steps_rejected"]
 
 
 def test_flow_assert_cone_rejects_negative(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvkit import flow
-from curvkit.core import (CurvatureError, NonFiniteError, inner, model_sphere, qform,
+from curvkit.core import (CurvatureError, NonFiniteError, _stored, inner, model_sphere, qform,
                           scalar_curvature, standard_quaternion_triple, zero_tensor)
 from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
                           default_horizon, integrate_q_flow, rk4_step,
@@ -14,8 +14,8 @@ from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
 from curvkit.frames import OptimizerConfig
 from curvkit.spaces import curvature_space_basis, sample
 
-from helpers import (q_flow_serial, random_curvature, raw_tensor, rk4_step_public,
-                     shift_into_cone)
+from helpers import (dop853_step_public, q_flow_serial, random_curvature, raw_tensor,
+                     rk4_step_public, shift_into_cone, step_doubling_flow)
 from curvkit import model_r0, min_isotropic
 
 
@@ -151,7 +151,9 @@ def _generic_flow_start():
                           monitor_every=10**6, optimizer=LIGHT_OPT)
 
 
-def test_step_doubling_makes_eleven_q_calls_per_attempt(monkeypatch):
+def test_dop853_makes_twelve_q_calls_per_accepted_step(monkeypatch):
+    """Eleven new stages per attempt, and Q of each accepted state, the first
+    stage of the next attempt (first same as last); the trace counts them."""
     calls = []
     real = flow.qform
 
@@ -163,15 +165,96 @@ def test_step_doubling_makes_eleven_q_calls_per_attempt(monkeypatch):
     R0, cfg = _generic_flow_start()
     _, trace = integrate_q_flow(R0, cfg)
     assert trace.steps_rejected > 0 and trace.steps_accepted > 0
-    assert len(calls) == 11 * (trace.steps_accepted + trace.steps_rejected)
+    assert len(calls) == trace.reaction_evals
+    assert len(calls) == 12 * trace.steps_accepted + 11 * trace.steps_rejected
 
 
-def test_step_doubling_matches_serial_oracle():
+def test_dop853_matches_serial_oracle():
     R0, cfg = _generic_flow_start()
     R, trace = integrate_q_flow(R0, cfg)
     S, accepted, rejected = q_flow_serial(R0, cfg.t_end, cfg.dt_init, cfg.rel_tol)
     assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
     assert np.array_equal(R.mat, S.mat)
+
+
+def test_dop853_tableau_order_conditions():
+    """With c the row sums of A: sum_i b_i c_i^(k-1) = 1/k for k = 1..8 (and
+    not for k = 9), and the 5th- and 3rd-order error weights integrate the
+    monomials of degree below 5 and 3 exactly, so in particular sum to 0."""
+    c = np.array([row.sum() for row in flow._A])
+    assert len(c) == len(flow._B) == len(flow._E5) == len(flow._E3) == 12
+    assert all(len(row) == i for i, row in enumerate(flow._A))
+    for k in range(1, 9):
+        assert abs(flow._B @ c ** (k - 1) - 1.0 / k) < 1e-14, k
+    assert abs(flow._B @ c ** 8 - 1.0 / 9) > 1e-6
+    for E, order in ((flow._E5, 5), (flow._E3, 3)):
+        assert all(abs(E @ c ** k) < 1e-14 for k in range(order))
+        assert abs(E @ c ** order) > 1e-4
+
+
+def test_dop853_fixed_step_order_on_sphere_ray():
+    R0 = G = model_sphere(4, 1.0)
+    exact = scalar_blowup_oracle(6.0, 1.0, 0.1)
+
+    def q(M):
+        return qform(_stored(M, 4)).mat
+
+    errs = []
+    for steps in (4, 8, 16):
+        R, K = R0, np.empty((12, 6, 6))
+        for _ in range(steps):
+            K[0] = q(R.mat)
+            R, _ = flow._dop853_step(R, K, 0.1 / steps, q)
+        errs.append(abs(inner(R, G) / inner(G, G) - exact))
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(abs(p - 8.0) < 0.35 for p in orders), orders
+
+
+def test_dop853_tableau_matches_scipy():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    for i, row in enumerate(flow._A):
+        assert np.array_equal(row, coeffs.A[i, :i]), i
+    assert np.array_equal(flow._B, coeffs.B)
+    assert np.array_equal(flow._E5, coeffs.E5[:12]) and coeffs.E5[12] == 0
+    assert np.array_equal(flow._E3, coeffs.E3[:12]) and coeffs.E3[12] == 0
+
+
+def _blowup_flow(blowup_guard):
+    """A generic unit n = 6 tensor flowed to the blow-up guard, endpoints
+    monitored only: (R0, trace)."""
+    R0 = random_curvature(6, seed=73)
+    R0 = R0 * (1.0 / R0.norm())
+    _, trace = integrate_q_flow(R0, FlowConfig(t_end=200.0 * default_horizon(R0),
+                                               blowup_guard=blowup_guard, monitor_every=10**6,
+                                               optimizer=LIGHT_OPT))
+    assert trace.terminated_by == "blowup_guard"
+    return R0, trace
+
+
+def test_step_control_reaches_the_blowup_without_alternating_rejections():
+    """As |R| grows 1000-fold the error ratio rises step after step; the
+    predictive factor keeps the steps just short of rejection (without it,
+    a third of the attempts here were rejected, 890 reaction terms)."""
+    _, trace = _blowup_flow(1e3)
+    assert trace.steps_rejected <= 2 and trace.reaction_evals <= 600
+
+
+def test_fixed_time_error_at_most_step_doubling():
+    """On a generic n = 6 tensor, up to the time |R| reaches 500, the default
+    tolerance errs no more than adaptive RK4 with step doubling did, both
+    against a run at rel_tol 1e-13."""
+    R0, trace = _blowup_flow(500.0)
+    t_end = float(trace.times[-1])
+
+    def run(rel_tol):
+        return integrate_q_flow(R0, FlowConfig(t_end=t_end, rel_tol=rel_tol, blowup_guard=1e6,
+                                               monitor_every=10**6, optimizer=LIGHT_OPT))[0]
+
+    ref = run(1e-13)
+    assert ref.norm() > 500.0
+    dop853 = (run(1e-8) - ref).norm() / ref.norm()
+    doubling = (step_doubling_flow(R0, t_end) - ref).norm() / ref.norm()
+    assert dop853 <= doubling
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12))
@@ -181,6 +264,24 @@ def test_rk4_step_on_raw_stages_matches_constructed_stages(n):
     R = random_curvature(n, seed=1700 + n)
     h = 1e-2 / R.norm()
     assert np.array_equal(rk4_step(R, h).mat, rk4_step_public(R, h).mat)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12))
+def test_dop853_step_on_raw_stages_matches_constructed_stages(n):
+    """The integrator's step, stages kept on the raw matrix in one buffer,
+    gives the same bits and error estimate as stages built through the
+    re-symmetrizing constructor."""
+    R = random_curvature(n, seed=1700 + n)
+    h = 1e-1 / R.norm()
+
+    def q(M):
+        return qform(_stored(M, n)).mat
+
+    K = np.empty((12,) + R.mat.shape)
+    K[0] = q(R.mat)
+    S, err = flow._dop853_step(R, K, h, q)
+    T, err_public = dop853_step_public(R, h)
+    assert np.array_equal(S.mat, T.mat) and err == err_public > 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -66,6 +66,14 @@ def test_injected_defect_fails_exactly_the_eigen_check(n):
     assert [c.check_id for c in report.checks if c.status == "fail"] == ["q-r0-eigen"]
 
 
+@pytest.mark.parametrize("n", [n for n in SUPPORTED_N if n % 4])
+def test_injected_defect_fails_closed_without_r0(n):
+    """R0 exists only at n divisible by 4; elsewhere the negative control
+    raises instead of passing with nothing perturbed."""
+    with pytest.raises(ValueError, match="divisible by 4"):
+        verify.run_verification_suite(n=n, samples=0, inject_defect=True)
+
+
 def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
     calls = []
     check = verify.frames.qk_q_bound_check
