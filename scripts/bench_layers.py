@@ -14,9 +14,10 @@ rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`) are
 reported beside its time, and a whole `min_orthogonal_bisectional` search
 (standard J, the same restarts and seed), whose total descent iterations
 and stack passes are reported beside its time.  A stack pass is one
-value-and-gradient call on a search's descent stack; a stack runs as long as
-its slowest row, so passes, not iterations, are the work of a search.  The
-subspace constructors are timed at their own sizes:
+value-and-gradient call on a search's descent stack, read from the search's
+`passes`; a stack runs as long as its slowest row, so passes, not
+iterations, are the work of a search.  The subspace constructors are timed
+at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
 `hyperkahler_subspace` (standard triple) at those divisible by 4 (4, 8 and
 12), and `qk_q_bound_check` at n = 8 on QK_SAMPLES hyper-Kahler samples
@@ -46,7 +47,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-import curvkit.frames  # noqa: E402
 from curvkit.core import (_stored, bform, isotropic_from_columns,  # noqa: E402
                           project_to_curvature, qform, standard_complex_structure,
                           standard_quaternion_triple)
@@ -80,26 +80,6 @@ def timed(fn, calls: int = CALLS, per: int = 1) -> dict:
     q1, median, q3 = np.percentile(means, [25, 50, 75])
     return {"best": round(min(means), 2), "q1": round(q1, 2), "median": round(median, 2),
             "q3": round(q3, 2)}
-
-
-def stack_passes(search) -> int:
-    """Value-and-gradient calls of the descents that one call of ``search`` runs."""
-    passes = 0
-    descend = curvkit.frames._descend
-
-    def counting(value_grad, F0, cfg, on_iterate=None):
-        def counted(F, rows):
-            nonlocal passes
-            passes += 1
-            return value_grad(F, rows)
-        return descend(counted, F0, cfg, on_iterate)
-
-    curvkit.frames._descend = counting
-    try:
-        search()
-    finally:
-        curvkit.frames._descend = descend
-    return passes
 
 
 def dop853_step(R, h: float):
@@ -153,9 +133,10 @@ def main() -> int:
         res = min_isotropic(R, cfg)
         iterations[str(n)] = sum(res.restart_iterations)
         stop_reasons[str(n)] = {r: res.restart_stop_reasons.count(r) for r in STOP_REASONS}
-        bis_iterations[str(n)] = sum(min_orthogonal_bisectional(R, J, cfg).restart_iterations)
-        passes[str(n)] = stack_passes(lambda: min_isotropic(R, cfg))
-        bis_passes[str(n)] = stack_passes(lambda: min_orthogonal_bisectional(R, J, cfg))
+        passes[str(n)] = res.passes
+        bis = min_orthogonal_bisectional(R, J, cfg)
+        bis_iterations[str(n)] = sum(bis.restart_iterations)
+        bis_passes[str(n)] = bis.passes
     for n in SPACE_SIZES:
         J = standard_complex_structure(n)
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
@@ -173,7 +154,7 @@ def main() -> int:
         lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1, QK_SAMPLES)
     layers["qk_q_bound_check_batched"]["8"] = timed(
         lambda: qk_q_bound_check(tensors, T, qk_cfg), 1, QK_SAMPLES)
-    qk_passes = stack_passes(lambda: qk_q_bound_check(tensors, T, qk_cfg))
+    qk_passes = qk_q_bound_check(tensors, T, qk_cfg)[0].passes
     x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
     layers["maximizer_first_order_check"]["8"] = timed(
         lambda: maximizer_first_order_check(tensors[0], T.I, x))

@@ -6,14 +6,17 @@ J-frames (X, JX, Y, JY) of the bisectional search, k = 1 for unit vectors;
 Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
 gradient, tangent projection G - F sym(F^T G), QR retraction with
 positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
-trial step and a backtrack that accepts on Armijo decrease, or on the
-approximate Wolfe slope test where roundoff ties the values (Barzilai-Borwein
-1988; Wen-Yin 2013 use BB steps on the Stiefel manifold; Hager-Zhang 2005),
-multistart, on tensors scaled to |M|_max = 1.  One engine,
+trial step and a backtrack that accepts on Armijo decrease below a
+nonmonotone reference value, a weighted mean of the row's past values
+(Zhang-Hager, SIAM J. Optim. 14, 2004), or on the approximate Wolfe slope
+test where roundoff ties the values (Barzilai-Borwein 1988; Wen-Yin 2013
+pair BB steps with that reference value on the Stiefel manifold;
+Hager-Zhang 2005), multistart, on tensors scaled to |M|_max = 1.  One engine,
 ``_descend``, runs all starts of a search as one (B, n, k) stack, each row
 with its own step size.  Results say why the best restart stopped
-(``stop_reason``) and how long each restart ran; they report values, and
-frames are certificates, never compared directly.
+(``stop_reason``), how long each restart ran and how many stack passes the
+search took; they report values, and frames are certificates, never
+compared directly.
 """
 
 from dataclasses import dataclass, field
@@ -63,6 +66,7 @@ class FrameSearchResult:
     stop_reason: str | None = None     # of the reported restart, one of STOP_REASONS
     restart_iterations: list = field(default_factory=list)   # aligned with restart_values
     restart_stop_reasons: list = field(default_factory=list)  # likewise
+    passes: int = 0                    # value-and-gradient calls of the descent stack
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,7 @@ FIRST_ORDER_TOL = 1e-5  # of the first-order conditions at a holomorphic maximiz
 _STEP = 0.1             # first trial step; BB steps are clipped to [1e-6, 1e3] * _STEP
 _GRAD_TOL = 1e-8        # a row stops once its projected gradient norm is at most this
 _ARMIJO = 1e-4          # sufficient-decrease constant
+_ETA = 0.85             # weight of the past in the Zhang-Hager reference value
 _WOLFE = 0.9            # curvature constant of the slope test on flat trials
 _FLAT = 16 * np.finfo(float).eps   # values this close, relative to max(1, |val|), tie
 _BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
@@ -110,21 +115,29 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     clipped to [1e-6, 1e3] * _STEP (the upper bound when <s, y> = 0; the
     first trial is _STEP); a rejected trial halves the step.  A trial with
     value vt, move s and projected gradient Pt is accepted on value, by a
-    strict Armijo decrease vt < val, vt <= val - _ARMIJO a |P|^2, or, when
-    |vt - val| <= _FLAT max(1, |val|) and roundoff hides any decrease, on
-    slope, by Hager and Zhang's approximate Wolfe test (SIAM J. Optim. 16,
-    2005) with delta = _ARMIJO and sigma = _WOLFE:
+    strict Armijo decrease below the row's reference value C,
+    vt < C, vt <= C - _ARMIJO a |P|^2, or, when |vt - val| <= _FLAT
+    max(1, |val|) and roundoff hides any decrease, on slope, by Hager and
+    Zhang's approximate Wolfe test (SIAM J. Optim. 16, 2005) with
+    delta = _ARMIJO and sigma = _WOLFE:
     <P, s> < 0 and sigma <P, s> <= <Pt, s> <= (1 - 2 delta) |<P, s>|.  The
     lower bound rejects steps too short to change the slope, such as steps
-    along an ascent direction.  A row leaves the stack at projected gradient
-    norm <= _GRAD_TOL (``grad_tol``), after 60 rejected halvings
-    (``line_search_floor``) or after ``cfg.max_iters``.  The step and the
-    tolerances are absolute: the searches normalize their tensors first
-    (``_unit_scale``).
+    along an ascent direction.  C is Zhang and Hager's nonmonotone reference
+    (SIAM J. Optim. 14, 2004): it starts at the row's first value with
+    weight Q = 1, and each accepted value f moves it to
+    C' = (_ETA Q C + f) / Q', Q' = _ETA Q + 1.  A BB trial may so rise above
+    the row's last value, yet f_k <= C_k <= C_(k-1) <= f_0 (to roundoff on
+    the slope branch), so no row ends above its start.  A row leaves the
+    stack at projected gradient norm <= _GRAD_TOL (``grad_tol``), after 60
+    rejected halvings (``line_search_floor``) or after ``cfg.max_iters``.
+    The step and the tolerances are absolute: the searches normalize their
+    tensors first (``_unit_scale``).
     ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
     active row at the start of each of its iterations.
 
-    Returns (values, frames, iterations, stop reasons), aligned with F0's rows.
+    Returns (values, frames, iterations, stop reasons), aligned with F0's
+    rows, and the stack's passes: its calls of ``value_grad``, the first
+    one included.
     """
     F = _retract(np.asarray(F0, dtype=float))
     B = len(F)
@@ -132,12 +145,14 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     val, G = value_grad(F, rows)
     P = _stiefel_tangent(F, G)
     g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
+    C, Qw = val.copy(), np.ones(B)      # Zhang-Hager reference values and their weights
     a = np.full(B, _STEP)               # next trial step of each row
     lo, hi = 1e-6 * _STEP, 1e3 * _STEP
     # failed trials in the current iteration, iterations begun
     tries, iters = np.zeros(B, dtype=int), np.ones(B, dtype=int)
     ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
     out = (np.empty(B), np.empty_like(F), np.empty(B, dtype=int), np.empty(B, dtype=int))
+    passes = 1
     while True:
         if on_iterate is not None:
             for i in np.flatnonzero(ok & (iters <= cfg.max_iters)):
@@ -151,17 +166,18 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
                 dst[rows[done]] = src[done]
             if done.all():
                 break
-            F, val, P, g2, a, tries, iters, rows = (
-                x[~done] for x in (F, val, P, g2, a, tries, iters, rows))
+            F, val, P, g2, a, tries, iters, rows, C, Qw = (
+                x[~done] for x in (F, val, P, g2, a, tries, iters, rows, C, Qw))
         Ft = _retract(F - a[:, None, None] * P)
         vt, Gt = value_grad(Ft, rows)
+        passes += 1
         Pt = _stiefel_tangent(Ft, Gt)
         s, y = Ft - F, Pt - P
-        # on value (strict Armijo), or on slope where the values tie to roundoff
+        # on value (strict Armijo against C), or on slope where the values tie to roundoff
         flat = np.abs(vt - val) <= _FLAT * np.maximum(1.0, np.abs(val))
         sp, spt = np.einsum("bij,bij->b", s, P), np.einsum("bij,bij->b", s, Pt)
         wolfe = (sp < 0) & (_WOLFE * sp <= spt) & (spt <= (2 * _ARMIJO - 1) * sp)
-        ok = ((vt < val) & (vt <= val - _ARMIJO * a * g2)) | (flat & wolfe)
+        ok = ((vt < C) & (vt <= C - _ARMIJO * a * g2)) | (flat & wolfe)
         # BB step of the accepted rows; a rejected row has no step
         sy = np.abs(np.einsum("bij,bij->b", s, y))
         bb = np.divide(np.einsum("bij,bij->b", s, s), sy, out=np.full(len(sy), hi),
@@ -170,10 +186,12 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
         m = ok[:, None, None]
         F, P = np.where(m, Ft, F), np.where(m, Pt, P)
         val, g2 = np.where(ok, vt, val), np.where(ok, np.einsum("bij,bij->b", Pt, Pt), g2)
+        Qn = np.where(ok, _ETA * Qw + 1.0, Qw)
+        C, Qw = np.where(ok, (_ETA * Qw * C + val) / Qn, C), Qn
         tries = np.where(ok, 0, tries + 1)
         iters += ok
     values, frames, iterations, codes = out
-    return values, frames, iterations, np.array(STOP_REASONS)[codes]
+    return values, frames, iterations, np.array(STOP_REASONS)[codes], passes
 
 
 def _unit_scale(mats: np.ndarray) -> np.ndarray:
@@ -190,14 +208,15 @@ def _random_starts(cfg: OptimizerConfig, n: int, k: int) -> np.ndarray:
                      for r in range(cfg.restarts)])
 
 
-def _search_result(values, frames, iterations, reasons, k: int, frame) -> FrameSearchResult:
+def _search_result(values, frames, iterations, reasons, passes: int, k: int,
+                   frame) -> FrameSearchResult:
     """Result of a search whose best restart is row k, reported as ``frame``."""
     return FrameSearchResult(value=float(values[k]), frame_or_vector=frame,
                              converged=bool(reasons[k] == "grad_tol"),
                              iterations=int(iterations[k]), restart_values=values.tolist(),
                              restart_frames=list(frames), stop_reason=str(reasons[k]),
                              restart_iterations=iterations.tolist(),
-                             restart_stop_reasons=reasons.tolist())
+                             restart_stop_reasons=reasons.tolist(), passes=passes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +297,9 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
     each a FourFrame or a finite (n, 4) matrix whose smallest singular value
     exceeds CONSTRUCTION_TOL times its largest, else CurvatureError), then
     restart r from seed ``cfg.seed + r``, then the best axis-aligned frame
-    (``_best_probe``).  No row ends above its start beyond roundoff, so the
+    (``_best_probe``).  Each row's values stay at most its Zhang-Hager
+    reference value, which never rises above the row's start (see
+    ``_descend``), so no row ends above its start beyond roundoff and the
     reported value is at most every axis-aligned frame's value.
     ``on_iterate(F, val, gnorm)`` sees every iteration of every row.
     The search runs on M / s (``_unit_scale``) and scales back.
@@ -303,10 +324,11 @@ def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
             raise CurvatureError(f"warm start columns are linearly dependent: smallest singular "
                                  f"value {sv[-1]:.3e}, largest {sv[0]:.3e}")
     starts = np.concatenate(warm + [_random_starts(cfg, n, 4), _best_probe(mat, n)[None]])
-    values, frames, iterations, reasons = _descend(value_grad, starts, cfg, seen)
+    values, frames, iterations, reasons, passes = _descend(value_grad, starts, cfg, seen)
 
     k = int(np.argmin(values))
-    return _search_result(s * values, frames, iterations, reasons, k, FourFrame(frames[k]))
+    return _search_result(s * values, frames, iterations, reasons, passes, k,
+                          FourFrame(frames[k]))
 
 
 def _pinching_from_iso(min_iso: float) -> float:
@@ -371,15 +393,15 @@ def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
     r = cfg.restarts
     s = _unit_scale(mats)
     starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
-    negvals, X, iterations, reasons = _descend(_hol_value_grad(mats / s[:, None, None], Jm, r),
-                                               starts, cfg)
+    negvals, X, iterations, reasons, passes = _descend(
+        _hol_value_grad(mats / s[:, None, None], Jm, r), starts, cfg)
     results = []
     for t in range(len(mats)):
         own = slice(t * r, (t + 1) * r)
         k = int(np.argmin(negvals[own]))
         x = X[own, :, 0]
         results.append(_search_result(-s[t] * negvals[own], x, iterations[own], reasons[own],
-                                      k, x[k]))
+                                      passes, k, x[k]))
     return results
 
 
@@ -488,13 +510,13 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     s = float(_unit_scale(R.mat))
     x, y = np.moveaxis(_random_starts(cfg, 2, n), 1, 0)    # x, then y, per seed
     starts = np.stack([x, x @ Jm.T, y, y @ Jm.T], axis=-1)
-    values, frames, iterations, reasons = _descend(_bisectional_value_grad(R.mat / s, Jm),
-                                                   starts, cfg)
+    values, frames, iterations, reasons, passes = _descend(
+        _bisectional_value_grad(R.mat / s, Jm), starts, cfg)
     frames = frames[:, :, [0, 2]]
 
     k = int(np.argmin(values))
     x, y = frames[k].T
-    return _search_result(s * values, frames, iterations, reasons, k,
+    return _search_result(s * values, frames, iterations, reasons, passes, k,
                           FourFrame.from_vectors(x, Jm @ x, y, Jm @ y))
 
 
@@ -547,6 +569,7 @@ class QKBoundReport:
     stop_reason: str        # of the maximizer search's best row, one of STOP_REASONS
     iterations: int         # of that row
     restart_stop_reasons: tuple   # of every row of the search
+    passes: int             # of the descent stack, shared by every tensor of one call
 
 
 def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = None):
@@ -631,4 +654,5 @@ def _qk_report(R1: CurvatureTensor, T: QuaternionTriple, res: FrameSearchResult,
                          first_order=first, hk_residual=hk_residual,
                          passed=passed, tol=CHECK_TOL,
                          stop_reason=res.stop_reason, iterations=res.iterations,
-                         restart_stop_reasons=tuple(res.restart_stop_reasons))
+                         restart_stop_reasons=tuple(res.restart_stop_reasons),
+                         passes=res.passes)

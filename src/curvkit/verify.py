@@ -69,9 +69,10 @@ class VerificationReport:
                 "wall_time_s": self.wall_time_s, "timestamp": self.timestamp}
 
 
-def _stop_counts(reasons: list) -> str:
-    """How many search rows stopped for each reason, as one phrase."""
-    return f"{len(reasons)} rows: " + ", ".join(
+def _stop_counts(reasons: list, passes: int) -> str:
+    """How many search rows stopped for each reason, and the stack passes
+    their descents took, as one phrase."""
+    return f"{len(reasons)} rows, {passes} stack passes: " + ", ".join(
         f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS if r in reasons)
 
 
@@ -213,7 +214,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         first = max(max(fo.deriv_y, fo.deriv_jy, -min(0.0, fo.min_slack))
                     for fo in (rep.first_order for rep in reports))
         reasons = [r for rep in reports for r in rep.restart_stop_reasons]
-        return [(gap, f"{samples} samples, {_stop_counts(reasons)}"),
+        return [(gap, f"{samples} samples, {_stop_counts(reasons, reports[0].passes)}"),
                 (first, f"{samples} samples")]
 
     run([("q-hol-bound-maximizer",
@@ -245,17 +246,18 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     def boundary_q():
         cfg = frames.OptimizerConfig(restarts=16, seed=seed)
         worst = -1e9
-        names, reasons = [], []
+        names, reasons, passes = [], [], 0
         for name, R, _ in models[1:]:
             res = frames.min_isotropic(R, cfg)
             reasons += res.restart_stop_reasons
+            passes += res.passes
             rep = frames.boundary_q_check(R, res.frame_or_vector, min_iso=res.value)
             if rep.applicable:
                 worst = max(worst, -rep.q_value)
                 names.append(name)
         if not names:
-            return [(1e9, f"no boundary frame found; {_stop_counts(reasons)}")]
-        return [(worst, f"applicable on: {', '.join(names)}; {_stop_counts(reasons)}")]
+            return [(1e9, f"no boundary frame found; {_stop_counts(reasons, passes)}")]
+        return [(worst, f"applicable on: {', '.join(names)}; {_stop_counts(reasons, passes)}")]
 
     run([("boundary-q-nonneg",
           "iso_Q(F) >= 0 on zero-isotropic frames of nonnegative tensors", 1e-6)],

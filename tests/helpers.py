@@ -319,8 +319,9 @@ def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):
 # ---------------------------------------------------------------------------
 # Serial frame-search oracles: one start at a time, per-frame QR, closures
 # over single vectors, and the engine's step rule (Barzilai-Borwein first
-# trial, halving backtrack, the acceptance test of accept_serial,
-# frames._STEP and frames._GRAD_TOL), on the tensor scaled to |M|_max = 1.
+# trial, halving backtrack, the acceptance test of accept_serial against the
+# Zhang-Hager reference value of zh_update, frames._STEP and
+# frames._GRAD_TOL), on the tensor scaled to |M|_max = 1.
 # Restart r draws from seed cfg.seed + r as in curvkit.frames.
 # ---------------------------------------------------------------------------
 
@@ -330,17 +331,26 @@ def unit_scaled(R: CurvatureTensor):
     return CurvatureTensor(R.n, R.mat / s), s
 
 
-def accept_serial(val, vnew, a, gnorm, P, Pnew, step) -> bool:
-    """A strict Armijo decrease, or, when the two values tie to within
-    16 eps max(1, |val|), the approximate Wolfe test on the slopes of the
-    step along the old and the new projected gradients (Hager-Zhang 2005):
-    <P, step> < 0 and 0.9 <P, step> <= <Pnew, step> <= (1 - 2e-4) |<P, step>|."""
-    if vnew < val and vnew <= val - 1e-4 * a * gnorm * gnorm:
+def accept_serial(val, vnew, a, gnorm, P, Pnew, step, ref=None) -> bool:
+    """A strict Armijo decrease below the reference value ``ref`` (``val``
+    when None), or, when vnew and val tie to within 16 eps max(1, |val|),
+    the approximate Wolfe test on the slopes of the step along the old and
+    the new projected gradients (Hager-Zhang 2005): <P, step> < 0 and
+    0.9 <P, step> <= <Pnew, step> <= (1 - 2e-4) |<P, step>|."""
+    ref = val if ref is None else ref
+    if vnew < ref and vnew <= ref - 1e-4 * a * gnorm * gnorm:
         return True
     if abs(vnew - val) > 16 * np.finfo(float).eps * max(1.0, abs(val)):
         return False
     sp, spt = float(np.sum(P * step)), float(np.sum(Pnew * step))
     return sp < 0 and 0.9 * sp <= spt <= (1 - 2e-4) * abs(sp)
+
+
+def zh_update(ref, weight, vnew):
+    """Zhang-Hager (SIAM J. Optim. 14, 2004) reference value and weight
+    after accepting vnew: Q' = 0.85 Q + 1, C' = (0.85 Q C + vnew) / Q'."""
+    new_weight = 0.85 * weight + 1.0
+    return (0.85 * weight * ref + vnew) / new_weight, new_weight
 
 
 def retract_serial(F: np.ndarray) -> np.ndarray:
@@ -362,7 +372,8 @@ def bb_step_serial(s, y) -> float:
 def descend_serial(value_grad, F0, cfg, on_iterate=None):
     """Projected-gradient descent from one start: a Barzilai-Borwein first
     trial after each accepted step, then backtracking by halving until a
-    trial passes ``accept_serial``.
+    trial passes ``accept_serial`` against the reference value C, which
+    starts at the first value and follows ``zh_update``.
 
     Returns (value, F, stop_reason, iterations).
     """
@@ -372,6 +383,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
     F = retract_serial(np.asarray(F0, dtype=float))
     val, G = value_grad(F)
     Griem = riemannian(F, G)
+    ref, weight = val, 1.0
     alpha = frames._STEP
     reason = "max_iters"
     iters = 0
@@ -389,7 +401,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
             Fnew = retract_serial(F - a * Griem)
             vnew, Gnew = value_grad(Fnew)
             Pnew = riemannian(Fnew, Gnew)
-            if accept_serial(val, vnew, a, gnorm, Griem, Pnew, Fnew - F):
+            if accept_serial(val, vnew, a, gnorm, Griem, Pnew, Fnew - F, ref):
                 accepted = True
                 break
             a *= 0.5
@@ -398,6 +410,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
             break
         alpha = bb_step_serial(Fnew - F, Pnew - Griem)
         F, val, Griem = Fnew, vnew, Pnew
+        ref, weight = zh_update(ref, weight, val)
     return val, F, reason, iters
 
 
@@ -515,8 +528,9 @@ def max_holomorphic_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
 def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
     """Restart values and stop reasons of the serial
     min_orthogonal_bisectional: its own Barzilai-Borwein loop over (x, y)
-    with the test of ``accept_serial``, y projected off {x, Jx} after every
-    step; a restart's value is that of its final (x, y)."""
+    with the test of ``accept_serial`` against the reference value of
+    ``zh_update``, y projected off {x, Jx} after every step; a restart's
+    value is that of its final (x, y)."""
     from curvkit.core import curvature_map, wedge
     n = R.n
     R, scale = unit_scaled(R)
@@ -556,6 +570,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
             continue
         val = objective(x, y)
         g = tangent_project(*grads(x, y), x, y)
+        ref, weight = val, 1.0
         alpha = frames._STEP
         reason = "max_iters"
         for _ in range(cfg.max_iters):
@@ -572,7 +587,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
                     vn = objective(xn, yn)
                     gn = tangent_project(*grads(xn, yn), xn, yn)
                     step = np.concatenate([xn - x, yn - y])
-                    if accept_serial(val, vn, a, gnorm, g, gn, step):
+                    if accept_serial(val, vn, a, gnorm, g, gn, step, ref):
                         accepted = True
                         break
                 a *= 0.5
@@ -581,6 +596,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
                 break
             alpha = bb_step_serial(step, gn - g)
             x, y, val, g = xn, yn, vn, gn
+            ref, weight = zh_update(ref, weight, val)
         values.append(scale * val)
         reasons.append(reason)
     return values, reasons

@@ -4,7 +4,7 @@ helpers.py, its stop reasons, and the thin-SVD nullspace."""
 import numpy as np
 import pytest
 
-from curvkit import frames
+from curvkit import frames, verify
 from curvkit.core import (isotropic_from_columns, model_fubini_study, model_sphere,
                           standard_complex_structure)
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _descend, _hol_value_grad,
@@ -78,19 +78,25 @@ def test_probe_start_matches_serial(n, seed):
     (4, 1, 1, 2, 0), (6, 0, 1, 2, 0), (8, 4, 3, 500, 1)])
 def test_min_isotropic_descends_once(monkeypatch, n, seed, restarts, max_iters, warm):
     """Warm, seeded and probe rows run as one stack, whichever row wins; the
-    first two cases are those where the probe beats every restart."""
-    calls = []
+    first two cases are those where the probe beats every restart.  The
+    result's ``passes`` counts the stack's value-and-gradient calls."""
+    calls, passes = [], []
     descend = frames._descend
 
     def counted(value_grad, F0, cfg, on_iterate=None):
+        def pass_counted(F, rows):
+            passes.append(len(F))
+            return value_grad(F, rows)
+
         calls.append(len(F0))
-        return descend(value_grad, F0, cfg, on_iterate)
+        return descend(pass_counted, F0, cfg, on_iterate)
 
     monkeypatch.setattr(frames, "_descend", counted)
     R = random_curvature(n, seed=900 + seed)
     cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed)
-    min_isotropic(R, cfg, [np.eye(n)[:, :4]] * warm)
+    res = min_isotropic(R, cfg, [np.eye(n)[:, :4]] * warm)
     assert calls == [warm + restarts + 1]
+    assert res.passes == len(passes) and passes[0] == calls[0]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -145,8 +151,8 @@ def test_batched_gradients_match_serial(n, seed):
 
 def assert_rows_match_separate_runs(mixed, separate, owner):
     """Each row of the mixed stack against the same row of its tensor's own run."""
-    values, _, iterations, reasons = mixed
-    for t, (v, _, it, rs) in enumerate(separate):
+    values, _, iterations, reasons, _ = mixed
+    for t, (v, _, it, rs, _) in enumerate(separate):
         own = owner == t
         assert_values_match(values[own], v, rtol=1e-12)
         assert reasons[own].tolist() == rs.tolist()
@@ -219,6 +225,24 @@ def test_stop_reason_grad_tol_on_random_tensors(n):
     assert res.restart_stop_reasons == ["grad_tol"] * 17
 
 
+def test_no_row_stops_at_the_line_search_floor():
+    """Rows that once sat at the floor with a monotone acceptance test (a BB
+    trial shorter than the approximate-Wolfe window, halved 60 times): the
+    maximizer and boundary searches of ``verify --n 8 --samples 20`` at seed
+    7, and the warm-start row of the n = 12 case of
+    test_min_isotropic_matches_serial.  Against the Zhang-Hager reference
+    value their BB trials pass on value."""
+    report = verify.run_verification_suite(n=8, seed=7, samples=20)
+    details = {c.check_id: c.detail for c in report.checks}
+    for check_id in ("q-hol-bound-maximizer", "boundary-q-nonneg"):
+        assert "rows" in details[check_id]
+        assert "line_search_floor" not in details[check_id], details[check_id]
+    cfg = OptimizerConfig(restarts=3, max_iters=300, seed=1)
+    warm = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 4)))[0]
+    res = min_isotropic(random_curvature(12, seed=421), cfg, init_frames=[warm])
+    assert res.restart_stop_reasons[0] == "grad_tol"
+
+
 def test_stop_reason_line_search_floor_on_inconsistent_gradient():
     """With the gradient's sign flipped the small trial steps climb, so each
     row, whatever it accepts on the way, ends at the line-search floor (60
@@ -233,7 +257,7 @@ def test_stop_reason_line_search_floor_on_inconsistent_gradient():
 
     F0 = np.random.default_rng(0).standard_normal((8, n, 4))
     start = value_grad(_retract(F0))[0]
-    values, _, iterations, reasons = _descend(negated, F0, OptimizerConfig())
+    values, _, iterations, reasons, _ = _descend(negated, F0, OptimizerConfig())
     assert reasons.tolist() == ["line_search_floor"] * len(F0)
     assert np.all(values <= start)
     assert np.all(iterations < 500)

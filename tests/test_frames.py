@@ -21,7 +21,7 @@ from curvkit.spaces import (constraint_violation, curvature_space_basis, hyperka
                             kahler_subspace, project_onto, qk_decompose, sample)
 
 from helpers import (iso_table, min_isotropic_n4, probe_frames, qk_joint_search_serial,
-                     qk_paired_excess_serial, random_curvature)
+                     qk_paired_excess_serial, random_curvature, zh_update)
 
 
 def test_config_validation():
@@ -68,10 +68,12 @@ def test_result_internal_consistency(light_cfg):
     assert res.value == min(res.restart_values)
 
 
-def test_iterates_stay_feasible_and_monotone():
+def test_iterates_stay_feasible_and_below_reference_value():
     """Each of the two rows of min_isotropic at restarts = 1, the seeded
     start and the probe start, descended alone so that its iterates are not
-    interleaved with the other row's."""
+    interleaved with the other row's.  Every accepted value is at most the
+    Zhang-Hager reference value C_k recomputed from the trail (zh_update),
+    C_k never increases, and the last value is at most the first."""
     R = random_curvature(6, seed=41)
     cfg = OptimizerConfig(restarts=1, seed=3)
     mat = R.mat / frames._unit_scale(R.mat)
@@ -84,7 +86,14 @@ def test_iterates_stay_feasible_and_monotone():
         frames._descend(_iso_value_grad(mat, 6), F0[None], cfg, spy)
         values = [v for _, v in trail]
         assert len(values) > 1
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        ref, weight = values[0], 1.0
+        for v in values[1:]:
+            assert v <= ref + 1e-12
+            new_ref, weight = zh_update(ref, weight, v)
+            assert new_ref <= ref + 1e-12
+            ref = new_ref
+        assert values[-1] <= values[0]
+        assert max(np.diff(values)) > 1e-3  # some accepted steps rise above their row's value
         for F, _ in trail[:: max(1, len(trail) // 10)]:
             defect = np.max(np.abs(F.T @ F - np.eye(4)))
             assert defect < 1e-9
@@ -534,6 +543,8 @@ def test_qk_bound_sequence_matches_one_search_per_tensor(hk_samples, hk_reports,
         assert (rep.stop_reason, rep.iterations) == (res.stop_reason, res.iterations)
         assert list(rep.restart_stop_reasons) == res.restart_stop_reasons
         assert set(rep.restart_stop_reasons) <= set(STOP_REASONS)
+    # the tensors share one descent stack, and every report gives its passes
+    assert len({rep.passes for rep in hk_reports}) == 1 and hk_reports[0].passes > 1
     # one tensor gives one report, the same as a sequence of one
     single = qk_q_bound_check(hk_samples[3], t8, cfg)
     assert isinstance(single, QKBoundReport)

@@ -75,19 +75,20 @@ def test_injected_defect_fails_closed_without_r0(n):
 
 
 def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
-    calls = []
+    calls, reports = [], []
     check = verify.frames.qk_q_bound_check
 
     def counted(R1s, T, cfg):
         calls.append(len(R1s))
-        return check(R1s, T, cfg)
+        reports.extend(check(R1s, T, cfg))
+        return reports
 
     monkeypatch.setattr(verify.frames, "qk_q_bound_check", counted)
     report = verify.run_verification_suite(n=8, samples=3)
     assert report.passed and calls == [3]
     detail = next(c.detail for c in report.checks if c.check_id == "q-hol-bound-maximizer")
     head, stops = detail.split(": ")
-    assert head == "3 samples, 12 rows"
+    assert head == f"3 samples, 12 rows, {reports[0].passes} stack passes"
     counts = dict(part.rsplit(" ", 1) for part in stops.split(", "))
     assert set(counts) <= set(verify.frames.STOP_REASONS)
     assert sum(int(c) for c in counts.values()) == 12
@@ -95,11 +96,13 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
 
 def test_boundary_check_counts_its_rows():
     """16 restarts and the probe row on each of the Fubini-Study and
-    quaternionic models."""
+    quaternionic models, and the stack passes of both searches."""
     report = verify.run_verification_suite(n=8, samples=1)
     detail = next(c.detail for c in report.checks if c.check_id == "boundary-q-nonneg")
-    assert detail.startswith("applicable on: fubini-study, quaternionic; 34 rows: ")
-    counts = dict(part.rsplit(" ", 1) for part in detail.split(" rows: ")[1].split(", "))
+    assert detail.startswith("applicable on: fubini-study, quaternionic; 34 rows, ")
+    passes, stops = detail.split(" rows, ")[1].split(" stack passes: ")
+    assert int(passes) >= 2
+    counts = dict(part.rsplit(" ", 1) for part in stops.split(", "))
     assert set(counts) <= set(verify.frames.STOP_REASONS)
     assert sum(int(c) for c in counts.values()) == 34
 
