@@ -114,7 +114,8 @@ def main() -> int:
         h = 1e-3 / R.norm()
         raw = rng.standard_normal((FRAMES, n, 4))
         frames = _retract(raw)
-        value_grad = _iso_value_grad(R.mat, n)
+        value_grad = _iso_value_grad(R.mat[None], n, FRAMES)    # one tensor, FRAMES rows
+        rows = np.arange(FRAMES)
         J = standard_complex_structure(n)
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
                                 ("bform", lambda: bform(R, S), CALLS),
@@ -122,7 +123,7 @@ def main() -> int:
                                 ("dop853_step", dop853_step(R, h), CALLS),
                                 ("project_to_curvature",
                                  lambda: project_to_curvature(table), CALLS),
-                                ("_iso_value_grad", lambda: value_grad(frames), CALLS),
+                                ("_iso_value_grad", lambda: value_grad(frames, rows), CALLS),
                                 ("_retract", lambda: _retract(raw), CALLS),
                                 ("isotropic_from_columns",
                                  lambda: isotropic_from_columns(R.mat, frames[0]), CALLS),

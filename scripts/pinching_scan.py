@@ -9,10 +9,12 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from curvkit import model_r0
 from curvkit.core import (model_fubini_study, model_sphere,
                           standard_quaternion_triple)
-from curvkit.frames import OptimizerConfig, _pinching_from_iso, min_isotropic
+from curvkit.frames import OptimizerConfig, _min_isotropic_stack, _pinching_from_iso
 
 
 def endpoint(kind: str, n: int):
@@ -40,12 +42,13 @@ def main(argv=None) -> int:
     M = endpoint(args.target, args.n)
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
+    ts = [k / (args.steps - 1) if args.steps > 1 else 0.0 for k in range(args.steps)]
+    family = [(1.0 - t) * sphere + t * M for t in ts]
+    # the whole family is searched as one descent stack
+    searches = _min_isotropic_stack(np.stack([R.mat for R in family]), args.n, cfg) if ts else []
     rows = []
     print(f"{'t':>6} {'min_iso':>12} {'pinching':>12}")
-    for k in range(args.steps):
-        t = k / (args.steps - 1) if args.steps > 1 else 0.0
-        R = (1.0 - t) * sphere + t * M
-        res = min_isotropic(R, cfg)
+    for t, res in zip(ts, searches):
         pinching = _pinching_from_iso(res.value)
         rows.append((t, res.value, pinching))
         print(f"{t:6.3f} {res.value:12.8f} {pinching:12.8f}")

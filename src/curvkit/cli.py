@@ -210,7 +210,7 @@ def cmd_flow(args) -> int:
                    terminated_by=trace.terminated_by,
                    steps_accepted=trace.steps_accepted,
                    steps_rejected=trace.steps_rejected,
-                   reaction_evals=trace.reaction_evals)
+                   reaction_evals=trace.reaction_evals, monitor_s=trace.monitor_s)
     _emit(summary)
     if args.out_csv:
         write_trace_csv(trace, args.out_csv)

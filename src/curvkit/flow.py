@@ -9,13 +9,15 @@ Self-similar ray solutions provide closed-form references for convergence
 checks.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _stored, project_bianchi,
                    qform, scalar_curvature)
-from .frames import OptimizerConfig, _require_numbers, min_isotropic
+from .frames import (OptimizerConfig, _min_isotropic_stack, _require_four_frames,
+                     _require_numbers, min_isotropic)
 
 
 class FlowError(RuntimeError):
@@ -54,6 +56,7 @@ _TABLEAU = np.array("""
 """.split(), dtype=float)
 _A = np.split(_TABLEAU[:66], np.cumsum(range(11)))
 _B, _E5, _E3 = _TABLEAU[66:].reshape(3, 12)
+_MONITOR_STACK = 32     # recorded states per stacked monitoring search
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,7 @@ class FlowTrace:
     steps_accepted: int
     steps_rejected: int
     reaction_evals: int              # calls of qform by the integrator
+    monitor_s: float                 # seconds in the monitoring searches
 
 
 def _project(R: CurvatureTensor) -> CurvatureTensor:
@@ -160,13 +164,15 @@ def integrate_q_flow(R0: CurvatureTensor,
     the error ratio r, after an accepted step at most Gustafsson's predictive
     0.9 (h / h_prev) (r_prev / r^2)^(1/8), r_prev >= 1e-2 (Hairer & Wanner,
     Solving ODEs II, IV.8), clipped to [0.2, 2].  The trace records t, scalar
-    curvature, minimum isotropic curvature (warm-started search) and tensor
-    norm every ``monitor_every`` accepted steps and at both endpoints.  A step
-    that overflows (a non-finite reaction term, error estimate or new state)
-    ends the flow with ``terminated_by="non_finite"`` at the last accepted
-    state.
+    curvature, minimum isotropic curvature and tensor norm every
+    ``monitor_every`` accepted steps and at both endpoints, searching the
+    states ``_MONITOR_STACK`` at a time as one ``_min_isotropic_stack``.  A
+    step that overflows (a non-finite reaction term, error estimate or new
+    state) ends the flow with ``terminated_by="non_finite"`` at the last
+    accepted state; CurvatureError for n < 4, before any step.
     """
     cfg = cfg or FlowConfig()
+    _require_four_frames(R0.n)
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
 
     R = _project(R0)
@@ -180,18 +186,21 @@ def integrate_q_flow(R0: CurvatureTensor,
         evals += 1
         return qform(_stored(M, n)).mat
 
-    times, scal, iso, nrm = [], [], [], []
-    warm = None
+    times, scal, iso, nrm, queue, searched_s = [], [], [], [], [], []
+
+    def search():
+        t0 = time.perf_counter()
+        iso.extend(res.value for res in _min_isotropic_stack(np.stack(queue), n, cfg.optimizer))
+        searched_s.append(time.perf_counter() - t0)
+        queue.clear()
 
     def record(t, Rt):
-        nonlocal warm
-        res = min_isotropic(Rt, cfg.optimizer,
-                            init_frames=None if warm is None else [warm])
-        warm = res.frame_or_vector
         times.append(t)
         scal.append(scalar_curvature(Rt))
-        iso.append(res.value)
         nrm.append(Rt.norm())
+        queue.append(Rt.mat)
+        if len(queue) == _MONITOR_STACK:
+            search()
 
     record(0.0, R)
     t = 0.0
@@ -242,11 +251,13 @@ def integrate_q_flow(R0: CurvatureTensor,
         terminated_by = "max_steps"
     if times[-1] != t:
         record(t, R)
+    if queue:
+        search()
 
     trace = FlowTrace(times=np.array(times), scalars=np.array(scal),
                       min_iso=np.array(iso), norm=np.array(nrm),
                       terminated_by=terminated_by, steps_accepted=accepted,
-                      steps_rejected=rejected, reaction_evals=evals)
+                      steps_rejected=rejected, reaction_evals=evals, monitor_s=sum(searched_s))
     return R, trace
 
 

@@ -12,11 +12,11 @@ nonmonotone reference value, a weighted mean of the row's past values
 test where roundoff ties the values (Barzilai-Borwein 1988; Wen-Yin 2013
 pair BB steps with that reference value on the Stiefel manifold;
 Hager-Zhang 2005), multistart, on tensors scaled to |M|_max = 1.  One engine,
-``_descend``, runs all starts of a search as one (B, n, k) stack, each row
-with its own step size.  Results say why the best restart stopped
-(``stop_reason``), how long each restart ran and how many stack passes the
-search took; they report values, and frames are certificates, never
-compared directly.
+``_descend``, runs all starts of a search, of one tensor or many, as one
+(B, n, k) stack, each row with its own step size.  Results say why the best
+restart stopped (``stop_reason``), how long each restart ran and how many
+stack passes the search took; they report values, and frames are
+certificates, never compared directly.
 """
 
 from dataclasses import dataclass, field
@@ -24,10 +24,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import (_ISO_FORMS, CONSTRUCTION_TOL, ComplexStructure, CurvatureError,
-                   CurvatureTensor, FourFrame, QuaternionTriple, _bianchi_gather, _frame_forms,
-                   _frozen, _require_same_n, _require_vector, _unpack_two_form, curvature_map,
-                   evaluate, invariance_defect, isotropic_from_columns, pair_indices, qform)
+from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
+                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _require_same_n,
+                   _require_vector, _unpack_two_form, curvature_map, evaluate, invariance_defect,
+                   isotropic_from_columns, pair_indices, qform)
 from .spaces import _nullspace
 
 
@@ -107,16 +107,15 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     ``value_grad(F, rows)`` maps a (b, n, k) stack to values (b,) and
     Euclidean gradients; ``rows`` (b,) are the indices into F0 of the active
     rows in F, so one stack can carry rows whose functional differs (rows of
-    different tensors, see ``_hol_value_grad``); a closure of one functional
-    ignores it.  Every search, the J-frames of ``min_orthogonal_bisectional``
-    too, steps along ``_stiefel_tangent`` and retracts by ``_retract``.  Each
-    row's first trial after an accepted step is the BB step |s|^2 / |<s, y>|,
-    with s the accepted move and y the change of the projected gradient,
-    clipped to [1e-6, 1e3] * _STEP (the upper bound when <s, y> = 0; the
-    first trial is _STEP); a rejected trial halves the step.  A trial with
-    value vt, move s and projected gradient Pt is accepted on value, by a
-    strict Armijo decrease below the row's reference value C,
-    vt < C, vt <= C - _ARMIJO a |P|^2, or, when |vt - val| <= _FLAT
+    different tensors, see ``_block_product``).  Every search, the J-frames
+    of ``min_orthogonal_bisectional`` too, steps along ``_stiefel_tangent``
+    and retracts by ``_retract``.  Each row's first trial after an accepted
+    step is the BB step |s|^2 / |<s, y>|, with s the accepted move and y the
+    change of the projected gradient, clipped to [1e-6, 1e3] * _STEP (the
+    upper bound when <s, y> = 0; the first trial is _STEP); a rejected trial
+    halves the step.  A trial with value vt, move s and projected gradient Pt
+    is accepted on value, by a strict Armijo decrease below the row's
+    reference value C, vt < C, vt <= C - _ARMIJO a |P|^2, or, when |vt - val| <= _FLAT
     max(1, |val|) and roundoff hides any decrease, on slope, by Hager and
     Zhang's approximate Wolfe test (SIAM J. Optim. 16, 2005) with
     delta = _ARMIJO and sigma = _WOLFE:
@@ -208,35 +207,55 @@ def _random_starts(cfg: OptimizerConfig, n: int, k: int) -> np.ndarray:
                      for r in range(cfg.restarts)])
 
 
-def _search_result(values, frames, iterations, reasons, passes: int, k: int,
-                   frame) -> FrameSearchResult:
-    """Result of a search whose best restart is row k, reported as ``frame``."""
-    return FrameSearchResult(value=float(values[k]), frame_or_vector=frame,
-                             converged=bool(reasons[k] == "grad_tol"),
-                             iterations=int(iterations[k]), restart_values=values.tolist(),
-                             restart_frames=list(frames), stop_reason=str(reasons[k]),
-                             restart_iterations=iterations.tolist(),
-                             restart_stop_reasons=reasons.tolist(), passes=passes)
+def _block_product(X: np.ndarray, rows: np.ndarray, mats: np.ndarray, r: int) -> np.ndarray:
+    """X[i] @ mats[rows[i] // r] for the active rows X (b, ..., N) of a stack whose
+    F0 rows t r .. (t + 1) r - 1 belong to tensor t of ``mats`` (T, N, M): each row
+    goes into its F0 slot of a zero C-ordered (T r, ..., N) block, multiplied by the
+    stack once, so nothing is gathered and a row computes as in a T = 1 run."""
+    T, N, M = mats.shape
+    block = np.zeros((T * r,) + X.shape[1:])
+    block[rows] = X
+    return (block.reshape(T, -1, N) @ mats).reshape((T * r,) + X.shape[1:-1] + (M,)).take(rows, 0)
+
+
+def _split_results(values, frames, iterations, reasons, passes: int, r: int, scale,
+                   report) -> list[FrameSearchResult]:
+    """One result per tensor of a search whose tensor t owns rows t r ..
+    (t + 1) r - 1, in order: its values scale[t] * values, its best row k the
+    first minimum of ``values`` and its frame ``report(frames[k])``."""
+    results = []
+    for t, own in enumerate(range(0, len(values), r)):
+        v, f, it, rs = (x[own:own + r] for x in (values, frames, iterations, reasons))
+        k = int(np.argmin(v))
+        scaled = scale[t] * v
+        results.append(FrameSearchResult(
+            value=float(scaled[k]), frame_or_vector=report(f[k]),
+            converged=bool(rs[k] == "grad_tol"), iterations=int(it[k]),
+            restart_values=scaled.tolist(), restart_frames=list(f),
+            stop_reason=str(rs[k]), restart_iterations=it.tolist(),
+            restart_stop_reasons=rs.tolist(), passes=passes))
+    return results
 
 
 # ---------------------------------------------------------------------------
 # Isotropic curvature over 4-frames
 # ---------------------------------------------------------------------------
 
-def _form_value_grad(mat: np.ndarray, n: int, C: np.ndarray, swap: bool = False):
-    """Closure over M, which must satisfy the first Bianchi identity: on frames
-    F (..., n, k), with the forms w_a = F C_a F^T of a pair C
+def _form_value_grad(mats: np.ndarray, n: int, C: np.ndarray, r: int, swap: bool = False):
+    """Closure over a (T, N, N) stack of M, each of which must satisfy the
+    first Bianchi identity, r rows of F0 per tensor (``_block_product``): on
+    frames F (b, n, k), with the forms w_a = F C_a F^T of a pair C
     (``core._frame_forms``) and A_a = R(., ., w_a), the values
     w_1 . M w_1 + w_2 . M w_2 and Euclidean gradients 2 sum_a A_a F C_a^T, or
     with ``swap`` the values w_1 . M w_2 and gradients A_2 F C_1^T + A_1 F C_2^T."""
-    N = len(mat)
+    T, N, _ = mats.shape
     c, s = (0.5, -1) if swap else (1.0, 1)     # w_1 . M w_2 = (w_1 . M w_2 + w_2 . M w_1) / 2
-    K = np.hstack([c * mat, _unpack_two_form(mat, n).reshape(N, n * n)])  # (c M w, R(.,.,w))
+    K = np.dstack([c * mats, _unpack_two_form(mats, n).reshape(T, N, -1)])  # (c M w, R(.,.,w))
     CT = 2.0 * c * np.swapaxes(C, 1, 2)[::s]
 
-    def value_grad(F, rows=None):
+    def value_grad(F, rows):
         W = _frame_forms(F, C)
-        out = W @ K
+        out = _block_product(W, rows, K, r)
         A = out[..., N:].reshape(W.shape[:-1] + (n, n))
         G = (A @ (F[..., None, :, :] @ CT)).sum(axis=-3)
         return np.einsum("...ap,...ap->...", W, out[..., ::s, :N]), G
@@ -244,9 +263,9 @@ def _form_value_grad(mat: np.ndarray, n: int, C: np.ndarray, swap: bool = False)
     return value_grad
 
 
-def _iso_value_grad(mat: np.ndarray, n: int):
-    """Closure: isotropic values and Euclidean gradients on frames (..., n, 4)."""
-    return _form_value_grad(mat, n, _ISO_FORMS)
+def _iso_value_grad(mats: np.ndarray, n: int, r: int):
+    """Closure: isotropic values and Euclidean gradients (``_form_value_grad``)."""
+    return _form_value_grad(mats, n, _ISO_FORMS, r)
 
 
 def _best_probe(mat: np.ndarray, n: int) -> np.ndarray:
@@ -276,8 +295,7 @@ def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000, seed: int 
     Independent of the gradient path; cross-checks optimizer signs and values.
     CurvatureError for n < 4, which has no 4-frames.
     """
-    if R.n < 4:
-        raise CurvatureError("isotropic curvature needs n >= 4")
+    _require_four_frames(R.n)
     rng = np.random.default_rng(seed)
     best, best_frame = np.inf, None
     for start in range(0, num_samples, 128):
@@ -289,46 +307,37 @@ def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000, seed: int 
     return best, best_frame
 
 
-def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
-                  init_frames=None, on_iterate=None) -> FrameSearchResult:
-    """Multistart minimization of the isotropic curvature over orthonormal 4-frames.
-
-    One ``_descend`` stack runs the frames of ``init_frames`` (warm starts,
-    each a FourFrame or a finite (n, 4) matrix whose smallest singular value
-    exceeds CONSTRUCTION_TOL times its largest, else CurvatureError), then
-    restart r from seed ``cfg.seed + r``, then the best axis-aligned frame
-    (``_best_probe``).  Each row's values stay at most its Zhang-Hager
-    reference value, which never rises above the row's start (see
-    ``_descend``), so no row ends above its start beyond roundoff and the
-    reported value is at most every axis-aligned frame's value.
-    ``on_iterate(F, val, gnorm)`` sees every iteration of every row.
-    The search runs on M / s (``_unit_scale``) and scales back.
-    CurvatureError for n < 4, which has no 4-frames.
-    """
-    cfg = cfg or OptimizerConfig()
-    n = R.n
+def _require_four_frames(n: int) -> None:
+    """CurvatureError for n < 4, which has no 4-frames."""
     if n < 4:
         raise CurvatureError("isotropic curvature needs n >= 4")
-    s = float(_unit_scale(R.mat))
-    mat = R.mat / s
-    value_grad = _iso_value_grad(mat, n)
-    seen = None if on_iterate is None else lambda F, v, g: on_iterate(F, s * v, s * g)
 
-    warm = [np.asarray(F.matrix if isinstance(F, FourFrame) else F, dtype=float)[None]
-            for F in (init_frames or [])]
-    if any(F.shape != (1, n, 4) or not np.isfinite(F).all() for F in warm):
-        raise CurvatureError(f"each warm start must be a finite ({n}, 4) frame")
-    for F in warm:
-        sv = np.linalg.svd(F[0], compute_uv=False)
-        if not sv[-1] > CONSTRUCTION_TOL * sv[0]:
-            raise CurvatureError(f"warm start columns are linearly dependent: smallest singular "
-                                 f"value {sv[-1]:.3e}, largest {sv[0]:.3e}")
-    starts = np.concatenate(warm + [_random_starts(cfg, n, 4), _best_probe(mat, n)[None]])
-    values, frames, iterations, reasons, passes = _descend(value_grad, starts, cfg, seen)
 
-    k = int(np.argmin(values))
-    return _search_result(s * values, frames, iterations, reasons, passes, k,
-                          FourFrame(frames[k]))
+def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
+                         on_iterate=None) -> list[FrameSearchResult]:
+    """``min_isotropic`` of each tensor of a (T, N, N) stack, in order, bit for bit:
+    one ``_descend`` stack runs, per tensor, restart r from seed ``cfg.seed + r``,
+    then its best axis-aligned frame (``_best_probe``).  No row ends above its
+    start beyond roundoff (see ``_descend``), so each value is at most every
+    axis-aligned frame's.  Each tensor is searched as M / s (``_unit_scale``) and
+    scaled back, as are the values and gradient norms ``on_iterate`` sees (T = 1)."""
+    _require_four_frames(n)
+    s = _unit_scale(mats)
+    mats = mats / s[:, None, None]
+    seeded = _random_starts(cfg, n, 4)
+    starts = np.concatenate([np.concatenate([seeded, _best_probe(m, n)[None]]) for m in mats])
+    seen = None if on_iterate is None else lambda F, v, g: on_iterate(F, s[0] * v, s[0] * g)
+    r = cfg.restarts + 1
+    return _split_results(*_descend(_iso_value_grad(mats, n, r), starts, cfg, seen), r, s,
+                          FourFrame)
+
+
+def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
+                  on_iterate=None) -> FrameSearchResult:
+    """Multistart minimization of the isotropic curvature over orthonormal
+    4-frames, the T = 1 case of ``_min_isotropic_stack``; ``on_iterate(F, val,
+    gnorm)`` sees every iteration of every row.  CurvatureError for n < 4."""
+    return _min_isotropic_stack(R.mat[None], R.n, cfg or OptimizerConfig(), on_iterate)[0]
 
 
 def _pinching_from_iso(min_iso: float) -> float:
@@ -362,23 +371,14 @@ def _structure_forms(Jm: np.ndarray) -> np.ndarray:
 def _hol_value_grad(mats: np.ndarray, Jm: np.ndarray, r: int):
     """Closure: -R(x,Jx,x,Jx) and its Euclidean gradient on columns (b, n, 1)
     for a (T, N, N) stack of tensors, rows t r .. (t + 1) r - 1 of F0 taken
-    on tensor t.
-
-    Each pass puts the active rows' wedges x ^ Jx in their F0 rows of a zero
-    (T r, N) block and multiplies it, as (T, r, N), by the stack once, so no
-    (b, N, N) copy of the coefficient matrices is gathered and a row's
-    arithmetic is that of a T = 1 run of its tensor alone.
-    """
-    T, N, _ = mats.shape
-    n = len(Jm)
-    S = _structure_forms(Jm)
+    on tensor t: each pass multiplies the wedges x ^ Jx by their tensors
+    through ``_block_product``."""
+    N, n, S = mats.shape[1], len(Jm), _structure_forms(Jm)
 
     def value_grad(X, rows):
         Tx = (X[..., 0] @ S).reshape(len(X), N, n)
         w = (Tx @ X)[..., 0]                        # x ^ Jx
-        block = np.zeros((T * r, N))
-        block[rows] = w
-        mw = (block.reshape(T, r, N) @ mats).reshape(T * r, N).take(rows, axis=0)
+        mw = _block_product(w, rows, mats, r)
         return -np.einsum("bp,bp->b", w, mw), -4.0 * np.swapaxes(mw[:, None, :] @ Tx, 1, 2)
 
     return value_grad
@@ -395,14 +395,7 @@ def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
     starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
     negvals, X, iterations, reasons, passes = _descend(
         _hol_value_grad(mats / s[:, None, None], Jm, r), starts, cfg)
-    results = []
-    for t in range(len(mats)):
-        own = slice(t * r, (t + 1) * r)
-        k = int(np.argmin(negvals[own]))
-        x = X[own, :, 0]
-        results.append(_search_result(-s[t] * negvals[own], x, iterations[own], reasons[own],
-                                      passes, k, x[k]))
-    return results
+    return _split_results(negvals, X[:, :, 0], iterations, reasons, passes, r, -s, lambda x: x)
 
 
 def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
@@ -473,15 +466,15 @@ _BIS_FORMS[[0, 0, 1, 1], [0, 1, 2, 3], [1, 0, 3, 2]] = [1.0, -1.0, 1.0, -1.0]
 _J_FRAME = _frozen(-_frozen(_BIS_FORMS).sum(axis=0))
 
 
-def _bisectional_value_grad(mat: np.ndarray, Jm: np.ndarray):
-    """Closure: R(X, JX, Y, JY) = w_1 . M w_2 on J-frames (..., n, 4) and the
-    lift G - J G E of its Euclidean gradient G, whose column pairs are
+def _bisectional_value_grad(mats: np.ndarray, Jm: np.ndarray, r: int):
+    """Closure (``_form_value_grad``): R(X, JX, Y, JY) = w_1 . M w_2 on J-frames
+    and the lift G - J G E of its Euclidean gradient G, whose column pairs are
     (g_X, J g_X) and (g_Y, J g_Y), with g_X, g_Y its gradient in X and Y.
     (The orthogonal projection (G - J G E) / 2 would halve every step.)"""
-    pair = _form_value_grad(mat, len(Jm), _BIS_FORMS, swap=True)
+    pair = _form_value_grad(mats, len(Jm), _BIS_FORMS, r, swap=True)
 
-    def value_grad(F, rows=None):
-        v, G = pair(F)
+    def value_grad(F, rows):
+        v, G = pair(F, rows)
         return v, G - Jm @ G @ _J_FRAME
 
     return value_grad
@@ -507,17 +500,14 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     _require_same_n(R, J, "complex structure")
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
-    s = float(_unit_scale(R.mat))
+    s = _unit_scale(R.mat[None])
     x, y = np.moveaxis(_random_starts(cfg, 2, n), 1, 0)    # x, then y, per seed
     starts = np.stack([x, x @ Jm.T, y, y @ Jm.T], axis=-1)
     values, frames, iterations, reasons, passes = _descend(
-        _bisectional_value_grad(R.mat / s, Jm), starts, cfg)
-    frames = frames[:, :, [0, 2]]
-
-    k = int(np.argmin(values))
-    x, y = frames[k].T
-    return _search_result(s * values, frames, iterations, reasons, passes, k,
-                          FourFrame.from_vectors(x, Jm @ x, y, Jm @ y))
+        _bisectional_value_grad(R.mat[None] / s[0], Jm, cfg.restarts), starts, cfg)
+    return _split_results(values, frames[:, :, [0, 2]], iterations, reasons, passes,
+                          cfg.restarts, s,   # (X, Y) to (X, JX, Y, JY)
+                          lambda XY: FourFrame(np.stack([XY, Jm @ XY], -1).reshape(n, 4)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,11 @@ class VerificationReport:
                 "wall_time_s": self.wall_time_s, "timestamp": self.timestamp}
 
 
-def _stop_counts(reasons: list, passes: int) -> str:
-    """How many search rows stopped for each reason, and the stack passes
-    their descents took, as one phrase."""
-    return f"{len(reasons)} rows, {passes} stack passes: " + ", ".join(
+def _stop_counts(searches: list) -> str:
+    """How many rows of the searches of one descent stack stopped for each
+    reason, and the stack's passes, as one phrase."""
+    reasons = [r for res in searches for r in res.restart_stop_reasons]
+    return f"{len(reasons)} rows, {searches[0].passes} stack passes: " + ", ".join(
         f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS if r in reasons)
 
 
@@ -213,8 +214,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         gap = max(rep.q_value - rep.bound for rep in reports)
         first = max(max(fo.deriv_y, fo.deriv_jy, -min(0.0, fo.min_slack))
                     for fo in (rep.first_order for rep in reports))
-        reasons = [r for rep in reports for r in rep.restart_stop_reasons]
-        return [(gap, f"{samples} samples, {_stop_counts(reasons, reports[0].passes)}"),
+        return [(gap, f"{samples} samples, {_stop_counts(reports)}"),
                 (first, f"{samples} samples")]
 
     run([("q-hol-bound-maximizer",
@@ -246,18 +246,16 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     def boundary_q():
         cfg = frames.OptimizerConfig(restarts=16, seed=seed)
         worst = -1e9
-        names, reasons, passes = [], [], 0
-        for name, R, _ in models[1:]:
-            res = frames.min_isotropic(R, cfg)
-            reasons += res.restart_stop_reasons
-            passes += res.passes
+        names = []
+        searches = frames._min_isotropic_stack(np.stack([R.mat for _, R, _ in models[1:]]), n, cfg)
+        for (name, R, _), res in zip(models[1:], searches):
             rep = frames.boundary_q_check(R, res.frame_or_vector, min_iso=res.value)
             if rep.applicable:
                 worst = max(worst, -rep.q_value)
                 names.append(name)
         if not names:
-            return [(1e9, f"no boundary frame found; {_stop_counts(reasons, passes)}")]
-        return [(worst, f"applicable on: {', '.join(names)}; {_stop_counts(reasons, passes)}")]
+            return [(1e9, f"no boundary frame found; {_stop_counts(searches)}")]
+        return [(worst, f"applicable on: {', '.join(names)}; {_stop_counts(searches)}")]
 
     run([("boundary-q-nonneg",
           "iso_Q(F) >= 0 on zero-isotropic frames of nonnegative tensors", 1e-6)],

@@ -500,15 +500,14 @@ def probe_frames(n: int) -> np.ndarray:
     return F.reshape(-1, n, 4)
 
 
-def min_isotropic_serial(R: CurvatureTensor, cfg, init_frames=()):
+def min_isotropic_serial(R: CurvatureTensor, cfg):
     """Restart runs [(value, F, stop_reason, iterations)] of the serial
-    min_isotropic: warm starts, seeded restarts, then the axis-aligned frame
-    of least value, each descended alone."""
+    min_isotropic: seeded restarts, then the axis-aligned frame of least
+    value, each descended alone."""
     R, scale = unit_scaled(R)
     vg = iso_value_grad_serial(R.mat, R.n)
-    starts = list(init_frames)
-    starts += [retract_serial(np.random.default_rng(cfg.seed + r).standard_normal((R.n, 4)))
-               for r in range(cfg.restarts)]
+    starts = [retract_serial(np.random.default_rng(cfg.seed + r).standard_normal((R.n, 4)))
+              for r in range(cfg.restarts)]
     probes = probe_frames(R.n)
     starts.append(probes[int(np.argmin([vg(F)[0] for F in probes]))])
     runs = [descend_serial(vg, F0, cfg) for F0 in starts]

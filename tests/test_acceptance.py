@@ -196,11 +196,12 @@ def test_criterion_10_gradient_against_differences(capsys):
         for _ in range(20):
             R = random_curvature(n, seed=1000 + case)
             rng = np.random.default_rng(2000 + case)
-            vg = _iso_value_grad(R.mat, n)
-            F = np.linalg.qr(rng.standard_normal((n, 4)))[0]
-            V = rng.standard_normal((n, 4))
-            _, Gr = vg(F)
-            num = (vg(F + h * V)[0] - vg(F - h * V)[0]) / (2.0 * h)
+            vg = _iso_value_grad(R.mat[None], n, 1)
+            rows = np.arange(1)
+            F = np.linalg.qr(rng.standard_normal((1, n, 4)))[0]
+            V = rng.standard_normal((1, n, 4))
+            _, Gr = vg(F, rows)
+            num = (vg(F + h * V, rows)[0][0] - vg(F - h * V, rows)[0][0]) / (2.0 * h)
             an = float(np.vdot(Gr, V))
             worst = max(worst, abs(num - an) / max(1.0, abs(an)))
             case += 1

@@ -254,6 +254,7 @@ def test_flow_summary_and_csv(tmp_path, capsys):
     rep = last_json(out)
     assert rep["terminated_by"] == "t_end"
     assert np.isclose(rep["t_final"], 0.02)
+    assert rep["monitor_s"] > 0.0
     with open(csv) as fh:
         assert fh.readline().strip() == "t,scal,min_iso,norm"
 

@@ -43,12 +43,11 @@ def assert_reasons_match(batched, serial):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_min_isotropic_matches_serial(n, seed):
-    """Warm start first, then the seeded restarts, in one stack."""
+    """The seeded restarts, then the probe row, in one stack."""
     R = random_curvature(n, seed=300 + 10 * n + seed)
     cfg = OptimizerConfig(restarts=3, max_iters=300, seed=seed)
-    warm = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 4)))[0]
-    res = min_isotropic(R, cfg, init_frames=[warm])
-    runs = min_isotropic_serial(R, cfg, [warm])
+    res = min_isotropic(R, cfg)
+    runs = min_isotropic_serial(R, cfg)
     assert_values_match(res.restart_values, [r[0] for r in runs])
     assert_reasons_match(res.restart_stop_reasons, [r[2] for r in runs])
     assert len(res.restart_iterations) == len(res.restart_values)
@@ -74,11 +73,12 @@ def test_probe_start_matches_serial(n, seed):
     assert res.value == res.restart_values[1] <= np.min(probes)
 
 
-@pytest.mark.parametrize("n, seed, restarts, max_iters, warm", [
+@pytest.mark.parametrize("n, seed, restarts, max_iters, others", [
     (4, 1, 1, 2, 0), (6, 0, 1, 2, 0), (8, 4, 3, 500, 1)])
-def test_min_isotropic_descends_once(monkeypatch, n, seed, restarts, max_iters, warm):
-    """Warm, seeded and probe rows run as one stack, whichever row wins; the
-    first two cases are those where the probe beats every restart.  The
+def test_min_isotropic_descends_once(monkeypatch, n, seed, restarts, max_iters, others):
+    """Seeded and probe rows run as one stack, whichever row wins; the
+    first two cases are those where the probe beats every restart, and in
+    the last the rows of ``others`` more tensors join the stack.  Each
     result's ``passes`` counts the stack's value-and-gradient calls."""
     calls, passes = [], []
     descend = frames._descend
@@ -94,9 +94,30 @@ def test_min_isotropic_descends_once(monkeypatch, n, seed, restarts, max_iters, 
     monkeypatch.setattr(frames, "_descend", counted)
     R = random_curvature(n, seed=900 + seed)
     cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed)
-    res = min_isotropic(R, cfg, [np.eye(n)[:, :4]] * warm)
-    assert calls == [warm + restarts + 1]
-    assert res.passes == len(passes) and passes[0] == calls[0]
+    mats = np.stack([R.mat] + [random_curvature(n, seed=910 + t).mat for t in range(others)])
+    results = frames._min_isotropic_stack(mats, n, cfg) if others else [min_isotropic(R, cfg)]
+    assert calls == [(1 + others) * (restarts + 1)]
+    assert {res.passes for res in results} == {len(passes)} and passes[0] == calls[0]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_isotropic_stack_matches_one_search_per_tensor(n):
+    """Each tensor of a ``_min_isotropic_stack`` gets the result of its own
+    ``min_isotropic``, bit for bit: the same values, frames, iterations and
+    stop reasons, in input order; the tensors share the stack's passes."""
+    Rs = [random_curvature(n, seed=960 + 10 * n + t) * (t + 0.5) for t in range(5)]
+    cfg = OptimizerConfig(restarts=3, max_iters=300, seed=n)
+    stacked = frames._min_isotropic_stack(np.stack([R.mat for R in Rs]), n, cfg)
+    singles = [min_isotropic(R, cfg) for R in Rs]
+    assert len(stacked) == len(Rs)
+    for res, alone in zip(stacked, singles):
+        assert res.restart_values == alone.restart_values
+        assert res.restart_iterations == alone.restart_iterations
+        assert res.restart_stop_reasons == alone.restart_stop_reasons
+        assert (res.value, res.stop_reason, res.iterations) == (
+            alone.value, alone.stop_reason, alone.iterations)
+        np.testing.assert_array_equal(res.frame_or_vector.matrix, alone.frame_or_vector.matrix)
+    assert {res.passes for res in stacked} == {max(alone.passes for alone in singles)}
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -134,7 +155,7 @@ def test_batched_gradients_match_serial(n, seed):
     R = random_curvature(n, seed=700 + 10 * n + seed)
     rng = np.random.default_rng(seed)
     frames = _retract(rng.standard_normal((5, n, 4)))
-    vals, grads = _iso_value_grad(R.mat, n)(frames)
+    vals, grads = _iso_value_grad(R.mat[None], n, 5)(frames, np.arange(5))
     serial = iso_value_grad_serial(R.mat, n)
     Jm = standard_complex_structure(n).matrix
     xs = _retract(rng.standard_normal((5, n, 1)))
@@ -229,18 +250,13 @@ def test_no_row_stops_at_the_line_search_floor():
     """Rows that once sat at the floor with a monotone acceptance test (a BB
     trial shorter than the approximate-Wolfe window, halved 60 times): the
     maximizer and boundary searches of ``verify --n 8 --samples 20`` at seed
-    7, and the warm-start row of the n = 12 case of
-    test_min_isotropic_matches_serial.  Against the Zhang-Hager reference
-    value their BB trials pass on value."""
+    7.  Against the Zhang-Hager reference value their BB trials pass on
+    value."""
     report = verify.run_verification_suite(n=8, seed=7, samples=20)
     details = {c.check_id: c.detail for c in report.checks}
     for check_id in ("q-hol-bound-maximizer", "boundary-q-nonneg"):
         assert "rows" in details[check_id]
         assert "line_search_floor" not in details[check_id], details[check_id]
-    cfg = OptimizerConfig(restarts=3, max_iters=300, seed=1)
-    warm = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 4)))[0]
-    res = min_isotropic(random_curvature(12, seed=421), cfg, init_frames=[warm])
-    assert res.restart_stop_reasons[0] == "grad_tol"
 
 
 def test_stop_reason_line_search_floor_on_inconsistent_gradient():
@@ -249,14 +265,14 @@ def test_stop_reason_line_search_floor_on_inconsistent_gradient():
     halvings without a decrease) well before max_iters."""
     n = 6
     R = random_curvature(n, seed=802)
-    value_grad = _iso_value_grad(R.mat, n)
+    F0 = np.random.default_rng(0).standard_normal((8, n, 4))
+    value_grad = _iso_value_grad(R.mat[None], n, len(F0))
 
     def negated(F, rows):
-        val, G = value_grad(F)
+        val, G = value_grad(F, rows)
         return val, -G
 
-    F0 = np.random.default_rng(0).standard_normal((8, n, 4))
-    start = value_grad(_retract(F0))[0]
+    start = value_grad(_retract(F0), np.arange(len(F0)))[0]
     values, _, iterations, reasons, _ = _descend(negated, F0, OptimizerConfig())
     assert reasons.tolist() == ["line_search_floor"] * len(F0)
     assert np.all(values <= start)

@@ -85,6 +85,34 @@ def test_trace_bookkeeping():
     assert trace.steps_accepted > 0
 
 
+def test_monitoring_stack_size_does_not_change_the_trace(monkeypatch):
+    """The 43 recorded states are searched after they are recorded,
+    ``_MONITOR_STACK`` (32) at a time; stacks of 1 and 2 states give the
+    same values bit for bit, since a state's rows do not depend on the
+    others in its stack.  ``monitor_s`` times those searches."""
+    R0 = random_curvature(4, seed=73)
+    R0 = R0 * (1.0 / R0.norm())
+    cfg = FlowConfig(t_end=200.0 * default_horizon(R0), monitor_every=1, optimizer=LIGHT_OPT)
+    _, trace = integrate_q_flow(R0, cfg)
+    assert len(trace.min_iso) == 43 > flow._MONITOR_STACK
+    assert trace.monitor_s > 0.0
+    for size in (1, 2):
+        monkeypatch.setattr(flow, "_MONITOR_STACK", size)
+        assert integrate_q_flow(R0, cfg)[1].min_iso.tolist() == trace.min_iso.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flow_refuses_n_below_4_before_any_step(monkeypatch, n):
+    """The monitoring searches run after the steps, so the flow checks for
+    4-frames first: no reaction term is evaluated."""
+    def no_reaction(R):
+        raise AssertionError("the flow stepped")
+
+    monkeypatch.setattr(flow, "qform", no_reaction)
+    with pytest.raises(CurvatureError, match="n >= 4"):
+        integrate_q_flow(model_sphere(n, 1.0), FlowConfig(t_end=0.01))
+
+
 def test_blowup_guard_stops_early():
     R0 = model_sphere(4, 1.0)
     cfg = FlowConfig(t_end=0.16, blowup_guard=3.0, optimizer=LIGHT_OPT)
