@@ -1,14 +1,16 @@
 """Per-call timings of the reaction-term, frame and subspace layers; prints one JSON line.
 
 Times `qform`, `bform` (two distinct tensors), `rk4_step` and `dop853_step`
-(one accepted step of `integrate_q_flow`: Q(R) into the first row of the
-stage buffer, then `flow._dop853_step`, 12 reaction terms) at each size on
-a projected Gaussian tensor, `project_to_curvature` of the Gaussian rank-4
-table, and the frame layers on the same tensor: the batched isotropic value
-and gradient `_iso_value_grad` and the QR retraction `_retract`, each on a
-stack of FRAMES frames, the isotropic value `isotropic_from_columns` of one
-frame, and a whole `min_isotropic` search with FRAMES restarts at optimizer
-seed 0 (FRAMES + 1 rows: the restarts and the best axis-aligned frame),
+(one accepted step of `integrate_q_flow` in its clock dtau = |M| dt on the
+flat state (U, log |M|, t): the derivative at the state into the first row
+of the stage buffer, then `flow._dop853_step`; its Q calls per step, 12,
+are reported) at each size on a projected Gaussian tensor,
+`project_to_curvature` of the Gaussian rank-4 table, and the frame layers on
+the same tensor: the batched isotropic value and gradient `_iso_value_grad`
+and the QR retraction `_retract`, each on a stack of FRAMES frames, the
+isotropic value `isotropic_from_columns` of one frame, and a whole
+`min_isotropic` search with FRAMES restarts at optimizer seed 0 (FRAMES + 1
+rows: the restarts and the best axis-aligned frame),
 whose total descent iterations, stack passes and the count of its
 rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`) are
 reported beside its time, and a whole `min_orthogonal_bisectional` search
@@ -82,17 +84,25 @@ def timed(fn, calls: int = CALLS, per: int = 1) -> dict:
             "q3": round(q3, 2)}
 
 
-def dop853_step(R, h: float):
+def dop853_step(R, h: float, calls: list):
     """Factory of one accepted DOP853 step of ``integrate_q_flow`` from R, on
-    a stage buffer allocated once, as the integrator allocates it."""
-    K = np.empty((12,) + R.mat.shape)
+    a stage buffer allocated once, as the integrator allocates it; h is the
+    step in t, h |M| the step in tau.  Appends each Q call to ``calls``."""
+    shape, scale = R.mat.shape, np.linalg.norm(R.mat)
+    y = np.append(R.mat / scale, [np.log(scale), 0.0])
+    K = np.empty((12, y.size))
 
-    def q(M):
-        return qform(_stored(M, R.n)).mat
+    def f(x, out):
+        calls.append(1)
+        U = x[:-2].reshape(shape)
+        QU = qform(_stored(U, R.n)).mat
+        out[-2] = a = np.vdot(QU, U)
+        np.subtract(QU, a * U, out=out[:-2].reshape(shape))
+        out[-1] = np.exp(-x[-2])
 
     def step():
-        K[0] = q(R.mat)
-        return _dop853_step(R, K, h, q)
+        f(y, K[0])
+        return _dop853_step(y, K, h * scale, f, scale * np.linalg.norm(K[0][:-1]))
 
     return step
 
@@ -106,7 +116,7 @@ def main() -> int:
              "qk_q_bound_check_batched", "maximizer_first_order_check")
     layers = {name: {} for name in names}
     iterations, stop_reasons, bis_iterations = {}, {}, {}
-    passes, bis_passes = {}, {}
+    passes, bis_passes, step_q_calls = {}, {}, {}
     cfg = OptimizerConfig(restarts=FRAMES, seed=0)
     for n in SIZES:
         table, other = (rng.standard_normal((n, n, n, n)) for _ in range(2))
@@ -117,10 +127,12 @@ def main() -> int:
         value_grad = _iso_value_grad(R.mat[None], n, FRAMES)    # one tensor, FRAMES rows
         rows = np.arange(FRAMES)
         J = standard_complex_structure(n)
+        q_calls = []
+        dop_step = dop853_step(R, h, q_calls)
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
                                 ("bform", lambda: bform(R, S), CALLS),
                                 ("rk4_step", lambda: rk4_step(R, h), CALLS),
-                                ("dop853_step", dop853_step(R, h), CALLS),
+                                ("dop853_step", dop_step, CALLS),
                                 ("project_to_curvature",
                                  lambda: project_to_curvature(table), CALLS),
                                 ("_iso_value_grad", lambda: value_grad(frames, rows), CALLS),
@@ -131,6 +143,9 @@ def main() -> int:
                                 ("min_orthogonal_bisectional",
                                  lambda: min_orthogonal_bisectional(R, J, cfg), SEARCH_CALLS)):
             layers[name][str(n)] = timed(fn, calls)
+        q_calls.clear()
+        dop_step()
+        step_q_calls[str(n)] = len(q_calls)
         res = min_isotropic(R, cfg)
         iterations[str(n)] = sum(res.restart_iterations)
         stop_reasons[str(n)] = {r: res.restart_stop_reasons.count(r) for r in STOP_REASONS}
@@ -161,6 +176,7 @@ def main() -> int:
         lambda: maximizer_first_order_check(tensors[0], T.I, x))
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
+                      "dop853_step_q_calls": step_q_calls,
                       "min_isotropic_iterations": iterations,
                       "min_isotropic_passes": passes,
                       "min_isotropic_stop_reasons": stop_reasons,

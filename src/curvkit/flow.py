@@ -1,12 +1,14 @@
 """Time integration of the curvature reaction ODE dR/dt = Q(R).
 
-The adaptive integrator takes Dormand-Prince 8(5,3) steps (DOP853) under a
-predictive step controller; every accepted state is re-projected onto the
-space of algebraic curvature tensors to stop cyclic-sum drift.  Stages and
-projection work on the coefficient matrix on 2-forms alone; no rank-4 table
-is formed.  The classical RK4 step stays as a fixed-step reference.
-Self-similar ray solutions provide closed-form references for convergence
-checks.
+Q is homogeneous of degree 2, so in the clock dtau = |M| dt (Stuart &
+Floater 1990) log |M| grows linearly on every self-similar ray and only the
+shape U = M / |M| has dynamics.  The adaptive integrator takes Dormand-Prince
+8(5,3) steps (DOP853) under a predictive step controller on (U, log |M|, t);
+every accepted shape is re-projected onto the space of algebraic curvature
+tensors to stop cyclic-sum drift.  Stages and projection work on the
+coefficient matrix on 2-forms alone; no rank-4 table is formed.  The
+classical RK4 step stays as a fixed-step reference.  Self-similar ray
+solutions provide closed-form references for convergence checks.
 """
 
 import time
@@ -112,22 +114,19 @@ def rk4_step(R: CurvatureTensor, h: float) -> CurvatureTensor:
     return _project(_stored(M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n))
 
 
-def _dop853_step(R: CurvatureTensor, K: np.ndarray, h: float,
-                 q) -> tuple[CurvatureTensor, float]:
-    """One DOP853 step of size h from R, with K[0] = Q(R).mat given: fills the
-    stages K[1:] of the (12, N, N) buffer K through ``q`` (a coefficient
-    matrix to its reaction term's) and returns the re-projected 8th-order
-    state and Hairer's error estimate h |e5|^2 / (|e5|^2 + 0.01 |e3|^2)^(1/2)
-    in the tensor norm.  Stage inputs are sums of exactly symmetric matrices,
-    stored as they are."""
-    M = R.mat
-    flat = K.reshape(len(K), -1)
+def _dop853_step(y: np.ndarray, K: np.ndarray, h: float, f,
+                 w: float) -> tuple[np.ndarray, float]:
+    """One DOP853 step of size h from the flat state y, with K[0] = f(y)
+    given: fills the stages K[1:] of the (12, len(y)) buffer K through
+    ``f(x, out)``, which writes the derivative at x into out, and returns the
+    8th-order state and Hairer's error estimate h |e5|^2 / (|e5|^2 + 0.01
+    |e3|^2)^(1/2), the last components of e5 and e3 weighted by w."""
     for i in range(1, len(_A)):
-        K[i] = q(M + h * (_A[i] @ flat[:i]).reshape(M.shape))
-    e5, e3 = (float(np.linalg.norm(E @ flat)) for E in (_E5, _E3))
+        f(y + h * (_A[i] @ K[:i]), K[i])
+    e5, e3 = (float(np.hypot(np.linalg.norm(e[:-1]), w * e[-1])) for e in (_E5 @ K, _E3 @ K))
     den = np.hypot(e5, 0.1 * e3)
-    err = 2.0 * h * e5 * (e5 / den) if den > 0 else 0.0
-    return _project(_stored(M + h * (_B @ flat).reshape(M.shape), R.n)), err
+    err = h * e5 * (e5 / den) if den > 0 else 0.0
+    return y + h * (_B @ K), err
 
 
 def default_horizon(R0: CurvatureTensor) -> float:
@@ -157,34 +156,51 @@ def integrate_q_flow(R0: CurvatureTensor,
                      cfg: FlowConfig | None = None) -> tuple[CurvatureTensor, FlowTrace]:
     """Integrate dR/dt = Q(R) from R0 with adaptive DOP853 steps.
 
-    A step is accepted when its error estimate stays below rel_tol *
-    max(1, ||R||) of its new state.  Q of an accepted state is the first
-    stage of the next step (first same as last), so an accepted step costs 12
-    reaction terms and a rejected one 11.  The step factor is 0.9 r^(-1/8) for
-    the error ratio r, after an accepted step at most Gustafsson's predictive
-    0.9 (h / h_prev) (r_prev / r^2)^(1/8), r_prev >= 1e-2 (Hairer & Wanner,
-    Solving ODEs II, IV.8), clipped to [0.2, 2].  The trace records t, scalar
-    curvature, minimum isotropic curvature and tensor norm every
-    ``monitor_every`` accepted steps and at both endpoints, searching the
-    states ``_MONITOR_STACK`` at a time as one ``_min_isotropic_stack``.  A
-    step that overflows (a non-finite reaction term, error estimate or new
-    state) ends the flow with ``terminated_by="non_finite"`` at the last
-    accepted state; CurvatureError for n < 4, before any step.
+    The steps run in the clock dtau = |M|_F dt on y = (U, l, t), M = e^l U:
+    U' = Q(U) - <Q(U), U> U, l' = <Q(U), U>, t' = e^(-l); the first is
+    dt_init |M|_F.  Once the predicted time increment h e^(-l) reaches
+    t_end - t, the step lands: size t_end - t in t on e^l y', then t = t_end
+    exactly (a step in tau that passes t_end counts as rejected).  Each new
+    e^l U is re-projected and split anew into U and l.  The error estimate is
+    relative, its t component weighted by e^l |Q(U)|_F (the change of M a
+    time error causes); a step is accepted when error * min(1, ||R||) of
+    its new state is at most rel_tol, an error in M of rel_tol max(1, ||R||).
+    y' at an accepted state is the first stage of the next step, so an
+    accepted step costs 12 reaction terms and a rejected one 11.  The step
+    factor is 0.9 r^(-1/8) for the error ratio r, after an accepted step at
+    most Gustafsson's predictive 0.9 (h / h_prev) (r_prev / r^2)^(1/8),
+    r_prev >= 1e-2 (Hairer & Wanner, Solving ODEs II, IV.8), clipped to
+    [0.2, 2].  The trace records t, scalar curvature, minimum isotropic
+    curvature and tensor norm every ``monitor_every`` accepted steps and at
+    both endpoints, searching the states ``_MONITOR_STACK`` at a time as one
+    ``_min_isotropic_stack``.  A step that overflows ends the flow with
+    ``terminated_by="non_finite"`` at the last accepted state; FlowError when
+    h e^(-l) underflows; CurvatureError for n < 4, before any step.
     """
     cfg = cfg or FlowConfig()
     _require_four_frames(R0.n)
     t_end = cfg.t_end if cfg.t_end is not None else default_horizon(R0)
 
     R = _project(R0)
-    n = R.n
+    n, shape, scale = R.n, R.mat.shape, 0.5 * R.norm()
     norm0 = max(1.0, R.norm())
-    K = np.empty((len(_A),) + R.mat.shape)
+    y = (np.append(R.mat / scale, [np.log(scale), 0.0]) if scale > 0     # (U, l, t)
+         else np.append(np.zeros(R.mat.size + 1), t_end))               # a fixed point
+    K = np.empty((len(_A), y.size))
     evals = 0
 
-    def q(M):
+    def f(x, out):
         nonlocal evals
         evals += 1
-        return qform(_stored(M, n)).mat
+        U = x[:-2].reshape(shape)
+        QU = qform(_stored(U, n)).mat
+        out[-2] = a = np.vdot(QU, U)
+        np.subtract(QU, a * U, out=out[:-2].reshape(shape))
+        out[-1] = np.exp(-x[-2])
+
+    def f_t(x, out):
+        f(x, out)
+        out *= np.exp(x[-2])
 
     times, scal, iso, nrm, queue, searched_s = [], [], [], [], [], []
 
@@ -203,36 +219,42 @@ def integrate_q_flow(R0: CurvatureTensor,
             search()
 
     record(0.0, R)
-    t = 0.0
-    h = min(cfg.dt_init, t_end)
+    h = cfg.dt_init * scale
     accepted = rejected = 0
     terminated_by = "t_end"
-    first_stage = False              # whether K[0] holds Q(R)
+    f0 = None                        # y' at y
     last = None                      # (h, error ratio) of the last accepted step
 
-    while t < t_end and accepted < cfg.max_steps:
-        h = min(h, t_end - t)
-        if h < 1e-14 * max(1.0, t_end):
-            raise FlowError(f"step size underflow at t={t:.6g}")
+    while y[-1] < t_end and accepted < cfg.max_steps:
+        el, left = np.exp(y[-2]), t_end - y[-1]
+        if h / el < 1e-14 * max(1.0, t_end):
+            raise FlowError(f"step size underflow at t={y[-1]:.6g}")
+        landing, h = h >= left * el, min(h, left * el)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not first_stage:
-                    K[0] = q(R.mat)
-                    first_stage = True
-                new, err = _dop853_step(R, K, h, q)
-                size = new.norm()
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if f0 is None:
+                    f0 = np.empty_like(y)
+                    f(y, f0)
+                np.multiply(f0, el if landing else 1.0, out=K[0])
+                new, err = _dop853_step(y, K, left if landing else h, f_t if landing else f,
+                                        el * np.linalg.norm(f0[:-1]))
+                new_R = _project(_stored(np.exp(new[-2]) * new[:-2].reshape(shape), n))
+                size = new_R.norm()
+                new = np.append(new_R.mat / (0.5 * size),
+                                [np.log(0.5 * size), t_end if landing else new[-1]])
         except NonFiniteError:
             err = size = np.inf
-        if not (err < np.inf and size < np.inf):
+        if not (err < np.inf and size < np.inf and new[-1] < np.inf):
             terminated_by = "non_finite"
             break
-        ratio = err / (cfg.rel_tol * max(1.0, size))
-        if ratio <= 1.0:
-            R, first_stage = new, False
-            t += h
+        ratio = err * min(1.0, size) / cfg.rel_tol
+        if new[-1] > t_end:                     # passed t_end in tau: land next
+            rejected, h = rejected + 1, left * el
+        elif ratio <= 1.0:
+            y, R, f0 = new, new_R, None
             accepted += 1
             if accepted % cfg.monitor_every == 0:
-                record(t, R)
+                record(y[-1], R)
             if size > cfg.blowup_guard * norm0:
                 terminated_by = "blowup_guard"
                 break
@@ -247,10 +269,10 @@ def integrate_q_flow(R0: CurvatureTensor,
             rejected += 1
             h *= max(0.2, 0.9 * ratio ** -0.125)
 
-    if t < t_end and terminated_by == "t_end":
+    if y[-1] < t_end and terminated_by == "t_end":
         terminated_by = "max_steps"
-    if times[-1] != t:
-        record(t, R)
+    if times[-1] != y[-1]:
+        record(y[-1], R)
     if queue:
         search()
 

@@ -208,6 +208,96 @@ def q_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
     return R, accepted, rejected
 
 
+def projective_rhs_public(n: int, y: np.ndarray, t_clock: bool = False) -> np.ndarray:
+    """The derivative of the flat state y = (U, l, t), M = e^l U, of
+    dR/dt = Q(R) in the clock dtau = |M|_F dt: (Q(U) - <Q(U), U> U,
+    <Q(U), U>, e^(-l)), U through the public (re-symmetrizing) constructor;
+    times e^l, the derivative in t, with ``t_clock``."""
+    N = num_pairs(n)
+    U = CurvatureTensor(n, y[:-2].reshape(N, N)).mat
+    QU = qform(CurvatureTensor(n, U)).mat
+    a = np.vdot(QU, U)
+    d = np.concatenate([(QU - a * U).ravel(), [a, np.exp(-y[-2])]])
+    return d * np.exp(y[-2]) if t_clock else d
+
+
+def dop853_flat_step_public(n: int, y: np.ndarray, h: float, t_clock: bool = False):
+    """One DOP853 step of size h of :func:`projective_rhs_public` from y,
+    each weighted sum of stages one ``np.tensordot`` of the stages stacked so
+    far.  Returns (the state before projection, Hairer's error estimate
+    h |e5|^2 / (|e5|^2 + 0.01 |e3|^2)^(1/2) with the t components of e5 and
+    e3 weighted by e^l |Q(U)|_F)."""
+    K = [projective_rhs_public(n, y, t_clock)]
+    for a in flow._A[1:]:
+        K.append(projective_rhs_public(n, y + h * np.tensordot(a, np.array(K), 1), t_clock))
+    K = np.array(K)
+    w = np.exp(y[-2]) * np.linalg.norm(projective_rhs_public(n, y)[:-1])
+    e5, e3 = (float(np.hypot(np.linalg.norm(e[:-1]), w * e[-1]))
+              for e in (np.tensordot(flow._E5, K, 1), np.tensordot(flow._E3, K, 1)))
+    den = np.hypot(e5, 0.1 * e3)
+    err = h * e5 * (e5 / den) if den > 0 else 0.0
+    return y + h * np.tensordot(flow._B, K, 1), err
+
+
+def projective_step_public(n: int, y: np.ndarray, h: float, t_end: float):
+    """One attempt of ``integrate_q_flow`` from y at step size h in tau: in
+    tau, or when the predicted time increment h e^(-l) reaches t_end - t, in
+    t up to t_end.  The tensor e^l U is re-projected onto the Bianchi kernel
+    and split anew into shape and norm.  Returns (state, tensor, error
+    estimate, landed)."""
+    N = num_pairs(n)
+    left = t_end - y[-1]
+    landed = h >= left * np.exp(y[-2])
+    new, err = dop853_flat_step_public(n, y, left if landed else h, landed)
+    S = CurvatureTensor(n, project_bianchi(np.exp(new[-2]) * new[:-2].reshape(N, N), n))
+    scale = np.linalg.norm(S.mat)
+    out = np.concatenate([S.mat.ravel() / scale, [np.log(scale), t_end if landed else new[-1]]])
+    return out, S, err, landed
+
+
+def projective_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
+                           rel_tol: float = 1e-8):
+    """DOP853 integration of dR/dt = Q(R) in the clock dtau = |M|_F dt with
+    the step control of ``integrate_q_flow``: first step dt_init |M|_F in
+    tau, ratio r = err min(1, |R|) / rel_tol, factor 0.9 r^(-1/8), after an
+    accepted step at most Gustafsson's 0.9 (h / h_prev) (r_prev / r^2)^(1/8)
+    with r_prev at least 1e-2, clipped to [0.2, 2]; a step in tau that
+    passes t_end is rejected and the next one lands.  One independent
+    :func:`projective_step_public` call per attempt, no blow-up guard and no
+    monitoring; returns (R, accepted, rejected)."""
+    n, N = R0.n, num_pairs(R0.n)
+    R = CurvatureTensor(n, project_bianchi(R0.mat, n))
+    scale = np.linalg.norm(R.mat)
+    y = np.concatenate([R.mat.ravel() / scale, [np.log(scale), 0.0]])
+    h = dt_init * scale
+    accepted = rejected = 0
+    last = None
+    while y[-1] < t_end:
+        if h / np.exp(y[-2]) < 1e-14 * max(1.0, t_end):
+            raise FloatingPointError("step size underflow")
+        new, S, err, landed = projective_step_public(n, y, h, t_end)
+        if landed:
+            h = (t_end - y[-1]) * np.exp(y[-2])
+        r = err * min(1.0, S.norm()) / rel_tol
+        if new[-1] > t_end:
+            rejected += 1
+            h = (t_end - y[-1]) * np.exp(y[-2])
+        elif r <= 1.0:
+            y, R = new, S
+            accepted += 1
+            grow = 2.0
+            if r > 0:
+                grow = 0.9 * r ** -0.125
+                if last is not None:
+                    grow = min(grow, 0.9 * (h / last[0]) * (last[1] / r ** 2) ** 0.125)
+            last = h, max(r, 1e-2)
+            h *= min(2.0, max(0.2, grow))
+        else:
+            rejected += 1
+            h *= max(0.2, 0.9 * r ** -0.125)
+    return R, accepted, rejected
+
+
 def step_doubling_flow(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
                        rel_tol: float = 1e-8) -> CurvatureTensor:
     """Adaptive RK4 with step doubling: one full step against two half steps

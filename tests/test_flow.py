@@ -14,8 +14,9 @@ from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
 from curvkit.frames import OptimizerConfig
 from curvkit.spaces import curvature_space_basis, sample
 
-from helpers import (dop853_step_public, q_flow_serial, random_curvature, raw_tensor,
-                     rk4_step_public, shift_into_cone, step_doubling_flow)
+from helpers import (dop853_flat_step_public, projective_flow_serial, projective_rhs_public,
+                     q_flow_serial, random_curvature, raw_tensor, rk4_step_public,
+                     shift_into_cone, step_doubling_flow)
 from curvkit import model_r0, min_isotropic
 
 
@@ -86,15 +87,16 @@ def test_trace_bookkeeping():
 
 
 def test_monitoring_stack_size_does_not_change_the_trace(monkeypatch):
-    """The 43 recorded states are searched after they are recorded,
+    """The 41 recorded states are searched after they are recorded,
     ``_MONITOR_STACK`` (32) at a time; stacks of 1 and 2 states give the
     same values bit for bit, since a state's rows do not depend on the
     others in its stack.  ``monitor_s`` times those searches."""
     R0 = random_curvature(4, seed=73)
     R0 = R0 * (1.0 / R0.norm())
-    cfg = FlowConfig(t_end=200.0 * default_horizon(R0), monitor_every=1, optimizer=LIGHT_OPT)
+    cfg = FlowConfig(t_end=200.0 * default_horizon(R0), monitor_every=1, blowup_guard=1e9,
+                     optimizer=LIGHT_OPT)
     _, trace = integrate_q_flow(R0, cfg)
-    assert len(trace.min_iso) == 43 > flow._MONITOR_STACK
+    assert len(trace.min_iso) == 41 > flow._MONITOR_STACK
     assert trace.monitor_s > 0.0
     for size in (1, 2):
         monkeypatch.setattr(flow, "_MONITOR_STACK", size)
@@ -198,11 +200,38 @@ def test_dop853_makes_twelve_q_calls_per_accepted_step(monkeypatch):
 
 
 def test_dop853_matches_serial_oracle():
+    """The same states, bit for bit, and the same accepted and rejected
+    counts as one independent public step per attempt; the first attempt
+    lands on t_end and is rejected."""
     R0, cfg = _generic_flow_start()
     R, trace = integrate_q_flow(R0, cfg)
-    S, accepted, rejected = q_flow_serial(R0, cfg.t_end, cfg.dt_init, cfg.rel_tol)
+    S, accepted, rejected = projective_flow_serial(R0, cfg.t_end, cfg.dt_init, cfg.rel_tol)
+    assert trace.terminated_by == "t_end" and trace.times[-1] == cfg.t_end
     assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
     assert np.array_equal(R.mat, S.mat)
+
+
+@pytest.mark.parametrize("n,lam0,t_end", [(4, 1.0, 0.05), (5, 0.5, 0.2), (6, 2.0, 0.01)])
+def test_t_end_runs_end_exactly_at_t_end(n, lam0, t_end):
+    """The last step lands on t_end in t, so the last record is t_end itself."""
+    _, trace = integrate_q_flow(model_sphere(n, lam0) + random_curvature(n, seed=n, scale=0.1),
+                                FlowConfig(t_end=t_end, optimizer=LIGHT_OPT))
+    assert trace.terminated_by == "t_end" and trace.times[-1] == t_end
+
+
+def test_step_in_tau_past_t_end_is_rejected_and_a_step_in_t_lands():
+    """On the shrinking ray of the negative sphere t' = e^(-l) grows within a
+    step, so a step predicted to stop short of t_end can pass it; it counts
+    as rejected (11 reaction terms) and the next attempt lands on t_end."""
+    R0 = -1.0 * model_sphere(4, 1.0)
+    R, trace = integrate_q_flow(R0, FlowConfig(t_end=0.11, dt_init=0.1, rel_tol=1e-10,
+                                               optimizer=LIGHT_OPT))
+    S, accepted, rejected = projective_flow_serial(R0, 0.11, 0.1, 1e-10)
+    assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected) == (3, 4)
+    assert trace.reaction_evals == 12 * 3 + 11 * 4
+    assert np.array_equal(R.mat, S.mat) and trace.times[-1] == 0.11
+    exact = scalar_blowup_oracle(6.0, -1.0, 0.11) * model_sphere(4, 1.0)
+    assert (R - exact).norm() < 1e-12 * exact.norm()
 
 
 def test_dop853_tableau_order_conditions():
@@ -220,20 +249,40 @@ def test_dop853_tableau_order_conditions():
         assert abs(E @ c ** order) > 1e-4
 
 
+def _raw_rhs(n):
+    """The integrator's derivative in tau, written into a stage row, with the
+    shape stored as it is."""
+    N = n * (n - 1) // 2
+
+    def f(x, out):
+        U = x[:-2].reshape(N, N)
+        QU = qform(_stored(U, n)).mat
+        out[-2] = a = np.vdot(QU, U)
+        out[:-2] = (QU - a * U).ravel()
+        out[-1] = np.exp(-x[-2])
+
+    return f
+
+
 def test_dop853_fixed_step_order_on_sphere_ray():
-    R0 = G = model_sphere(4, 1.0)
-    exact = scalar_blowup_oracle(6.0, 1.0, 0.1)
-
-    def q(M):
-        return qform(_stored(M, 4)).mat
-
+    """On the sphere ray the shape stays put and l grows linearly in tau, so
+    the whole error is in t; fixed tau steps up to 99% of the blow-up time
+    show order 8 in the scale against its closed form at the reached t."""
+    G = model_sphere(4, 1.0)
+    f, scale = _raw_rhs(4), np.linalg.norm(G.mat)
+    y0 = np.concatenate([G.mat.ravel() / scale, [np.log(scale), 0.0]])
+    K = np.empty((12, len(y0)))
+    f(y0, K[0])
+    tau = np.log(100.0) / K[0][-2]
     errs = []
     for steps in (4, 8, 16):
-        R, K = R0, np.empty((12, 6, 6))
+        y = y0
         for _ in range(steps):
-            K[0] = q(R.mat)
-            R, _ = flow._dop853_step(R, K, 0.1 / steps, q)
-        errs.append(abs(inner(R, G) / inner(G, G) - exact))
+            f(y, K[0])
+            y, _ = flow._dop853_step(y, K, tau / steps, f, 0.0)
+        lam = np.exp(y[-2]) * inner(_stored(y[:-2].reshape(6, 6), 4), G) / inner(G, G)
+        assert 0.98 / 6.0 < y[-1] < 1.0 / 6.0
+        errs.append(abs(lam / scalar_blowup_oracle(6.0, 1.0, y[-1]) - 1.0))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(p - 8.0) < 0.35 for p in orders), orders
 
@@ -260,11 +309,12 @@ def _blowup_flow(blowup_guard):
 
 
 def test_step_control_reaches_the_blowup_without_alternating_rejections():
-    """As |R| grows 1000-fold the error ratio rises step after step; the
-    predictive factor keeps the steps just short of rejection (without it,
-    a third of the attempts here were rejected, 890 reaction terms)."""
+    """As |R| grows 1000-fold the predictive factor keeps the steps just short
+    of rejection (without it, a third of the attempts of a flow in t were
+    rejected, 890 reaction terms).  In tau only the shape has dynamics: about
+    half the reaction terms of the same flow in t (515)."""
     _, trace = _blowup_flow(1e3)
-    assert trace.steps_rejected <= 2 and trace.reaction_evals <= 600
+    assert trace.steps_rejected <= 2 and trace.reaction_evals <= 300
 
 
 def test_fixed_time_error_at_most_step_doubling():
@@ -285,6 +335,34 @@ def test_fixed_time_error_at_most_step_doubling():
     assert dop853 <= doubling
 
 
+def test_fixed_time_error_at_most_time_clock():
+    """On the same tensor, at the time |R| reaches 500, the default tolerance
+    in tau errs no more than DOP853 in t at the same tolerance, both against
+    the flow in t at rel_tol 1e-13."""
+    R0, trace = _blowup_flow(500.0)
+    t_end = float(trace.times[-1])
+    ref = q_flow_serial(R0, t_end, rel_tol=1e-13)[0]
+    assert ref.norm() > 500.0
+    tau = integrate_q_flow(R0, FlowConfig(t_end=t_end, blowup_guard=1e6, monitor_every=10**6,
+                                          optimizer=LIGHT_OPT))[0]
+    t_clock = q_flow_serial(R0, t_end, rel_tol=1e-8)[0]
+    assert (tau - ref).norm() <= (t_clock - ref).norm()
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (4, 2), (6, 3)])
+def test_sphere_ray_to_80_percent_of_the_blowup_matches_closed_form(n, seed):
+    """At rel_tol 1e-12, up to 80% of the blow-up time (the benchmark's
+    closed-form check), the scale is within 1e-13 of its closed form."""
+    c = 2.0 * (n - 1)
+    lam0 = float(np.random.default_rng([seed, 1]).uniform(0.5, 2.0))
+    sphere = model_sphere(n, 1.0)
+    R, trace = integrate_q_flow(lam0 * sphere, FlowConfig(t_end=0.8 / (c * lam0), rel_tol=1e-12,
+                                                          monitor_every=10**6,
+                                                          optimizer=LIGHT_OPT))
+    expected = scalar_blowup_oracle(c, lam0, float(trace.times[-1])) * sphere
+    assert (R - expected).norm() <= 1e-13 * expected.norm()
+
+
 @pytest.mark.parametrize("n", (4, 6, 8, 12))
 def test_rk4_step_on_raw_stages_matches_constructed_stages(n):
     """Stages kept on the raw matrix give the same bits as stages built
@@ -296,20 +374,19 @@ def test_rk4_step_on_raw_stages_matches_constructed_stages(n):
 
 @pytest.mark.parametrize("n", (4, 6, 8, 12))
 def test_dop853_step_on_raw_stages_matches_constructed_stages(n):
-    """The integrator's step, stages kept on the raw matrix in one buffer,
-    gives the same bits and error estimate as stages built through the
-    re-symmetrizing constructor."""
+    """The integrator's step, stages kept on the raw matrix in one flat
+    buffer, gives the same bits and error estimate as stages built through
+    the re-symmetrizing constructor and stacked anew for each sum."""
     R = random_curvature(n, seed=1700 + n)
-    h = 1e-1 / R.norm()
-
-    def q(M):
-        return qform(_stored(M, n)).mat
-
-    K = np.empty((12,) + R.mat.shape)
-    K[0] = q(R.mat)
-    S, err = flow._dop853_step(R, K, h, q)
-    T, err_public = dop853_step_public(R, h)
-    assert np.array_equal(S.mat, T.mat) and err == err_public > 0
+    scale = np.linalg.norm(R.mat)
+    y = np.concatenate([R.mat.ravel() / scale, [np.log(scale), 0.25]])
+    f, h = _raw_rhs(n), 0.2
+    K = np.empty((12, len(y)))
+    f(y, K[0])
+    assert np.array_equal(K[0], projective_rhs_public(n, y))
+    new, err = flow._dop853_step(y, K, h, f, scale * np.linalg.norm(K[0][:-1]))
+    public, err_public = dop853_flat_step_public(n, y, h)
+    assert np.array_equal(new, public) and err == err_public > 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
