@@ -210,7 +210,8 @@ def cmd_flow(args) -> int:
                    terminated_by=trace.terminated_by,
                    steps_accepted=trace.steps_accepted,
                    steps_rejected=trace.steps_rejected,
-                   reaction_evals=trace.reaction_evals, monitor_s=trace.monitor_s)
+                   reaction_evals=trace.reaction_evals, first_step=trace.first_step,
+                   monitor_s=trace.monitor_s)
     _emit(summary)
     if args.out_csv:
         write_trace_csv(trace, args.out_csv)
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("flow", help="integrate dR/dt = Q(R) from a tensor file")
     f.add_argument("--in", dest="infile", required=True)
     f.add_argument("--t-end", type=positive_float, default=None)
-    f.add_argument("--dt", type=positive_float, default=1e-3)
+    f.add_argument("--dt", type=positive_float, default=None,
+                   help="first step in t (default: estimated from the tensor)")
     f.add_argument("--monitor-every", type=positive_int, default=10)
     f.add_argument("--out-csv", default=None)
     f.add_argument("--assert-cone", action="store_true",

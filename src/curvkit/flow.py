@@ -3,12 +3,14 @@
 Q is homogeneous of degree 2, so in the clock dtau = |M| dt (Stuart &
 Floater 1990) log |M| grows linearly on every self-similar ray and only the
 shape U = M / |M| has dynamics.  The adaptive integrator takes Dormand-Prince
-8(5,3) steps (DOP853) under a predictive step controller on (U, log |M|, t);
-every accepted shape is re-projected onto the space of algebraic curvature
-tensors to stop cyclic-sum drift.  Stages and projection work on the
-coefficient matrix on 2-forms alone; no rank-4 table is formed.  The
-classical RK4 step stays as a fixed-step reference.  Self-similar ray
-solutions provide closed-form references for convergence checks.
+8(5,3) steps (DOP853) under a predictive step controller on (U, log |M|, t),
+from Hairer's estimate of the first step (Hairer, Norsett & Wanner, Solving
+ODEs I, II.4) unless one is given; every accepted shape is re-projected onto
+the space of algebraic curvature tensors to stop cyclic-sum drift.  Stages
+and projection work on the coefficient matrix on 2-forms alone; no rank-4
+table is formed.  The classical RK4 step stays as a fixed-step reference.
+Self-similar ray solutions provide closed-form references for convergence
+checks.
 """
 
 import time
@@ -64,7 +66,7 @@ _MONITOR_STACK = 32     # recorded states per stacked monitoring search
 @dataclass(frozen=True)
 class FlowConfig:
     t_end: float | None = None       # default: 0.8 / (2 (n-1) ||R0||)
-    dt_init: float = 1e-3
+    dt_init: float | None = None     # first step in t; default: Hairer's estimate
     rel_tol: float = 1e-8
     monitor_every: int = 10          # accepted steps between trace records
     blowup_guard: float = 1e3        # stop once ||R|| exceeds guard * max(1, ||R0||)
@@ -73,7 +75,7 @@ class FlowConfig:
     optimizer: OptimizerConfig = OptimizerConfig(restarts=4, max_iters=300)
 
     def __post_init__(self):
-        times = ("dt_init",) if self.t_end is None else ("dt_init", "t_end")
+        times = tuple(name for name in ("dt_init", "t_end") if getattr(self, name) is not None)
         _require_numbers(vars(self), (("monitor_every", 1), ("max_steps", 1)),
                          times + ("rel_tol", "blowup_guard"))
         if not isinstance(self.optimizer, OptimizerConfig):
@@ -93,6 +95,7 @@ class FlowTrace:
     steps_accepted: int
     steps_rejected: int
     reaction_evals: int              # calls of qform by the integrator
+    first_step: float                # the first step in t, h e^(-l)
     monitor_s: float                 # seconds in the monitoring searches
 
 
@@ -129,6 +132,22 @@ def _dop853_step(y: np.ndarray, K: np.ndarray, h: float, f,
     return y + h * (_B @ K), err
 
 
+def _initial_step(y: np.ndarray, f0: np.ndarray, f, sc: float) -> float:
+    """Hairer's estimate of the first step from y with y' = f0 given (Solving
+    ODEs I, II.4; the hinit of dop853.f), on the (U, l) part of y in the
+    error unit sc of the acceptance test: d0 = |U|_F / sc = 1 / sc and
+    d1 = |f0| / sc give the Euler step h0 = 0.01 d0 / d1 (1e-6 when
+    d1 <= 1e-5), whose probe f1 = f(y + h0 f0) gives d2 = |f1 - f0| / (h0 sc);
+    the step is min(100 h0, (0.01 / max(d1, d2))^(1/8)), the second term
+    max(1e-6, 1e-3 h0) when max(d1, d2) <= 1e-15.  One call of f."""
+    d1 = np.linalg.norm(f0[:-1]) / sc
+    h0 = 0.01 / (sc * d1) if d1 > 1e-5 else 1e-6
+    f1 = np.empty_like(y)
+    f(y + h0 * f0, f1)
+    d = max(d1, np.linalg.norm(f1[:-1] - f0[:-1]) / (h0 * sc))
+    return min(100.0 * h0, (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0))
+
+
 def default_horizon(R0: CurvatureTensor) -> float:
     """Conservative integration horizon scaled to the blow-up time of a
     comparable round model (stays clear of the singularity); CurvatureError
@@ -158,15 +177,17 @@ def integrate_q_flow(R0: CurvatureTensor,
 
     The steps run in the clock dtau = |M|_F dt on y = (U, l, t), M = e^l U:
     U' = Q(U) - <Q(U), U> U, l' = <Q(U), U>, t' = e^(-l); the first is
-    dt_init |M|_F.  Once the predicted time increment h e^(-l) reaches
-    t_end - t, the step lands: size t_end - t in t on e^l y', then t = t_end
-    exactly (a step in tau that passes t_end counts as rejected).  Each new
-    e^l U is re-projected and split anew into U and l.  The error estimate is
-    relative, its t component weighted by e^l |Q(U)|_F (the change of M a
-    time error causes); a step is accepted when error * min(1, ||R||) of
-    its new state is at most rel_tol, an error in M of rel_tol max(1, ||R||).
-    y' at an accepted state is the first stage of the next step, so an
-    accepted step costs 12 reaction terms and a rejected one 11.  The step
+    dt_init |M|_F, or without dt_init Hairer's estimate (``_initial_step``),
+    whose Euler probe costs one reaction term.  Once the predicted time
+    increment h e^(-l) reaches t_end - t, the step lands: size t_end - t in
+    t on e^l y', then t = t_end exactly (a step in tau that passes t_end
+    counts as rejected).  Each new e^l U is re-projected and split anew into
+    U and l.  The error estimate is relative, its t component weighted by
+    e^l |Q(U)|_F (the change of M a time error causes); a step is accepted
+    when error * min(1, ||R||) of its new state is at most rel_tol, an error
+    in M of rel_tol max(1, ||R||).  y' at an accepted state, and at the
+    start, is the first stage of the next step, so an accepted step costs 12
+    reaction terms and a rejected one 11.  The step
     factor is 0.9 r^(-1/8) for the error ratio r, after an accepted step at
     most Gustafsson's predictive 0.9 (h / h_prev) (r_prev / r^2)^(1/8),
     r_prev >= 1e-2 (Hairer & Wanner, Solving ODEs II, IV.8), clipped to
@@ -219,10 +240,19 @@ def integrate_q_flow(R0: CurvatureTensor,
             search()
 
     record(0.0, R)
-    h = cfg.dt_init * scale
+    f0 = None                        # y' at y
+    if cfg.dt_init is not None:
+        h = cfg.dt_init * scale
+    elif scale > 0:
+        f0 = np.empty_like(y)
+        with np.errstate(over="ignore"):
+            f(y, f0)
+            h = _initial_step(y, f0, f, cfg.rel_tol / min(1.0, R.norm()))
+    else:                            # a fixed point takes no step
+        h = 0.0
+    first_step = h / np.exp(y[-2])
     accepted = rejected = 0
     terminated_by = "t_end"
-    f0 = None                        # y' at y
     last = None                      # (h, error ratio) of the last accepted step
 
     while y[-1] < t_end and accepted < cfg.max_steps:
@@ -279,7 +309,8 @@ def integrate_q_flow(R0: CurvatureTensor,
     trace = FlowTrace(times=np.array(times), scalars=np.array(scal),
                       min_iso=np.array(iso), norm=np.array(nrm),
                       terminated_by=terminated_by, steps_accepted=accepted,
-                      steps_rejected=rejected, reaction_evals=evals, monitor_s=sum(searched_s))
+                      steps_rejected=rejected, reaction_evals=evals,
+                      first_step=first_step, monitor_s=sum(searched_s))
     return R, trace
 
 

@@ -255,21 +255,42 @@ def projective_step_public(n: int, y: np.ndarray, h: float, t_end: float):
     return out, S, err, landed
 
 
-def projective_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
+def initial_step_public(n: int, y: np.ndarray, rel_tol: float, size: float) -> float:
+    """Hairer's starting step in tau (Solving ODEs I, II.4; the hinit of
+    dop853.f) of :func:`projective_rhs_public` from the unit-shape state y
+    of the tensor R, |R| = size, on its (U, l) part in the error unit
+    sc = rel_tol / min(1, |R|) of the acceptance test: d0 = |U|_F / sc =
+    1 / sc, d1 = |y'| / sc, one explicit Euler step of h0 = 0.01 d0 / d1
+    (1e-6 when d1 <= 1e-5), d2 = the change of y' over it / (h0 sc), and then
+    min(100 h0, (0.01 / max(d1, d2))^(1/8)), or min(100 h0, max(1e-6,
+    1e-3 h0)) when max(d1, d2) <= 1e-15."""
+    sc = rel_tol / min(1.0, size)
+    f0 = projective_rhs_public(n, y)
+    d1 = np.linalg.norm(f0[:-1]) / sc
+    h0 = 0.01 / (sc * d1) if d1 > 1e-5 else 1e-6
+    f1 = projective_rhs_public(n, y + h0 * f0)
+    d2 = np.linalg.norm(f1[:-1] - f0[:-1]) / (h0 * sc)
+    d = max(d1, d2)
+    h1 = (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0)
+    return min(100.0 * h0, h1)
+
+
+def projective_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float | None = None,
                            rel_tol: float = 1e-8):
     """DOP853 integration of dR/dt = Q(R) in the clock dtau = |M|_F dt with
     the step control of ``integrate_q_flow``: first step dt_init |M|_F in
-    tau, ratio r = err min(1, |R|) / rel_tol, factor 0.9 r^(-1/8), after an
-    accepted step at most Gustafsson's 0.9 (h / h_prev) (r_prev / r^2)^(1/8)
-    with r_prev at least 1e-2, clipped to [0.2, 2]; a step in tau that
-    passes t_end is rejected and the next one lands.  One independent
+    tau, or :func:`initial_step_public` without dt_init, ratio
+    r = err min(1, |R|) / rel_tol, factor 0.9 r^(-1/8), after an accepted
+    step at most Gustafsson's 0.9 (h / h_prev) (r_prev / r^2)^(1/8) with
+    r_prev at least 1e-2, clipped to [0.2, 2]; a step in tau that passes
+    t_end is rejected and the next one lands.  One independent
     :func:`projective_step_public` call per attempt, no blow-up guard and no
     monitoring; returns (R, accepted, rejected)."""
-    n, N = R0.n, num_pairs(R0.n)
+    n = R0.n
     R = CurvatureTensor(n, project_bianchi(R0.mat, n))
     scale = np.linalg.norm(R.mat)
     y = np.concatenate([R.mat.ravel() / scale, [np.log(scale), 0.0]])
-    h = dt_init * scale
+    h = dt_init * scale if dt_init is not None else initial_step_public(n, y, rel_tol, R.norm())
     accepted = rejected = 0
     last = None
     while y[-1] < t_end:

@@ -7,6 +7,7 @@ import pytest
 
 from curvkit.cli import main
 from curvkit.core import model_r0, standard_quaternion_triple
+from curvkit.flow import FlowConfig, integrate_q_flow
 from curvkit.spaces import MAX_BASIS_N
 from curvkit.tensor_io import load_tensor
 
@@ -255,8 +256,13 @@ def test_flow_summary_and_csv(tmp_path, capsys):
     assert rep["terminated_by"] == "t_end"
     assert np.isclose(rep["t_final"], 0.02)
     assert rep["monitor_s"] > 0.0
+    # the first step in t: estimated by default, as the flow's trace records it
+    trace = integrate_q_flow(load_tensor(p), FlowConfig(t_end=0.02))[1]
+    assert rep["first_step"] == trace.first_step > 0
     with open(csv) as fh:
         assert fh.readline().strip() == "t,scal,min_iso,norm"
+    code, out, _ = run(capsys, "flow", "--in", p, "--t-end", "0.02", "--dt", "1e-3")
+    assert code == 0 and np.isclose(last_json(out)["first_step"], 1e-3, rtol=1e-14, atol=0.0)
 
 
 def test_flow_summary_reports_rejected_steps_and_reaction_evals(tmp_path, capsys):
@@ -337,6 +343,18 @@ def test_flow_step_underflow_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: step size underflow")
+
+
+def test_flow_on_huge_tensor_underflows_and_exits_three(tmp_path, capsys):
+    """On a sphere of norm 1e150 the estimated first step is tiny in t and
+    underflows at t = 0; the flow cannot reach --t-end 1 (exit 3)."""
+    p = str(tmp_path / "s.json")
+    main(["model", "--kind", "sphere", "--n", "4", "--param", "1e150", "--out", p])
+    capsys.readouterr()
+    code, out, err = run(capsys, "flow", "--in", p, "--t-end", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: step size underflow at t=0")
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from curvkit import flow
-from curvkit.core import (CurvatureError, NonFiniteError, _stored, inner, model_sphere, qform,
-                          scalar_curvature, standard_quaternion_triple, zero_tensor)
+from curvkit.core import (CurvatureError, NonFiniteError, _stored, inner, model_sphere,
+                          project_bianchi, qform, scalar_curvature, standard_quaternion_triple,
+                          zero_tensor)
 from curvkit.flow import (FlowConfig, FlowError, cone_preservation_probe,
                           default_horizon, integrate_q_flow, rk4_step,
                           scalar_blowup_oracle)
 from curvkit.frames import OptimizerConfig
 from curvkit.spaces import curvature_space_basis, sample
 
-from helpers import (dop853_flat_step_public, projective_flow_serial, projective_rhs_public,
-                     q_flow_serial, random_curvature, raw_tensor, rk4_step_public,
-                     shift_into_cone, step_doubling_flow)
+from helpers import (dop853_flat_step_public, initial_step_public, projective_flow_serial,
+                     projective_rhs_public, q_flow_serial, random_curvature, raw_tensor,
+                     rk4_step_public, shift_into_cone, step_doubling_flow)
 from curvkit import model_r0, min_isotropic
 
 
@@ -87,7 +88,7 @@ def test_trace_bookkeeping():
 
 
 def test_monitoring_stack_size_does_not_change_the_trace(monkeypatch):
-    """The 41 recorded states are searched after they are recorded,
+    """The 35 recorded states are searched after they are recorded,
     ``_MONITOR_STACK`` (32) at a time; stacks of 1 and 2 states give the
     same values bit for bit, since a state's rows do not depend on the
     others in its stack.  ``monitor_s`` times those searches."""
@@ -96,7 +97,7 @@ def test_monitoring_stack_size_does_not_change_the_trace(monkeypatch):
     cfg = FlowConfig(t_end=200.0 * default_horizon(R0), monitor_every=1, blowup_guard=1e9,
                      optimizer=LIGHT_OPT)
     _, trace = integrate_q_flow(R0, cfg)
-    assert len(trace.min_iso) == 41 > flow._MONITOR_STACK
+    assert len(trace.min_iso) == 35 > flow._MONITOR_STACK
     assert trace.monitor_s > 0.0
     for size in (1, 2):
         monkeypatch.setattr(flow, "_MONITOR_STACK", size)
@@ -132,9 +133,10 @@ def test_step_underflow_near_singularity():
 
 
 def test_overflow_stops_with_last_finite_state():
-    """A reaction term that overflows ends the flow instead of raising."""
+    """A reaction term that overflows ends the flow instead of raising; the
+    explicit first step, far too long for a tensor of norm 1e150, overflows."""
     R0 = model_sphere(4, 1e150)
-    cfg = FlowConfig(t_end=1.0, blowup_guard=1e300, optimizer=LIGHT_OPT)
+    cfg = FlowConfig(t_end=1.0, dt_init=1e-3, blowup_guard=1e300, optimizer=LIGHT_OPT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         R, trace = integrate_q_flow(R0, cfg)
@@ -142,6 +144,17 @@ def test_overflow_stops_with_last_finite_state():
     assert np.isfinite(R.mat).all()
     assert R.norm() >= R0.norm()
     assert np.isfinite(trace.norm).all() and trace.times[-1] < 1.0
+
+
+def test_estimated_first_step_on_a_huge_tensor_underflows():
+    """The estimated first step follows the scale: on a sphere of norm 1e150,
+    whose blow-up time is about 1e-151, it is tiny in t and falls below the
+    underflow floor of a flow to t_end = 1 before any step overflows."""
+    cfg = FlowConfig(t_end=1.0, blowup_guard=1e300, optimizer=LIGHT_OPT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowError, match="underflow at t=0"):
+            integrate_q_flow(model_sphere(4, 1e150), cfg)
 
 
 def test_overflowing_reaction_term_raises_non_finite_error():
@@ -152,10 +165,11 @@ def test_overflowing_reaction_term_raises_non_finite_error():
 
 
 def test_max_steps_cap():
-    cfg = FlowConfig(t_end=0.1, max_steps=5, optimizer=LIGHT_OPT)
+    """The flow to t_end takes 4 accepted steps; a cap of 3 stops it."""
+    cfg = FlowConfig(t_end=0.1, max_steps=3, optimizer=LIGHT_OPT)
     _, trace = integrate_q_flow(model_sphere(4, 1.0), cfg)
     assert trace.terminated_by == "max_steps"
-    assert trace.steps_accepted <= 5
+    assert trace.steps_accepted == 3 and trace.times[-1] < 0.1
 
 
 def test_rk4_single_step_order():
@@ -209,6 +223,80 @@ def test_dop853_matches_serial_oracle():
     assert trace.terminated_by == "t_end" and trace.times[-1] == cfg.t_end
     assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
     assert np.array_equal(R.mat, S.mat)
+
+
+def _default_flow_start():
+    """A generic n = 4 tensor whose flow from the estimated first step
+    rejects two steps on its way to t_end."""
+    R0 = random_curvature(4, seed=73)
+    return R0, FlowConfig(t_end=10.0 * default_horizon(R0), rel_tol=1e-10,
+                          monitor_every=10**6, optimizer=LIGHT_OPT)
+
+
+def test_estimated_start_matches_serial_oracle():
+    """Without dt_init the first step is Hairer's estimate: the same first
+    step, states, accepted and rejected counts, bit for bit, as the public
+    estimate and one independent public step per attempt, ending at t_end
+    exactly."""
+    R0, cfg = _default_flow_start()
+    R, trace = integrate_q_flow(R0, cfg)
+    S, accepted, rejected = projective_flow_serial(R0, cfg.t_end, rel_tol=cfg.rel_tol)
+    assert trace.terminated_by == "t_end" and trace.times[-1] == cfg.t_end
+    assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
+    assert rejected > 0 and np.array_equal(R.mat, S.mat)
+    P = project_bianchi(R0.mat, 4)
+    scale = np.linalg.norm(P)
+    y = np.concatenate([P.ravel() / scale, [np.log(scale), 0.0]])
+    h = initial_step_public(4, y, cfg.rel_tol, 2.0 * scale)
+    assert trace.first_step == h / np.exp(y[-2]) > 0
+
+
+def test_estimated_start_costs_one_reaction_term(monkeypatch):
+    """y' at the start is the first stage of the first step; the estimate
+    adds one reaction term, its explicit Euler probe."""
+    calls = []
+    real = flow.qform
+
+    def counted(R):
+        calls.append(R)
+        return real(R)
+
+    monkeypatch.setattr(flow, "qform", counted)
+    R0, cfg = _default_flow_start()
+    _, trace = integrate_q_flow(R0, cfg)
+    assert trace.steps_rejected > 0 and trace.steps_accepted > 0
+    assert len(calls) == trace.reaction_evals
+    assert len(calls) == 12 * trace.steps_accepted + 11 * trace.steps_rejected + 1
+
+
+@pytest.mark.parametrize("speed, step", [(0.0, 1e-6), (1e6, 1e-6)])
+def test_estimate_fallback_and_cap(speed, step):
+    """Where y' vanishes, Hairer's fallback: h0 = 1e-6 and the step
+    max(1e-6, 1e-3 h0).  Where y' is fast and constant (no change over the
+    probe, d2 = 0), the cap 100 h0 = 1 / |y'| binds, not
+    (0.01 / d1)^(1/8) = 0.01."""
+    f0 = np.zeros(38)
+    f0[0] = speed
+
+    def constant(x, out):
+        out[:] = f0
+
+    assert np.isclose(flow._initial_step(np.zeros(38), f0, constant, 1e-8), step,
+                      rtol=1e-12, atol=0.0)
+
+
+def test_explicit_dt_init_keeps_its_first_step():
+    """An explicit dt_init starts at dt_init |M|_F in tau, a step of dt_init
+    in t, with no probe, bit for bit as the serial oracle from that step."""
+    R0, cfg = _default_flow_start()
+    cfg = FlowConfig(t_end=cfg.t_end, dt_init=1e-3, rel_tol=cfg.rel_tol,
+                     monitor_every=cfg.monitor_every, optimizer=LIGHT_OPT)
+    R, trace = integrate_q_flow(R0, cfg)
+    S, accepted, rejected = projective_flow_serial(R0, cfg.t_end, 1e-3, cfg.rel_tol)
+    assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
+    assert np.array_equal(R.mat, S.mat)
+    assert trace.reaction_evals == 12 * accepted + 11 * rejected
+    assert np.isclose(trace.first_step, 1e-3, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("n,lam0,t_end", [(4, 1.0, 0.05), (5, 0.5, 0.2), (6, 2.0, 0.01)])
@@ -401,6 +489,7 @@ def test_rk4_stages_fail_closed():
 
 
 def test_config_validation():
+    assert FlowConfig().dt_init is None
     with pytest.raises(ValueError):
         FlowConfig(dt_init=0.0)
     with pytest.raises(ValueError):
