@@ -28,7 +28,13 @@ sample (`qk_q_bound_check`) and one call on the whole list, whose searches
 run as one descent stack (`qk_q_bound_check_batched`, whose stack passes are
 reported), each timed by one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
-samples, at its maximizer for I.  Every other time is the mean of
+samples, at its maximizer for I.  The sampled groups of the verify suite are
+timed at STACK_SIZES on STACK_SAMPLES seeds (0, 1, ...), one draw per seed
+against one stacked draw of all of them: `sample` against `_sample_stack`
+in the generic, Kahler (standard J) and hyper-Kahler (standard triple)
+spaces, keyed "<space>-<n>", and `einstein_normalize` of each generic sample
+against `_einstein_stack` of their stack, keyed by n; each is the mean of
+SEARCH_CALLS passes over the seeds, divided by STACK_SAMPLES.  Every other time is the mean of
 back-to-back calls (CALLS, or SEARCH_CALLS for the searches and the
 subspaces).  Each layer is timed REPEATS times and reported, in microseconds
 per call, as {"best", "q1", "median", "q3"} over those repeats: the best is
@@ -49,15 +55,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from curvkit.core import (_stored, bform, isotropic_from_columns,  # noqa: E402
+from curvkit.core import (_einstein_stack, _stored, bform,  # noqa: E402
+                          einstein_normalize, isotropic_from_columns,
                           project_to_curvature, qform, standard_complex_structure,
                           standard_quaternion_triple)
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
                             _retract, max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
-from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace,  # noqa: E402
-                            kahler_subspace, sample)
+from curvkit.spaces import (_sample_stack, curvature_space_basis,  # noqa: E402
+                            hyperkahler_subspace, kahler_subspace, sample)
 
 SIZES = (4, 6, 8, 12)
 SPACE_SIZES = (4, 6, 8, 10, 12)
@@ -66,6 +73,8 @@ CALLS = 50
 SEARCH_CALLS = 3
 FRAMES = 16
 QK_SAMPLES = 20
+STACK_SIZES = (8, 12)
+STACK_SAMPLES = 20
 SEED = 0
 
 
@@ -113,7 +122,8 @@ def main() -> int:
              "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
              "min_orthogonal_bisectional", "curvature_space_basis",
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
-             "qk_q_bound_check_batched", "maximizer_first_order_check")
+             "qk_q_bound_check_batched", "maximizer_first_order_check", "sample",
+             "_sample_stack", "einstein_normalize", "_einstein_stack")
     layers = {name: {} for name in names}
     iterations, stop_reasons, bis_iterations = {}, {}, {}
     passes, bis_passes, step_q_calls = {}, {}, {}
@@ -174,6 +184,23 @@ def main() -> int:
     x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
     layers["maximizer_first_order_check"]["8"] = timed(
         lambda: maximizer_first_order_check(tensors[0], T.I, x))
+    seeds = list(range(STACK_SAMPLES))
+    for n in STACK_SIZES:
+        spaces = {"generic": curvature_space_basis(n),
+                  "kahler": kahler_subspace(standard_complex_structure(n)),
+                  "hyperkahler": hyperkahler_subspace(standard_quaternion_triple(n))}
+        for label, space in spaces.items():
+            key = f"{label}-{n}"
+            layers["sample"][key] = timed(lambda: [sample(space, s) for s in seeds],
+                                          SEARCH_CALLS, STACK_SAMPLES)
+            layers["_sample_stack"][key] = timed(lambda: _sample_stack(space, seeds),
+                                                 SEARCH_CALLS, STACK_SAMPLES)
+        generic = [sample(spaces["generic"], s) for s in seeds]
+        mats = np.stack([R.mat for R in generic])
+        layers["einstein_normalize"][str(n)] = timed(
+            lambda: [einstein_normalize(R) for R in generic], SEARCH_CALLS, STACK_SAMPLES)
+        layers["_einstein_stack"][str(n)] = timed(lambda: _einstein_stack(mats, n),
+                                                  SEARCH_CALLS, STACK_SAMPLES)
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "dop853_step_q_calls": step_q_calls,
@@ -184,8 +211,9 @@ def main() -> int:
                       "min_orthogonal_bisectional_passes": bis_passes,
                       "qk_q_bound_check_batched_passes": qk_passes, "repeats": REPEATS,
                       "calls": CALLS, "search_calls": SEARCH_CALLS, "frames": FRAMES,
-                      "qk_samples": QK_SAMPLES, "seed": SEED, "numpy": np.__version__,
-                      "python": sys.version.split()[0], "cpus": os.cpu_count()}))
+                      "qk_samples": QK_SAMPLES, "stack_samples": STACK_SAMPLES, "seed": SEED,
+                      "numpy": np.__version__, "python": sys.version.split()[0],
+                      "cpus": os.cpu_count()}))
     return 0
 
 

@@ -191,12 +191,13 @@ def _reaction_mat(P: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
 def _kulkarni_nomizu_mat(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Pair-basis matrix of the Kulkarni-Nomizu product of symmetric h and k:
     the Sym^2 terms of :func:`_reaction_mat` with H = Z + Z^T,
-    Z = vec(h) vec(k)^T on i <= k, and P = 0."""
-    n = len(h)
-    tri = np.triu_indices(n)
-    Z = np.outer(h[tri], k[tri])
+    Z = vec(h) vec(k)^T on i <= k, and P = 0.  Stacks (..., n, n) of h or k,
+    broadcast against each other, give a (..., N, N) stack."""
+    n = h.shape[-1]
+    iu, ju = np.triu_indices(n)
+    Z = h[..., iu, ju][..., :, None] * k[..., iu, ju][..., None, :]
     N = num_pairs(n)
-    return _reaction_mat(np.zeros((N, N)), Z + Z.T, n)
+    return _reaction_mat(np.zeros((N, N)), Z + np.swapaxes(Z, -1, -2), n)
 
 
 @lru_cache(maxsize=None)
@@ -267,8 +268,9 @@ def _require_bianchi_stack(mats: np.ndarray, n: int, what: str, tol: float,
     first that fails names its index t."""
     defects = abs(bianchi_sums(mats, n)).max(axis=-1, initial=0.0)
     refs = np.maximum(abs(mats).max(axis=(1, 2), initial=1.0), scales)
-    for t, (defect, ref) in enumerate(zip(defects, refs)):
-        _bianchi_verdict(float(defect), float(ref), f"{what} {t}", tol)
+    # the verdict's tests, negated so that a NaN fails, for the whole stack at once
+    for t in np.flatnonzero(~((refs < np.inf) & (defects <= tol * refs)))[:1]:
+        _bianchi_verdict(float(defects[t]), float(refs[t]), f"{what} {t}", tol)
 
 
 def _bianchi_verdict(defect: float, ref: float, what: str, tol: float) -> None:
@@ -484,12 +486,17 @@ def curvature_map(R: CurvatureTensor, z, w) -> np.ndarray:
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
     """Ricci contraction Ric_{jl} = sum_i R_{ijil}; identity * (n-1) on the sphere model."""
-    pos, sign = _pair_positions(R.n)
+    return _ricci_mat(R.mat, R.n)
+
+
+def _ricci_mat(mat: np.ndarray, n: int) -> np.ndarray:
+    """:func:`ricci` of a coefficient matrix, or (..., n, n) of a (..., N, N) stack."""
+    pos, sign = _pair_positions(n)
     # R_ijil = s(i,j) s(i,l) M[pos(i,j), pos(i,l)], summed over i
-    G = R.mat[pos[:, :, None], pos[:, None, :]]
+    G = mat[..., pos[:, :, None], pos[:, None, :]]
     G *= sign[:, :, None]
     G *= sign[:, None, :]
-    return G.sum(axis=0)
+    return G.sum(axis=-3)
 
 
 def scalar_curvature(R: CurvatureTensor) -> float:
@@ -523,18 +530,28 @@ def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> Curva
 
     The default target is n - 1 (unit-sphere normalization).  Uses
     Ric(h ^ g) = (n-2) h + tr(h) g to solve for the symmetric correction h.
-    Fails closed like :func:`weyl`.
+    Fails closed like :func:`weyl`.  The one-tensor case of
+    :func:`_einstein_stack`, whose errors name R as index 0.
     """
-    n = R.n
+    return _stored(_einstein_stack(R.mat[None], R.n, target)[0], R.n)
+
+
+def _einstein_stack(mats: np.ndarray, n: int, target: float | None = None) -> np.ndarray:
+    """:func:`einstein_normalize` of every coefficient matrix of a (T, N, N)
+    stack, as a (T, N, N) stack: one Ricci gather and one Kulkarni-Nomizu
+    product for the whole stack.  Each output passes the Bianchi check to
+    1e-8 against its own scale; the error of the first that fails names its
+    index t."""
     if n < 3:
         raise CurvatureError("normalization requires n >= 3")
     target = float(n - 1) if target is None else float(target)
     g = np.eye(n)
-    delta = target * g - ricci(R)
-    trh = np.trace(delta) / (2.0 * (n - 1))
-    h = (delta - trh * g) / (n - 2.0)
-    mat = R.mat + _kulkarni_nomizu_mat(h, g)
-    return _checked(mat, n, "Einstein normalization", 1e-8)
+    delta = target * g - _ricci_mat(mats, n)
+    trh = np.trace(delta, axis1=-2, axis2=-1) / (2.0 * (n - 1))
+    h = (delta - trh[:, None, None] * g) / (n - 2.0)
+    out = mats + _kulkarni_nomizu_mat(h, g)
+    _require_bianchi_stack(out, n, "Einstein normalization", 1e-8)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +625,22 @@ def einstein_residual(R: CurvatureTensor, rho: float) -> float:
 # Frames and complex/quaternionic structures
 # ---------------------------------------------------------------------------
 
+def _require_frames(F: np.ndarray) -> np.ndarray:
+    """F, an (n, 4) matrix or a (T, n, 4) stack of them with n >= 4, unless
+    some frame has a Gram defect above CONSTRUCTION_TOL (or a non-finite
+    one): then CurvatureError, which for a stack names the index t of the
+    first failing frame.  The check of :class:`FourFrame`."""
+    if F.ndim not in (2, 3) or F.shape[-1] != 4 or F.shape[-2] < 4:
+        raise CurvatureError(f"a 4-frame needs an (n, 4) matrix with n >= 4, got {F.shape}")
+    defects = np.abs(np.swapaxes(F, -1, -2) @ F - np.eye(4)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(defects <= CONSTRUCTION_TOL))
+    if bad.size:
+        which = f"frame {bad[0]}" if F.ndim == 3 else "frame"
+        raise CurvatureError(f"{which} Gram defect {defects.flat[bad[0]]:.3e} exceeds "
+                             f"{CONSTRUCTION_TOL:.1e}")
+    return F
+
+
 @dataclass(frozen=True)
 class FourFrame:
     """Orthonormal 4-frame (Gram defect <= CONSTRUCTION_TOL), stored as its n x 4 columns."""
@@ -616,12 +649,9 @@ class FourFrame:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 4:
+        if m.ndim != 2:
             raise CurvatureError(f"a 4-frame needs an (n, 4) matrix with n >= 4, got {m.shape}")
-        defect = float(np.max(np.abs(m.T @ m - np.eye(4))))
-        if defect > CONSTRUCTION_TOL:
-            raise CurvatureError(f"frame Gram defect {defect:.3e} exceeds {CONSTRUCTION_TOL:.1e}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _frozen(_require_frames(m)))
 
     @classmethod
     def from_vectors(cls, e1, e2, e3, e4) -> "FourFrame":
@@ -764,8 +794,9 @@ def _frame_forms(F: np.ndarray, C: np.ndarray = _ISO_FORMS) -> np.ndarray:
 
 def isotropic_from_columns(mat: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Isotropic-curvature values of a raw column matrix (n, 4) or a stack
-    (..., n, 4) of them, with shape (...); no validation.  The value is
-    <M w_1, w_1> + <M w_2, w_2> (``_frame_forms``): by the first Bianchi
+    (..., n, 4) of them, with shape (...), on one coefficient matrix or on a
+    matching (..., N, N) stack of them, frame t on matrix t; no validation.
+    The value is <M w_1, w_1> + <M w_2, w_2> (``_frame_forms``): by the first Bianchi
     identity, which M must satisfy and ``CurvatureTensor(n, mat)`` does not
     check, that is R1313 + R1414 + R2323 + R2424 - 2 R1234."""
     W = _frame_forms(np.asarray(F, dtype=float))

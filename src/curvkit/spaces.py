@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (ComplexStructure, CurvatureError, CurvatureTensor,
+from .core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
                    QuaternionTriple, _bianchi_gather, _frozen, _require_same_n, _stored,
                    invariance_defect, num_pairs, scalar_curvature,
                    model_quaternionic_projective, two_form_action)
@@ -170,12 +170,29 @@ def hyperkahler_subspace(T: QuaternionTriple) -> CurvatureSubspace:
 
 
 def sample(space: CurvatureSubspace, seed: int, scale: float = 1.0) -> CurvatureTensor:
-    """Deterministic Gaussian combination of the basis (numpy default_rng)."""
+    """Deterministic Gaussian combination of the basis (numpy default_rng);
+    the one-seed case of :func:`_sample_stack`."""
+    return _stored(_sample_stack(space, [seed], scale)[0], space.n)
+
+
+def _sample_stack(space: CurvatureSubspace, seeds, scale: float = 1.0) -> np.ndarray:
+    """The coefficient matrices of ``sample(space, s, scale)`` for each seed s
+    of ``seeds``, as a (T, N, N) stack: each seed's coefficient row drawn
+    from its own numpy default_rng, then one product of the (T, dimension)
+    rows with the basis for the whole stack, which reads the basis once.
+    Like the CurvatureTensor constructor, it raises NonFiniteError on a
+    non-finite entry and returns each matrix as 0.5 (M + M^T)."""
     if space.dimension == 0:
         raise CurvatureError("cannot sample from an empty subspace")
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(space.dimension) * float(scale)
-    return CurvatureTensor(space.n, np.tensordot(coeffs, space.stacked, axes=1))
+    coeffs = np.stack([np.random.default_rng(s).standard_normal(space.dimension)
+                       for s in seeds]) * float(scale)
+    mats = (coeffs @ space.stacked.reshape(space.dimension, -1)).reshape(
+        (len(coeffs),) + space.stacked.shape[1:])
+    if not np.isfinite(mats).all():
+        raise NonFiniteError("coefficient matrix has non-finite entries")
+    mats += np.swapaxes(mats, 1, 2)
+    mats *= 0.5
+    return mats
 
 
 def project_onto(space: CurvatureSubspace, R: CurvatureTensor):

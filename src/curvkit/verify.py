@@ -10,10 +10,15 @@ the same anchors.  The subspace dimensions are compared with their closed
 forms (Besse, *Einstein Manifolds*, ch. 10), not with numbers from the code
 under test.  The suite is deterministic given (n, seed, samples).
 
-The quaternionic bound builds all its hyper-Kahler samples first and checks
-them in one ``frames.qk_q_bound_check`` call, whose maximizer searches run as
-one descent stack.  Its detail, and that of the boundary check, counts how
-the rows of their searches stopped.
+Each sampled group draws its samples as one (T, N, N) stack with
+``spaces._sample_stack``, after taking every sample's seed and its other
+draws (kappa, or x and y) from the group's generator in a fixed order, and
+runs the Einstein normalization, the shifts, the right-hand sides and the
+norms on that stack; the reaction term stays one ``qform`` call per tensor.
+The quaternionic bound checks all its hyper-Kahler samples in one
+``frames.qk_q_bound_check`` call, whose maximizer searches run as one
+descent stack.  Its detail, and that of the boundary check, counts how the
+rows of their searches stopped.
 """
 
 import math
@@ -23,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .core import (ComplexStructure, FourFrame, _bform_stack, einstein_normalize,
+from .core import (ComplexStructure, _bform_stack, _einstein_stack, _require_frames, _stored,
                    einstein_residual, isotropic_from_columns, model_fubini_study,
                    model_r0, model_sj, model_sphere, qform, ricci,
                    standard_complex_structure, standard_quaternion_triple)
-from .spaces import (MAX_BASIS_N, curvature_space_basis, hyperkahler_subspace,
+from .spaces import (MAX_BASIS_N, _sample_stack, curvature_space_basis, hyperkahler_subspace,
                      kahler_subspace, sample)
 
 
@@ -75,6 +80,11 @@ def _stop_counts(searches: list) -> str:
     reasons = [r for res in searches for r in res.restart_stop_reasons]
     return f"{len(reasons)} rows, {searches[0].passes} stack passes: " + ", ".join(
         f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS if r in reasons)
+
+
+def _norms(mats: np.ndarray) -> np.ndarray:
+    """The norm 2 |M|_F of ``CurvatureTensor.norm`` of each matrix of a stack."""
+    return 2.0 * np.linalg.norm(mats, axis=(1, 2))
 
 
 def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
@@ -132,10 +142,10 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
 
     # ---- structural checks (no sampling) ------------------------------------
     def bform_defects():
-        basis_norms = 2.0 * np.linalg.norm(hk.stacked, axis=(1, 2))   # CurvatureTensor.norm
+        basis_norms = _norms(hk.stacked)
         for S in [sphere] + [model_sj(ComplexStructure(A)) for A in T.matrices]:
             B = _bform_stack(hk.stacked, S)
-            yield (float(np.max(2.0 * np.linalg.norm(B, axis=(1, 2)) / (basis_norms * S.norm()))),
+            yield (float(np.max(_norms(B) / (basis_norms * S.norm()))),
                    f"max over {hk.dimension} basis elements")
 
     run([("bform-hyperkahler-sphere",
@@ -176,32 +186,45 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
                   ", ".join(name for name, _, _ in models))])
 
     # ---- sampled checks ------------------------------------------------------
-    def sphere_shift():
-        rng = np.random.default_rng([seed, 4])
-        worst = 0.0
+    def draws(rng, extra):
+        """``samples`` draws from rng, each a sample seed and then ``extra(rng)``:
+        the seeds and the list of extras."""
+        seeds, extras = [], []
         for _ in range(samples):
-            R = einstein_normalize(sample(generic, seed=int(rng.integers(2**31))))
-            kappa = float(rng.uniform(0.25, 3.0))
-            QS = qform(R + (-kappa) * sphere)
-            rhs = qform(R) + (2.0 * (n - 1) * kappa * (kappa - 2.0)) * sphere
-            worst = max(worst, (QS - rhs).norm() / max(1.0, QS.norm()))
-        return [(worst, f"{samples} normalized samples")]
+            seeds.append(int(rng.integers(2**31)))
+            extras.append(extra(rng))
+        return seeds, extras
+
+    def q_stack(mats):
+        """Q of each matrix of a stack, one ``qform`` call each, as a stack."""
+        return np.stack([qform(_stored(m, n)).mat for m in mats])
+
+    def worst_relative(defects, refs):
+        """max over t of defects[t] / max(1, refs[t])."""
+        return float(np.max(defects / np.maximum(1.0, refs)))
+
+    def sphere_shift():
+        seeds, kappas = draws(np.random.default_rng([seed, 4]),
+                              lambda rng: float(rng.uniform(0.25, 3.0)))
+        k = np.array(kappas)[:, None, None]
+        G = sphere.mat
+        Rs = _einstein_stack(_sample_stack(generic, seeds), n)
+        QS = q_stack(Rs - k * G)
+        rhs = q_stack(Rs) + (2.0 * (n - 1) * k * (k - 2.0)) * G
+        return [(worst_relative(_norms(QS - rhs), _norms(QS)), f"{samples} normalized samples")]
 
     run([("sphere-shift-q-identity",
           "Q(R - k G) = Q(R) + 2(n-1) k (k-2) G when Ric(R) = (n-1) id", 1e-8)],
         "" if samples else "requires samples >= 1", sphere_shift)
 
     def q_additivity():
-        rng = np.random.default_rng([seed, 1])
-        QR0 = qform(R0)
-        worst = 0.0
-        for _ in range(samples):
-            R1 = sample(hk, seed=int(rng.integers(2**31)))
-            kappa = float(rng.uniform(0.25, 4.0))
-            lhs = qform(R1 + kappa * R0)
-            rhs = qform(R1) + (kappa * kappa) * QR0
-            worst = max(worst, (lhs - rhs).norm() / max(1.0, lhs.norm()))
-        return [(worst, f"{samples} samples")]
+        seeds, kappas = draws(np.random.default_rng([seed, 1]),
+                              lambda rng: float(rng.uniform(0.25, 4.0)))
+        k = np.array(kappas)[:, None, None]
+        R1s = _sample_stack(hk, seeds)
+        lhs = q_stack(R1s + k * R0.mat)
+        rhs = q_stack(R1s) + (k * k) * qform(R0).mat
+        return [(worst_relative(_norms(lhs - rhs), _norms(lhs)), f"{samples} samples")]
 
     run([("q-additivity", "Q(R1 + k R0) = Q(R1) + k^2 Q(R0) for hyper-Kahler R1", 1e-8)],
         hk_samples, q_additivity)
@@ -209,7 +232,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     def qk_bound():
         rng = np.random.default_rng([seed, 2])
         cfg = frames.OptimizerConfig(restarts=4, seed=int(rng.integers(2**31)))
-        tensors = [sample(hk, seed=int(rng.integers(2**31))) for _ in range(samples)]
+        seeds = [int(rng.integers(2**31)) for _ in range(samples)]
+        tensors = [_stored(m, n) for m in _sample_stack(hk, seeds)]
         reports = frames.qk_q_bound_check(tensors, T, cfg)
         gap = max(rep.q_value - rep.bound for rep in reports)
         first = max(max(fo.deriv_y, fo.deriv_jy, -min(0.0, fo.min_slack))
@@ -224,21 +248,18 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         hk_samples, qk_bound)
 
     def kahler_iso():
-        rng = np.random.default_rng([seed, 3])
-        Jm = J.matrix
-        worst = 0.0
-        for _ in range(samples):
-            R = sample(kahler, seed=int(rng.integers(2**31)))
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            y = rng.standard_normal(n)
-            jx = Jm @ x
-            y -= (y @ x) * x + (y @ jx) * jx
-            y /= np.linalg.norm(y)
-            F = FourFrame.from_vectors(x, jx, y, Jm @ y)
-            worst = max(worst, abs(isotropic_from_columns(R.mat, F.matrix))
-                        / max(1.0, R.norm()))
-        return [(worst, f"{samples} frames")]
+        seeds, xy = draws(np.random.default_rng([seed, 3]),
+                          lambda rng: (rng.standard_normal(n), rng.standard_normal(n)))
+        x, y = (np.array(v) for v in zip(*xy))            # (samples, n) each
+        Jt = J.matrix.T                                    # rows v -> rows J v
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        jx = x @ Jt
+        y -= np.sum(y * x, axis=1, keepdims=True) * x + np.sum(y * jx, axis=1, keepdims=True) * jx
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        F = _require_frames(np.stack([x, jx, y, y @ Jt], axis=2))
+        Rs = _sample_stack(kahler, seeds)
+        iso = isotropic_from_columns(Rs, F)
+        return [(worst_relative(np.abs(iso), _norms(Rs)), f"{samples} frames")]
 
     run([("kahler-iso-frame-identity", "iso(X, JX, Y, JY) = 0 for Kahler tensors", 1e-9)],
         even_samples, kahler_iso)

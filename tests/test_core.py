@@ -8,15 +8,18 @@ from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor,
                           FourFrame, QuaternionTriple, bform, curvature_map,
                           einstein_normalize, einstein_residual, evaluate,
                           holomorphic_sectional, inner, isotropic_curvature,
+                          isotropic_from_columns,
                           kulkarni_nomizu, model_fubini_study, model_kahler_form,
                           model_r0, model_sj, model_sphere, num_pairs,
                           orthogonal_bisectional, project_to_curvature, qform,
                           ricci, rotate_triple, scalar_curvature,
                           standard_complex_structure, standard_quaternion_triple,
                           symmetry_defect, weyl, zero_tensor)
+from curvkit.core import _einstein_stack, _require_frames, _stored
 from curvkit.spaces import curvature_space_basis, sample
 
-from helpers import bform_loops, evaluate_table, iso_table, random_curvature
+from helpers import (bform_loops, einstein_normalize_rank4, evaluate_table, iso_table,
+                     random_curvature)
 
 
 def _unit(rng, n):
@@ -222,6 +225,36 @@ def test_einstein_normalize_hits_target():
     np.testing.assert_allclose(ricci(S2), 2.0 * np.eye(6), atol=1e-10)
 
 
+@pytest.mark.parametrize("target", [None, 2.0])
+def test_einstein_stack_matches_rank4_oracle(target):
+    """Each tensor of one stacked normalization against the full-table
+    oracle, and einstein_normalize as its one-tensor case."""
+    n = 6
+    mats = np.stack([random_curvature(n, seed=s).mat for s in (30, 31, 32, 33)])
+    out = _einstein_stack(mats, n, target)
+    assert out.shape == mats.shape
+    for m, got in zip(mats, out):
+        want = einstein_normalize_rank4(_stored(m, n).rank4, target)
+        np.testing.assert_allclose(_stored(got, n).rank4, want, rtol=0, atol=1e-12)
+        one = einstein_normalize(_stored(m, n), target).mat
+        np.testing.assert_allclose(one, got, rtol=0, atol=1e-14)
+
+
+def test_einstein_stack_names_the_bianchi_defective_tensor():
+    """A symmetric matrix with a Bianchi defect, put at t = 2, fails the
+    stack's output check, which names index 2; einstein_normalize of it
+    names index 0."""
+    n = 5
+    good = [random_curvature(n, seed=s).mat for s in (40, 41, 42)]
+    bad = np.random.default_rng(43).standard_normal((num_pairs(n),) * 2)
+    bad = bad + bad.T
+    with pytest.raises(CurvatureError, match=r"^Einstein normalization 2 Bianchi defect"):
+        _einstein_stack(np.stack(good[:2] + [bad] + good[2:]), n)
+    with pytest.raises(CurvatureError, match=r"^Einstein normalization 0 Bianchi defect"):
+        einstein_normalize(CurvatureTensor(n, bad))
+    _einstein_stack(np.stack(good), n)
+
+
 # ---------------------------------------------------------------------------
 # reaction form
 # ---------------------------------------------------------------------------
@@ -283,6 +316,28 @@ def test_four_frame_validation():
         FourFrame(rng.standard_normal((6, 4)))
     F = _random_frame(rng, 6)
     np.testing.assert_allclose(F.matrix.T @ F.matrix, np.eye(4), atol=1e-12)
+
+
+def test_frame_stack_gram_check_names_the_failing_frame():
+    """The Gram check of FourFrame on a (T, n, 4) stack: each frame to
+    CONSTRUCTION_TOL, the first failing one named, a NaN frame rejected."""
+    rng = np.random.default_rng(24)
+    F = np.stack([_random_frame(rng, 6).matrix for _ in range(4)])
+    assert _require_frames(F) is F
+    bent = F.copy()
+    bent[1, 0, 0] += 1e-6
+    with pytest.raises(CurvatureError, match=r"^frame 1 Gram defect"):
+        _require_frames(bent)
+    bent[1] = F[1]
+    bent[3, 2, 3] = np.nan
+    with pytest.raises(CurvatureError, match=r"^frame 3 Gram defect"):
+        _require_frames(bent)
+    with pytest.raises(CurvatureError, match=r"^frame Gram defect"):
+        FourFrame(bent[3])
+    with pytest.raises(CurvatureError, match=r"an \(n, 4\) matrix"):
+        FourFrame(F)
+    with pytest.raises(CurvatureError, match=r"an \(n, 4\) matrix"):
+        _require_frames(F[:, :3])
 
 
 def test_complex_structure_validation():
@@ -349,6 +404,15 @@ def test_iso_matches_table_oracle(seed):
     rng = np.random.default_rng(seed)
     F = _random_frame(rng, 5)
     assert np.isclose(isotropic_curvature(R, F), iso_table(R, F.matrix))
+
+
+def test_iso_on_a_stack_of_tensors_takes_frame_t_on_tensor_t():
+    rng = np.random.default_rng(26)
+    tensors = [random_curvature(6, seed=s) for s in (26, 27, 28)]
+    F = np.stack([_random_frame(rng, 6).matrix for _ in tensors])
+    got = isotropic_from_columns(np.stack([R.mat for R in tensors]), F)
+    np.testing.assert_allclose(got, [iso_table(R, f) for R, f in zip(tensors, F)],
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_iso_plane_rotation_invariance():

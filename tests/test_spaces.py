@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, QuaternionTriple, bianchi_sums, model_sphere,
-                          pair_indices, ricci, standard_complex_structure,
+from curvkit.core import (ComplexStructure, NonFiniteError, QuaternionTriple, bianchi_sums,
+                          model_sphere, pair_indices, ricci, standard_complex_structure,
                           standard_quaternion_triple)
-from curvkit.spaces import (_fixed_two_forms, _holonomy_space, constraint_violation,
+from curvkit.spaces import (_fixed_two_forms, _holonomy_space, _sample_stack,
+                            constraint_violation,
                             curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             project_onto, qk_decompose, sample)
 
@@ -186,6 +187,31 @@ def test_sample_and_projection_match_sequential_sums(hk8, generic_spaces):
         got, _ = project_onto(space, R)
         want = [4.0 * np.vdot(b.mat, R.mat) for b in space.basis]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("label, n", [("generic", 6), ("kahler", 4), ("hyperkahler", 8)])
+def test_sample_stack_matches_sample(label, n):
+    """Row t of one stacked draw is ``sample`` at seeds[t], up to the
+    roundoff of one basis product for the stack against one per seed; it
+    is exactly symmetric, and a scale of 2 doubles it exactly."""
+    space = {"generic": lambda: curvature_space_basis(n),
+             "kahler": lambda: kahler_subspace(standard_complex_structure(n)),
+             "hyperkahler": lambda: hyperkahler_subspace(standard_quaternion_triple(n))}[label]()
+    seeds = [3, 0, 2**31 - 1, 3, 17]
+    stack = _sample_stack(space, seeds)
+    assert stack.shape == (len(seeds),) + space.stacked.shape[1:]
+    for t, s in enumerate(seeds):
+        want = sample(space, seed=s).mat
+        np.testing.assert_allclose(stack[t], want, rtol=0, atol=1e-14 * np.abs(want).max())
+    np.testing.assert_array_equal(stack, np.swapaxes(stack, 1, 2))
+    np.testing.assert_array_equal(_sample_stack(space, seeds, scale=2.0), 2.0 * stack)
+
+
+def test_sample_stack_fails_closed_on_non_finite(kahler4):
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite"):
+        _sample_stack(kahler4, [1, 2], scale=np.inf)
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        sample(kahler4, seed=1, scale=np.nan)
 
 
 def test_quaternionic_kahler_space_checks_qk_decompose(t8, r0_8):

@@ -26,12 +26,54 @@ def test_suite_builds_each_space_once_and_q_of_shift_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("curvature_space_basis", "kahler_subspace", "qform"):
+    for name in ("curvature_space_basis", "kahler_subspace", "qform", "_sample_stack",
+                 "sample"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     report = verify.run_verification_suite(n=6, samples=3)
     assert report.passed
-    # at n = 6 only the sphere-shift check calls qform here: Q(R) and Q(R - k G)
-    assert counts == {"curvature_space_basis": 1, "kahler_subspace": 1, "qform": 6}
+    # at n = 6 only the sphere-shift check calls qform here: Q(R) and Q(R - k G);
+    # it and the Kahler iso check draw their samples as one stack each
+    assert counts == {"curvature_space_basis": 1, "kahler_subspace": 1, "qform": 6,
+                      "_sample_stack": 2}
+
+
+def test_each_sampled_group_draws_one_stack(monkeypatch):
+    """At n = 8 every sampled group draws all its samples in one stacked
+    draw, from its own space, and no group draws one sample at a time."""
+    draws = []
+    stack = verify._sample_stack
+
+    def counted(space, seeds, scale=1.0):
+        draws.append((space.label, len(seeds)))
+        return stack(space, seeds, scale)
+
+    monkeypatch.setattr(verify, "_sample_stack", counted)
+    monkeypatch.setattr(verify, "sample", None)
+    assert verify.run_verification_suite(n=8, samples=3).passed
+    assert draws == [("generic", 3), ("hyperkahler", 3), ("hyperkahler", 3), ("kahler", 3)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_perturbed_reaction_term_fails_the_sampled_q_identities(monkeypatch, n):
+    """Negative control: Q(R) + 1e-6 |R|^4 G, G the round model, is a valid
+    tensor that breaks the sphere shift and the additivity (a |R|^2 term
+    would cancel in the additivity, where <R1, R0> = 0).  Exactly the two
+    sampled identities that call verify.qform fail, so neither compares a
+    stack with itself."""
+    qform, G = verify.qform, verify.model_sphere(n, 1.0)
+    monkeypatch.setattr(verify, "qform", lambda R: qform(R) + (1e-6 * R.norm() ** 4) * G)
+    report = verify.run_verification_suite(n=n, samples=3)
+    assert sorted(c.check_id for c in report.checks if c.status == "fail") == [
+        "q-additivity", "sphere-shift-q-identity"]
+
+
+def test_generic_samples_fail_the_kahler_iso_check(monkeypatch):
+    """Negative control: with the generic space in place of the Kahler one,
+    iso(X, JX, Y, JY) no longer vanishes and the Kahler check fails."""
+    monkeypatch.setattr(verify, "kahler_subspace", lambda J: verify.curvature_space_basis(J.n))
+    report = verify.run_verification_suite(n=6, samples=3)
+    iso = next(c for c in report.checks if c.check_id == "kahler-iso-frame-identity")
+    assert iso.status == "fail" and iso.measured > 1e-3
 
 
 def test_every_applicable_check_reports_its_wall_time():
