@@ -28,7 +28,17 @@ sample (`qk_q_bound_check`) and one call on the whole list, whose searches
 run as one descent stack (`qk_q_bound_check_batched`, whose stack passes are
 reported), each timed by one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
-samples, at its maximizer for I.  The sampled groups of the verify suite are
+samples, at its maximizer for I.  The layers of `qk_q_bound_check` around
+its search are timed at STACK_SIZES on QK_SAMPLES hyper-Kahler samples
+(one stacked draw of seeds 0, 1, ...), per tensor against one call on the
+stack: its residual gate, `invariance_defect` of each tensor against
+`_invariance_defects` of the stack, and its reports, `_qk_reports` of each
+tensor alone against `_qk_reports` of the stack, on the same maximizer
+searches (one `_max_holomorphic_stack` of 4 restarts); each is the mean of
+SEARCH_CALLS passes over the samples, divided by QK_SAMPLES.
+`_kulkarni_nomizu_mat` of a stack of STACK_SAMPLES symmetric Gaussian h
+with the identity, as `_einstein_stack` takes it, is timed at STACK_SIZES
+per h, the mean of CALLS calls.  The sampled groups of the verify suite are
 timed at STACK_SIZES on STACK_SAMPLES seeds (0, 1, ...), one draw per seed
 against one stacked draw of all of them: `sample` against `_sample_stack`
 in the generic, Kahler (standard J) and hyper-Kahler (standard triple)
@@ -55,13 +65,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from curvkit.core import (_einstein_stack, _stored, bform,  # noqa: E402
-                          einstein_normalize, isotropic_from_columns,
-                          project_to_curvature, qform, standard_complex_structure,
-                          standard_quaternion_triple)
+from curvkit.core import (_einstein_stack, _invariance_defects,  # noqa: E402
+                          _kulkarni_nomizu_mat, _stored, bform, einstein_normalize,
+                          invariance_defect, isotropic_from_columns, project_to_curvature,
+                          qform, standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
-                            _retract, max_holomorphic_sectional, maximizer_first_order_check,
+                            _max_holomorphic_stack, _qk_reports, _retract,
+                            max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
 from curvkit.spaces import (_sample_stack, curvature_space_basis,  # noqa: E402
                             hyperkahler_subspace, kahler_subspace, sample)
@@ -122,8 +133,10 @@ def main() -> int:
              "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
              "min_orthogonal_bisectional", "curvature_space_basis",
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
-             "qk_q_bound_check_batched", "maximizer_first_order_check", "sample",
-             "_sample_stack", "einstein_normalize", "_einstein_stack")
+             "qk_q_bound_check_batched", "maximizer_first_order_check",
+             "invariance_defect", "_invariance_defects", "_qk_reports_per_tensor",
+             "_qk_reports", "_kulkarni_nomizu_mat", "sample", "_sample_stack",
+             "einstein_normalize", "_einstein_stack")
     layers = {name: {} for name in names}
     iterations, stop_reasons, bis_iterations = {}, {}, {}
     passes, bis_passes, step_q_calls = {}, {}, {}
@@ -186,6 +199,25 @@ def main() -> int:
         lambda: maximizer_first_order_check(tensors[0], T.I, x))
     seeds = list(range(STACK_SAMPLES))
     for n in STACK_SIZES:
+        T = standard_quaternion_triple(n)
+        mats = _sample_stack(hyperkahler_subspace(T), range(QK_SAMPLES))
+        tensors = [_stored(m, n) for m in mats]
+        searches = _max_holomorphic_stack(mats, T.I.matrix, qk_cfg)
+        residuals = _invariance_defects(mats, T.matrices)
+        layers["invariance_defect"][str(n)] = timed(
+            lambda: [invariance_defect(R1, T.matrices) for R1 in tensors], SEARCH_CALLS,
+            QK_SAMPLES)
+        layers["_invariance_defects"][str(n)] = timed(
+            lambda: _invariance_defects(mats, T.matrices), SEARCH_CALLS, QK_SAMPLES)
+        layers["_qk_reports_per_tensor"][str(n)] = timed(
+            lambda: [_qk_reports(mats[t:t + 1], T, searches[t:t + 1], residuals[t:t + 1])
+                     for t in range(QK_SAMPLES)], SEARCH_CALLS, QK_SAMPLES)
+        layers["_qk_reports"][str(n)] = timed(
+            lambda: _qk_reports(mats, T, searches, residuals), SEARCH_CALLS, QK_SAMPLES)
+        h = np.random.default_rng(SEED).standard_normal((STACK_SAMPLES, n, n))
+        h += np.swapaxes(h, 1, 2)
+        layers["_kulkarni_nomizu_mat"][str(n)] = timed(
+            lambda: _kulkarni_nomizu_mat(h, np.eye(n)), CALLS, STACK_SAMPLES)
         spaces = {"generic": curvature_space_basis(n),
                   "kahler": kahler_subspace(standard_complex_structure(n)),
                   "hyperkahler": hyperkahler_subspace(standard_quaternion_triple(n))}

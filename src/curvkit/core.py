@@ -32,8 +32,8 @@ and with H = (Sigma_R W Sigma_S + Sigma_S W Sigma_R)/4, P = M_R M_S + M_S M_R,
 
 one K x K product besides M_R M_S; Q(R) = B(R, R) takes it as the symmetric
 product H = V V^T with V = Sigma sqrt(W/2).  The Kulkarni-Nomizu product of
-symmetric h, k lives on Sym^2 alone: it is the H terms with H = Z + Z^T,
-Z = vec(h) vec(k)^T restricted to i <= k.  Ric_pq = sum_i X[(i,i),(p,q)]
+symmetric h, k is gathered from h and k on the pair-index grids, as
+``two_form_action`` gathers A.  Ric_pq = sum_i X[(i,i),(p,q)]
 reads n^3 entries.
 The first Bianchi identity is likewise read on M: for i<j<k<l the cyclic sum
 is b = M[ij,kl] - M[ik,jl] + M[il,jk], and distinct quadruples involve
@@ -85,9 +85,9 @@ def num_pairs(n: int) -> int:
 
 
 def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of x ^ y on the 2-form basis: (x_i y_j - x_j y_i) for i < j."""
-    iu, ju = pair_indices(len(x))
-    return x[iu] * y[ju] - x[ju] * y[iu]
+    """Coefficients of x ^ y on the 2-form basis: (x_i y_j - x_j y_i) for i < j, per stack row."""
+    iu, ju = pair_indices(x.shape[-1])
+    return x[..., iu] * y[..., ju] - x[..., ju] * y[..., iu]
 
 
 def _unpack_two_form(v: np.ndarray, n: int) -> np.ndarray:
@@ -188,16 +188,22 @@ def _reaction_mat(P: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _pair_grid_gather(n: int) -> np.ndarray:
+    """Flat indices into an n x n matrix of its entries ik, jl, il, jk (axis 0)
+    for the basis pairs (ij) on rows and (kl) on columns."""
+    iu, ju = pair_indices(n)
+    i, j = n * iu[:, None], n * ju[:, None]
+    return _frozen(np.stack([i + iu, j + ju, i + ju, j + iu]))
+
+
 def _kulkarni_nomizu_mat(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Pair-basis matrix of the Kulkarni-Nomizu product of symmetric h and k:
-    the Sym^2 terms of :func:`_reaction_mat` with H = Z + Z^T,
-    Z = vec(h) vec(k)^T on i <= k, and P = 0.  Stacks (..., n, n) of h or k,
-    broadcast against each other, give a (..., N, N) stack."""
-    n = h.shape[-1]
-    iu, ju = np.triu_indices(n)
-    Z = h[..., iu, ju][..., :, None] * k[..., iu, ju][..., None, :]
-    N = num_pairs(n)
-    return _reaction_mat(np.zeros((N, N)), Z + np.swapaxes(Z, -1, -2), n)
+    """Pair-basis matrix (h o k)[ij,kl] = h_ik k_jl + h_jl k_ik - (h_il k_jk + h_jk k_il) of
+    symmetric h and k (exactly symmetric), or (..., N, N) of broadcast (..., n, n) stacks."""
+    idx = _pair_grid_gather(h.shape[-1])
+    h_ik, h_jl, h_il, h_jk = np.moveaxis(_gather(h, idx), -3, 0)
+    k_ik, k_jl, k_il, k_jk = np.moveaxis(_gather(k, idx), -3, 0)
+    return h_ik * k_jl + h_jl * k_ik - (h_il * k_jk + h_jk * k_il)
 
 
 @lru_cache(maxsize=None)
@@ -247,10 +253,8 @@ def project_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
 
 def two_form_action(A: np.ndarray) -> np.ndarray:
     """Matrix C_A of A acting on 2-forms: column kl is (A e_k) ^ (A e_l) in the pair basis."""
-    n = A.shape[0]
-    iu, ju = pair_indices(n)
-    return (A[iu[:, None], iu[None, :]] * A[ju[:, None], ju[None, :]]
-            - A[ju[:, None], iu[None, :]] * A[iu[:, None], ju[None, :]])
+    a_ik, a_jl, a_il, a_jk = _gather(np.asarray(A), _pair_grid_gather(len(A)))
+    return a_ik * a_jl - a_jk * a_il
 
 
 def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
@@ -314,10 +318,18 @@ def _require_vector(x, n: int, what: str) -> np.ndarray:
 
 def invariance_defect(R: "CurvatureTensor", structures) -> float:
     """max |R(., ., A., A.) - R| over the matrices A in ``structures``,
-    computed on the pair basis as max |M C_A - M|."""
-    M = R.mat
-    return max((float(np.max(np.abs(M @ two_form_action(np.asarray(A)) - M)))
-                for A in structures), default=0.0)
+    computed on the pair basis as max |M C_A - M|: T = 1 of :func:`_invariance_defects`."""
+    return float(_invariance_defects(R.mat[None], structures)[0])
+
+
+def _invariance_defects(mats: np.ndarray, structures) -> np.ndarray:
+    """:func:`invariance_defect` of each matrix of a (T, N, N) stack, (T,): one
+    product of the stack with every C_A side by side; NaN for a NaN entry."""
+    if not len(structures):
+        return np.zeros(len(mats))
+    C = np.concatenate([two_form_action(A) for A in structures], axis=1)
+    D = (mats @ C).reshape(mats.shape[:2] + (len(structures), -1)) - mats[:, :, None]
+    return np.abs(D).max(axis=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

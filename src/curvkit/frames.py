@@ -25,9 +25,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _require_same_n,
-                   _require_vector, _unpack_two_form, curvature_map, evaluate, invariance_defect,
-                   isotropic_from_columns, pair_indices, qform)
+                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _invariance_defects,
+                   _require_same_n, _require_vector, _stored, _unpack_two_form, curvature_map,
+                   isotropic_from_columns, pair_indices, qform, wedge)
 from .spaces import _nullspace
 
 
@@ -406,11 +406,12 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     return _max_holomorphic_stack(R.mat[None], J.matrix, cfg)[0]
 
 
-def _restricted_bisectional(Omega: np.ndarray, A: np.ndarray, W: np.ndarray):
-    """Ascending eigenpairs of W^T B W for Omega = R(x, Ax, ., .) and
+def _restricted_bisectional(Omega: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of W^T B W for Omega = R(x, Ax, ., .) and
     orthonormal columns W, where B = (Omega A + A Omega) / 2 is the symmetric
-    matrix with y^T B y = R(x, Ax, y, Ay)."""
-    return np.linalg.eigh(W.T @ (0.5 * (Omega @ A + A @ Omega)) @ W)
+    matrix with y^T B y = R(x, Ax, y, Ay); stacks (T, n, n) of Omega and
+    (T, n, d) of W give (T, d)."""
+    return np.linalg.eigvalsh(np.swapaxes(W, -1, -2) @ (0.5 * (Omega @ A + A @ Omega)) @ W)
 
 
 @dataclass(frozen=True)
@@ -426,17 +427,17 @@ class FirstOrderReport:
 
 
 def _first_order(Omega: np.ndarray, Jm: np.ndarray, x: np.ndarray, W: np.ndarray,
-                 tol: float) -> FirstOrderReport:
-    """``maximizer_first_order_check`` from Omega = R(x, Jx, ., .) and an
-    orthonormal basis W (columns) of the complement of span{x, Jx}."""
-    h = float(x @ Omega @ (Jm @ x))          # R(x,jx,x,jx)
-    u = Omega.T @ x                          # u_i = R(x, jx, x, e_i)
-    deriv_y = float(np.linalg.norm(W.T @ u))
-    deriv_jy = float(np.linalg.norm(W.T @ (Jm @ u)))
-    min_slack = h - 2.0 * float(_restricted_bisectional(Omega, Jm, W)[0].max(initial=-np.inf))
-    passed = deriv_y <= tol and deriv_jy <= tol and min_slack >= -tol
-    return FirstOrderReport(value=h, deriv_y=deriv_y, deriv_jy=deriv_jy,
-                            min_slack=min_slack, passed=passed, tol=tol)
+                 tol: float) -> list[FirstOrderReport]:
+    """``maximizer_first_order_check`` at each x of a stack (T, n), from Omega = R(x, Jx, ., .)
+    (T, n, n) and orthonormal bases W (T, n, d), as columns, of the complements of span{x, Jx}."""
+    u = (x[:, None, :] @ Omega)[:, 0]        # u_i = R(x, jx, x, e_i)
+    h = np.einsum("ti,ti->t", u, x @ Jm.T)   # R(x,jx,x,jx)
+    deriv = np.linalg.norm(np.stack([u, u @ Jm.T], axis=1) @ W, axis=-1)   # (T, 2): y, jy
+    min_slack = h - 2.0 * _restricted_bisectional(Omega, Jm, W).max(axis=-1, initial=-np.inf)
+    passed = (deriv <= tol).all(axis=-1) & (min_slack >= -tol)
+    return [FirstOrderReport(value=float(v), deriv_y=float(dy), deriv_jy=float(djy),
+                             min_slack=float(m), passed=bool(p), tol=tol)
+            for v, (dy, djy), m, p in zip(h, deriv, min_slack, passed)]
 
 
 def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
@@ -447,13 +448,14 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     2 R(X,JX,Y,JY) <= R(X,JX,X,JX) for every unit Y orthogonal to X and JX.
     The extrema over Y are computed exactly (norm of a projected functional,
     top eigenvalue of the restricted bisectional form).  For n = 2 no such Y
-    exists and the conditions hold vacuously (min_slack = +inf).
+    exists and the conditions hold vacuously (min_slack = +inf).  The T = 1
+    case of ``_first_order``, ``_restricted_bisectional`` and ``_nullspace``.
     """
     _require_same_n(R, J, "complex structure")
     x = _require_vector(x, R.n, "x")
     jx = J.matrix @ x
     W = _nullspace(np.array([x, jx]))
-    return _first_order(curvature_map(R, x, jx), J.matrix, x, W, tol)
+    return _first_order(curvature_map(R, x, jx)[None], J.matrix, x[None], W[None], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +570,13 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
 
     ``R1s`` is one CurvatureTensor, which gives one QKBoundReport, or a
     sequence of them, which gives a list of reports in input order (``[]``
-    for an empty one).  Every tensor passes the dimension check and the
-    hyper-Kahler residual gate before any search runs, so a bad tensor
-    anywhere in the sequence raises CurvatureError and nothing is searched.
-    The maximizer searches of all tensors, ``cfg.restarts`` ascents from
-    the same seeded starts for each, then run as one ``_descend`` stack whose
-    rows belong to different tensors; each tensor's X is the best of its own
-    rows, exactly as in ``max_holomorphic_sectional(R1, T.I, cfg)``.
+    for an empty one, and one tensor is its T = 1 case).  The gate, the
+    search and the reports each run as one stack.  Every tensor passes the
+    dimension check and the hyper-Kahler residual gate (NaN fails it) before
+    any search runs, so a bad tensor t raises CurvatureError naming t.  The
+    searches, ``cfg.restarts`` ascents per tensor from the same seeded
+    starts, run as one ``_descend`` stack; each tensor's X is the best of its
+    own rows, exactly as in ``max_holomorphic_sectional(R1, T.I, cfg)``.
 
     The bound holds at the joint maximum of R1(X,JX,X,JX) over unit X and
     unit combinations J = aI + bJ + cK, and that maximum is reached at J = I.
@@ -595,54 +597,49 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
     anticommutes with J: its spectrum is +-lambda, each with even
     multiplicity, and the pairs {w, Iw} are its eigenvectors, one value per
     pair.  The maximum is therefore 4 max lambda^2, read off one symmetric
-    eigenvalue problem.  Omega and one basis of that complement serve this
-    diagnostic and the first-order check alike: with JX and KX it spans the
-    complement of span{X, IX}.
+    eigenvalue problem.  Omega and one basis of that complement also serve
+    the first-order check: with JX and KX it spans the complement of span{X, IX}.
     """
     cfg = cfg or OptimizerConfig()
     single = isinstance(R1s, CurvatureTensor)
     tensors = [R1s] if single else list(R1s)
-    hk_residuals = []
     for R1 in tensors:
         _require_same_n(R1, T, "triple")
-        # the precondition of the reduction to J = I (see the docstring)
-        hk_residual = invariance_defect(R1, T.matrices)
-        if not hk_residual <= 1e-8 * max(1.0, float(np.max(np.abs(R1.mat)))):
-            raise CurvatureError(f"input fails the hyperkahler residual check: {hk_residual:.3e}")
-        hk_residuals.append(hk_residual)
     if not tensors:
         return []
-    searches = _max_holomorphic_stack(np.stack([R1.mat for R1 in tensors]), T.I.matrix, cfg)
-    reports = [_qk_report(R1, T, res, hk_residual)
-               for R1, res, hk_residual in zip(tensors, searches, hk_residuals)]
+    mats = np.stack([R1.mat for R1 in tensors])
+    # the precondition of the reduction to J = I (see the docstring); NaN fails it
+    residuals = _invariance_defects(mats, T.matrices)
+    refs = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    for t in np.flatnonzero(~(residuals <= 1e-8 * refs))[:1]:
+        raise CurvatureError(f"input {t} fails the hyperkahler residual check: {residuals[t]:.3e}")
+    reports = _qk_reports(mats, T, _max_holomorphic_stack(mats, T.I.matrix, cfg), residuals)
     return reports[0] if single else reports
 
 
-def _qk_report(R1: CurvatureTensor, T: QuaternionTriple, res: FrameSearchResult,
-               hk_residual: float) -> QKBoundReport:
-    """The bound and both diagnostics of ``qk_q_bound_check`` at the maximizer
-    search ``res`` of R1 for I."""
-    val, x = res.value, res.frame_or_vector
-    A = T.I.matrix
-    ix, jx, kx = (M @ x for M in T.matrices)
-    q_val = evaluate(qform(R1), x, ix, x, ix)
-    bound = (2 * (T.n // 4) + 4) * val * val
-    Omega = curvature_map(R1, x, ix)
+def _qk_reports(mats: np.ndarray, T: QuaternionTriple, searches: list,
+                residuals: np.ndarray) -> list[QKBoundReport]:
+    """The reports of ``qk_q_bound_check`` on a (T, N, N) stack at its maximizer
+    ``searches`` for I, from (T, ...) arrays and one ``qform`` call per tensor."""
+    n = T.n
+    vals = np.array([res.value for res in searches])
+    X = np.stack([res.frame_or_vector for res in searches])
+    IX, JX, KX = (X @ A.T for A in T.matrices)
+    w = wedge(X, IX)
+    q_vals = np.array([v @ qform(_stored(m, n)).mat @ v for m, v in zip(mats, w)])
+    bounds = (2 * (n // 4) + 4) * vals * vals
+    Omega = _unpack_two_form((mats @ w[..., None])[..., 0], n)
     # x, Ix, Jx, Kx are orthonormal, so JX, KX and the complement of all four
     # span the complement of span{x, Ix}
-    W = _nullspace(np.array([x, ix, jx, kx]))
-    first = _first_order(Omega, A, x, np.column_stack([jx, kx, W]), FIRST_ORDER_TOL)
-
+    W = _nullspace(np.stack([X, IX, JX, KX], axis=1))
+    W_first = np.concatenate([np.stack([JX, KX], axis=-1), W], axis=-1)
+    firsts = _first_order(Omega, T.I.matrix, X, W_first, FIRST_ORDER_TOL)
     # the paired diagnostic: B is +-lambda on the quaternionic complement of X
-    vals = _restricted_bisectional(Omega, A, W)[0]
-    y2_max_excess = 4.0 * float(np.max(vals * vals, initial=0.0)) - val * val
-
-    passed = q_val <= bound + CHECK_TOL
-    return QKBoundReport(j_coeffs=(1.0, 0.0, 0.0),
-                         max_value=val, q_value=q_val, bound=bound,
-                         slack=bound - q_val, y2_max_excess=y2_max_excess,
-                         first_order=first, hk_residual=hk_residual,
-                         passed=passed, tol=CHECK_TOL,
-                         stop_reason=res.stop_reason, iterations=res.iterations,
-                         restart_stop_reasons=tuple(res.restart_stop_reasons),
-                         passes=res.passes)
+    lam = _restricted_bisectional(Omega, T.I.matrix, W)
+    excess = 4.0 * np.max(lam * lam, axis=-1, initial=0.0) - vals * vals
+    return [QKBoundReport(j_coeffs=(1.0, 0.0, 0.0), max_value=res.value, q_value=float(q),
+                          bound=float(b), slack=float(b - q), y2_max_excess=float(e),
+                          first_order=first, hk_residual=float(r), passed=bool(q <= b + CHECK_TOL),
+                          tol=CHECK_TOL, stop_reason=res.stop_reason, iterations=res.iterations,
+                          restart_stop_reasons=tuple(res.restart_stop_reasons), passes=res.passes)
+            for res, q, b, e, first, r in zip(searches, q_vals, bounds, excess, firsts, residuals)]

@@ -72,19 +72,20 @@ def _coord_maps(d: int):
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) with cutoff SV_CUTOFF relative to sigma_max."""
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1])
+    """Orthonormal nullspace basis (columns) with cutoff SV_CUTOFF relative to sigma_max,
+    of a matrix or of each of a stack; CurvatureError unless their ranks are equal."""
     # a tall system's thin vh is already square; only a wide one needs the full vh
-    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > SV_CUTOFF * smax)) if smax > 0 else 0
-    return vh[rank:].T
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
+    ranks = np.sum(s > SV_CUTOFF * s[..., :1], axis=-1)
+    rank = int(ranks.max(initial=0))
+    if (ranks != rank).any():
+        raise CurvatureError(f"stacked nullspaces differ in rank: {np.unique(ranks).tolist()}")
+    return np.swapaxes(vh[..., rank:, :], -1, -2)
 
 
 def _fixed_two_forms(structures) -> np.ndarray:
     """Orthonormal basis (columns) of the 2-forms that every structure fixes: h."""
-    C = np.stack([two_form_action(np.asarray(A)) for A in structures])
+    C = np.stack([two_form_action(A) for A in structures])
     return _nullspace((C - np.eye(C.shape[1])).reshape(-1, C.shape[1]))
 
 

@@ -16,8 +16,8 @@ draws (kappa, or x and y) from the group's generator in a fixed order, and
 runs the Einstein normalization, the shifts, the right-hand sides and the
 norms on that stack; the reaction term stays one ``qform`` call per tensor.
 The quaternionic bound checks all its hyper-Kahler samples in one
-``frames.qk_q_bound_check`` call, whose maximizer searches run as one
-descent stack.  Its detail, and that of the boundary check, counts how the
+``frames.qk_q_bound_check`` call, whose gate, maximizer searches and
+reports each run as one stack.  Its detail, and that of the boundary check, counts how the
 rows of their searches stopped.
 """
 

@@ -11,8 +11,8 @@ from curvkit.core import (ComplexStructure, CurvatureError, FourFrame, Quaternio
                           rotate_triple, standard_complex_structure, standard_quaternion_triple,
                           wedge, zero_tensor)
 from curvkit import frames
-from curvkit.frames import (STOP_REASONS, OptimizerConfig, QKBoundReport, _best_probe,
-                            _iso_value_grad, _retract,
+from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
+                            _best_probe, _iso_value_grad, _retract,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -21,7 +21,7 @@ from curvkit.spaces import (constraint_violation, curvature_space_basis, hyperka
                             kahler_subspace, project_onto, qk_decompose, sample)
 
 from helpers import (iso_table, min_isotropic_n4, probe_frames, qk_joint_search_serial,
-                     qk_paired_excess_serial, random_curvature, zh_update)
+                     qk_paired_excess_serial, random_curvature, raw_tensor, zh_update)
 
 
 def test_config_validation():
@@ -551,7 +551,17 @@ def no_descent(monkeypatch):
 def test_qk_bound_gate_fails_closed_before_any_descent(at, hk_samples, t8, r0_8, no_descent):
     tensors = list(hk_samples[:4])
     tensors.insert(at, r0_8)
-    with pytest.raises(CurvatureError, match="hyperkahler"):
+    with pytest.raises(CurvatureError, match=f"input {at} fails the hyperkahler residual check"):
+        qk_q_bound_check(tensors, t8, OptimizerConfig(restarts=2, seed=0))
+
+
+def test_qk_bound_gate_fails_closed_on_nan_before_any_descent(hk_samples, t8, no_descent):
+    """A NaN residual fails the gate: it is no pass of the residual test."""
+    mat = np.array(hk_samples[0].mat)
+    mat[1, 2] = mat[2, 1] = np.nan
+    tensors = list(hk_samples[:4])
+    tensors.insert(2, raw_tensor(8, mat))
+    with pytest.raises(CurvatureError, match="input 2 fails the hyperkahler residual check: nan"):
         qk_q_bound_check(tensors, t8, OptimizerConfig(restarts=2, seed=0))
 
 
@@ -561,6 +571,55 @@ def test_qk_bound_dimension_mismatch_anywhere_raises(at, hk_samples, t8, no_desc
     tensors.insert(at, zero_tensor(4))
     with pytest.raises(CurvatureError, match="dimensions differ"):
         qk_q_bound_check(tensors, t8, OptimizerConfig(restarts=2, seed=0))
+
+
+@pytest.fixture(scope="module", params=[4, 8, 12])
+def qk_case(request):
+    """(triple, three hyper-Kahler samples, config, their sequence reports) at n."""
+    T = standard_quaternion_triple(request.param)
+    tensors = [sample(hyperkahler_subspace(T), seed=seed) for seed in range(3)]
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    return T, tensors, cfg, qk_q_bound_check(tensors, T, cfg)
+
+
+def assert_all_fields_match(a, b, rtol=1e-12, skip=()):
+    """Every field of two QKBoundReports or FirstOrderReports but those named
+    in ``skip``: floats to rtol relative to max(1, |b|), reports field by
+    field, the rest exactly."""
+    for f in dataclasses.fields(b):
+        if f.name in skip:
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, FirstOrderReport):
+            assert_all_fields_match(x, y, rtol)
+        elif isinstance(y, float):
+            assert x == y or abs(x - y) <= rtol * max(1.0, abs(y)), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_qk_stacked_reports_match_one_tensor_calls(qk_case):
+    T, tensors, cfg, reports = qk_case
+    for R1, rep in zip(tensors, reports):
+        single = qk_q_bound_check(R1, T, cfg)
+        # passes count the whole stack, which runs as long as its slowest row
+        assert_all_fields_match(rep, single, skip=("passes",))
+        assert rep.passes >= single.passes
+
+
+def test_qk_stacked_first_order_matches_maximizer_first_order_check(qk_case):
+    T, tensors, cfg, reports = qk_case
+    for R1, rep in zip(tensors, reports):
+        x = max_holomorphic_sectional(R1, T.I, cfg).frame_or_vector
+        assert_all_fields_match(rep.first_order, maximizer_first_order_check(R1, T.I, x))
+
+
+def test_qk_paired_diagnostic_is_minus_max_squared_at_n4():
+    """At n = 4 the quaternionic complement of X is empty."""
+    T = standard_quaternion_triple(4)
+    tensors = [sample(hyperkahler_subspace(T), seed=seed) for seed in range(3)]
+    for rep in qk_q_bound_check(tensors, T, OptimizerConfig(restarts=2, seed=0)):
+        assert rep.y2_max_excess == -rep.max_value ** 2
 
 
 _J8, _X8 = standard_complex_structure(8), np.eye(8)[0]

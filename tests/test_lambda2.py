@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
-                          _bform_stack, _require_bianchi_stack, bform, einstein_normalize,
+                          _bform_stack, _invariance_defects, _kulkarni_nomizu_mat,
+                          _require_bianchi_stack, bform, einstein_normalize,
                           invariance_defect, kulkarni_nomizu,
                           model_fubini_study, model_kahler_form, num_pairs,
                           project_bianchi, qform, ricci, scalar_curvature,
@@ -87,6 +88,28 @@ def test_invariance_defect_matches_einsum(n):
     # Fubini-Study is invariant under its own complex structure
     FS, J = model_fubini_study(n // 2)
     assert invariance_defect(FS, [J.matrix]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_invariance_defects_match_einsum(n):
+    """One product for a stack and all structures, each tensor against the
+    rank-4 oracle; a NaN entry gives NaN, no structures give 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(750 + n).standard_normal((n, n)))
+    structures = [standard_complex_structure(n).matrix, q]
+    if n % 4 == 0:
+        structures += list(standard_quaternion_triple(n).matrices)
+    tensors = [random_curvature(n, seed=850 + n + t) for t in range(3)]
+    tensors.append(model_fubini_study(n // 2)[0])
+    mats = np.stack([R.mat for R in tensors])
+    got = _invariance_defects(mats, structures)
+    assert got.shape == (len(tensors),)
+    for R, d in zip(tensors, got):
+        expected = invariance_einsum(R.rank4, structures)
+        assert abs(d - expected) <= 1e-12 * max(1.0, expected)
+    mats[1, 0, 1] = mats[1, 1, 0] = np.nan
+    got = _invariance_defects(mats, structures)
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
+    assert _invariance_defects(mats, ()).tolist() == [0.0] * len(tensors)
 
 
 def test_project_bianchi_is_idempotent_and_keeps_curvature_tensors():
@@ -186,6 +209,22 @@ def test_kulkarni_nomizu_matches_outer_products(n):
     g = np.eye(n)
     for a, b in ((h, k), (h, g), (g, g)):
         assert _rel(kulkarni_nomizu(a, b), kulkarni_nomizu_outer(a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kulkarni_nomizu_stacks_match_outer_products(n):
+    """Stacks of h against one k, and stack against stack, item by item;
+    each product is exactly symmetric."""
+    hs, ks = np.random.default_rng(1400 + n).standard_normal((2, 3, n, n))
+    hs, ks = hs + np.swapaxes(hs, 1, 2), ks + np.swapaxes(ks, 1, 2)
+    g = np.eye(n)
+    for a, b in ((hs, g), (hs, ks), (g, ks)):
+        mats = _kulkarni_nomizu_mat(a, b)
+        assert mats.shape == (3, num_pairs(n), num_pairs(n))
+        np.testing.assert_array_equal(mats, np.swapaxes(mats, 1, 2))
+        for t, mat in enumerate(mats):
+            ht, kt = np.broadcast_to(a, hs.shape)[t], np.broadcast_to(b, ks.shape)[t]
+            assert _rel(expand_rank4(mat, n), kulkarni_nomizu_outer(ht, kt)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)
