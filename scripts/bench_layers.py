@@ -18,8 +18,11 @@ reported beside its time, and a whole `min_orthogonal_bisectional` search
 and stack passes are reported beside its time.  A stack pass is one
 value-and-gradient call on a search's descent stack, read from the search's
 `passes`; a stack runs as long as its slowest row, so passes, not
-iterations, are the work of a search.  The subspace constructors are timed
-at their own sizes:
+iterations, are the work of a search.  Each of the two searches' times over
+its passes is reported too (`min_isotropic_per_pass`,
+`min_orthogonal_bisectional_per_pass`): the time of one pass of the descent
+engine, value and gradient, tangent projection, retraction and acceptance.
+The subspace constructors are timed at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
 `hyperkahler_subspace` (standard triple) at those divisible by 4 (4, 8 and
 12), and `qk_q_bound_check` at n = 8 on QK_SAMPLES hyper-Kahler samples
@@ -131,7 +134,8 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "dop853_step", "project_to_curvature",
              "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
-             "min_orthogonal_bisectional", "curvature_space_basis",
+             "min_orthogonal_bisectional", "min_isotropic_per_pass",
+             "min_orthogonal_bisectional_per_pass", "curvature_space_basis",
              "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
              "qk_q_bound_check_batched", "maximizer_first_order_check",
              "invariance_defect", "_invariance_defects", "_qk_reports_per_tensor",
@@ -176,6 +180,10 @@ def main() -> int:
         bis = min_orthogonal_bisectional(R, J, cfg)
         bis_iterations[str(n)] = sum(bis.restart_iterations)
         bis_passes[str(n)] = bis.passes
+        for name, count in (("min_isotropic", res.passes),
+                            ("min_orthogonal_bisectional", bis.passes)):
+            layers[f"{name}_per_pass"][str(n)] = {
+                k: round(v / count, 2) for k, v in layers[name][str(n)].items()}
     for n in SPACE_SIZES:
         J = standard_complex_structure(n)
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),

@@ -122,8 +122,8 @@ def cmd_check(args) -> int:
         res = min_isotropic(R, cfg)
         value = res.value if args.what == "iso-min" else _pinching_from_iso(res.value)
         report.update(value=value, converged=res.converged,
-                      iterations=res.iterations, restarts=args.restarts,
-                      seed=seed, stop_reason=res.stop_reason)
+                      iterations=res.iterations, passes=res.passes,
+                      restarts=args.restarts, seed=seed, stop_reason=res.stop_reason)
         asserted_value = value
     elif args.what == "ricci":
         ric = ricci(R)

@@ -6,12 +6,11 @@ J-frames (X, JX, Y, JY) of the bisectional search, k = 1 for unit vectors;
 Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
 gradient, tangent projection G - F sym(F^T G), QR retraction with
 positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
-trial step and a backtrack that accepts on Armijo decrease below a
+trial step and a backtrack that accepts only on Armijo decrease below a
 nonmonotone reference value, a weighted mean of the row's past values
-(Zhang-Hager, SIAM J. Optim. 14, 2004), or on the approximate Wolfe slope
-test where roundoff ties the values (Barzilai-Borwein 1988; Wen-Yin 2013
-pair BB steps with that reference value on the Stiefel manifold;
-Hager-Zhang 2005), multistart, on tensors scaled to |M|_max = 1.  One engine,
+(Barzilai-Borwein 1988; Zhang-Hager, SIAM J. Optim. 14, 2004; Wen-Yin 2013
+pair BB steps with that reference value on the Stiefel manifold),
+multistart, on tensors scaled to |M|_max = 1.  One engine,
 ``_descend``, runs all starts of a search, of one tensor or many, as one
 (B, n, k) stack, each row with its own step size.  Results say why the best
 restart stopped (``stop_reason``), how long each restart ran and how many
@@ -80,8 +79,6 @@ _STEP = 0.1             # first trial step; BB steps are clipped to [1e-6, 1e3] 
 _GRAD_TOL = 1e-8        # a row stops once its projected gradient norm is at most this
 _ARMIJO = 1e-4          # sufficient-decrease constant
 _ETA = 0.85             # weight of the past in the Zhang-Hager reference value
-_WOLFE = 0.9            # curvature constant of the slope test on flat trials
-_FLAT = 16 * np.finfo(float).eps   # values this close, relative to max(1, |val|), tie
 _BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
 
 
@@ -113,22 +110,16 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     step is the BB step |s|^2 / |<s, y>|, with s the accepted move and y the
     change of the projected gradient, clipped to [1e-6, 1e3] * _STEP (the
     upper bound when <s, y> = 0; the first trial is _STEP); a rejected trial
-    halves the step.  A trial with value vt, move s and projected gradient Pt
-    is accepted on value, by a strict Armijo decrease below the row's
-    reference value C, vt < C, vt <= C - _ARMIJO a |P|^2, or, when |vt - val| <= _FLAT
-    max(1, |val|) and roundoff hides any decrease, on slope, by Hager and
-    Zhang's approximate Wolfe test (SIAM J. Optim. 16, 2005) with
-    delta = _ARMIJO and sigma = _WOLFE:
-    <P, s> < 0 and sigma <P, s> <= <Pt, s> <= (1 - 2 delta) |<P, s>|.  The
-    lower bound rejects steps too short to change the slope, such as steps
-    along an ascent direction.  C is Zhang and Hager's nonmonotone reference
-    (SIAM J. Optim. 14, 2004): it starts at the row's first value with
-    weight Q = 1, and each accepted value f moves it to
+    halves the step.  A trial with value vt is accepted by one rule, a
+    strict Armijo decrease below the row's reference value C:
+    vt < C and vt <= C - _ARMIJO a |P|^2.  C is Zhang and Hager's
+    nonmonotone reference (SIAM J. Optim. 14, 2004): it starts at the row's
+    first value with weight Q = 1, and each accepted value f moves it to
     C' = (_ETA Q C + f) / Q', Q' = _ETA Q + 1.  A BB trial may so rise above
-    the row's last value, yet f_k <= C_k <= C_(k-1) <= f_0 (to roundoff on
-    the slope branch), so no row ends above its start.  A row leaves the
-    stack at projected gradient norm <= _GRAD_TOL (``grad_tol``), after 60
-    rejected halvings (``line_search_floor``) or after ``cfg.max_iters``.
+    the row's last value, yet f_k < C_(k-1) and f_k <= C_k <= C_(k-1) <= f_0,
+    so no row ends above its start.  A row leaves the stack at projected
+    gradient norm <= _GRAD_TOL (``grad_tol``), after 60 rejected halvings
+    (``line_search_floor``) or after ``cfg.max_iters``.
     The step and the tolerances are absolute: the searches normalize their
     tensors first (``_unit_scale``).
     ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
@@ -172,11 +163,7 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
         passes += 1
         Pt = _stiefel_tangent(Ft, Gt)
         s, y = Ft - F, Pt - P
-        # on value (strict Armijo against C), or on slope where the values tie to roundoff
-        flat = np.abs(vt - val) <= _FLAT * np.maximum(1.0, np.abs(val))
-        sp, spt = np.einsum("bij,bij->b", s, P), np.einsum("bij,bij->b", s, Pt)
-        wolfe = (sp < 0) & (_WOLFE * sp <= spt) & (spt <= (2 * _ARMIJO - 1) * sp)
-        ok = ((vt < C) & (vt <= C - _ARMIJO * a * g2)) | (flat & wolfe)
+        ok = (vt < C) & (vt <= C - _ARMIJO * a * g2)   # strict Armijo against C
         # BB step of the accepted rows; a rejected row has no step
         sy = np.abs(np.einsum("bij,bij->b", s, y))
         bb = np.divide(np.einsum("bij,bij->b", s, s), sy, out=np.full(len(sy), hi),

@@ -430,9 +430,9 @@ def shift_into_cone(R: CurvatureTensor, min_iso_fn, lo=0.0, hi=64.0, iters=40):
 # ---------------------------------------------------------------------------
 # Serial frame-search oracles: one start at a time, per-frame QR, closures
 # over single vectors, and the engine's step rule (Barzilai-Borwein first
-# trial, halving backtrack, the acceptance test of accept_serial against the
-# Zhang-Hager reference value of zh_update, frames._STEP and
-# frames._GRAD_TOL), on the tensor scaled to |M|_max = 1.
+# trial, halving backtrack, acceptance only on the strict Armijo decrease of
+# accept_serial below the Zhang-Hager reference value of zh_update,
+# frames._STEP and frames._GRAD_TOL), on the tensor scaled to |M|_max = 1.
 # Restart r draws from seed cfg.seed + r as in curvkit.frames.
 # ---------------------------------------------------------------------------
 
@@ -442,19 +442,10 @@ def unit_scaled(R: CurvatureTensor):
     return CurvatureTensor(R.n, R.mat / s), s
 
 
-def accept_serial(val, vnew, a, gnorm, P, Pnew, step, ref=None) -> bool:
-    """A strict Armijo decrease below the reference value ``ref`` (``val``
-    when None), or, when vnew and val tie to within 16 eps max(1, |val|),
-    the approximate Wolfe test on the slopes of the step along the old and
-    the new projected gradients (Hager-Zhang 2005): <P, step> < 0 and
-    0.9 <P, step> <= <Pnew, step> <= (1 - 2e-4) |<P, step>|."""
-    ref = val if ref is None else ref
-    if vnew < ref and vnew <= ref - 1e-4 * a * gnorm * gnorm:
-        return True
-    if abs(vnew - val) > 16 * np.finfo(float).eps * max(1.0, abs(val)):
-        return False
-    sp, spt = float(np.sum(P * step)), float(np.sum(Pnew * step))
-    return sp < 0 and 0.9 * sp <= spt <= (1 - 2e-4) * abs(sp)
+def accept_serial(vnew, ref, a, gnorm) -> bool:
+    """The engine's one acceptance rule: a strict Armijo decrease of the
+    trial value vnew below the reference value ``ref`` at step a."""
+    return vnew < ref and vnew <= ref - 1e-4 * a * gnorm * gnorm
 
 
 def zh_update(ref, weight, vnew):
@@ -512,7 +503,7 @@ def descend_serial(value_grad, F0, cfg, on_iterate=None):
             Fnew = retract_serial(F - a * Griem)
             vnew, Gnew = value_grad(Fnew)
             Pnew = riemannian(Fnew, Gnew)
-            if accept_serial(val, vnew, a, gnorm, Griem, Pnew, Fnew - F, ref):
+            if accept_serial(vnew, ref, a, gnorm):
                 accepted = True
                 break
             a *= 0.5
@@ -638,9 +629,9 @@ def max_holomorphic_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
 def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
     """Restart values and stop reasons of the serial
     min_orthogonal_bisectional: its own Barzilai-Borwein loop over (x, y)
-    with the test of ``accept_serial`` against the reference value of
-    ``zh_update``, y projected off {x, Jx} after every step; a restart's
-    value is that of its final (x, y)."""
+    with the strict Armijo test of ``accept_serial`` against the reference
+    value of ``zh_update``, y projected off {x, Jx} after every step; a
+    restart's value is that of its final (x, y)."""
     from curvkit.core import curvature_map, wedge
     n = R.n
     R, scale = unit_scaled(R)
@@ -697,7 +688,7 @@ def min_orthogonal_bisectional_serial(R: CurvatureTensor, Jm: np.ndarray, cfg):
                     vn = objective(xn, yn)
                     gn = tangent_project(*grads(xn, yn), xn, yn)
                     step = np.concatenate([xn - x, yn - y])
-                    if accept_serial(val, vn, a, gnorm, g, gn, step, ref):
+                    if accept_serial(vn, ref, a, gnorm):
                         accepted = True
                         break
                 a *= 0.5

@@ -8,8 +8,11 @@ import pytest
 from curvkit.cli import main
 from curvkit.core import model_r0, standard_quaternion_triple
 from curvkit.flow import FlowConfig, integrate_q_flow
+from curvkit.frames import OptimizerConfig, min_isotropic
 from curvkit.spaces import MAX_BASIS_N
-from curvkit.tensor_io import load_tensor
+from curvkit.tensor_io import load_tensor, save_tensor
+
+from helpers import random_curvature
 
 
 def run(capsys, *argv):
@@ -65,6 +68,23 @@ def test_fubini_study_iso_min_nonneg(tmp_path, capsys):
     rep = last_json(out)
     assert abs(rep["value"]) < 1e-6
     assert rep["stop_reason"] in ("grad_tol", "line_search_floor", "max_iters")
+
+
+@pytest.mark.parametrize("what", ["iso-min", "pinch"])
+def test_check_reports_the_search_passes(tmp_path, capsys, what):
+    """``passes`` is the stack passes of the search behind the value: those
+    of min_isotropic with the same restarts and seed, at least the reported
+    restart's iterations, one pass each."""
+    p = tmp_path / "r.json"
+    save_tensor(random_curvature(6, seed=7), p)
+    code, out, _ = run(capsys, "check", "--in", str(p), "--what", what,
+                       "--restarts", "4", "--seed", "2")
+    assert code == 0
+    rep = last_json(out)
+    res = min_isotropic(load_tensor(p), OptimizerConfig(restarts=4, seed=2))
+    assert rep["passes"] == res.passes
+    assert rep["iterations"] == res.iterations and rep["passes"] >= rep["iterations"]
+    assert rep["stop_reason"] == res.stop_reason
 
 
 def test_check_weyl_reports_but_rejects_assert(tmp_path, capsys):

@@ -29,15 +29,10 @@ def assert_values_match(batched, serial, rtol=1e-10):
 
 
 def assert_reasons_match(batched, serial):
-    """Stop reasons row by row.  A row's last accept decisions compare
-    values that differ by roundoff, and the batched and the serial
-    arithmetic differ there, so one row may end at the line-search floor on
-    one side and at grad_tol on the other (3 of 360 rows on a sweep of 10
-    seeds at n = 4, 6, 8, 12); with the engine on the old pure-Armijo rule,
-    61 of 108 rows disagree."""
-    differ = [(b, s) for b, s in zip(batched, serial, strict=True) if b != s]
-    assert len(differ) <= 1 and set(differ) <= {("grad_tol", "line_search_floor"),
-                                                ("line_search_floor", "grad_tol")}, differ
+    """Stop reasons row by row, exactly: on a sweep of seeds 0-9 at
+    n = 4, 6, 8, 12 through the three searches below (440 rows), no row's
+    reason differs between the engine and the serial oracle."""
+    assert list(batched) == list(serial)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -238,9 +233,9 @@ def test_stop_reason_grad_tol_on_fubini_study():
 
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_stop_reason_grad_tol_on_random_tensors(n):
-    """Near a minimum the values of a trial and its row tie to roundoff, and
-    the slope test still tells a good step: every row converges, the probe
-    row too."""
+    """Every row converges, the probe row too: against the Zhang-Hager
+    reference value the strict Armijo test alone keeps accepting steps
+    down to the gradient tolerance."""
     R = random_curvature(n, seed=810 + n)
     res = min_isotropic(R, OptimizerConfig(restarts=16, seed=0))
     assert res.restart_stop_reasons == ["grad_tol"] * 17
@@ -248,10 +243,9 @@ def test_stop_reason_grad_tol_on_random_tensors(n):
 
 def test_no_row_stops_at_the_line_search_floor():
     """Rows that once sat at the floor with a monotone acceptance test (a BB
-    trial shorter than the approximate-Wolfe window, halved 60 times): the
-    maximizer and boundary searches of ``verify --n 8 --samples 20`` at seed
-    7.  Against the Zhang-Hager reference value their BB trials pass on
-    value."""
+    trial halved 60 times without a decrease): the maximizer and boundary
+    searches of ``verify --n 8 --samples 20`` at seed 7.  Against the
+    Zhang-Hager reference value their BB trials pass the Armijo test."""
     report = verify.run_verification_suite(n=8, seed=7, samples=20)
     details = {c.check_id: c.detail for c in report.checks}
     for check_id in ("q-hol-bound-maximizer", "boundary-q-nonneg"):
