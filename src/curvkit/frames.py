@@ -1,10 +1,10 @@
 """Searches over orthonormal frames and unit vectors for curvature functionals.
 
 The workhorse is projected gradient descent on the Stiefel manifold of
-orthonormal k-column matrices (k = 4 for isotropic frames and for the
-J-frames (X, JX, Y, JY) of the bisectional search, k = 1 for unit vectors;
-Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
-gradient, tangent projection G - F sym(F^T G), QR retraction with
+orthonormal k-column matrices, real or complex (k = 4 for isotropic frames,
+k = 1 for unit vectors, the complex pairs (z, w) in C^m for the bisectional
+search; Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
+gradient, tangent projection G - F herm(F^H G), QR retraction with
 positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
 trial step and a backtrack that accepts only on Armijo decrease below a
 nonmonotone reference value, a weighted mean of the row's past values
@@ -24,7 +24,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frame_forms, _frozen, _invariance_defects,
+                   QuaternionTriple, _bianchi_gather, _frame_forms, _invariance_defects,
                    _require_same_n, _require_vector, _stored, _unpack_two_form, curvature_map,
                    isotropic_from_columns, pair_indices, qform, wedge)
 from .spaces import _nullspace
@@ -83,19 +83,20 @@ _BACKTRACKS = 60        # step halvings before a row sits at the line-search flo
 
 
 def _retract(F: np.ndarray) -> np.ndarray:
-    """QR retraction of a stack (..., n, k) onto orthonormal columns,
-    sign-fixed for continuity; for k = 1 this is x / |x|."""
+    """QR retraction of a real or complex stack (..., n, k) onto orthonormal
+    columns, sign-fixed to Gram-Schmidt's real positive diag R; k = 1: x / |x|."""
     if F.shape[-1] == 1:
         return F / np.linalg.norm(F, axis=-2, keepdims=True)
     q, r = np.linalg.qr(F)
-    s = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    s = np.where(np.diagonal(r, axis1=-2, axis2=-1).real < 0, -1.0, 1.0)
     return q * s[..., None, :]
 
 
 def _stiefel_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Projection G - F sym(F^T G) of a stack of gradients onto the tangent spaces."""
-    FtG = np.swapaxes(F, -1, -2) @ G
-    return G - F @ (0.5 * (FtG + np.swapaxes(FtG, -1, -2)))
+    """Projection G - F herm(F^H G) of a stack of gradients onto the tangent
+    spaces, for the real inner product Re tr(A^H B) (sym for real stacks)."""
+    FtG = np.swapaxes(F, -1, -2).conj() @ G
+    return G - F @ (0.5 * (FtG + np.swapaxes(FtG, -1, -2).conj()))
 
 
 def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
@@ -104,9 +105,10 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     ``value_grad(F, rows)`` maps a (b, n, k) stack to values (b,) and
     Euclidean gradients; ``rows`` (b,) are the indices into F0 of the active
     rows in F, so one stack can carry rows whose functional differs (rows of
-    different tensors, see ``_block_product``).  Every search, the J-frames
-    of ``min_orthogonal_bisectional`` too, steps along ``_stiefel_tangent``
-    and retracts by ``_retract``.  Each row's first trial after an accepted
+    different tensors, see ``_block_product``).  A complex stack, the pairs
+    of ``min_orthogonal_bisectional``, runs as a real one, with Re tr(A^H B)
+    as inner product: every search steps along ``_stiefel_tangent`` and
+    retracts by ``_retract``.  Each row's first trial after an accepted
     step is the BB step |s|^2 / |<s, y>|, with s the accepted move and y the
     change of the projected gradient, clipped to [1e-6, 1e3] * _STEP (the
     upper bound when <s, y> = 0; the first trial is _STEP); a rejected trial
@@ -129,12 +131,12 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     rows, and the stack's passes: its calls of ``value_grad``, the first
     one included.
     """
-    F = _retract(np.asarray(F0, dtype=float))
+    F = _retract(np.asarray(F0))
     B = len(F)
     rows = np.arange(B)                 # the rows of F0 still in the stack
     val, G = value_grad(F, rows)
     P = _stiefel_tangent(F, G)
-    g2 = np.einsum("bij,bij->b", P, P)  # squared norms of the projected gradients
+    g2 = np.einsum("bij,bij->b", P.conj(), P).real   # squared projected gradient norms
     C, Qw = val.copy(), np.ones(B)      # Zhang-Hager reference values and their weights
     a = np.full(B, _STEP)               # next trial step of each row
     lo, hi = 1e-6 * _STEP, 1e3 * _STEP
@@ -165,13 +167,14 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
         s, y = Ft - F, Pt - P
         ok = (vt < C) & (vt <= C - _ARMIJO * a * g2)   # strict Armijo against C
         # BB step of the accepted rows; a rejected row has no step
-        sy = np.abs(np.einsum("bij,bij->b", s, y))
-        bb = np.divide(np.einsum("bij,bij->b", s, s), sy, out=np.full(len(sy), hi),
-                       where=sy > 0)
+        sy = np.abs(np.einsum("bij,bij->b", s.conj(), y).real)
+        bb = np.divide(np.einsum("bij,bij->b", s.conj(), s).real, sy,
+                       out=np.full(len(sy), hi), where=sy > 0)
         a = np.where(ok, np.clip(bb, lo, hi), 0.5 * a)
         m = ok[:, None, None]
         F, P = np.where(m, Ft, F), np.where(m, Pt, P)
-        val, g2 = np.where(ok, vt, val), np.where(ok, np.einsum("bij,bij->b", Pt, Pt), g2)
+        val = np.where(ok, vt, val)
+        g2 = np.where(ok, np.einsum("bij,bij->b", Pt.conj(), Pt).real, g2)
         Qn = np.where(ok, _ETA * Qw + 1.0, Qw)
         C, Qw = np.where(ok, (_ETA * Qw * C + val) / Qn, C), Qn
         tries = np.where(ok, 0, tries + 1)
@@ -228,31 +231,24 @@ def _split_results(values, frames, iterations, reasons, passes: int, r: int, sca
 # Isotropic curvature over 4-frames
 # ---------------------------------------------------------------------------
 
-def _form_value_grad(mats: np.ndarray, n: int, C: np.ndarray, r: int, swap: bool = False):
+def _iso_value_grad(mats: np.ndarray, n: int, r: int):
     """Closure over a (T, N, N) stack of M, each of which must satisfy the
     first Bianchi identity, r rows of F0 per tensor (``_block_product``): on
-    frames F (b, n, k), with the forms w_a = F C_a F^T of a pair C
-    (``core._frame_forms``) and A_a = R(., ., w_a), the values
-    w_1 . M w_1 + w_2 . M w_2 and Euclidean gradients 2 sum_a A_a F C_a^T, or
-    with ``swap`` the values w_1 . M w_2 and gradients A_2 F C_1^T + A_1 F C_2^T."""
+    frames F (b, n, 4), with the isotropic forms w_a = F C_a F^T
+    (``core._frame_forms``) and A_a = R(., ., w_a), the isotropic values
+    w_1 . M w_1 + w_2 . M w_2 and Euclidean gradients 2 sum_a A_a F C_a^T."""
     T, N, _ = mats.shape
-    c, s = (0.5, -1) if swap else (1.0, 1)     # w_1 . M w_2 = (w_1 . M w_2 + w_2 . M w_1) / 2
-    K = np.dstack([c * mats, _unpack_two_form(mats, n).reshape(T, N, -1)])  # (c M w, R(.,.,w))
-    CT = 2.0 * c * np.swapaxes(C, 1, 2)[::s]
+    K = np.dstack([mats, _unpack_two_form(mats, n).reshape(T, N, -1)])    # (M w, R(.,.,w))
+    CT = 2.0 * np.swapaxes(_ISO_FORMS, 1, 2)
 
     def value_grad(F, rows):
-        W = _frame_forms(F, C)
+        W = _frame_forms(F)
         out = _block_product(W, rows, K, r)
         A = out[..., N:].reshape(W.shape[:-1] + (n, n))
         G = (A @ (F[..., None, :, :] @ CT)).sum(axis=-3)
-        return np.einsum("...ap,...ap->...", W, out[..., ::s, :N]), G
+        return np.einsum("...ap,...ap->...", W, out[..., :N]), G
 
     return value_grad
-
-
-def _iso_value_grad(mats: np.ndarray, n: int, r: int):
-    """Closure: isotropic values and Euclidean gradients (``_form_value_grad``)."""
-    return _form_value_grad(mats, n, _ISO_FORMS, r)
 
 
 def _best_probe(mat: np.ndarray, n: int) -> np.ndarray:
@@ -449,22 +445,20 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
 # Orthogonal bisectional minimization over constrained pairs
 # ---------------------------------------------------------------------------
 
-# w_1 = f1 ^ f2 and w_2 = f3 ^ f4 of a J-frame F = (X, JX, Y, JY); J F = F E, E = -(C_1 + C_2)
-_BIS_FORMS = np.zeros((2, 4, 4))
-_BIS_FORMS[[0, 0, 1, 1], [0, 1, 2, 3], [1, 0, 3, 2]] = [1.0, -1.0, 1.0, -1.0]
-_J_FRAME = _frozen(-_frozen(_BIS_FORMS).sum(axis=0))
+def _bisectional_value_grad(mats: np.ndarray, Jm: np.ndarray, V: np.ndarray, r: int):
+    """Closure: R(x, Jx, y, Jy) = (x ^ Jx) . M (y ^ Jy), x ^ Jx = T_x x
+    (``_structure_forms``), at (x, y) = Re(V Z) of complex pairs Z (b, m, 2),
+    for a (T, N, N) stack, r rows of F0 per tensor (``_block_product``), and
+    its Euclidean gradient in Z, V^H (2 T_x^T M (y ^ Jy), 2 T_y^T M (x ^ Jx))."""
+    N, n, S, Vh = mats.shape[1], len(Jm), _structure_forms(Jm), V.conj().T
 
-
-def _bisectional_value_grad(mats: np.ndarray, Jm: np.ndarray, r: int):
-    """Closure (``_form_value_grad``): R(X, JX, Y, JY) = w_1 . M w_2 on J-frames
-    and the lift G - J G E of its Euclidean gradient G, whose column pairs are
-    (g_X, J g_X) and (g_Y, J g_Y), with g_X, g_Y its gradient in X and Y.
-    (The orthogonal projection (G - J G E) / 2 would halve every step.)"""
-    pair = _form_value_grad(mats, len(Jm), _BIS_FORMS, r, swap=True)
-
-    def value_grad(F, rows):
-        v, G = pair(F, rows)
-        return v, G - Jm @ G @ _J_FRAME
+    def value_grad(Z, rows):
+        X = np.swapaxes((V @ Z).real, 1, 2)                # (b, 2, n): x, y
+        T = (X @ S).reshape(len(Z), 2, N, n)
+        w = (T @ X[..., None])[..., 0]                     # x ^ Jx, y ^ Jy
+        mw = _block_product(w, rows, mats, r)[:, ::-1]     # M (y ^ Jy), M (x ^ Jx)
+        g = 2.0 * (mw[:, :, None, :] @ T)[:, :, 0]
+        return np.einsum("bp,bp->b", w[:, 0], mw[:, 0]), Vh @ np.swapaxes(g, 1, 2)
 
     return value_grad
 
@@ -473,16 +467,17 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
                                cfg: OptimizerConfig | None = None) -> FrameSearchResult:
     """Minimize R(X, JX, Y, JY) over unit X, Y with Y orthogonal to X and JX.
 
-    These pairs, the complex Stiefel manifold V_2(C^m), are exactly the
-    orthonormal J-frames F = (X, JX, Y, JY), the frames with J F = F E for
-    E = e2 e1^T - e1 e2^T + e4 e3^T - e3 e4^T.  All restarts descend as one
-    (B, n, 4) stack of J-frames on the lifted gradient of
-    ``_bisectional_value_grad``; the engine's tangent projection keeps the
-    J-structure, and its sign-fixed QR of (x, Jx, y, Jy) is (x', Jx', y', Jy')
-    with y' the complex Gram-Schmidt of y.  Each restart's value is that of
-    its final J-frame.  ``restart_frames`` holds the (X, Y) columns; the
-    frame is (X, JX, Y, JY).  No such Y exists for n < 4 (CurvatureError).
-    The search runs on M / s (``_unit_scale``) and scales back.
+    These pairs are the complex Stiefel manifold V_2(C^m), n = 2m: V, sqrt 2
+    times an orthonormal basis of the +i eigenspace of J, makes x = Re(V z)
+    an isometry C^m -> R^n with Jx = Re(V iz) and z = V^H x, so they are
+    (X, Y) = Re(V (z, w)) for orthonormal (z, w).  All restarts descend as
+    one complex (B, m, 2) stack on V_2(C^m) itself, so every iterate is such
+    a pair.  Restart r starts at (V^H x, V^H y) from the draws x, then y, of
+    seed cfg.seed + r; their complex QR is x / |x| and y projected off
+    {x, Jx} and normalized.  Each restart's value is that of its final pair.
+    ``restart_frames`` holds the (X, Y) columns; the frame is (X, JX, Y, JY).
+    No such Y exists for n < 4 (CurvatureError).  The search runs on M / s
+    (``_unit_scale``) and scales back.
     """
     cfg = cfg or OptimizerConfig()
     n, Jm = R.n, J.matrix
@@ -490,11 +485,11 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
     s = _unit_scale(R.mat[None])
-    x, y = np.moveaxis(_random_starts(cfg, 2, n), 1, 0)    # x, then y, per seed
-    starts = np.stack([x, x @ Jm.T, y, y @ Jm.T], axis=-1)
-    values, frames, iterations, reasons, passes = _descend(
-        _bisectional_value_grad(R.mat[None] / s[0], Jm, cfg.restarts), starts, cfg)
-    return _split_results(values, frames[:, :, [0, 2]], iterations, reasons, passes,
+    V = np.sqrt(2.0) * np.linalg.eigh(1j * Jm)[1][:, :n // 2]     # iJ V = -V
+    starts = V.conj().T @ np.moveaxis(_random_starts(cfg, 2, n), 1, 2)   # x, then y, per seed
+    values, Z, iterations, reasons, passes = _descend(
+        _bisectional_value_grad(R.mat[None] / s[0], Jm, V, cfg.restarts), starts, cfg)
+    return _split_results(values, (V @ Z).real, iterations, reasons, passes,
                           cfg.restarts, s,   # (X, Y) to (X, JX, Y, JY)
                           lambda XY: FourFrame(np.stack([XY, Jm @ XY], -1).reshape(n, 4)))[0]
 

@@ -8,9 +8,10 @@ from curvkit import frames, verify
 from curvkit.core import (CurvatureError, isotropic_from_columns, model_fubini_study,
                           model_sphere, standard_complex_structure)
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _descend, _hol_value_grad,
-                            _iso_value_grad, _retract, max_holomorphic_sectional,
-                            min_isotropic, min_orthogonal_bisectional)
-from curvkit.spaces import _nullspace
+                            _iso_value_grad, _retract, _stiefel_tangent,
+                            max_holomorphic_sectional, min_isotropic,
+                            min_orthogonal_bisectional)
+from curvkit.spaces import _nullspace, kahler_subspace, sample
 
 from helpers import (hol_value_grad_serial, iso_value_grad_serial,
                      max_holomorphic_serial, min_isotropic_serial,
@@ -131,17 +132,20 @@ def test_max_holomorphic_matches_serial(n, seed):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_min_orthogonal_bisectional_matches_serial(n, seed):
-    R = random_curvature(n, seed=600 + 10 * n + seed)
-    J = standard_complex_structure(n)
+    """On a random tensor and on a Kahler one, fs + 0.1 * a Kahler sample,
+    whose rows run long enough to leave the pairs if anything lets them."""
+    fs, J = model_fubini_study(n // 2, 4.0)
+    kahler = fs + 0.1 * sample(kahler_subspace(J), seed)
     cfg = OptimizerConfig(restarts=3, max_iters=300, seed=seed)
-    res = min_orthogonal_bisectional(R, J, cfg)
-    values, reasons = min_orthogonal_bisectional_serial(R, J.matrix, cfg)
-    assert_values_match(res.restart_values, values)
-    assert_reasons_match(res.restart_stop_reasons, reasons)
-    for XY in res.restart_frames:
-        x, y = XY.T
-        feas = [x @ x - 1.0, y @ y - 1.0, x @ y, (J.matrix @ x) @ y]
-        assert np.max(np.abs(feas)) < 1e-12
+    for R in (random_curvature(n, seed=600 + 10 * n + seed), kahler):
+        res = min_orthogonal_bisectional(R, J, cfg)
+        values, reasons = min_orthogonal_bisectional_serial(R, J.matrix, cfg)
+        assert_values_match(res.restart_values, values)
+        assert_reasons_match(res.restart_stop_reasons, reasons)
+        for XY in res.restart_frames:
+            x, y = XY.T
+            feas = [x @ x - 1.0, y @ y - 1.0, x @ y, (J.matrix @ x) @ y]
+            assert np.max(np.abs(feas)) < 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -202,6 +206,26 @@ def test_stacked_holomorphic_rows_match_separate_runs(n):
     separate = [_descend(_hol_value_grad(mats[t:t + 1], Jm, 4), X0[4 * t:4 * t + 4], cfg)
                 for t in range(2)]
     assert_rows_match_separate_runs(mixed, separate, np.repeat([0, 1], 4))
+
+
+@pytest.mark.parametrize("k", (1, 2, 4))
+def test_complex_stacks_stay_on_the_complex_stiefel_manifold(k):
+    """On a complex stack (B, m, k) the retraction is complex Gram-Schmidt,
+    with Z^H Z = I, and the tangent projection P of any G has
+    Z^H P + P^H Z = 0."""
+    rng = np.random.default_rng(40 + k)
+    A, G = rng.standard_normal((2, 6, 9, k)) + 1j * rng.standard_normal((2, 6, 9, k))
+    Z = _retract(A)
+    Zh = np.swapaxes(Z, 1, 2).conj()
+    np.testing.assert_allclose(Zh @ Z, np.broadcast_to(np.eye(k), (6, k, k)), atol=1e-14)
+    for b in range(6):
+        Q = np.zeros((9, k), dtype=complex)
+        for j in range(k):
+            v = A[b, :, j] - Q[:, :j] @ (Q[:, :j].conj().T @ A[b, :, j])
+            Q[:, j] = v / np.linalg.norm(v)
+        np.testing.assert_allclose(Z[b], Q, rtol=0, atol=1e-14)
+    ZhP = Zh @ _stiefel_tangent(Z, G)
+    assert np.max(np.abs(ZhP + np.swapaxes(ZhP, 1, 2).conj())) <= 1e-14
 
 
 @pytest.mark.parametrize("k", (1, 2, 4))

@@ -7,12 +7,12 @@ import pytest
 
 from curvkit.core import (ComplexStructure, CurvatureError, FourFrame, QuaternionTriple,
                           curvature_map, evaluate, holomorphic_sectional, isotropic_curvature,
-                          isotropic_from_columns, model_sphere, orthogonal_bisectional,
-                          rotate_triple, standard_complex_structure, standard_quaternion_triple,
-                          wedge, zero_tensor)
+                          isotropic_from_columns, model_fubini_study, model_sphere,
+                          orthogonal_bisectional, rotate_triple, standard_complex_structure,
+                          standard_quaternion_triple, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
-                            _best_probe, _iso_value_grad, _retract,
+                            _best_probe, _iso_value_grad, _retract, _stiefel_tangent,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -307,31 +307,45 @@ def test_min_orthogonal_bisectional_fubini_study(fs8, light_cfg):
     np.testing.assert_allclose(J.matrix @ F[:, 2], F[:, 3], atol=1e-8)
 
 
+def complex_columns(Jm):
+    """V (n, m) with J V = i V and V^H V = 2 I: x = Re(V z) maps C^m onto R^n."""
+    V = np.sqrt(2.0) * np.linalg.eigh(1j * Jm)[1][:, :len(Jm) // 2]
+    np.testing.assert_allclose(Jm @ V, 1j * V, atol=1e-14)
+    np.testing.assert_allclose(V.conj().T @ V, 2.0 * np.eye(len(Jm) // 2), atol=1e-14)
+    return V
+
+
+def j_frame_defect(Jm, F):
+    """|J F - F E| of a frame F = (X, JX, Y, JY), E = e2 e1^T - e1 e2^T + e4 e3^T - e3 e4^T."""
+    E = np.zeros((4, 4))
+    E[[1, 0, 3, 2], [0, 1, 2, 3]] = [1.0, -1.0, 1.0, -1.0]
+    return np.linalg.norm(Jm @ F - F @ E)
+
+
 @pytest.mark.parametrize("n", [4, 8])
-def test_bisectional_lifted_gradient_finite_difference(n):
-    """The lifted gradient L = (g_X, J g_X, g_Y, J g_Y) against central
-    differences of R(x, Jx, y, Jy) along J-structured directions
-    (dx, J dx, dy, J dy): <L, V> pairs each of g_X, g_Y twice, so the
-    derivative is <L, V> / 2."""
+def test_bisectional_gradient_finite_difference(n):
+    """The closure's Euclidean gradient g in the complex pairs Z against
+    central differences of its value along tangent directions xi of V_2(C^m):
+    the derivative is Re <g, xi>.  Its value is R(X, JX, Y, JY) at
+    (X, Y) = Re(V Z)."""
     h = 1e-6
     Jm = standard_complex_structure(n).matrix
-
-    def j_frame(x, y):
-        return np.column_stack([x, Jm @ x, y, Jm @ y])
-
+    V = complex_columns(Jm)
+    rows = np.arange(1)
     for seed in range(5):
         R = random_curvature(n, seed=70 + seed)
-        vg = frames._bisectional_value_grad(R.mat[None], Jm, 1)
-        rows = np.arange(1)
+        vg = frames._bisectional_value_grad(R.mat[None], Jm, V, 1)
         rng = np.random.default_rng(seed)
-        F = _retract(j_frame(*rng.standard_normal((2, n))))[None]
-        value, L = vg(F, rows)
-        np.testing.assert_allclose(Jm @ L, L @ frames._J_FRAME, atol=1e-12)
-        V = j_frame(*rng.standard_normal((2, n)))[None]
-        num = (vg(F + h * V, rows)[0][0] - vg(F - h * V, rows)[0][0]) / (2.0 * h)
-        assert abs(num - 0.5 * np.vdot(L, V)) < 1e-6 * max(1.0, abs(num))
-        # the closure's value is R(X, JX, Y, JY) of the frame's columns
-        assert abs(value[0] - evaluate(R, *F[0].T)) < 1e-12 * max(1.0, abs(value[0]))
+        shape = (2, 1, n // 2, 2)
+        Z, D = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        Z = _retract(Z)
+        value, g = vg(Z, rows)
+        xi = _stiefel_tangent(Z, D)
+        num = (vg(Z + h * xi, rows)[0][0] - vg(Z - h * xi, rows)[0][0]) / (2.0 * h)
+        assert abs(num - np.vdot(g, xi).real) < 1e-6 * max(1.0, abs(num))
+        x, y = (V @ Z[0]).real.T
+        exact = evaluate(R, x, Jm @ x, y, Jm @ y)
+        assert abs(value[0] - exact) < 1e-12 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -341,10 +355,33 @@ def test_min_orthogonal_bisectional_reports_j_frame(n, light_cfg):
     J = standard_complex_structure(n)
     res = min_orthogonal_bisectional(random_curvature(n, seed=80 + n), J, light_cfg)
     F = res.frame_or_vector.matrix
-    assert np.linalg.norm(J.matrix @ F - F @ frames._J_FRAME) <= 1e-12
+    assert j_frame_defect(J.matrix, F) <= 1e-12
     assert all(XY.shape == (n, 2) for XY in res.restart_frames)
     np.testing.assert_array_equal(res.restart_frames[res.restart_values.index(res.value)],
                                   F[:, [0, 2]])
+
+
+@pytest.mark.parametrize("kind, n", [("kahler", n) for n in (4, 6, 8, 10, 12)]
+                         + [("generic", n) for n in (6, 8, 10, 12)])
+def test_min_orthogonal_bisectional_stays_on_pairs(kind, n):
+    """On fs + 0.1 * samples of the Kahler space, and of the whole curvature
+    space, the search raises nothing, its value is orthogonal_bisectional at
+    its reported (X, Y), that frame is a J-frame and every restart's pair is
+    feasible, all to 1e-12."""
+    fs, J = model_fubini_study(n // 2, 4.0)
+    Jm = J.matrix
+    space = kahler_subspace(J) if kind == "kahler" else curvature_space_basis(n)
+    for s in range(3):
+        R = fs + 0.1 * sample(space, s)
+        res = min_orthogonal_bisectional(R, J, OptimizerConfig(4, 300, seed=3))
+        F = res.frame_or_vector.matrix
+        exact = orthogonal_bisectional(R, J, F[:, 0], F[:, 2])
+        assert abs(res.value - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert j_frame_defect(Jm, F) <= 1e-12
+        for XY in res.restart_frames:
+            x, y = XY.T
+            feas = [x @ x - 1.0, y @ y - 1.0, x @ y, (Jm @ x) @ y]
+            assert np.max(np.abs(feas)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
