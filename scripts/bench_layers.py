@@ -47,7 +47,10 @@ against one stacked draw of all of them: `sample` against `_sample_stack`
 in the generic, Kahler (standard J) and hyper-Kahler (standard triple)
 spaces, keyed "<space>-<n>", and `einstein_normalize` of each generic sample
 against `_einstein_stack` of their stack, keyed by n; each is the mean of
-SEARCH_CALLS passes over the seeds, divided by STACK_SAMPLES.  Every other time is the mean of
+SEARCH_CALLS passes over the seeds, divided by STACK_SAMPLES.  Q of those
+generic samples is timed the same way at STACK_SIZES, keyed by n, but as the
+mean of CALLS passes: `qform` of each tensor (`qform_per_tensor`) against
+one `_reaction` call on their stack (`_reaction`).  Every other time is the mean of
 back-to-back calls (CALLS, or SEARCH_CALLS for the searches and the
 subspaces).  Each layer is timed REPEATS times and reported, in microseconds
 per call, as {"best", "q1", "median", "q3"} over those repeats: the best is
@@ -69,7 +72,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from curvkit.core import (_einstein_stack, _invariance_defects,  # noqa: E402
-                          _kulkarni_nomizu_mat, _stored, bform, einstein_normalize,
+                          _kulkarni_nomizu_mat, _reaction, _stored, bform, einstein_normalize,
                           invariance_defect, isotropic_from_columns, project_to_curvature,
                           qform, standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
@@ -140,7 +143,7 @@ def main() -> int:
              "qk_q_bound_check_batched", "maximizer_first_order_check",
              "invariance_defect", "_invariance_defects", "_qk_reports_per_tensor",
              "_qk_reports", "_kulkarni_nomizu_mat", "sample", "_sample_stack",
-             "einstein_normalize", "_einstein_stack")
+             "einstein_normalize", "_einstein_stack", "qform_per_tensor", "_reaction")
     layers = {name: {} for name in names}
     iterations, stop_reasons, bis_iterations = {}, {}, {}
     passes, bis_passes, step_q_calls = {}, {}, {}
@@ -241,6 +244,9 @@ def main() -> int:
             lambda: [einstein_normalize(R) for R in generic], SEARCH_CALLS, STACK_SAMPLES)
         layers["_einstein_stack"][str(n)] = timed(lambda: _einstein_stack(mats, n),
                                                   SEARCH_CALLS, STACK_SAMPLES)
+        layers["qform_per_tensor"][str(n)] = timed(lambda: [qform(R) for R in generic],
+                                                   CALLS, STACK_SAMPLES)
+        layers["_reaction"][str(n)] = timed(lambda: _reaction(mats, n), CALLS, STACK_SAMPLES)
 
     print(json.dumps({"unit": "us_per_call", "layers": layers,
                       "dop853_step_q_calls": step_q_calls,

@@ -257,49 +257,38 @@ def two_form_action(A: np.ndarray) -> np.ndarray:
     return a_ik * a_jl - a_jk * a_il
 
 
-def _require_bianchi(mat: np.ndarray, n: int, what: str, tol: float,
-                     scale: float = 1.0) -> None:
-    """CurvatureError unless the Bianchi defect of mat is at most
-    tol * max(1, |mat|_max, scale); NonFiniteError unless both are finite."""
-    _bianchi_verdict(bianchi_defect(mat, n), float(abs(mat).max(initial=max(1.0, scale))),
-                     what, tol)
-
-
-def _require_bianchi_stack(mats: np.ndarray, n: int, what: str, tol: float,
-                           scales=1.0) -> None:
-    """:func:`_require_bianchi` of each matrix t of a (T, N, N) stack, against
-    its own scale ``scales[t]`` (or one scalar for all); the error of the
-    first that fails names its index t."""
+def _require_bianchi(mats: np.ndarray, n: int, what: str, tol: float,
+                     scales=1.0) -> None:
+    """CurvatureError unless the Bianchi defect of each coefficient matrix M_t
+    of mats, one (N, N) matrix or a (T, N, N) stack, is at most
+    tol * max(1, |M_t|_max, scales[t]) (``scales`` a scalar or one per
+    matrix); NonFiniteError unless M_t is finite.  For a stack the error of
+    the first that fails names its index t."""
     defects = abs(bianchi_sums(mats, n)).max(axis=-1, initial=0.0)
-    refs = np.maximum(abs(mats).max(axis=(1, 2), initial=1.0), scales)
-    # the verdict's tests, negated so that a NaN fails, for the whole stack at once
-    for t in np.flatnonzero(~((refs < np.inf) & (defects <= tol * refs)))[:1]:
-        _bianchi_verdict(float(defects[t]), float(refs[t]), f"{what} {t}", tol)
-
-
-def _bianchi_verdict(defect: float, ref: float, what: str, tol: float) -> None:
-    """The errors of :func:`_require_bianchi` for a defect and its scale ref."""
+    refs = abs(mats).max(axis=(-2, -1), initial=1.0)
+    # NaN fails every comparison.  The scales are or-ed in and all() reads
+    # .flat because np.maximum and .all() on the numpy scalars of one matrix
+    # would cost about half as much again as the check itself.
+    ok = (refs < np.inf) & ((defects <= tol * refs) | (defects <= tol * scales))
+    if all(ok.flat):
+        return
+    t = np.flatnonzero(~ok)[0]
+    defect, ref = float(np.ravel(defects)[t]), float(np.ravel(np.maximum(refs, scales))[t])
+    if mats.ndim > 2:
+        what = f"{what} {t}"
     if not ref < np.inf:
         raise NonFiniteError(f"{what} is not finite: Bianchi defect {defect:.3e}, "
                              f"scale {ref:.3e}")
-    if not defect <= tol * ref:
-        raise CurvatureError(f"{what} Bianchi defect {defect:.3e} exceeds "
-                             f"{tol:.1e} * {ref:.3e}")
+    raise CurvatureError(f"{what} Bianchi defect {defect:.3e} exceeds {tol:.1e} * {ref:.3e}")
 
 
 def _stored(mat: np.ndarray, n: int) -> "CurvatureTensor":
     """The tensor of a computed, exactly symmetric coefficient matrix, stored
     as it is: the constructor's 0.5 (M + M^T) would only copy it.  Nothing is
-    checked here; ``bform`` checks each of its inputs."""
+    checked here; :func:`_reaction` checks each of its inputs."""
     T = object.__new__(CurvatureTensor)
     T.n, T.mat, T.label = n, _frozen(mat), None
     return T
-
-
-def _checked(mat: np.ndarray, n: int, what: str, tol: float, scale: float = 1.0):
-    """:func:`_stored` of a matrix that passes :func:`_require_bianchi`."""
-    _require_bianchi(mat, n, what, tol, scale)
-    return _stored(mat, n)
 
 
 def _require_same_n(R: "CurvatureTensor", other, what: str) -> None:
@@ -534,7 +523,8 @@ def weyl(R: CurvatureTensor) -> CurvatureTensor:
     ric0 = ric - (scal / n) * g
     mat = (R.mat - _kulkarni_nomizu_mat(ric0, g) / (n - 2)
            - (scal / (n * (n - 1))) * np.eye(len(R.mat)))
-    return _checked(mat, n, "Weyl part", 1e-8)
+    _require_bianchi(mat, n, "Weyl part", 1e-8)
+    return _stored(mat, n)
 
 
 def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> CurvatureTensor:
@@ -562,7 +552,7 @@ def _einstein_stack(mats: np.ndarray, n: int, target: float | None = None) -> np
     trh = np.trace(delta, axis1=-2, axis2=-1) / (2.0 * (n - 1))
     h = (delta - trh[:, None, None] * g) / (n - 2.0)
     out = mats + _kulkarni_nomizu_mat(h, g)
-    _require_bianchi_stack(out, n, "Einstein normalization", 1e-8)
+    _require_bianchi(out, n, "Einstein normalization", 1e-8)
     return out
 
 
@@ -583,49 +573,47 @@ def bform(R: CurvatureTensor, S: CurvatureTensor) -> CurvatureTensor:
     each input must pass the Bianchi check to CONSTRUCTION_TOL relative to
     max(1, |M|_max), and the result to REACTION_TOL relative to
     max(1, |B|_max, |R| |S|); a larger defect, or any non-finite entry,
-    raises :class:`CurvatureError`.  Q(R) = B(R, R) (``S is R``) takes one
-    Sym^2 block; any other S is the one-tensor stack of :func:`_bform_stack`,
-    whose errors name R as index 0.
+    raises :class:`CurvatureError`.  The one-matrix case of
+    :func:`_reaction`; ``S is R`` is Q(R), which takes one Sym^2 block.
     """
     R._check_same(S)
-    n = R.n
-    if S is not R:
-        return _stored(_bform_stack(R.mat[None], S)[0], n)
-    _require_bianchi(R.mat, n, "reaction input", CONSTRUCTION_TOL)
-    V = _sym_block(R.mat, n)
-    H = V @ V.T
-    scale = R.norm() ** 2
-    A = R.mat @ R.mat
-    mat = _reaction_mat(A + A.T, H, n)
-    return _checked(mat, n, "reaction term", REACTION_TOL, scale)
-
-
-def _bform_stack(mats: np.ndarray, S: CurvatureTensor) -> np.ndarray:
-    """B(R_t, S) of every coefficient matrix R_t of a (T, N, N) stack, as a
-    (T, N, N) stack, with one gather and one batched product for the whole
-    stack; :func:`bform` of an S that is not R is its T = 1 case.  Each R_t,
-    S and each output pass :func:`bform`'s checks, each against its own
-    scale; the first failure raises :class:`CurvatureError` (NonFiniteError
-    for a non-finite one)."""
-    n = S.n
-    if mats.ndim != 3 or mats.shape[1:] != S.mat.shape:
-        raise CurvatureError(f"expected a (T, {len(S.mat)}, {len(S.mat)}) stack, "
-                             f"got shape {mats.shape}")
-    _require_bianchi_stack(mats, n, "reaction input", CONSTRUCTION_TOL)
-    _require_bianchi(S.mat, n, "reaction input", CONSTRUCTION_TOL)
-    H = _sym_block(mats, n) @ _sym_block(S.mat, n).T
-    H += np.swapaxes(H, 1, 2)
-    H *= 0.5
-    A = mats @ S.mat
-    out = _reaction_mat(A + np.swapaxes(A, 1, 2), H, n)
-    scales = 2.0 * np.linalg.norm(mats, axis=(1, 2)) * S.norm()
-    _require_bianchi_stack(out, n, "reaction term", REACTION_TOL, scales)
-    return out
+    return _stored(_reaction(R.mat, R.n, None if S is R else S.mat), R.n)
 
 
 def qform(R: CurvatureTensor) -> CurvatureTensor:
-    """Quadratic reaction term Q(R) = B(R, R)."""
-    return bform(R, R)
+    """Quadratic reaction term Q(R) = B(R, R), the one-matrix case of :func:`_reaction`."""
+    return _stored(_reaction(R.mat, R.n), R.n)
+
+
+def _reaction(mats: np.ndarray, n: int, S: np.ndarray | None = None) -> np.ndarray:
+    """B(R_t, S) of each coefficient matrix R_t of mats, one (N, N) matrix or a
+    (T, N, N) stack, shaped as mats; Q(R_t) = B(R_t, R_t) when S is None, from
+    the symmetric product H = V V^T of one Sym^2 block V.  Each R_t and S
+    must pass the Bianchi check to CONSTRUCTION_TOL and each output to
+    REACTION_TOL, the output against its own scale |R_t| |S| too; the first
+    failure raises :class:`CurvatureError` (NonFiniteError for a non-finite
+    one), and for a stack names its index t."""
+    N = num_pairs(n)
+    if mats.ndim not in (2, 3) or mats.shape[-2:] != (N, N):
+        raise CurvatureError(f"expected an ({N}, {N}) matrix or a (T, {N}, {N}) stack, "
+                             f"got shape {mats.shape}")
+    _require_bianchi(mats, n, "reaction input", CONSTRUCTION_TOL)
+    V = _sym_block(mats, n)
+    if S is None:
+        H = V @ V.swapaxes(-1, -2)
+        A = mats @ mats
+        scales = 4.0 * A.trace(0, -2, -1)       # |R_t|^2 = 4 |M_t|_F^2 = 4 tr(M_t^2)
+    else:
+        _require_bianchi(S, n, "reaction input", CONSTRUCTION_TOL)
+        H = V @ _sym_block(S, n).T
+        H += H.swapaxes(-1, -2)
+        H *= 0.5
+        A = mats @ S
+        # |R_t| |S|, each the norm of a rank-4 table, 2 |M|_F
+        scales = 4.0 * np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(S)
+    out = _reaction_mat(A + A.swapaxes(-1, -2), H, n)
+    _require_bianchi(out, n, "reaction term", REACTION_TOL, scales)
+    return out
 
 
 def einstein_residual(R: CurvatureTensor, rho: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
                    QuaternionTriple, _bianchi_gather, _frame_forms, _invariance_defects,
-                   _require_same_n, _require_vector, _stored, _unpack_two_form, curvature_map,
+                   _reaction, _require_same_n, _require_vector, _unpack_two_form, curvature_map,
                    isotropic_from_columns, pair_indices, qform, wedge)
 from .spaces import _nullspace
 
@@ -602,13 +602,15 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
 def _qk_reports(mats: np.ndarray, T: QuaternionTriple, searches: list,
                 residuals: np.ndarray) -> list[QKBoundReport]:
     """The reports of ``qk_q_bound_check`` on a (T, N, N) stack at its maximizer
-    ``searches`` for I, from (T, ...) arrays and one ``qform`` call per tensor."""
+    ``searches`` for I, from (T, ...) arrays and one Q of the whole stack
+    (``core._reaction``)."""
     n = T.n
     vals = np.array([res.value for res in searches])
     X = np.stack([res.frame_or_vector for res in searches])
     IX, JX, KX = (X @ A.T for A in T.matrices)
     w = wedge(X, IX)
-    q_vals = np.array([v @ qform(_stored(m, n)).mat @ v for m, v in zip(mats, w)])
+    # the batched form of v @ Q_t @ v, bit for bit (an einsum differs in ulps)
+    q_vals = (w[:, None, :] @ _reaction(mats, n) @ w[..., None])[:, 0, 0]
     bounds = (2 * (n // 4) + 4) * vals * vals
     Omega = _unpack_two_form((mats @ w[..., None])[..., 0], n)
     # x, Ix, Jx, Kx are orthonormal, so JX, KX and the complement of all four

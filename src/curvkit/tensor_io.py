@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CurvatureError, CurvatureTensor, num_pairs
+from .core import CurvatureError, CurvatureTensor, _require_bianchi, num_pairs
 
 FORMAT_NAME = "lambda2_sym_dense"
 READ_TOL = 1e-9
@@ -57,9 +57,7 @@ def tensor_from_dict(d: dict) -> CurvatureTensor:
     if not isinstance(label, str):
         raise CurvatureError(f"label must be a string, got {label!r}")
     R = CurvatureTensor(n, mat, label=label)
-    bianchi = R.validation_defect()
-    if bianchi > READ_TOL * scale:
-        raise CurvatureError(f"cyclic sum identity violated: defect {bianchi:.3e}")
+    _require_bianchi(R.mat, n, "coefficient matrix", READ_TOL)
     return R
 
 

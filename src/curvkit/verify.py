@@ -13,8 +13,9 @@ under test.  The suite is deterministic given (n, seed, samples).
 Each sampled group draws its samples as one (T, N, N) stack with
 ``spaces._sample_stack``, after taking every sample's seed and its other
 draws (kappa, or x and y) from the group's generator in a fixed order, and
-runs the Einstein normalization, the shifts, the right-hand sides and the
-norms on that stack; the reaction term stays one ``qform`` call per tensor.
+runs the Einstein normalization, the shifts, the reaction terms
+(``core._reaction``, one call per stack), the right-hand sides and the norms
+on that stack.
 The quaternionic bound checks all its hyper-Kahler samples in one
 ``frames.qk_q_bound_check`` call, whose gate, maximizer searches and
 reports each run as one stack.  Its detail, and that of the boundary check, counts how the
@@ -28,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .core import (ComplexStructure, _bform_stack, _einstein_stack, _require_frames, _stored,
+from .core import (ComplexStructure, _einstein_stack, _reaction, _require_frames, _stored,
                    einstein_residual, isotropic_from_columns, model_fubini_study,
-                   model_r0, model_sj, model_sphere, qform, ricci,
+                   model_r0, model_sj, model_sphere, ricci,
                    standard_complex_structure, standard_quaternion_triple)
 from .spaces import (MAX_BASIS_N, _sample_stack, curvature_space_basis, hyperkahler_subspace,
                      kahler_subspace, sample)
@@ -144,7 +145,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     def bform_defects():
         basis_norms = _norms(hk.stacked)
         for S in [sphere] + [model_sj(ComplexStructure(A)) for A in T.matrices]:
-            B = _bform_stack(hk.stacked, S)
+            B = _reaction(hk.stacked, n, S.mat)
             yield (float(np.max(_norms(B) / (basis_norms * S.norm()))),
                    f"max over {hk.dimension} basis elements")
 
@@ -195,10 +196,6 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
             extras.append(extra(rng))
         return seeds, extras
 
-    def q_stack(mats):
-        """Q of each matrix of a stack, one ``qform`` call each, as a stack."""
-        return np.stack([qform(_stored(m, n)).mat for m in mats])
-
     def worst_relative(defects, refs):
         """max over t of defects[t] / max(1, refs[t])."""
         return float(np.max(defects / np.maximum(1.0, refs)))
@@ -209,8 +206,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         k = np.array(kappas)[:, None, None]
         G = sphere.mat
         Rs = _einstein_stack(_sample_stack(generic, seeds), n)
-        QS = q_stack(Rs - k * G)
-        rhs = q_stack(Rs) + (2.0 * (n - 1) * k * (k - 2.0)) * G
+        QS = _reaction(Rs - k * G, n)
+        rhs = _reaction(Rs, n) + (2.0 * (n - 1) * k * (k - 2.0)) * G
         return [(worst_relative(_norms(QS - rhs), _norms(QS)), f"{samples} normalized samples")]
 
     run([("sphere-shift-q-identity",
@@ -222,8 +219,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
                               lambda rng: float(rng.uniform(0.25, 4.0)))
         k = np.array(kappas)[:, None, None]
         R1s = _sample_stack(hk, seeds)
-        lhs = q_stack(R1s + k * R0.mat)
-        rhs = q_stack(R1s) + (k * k) * qform(R0).mat
+        lhs = _reaction(R1s + k * R0.mat, n)
+        rhs = _reaction(R1s, n) + (k * k) * _reaction(R0.mat, n)
         return [(worst_relative(_norms(lhs - rhs), _norms(lhs)), f"{samples} samples")]
 
     run([("q-additivity", "Q(R1 + k R0) = Q(R1) + k^2 Q(R0) for hyper-Kahler R1", 1e-8)],

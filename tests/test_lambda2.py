@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
-                          _bform_stack, _invariance_defects, _kulkarni_nomizu_mat,
-                          _require_bianchi_stack, bform, einstein_normalize,
+                          _invariance_defects, _kulkarni_nomizu_mat, _reaction,
+                          _require_bianchi, bform, einstein_normalize,
                           invariance_defect, kulkarni_nomizu,
                           model_fubini_study, model_kahler_form, num_pairs,
                           project_bianchi, qform, ricci, scalar_curvature,
@@ -152,12 +152,26 @@ def test_bform_stack_matches_per_tensor_bform(n):
     one-row stack, bit for bit."""
     mats = np.stack([random_curvature(n, seed=930 + 10 * n + t).mat for t in range(5)])
     S = random_curvature(n, seed=939 + 10 * n)
-    stack = _bform_stack(mats, S)
+    stack = _reaction(mats, n, S.mat)
     assert stack.shape == mats.shape
     for mat, B in zip(mats, stack):
         assert _rel(expand_rank4(B, n), bform_einsum(expand_rank4(mat, n), S.rank4)) <= 1e-13
         R = CurvatureTensor(n, mat)
-        assert np.array_equal(bform(R, S).mat, _bform_stack(R.mat[None], S)[0])
+        assert np.array_equal(bform(R, S).mat, _reaction(R.mat[None], n, S.mat)[0])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_reaction_stack_q_matches_per_tensor_qform(n):
+    """Q of a stack is ``qform`` of each of its tensors, bit for bit, and each
+    row matches the rank-4 einsum oracle."""
+    mats = np.stack([random_curvature(n, seed=1000 + 10 * n + t, scale=1.0 + t).mat
+                     for t in range(20)])
+    stack = _reaction(mats, n)
+    assert stack.shape == mats.shape
+    for mat, Q in zip(mats, stack):
+        assert np.array_equal(Q, qform(CurvatureTensor(n, mat)).mat)
+        R4 = expand_rank4(mat, n)
+        assert _rel(expand_rank4(Q, n), bform_einsum(R4, R4)) <= 1e-13
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -167,20 +181,30 @@ def test_bform_stack_fails_closed_per_tensor():
     mats = np.stack([random_curvature(n, seed=941 + t).mat for t in range(4)])
     violating = mats.copy()
     violating[2] += 1e-6 * _pair_symmetric(n, seed=945).mat
-    with pytest.raises(CurvatureError, match="reaction input 2 Bianchi defect"):
-        _bform_stack(violating, S)
     non_finite = mats.copy()
     non_finite[3, 0, 0] = np.inf
-    with pytest.raises(NonFiniteError, match="reaction input 3 is not finite"):
-        _bform_stack(non_finite, S)
-    with pytest.raises(CurvatureError, match="reaction input"):
-        _bform_stack(mats, _pair_symmetric(n, seed=946))
-    with pytest.raises(CurvatureError, match="stack"):
-        _bform_stack(mats[0], S)
+    for other in (S.mat, None):
+        with pytest.raises(CurvatureError, match="reaction input 2 Bianchi defect"):
+            _reaction(violating, n, other)
+        with pytest.raises(NonFiniteError, match="reaction input 3 is not finite"):
+            _reaction(non_finite, n, other)
+        # one matrix: the same errors, with no index
+        with pytest.raises(CurvatureError, match="reaction input Bianchi defect"):
+            _reaction(violating[2], n, other)
+        with pytest.raises(NonFiniteError, match="reaction input is not finite"):
+            _reaction(non_finite[3], n, other)
+        for shape in ((4, 15, 14), (15,), (2, 4, 15, 15)):
+            with pytest.raises(CurvatureError, match="stack"):
+                _reaction(np.zeros(shape), n, other)
+    with pytest.raises(CurvatureError, match="reaction input Bianchi defect"):
+        _reaction(mats, n, _pair_symmetric(n, seed=946).mat)
     # each tensor is held to its own scale, as B(R_t, S) is to |R_t| |S|
-    _require_bianchi_stack(violating, n, "scaled", 1e-9, np.array([1.0, 1.0, 1e6, 1.0]))
+    _require_bianchi(violating, n, "scaled", 1e-9, np.array([1.0, 1.0, 1e6, 1.0]))
     with pytest.raises(CurvatureError, match="scaled 2 Bianchi defect"):
-        _require_bianchi_stack(violating, n, "scaled", 1e-9, np.array([1e6, 1e6, 1.0, 1e6]))
+        _require_bianchi(violating, n, "scaled", 1e-9, np.array([1e6, 1e6, 1.0, 1e6]))
+    _require_bianchi(violating[2], n, "scaled", 1e-9, 1e6)
+    with pytest.raises(CurvatureError, match="^scaled Bianchi defect"):
+        _require_bianchi(violating[2], n, "scaled", 1e-9)
 
 
 @pytest.mark.parametrize("n", SIZES)

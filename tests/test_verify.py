@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from curvkit import verify
@@ -26,14 +27,14 @@ def test_suite_builds_each_space_once_and_q_of_shift_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("curvature_space_basis", "kahler_subspace", "qform", "_sample_stack",
+    for name in ("curvature_space_basis", "kahler_subspace", "_reaction", "_sample_stack",
                  "sample"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     report = verify.run_verification_suite(n=6, samples=3)
     assert report.passed
-    # at n = 6 only the sphere-shift check calls qform here: Q(R) and Q(R - k G);
-    # it and the Kahler iso check draw their samples as one stack each
-    assert counts == {"curvature_space_basis": 1, "kahler_subspace": 1, "qform": 6,
+    # at n = 6 only the sphere-shift check takes Q here, of two stacks: Q(R) and
+    # Q(R - k G); it and the Kahler iso check draw their samples as one stack each
+    assert counts == {"curvature_space_basis": 1, "kahler_subspace": 1, "_reaction": 2,
                       "_sample_stack": 2}
 
 
@@ -58,10 +59,18 @@ def test_perturbed_reaction_term_fails_the_sampled_q_identities(monkeypatch, n):
     """Negative control: Q(R) + 1e-6 |R|^4 G, G the round model, is a valid
     tensor that breaks the sphere shift and the additivity (a |R|^2 term
     would cancel in the additivity, where <R1, R0> = 0).  Exactly the two
-    sampled identities that call verify.qform fail, so neither compares a
-    stack with itself."""
-    qform, G = verify.qform, verify.model_sphere(n, 1.0)
-    monkeypatch.setattr(verify, "qform", lambda R: qform(R) + (1e-6 * R.norm() ** 4) * G)
+    sampled identities that take Q through verify._reaction fail, so neither
+    compares a stack with itself; B(b, S) of the hyper-Kahler checks is left as it is."""
+    reaction, G = verify._reaction, verify.model_sphere(n, 1.0).mat
+
+    def perturbed(mats, n, S=None):
+        out = reaction(mats, n, S)
+        if S is not None:
+            return out
+        norms = 2.0 * np.linalg.norm(mats, axis=(-2, -1))[..., None, None]
+        return out + (1e-6 * norms ** 4) * G
+
+    monkeypatch.setattr(verify, "_reaction", perturbed)
     report = verify.run_verification_suite(n=n, samples=3)
     assert sorted(c.check_id for c in report.checks if c.status == "fail") == [
         "q-additivity", "sphere-shift-q-identity"]
@@ -150,16 +159,19 @@ def test_boundary_check_counts_its_rows():
 
 
 def test_bform_checks_make_one_stacked_call_per_model(monkeypatch):
+    """B(b, S) is one call on the hyper-Kahler basis per model S; each sampled
+    Q identity is one call per stack, and Q(R0) one call on R0 alone."""
     calls = []
-    stack = verify._bform_stack
+    reaction = verify._reaction
 
-    def counted(mats, S):
-        calls.append(len(mats))
-        return stack(mats, S)
+    def counted(mats, n, S=None):
+        calls.append((mats.shape[:-2], S is not None))
+        return reaction(mats, n, S)
 
-    monkeypatch.setattr(verify, "_bform_stack", counted)
-    assert verify.run_verification_suite(n=8, samples=1).passed
-    assert calls == [35] * 4                  # the sphere and S_I, S_J, S_K
+    monkeypatch.setattr(verify, "_reaction", counted)
+    assert verify.run_verification_suite(n=8, samples=3).passed
+    # the sphere and S_I, S_J, S_K; then the sphere shift, then the additivity
+    assert calls == [((35,), True)] * 4 + [((3,), False)] * 4 + [((), False)]
 
 
 def test_suite_rejects_negative_seed_at_entry():
