@@ -24,6 +24,10 @@ its passes is reported too (`min_isotropic_per_pass`,
 engine, value and gradient, tangent projection, retraction and acceptance.
 The subspace constructors are timed at their own sizes:
 `curvature_space_basis` and `kahler_subspace` (standard J) at SPACE_SIZES,
+`kahler_subspace` also for P J P^T, P the Q factor of a Gaussian matrix
+drawn at seed [SEED, n] (`kahler_subspace_conjugated`), and for the
+standard J on its first call, with the cache of its closed-form table
+cleared before each call (`kahler_subspace_first_call`),
 `hyperkahler_subspace` (standard triple) at those divisible by 4 (4, 8 and
 12), and `qk_q_bound_check` at n = 8 on QK_SAMPLES hyper-Kahler samples
 (seeds 0, 1, ...; 4 restarts, as in the verify suite), twice: one call per
@@ -71,17 +75,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from curvkit.core import (_einstein_stack, _invariance_defects,  # noqa: E402
-                          _kulkarni_nomizu_mat, _reaction, _stored, bform, einstein_normalize,
-                          invariance_defect, isotropic_from_columns, project_to_curvature,
-                          qform, standard_complex_structure, standard_quaternion_triple)
+from curvkit.core import (ComplexStructure, _einstein_stack,  # noqa: E402
+                          _invariance_defects, _kulkarni_nomizu_mat, _reaction, _stored, bform,
+                          einstein_normalize, invariance_defect, isotropic_from_columns,
+                          project_to_curvature, qform, standard_complex_structure,
+                          standard_quaternion_triple)
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
                             _max_holomorphic_stack, _qk_reports, _retract,
                             max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
-from curvkit.spaces import (_sample_stack, curvature_space_basis,  # noqa: E402
-                            hyperkahler_subspace, kahler_subspace, sample)
+from curvkit.spaces import (_kahler_table, _sample_stack,  # noqa: E402
+                            curvature_space_basis, hyperkahler_subspace, kahler_subspace,
+                            sample)
 
 SIZES = (4, 6, 8, 12)
 SPACE_SIZES = (4, 6, 8, 10, 12)
@@ -139,7 +145,8 @@ def main() -> int:
              "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
              "min_orthogonal_bisectional", "min_isotropic_per_pass",
              "min_orthogonal_bisectional_per_pass", "curvature_space_basis",
-             "kahler_subspace", "hyperkahler_subspace", "qk_q_bound_check",
+             "kahler_subspace", "kahler_subspace_conjugated", "kahler_subspace_first_call",
+             "hyperkahler_subspace", "qk_q_bound_check",
              "qk_q_bound_check_batched", "maximizer_first_order_check",
              "invariance_defect", "_invariance_defects", "_qk_reports_per_tensor",
              "_qk_reports", "_kulkarni_nomizu_mat", "sample", "_sample_stack",
@@ -189,8 +196,17 @@ def main() -> int:
                 k: round(v / count, 2) for k, v in layers[name][str(n)].items()}
     for n in SPACE_SIZES:
         J = standard_complex_structure(n)
+        P = np.linalg.qr(np.random.default_rng([SEED, n]).standard_normal((n, n)))[0]
+        PJ = ComplexStructure(P @ J.matrix @ P.T)
+
+        def first_call():
+            _kahler_table.cache_clear()
+            return kahler_subspace(J)
+
         for name, fn in (("curvature_space_basis", lambda: curvature_space_basis(n)),
-                         ("kahler_subspace", lambda: kahler_subspace(J))):
+                         ("kahler_subspace", lambda: kahler_subspace(J)),
+                         ("kahler_subspace_conjugated", lambda: kahler_subspace(PJ)),
+                         ("kahler_subspace_first_call", first_call)):
             layers[name][str(n)] = timed(fn, SEARCH_CALLS)
         if n % 4 == 0:
             T = standard_quaternion_triple(n)

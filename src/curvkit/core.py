@@ -729,6 +729,13 @@ def standard_complex_structure(n: int) -> ComplexStructure:
     return ComplexStructure(J)
 
 
+def _holomorphic_frame(Jm: np.ndarray) -> np.ndarray:
+    """V (n x m, n = 2m), sqrt 2 times an orthonormal basis of the +i
+    eigenspace of J as columns: iJ V = -V, so x = Re(V z) is an isometry
+    C^m -> R^n with Jx = Re(V iz), and z = V^H x."""
+    return np.sqrt(2.0) * np.linalg.eigh(1j * Jm)[1][:, :len(Jm) // 2]
+
+
 def standard_quaternion_triple(n: int) -> QuaternionTriple:
     """Left multiplication by i, j, k on R^(4m) = H^m (basis 1, i, j, k per block)."""
     if n % 4 != 0 or n < 4:

@@ -24,9 +24,10 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frame_forms, _invariance_defects,
-                   _reaction, _require_same_n, _require_vector, _unpack_two_form, curvature_map,
-                   isotropic_from_columns, pair_indices, qform, wedge)
+                   QuaternionTriple, _bianchi_gather, _frame_forms, _holomorphic_frame,
+                   _invariance_defects, _reaction, _require_same_n, _require_vector,
+                   _unpack_two_form, curvature_map, isotropic_from_columns, pair_indices, qform,
+                   wedge)
 from .spaces import _nullspace
 
 
@@ -485,7 +486,7 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     if n < 4:
         raise CurvatureError("no unit Y is orthogonal to X and JX for n < 4")
     s = _unit_scale(R.mat[None])
-    V = np.sqrt(2.0) * np.linalg.eigh(1j * Jm)[1][:, :n // 2]     # iJ V = -V
+    V = _holomorphic_frame(Jm)                                  # iJ V = -V
     starts = V.conj().T @ np.moveaxis(_random_starts(cfg, 2, n), 1, 2)   # x, then y, per seed
     values, Z, iterations, reasons, passes = _descend(
         _bisectional_value_grad(R.mat[None] / s[0], Jm, V, cfg.restarts), starts, cfg)

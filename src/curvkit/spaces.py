@@ -10,13 +10,17 @@ the generic space.
 The generic space is written down in closed form: the Bianchi rows act on
 disjoint triples of entries of M (``core._bianchi_gather``), so ker b is
 spanned by the unit coordinates off every triple and by two orthonormal
-vectors orthogonal to the row (1, -1, 1) on each triple.  For h a proper
-subspace with orthonormal basis U, M = U S U^T, and the symmetric d x d
-matrix S is parametrized by its weighted upper triangle (so that the
-Euclidean inner product of coordinates equals the Frobenius inner product of
-rank-4 tables); an orthonormal basis of the nullspace of the Bianchi rows on
-these d(d+1)/2 unknowns is read off a singular value decomposition with an
-explicit relative cutoff.  The dimensions have closed forms, n^2(n^2-1)/12
+vectors orthogonal to the row (1, -1, 1) on each triple.  So is the Kahler
+space: its tensors are the Hermitian forms on Sym^2(C^m) (Mok 1988), whose
+basis for the standard J is a cached table of entries (``_kahler_table``),
+conjugated by C_P for any other J = P J0 P^T.  Only the hyper-Kahler space
+still takes an SVD: for h = sp(m) with orthonormal basis U, M = U S U^T,
+and the symmetric d x d matrix S is parametrized by its weighted upper
+triangle (so that the Euclidean inner product of coordinates equals the
+Frobenius inner product of rank-4 tables); an orthonormal basis of the
+nullspace of the Bianchi rows on these d(d+1)/2 unknowns is read off a
+singular value decomposition with an explicit relative cutoff.  The
+dimensions have closed forms, n^2(n^2-1)/12
 (generic), (m(m+1)/2)^2 (Kahler, n = 2m) and C(2m+3, 4) (hyper-Kahler,
 n = 4m), which the verification suite and the tests compare against; no
 table of dimensions is stored.
@@ -28,11 +32,11 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
-                   QuaternionTriple, _bianchi_gather, _frozen, _require_same_n, _stored,
-                   invariance_defect, num_pairs, scalar_curvature,
-                   model_quaternionic_projective, two_form_action)
+                   QuaternionTriple, _bianchi_gather, _frozen, _holomorphic_frame,
+                   _pair_positions, _require_same_n, _stored, invariance_defect, num_pairs,
+                   scalar_curvature, model_quaternionic_projective, two_form_action)
 
-SV_CUTOFF = 1e-8        # relative singular-value cutoff for rank decisions
+SV_CUTOFF = 1e-8        # relative singular-value cutoff of _nullspace (hyper-Kahler, frames)
 MAX_BASIS_N = 12        # dense basis construction is capped here
 
 
@@ -120,13 +124,66 @@ def _generic_space(n: int) -> CurvatureSubspace:
     return CurvatureSubspace(n=n, label="generic", stacked=_frozen(M.reshape(-1, N, N)))
 
 
+@lru_cache(maxsize=None)
+def _kahler_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the closed-form basis of K(u(m)) for the
+    standard J, n = 2m, as element indices, flat indices into M and values.
+
+    Kahler tensors are the Hermitian forms H_(ac),(bd) = R(Z_a, Zbar_b, Z_c,
+    Zbar_d) on Sym^2(C^m) (Mok, J. Differential Geom. 27, 1988).  With the
+    (1,1)-forms alpha_ab = xi_a ^ conj(xi_b) on the pair basis, each pair
+    p = {a <= c}, q = {b <= d} gives the complex matrix Phi_pq = alpha_ab
+    (x) alpha_cd + alpha_cb (x) alpha_ad plus its transpose, symmetric in
+    a <-> c and in b <-> d, with conj(Phi_pq) = Phi_qp.  The elements are
+    Re Phi_pq for every p <= q, then -Im Phi_pq for every p < q, each
+    scaled to 2 |M|_F = 1: (m(m+1)/2)^2 of them, orthonormal, with at most
+    32 nonzero entries each, summed from 64 index-arithmetic terms per
+    pair (p, q).  Each entry is a small integer times its element's scale,
+    so the Bianchi sums and M C_J - M vanish exactly."""
+    N = num_pairs(n)
+    pos, sign = _pair_positions(n)
+    A, C = np.triu_indices(n // 2)                    # the pairs {a <= c}
+    P, Q = np.triu_indices(len(A))                    # the elements' pairs p <= q
+    s, t = np.divmod(np.arange(4), 2)
+    xi = np.array([1.0, 1.0j])      # xi_a = e_2a + i e_2a+1 on its coordinates 2a, 2a+1
+
+    def alpha(x, y):
+        """Pair positions and coefficients of alpha_xy, 4 terms per row."""
+        i, j = 2 * x[:, None] + s, 2 * y[:, None] + t
+        return pos[i, j], xi[s] * xi[t].conj() * sign[i, j]
+
+    def product(u, v):
+        """Flat indices and coefficients of u (x) v, 16 terms per row."""
+        return ((u[0][:, :, None] * N + v[0][:, None, :]).reshape(len(P), -1),
+                (u[1][:, :, None] * v[1][:, None, :]).reshape(len(P), -1))
+
+    a, c, b, d = A[P], C[P], A[Q], C[Q]
+    (f1, v1), (f2, v2) = product(alpha(a, b), alpha(c, d)), product(alpha(c, b), alpha(a, d))
+    off = P < Q
+    flat = np.hstack([f1, f2])
+    flat = np.hstack([flat, flat % N * N + flat // N])   # and the transposes
+    flat = np.vstack([flat, flat[off]])
+    phi = np.hstack([v1, v2, v1, v2])
+    vals = np.vstack([phi.real, -phi.imag[off]])
+    # sum the terms that land on one entry; drop those that cancel
+    key, inv = np.unique(np.arange(len(flat))[:, None] * (N * N) + flat, return_inverse=True)
+    vals = np.bincount(inv.ravel(), weights=vals.ravel())
+    keep = vals != 0.0
+    elem, flat = np.divmod(key[keep], N * N)
+    vals = vals[keep]
+    vals /= 2.0 * np.sqrt(np.bincount(elem, weights=vals * vals))[elem]
+    return _frozen(elem), _frozen(flat), _frozen(vals)
+
+
 def _holonomy_space(n: int, U: np.ndarray, label: str,
                     structures: tuple | None) -> CurvatureSubspace:
     """Orthonormal basis of K(h) for h != Lambda^2 spanned by the orthonormal
     columns of U (N x d), from the SVD of the Bianchi rows on S.  Entry (r, c)
     of U S U^T is the sum over p <= q of S_pq (U[r,p] U[c,q] + U[r,q] U[c,p]),
     halved for p = q; a quadruple's Bianchi row adds its three entries with
-    signs +, -, +.  The generic space is ``_generic_space``, with no SVD."""
+    signs +, -, +.  It builds the hyper-Kahler space; the generic and Kahler
+    spaces are closed form (``_generic_space``, ``_kahler_table``), with no
+    SVD, and the tests keep this build as their oracle."""
     N = num_pairs(n)
     P, Q, w = _coord_maps(U.shape[1])
     r, c = np.divmod(_bianchi_gather(n)[0], N)        # (3, quadruples) each
@@ -154,11 +211,26 @@ def curvature_space_basis(n: int) -> CurvatureSubspace:
 
 def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
     """Curvature tensors invariant under J: R(X,Y,JZ,JW) = R(X,Y,Z,W);
-    K(u(m)), of dimension (m(m+1)/2)^2 for n = 2m."""
+    K(u(m)), of dimension (m(m+1)/2)^2 for n = 2m, in closed form: the
+    ``_kahler_table`` entries scattered into a zero stack, as they are for
+    the standard J and conjugated by C_P for any other J = P J0 P^T."""
     n = J.n
     if not 4 <= n <= MAX_BASIS_N:
         raise CurvatureError(f"subspace construction supported for 4 <= n <= {MAX_BASIS_N}")
-    return _holonomy_space(n, _fixed_two_forms([J.matrix]), "kahler", (J.matrix,))
+    N, dim = num_pairs(n), (n // 2 * (n // 2 + 1) // 2) ** 2
+    elem, flat, vals = _kahler_table(n)
+    M = np.zeros((dim, N * N))
+    M[elem, flat] = vals
+    M = M.reshape(dim, N, N)
+    Jm = J.matrix
+    if not np.array_equal(Jm, np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])):   # J0
+        # J = P J0 P^T for P e_2a = Re V_a, P e_2a+1 = -Im V_a, V_a the
+        # columns of V; R0 in K(J0) pulls back to C_P M0 C_P^T in K(J).
+        V = _holomorphic_frame(Jm)
+        CP = two_form_action(np.stack([V.real, -V.imag], axis=-1).reshape(n, n))
+        M = CP @ M @ CP.T
+        M = 0.5 * (M + M.transpose(0, 2, 1))          # symmetrized against roundoff
+    return CurvatureSubspace(n=n, label="kahler", stacked=_frozen(M), structures=(Jm,))
 
 
 def hyperkahler_subspace(T: QuaternionTriple) -> CurvatureSubspace:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, NonFiniteError, QuaternionTriple, bianchi_sums,
-                          model_sphere, pair_indices, ricci, standard_complex_structure,
-                          standard_quaternion_triple)
-from curvkit.spaces import (_fixed_two_forms, _holonomy_space, _sample_stack,
+from curvkit.core import (ComplexStructure, NonFiniteError, QuaternionTriple,
+                          _invariance_defects, bianchi_sums, model_sphere, pair_indices, ricci,
+                          standard_complex_structure, standard_quaternion_triple)
+from curvkit.spaces import (_fixed_two_forms, _holonomy_space, _kahler_table, _sample_stack,
                             constraint_violation,
                             curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             project_onto, qk_decompose, sample)
@@ -161,6 +161,64 @@ def test_generic_basis_needs_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     for n in (4, 8):
         assert curvature_space_basis(n).dimension == n * n * (n * n - 1) // 12
+
+
+def _outside(space, other):
+    """Max entry of the part of ``space``'s basis outside the span of
+    ``other``'s orthonormal basis (4 B B^T = I)."""
+    B = space.stacked.reshape(space.dimension, -1)
+    O = other.stacked.reshape(other.dimension, -1)
+    return float(np.abs(B - (4.0 * B @ O.T) @ O).max())
+
+
+@pytest.mark.parametrize("n,conjugate", [(n, c) for n in range(4, 13, 2) for c in (False, True)])
+def test_kahler_basis_is_closed_form(n, conjugate):
+    """K(u(m)) for the standard J and a conjugated one: the closed-form
+    dimension, orthonormal, Bianchi and J-invariant (exactly for the standard
+    J), and the span of the SVD build of ``_holonomy_space`` on the fixed
+    2-forms of J; ``test_projector_matches_stacked_rows_oracle`` holds it to
+    the stacked-rows oracle at n <= 8."""
+    space, (Jm,) = _space_and_structures("kahler", n, conjugate)
+    m = n // 2
+    assert space.dimension == (m * (m + 1) // 2) ** 2
+    B = space.stacked.reshape(space.dimension, -1)
+    np.testing.assert_allclose(4.0 * B @ B.T, np.eye(len(B)), rtol=0, atol=1e-13)
+    sums, defects = bianchi_sums(space.stacked, n), _invariance_defects(space.stacked, (Jm,))
+    if conjugate:
+        assert np.abs(sums).max() <= 1e-14 and defects.max() <= 1e-14
+    else:
+        assert not sums.any() and not defects.any()
+        assert np.count_nonzero(B, axis=1).max() <= 32
+    svd = _holonomy_space(n, _fixed_two_forms([Jm]), "kahler", (Jm,))
+    assert svd.dimension == space.dimension
+    assert _outside(space, svd) <= 1e-13
+
+
+def test_kahler_basis_needs_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    _kahler_table.cache_clear()
+    for n in (4, 8, 12):
+        for conjugate in (False, True):
+            m = n // 2
+            assert _space_and_structures("kahler", n, conjugate)[0].dimension == \
+                (m * (m + 1) // 2) ** 2
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_hyperkahler_basis_nested_in_each_kahler_space(n):
+    T = standard_quaternion_triple(n)
+    hk = hyperkahler_subspace(T)
+    for A in (T.I, T.J, T.K):
+        assert _outside(hk, kahler_subspace(A)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_kahler_basis_nested_in_generic_space(n):
+    kahler = kahler_subspace(standard_complex_structure(n))
+    assert _outside(kahler, curvature_space_basis(n)) <= 1e-14
 
 
 @pytest.mark.parametrize("label,n,expected",
