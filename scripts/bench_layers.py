@@ -12,8 +12,11 @@ isotropic value `isotropic_from_columns` of one frame, and a whole
 `min_isotropic` search with FRAMES restarts at optimizer seed 0 (FRAMES + 1
 rows: the restarts and the best axis-aligned frame),
 whose total descent iterations, stack passes and the count of its
-rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`) are
-reported beside its time, and a whole `min_orthogonal_bisectional` search
+rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`, `certified`) are
+reported beside its time, the certificate layer, Ky Fan's bound
+`_ky_fan_bound` of the tensor (one `eigvalsh`) and a whole `min_isotropic`
+of the Fubini-Study model (c = 4), which its probe frame certifies with no
+descent (`min_isotropic_certified`), and a whole `min_orthogonal_bisectional` search
 (standard J, the same restarts and seed), whose total descent iterations
 and stack passes are reported beside its time.  A stack pass is one
 value-and-gradient call on a search's descent stack, read from the search's
@@ -78,11 +81,11 @@ import numpy as np  # noqa: E402
 from curvkit.core import (ComplexStructure, _einstein_stack,  # noqa: E402
                           _invariance_defects, _kulkarni_nomizu_mat, _reaction, _stored, bform,
                           einstein_normalize, invariance_defect, isotropic_from_columns,
-                          project_to_curvature, qform, standard_complex_structure,
-                          standard_quaternion_triple)
+                          model_fubini_study, project_to_curvature, qform,
+                          standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
-                            _max_holomorphic_stack, _qk_reports, _retract,
+                            _ky_fan_bound, _max_holomorphic_stack, _qk_reports, _retract,
                             max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
 from curvkit.spaces import (_kahler_table, _sample_stack,  # noqa: E402
@@ -143,8 +146,9 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "dop853_step", "project_to_curvature",
              "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
-             "min_orthogonal_bisectional", "min_isotropic_per_pass",
-             "min_orthogonal_bisectional_per_pass", "curvature_space_basis",
+             "_ky_fan_bound", "min_isotropic_certified", "min_orthogonal_bisectional",
+             "min_isotropic_per_pass", "min_orthogonal_bisectional_per_pass",
+             "curvature_space_basis",
              "kahler_subspace", "kahler_subspace_conjugated", "kahler_subspace_first_call",
              "hyperkahler_subspace", "qk_q_bound_check",
              "qk_q_bound_check_batched", "maximizer_first_order_check",
@@ -164,6 +168,7 @@ def main() -> int:
         value_grad = _iso_value_grad(R.mat[None], n, FRAMES)    # one tensor, FRAMES rows
         rows = np.arange(FRAMES)
         J = standard_complex_structure(n)
+        fs = model_fubini_study(n // 2, 4.0)[0]
         q_calls = []
         dop_step = dop853_step(R, h, q_calls)
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
@@ -177,6 +182,9 @@ def main() -> int:
                                 ("isotropic_from_columns",
                                  lambda: isotropic_from_columns(R.mat, frames[0]), CALLS),
                                 ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS),
+                                ("_ky_fan_bound", lambda: _ky_fan_bound(R.mat), CALLS),
+                                ("min_isotropic_certified", lambda: min_isotropic(fs, cfg),
+                                 CALLS),
                                 ("min_orthogonal_bisectional",
                                  lambda: min_orthogonal_bisectional(R, J, cfg), SEARCH_CALLS)):
             layers[name][str(n)] = timed(fn, calls)

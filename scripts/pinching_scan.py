@@ -2,7 +2,9 @@
 
 For R(t) = (1 - t) * sphere + t * M the minimum isotropic curvature over
 orthonormal four-frames decays toward the boundary of the nonnegativity cone;
-the scan tabulates min iso and the pinching constant (min iso / 4) against t.
+the scan tabulates min iso, the pinching constant (min iso / 4) and the
+search's stop reason (``certified`` where the probe frame attains Ky Fan's
+bound) against t.
 """
 
 import argparse
@@ -47,16 +49,16 @@ def main(argv=None) -> int:
     # the whole family is searched as one descent stack
     searches = _min_isotropic_stack(np.stack([R.mat for R in family]), args.n, cfg) if ts else []
     rows = []
-    print(f"{'t':>6} {'min_iso':>12} {'pinching':>12}")
+    print(f"{'t':>6} {'min_iso':>12} {'pinching':>12}  stop_reason")
     for t, res in zip(ts, searches):
         pinching = _pinching_from_iso(res.value)
-        rows.append((t, res.value, pinching))
-        print(f"{t:6.3f} {res.value:12.8f} {pinching:12.8f}")
+        rows.append((t, res.value, pinching, res.stop_reason))
+        print(f"{t:6.3f} {res.value:12.8f} {pinching:12.8f}  {res.stop_reason}")
 
     if args.out_csv:
         with open(args.out_csv, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t", "min_iso", "pinching"])
+            w.writerow(["t", "min_iso", "pinching", "stop_reason"])
             w.writerows(rows)
         print(f"wrote {args.out_csv}")
     return 0

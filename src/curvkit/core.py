@@ -239,15 +239,15 @@ def bianchi_defect(mat: np.ndarray, n: int) -> float:
 
 
 def project_bianchi(mat: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal projection of a symmetric coefficient matrix onto the
-    kernel of the cyclic sum: each quadruple's three entries and their
-    transposes move by -b/3 (1, -1, 1)."""
+    """Orthogonal projection of a symmetric coefficient matrix, or of each
+    matrix of a (..., N, N) stack, onto the kernel of the cyclic sum: each
+    quadruple's three entries and their transposes move by -b/3 (1, -1, 1)."""
     fwd, bwd = _bianchi_gather(n)
-    corr = _BIANCHI_SIGNS * (bianchi_sums(mat, n) / 3.0)
+    corr = _BIANCHI_SIGNS * (bianchi_sums(mat, n) / 3.0)[..., None, :]
     out = np.array(mat, dtype=float)
-    flat = out.reshape(-1)
-    flat[fwd] -= corr
-    flat[bwd] -= corr
+    flat = out.reshape(out.shape[:-2] + (-1,))
+    flat[..., fwd] -= corr
+    flat[..., bwd] -= corr
     return out
 
 

@@ -16,6 +16,12 @@ multistart, on tensors scaled to |M|_max = 1.  One engine,
 restart stopped (``stop_reason``), how long each restart ran and how many
 stack passes the search took; they report values, and frames are
 certificates, never compared directly.
+
+The isotropic search first tries to certify each tensor without a descent:
+by Ky Fan's inequality (Ky Fan 1949) every isotropic value is at least
+2 (lambda_1 + lambda_2) of M, so a tensor whose best axis-aligned frame
+attains that bound, to CERT_TOL |M|_max, has its minimum there
+(``stop_reason`` ``certified``, no passes; ``lower_bound`` carries the bound).
 """
 
 from dataclasses import dataclass, field
@@ -59,7 +65,7 @@ class OptimizerConfig:
 class FrameSearchResult:
     value: float
     frame_or_vector: object            # FourFrame for frame searches, 1-d array else
-    converged: bool                    # stop_reason == "grad_tol"
+    converged: bool                    # stop_reason is "grad_tol" or "certified"
     iterations: int
     restart_values: list = field(default_factory=list)
     restart_frames: list = field(default_factory=list, repr=False)
@@ -67,13 +73,15 @@ class FrameSearchResult:
     restart_iterations: list = field(default_factory=list)   # aligned with restart_values
     restart_stop_reasons: list = field(default_factory=list)  # likewise
     passes: int = 0                    # value-and-gradient calls of the descent stack
+    lower_bound: float | None = None   # Ky Fan's bound on the value, where it was computed
 
 
 # ---------------------------------------------------------------------------
 # Stiefel descent engine
 # ---------------------------------------------------------------------------
 
-STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters")
+STOP_REASONS = ("grad_tol", "line_search_floor", "max_iters", "certified")
+CERT_TOL = 1e-12        # a probe value certifies within CERT_TOL |M|_max of Ky Fan's bound
 CHECK_TOL = 1e-6        # of boundary_q_check and qk_q_bound_check
 FIRST_ORDER_TOL = 1e-5  # of the first-order conditions at a holomorphic maximizer
 _STEP = 0.1             # first trial step; BB steps are clipped to [1e-6, 1e3] * _STEP
@@ -297,15 +305,22 @@ def _require_four_frames(n: int) -> None:
         raise CurvatureError("isotropic curvature needs n >= 4")
 
 
-def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
-                         on_iterate=None) -> list[FrameSearchResult]:
-    """``min_isotropic`` of each tensor of a (T, N, N) stack, in order, bit for bit:
+def _ky_fan_bound(mats: np.ndarray) -> np.ndarray:
+    """2 (lambda_1 + lambda_2) of each matrix of a (..., N, N) stack, its two
+    least eigenvalues: a lower bound of every isotropic value (Ky Fan 1949),
+    as w_1 and w_2 (``_frame_forms``) are orthogonal with |w_a|^2 = 2."""
+    lam = np.linalg.eigvalsh(mats)
+    return 2.0 * (lam[..., 0] + lam[..., 1])
+
+
+def _search_isotropic(mats: np.ndarray, n: int, cfg: OptimizerConfig,
+                      on_iterate=None) -> list[FrameSearchResult]:
+    """The multistart descent of each tensor of a (T, N, N) stack, in order:
     one ``_descend`` stack runs, per tensor, restart r from seed ``cfg.seed + r``,
     then its best axis-aligned frame (``_best_probe``).  No row ends above its
     start beyond roundoff (see ``_descend``), so each value is at most every
     axis-aligned frame's.  Each tensor is searched as M / s (``_unit_scale``) and
     scaled back, as are the values and gradient norms ``on_iterate`` sees (T = 1)."""
-    _require_four_frames(n)
     s = _unit_scale(mats)
     mats = mats / s[:, None, None]
     seeded = _random_starts(cfg, n, 4)
@@ -316,11 +331,57 @@ def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
                           FourFrame)
 
 
+def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
+                         on_iterate=None) -> list[FrameSearchResult]:
+    """``min_isotropic`` of each tensor of a (T, N, N) stack, in order, bit for bit.
+
+    Tensor t is certified when its best axis-aligned frame (``_best_probe``)
+    attains Ky Fan's bound b_t (``_ky_fan_bound``): on M / s (``_unit_scale``),
+    p_t <= b_t + tol_t for its value p_t (``isotropic_from_columns``) and
+    tol_t = CERT_TOL |M_t / s_t|_max.  b_t is computed, in one batched
+    ``eigvalsh``, only where p_t <= 2 (d_1 + d_2) + tol_t for the two least
+    diagonal entries d of M_t / s_t, which b_t never exceeds.  NaN fails every
+    comparison, so a non-finite tensor never certifies.  A certified tensor's
+    result is that frame alone (``certified``, no iterations, no passes); the
+    others run through ``_search_isotropic`` as one stack, so each gets the
+    result it would get alone.  ``lower_bound`` is s_t b_t wherever b_t was
+    computed, None elsewhere."""
+    _require_four_frames(n)
+    s = _unit_scale(mats)
+    unit = mats / s[:, None, None]
+    probes = np.stack([_best_probe(m, n) for m in unit])
+    p = isotropic_from_columns(unit, probes)
+    tol = CERT_TOL * np.abs(unit).max(axis=(1, 2))
+    d = np.partition(np.diagonal(unit, axis1=1, axis2=2), 1, axis=1)
+    bounded = p <= 2.0 * (d[:, 0] + d[:, 1]) + tol
+    b = np.full(len(unit), np.nan)
+    b[bounded] = _ky_fan_bound(unit[bounded])
+    certified = p <= b + tol
+    todo = np.flatnonzero(~certified)
+    searched = iter(_search_isotropic(mats[todo], n, cfg, on_iterate) if len(todo) else ())
+    results = []
+    for t in range(len(unit)):
+        if certified[t]:
+            value = float(s[t] * p[t])
+            res = FrameSearchResult(
+                value=value, frame_or_vector=FourFrame(probes[t]), converged=True,
+                iterations=0, restart_values=[value], restart_frames=[probes[t]],
+                stop_reason="certified", restart_iterations=[0],
+                restart_stop_reasons=["certified"], passes=0)
+        else:
+            res = next(searched)
+        res.lower_bound = float(s[t] * b[t]) if bounded[t] else None
+        results.append(res)
+    return results
+
+
 def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
                   on_iterate=None) -> FrameSearchResult:
     """Multistart minimization of the isotropic curvature over orthonormal
-    4-frames, the T = 1 case of ``_min_isotropic_stack``; ``on_iterate(F, val,
-    gnorm)`` sees every iteration of every row.  CurvatureError for n < 4."""
+    4-frames, unless the best axis-aligned frame attains Ky Fan's bound: the
+    T = 1 case of ``_min_isotropic_stack``.  ``on_iterate(F, val, gnorm)``
+    sees every iteration of every row of a descent (none when the tensor is
+    certified).  CurvatureError for n < 4."""
     return _min_isotropic_stack(R.mat[None], R.n, cfg or OptimizerConfig(), on_iterate)[0]
 
 

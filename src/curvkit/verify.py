@@ -76,10 +76,12 @@ class VerificationReport:
 
 
 def _stop_counts(searches: list) -> str:
-    """How many rows of the searches of one descent stack stopped for each
-    reason, and the stack's passes, as one phrase."""
+    """How many rows of the searches of one call stopped for each reason,
+    and the passes of its descent stack, the most any search reports (a
+    certified search has none), as one phrase."""
     reasons = [r for res in searches for r in res.restart_stop_reasons]
-    return f"{len(reasons)} rows, {searches[0].passes} stack passes: " + ", ".join(
+    passes = max(res.passes for res in searches)
+    return f"{len(reasons)} rows, {passes} stack passes: " + ", ".join(
         f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS if r in reasons)
 
 

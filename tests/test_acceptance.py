@@ -16,7 +16,7 @@ from curvkit.core import (CurvatureTensor, FourFrame, bform,
                           standard_quaternion_triple)
 from curvkit.flow import FlowConfig, integrate_q_flow, rk4_step, \
     scalar_blowup_oracle
-from curvkit.frames import (OptimizerConfig, _iso_value_grad, boundary_q_check,
+from curvkit.frames import (OptimizerConfig, _iso_value_grad, _search_isotropic, boundary_q_check,
                             min_isotropic, qk_q_bound_check, sample_frames_min)
 from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             sample)
@@ -104,34 +104,41 @@ def test_criterion_05_sphere_shift_identity(capsys):
 
 @pytest.fixture(scope="module")
 def boundary_runs(fs4, r0_8):
+    """Per model: the search, which certifies its probe frame, and the
+    multistart descent from the same starts, whose rows and zero frames the
+    criteria check as well."""
     out = {}
+    cfg = OptimizerConfig(restarts=64, seed=0)
     for name, R in (("fubini-study", fs4[0]), ("quaternionic", r0_8)):
         t0 = time.perf_counter()
-        res = min_isotropic(R, OptimizerConfig(restarts=64, seed=0))
+        res = min_isotropic(R, cfg)
+        descent = _search_isotropic(R.mat[None], R.n, cfg)[0]
         oracle, _ = sample_frames_min(R, num_samples=100_000, seed=1)
-        out[name] = (R, res, oracle, time.perf_counter() - t0)
+        out[name] = (R, res, descent, oracle, time.perf_counter() - t0)
     return out
 
 
 def test_criterion_06_boundary_minima(capsys, boundary_runs):
     ok, parts = True, []
-    for name, (R, res, oracle, dt) in boundary_runs.items():
-        good = (abs(res.value) <= 1e-6
-                and all(v >= -1e-8 for v in res.restart_values)
+    for name, (R, res, descent, oracle, dt) in boundary_runs.items():
+        good = (res.stop_reason == "certified"
+                and abs(res.value) <= 1e-6
+                and abs(descent.value) <= 1e-6
+                and all(v >= -1e-8 for v in descent.restart_values)
                 and oracle >= -1e-8
                 and dt < 120.0)
         ok = ok and good
-        parts.append(f"{name}: min {res.value:.1e}, oracle {oracle:.1e}, "
-                     f"{dt:.0f}s")
+        parts.append(f"{name}: min {res.value:.1e} ({res.stop_reason}), "
+                     f"descent {descent.value:.1e}, oracle {oracle:.1e}, {dt:.0f}s")
     _report(capsys, 6, ok, "; ".join(parts))
 
 
 def test_criterion_07_reaction_on_boundary_frames(capsys, boundary_runs):
     ok, count, worst = True, 0, np.inf
-    for name, (R, res, oracle, dt) in boundary_runs.items():
-        frames = [res.frame_or_vector]
+    for name, (R, res, descent, oracle, dt) in boundary_runs.items():
+        frames = [res.frame_or_vector, descent.frame_or_vector]
         frames += [FourFrame(F) for F, v in
-                   zip(res.restart_frames, res.restart_values)
+                   zip(descent.restart_frames, descent.restart_values)
                    if abs(v) <= 1e-6]
         for F in frames:
             rep = boundary_q_check(R, F, min_iso=res.value)

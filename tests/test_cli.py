@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvkit.cli import main
-from curvkit.core import model_r0, standard_quaternion_triple
+from curvkit.core import model_r0, model_sphere, standard_quaternion_triple
 from curvkit.flow import FlowConfig, integrate_q_flow
 from curvkit.frames import OptimizerConfig, min_isotropic
 from curvkit.spaces import MAX_BASIS_N
@@ -36,6 +36,8 @@ def test_model_then_pinch(tmp_path, capsys):
     rep = last_json(out)
     assert abs(rep["value"] - 1.5) < 1e-8
     assert rep["what"] == "pinch" and rep["n"] == 4
+    assert rep["lower_bound"] == rep["value"] == 1.5
+    assert rep["stop_reason"] == rep["verdict"] == "certified"
 
 
 def test_model_r0_ricci(tmp_path, capsys):
@@ -67,7 +69,38 @@ def test_fubini_study_iso_min_nonneg(tmp_path, capsys):
     assert code == 0
     rep = last_json(out)
     assert abs(rep["value"]) < 1e-6
-    assert rep["stop_reason"] in ("grad_tol", "line_search_floor", "max_iters")
+    assert rep["stop_reason"] == "certified" and rep["passes"] == 0
+    assert rep["verdict"] == "certified" and rep["lower_bound"] <= rep["value"]
+
+
+@pytest.mark.parametrize("what, unit", [("iso-min", 1.0), ("pinch", 0.25)])
+def test_check_reports_lower_bound_and_verdict(tmp_path, capsys, what, unit):
+    """``lower_bound`` is Ky Fan's 2 (lambda_1 + lambda_2) of M, in the units
+    of ``value``; the verdict is ``certified`` when it is >= -tol,
+    ``refuted`` when the value is < -tol, and ``searched`` otherwise.  A
+    random tensor is refuted; sphere shifts, which add 4 c to every
+    isotropic value and to the bound, put the value above 0 with the bound
+    below (searched), then the bound above 0 too (certified)."""
+    n = 6
+    R = random_curvature(n, seed=7)
+    lam = np.linalg.eigvalsh(R.mat)
+    bound = 2.0 * (lam[0] + lam[1])
+    low = min_isotropic(R, OptimizerConfig(restarts=4, seed=2)).value
+    assert bound < low < 0
+    shifts = {"refuted": 0.0, "searched": (0.5 * (low - bound) - low) / 4.0,
+              "certified": (1.0 - bound) / 4.0}
+    for verdict, c in shifts.items():
+        p = tmp_path / f"{verdict}.json"
+        save_tensor(R + model_sphere(n, c), p)
+        code, out, _ = run(capsys, "check", "--in", str(p), "--what", what,
+                           "--restarts", "4", "--seed", "2")
+        assert code == 0
+        rep = last_json(out)
+        lam = np.linalg.eigvalsh(load_tensor(p).mat)
+        assert rep["verdict"] == verdict
+        assert abs(rep["lower_bound"] - unit * 2.0 * (lam[0] + lam[1])) <= 1e-12
+        assert rep["lower_bound"] <= rep["value"]
+        assert rep["stop_reason"] != "certified"
 
 
 @pytest.mark.parametrize("what", ["iso-min", "pinch"])

@@ -99,9 +99,13 @@ def test_min_isotropic_descends_once(monkeypatch, n, seed, restarts, max_iters, 
 @pytest.mark.parametrize("n", SIZES)
 def test_isotropic_stack_matches_one_search_per_tensor(n):
     """Each tensor of a ``_min_isotropic_stack`` gets the result of its own
-    ``min_isotropic``, bit for bit: the same values, frames, iterations and
-    stop reasons, in input order; the tensors share the stack's passes."""
+    ``min_isotropic``, bit for bit: the same values, frames, iterations,
+    stop reasons and bounds, in input order.  The searched tensors share the
+    stack's passes; the sphere and Fubini-Study models between them are
+    certified, with no passes."""
     Rs = [random_curvature(n, seed=960 + 10 * n + t) * (t + 0.5) for t in range(5)]
+    Rs[1:1] = [model_sphere(n, 2.0)]
+    Rs[4:4] = [model_fubini_study(n // 2, 4.0)[0]]
     cfg = OptimizerConfig(restarts=3, max_iters=300, seed=n)
     stacked = frames._min_isotropic_stack(np.stack([R.mat for R in Rs]), n, cfg)
     singles = [min_isotropic(R, cfg) for R in Rs]
@@ -110,10 +114,13 @@ def test_isotropic_stack_matches_one_search_per_tensor(n):
         assert res.restart_values == alone.restart_values
         assert res.restart_iterations == alone.restart_iterations
         assert res.restart_stop_reasons == alone.restart_stop_reasons
-        assert (res.value, res.stop_reason, res.iterations) == (
-            alone.value, alone.stop_reason, alone.iterations)
+        assert (res.value, res.stop_reason, res.iterations, res.lower_bound) == (
+            alone.value, alone.stop_reason, alone.iterations, alone.lower_bound)
         np.testing.assert_array_equal(res.frame_or_vector.matrix, alone.frame_or_vector.matrix)
-    assert {res.passes for res in stacked} == {max(alone.passes for alone in singles)}
+    certified = [res.stop_reason == "certified" for res in stacked]
+    assert certified == [False, True, False, False, True, False, False]
+    searched = [alone.passes for alone, c in zip(singles, certified) if not c]
+    assert [res.passes for res in stacked] == [0 if c else max(searched) for c in certified]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -242,14 +249,22 @@ def test_stacked_retraction_matches_serial_qr(k):
 # ---------------------------------------------------------------------------
 
 def test_stop_reason_grad_tol_on_sphere():
-    res = min_isotropic(model_sphere(6, 1.0), OptimizerConfig(restarts=3, seed=0))
+    """The search certifies its probe frame; the descent from the same
+    starts stops at once on the constant objective."""
+    R, cfg = model_sphere(6, 1.0), OptimizerConfig(restarts=3, seed=0)
+    assert min_isotropic(R, cfg).stop_reason == "certified"
+    res = frames._search_isotropic(R.mat[None], 6, cfg)[0]
     assert res.stop_reason == "grad_tol" and res.converged
     assert res.restart_iterations == [1] * 4          # 3 seeded rows and the probe row
 
 
 def test_stop_reason_grad_tol_on_fubini_study():
+    """As on the sphere: certified, and the descent from the same starts
+    converges to the zero minimum."""
     R, _ = model_fubini_study(4, 4.0)
-    res = min_isotropic(R, OptimizerConfig(restarts=16, seed=0))
+    cfg = OptimizerConfig(restarts=16, seed=0)
+    assert min_isotropic(R, cfg).stop_reason == "certified"
+    res = frames._search_isotropic(R.mat[None], 8, cfg)[0]
     assert abs(res.value) < 1e-12
     assert res.stop_reason == "grad_tol" and res.converged
     assert res.iterations < 500
@@ -337,13 +352,16 @@ def test_searches_are_scale_equivariant(k):
 
 
 def test_searches_of_the_zero_tensor():
-    """The zero tensor is searched as it is (scale 1): every row stops at once."""
+    """The zero tensor is searched as it is (scale 1): every row stops at
+    once.  Its isotropic search certifies the probe frame (0 = 0, tol 0)."""
     n = 6
     R = random_curvature(n, seed=820) * 0.0
     cfg = OptimizerConfig(restarts=2, seed=0)
     J = standard_complex_structure(n)
-    for res in (min_isotropic(R, cfg), max_holomorphic_sectional(R, J, cfg),
-                min_orthogonal_bisectional(R, J, cfg)):
+    res = min_isotropic(R, cfg)
+    assert (res.value, res.lower_bound, res.stop_reason) == (0.0, 0.0, "certified")
+    for res in (frames._search_isotropic(R.mat[None], n, cfg)[0],
+                max_holomorphic_sectional(R, J, cfg), min_orthogonal_bisectional(R, J, cfg)):
         assert res.value == 0.0 and res.stop_reason == "grad_tol"
 
 

@@ -1,15 +1,17 @@
 """Frame search: optimizer behavior, analytic gradients, structured checks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from curvkit.core import (ComplexStructure, CurvatureError, FourFrame, QuaternionTriple,
-                          curvature_map, evaluate, holomorphic_sectional, isotropic_curvature,
-                          isotropic_from_columns, model_fubini_study, model_sphere,
-                          orthogonal_bisectional, rotate_triple, standard_complex_structure,
-                          standard_quaternion_triple, wedge, zero_tensor)
+from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
+                          QuaternionTriple, curvature_map, evaluate, holomorphic_sectional,
+                          isotropic_curvature, isotropic_from_columns, model_fubini_study,
+                          model_r0, model_sphere, orthogonal_bisectional, rotate_triple,
+                          standard_complex_structure, standard_quaternion_triple,
+                          two_form_action, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
                             _best_probe, _iso_value_grad, _retract, _stiefel_tangent,
@@ -54,7 +56,12 @@ def test_config_rejects_bad_seed(seed):
 
 
 def test_sphere_constant_objective(light_cfg):
-    res = min_isotropic(model_sphere(6, 1.5), light_cfg)
+    """The search certifies the sphere at its probe frame, and the descent
+    from the same starts stops after its first iteration."""
+    R = model_sphere(6, 1.5)
+    res = min_isotropic(R, light_cfg)
+    assert res.value == res.lower_bound == 6.0 and res.stop_reason == "certified"
+    res = frames._search_isotropic(R.mat[None], 6, light_cfg)[0]
     assert np.isclose(res.value, 6.0)
     assert res.converged and res.iterations == 1
 
@@ -190,15 +197,19 @@ def test_pinching_values(light_cfg, fs4):
 
 def test_pinch_scan_values_and_iteration_budget(fs4):
     """The sphere -> Fubini-Study scan at n = 4 (11 tensors, 16 restarts,
-    seed 0): min iso is exactly 4 (1 - t), and the Barzilai-Borwein first
-    trial keeps the total descent work to 614 iterations (the doubling step
+    seed 0): every tensor is certified at min iso 4 (1 - t), and the descent
+    from the same starts finds those values too, where the Barzilai-Borwein
+    first trial keeps the total work to 614 iterations (the doubling step
     rule it replaced took 6179)."""
     cfg = OptimizerConfig(restarts=16, seed=0)
     sphere = model_sphere(4, 1.0)
     total = 0
     for k in range(11):
         t = k / 10
-        res = min_isotropic((1.0 - t) * sphere + t * fs4[0], cfg)
+        R = (1.0 - t) * sphere + t * fs4[0]
+        res = min_isotropic(R, cfg)
+        assert res.stop_reason == "certified" and abs(res.value - 4.0 * (1.0 - t)) <= 1e-12
+        res = frames._search_isotropic(R.mat[None], 4, cfg)[0]
         assert abs(res.value - 4.0 * (1.0 - t)) <= 1e-8
         total += sum(res.restart_iterations)
     assert total < 1500
@@ -209,6 +220,94 @@ def test_pinching_shift_leaves_zero_minimum(light_cfg):
     kappa = pinching_constant(R, light_cfg)
     shifted = R + (-kappa) * model_sphere(5, 1.0)
     assert abs(min_isotropic(shifted, light_cfg).value) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Ky Fan certificate
+# ---------------------------------------------------------------------------
+
+def _rotated(R, seed):
+    """R(P., P., P., P.) for the Q factor P of a Gaussian matrix: M -> C^T M C
+    with C the action of P on 2-forms."""
+    P = np.linalg.qr(np.random.default_rng(seed).standard_normal((R.n, R.n)))[0]
+    C = two_form_action(P)
+    return CurvatureTensor(R.n, C.T @ R.mat @ C)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_ky_fan_bound_is_below_the_sampled_and_searched_minima(n):
+    """2 (lambda_1 + lambda_2) of M is at most the sampled minimum, the
+    search value and 2 (d_1 + d_2) of the diagonal; the search reports it
+    exactly when its probe frame passes the pre-test, and certifies none of
+    these tensors."""
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    for seed in range(3):
+        R = random_curvature(n, seed=1200 + 10 * n + seed)
+        bound = float(frames._ky_fan_bound(R.mat))
+        scale = np.abs(R.mat).max()
+        res = min_isotropic(R, cfg)
+        assert bound <= sample_frames_min(R, num_samples=512, seed=seed)[0]
+        assert bound <= res.value and res.stop_reason != "certified"
+        d = np.sort(np.diagonal(R.mat / scale))
+        assert bound / scale <= 2.0 * (d[0] + d[1])
+        probe = isotropic_from_columns(R.mat / scale, _best_probe(R.mat / scale, n))
+        pretest = probe <= 2.0 * (d[0] + d[1]) + frames.CERT_TOL
+        assert (res.lower_bound is not None) == pretest
+        if pretest:
+            assert abs(res.lower_bound - bound) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, kind", [(4, "fs"), (6, "fs"), (8, "fs"), (8, "r0"), (12, "r0")])
+def test_certified_result_is_the_probe_frame_at_the_bound(n, kind):
+    """The Fubini-Study and quaternionic models are certified: one row, the
+    probe frame, whose value is within CERT_TOL |M|_max of the bound."""
+    R = (model_fubini_study(n // 2, 4.0)[0] if kind == "fs"
+         else model_r0(standard_quaternion_triple(n)))
+    scale = np.abs(R.mat).max()
+    res = min_isotropic(R, OptimizerConfig(restarts=4, seed=0))
+    assert (res.stop_reason, res.converged, res.passes, res.iterations) == (
+        "certified", True, 0, 0)
+    assert (res.restart_values, res.restart_iterations, res.restart_stop_reasons) == (
+        [res.value], [0], ["certified"])
+    F = _best_probe(R.mat / scale, n)
+    np.testing.assert_array_equal(res.frame_or_vector.matrix, F)
+    np.testing.assert_array_equal(res.restart_frames[0], F)
+    assert abs(res.value - isotropic_curvature(R, res.frame_or_vector)) <= 1e-14 * scale
+    assert res.value - res.lower_bound <= frames.CERT_TOL * scale
+
+
+@pytest.mark.parametrize("n, kind", [(6, "fs"), (8, "fs"), (8, "r0"), (12, "r0")])
+def test_rotated_model_is_not_certified_and_descends_to_zero(n, kind):
+    """Negative control: a random rotation keeps Ky Fan's bound at 0 but
+    takes the zero frames off the axes, so the probe frame is no zero frame.
+    The search must not certify it, and must descend to 0."""
+    R = _rotated(model_fubini_study(n // 2, 4.0)[0] if kind == "fs"
+                 else model_r0(standard_quaternion_triple(n)), seed=1300 + n)
+    scale = np.abs(R.mat).max()
+    assert abs(frames._ky_fan_bound(R.mat)) <= 1e-12 * scale
+    assert isotropic_from_columns(R.mat, _best_probe(R.mat / scale, n)) > 0.1 * scale
+    res = min_isotropic(R, OptimizerConfig(restarts=8, seed=0))
+    assert res.stop_reason == "grad_tol" and res.passes > 0
+    assert abs(res.value) <= 1e-10 * scale
+
+
+def test_non_finite_tensor_is_never_certified():
+    """NaN fails every comparison of the certificate: a sphere with one NaN
+    or infinite entry is neither certified nor bounded, while the sphere
+    itself, in the same stack, is certified."""
+    n = 6
+    S = model_sphere(n, 1.0).mat
+    bad = []
+    for (i, j), v in itertools.product([(0, 14), (7, 7)], [np.nan, np.inf, -np.inf]):
+        M = S.copy()
+        M[i, j] = M[j, i] = v
+        bad.append(M)
+    with np.errstate(invalid="ignore", over="ignore"):
+        results = frames._min_isotropic_stack(np.stack(bad + [S]), n,
+                                              OptimizerConfig(restarts=1, max_iters=3, seed=0))
+    for res in results[:-1]:
+        assert res.stop_reason != "certified" and res.lower_bound is None
+    assert results[-1].stop_reason == "certified" and results[-1].value == 4.0
 
 
 # ---------------------------------------------------------------------------

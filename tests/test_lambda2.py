@@ -120,6 +120,18 @@ def test_project_bianchi_is_idempotent_and_keeps_curvature_tensors():
     np.testing.assert_allclose(project_bianchi(once, 6), once, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_project_bianchi_of_a_stack_matches_each_matrix(n):
+    """A (T, N, N) stack, and a (2, T, N, N) one, project matrix by matrix:
+    each output is the single-matrix projection, bit for bit."""
+    mats = np.stack([_pair_symmetric(n, seed=920 + t).mat for t in range(6)])
+    for stack in (mats, mats.reshape((2, 3) + mats.shape[1:])):
+        got = project_bianchi(stack, n)
+        assert got.shape == stack.shape
+        for m, p in zip(stack.reshape(mats.shape), got.reshape(mats.shape)):
+            np.testing.assert_array_equal(p, project_bianchi(m, n))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bform_fails_closed():
     R = random_curvature(5, seed=910)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from curvkit import verify
+from curvkit.core import model_sphere
 from curvkit.spaces import MAX_BASIS_N, CurvatureSubspace
+
+from helpers import random_curvature
 
 SUPPORTED_N = range(4, MAX_BASIS_N + 1)
 
@@ -146,16 +149,24 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
 
 
 def test_boundary_check_counts_its_rows():
-    """16 restarts and the probe row on each of the Fubini-Study and
-    quaternionic models, and the stack passes of both searches."""
+    """The Fubini-Study and quaternionic models are each certified at their
+    probe frame: one row each, and no descent."""
     report = verify.run_verification_suite(n=8, samples=1)
     detail = next(c.detail for c in report.checks if c.check_id == "boundary-q-nonneg")
-    assert detail.startswith("applicable on: fubini-study, quaternionic; 34 rows, ")
-    passes, stops = detail.split(" rows, ")[1].split(" stack passes: ")
-    assert int(passes) >= 2
-    counts = dict(part.rsplit(" ", 1) for part in stops.split(", "))
-    assert set(counts) <= set(verify.frames.STOP_REASONS)
-    assert sum(int(c) for c in counts.values()) == 34
+    assert detail == ("applicable on: fubini-study, quaternionic; "
+                      "2 rows, 0 stack passes: certified 2")
+
+
+def test_stop_counts_of_a_mixed_stack():
+    """A call whose stack mixes certified and searched tensors reports the
+    rows of both and the passes of its descent, not those of its first result."""
+    n, cfg = 6, verify.frames.OptimizerConfig(restarts=2, seed=0)
+    mats = np.stack([model_sphere(n, 1.0).mat, random_curvature(n, seed=3).mat])
+    searches = verify.frames._min_isotropic_stack(mats, n, cfg)
+    assert [res.passes for res in searches][0] == 0 < searches[1].passes
+    assert verify._stop_counts(searches) == (
+        f"4 rows, {searches[1].passes} stack passes: "
+        f"grad_tol {searches[1].restart_stop_reasons.count('grad_tol')}, certified 1")
 
 
 def test_bform_checks_make_one_stacked_call_per_model(monkeypatch):
