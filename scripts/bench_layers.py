@@ -7,10 +7,12 @@ of the stage buffer, then `flow._dop853_step`; its Q calls per step, 12,
 are reported) at each size on a projected Gaussian tensor,
 `project_to_curvature` of the Gaussian rank-4 table, and the frame layers on
 the same tensor: the batched isotropic value and gradient `_iso_value_grad`
-and the QR retraction `_retract`, each on a stack of FRAMES frames, the
-isotropic value `isotropic_from_columns` of one frame, and a whole
-`min_isotropic` search with FRAMES restarts at optimizer seed 0 (FRAMES + 1
-rows: the restarts and the best axis-aligned frame),
+and the Cholesky-QR retraction `_retract`, beside numpy's sign-fixed QR of
+the same map (`_orthonormalize`, which orthonormalizes a search's starts),
+each on a stack of FRAMES Gaussian frames, the isotropic value
+`isotropic_from_columns` of one frame, and a whole `min_isotropic` search
+with FRAMES restarts at optimizer seed 0 (FRAMES + 1 rows: the restarts and
+the best axis-aligned frame),
 whose total descent iterations, stack passes and the count of its
 rows per stop reason (`grad_tol`, `line_search_floor`, `max_iters`, `certified`) are
 reported beside its time, the certificate layer, Ky Fan's bound
@@ -85,7 +87,8 @@ from curvkit.core import (ComplexStructure, _einstein_stack,  # noqa: E402
                           standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
-                            _ky_fan_bound, _max_holomorphic_stack, _qk_reports, _retract,
+                            _ky_fan_bound, _max_holomorphic_stack, _orthonormalize,
+                            _qk_reports, _retract,
                             max_holomorphic_sectional, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
 from curvkit.spaces import (_kahler_table, _sample_stack,  # noqa: E402
@@ -145,8 +148,9 @@ def dop853_step(R, h: float, calls: list):
 def main() -> int:
     rng = np.random.default_rng(SEED)
     names = ("qform", "bform", "rk4_step", "dop853_step", "project_to_curvature",
-             "_iso_value_grad", "_retract", "isotropic_from_columns", "min_isotropic",
-             "_ky_fan_bound", "min_isotropic_certified", "min_orthogonal_bisectional",
+             "_iso_value_grad", "_retract", "_orthonormalize", "isotropic_from_columns",
+             "min_isotropic", "_ky_fan_bound", "min_isotropic_certified",
+             "min_orthogonal_bisectional",
              "min_isotropic_per_pass", "min_orthogonal_bisectional_per_pass",
              "curvature_space_basis",
              "kahler_subspace", "kahler_subspace_conjugated", "kahler_subspace_first_call",
@@ -164,7 +168,7 @@ def main() -> int:
         R, S = project_to_curvature(table), project_to_curvature(other)
         h = 1e-3 / R.norm()
         raw = rng.standard_normal((FRAMES, n, 4))
-        frames = _retract(raw)
+        frames = _orthonormalize(raw)
         value_grad = _iso_value_grad(R.mat[None], n, FRAMES)    # one tensor, FRAMES rows
         rows = np.arange(FRAMES)
         J = standard_complex_structure(n)
@@ -179,6 +183,7 @@ def main() -> int:
                                  lambda: project_to_curvature(table), CALLS),
                                 ("_iso_value_grad", lambda: value_grad(frames, rows), CALLS),
                                 ("_retract", lambda: _retract(raw), CALLS),
+                                ("_orthonormalize", lambda: _orthonormalize(raw), CALLS),
                                 ("isotropic_from_columns",
                                  lambda: isotropic_from_columns(R.mat, frames[0]), CALLS),
                                 ("min_isotropic", lambda: min_isotropic(R, cfg), SEARCH_CALLS),

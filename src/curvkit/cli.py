@@ -217,7 +217,8 @@ def cmd_flow(args) -> int:
                    steps_accepted=trace.steps_accepted,
                    steps_rejected=trace.steps_rejected,
                    reaction_evals=trace.reaction_evals, first_step=trace.first_step,
-                   monitor_s=trace.monitor_s)
+                   monitor_s=trace.monitor_s, min_iso_initial=float(trace.min_iso[0]),
+                   min_iso_final=float(trace.min_iso[-1]))
     _emit(summary)
     if args.out_csv:
         write_trace_csv(trace, args.out_csv)

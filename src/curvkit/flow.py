@@ -121,11 +121,16 @@ def _dop853_step(y: np.ndarray, K: np.ndarray, h: float, f,
                  w: float) -> tuple[np.ndarray, float]:
     """One DOP853 step of size h from the flat state y, with K[0] = f(y)
     given: fills the stages K[1:] of the (12, len(y)) buffer K through
-    ``f(x, out)``, which writes the derivative at x into out, and returns the
-    8th-order state and Hairer's error estimate h |e5|^2 / (|e5|^2 + 0.01
-    |e3|^2)^(1/2), the last components of e5 and e3 weighted by w."""
+    ``f(x, out)``, which writes the derivative at x into out (every stage
+    input x is built in one buffer), and returns the 8th-order state and
+    Hairer's error estimate h |e5|^2 / (|e5|^2 + 0.01 |e3|^2)^(1/2), the last
+    components of e5 and e3 weighted by w."""
+    x = np.empty_like(y)             # y + h (A[i] @ K[:i]), built in place
     for i in range(1, len(_A)):
-        f(y + h * (_A[i] @ K[:i]), K[i])
+        np.dot(_A[i], K[:i], out=x)
+        x *= h
+        x += y
+        f(x, K[i])
     e5, e3 = (float(np.hypot(np.linalg.norm(e[:-1]), w * e[-1])) for e in (_E5 @ K, _E3 @ K))
     den = np.hypot(e5, 0.1 * e3)
     err = h * e5 * (e5 / den) if den > 0 else 0.0
@@ -191,7 +196,9 @@ def integrate_q_flow(R0: CurvatureTensor,
     factor is 0.9 r^(-1/8) for the error ratio r, after an accepted step at
     most Gustafsson's predictive 0.9 (h / h_prev) (r_prev / r^2)^(1/8),
     r_prev >= 1e-2 (Hairer & Wanner, Solving ODEs II, IV.8), clipped to
-    [0.2, 2].  The trace records t, scalar curvature, minimum isotropic
+    [0.2, 2]; on the first accepted step, which has no step history, to
+    [0.2, 6], dop853.f's fac2, so the flow climbs out of a small first step
+    at once.  The trace records t, scalar curvature, minimum isotropic
     curvature and tensor norm every ``monitor_every`` accepted steps and at
     both endpoints, searching the states ``_MONITOR_STACK`` at a time as one
     ``_min_isotropic_stack``.  A step that overflows ends the flow with
@@ -288,13 +295,13 @@ def integrate_q_flow(R0: CurvatureTensor,
             if size > cfg.blowup_guard * norm0:
                 terminated_by = "blowup_guard"
                 break
-            grow = 2.0
+            cap = grow = 6.0 if last is None else 2.0
             if ratio > 0:
                 grow = 0.9 * ratio ** -0.125
                 if last is not None:
                     grow = min(grow, 0.9 * (h / last[0]) * (last[1] / ratio ** 2) ** 0.125)
             last = h, max(ratio, 1e-2)
-            h *= min(2.0, max(0.2, grow))
+            h *= min(cap, max(0.2, grow))
         else:
             rejected += 1
             h *= max(0.2, 0.9 * ratio ** -0.125)

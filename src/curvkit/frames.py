@@ -4,8 +4,8 @@ The workhorse is projected gradient descent on the Stiefel manifold of
 orthonormal k-column matrices, real or complex (k = 4 for isotropic frames,
 k = 1 for unit vectors, the complex pairs (z, w) in C^m for the bisectional
 search; Edelman-Arias-Smith 1998, Absil-Mahony-Sepulchre 2008): Euclidean
-gradient, tangent projection G - F herm(F^H G), QR retraction with
-positive-diagonal sign fix (x / |x| for k = 1), a Barzilai-Borwein first
+gradient, tangent projection G - F herm(F^H G), Cholesky-QR retraction (the
+QR with positive real diag R; x / |x| for k = 1), a Barzilai-Borwein first
 trial step and a backtrack that accepts only on Armijo decrease below a
 nonmonotone reference value, a weighted mean of the row's past values
 (Barzilai-Borwein 1988; Zhang-Hager, SIAM J. Optim. 14, 2004; Wen-Yin 2013
@@ -89,16 +89,44 @@ _GRAD_TOL = 1e-8        # a row stops once its projected gradient norm is at mos
 _ARMIJO = 1e-4          # sufficient-decrease constant
 _ETA = 0.85             # weight of the past in the Zhang-Hager reference value
 _BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
+_PIVOT_TOL = 1e-12      # least relative squared Cholesky pivot of a retraction
 
 
-def _retract(F: np.ndarray) -> np.ndarray:
-    """QR retraction of a real or complex stack (..., n, k) onto orthonormal
-    columns, sign-fixed to Gram-Schmidt's real positive diag R; k = 1: x / |x|."""
+def _orthonormalize(F: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of a real or complex stack (..., n, k) of
+    full-rank draws, sign-fixed to Gram-Schmidt's real positive diag R;
+    k = 1: x / |x|.  The descent's starts and the frames of
+    ``sample_frames_min`` come through it: a Gaussian draw may be too
+    ill-conditioned for ``_retract``."""
     if F.shape[-1] == 1:
         return F / np.linalg.norm(F, axis=-2, keepdims=True)
     q, r = np.linalg.qr(F)
     s = np.where(np.diagonal(r, axis1=-2, axis2=-1).real < 0, -1.0, 1.0)
     return q * s[..., None, :]
+
+
+def _retract(F: np.ndarray) -> np.ndarray:
+    """The same map as ``_orthonormalize``, by Cholesky-QR: L = chol(F^H F)
+    and Q = F L^(-H), since R = L^H has a real positive diagonal
+    (Absil-Mahony-Sepulchre 2008, 4.1); k = 1: x / |x|.  Its loss of
+    orthogonality grows with cond(F)^2, so it serves the descent's steps
+    F - a P off orthonormal F, whose Gram matrix I + a^2 P^H P is at least I.
+    CurvatureError, and no frame, when the Cholesky factorization fails: some
+    pivot l_jj^2 is at most _PIVOT_TOL |f_j|^2 (a column in the span of those
+    before it, to roundoff) or not finite."""
+    if F.shape[-1] == 1:
+        return F / np.linalg.norm(F, axis=-2, keepdims=True)
+    G = F.swapaxes(-1, -2).conj() @ F
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = None
+    # ndarray methods: np.diagonal would add a third to the cost of the check
+    if L is None or not (L.diagonal(0, -2, -1).real ** 2 / G.diagonal(0, -2, -1).real
+                         ).min(initial=np.inf) > _PIVOT_TOL:
+        raise CurvatureError("frame retraction: the columns are not linearly independent "
+                             "or not finite")
+    return F @ np.linalg.inv(L).swapaxes(-1, -2).conj()
 
 
 def _stiefel_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -116,8 +144,9 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     rows in F, so one stack can carry rows whose functional differs (rows of
     different tensors, see ``_block_product``).  A complex stack, the pairs
     of ``min_orthogonal_bisectional``, runs as a real one, with Re tr(A^H B)
-    as inner product: every search steps along ``_stiefel_tangent`` and
-    retracts by ``_retract``.  Each row's first trial after an accepted
+    as inner product: every search orthonormalizes its starts
+    (``_orthonormalize``), steps along ``_stiefel_tangent`` and retracts by
+    ``_retract``.  Each row's first trial after an accepted
     step is the BB step |s|^2 / |<s, y>|, with s the accepted move and y the
     change of the projected gradient, clipped to [1e-6, 1e3] * _STEP (the
     upper bound when <s, y> = 0; the first trial is _STEP); a rejected trial
@@ -140,7 +169,7 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     rows, and the stack's passes: its calls of ``value_grad``, the first
     one included.
     """
-    F = _retract(np.asarray(F0))
+    F = _orthonormalize(np.asarray(F0))
     B = len(F)
     rows = np.arange(B)                 # the rows of F0 still in the stack
     val, G = value_grad(F, rows)
@@ -291,7 +320,7 @@ def sample_frames_min(R: CurvatureTensor, num_samples: int = 100_000, seed: int 
     rng = np.random.default_rng(seed)
     best, best_frame = np.inf, None
     for start in range(0, num_samples, 128):
-        q = _retract(rng.standard_normal((min(128, num_samples - start), R.n, 4)))
+        q = _orthonormalize(rng.standard_normal((min(128, num_samples - start), R.n, 4)))
         vals = isotropic_from_columns(R.mat, q)
         i = int(np.argmin(vals))
         if vals[i] < best:
@@ -313,18 +342,27 @@ def _ky_fan_bound(mats: np.ndarray) -> np.ndarray:
     return 2.0 * (lam[..., 0] + lam[..., 1])
 
 
-def _search_isotropic(mats: np.ndarray, n: int, cfg: OptimizerConfig,
-                      on_iterate=None) -> list[FrameSearchResult]:
-    """The multistart descent of each tensor of a (T, N, N) stack, in order:
-    one ``_descend`` stack runs, per tensor, restart r from seed ``cfg.seed + r``,
-    then its best axis-aligned frame (``_best_probe``).  No row ends above its
-    start beyond roundoff (see ``_descend``), so each value is at most every
-    axis-aligned frame's.  Each tensor is searched as M / s (``_unit_scale``) and
-    scaled back, as are the values and gradient norms ``on_iterate`` sees (T = 1)."""
+def _unit_probes(mats: np.ndarray, n: int):
+    """(s, M / s, probes) of a (T, N, N) stack: its scales (``_unit_scale``),
+    the scaled stack and each scaled tensor's best axis-aligned frame
+    (``_best_probe``)."""
     s = _unit_scale(mats)
-    mats = mats / s[:, None, None]
+    unit = mats / s[:, None, None]
+    return s, unit, np.stack([_best_probe(m, n) for m in unit])
+
+
+def _search_isotropic(unit_probes: tuple, n: int, cfg: OptimizerConfig,
+                      on_iterate=None) -> list[FrameSearchResult]:
+    """The multistart descent of each tensor of a (T, N, N) stack, given as
+    its ``_unit_probes``, in order: one ``_descend`` stack runs, per tensor,
+    restart r from seed ``cfg.seed + r``, then its best axis-aligned frame
+    (``_best_probe``).  No row ends above its start beyond roundoff (see
+    ``_descend``), so each value is at most every axis-aligned frame's.  Each
+    tensor is searched as M / s (``_unit_scale``) and scaled back, as are the
+    values and gradient norms ``on_iterate`` sees (T = 1)."""
+    s, mats, probes = unit_probes
     seeded = _random_starts(cfg, n, 4)
-    starts = np.concatenate([np.concatenate([seeded, _best_probe(m, n)[None]]) for m in mats])
+    starts = np.concatenate([np.concatenate([seeded, p[None]]) for p in probes])
     seen = None if on_iterate is None else lambda F, v, g: on_iterate(F, s[0] * v, s[0] * g)
     r = cfg.restarts + 1
     return _split_results(*_descend(_iso_value_grad(mats, n, r), starts, cfg, seen), r, s,
@@ -343,13 +381,11 @@ def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
     diagonal entries d of M_t / s_t, which b_t never exceeds.  NaN fails every
     comparison, so a non-finite tensor never certifies.  A certified tensor's
     result is that frame alone (``certified``, no iterations, no passes); the
-    others run through ``_search_isotropic`` as one stack, so each gets the
-    result it would get alone.  ``lower_bound`` is s_t b_t wherever b_t was
-    computed, None elsewhere."""
+    others run through ``_search_isotropic`` as one stack, on their scales,
+    scaled tensors and probes, so each gets the result it would get alone.
+    ``lower_bound`` is s_t b_t wherever b_t was computed, None elsewhere."""
     _require_four_frames(n)
-    s = _unit_scale(mats)
-    unit = mats / s[:, None, None]
-    probes = np.stack([_best_probe(m, n) for m in unit])
+    s, unit, probes = _unit_probes(mats, n)
     p = isotropic_from_columns(unit, probes)
     tol = CERT_TOL * np.abs(unit).max(axis=(1, 2))
     d = np.partition(np.diagonal(unit, axis1=1, axis2=2), 1, axis=1)
@@ -358,7 +394,8 @@ def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
     b[bounded] = _ky_fan_bound(unit[bounded])
     certified = p <= b + tol
     todo = np.flatnonzero(~certified)
-    searched = iter(_search_isotropic(mats[todo], n, cfg, on_iterate) if len(todo) else ())
+    searched = iter(_search_isotropic((s[todo], unit[todo], probes[todo]), n, cfg, on_iterate)
+                    if len(todo) else ())
     results = []
     for t in range(len(unit)):
         if certified[t]:

@@ -182,8 +182,9 @@ def q_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
     """DOP853 integration of dR/dt = Q(R) with the step control of
     ``integrate_q_flow`` (factor 0.9 r^(-1/8), after an accepted step at most
     Gustafsson's 0.9 (h / h_prev) (r_prev / r^2)^(1/8) with r_prev at least
-    1e-2, clipped to [0.2, 2]), one independent :func:`dop853_step_public`
-    call per attempt and no monitoring; returns (R, accepted, rejected)."""
+    1e-2, clipped to [0.2, 2], on the first accepted step to [0.2, 6]), one
+    independent :func:`dop853_step_public` call per attempt and no
+    monitoring; returns (R, accepted, rejected)."""
     R = CurvatureTensor(R0.n, project_bianchi(R0.mat, R0.n))
     t, h = 0.0, min(dt_init, t_end)
     accepted = rejected = 0
@@ -195,13 +196,14 @@ def q_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float = 1e-3,
         if r <= 1.0:
             R, t = new, t + h
             accepted += 1
-            grow = 2.0
+            cap = 6.0 if last is None else 2.0
+            grow = cap
             if r > 0:
                 grow = 0.9 * r ** -0.125
                 if last is not None:
                     grow = min(grow, 0.9 * (h / last[0]) * (last[1] / r ** 2) ** 0.125)
             last = h, max(r, 1e-2)
-            h *= min(2.0, max(0.2, grow))
+            h *= min(cap, max(0.2, grow))
         else:
             rejected += 1
             h *= max(0.2, 0.9 * r ** -0.125)
@@ -282,7 +284,8 @@ def projective_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float | N
     tau, or :func:`initial_step_public` without dt_init, ratio
     r = err min(1, |R|) / rel_tol, factor 0.9 r^(-1/8), after an accepted
     step at most Gustafsson's 0.9 (h / h_prev) (r_prev / r^2)^(1/8) with
-    r_prev at least 1e-2, clipped to [0.2, 2]; a step in tau that passes
+    r_prev at least 1e-2, clipped to [0.2, 2], on the first accepted step,
+    with no step history, to [0.2, 6]; a step in tau that passes
     t_end is rejected and the next one lands.  One independent
     :func:`projective_step_public` call per attempt, no blow-up guard and no
     monitoring; returns (R, accepted, rejected)."""
@@ -306,13 +309,14 @@ def projective_flow_serial(R0: CurvatureTensor, t_end: float, dt_init: float | N
         elif r <= 1.0:
             y, R = new, S
             accepted += 1
-            grow = 2.0
+            cap = 6.0 if last is None else 2.0
+            grow = cap
             if r > 0:
                 grow = 0.9 * r ** -0.125
                 if last is not None:
                     grow = min(grow, 0.9 * (h / last[0]) * (last[1] / r ** 2) ** 0.125)
             last = h, max(r, 1e-2)
-            h *= min(2.0, max(0.2, grow))
+            h *= min(cap, max(0.2, grow))
         else:
             rejected += 1
             h *= max(0.2, 0.9 * r ** -0.125)

@@ -16,8 +16,9 @@ from curvkit.core import (CurvatureTensor, FourFrame, bform,
                           standard_quaternion_triple)
 from curvkit.flow import FlowConfig, integrate_q_flow, rk4_step, \
     scalar_blowup_oracle
-from curvkit.frames import (OptimizerConfig, _iso_value_grad, _search_isotropic, boundary_q_check,
-                            min_isotropic, qk_q_bound_check, sample_frames_min)
+from curvkit.frames import (OptimizerConfig, _iso_value_grad, _search_isotropic, _unit_probes,
+                            boundary_q_check, min_isotropic, qk_q_bound_check,
+                            sample_frames_min)
 from curvkit.spaces import (curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             sample)
 from curvkit import model_r0, model_sj
@@ -112,7 +113,7 @@ def boundary_runs(fs4, r0_8):
     for name, R in (("fubini-study", fs4[0]), ("quaternionic", r0_8)):
         t0 = time.perf_counter()
         res = min_isotropic(R, cfg)
-        descent = _search_isotropic(R.mat[None], R.n, cfg)[0]
+        descent = _search_isotropic(_unit_probes(R.mat[None], R.n), R.n, cfg)[0]
         oracle, _ = sample_frames_min(R, num_samples=100_000, seed=1)
         out[name] = (R, res, descent, oracle, time.perf_counter() - t0)
     return out

@@ -7,7 +7,7 @@ import pytest
 
 from curvkit.cli import main
 from curvkit.core import model_r0, model_sphere, standard_quaternion_triple
-from curvkit.flow import FlowConfig, integrate_q_flow
+from curvkit.flow import FlowConfig, integrate_q_flow, scalar_blowup_oracle
 from curvkit.frames import OptimizerConfig, min_isotropic
 from curvkit.spaces import MAX_BASIS_N
 from curvkit.tensor_io import load_tensor, save_tensor
@@ -312,6 +312,13 @@ def test_flow_summary_and_csv(tmp_path, capsys):
     # the first step in t: estimated by default, as the flow's trace records it
     trace = integrate_q_flow(load_tensor(p), FlowConfig(t_end=0.02))[1]
     assert rep["first_step"] == trace.first_step > 0
+    # what the monitoring found at both endpoints: the first and last records;
+    # the sphere's isotropic curvature is 4 lambda, on the ray lambda(0.02)
+    assert (rep["min_iso_initial"], rep["min_iso_final"]) == (trace.min_iso[0],
+                                                              trace.min_iso[-1])
+    assert np.isclose(rep["min_iso_initial"], 4.0, rtol=1e-12)
+    assert np.isclose(rep["min_iso_final"], 4.0 * scalar_blowup_oracle(6.0, 1.0, 0.02),
+                      rtol=1e-8)
     with open(csv) as fh:
         assert fh.readline().strip() == "t,scal,min_iso,norm"
     code, out, _ = run(capsys, "flow", "--in", p, "--t-end", "0.02", "--dt", "1e-3")

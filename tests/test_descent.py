@@ -6,9 +6,10 @@ import pytest
 
 from curvkit import frames, verify
 from curvkit.core import (CurvatureError, isotropic_from_columns, model_fubini_study,
-                          model_sphere, standard_complex_structure)
+                          model_sphere, project_to_curvature, standard_complex_structure)
+from curvkit.flow import FlowConfig, default_horizon, integrate_q_flow
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _descend, _hol_value_grad,
-                            _iso_value_grad, _retract, _stiefel_tangent,
+                            _iso_value_grad, _orthonormalize, _retract, _stiefel_tangent,
                             max_holomorphic_sectional, min_isotropic,
                             min_orthogonal_bisectional)
 from curvkit.spaces import _nullspace, kahler_subspace, sample
@@ -235,13 +236,71 @@ def test_complex_stacks_stay_on_the_complex_stiefel_manifold(k):
     assert np.max(np.abs(ZhP + np.swapaxes(ZhP, 1, 2).conj())) <= 1e-14
 
 
-@pytest.mark.parametrize("k", (1, 2, 4))
-def test_stacked_retraction_matches_serial_qr(k):
-    """For k = 1 the retraction is x / |x|, the sign-fixed QR of one column."""
-    F = np.random.default_rng(k).standard_normal((6, 9, k))
-    stacked = _retract(F)
-    for b in range(6):
-        np.testing.assert_allclose(stacked[b], retract_serial(F[b]), rtol=0, atol=1e-15)
+@pytest.mark.parametrize("k, dtype", [(1, float), (2, float), (4, float), (2, complex)],
+                         ids=["1", "2", "4", "2-complex"])
+def test_stacked_retraction_matches_serial_qr(k, dtype):
+    """The Cholesky-QR retraction and the stacked QR of the starts are both
+    the sign-fixed QR of each matrix, real or complex; for k = 1 it is
+    x / |x|, the sign-fixed QR of one column."""
+    rng = np.random.default_rng(k)
+    F = rng.standard_normal((6, 9, k))
+    if dtype is complex:
+        F = F + 1j * rng.standard_normal((6, 9, k))
+    for stacked in (_retract(F), _orthonormalize(F)):
+        assert stacked.dtype == F.dtype
+        for b in range(6):
+            np.testing.assert_allclose(stacked[b], retract_serial(F[b]), rtol=0, atol=1e-15)
+
+
+def _reaction_input(n=12, seed=1):
+    """The generic tensor of the benchmark's reaction flow: a fixed Gaussian
+    table plus 1e-3 of a seeded one, projected and scaled to norm 1."""
+    shape = (n,) * 4
+    table = (np.random.default_rng([20260, n]).standard_normal(shape)
+             + 1e-3 * np.random.default_rng([seed, n]).standard_normal(shape))
+    R = project_to_curvature(table)
+    return R * (1.0 / R.norm())
+
+
+def test_retracted_iterates_stay_orthonormal_on_the_reaction_endpoints():
+    """Every accepted iterate of both endpoint searches of the n = 12
+    reaction flow (start state and the state past the blow-up guard, each
+    descended, not certified) has Gram defect |F^T F - I|_max <= 1e-14."""
+    R0 = _reaction_input()
+    cfg = FlowConfig(t_end=200.0 * default_horizon(R0), monitor_every=10**6)
+    R1, trace = integrate_q_flow(R0, cfg)
+    assert trace.terminated_by == "blowup_guard"
+    for R in (R0, R1):
+        defects = []
+        res = min_isotropic(R, cfg.optimizer, on_iterate=lambda F, v, g: defects.append(
+            np.max(np.abs(F.T @ F - np.eye(4)))))
+        assert res.stop_reason != "certified" and res.passes > 1
+        assert len(defects) >= res.passes and max(defects) <= 1e-14
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_retraction_of_a_rank_deficient_or_non_finite_stack_raises(dtype):
+    """A stack with one rank-deficient matrix (a repeated column, a column in
+    the span of two others, a zero column) or one non-finite entry raises
+    CurvatureError, never a frame; the stack without it retracts."""
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal((3, 8, 4))
+    if dtype is complex:
+        F = F + 1j * rng.standard_normal((3, 8, 4))
+    assert np.all(np.isfinite(_retract(F)))
+    bad = []
+    for col in (F[1, :, 0], 0.3 * F[1, :, 0] - 1.7 * F[1, :, 1], 0.0):
+        G = F.copy()
+        G[1, :, 3] = col
+        bad.append(G)
+    for v in (np.nan, np.inf):
+        G = F.copy()
+        G[1, 2, 1] = v
+        bad.append(G)
+    for G in bad:
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(CurvatureError, match="retraction"):
+                _retract(G)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +312,7 @@ def test_stop_reason_grad_tol_on_sphere():
     starts stops at once on the constant objective."""
     R, cfg = model_sphere(6, 1.0), OptimizerConfig(restarts=3, seed=0)
     assert min_isotropic(R, cfg).stop_reason == "certified"
-    res = frames._search_isotropic(R.mat[None], 6, cfg)[0]
+    res = frames._search_isotropic(frames._unit_probes(R.mat[None], 6), 6, cfg)[0]
     assert res.stop_reason == "grad_tol" and res.converged
     assert res.restart_iterations == [1] * 4          # 3 seeded rows and the probe row
 
@@ -264,7 +323,7 @@ def test_stop_reason_grad_tol_on_fubini_study():
     R, _ = model_fubini_study(4, 4.0)
     cfg = OptimizerConfig(restarts=16, seed=0)
     assert min_isotropic(R, cfg).stop_reason == "certified"
-    res = frames._search_isotropic(R.mat[None], 8, cfg)[0]
+    res = frames._search_isotropic(frames._unit_probes(R.mat[None], 8), 8, cfg)[0]
     assert abs(res.value) < 1e-12
     assert res.stop_reason == "grad_tol" and res.converged
     assert res.iterations < 500
@@ -305,7 +364,7 @@ def test_stop_reason_line_search_floor_on_inconsistent_gradient():
         val, G = value_grad(F, rows)
         return val, -G
 
-    start = value_grad(_retract(F0), np.arange(len(F0)))[0]
+    start = value_grad(_orthonormalize(F0), np.arange(len(F0)))[0]
     values, _, iterations, reasons, _ = _descend(negated, F0, OptimizerConfig())
     assert reasons.tolist() == ["line_search_floor"] * len(F0)
     assert np.all(values <= start)
@@ -360,7 +419,7 @@ def test_searches_of_the_zero_tensor():
     J = standard_complex_structure(n)
     res = min_isotropic(R, cfg)
     assert (res.value, res.lower_bound, res.stop_reason) == (0.0, 0.0, "certified")
-    for res in (frames._search_isotropic(R.mat[None], n, cfg)[0],
+    for res in (frames._search_isotropic(frames._unit_probes(R.mat[None], n), n, cfg)[0],
                 max_holomorphic_sectional(R, J, cfg), min_orthogonal_bisectional(R, J, cfg)):
         assert res.value == 0.0 and res.stop_reason == "grad_tol"
 

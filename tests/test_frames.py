@@ -14,7 +14,8 @@ from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, Fou
                           two_form_action, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
-                            _best_probe, _iso_value_grad, _retract, _stiefel_tangent,
+                            _best_probe, _iso_value_grad, _orthonormalize, _retract,
+                            _stiefel_tangent,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -61,7 +62,7 @@ def test_sphere_constant_objective(light_cfg):
     R = model_sphere(6, 1.5)
     res = min_isotropic(R, light_cfg)
     assert res.value == res.lower_bound == 6.0 and res.stop_reason == "certified"
-    res = frames._search_isotropic(R.mat[None], 6, light_cfg)[0]
+    res = frames._search_isotropic(frames._unit_probes(R.mat[None], 6), 6, light_cfg)[0]
     assert np.isclose(res.value, 6.0)
     assert res.converged and res.iterations == 1
 
@@ -155,7 +156,7 @@ def test_oracle_is_argmin_of_one_stream(seed):
     """The oracle scores the frames of one default_rng(seed) stream, however it
     chunks them, and reports the first minimum, value and frame."""
     R = random_curvature(6, seed=49)
-    q = _retract(np.random.default_rng(seed).standard_normal((300, 6, 4)))
+    q = _orthonormalize(np.random.default_rng(seed).standard_normal((300, 6, 4)))
     vals = isotropic_from_columns(R.mat, q)
     value, frame = sample_frames_min(R, num_samples=300, seed=seed)
     assert value == vals.min()
@@ -209,7 +210,7 @@ def test_pinch_scan_values_and_iteration_budget(fs4):
         R = (1.0 - t) * sphere + t * fs4[0]
         res = min_isotropic(R, cfg)
         assert res.stop_reason == "certified" and abs(res.value - 4.0 * (1.0 - t)) <= 1e-12
-        res = frames._search_isotropic(R.mat[None], 4, cfg)[0]
+        res = frames._search_isotropic(frames._unit_probes(R.mat[None], 4), 4, cfg)[0]
         assert abs(res.value - 4.0 * (1.0 - t)) <= 1e-8
         total += sum(res.restart_iterations)
     assert total < 1500
@@ -291,10 +292,13 @@ def test_rotated_model_is_not_certified_and_descends_to_zero(n, kind):
     assert abs(res.value) <= 1e-10 * scale
 
 
-def test_non_finite_tensor_is_never_certified():
+def test_non_finite_tensor_is_never_certified(monkeypatch):
     """NaN fails every comparison of the certificate: a sphere with one NaN
     or infinite entry is neither certified nor bounded, while the sphere
-    itself, in the same stack, is certified."""
+    itself, in the same stack, is certified.  The bad tensors go on to the
+    descent, whose first retraction of a non-finite step raises, so the
+    search fails closed; with the descent stubbed, the certificate's own
+    verdicts show."""
     n = 6
     S = model_sphere(n, 1.0).mat
     bad = []
@@ -302,9 +306,22 @@ def test_non_finite_tensor_is_never_certified():
         M = S.copy()
         M[i, j] = M[j, i] = v
         bad.append(M)
+    stack, cfg = np.stack(bad + [S]), OptimizerConfig(restarts=1, max_iters=3, seed=0)
     with np.errstate(invalid="ignore", over="ignore"):
-        results = frames._min_isotropic_stack(np.stack(bad + [S]), n,
-                                              OptimizerConfig(restarts=1, max_iters=3, seed=0))
+        with pytest.raises(CurvatureError, match="retraction"):
+            frames._min_isotropic_stack(stack, n, cfg)
+    searched = []
+
+    def stub(unit_probes, n, cfg, on_iterate=None):
+        searched.append(len(unit_probes[1]))
+        return [frames.FrameSearchResult(value=np.nan, frame_or_vector=None, converged=False,
+                                         iterations=0, stop_reason="max_iters")
+                for _ in unit_probes[1]]
+
+    monkeypatch.setattr(frames, "_search_isotropic", stub)
+    with np.errstate(invalid="ignore", over="ignore"):
+        results = frames._min_isotropic_stack(stack, n, cfg)
+    assert searched == [len(bad)]
     for res in results[:-1]:
         assert res.stop_reason != "certified" and res.lower_bound is None
     assert results[-1].stop_reason == "certified" and results[-1].value == 4.0
