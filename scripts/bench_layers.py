@@ -38,7 +38,8 @@ cleared before each call (`kahler_subspace_first_call`),
 (seeds 0, 1, ...; 4 restarts, as in the verify suite), twice: one call per
 sample (`qk_q_bound_check`) and one call on the whole list, whose searches
 run as one descent stack (`qk_q_bound_check_batched`, whose stack passes are
-reported), each timed by one pass divided by QK_SAMPLES;
+reported, and of them the Newton finish's passes with the rows it finished
+and handed back to BB), each timed by one pass divided by QK_SAMPLES;
 `maximizer_first_order_check` is timed at n = 8 on the first of those
 samples, at its maximizer for I.  The layers of `qk_q_bound_check` around
 its search are timed at STACK_SIZES on QK_SAMPLES hyper-Kahler samples
@@ -233,7 +234,11 @@ def main() -> int:
         lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1, QK_SAMPLES)
     layers["qk_q_bound_check_batched"]["8"] = timed(
         lambda: qk_q_bound_check(tensors, T, qk_cfg), 1, QK_SAMPLES)
-    qk_passes = qk_q_bound_check(tensors, T, qk_cfg)[0].passes
+    qk_reports = qk_q_bound_check(tensors, T, qk_cfg)
+    qk_passes = qk_reports[0].passes
+    qk_newton = {"passes": qk_reports[0].newton_passes,
+                 "rows_finished": sum(rep.newton_finished for rep in qk_reports),
+                 "rows_handed_back": sum(rep.newton_handed_back for rep in qk_reports)}
     x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
     layers["maximizer_first_order_check"]["8"] = timed(
         lambda: maximizer_first_order_check(tensors[0], T.I, x))
@@ -284,7 +289,8 @@ def main() -> int:
                       "min_isotropic_stop_reasons": stop_reasons,
                       "min_orthogonal_bisectional_iterations": bis_iterations,
                       "min_orthogonal_bisectional_passes": bis_passes,
-                      "qk_q_bound_check_batched_passes": qk_passes, "repeats": REPEATS,
+                      "qk_q_bound_check_batched_passes": qk_passes,
+                      "qk_q_bound_check_batched_newton": qk_newton, "repeats": REPEATS,
                       "calls": CALLS, "search_calls": SEARCH_CALLS, "frames": FRAMES,
                       "qk_samples": QK_SAMPLES, "stack_samples": STACK_SAMPLES, "seed": SEED,
                       "numpy": np.__version__, "python": sys.version.split()[0],

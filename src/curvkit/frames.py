@@ -22,6 +22,12 @@ by Ky Fan's inequality (Ky Fan 1949) every isotropic value is at least
 2 (lambda_1 + lambda_2) of M, so a tensor whose best axis-aligned frame
 attains that bound, to CERT_TOL |M|_max, has its minimum there
 (``stop_reason`` ``certified``, no passes; ``lower_bound`` carries the bound).
+
+The holomorphic search finishes with Newton's method, as BB converges only
+linearly: rows below _NEWTON_TOL wait until no row is left, then take
+batched Newton steps on the sphere from the closed-form Hessian
+(``_hol_newton``, ``_newton_finish``; Absil-Mahony-Sepulchre 2008, ch. 6).
+A refused row resumes BB where it stands; ``passes`` counts both phases.
 """
 
 from dataclasses import dataclass, field
@@ -30,10 +36,10 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   QuaternionTriple, _bianchi_gather, _frame_forms, _holomorphic_frame,
-                   _invariance_defects, _reaction, _require_same_n, _require_vector,
-                   _unpack_two_form, curvature_map, isotropic_from_columns, pair_indices, qform,
-                   wedge)
+                   NonFiniteError, QuaternionTriple, _bianchi_gather, _frame_forms,
+                   _holomorphic_frame, _invariance_defects, _reaction, _require_same_n,
+                   _require_vector, _unpack_two_form, curvature_map, isotropic_from_columns,
+                   pair_indices, qform, wedge)
 from .spaces import _nullspace
 
 
@@ -74,6 +80,9 @@ class FrameSearchResult:
     restart_stop_reasons: list = field(default_factory=list)  # likewise
     passes: int = 0                    # value-and-gradient calls of the descent stack
     lower_bound: float | None = None   # Ky Fan's bound on the value, where it was computed
+    newton_passes: int = 0             # of those passes, the holomorphic search's Newton ones
+    newton_finished: int = 0           # rows of this tensor the Newton finish took to grad_tol
+    newton_handed_back: int = 0        # rows of this tensor it handed back to BB
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +99,9 @@ _ARMIJO = 1e-4          # sufficient-decrease constant
 _ETA = 0.85             # weight of the past in the Zhang-Hager reference value
 _BACKTRACKS = 60        # step halvings before a row sits at the line-search floor
 _PIVOT_TOL = 1e-12      # least relative squared Cholesky pivot of a retraction
+_NEWTON_TOL = 1e-2      # the holomorphic search's BB rows hand over to Newton below this
+_NEWTON_STEPS = 6       # Newton steps a row may take before it resumes BB
+_ROUNDOFF = 16 * np.finfo(float).eps   # a Newton step's value may rise this much, relative
 
 
 def _orthonormalize(F: np.ndarray) -> np.ndarray:
@@ -136,7 +148,7 @@ def _stiefel_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return G - F @ (0.5 * (FtG + np.swapaxes(FtG, -1, -2).conj()))
 
 
-def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
+def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, finish=None):
     """Minimize value_grad over a (B, n, k) stack of starts, all rows at once.
 
     ``value_grad(F, rows)`` maps a (b, n, k) stack to values (b,) and
@@ -165,9 +177,18 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
     active row at the start of each of its iterations.
 
+    With ``finish``, a second-order finish, a row also leaves once its norm
+    is at most _NEWTON_TOL, and waits.  When no row is left, ``finish(F,
+    val, P, rows, iters)`` takes the waiting rows' frames, values, projected
+    gradients, F0 indices and iterations begun, and returns their new
+    values, frames, projected gradients and iterations, and its own passes.
+    Each row then stops as above, or goes on from where it stands, with its
+    step and reference value.  So each row's path is its own, whatever else
+    shares the stack.
+
     Returns (values, frames, iterations, stop reasons), aligned with F0's
     rows, and the stack's passes: its calls of ``value_grad``, the first
-    one included.
+    one included, and those of ``finish``.
     """
     F = _orthonormalize(np.asarray(F0))
     B = len(F)
@@ -183,21 +204,36 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None):
     ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
     out = (np.empty(B), np.empty_like(F), np.empty(B, dtype=int), np.empty(B, dtype=int))
     passes = 1
+    held = []                           # the state of the rows that wait for finish
     while True:
         if on_iterate is not None:
             for i in np.flatnonzero(ok & (iters <= cfg.max_iters)):
                 on_iterate(F[i], val[i], np.sqrt(g2[i]))
         # g2 changes only on acceptance, so a small g2 is met at an iteration start
         over = iters > cfg.max_iters
-        done = (g2 <= _GRAD_TOL ** 2) | over | (tries == _BACKTRACKS)
-        if np.count_nonzero(done):
+        done = leave = (g2 <= _GRAD_TOL ** 2) | over | (tries == _BACKTRACKS)
+        if finish is not None:
+            wait = (g2 <= _NEWTON_TOL ** 2) & ~done
+            if np.count_nonzero(wait):
+                held.append([x[wait] for x in (F, val, P, a, iters, rows, C, Qw)])
+                leave = done | wait
+        if np.count_nonzero(leave):
             code = np.where(tries == _BACKTRACKS, 1, np.where(over, 2, 0))
             for dst, src in zip(out, (val, F, np.minimum(iters, cfg.max_iters), code)):
                 dst[rows[done]] = src[done]
-            if done.all():
+            if leave.all() and held:
+                # the waiting rows, in F0 order as everywhere in the stack
+                state = [np.concatenate(x) for x in zip(*held)]
+                order = np.argsort(state[5])
+                F, val, P, a, iters, rows, C, Qw = (x[order] for x in state)
+                val, F, P, iters, more = finish(F, val, P, rows, iters)
+                passes, finish, held, ok = passes + more, None, [], np.ones(len(F), dtype=bool)
+                g2, tries = np.einsum("bij,bij->b", P.conj(), P).real, np.zeros(len(F), dtype=int)
+                continue                # each finished row stops at its next iteration start
+            if leave.all():
                 break
             F, val, P, g2, a, tries, iters, rows, C, Qw = (
-                x[~done] for x in (F, val, P, g2, a, tries, iters, rows, C, Qw))
+                x[~leave] for x in (F, val, P, g2, a, tries, iters, rows, C, Qw))
         Ft = _retract(F - a[:, None, None] * P)
         vt, Gt = value_grad(Ft, rows)
         passes += 1
@@ -378,13 +414,16 @@ def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
     p_t <= b_t + tol_t for its value p_t (``isotropic_from_columns``) and
     tol_t = CERT_TOL |M_t / s_t|_max.  b_t is computed, in one batched
     ``eigvalsh``, only where p_t <= 2 (d_1 + d_2) + tol_t for the two least
-    diagonal entries d of M_t / s_t, which b_t never exceeds.  NaN fails every
-    comparison, so a non-finite tensor never certifies.  A certified tensor's
-    result is that frame alone (``certified``, no iterations, no passes); the
-    others run through ``_search_isotropic`` as one stack, on their scales,
-    scaled tensors and probes, so each gets the result it would get alone.
-    ``lower_bound`` is s_t b_t wherever b_t was computed, None elsewhere."""
+    diagonal entries d of M_t / s_t, which b_t never exceeds.  A certified
+    tensor's result is that frame alone (``certified``, no iterations, no
+    passes); the others run through ``_search_isotropic`` as one stack, on
+    their scales, scaled tensors and probes, so each gets the result it would
+    get alone.  ``lower_bound`` is s_t b_t wherever b_t was computed, None
+    elsewhere.  Before any of it, NonFiniteError names the first tensor t
+    with a non-finite entry."""
     _require_four_frames(n)
+    for t in np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))[:1]:
+        raise NonFiniteError(f"isotropic search: tensor {t} is not finite")
     s, unit, probes = _unit_probes(mats, n)
     p = isotropic_from_columns(unit, probes)
     tol = CERT_TOL * np.abs(unit).max(axis=(1, 2))
@@ -466,18 +505,130 @@ def _hol_value_grad(mats: np.ndarray, Jm: np.ndarray, r: int):
     return value_grad
 
 
+def _hol_newton(mats: np.ndarray, Jm: np.ndarray, r: int):
+    """Closure of the Newton finish, on unit rows x (b, n) laid out as in
+    ``_hol_value_grad``: the values f = -R(x,Jx,x,Jx), the projected
+    gradients Pg, P = I - x x^T, and the matrices A of the Newton systems
+    A xi = -Pg.  With T_x the rows Q_p x, g = -4 T_x^T M (x ^ Jx), the
+    Hessian is H = -4 (2 T_x^T M T_x + sum_p (M (x ^ Jx))_p Q_p) and
+    A = P (H - (x^T g) I) P + x x^T + Jx Jx^T: the Riemannian Newton
+    equation on the sphere (Absil-Mahony-Sepulchre 2008, ch. 6) with x x^T
+    keeping xi tangent and Jx Jx^T lifting the kernel of the U(1) orbit
+    e^(tJ) x, along which f is constant."""
+    N, n = mats.shape[1], len(Jm)
+    forms = _structure_forms(Jm).reshape(n, N, n)    # forms[i, p, j] = (Q_p)_ij
+    S = forms.swapaxes(1, 2).reshape(n, n * N)       # x @ S: T_x^T, the columns Q_p x
+    forms = -4.0 * forms.swapaxes(0, 1).reshape(N, n * n)   # row p: -4 Q_p
+
+    def newton(x, rows):
+        b = len(x)
+        TxT = (x @ S).reshape(b, n, N)
+        TM = _block_product(TxT, rows, mats, r)            # T_x^T M
+        K = TM @ np.swapaxes(TxT, 1, 2)                    # T_x^T M T_x
+        mw = (x[:, None, :] @ TM)[:, 0]                    # M (x ^ Jx), as M is symmetric
+        g = -4.0 * (K @ x[..., None])[..., 0]              # as x ^ Jx = T_x x
+        xg = np.einsum("bi,bi->b", x, g)                   # 4 f: f is homogeneous of degree 4
+        H = (mw @ forms).reshape(b, n, n)
+        H -= 8.0 * K
+        H.reshape(b, -1)[:, ::n + 1] -= xg[:, None]        # H - (x^T g) I
+        Pg = g - xg[:, None] * x
+        # P H P + x x^T = H - x v^T - v x^T for v = H x - ((x^T H x + 1) / 2) x,
+        # where H x = 3 g - (x^T g) x by Euler's identity
+        v = 3.0 * g - (2.0 * xg + 0.5)[:, None] * x
+        jx = x @ Jm.T
+        H += np.stack([-x, -v, jx], axis=2) @ np.stack([v, x, jx], axis=1)
+        return 0.25 * xg, Pg, H
+
+    return newton
+
+
+def _positive_definite(A: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a symmetric stack is positive definite: one
+    batched Cholesky factorization, bisecting the stack only if one fails."""
+    try:
+        np.linalg.cholesky(A)
+        return np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_positive_definite(A[:len(A) // 2]),
+                               _positive_definite(A[len(A) // 2:])])
+
+
+def _newton_finish(newton, X: np.ndarray, val: np.ndarray, P: np.ndarray, rows: np.ndarray,
+                   iters: np.ndarray, max_iters: int):
+    """The second-order finish of ``_descend`` for unit columns X (b, n, 1),
+    their values and projected gradients P:
+    batched Newton steps x <- (x + xi) / |x + xi|, xi from the Newton system
+    A xi = -Pg of ``newton`` (a ``_hol_newton`` closure).  A row steps only
+    while A is positive definite, so that xi descends and no row converges
+    to a saddle, and keeps a step only if its value does not get worse beyond
+    roundoff, _ROUNDOFF max(1, |f|); each kept step is an iteration.  A row
+    stops at projected gradient norm <= _GRAD_TOL (code 0) or after
+    ``max_iters`` (code 2); otherwise, refused or still above after
+    _NEWTON_STEPS steps, it is handed back where it stands (code -1), with
+    its own value and P if no step moved it."""
+    B = len(X)
+    out = (np.empty(B), np.empty((B, X.shape[1])), np.empty((B, X.shape[1])),
+           np.empty(B, dtype=int), np.empty(B, dtype=int))
+    x, Pg, live = X[:, :, 0], P[:, :, 0], np.arange(B)   # live: the rows still stepping
+    A = newton(x, rows)[2]
+    refused, steps = np.zeros(B, dtype=bool), 0
+    while True:
+        g2 = np.einsum("bi,bi->b", Pg, Pg)
+        code = np.where(iters > max_iters, 2, np.where(g2 <= _GRAD_TOL ** 2, 0, -1))
+        stop = (code >= 0) | refused | (steps == _NEWTON_STEPS)
+        stop[~stop] = ~_positive_definite(A[~stop])
+        if np.count_nonzero(stop):
+            for dst, src in zip(out, (val, x, Pg, iters, code)):
+                dst[live[stop]] = src[stop]
+            if stop.all():
+                break
+            x, val, Pg, A, iters, live = (v[~stop] for v in (x, val, Pg, A, iters, live))
+        xt = x + np.linalg.solve(A, -Pg[..., None])[..., 0]
+        xt /= np.linalg.norm(xt, axis=1, keepdims=True)
+        vt, Pt, At = newton(xt, rows[live])
+        steps += 1
+        ok = vt <= val + _ROUNDOFF * np.maximum(1.0, np.abs(val))
+        refused, iters, m = ~ok, iters + ok, ok[:, None]
+        # a refused row stops before its next step, so only the kept ones need A
+        x, val, Pg, A = np.where(m, xt, x), np.where(ok, vt, val), np.where(m, Pt, Pg), At
+    values, x, Pg, iterations, codes = out
+    return values, x[..., None], Pg[..., None], iterations, codes, steps + 1
+
+
 def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
                            cfg: OptimizerConfig) -> list[FrameSearchResult]:
     """``max_holomorphic_sectional`` of every tensor of a (T, N, N) stack: the
     T * cfg.restarts ascents run as one ``_descend`` stack, each tensor from
     the same seeded starts, and each result is the best of its own rows.
-    Each tensor is searched as M / s (``_unit_scale``) and scaled back."""
+    Each tensor is searched as M / s (``_unit_scale``) and scaled back.  The
+    stack runs with ``_newton_finish`` (``_hol_newton``): its Newton passes
+    are ``newton_passes``, and each result counts the rows of its tensor
+    that Newton took to _GRAD_TOL and those it handed back."""
     r = cfg.restarts
     s = _unit_scale(mats)
+    unit = mats / s[:, None, None]
     starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
+    newton, log = _hol_newton(unit, Jm, r), []
+
+    def finish(X, val, P, rows, iters):
+        *res, codes, passes = _newton_finish(newton, X, val, P, rows, iters, cfg.max_iters)
+        log.append((rows, codes, passes))
+        return *res, passes
+
     negvals, X, iterations, reasons, passes = _descend(
-        _hol_value_grad(mats / s[:, None, None], Jm, r), starts, cfg)
-    return _split_results(negvals, X[:, :, 0], iterations, reasons, passes, r, -s, lambda x: x)
+        _hol_value_grad(unit, Jm, r), starts, cfg, finish=finish)
+    codes, newton_passes = np.full(len(X), -2), 0     # -2: no Newton step
+    for rows, code, newton_passes in log:
+        codes[rows] = code
+    results = _split_results(negvals, X[:, :, 0], iterations, reasons, passes, r, -s,
+                             lambda x: x)
+    for res, own in zip(results, codes.reshape(-1, r)):
+        res.newton_passes = newton_passes
+        res.newton_finished = int(np.count_nonzero(own == 0))
+        res.newton_handed_back = int(np.count_nonzero(own == -1))
+    return results
 
 
 def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
@@ -643,6 +794,9 @@ class QKBoundReport:
     iterations: int         # of that row
     restart_stop_reasons: tuple   # of every row of the search
     passes: int             # of the descent stack, shared by every tensor of one call
+    newton_passes: int      # of those passes, the Newton finish's (see FrameSearchResult)
+    newton_finished: int    # rows of this tensor the finish took to grad_tol
+    newton_handed_back: int  # rows of this tensor it handed back to BB
 
 
 def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = None):
@@ -724,5 +878,7 @@ def _qk_reports(mats: np.ndarray, T: QuaternionTriple, searches: list,
                           bound=float(b), slack=float(b - q), y2_max_excess=float(e),
                           first_order=first, hk_residual=float(r), passed=bool(q <= b + CHECK_TOL),
                           tol=CHECK_TOL, stop_reason=res.stop_reason, iterations=res.iterations,
-                          restart_stop_reasons=tuple(res.restart_stop_reasons), passes=res.passes)
+                          restart_stop_reasons=tuple(res.restart_stop_reasons), passes=res.passes,
+                          newton_passes=res.newton_passes, newton_finished=res.newton_finished,
+                          newton_handed_back=res.newton_handed_back)
             for res, q, b, e, first, r in zip(searches, q_vals, bounds, excess, firsts, residuals)]

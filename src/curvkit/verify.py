@@ -78,10 +78,16 @@ class VerificationReport:
 def _stop_counts(searches: list) -> str:
     """How many rows of the searches of one call stopped for each reason,
     and the passes of its descent stack, the most any search reports (a
-    certified search has none), as one phrase."""
+    certified search has none), as one phrase.  A stack with a Newton finish
+    adds its Newton passes and the rows the finish took to grad_tol or
+    handed back to BB."""
     reasons = [r for res in searches for r in res.restart_stop_reasons]
     passes = max(res.passes for res in searches)
-    return f"{len(reasons)} rows, {passes} stack passes: " + ", ".join(
+    newton = max(res.newton_passes for res in searches)
+    finish = "" if not newton else (
+        f" ({newton} Newton; {sum(res.newton_finished for res in searches)} rows finished, "
+        f"{sum(res.newton_handed_back for res in searches)} handed back)")
+    return f"{len(reasons)} rows, {passes} stack passes{finish}: " + ", ".join(
         f"{r} {reasons.count(r)}" for r in frames.STOP_REASONS if r in reasons)
 
 

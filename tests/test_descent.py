@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from curvkit import frames, verify
-from curvkit.core import (CurvatureError, isotropic_from_columns, model_fubini_study,
-                          model_sphere, project_to_curvature, standard_complex_structure)
+from curvkit.core import (CurvatureError, CurvatureTensor, isotropic_from_columns,
+                          model_fubini_study, model_r0, model_sphere, project_to_curvature,
+                          standard_complex_structure, standard_quaternion_triple)
 from curvkit.flow import FlowConfig, default_horizon, integrate_q_flow
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _descend, _hol_value_grad,
                             _iso_value_grad, _orthonormalize, _retract, _stiefel_tangent,
                             max_holomorphic_sectional, min_isotropic,
                             min_orthogonal_bisectional)
-from curvkit.spaces import _nullspace, kahler_subspace, sample
+from curvkit.spaces import _nullspace, hyperkahler_subspace, kahler_subspace, sample
 
 from helpers import (hol_value_grad_serial, iso_value_grad_serial,
                      max_holomorphic_serial, min_isotropic_serial,
@@ -422,6 +423,116 @@ def test_searches_of_the_zero_tensor():
     for res in (frames._search_isotropic(frames._unit_probes(R.mat[None], n), n, cfg)[0],
                 max_holomorphic_sectional(R, J, cfg), min_orthogonal_bisectional(R, J, cfg)):
         assert res.value == 0.0 and res.stop_reason == "grad_tol"
+
+
+# ---------------------------------------------------------------------------
+# the Newton finish of the holomorphic search
+# ---------------------------------------------------------------------------
+
+def hk_stack(n: int, seed: int, count: int):
+    """(triple, a (count, N, N) stack of hyper-Kahler samples) at n."""
+    T = standard_quaternion_triple(n)
+    return T, np.stack([sample(hyperkahler_subspace(T), seed=100 * seed + t).mat
+                        for t in range(count)])
+
+
+def assert_finish_matches_bb_oracle(mats, Jm, cfg):
+    """Every restart of ``_max_holomorphic_stack`` against the BB-only
+    serial oracle (``descend_serial`` on ``hol_value_grad_serial``): values
+    within 1e-12 relative, every row at grad_tol, and each returned vector's
+    projected gradient on the unit-scaled tensor at most 1e-8."""
+    results = frames._max_holomorphic_stack(mats, Jm, cfg)
+    for M, res in zip(mats, results):
+        R = CurvatureTensor(len(Jm), M)
+        values, reasons = max_holomorphic_serial(R, Jm, cfg)
+        assert_values_match(res.restart_values, values, rtol=1e-12)
+        assert res.restart_stop_reasons == reasons == ["grad_tol"] * cfg.restarts
+        grad = hol_value_grad_serial(M / np.abs(M).max(), Jm)
+        for x in res.restart_frames:
+            g = grad(x[:, None])[1][:, 0]
+            assert np.linalg.norm(g - (x @ g) * x) <= frames._GRAD_TOL
+    return results
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_newton_finish_matches_the_bb_oracle(n, seed):
+    T, mats = hk_stack(n, seed, 3)
+    results = assert_finish_matches_bb_oracle(mats, T.I.matrix, OptimizerConfig(restarts=4,
+                                                                                seed=seed))
+    res = results[0]
+    assert 0 < res.newton_passes < res.passes
+    assert sum(r.newton_finished + r.newton_handed_back for r in results) <= 3 * 4
+
+
+@pytest.mark.parametrize("patch", ("refuse", "one_step"))
+def test_rows_handed_back_resume_bb_and_match_the_oracle(monkeypatch, patch):
+    """Refuse every Newton step, or allow one step only: the rows handed
+    back resume BB where they stand and still end at the oracle's values."""
+    T, mats = hk_stack(8, 0, 3)
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    if patch == "refuse":
+        monkeypatch.setattr(frames, "_ROUNDOFF", -1.0)   # vt <= val - max(1, |val|) fails
+    else:
+        monkeypatch.setattr(frames, "_NEWTON_STEPS", 1)
+    results = assert_finish_matches_bb_oracle(mats, T.I.matrix, cfg)
+    back = sum(res.newton_handed_back for res in results)
+    assert back == 12 if patch == "refuse" else back > 0
+    # refused rows take one Newton step's evaluation; one step ends the finish
+    assert results[0].newton_passes == 2
+
+
+def test_a_row_on_an_indefinite_model_is_handed_back_and_matches_the_oracle():
+    """On this tensor one row waits near a saddle, where its Newton model is
+    indefinite: the finish hands it back unmoved, and BB ends it at the
+    oracle's value.  Without the Cholesky test its Newton steps head for the
+    saddle with falling values, and the row ends 0.23 away."""
+    n = 12
+    R = random_curvature(n, seed=3130)
+    J = standard_complex_structure(n)
+    cfg = OptimizerConfig(restarts=8, seed=10)
+    res = max_holomorphic_sectional(R, J, cfg)
+    values, reasons = max_holomorphic_serial(R, J.matrix, cfg)
+    assert res.newton_handed_back == 1
+    assert_values_match(res.restart_values, values, rtol=1e-12)
+    assert res.restart_stop_reasons == reasons
+
+
+def test_positive_definite_finds_each_indefinite_matrix():
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((9, 5, 5))
+    A = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(5)
+    bad = [0, 4, 5, 8]
+    A[bad, 2, 2] = -50.0
+    want = np.ones(9, dtype=bool)
+    want[bad] = False
+    assert frames._positive_definite(A).tolist() == want.tolist()
+    assert frames._positive_definite(A[1:4]).all()
+
+
+@pytest.mark.parametrize("model", ("sphere", "fubini-study", "r0"))
+def test_models_stop_at_the_first_pass_with_no_newton_pass(model):
+    """R(x, Jx, x, Jx) is constant on the unit sphere of these models, so
+    every row starts at grad_tol and nothing is polished."""
+    n = 8
+    T = standard_quaternion_triple(n)
+    R = {"sphere": lambda: model_sphere(n, 1.0), "r0": lambda: model_r0(T),
+         "fubini-study": lambda: model_fubini_study(n // 2, 4.0)[0]}[model]()
+    J = T.I if model != "fubini-study" else model_fubini_study(n // 2, 4.0)[1]
+    res = max_holomorphic_sectional(R, J, OptimizerConfig(restarts=4, seed=0))
+    assert (res.passes, res.newton_passes, res.newton_finished, res.newton_handed_back) == (
+        1, 0, 0, 0)
+    assert res.restart_stop_reasons == ["grad_tol"] * 4
+
+
+def test_verify_input_pass_count():
+    """The quaternionic bound's search on ``verify --n 8 --samples 20``'s
+    input (suite seed 7): 43 BB passes and 4 Newton passes, which finish all
+    80 rows (66 passes with BB alone)."""
+    report = verify.run_verification_suite(n=8, samples=20)
+    detail = next(c.detail for c in report.checks if c.check_id == "q-hol-bound-maximizer")
+    assert detail == ("20 samples, 80 rows, 47 stack passes (4 Newton; 80 rows finished, "
+                      "0 handed back): grad_tol 80")
 
 
 # ---------------------------------------------------------------------------

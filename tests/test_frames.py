@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                          QuaternionTriple, curvature_map, evaluate, holomorphic_sectional,
-                          isotropic_curvature, isotropic_from_columns, model_fubini_study,
-                          model_r0, model_sphere, orthogonal_bisectional, rotate_triple,
-                          standard_complex_structure, standard_quaternion_triple,
+                          NonFiniteError, QuaternionTriple, curvature_map, evaluate,
+                          holomorphic_sectional, isotropic_curvature, isotropic_from_columns,
+                          model_fubini_study, model_r0, model_sphere, orthogonal_bisectional,
+                          rotate_triple, standard_complex_structure, standard_quaternion_triple,
                           two_form_action, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
@@ -293,38 +293,39 @@ def test_rotated_model_is_not_certified_and_descends_to_zero(n, kind):
 
 
 def test_non_finite_tensor_is_never_certified(monkeypatch):
-    """NaN fails every comparison of the certificate: a sphere with one NaN
-    or infinite entry is neither certified nor bounded, while the sphere
-    itself, in the same stack, is certified.  The bad tensors go on to the
-    descent, whose first retraction of a non-finite step raises, so the
-    search fails closed; with the descent stubbed, the certificate's own
-    verdicts show."""
+    """A sphere with one NaN or infinite entry, behind the sphere itself in
+    one stack, raises NonFiniteError naming its index before any probe,
+    bound or descent runs, so the search fails closed; the sphere alone is
+    certified."""
     n = 6
     S = model_sphere(n, 1.0).mat
-    bad = []
+    cfg = OptimizerConfig(restarts=1, max_iters=3, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate or a descent ran on a non-finite tensor")
+
     for (i, j), v in itertools.product([(0, 14), (7, 7)], [np.nan, np.inf, -np.inf]):
         M = S.copy()
         M[i, j] = M[j, i] = v
-        bad.append(M)
-    stack, cfg = np.stack(bad + [S]), OptimizerConfig(restarts=1, max_iters=3, seed=0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(CurvatureError, match="retraction"):
-            frames._min_isotropic_stack(stack, n, cfg)
-    searched = []
+        with monkeypatch.context() as patched:
+            for name in ("_unit_probes", "_ky_fan_bound", "_search_isotropic", "_descend"):
+                patched.setattr(frames, name, refuse)
+            with pytest.raises(NonFiniteError, match="isotropic search: tensor 1 is not finite"):
+                frames._min_isotropic_stack(np.stack([S, M]), n, cfg)
+    res = frames._min_isotropic_stack(S[None], n, cfg)[0]
+    assert res.stop_reason == "certified" and res.value == 4.0
 
-    def stub(unit_probes, n, cfg, on_iterate=None):
-        searched.append(len(unit_probes[1]))
-        return [frames.FrameSearchResult(value=np.nan, frame_or_vector=None, converged=False,
-                                         iterations=0, stop_reason="max_iters")
-                for _ in unit_probes[1]]
 
-    monkeypatch.setattr(frames, "_search_isotropic", stub)
-    with np.errstate(invalid="ignore", over="ignore"):
-        results = frames._min_isotropic_stack(stack, n, cfg)
-    assert searched == [len(bad)]
-    for res in results[:-1]:
-        assert res.stop_reason != "certified" and res.lower_bound is None
-    assert results[-1].stop_reason == "certified" and results[-1].value == 4.0
+@pytest.mark.parametrize("first", (0, 2, 4))
+def test_isotropic_stack_names_its_first_non_finite_tensor(first):
+    """In a stack of random tensors, the error names the first bad index
+    however many follow it."""
+    n = 5
+    stack = np.stack([random_curvature(n, seed=1400 + t).mat for t in range(5)])
+    stack[first:, 0, 0] = np.nan
+    stack[-1, 1, 2] = stack[-1, 2, 1] = np.inf
+    with pytest.raises(NonFiniteError, match=f"tensor {first} is not finite"):
+        frames._min_isotropic_stack(stack, n, OptimizerConfig(restarts=1, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +757,8 @@ def test_qk_stacked_reports_match_one_tensor_calls(qk_case):
     for R1, rep in zip(tensors, reports):
         single = qk_q_bound_check(R1, T, cfg)
         # passes count the whole stack, which runs as long as its slowest row
-        assert_all_fields_match(rep, single, skip=("passes",))
-        assert rep.passes >= single.passes
+        assert_all_fields_match(rep, single, skip=("passes", "newton_passes"))
+        assert rep.passes >= single.passes and rep.newton_passes >= single.newton_passes
 
 
 def test_qk_stacked_first_order_matches_maximizer_first_order_check(qk_case):

@@ -142,7 +142,12 @@ def test_quaternionic_bound_is_one_call_and_counts_its_rows(monkeypatch):
     assert report.passed and calls == [3]
     detail = next(c.detail for c in report.checks if c.check_id == "q-hol-bound-maximizer")
     head, stops = detail.split(": ")
-    assert head == f"3 samples, 12 rows, {reports[0].passes} stack passes"
+    finished, back = (sum(getattr(rep, f) for rep in reports)
+                      for f in ("newton_finished", "newton_handed_back"))
+    assert head == (f"3 samples, 12 rows, {reports[0].passes} stack passes "
+                    f"({reports[0].newton_passes} Newton; {finished} rows finished, "
+                    f"{back} handed back)")
+    assert 0 < reports[0].newton_passes < reports[0].passes and finished + back <= 12
     counts = dict(part.rsplit(" ", 1) for part in stops.split(", "))
     assert set(counts) <= set(verify.frames.STOP_REASONS)
     assert sum(int(c) for c in counts.values()) == 12
