@@ -1,10 +1,13 @@
 """Per-call timings of the reaction-term, frame and subspace layers; prints one JSON line.
 
-Times `qform`, `bform` (two distinct tensors), `rk4_step` and `dop853_step`
+Times `qform`, its bare kernel `_reaction_terms` (no Bianchi or finiteness
+check, so the checks' share of a `qform` call is the difference),
+`bform` (two distinct tensors), `rk4_step` and `dop853_step`
 (one accepted step of `integrate_q_flow` in its clock dtau = |M| dt on the
-flat state (U, log |M|, t): the derivative at the state into the first row
-of the stage buffer, then `flow._dop853_step`; its Q calls per step, 12,
-are reported) at each size on a projected Gaussian tensor,
+flat state (U, log |M|, t): the derivative at the state, through `qform`,
+into the first row of the stage buffer, then `flow._dop853_step` with the
+bare kernel at its 11 stages; its reaction terms per step, 12, are
+reported) at each size on a projected Gaussian tensor,
 `project_to_curvature` of the Gaussian rank-4 table, and the frame layers on
 the same tensor: the batched isotropic value and gradient `_iso_value_grad`
 and the Cholesky-QR retraction `_retract`, beside numpy's sign-fixed QR of
@@ -82,7 +85,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from curvkit.core import (ComplexStructure, _einstein_stack,  # noqa: E402
-                          _invariance_defects, _kulkarni_nomizu_mat, _reaction, _stored, bform,
+                          _invariance_defects, _kulkarni_nomizu_mat, _reaction,
+                          _reaction_terms, _stored, bform,
                           einstein_normalize, invariance_defect, isotropic_from_columns,
                           model_fubini_study, project_to_curvature, qform,
                           standard_complex_structure, standard_quaternion_triple)
@@ -126,29 +130,32 @@ def timed(fn, calls: int = CALLS, per: int = 1) -> dict:
 def dop853_step(R, h: float, calls: list):
     """Factory of one accepted DOP853 step of ``integrate_q_flow`` from R, on
     a stage buffer allocated once, as the integrator allocates it; h is the
-    step in t, h |M| the step in tau.  Appends each Q call to ``calls``."""
+    step in t, h |M| the step in tau.  Appends each reaction term to
+    ``calls``: Q of the state through ``qform``, the stages bare."""
     shape, scale = R.mat.shape, np.linalg.norm(R.mat)
     y = np.append(R.mat / scale, [np.log(scale), 0.0])
     K = np.empty((12, y.size))
 
-    def f(x, out):
+    def f(x, out, checked=False):
         calls.append(1)
         U = x[:-2].reshape(shape)
-        QU = qform(_stored(U, R.n)).mat
+        QU = qform(_stored(U, R.n)).mat if checked else _reaction_terms(U, R.n)[0]
         out[-2] = a = np.vdot(QU, U)
         np.subtract(QU, a * U, out=out[:-2].reshape(shape))
         out[-1] = np.exp(-x[-2])
 
     def step():
-        f(y, K[0])
-        return _dop853_step(y, K, h * scale, f, scale * np.linalg.norm(K[0][:-1]))
+        f(y, K[0], checked=True)
+        new, err = _dop853_step(y, K, h * scale, f, scale * np.linalg.norm(K[0][:-1]))
+        return new, err, np.isfinite(K).all()
 
     return step
 
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
-    names = ("qform", "bform", "rk4_step", "dop853_step", "project_to_curvature",
+    names = ("qform", "_reaction_terms", "bform", "rk4_step", "dop853_step",
+             "project_to_curvature",
              "_iso_value_grad", "_retract", "_orthonormalize", "isotropic_from_columns",
              "min_isotropic", "_ky_fan_bound", "min_isotropic_certified",
              "min_orthogonal_bisectional",
@@ -177,6 +184,7 @@ def main() -> int:
         q_calls = []
         dop_step = dop853_step(R, h, q_calls)
         for name, fn, calls in (("qform", lambda: qform(R), CALLS),
+                                ("_reaction_terms", lambda: _reaction_terms(R.mat, n), CALLS),
                                 ("bform", lambda: bform(R, S), CALLS),
                                 ("rk4_step", lambda: rk4_step(R, h), CALLS),
                                 ("dop853_step", dop_step, CALLS),

@@ -285,7 +285,8 @@ def _require_bianchi(mats: np.ndarray, n: int, what: str, tol: float,
 def _stored(mat: np.ndarray, n: int) -> "CurvatureTensor":
     """The tensor of a computed, exactly symmetric coefficient matrix, stored
     as it is: the constructor's 0.5 (M + M^T) would only copy it.  Nothing is
-    checked here; :func:`_reaction` checks each of its inputs."""
+    checked here; :func:`_reaction` checks each of its inputs, and the flow's
+    stages, which skip that check, are tested for finiteness instead."""
     T = object.__new__(CurvatureTensor)
     T.n, T.mat, T.label = n, _frozen(mat), None
     return T
@@ -587,33 +588,45 @@ def qform(R: CurvatureTensor) -> CurvatureTensor:
 
 def _reaction(mats: np.ndarray, n: int, S: np.ndarray | None = None) -> np.ndarray:
     """B(R_t, S) of each coefficient matrix R_t of mats, one (N, N) matrix or a
-    (T, N, N) stack, shaped as mats; Q(R_t) = B(R_t, R_t) when S is None, from
-    the symmetric product H = V V^T of one Sym^2 block V.  Each R_t and S
-    must pass the Bianchi check to CONSTRUCTION_TOL and each output to
-    REACTION_TOL, the output against its own scale |R_t| |S| too; the first
-    failure raises :class:`CurvatureError` (NonFiniteError for a non-finite
-    one), and for a stack names its index t."""
+    (T, N, N) stack, shaped as mats; Q(R_t) = B(R_t, R_t) when S is None.
+    The checked form of :func:`_reaction_terms`: each R_t and S must pass the
+    Bianchi check to CONSTRUCTION_TOL and each output to REACTION_TOL, the
+    output against its own scale |R_t| |S| too; the first failure raises
+    :class:`CurvatureError` (NonFiniteError for a non-finite one), and for a
+    stack names its index t."""
     N = num_pairs(n)
     if mats.ndim not in (2, 3) or mats.shape[-2:] != (N, N):
         raise CurvatureError(f"expected an ({N}, {N}) matrix or a (T, {N}, {N}) stack, "
                              f"got shape {mats.shape}")
     _require_bianchi(mats, n, "reaction input", CONSTRUCTION_TOL)
+    if S is not None:
+        _require_bianchi(S, n, "reaction input", CONSTRUCTION_TOL)
+    out, scales = _reaction_terms(mats, n, S)
+    _require_bianchi(out, n, "reaction term", REACTION_TOL, scales)
+    return out
+
+
+def _reaction_terms(mats: np.ndarray, n: int,
+                    S: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic of :func:`_reaction`, unchecked: (B(R_t, S), |R_t| |S|)
+    of each coefficient matrix R_t of mats, each shaped as mats and its
+    leading axes; Q(R_t) = B(R_t, R_t) when S is None, from the symmetric
+    product H = V V^T of one Sym^2 block V.  The split into blocks holds only
+    for inputs that satisfy the first Bianchi identity, which the caller
+    vouches for."""
     V = _sym_block(mats, n)
     if S is None:
         H = V @ V.swapaxes(-1, -2)
         A = mats @ mats
         scales = 4.0 * A.trace(0, -2, -1)       # |R_t|^2 = 4 |M_t|_F^2 = 4 tr(M_t^2)
     else:
-        _require_bianchi(S, n, "reaction input", CONSTRUCTION_TOL)
         H = V @ _sym_block(S, n).T
         H += H.swapaxes(-1, -2)
         H *= 0.5
         A = mats @ S
         # |R_t| |S|, each the norm of a rank-4 table, 2 |M|_F
         scales = 4.0 * np.linalg.norm(mats, axis=(-2, -1)) * np.linalg.norm(S)
-    out = _reaction_mat(A + A.swapaxes(-1, -2), H, n)
-    _require_bianchi(out, n, "reaction term", REACTION_TOL, scales)
-    return out
+    return _reaction_mat(A + A.swapaxes(-1, -2), H, n), scales
 
 
 def einstein_residual(R: CurvatureTensor, rho: float) -> float:

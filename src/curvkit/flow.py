@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _stored, project_bianchi,
-                   qform, scalar_curvature)
+from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _reaction_terms, _stored,
+                   project_bianchi, qform, scalar_curvature)
 from .frames import (OptimizerConfig, _min_isotropic_stack, _require_four_frames,
                      _require_numbers, min_isotropic)
 
@@ -94,7 +94,7 @@ class FlowTrace:
     terminated_by: str
     steps_accepted: int
     steps_rejected: int
-    reaction_evals: int              # calls of qform by the integrator
+    reaction_evals: int              # reaction terms: checked at states, bare at stages
     first_step: float                # the first step in t, h e^(-l)
     monitor_s: float                 # seconds in the monitoring searches
 
@@ -124,7 +124,8 @@ def _dop853_step(y: np.ndarray, K: np.ndarray, h: float, f,
     ``f(x, out)``, which writes the derivative at x into out (every stage
     input x is built in one buffer), and returns the 8th-order state and
     Hairer's error estimate h |e5|^2 / (|e5|^2 + 0.01 |e3|^2)^(1/2), the last
-    components of e5 and e3 weighted by w."""
+    components of e5 and e3 weighted by w; the estimate is not finite when
+    e5 or e3 is not."""
     x = np.empty_like(y)             # y + h (A[i] @ K[:i]), built in place
     for i in range(1, len(_A)):
         np.dot(_A[i], K[:i], out=x)
@@ -133,7 +134,7 @@ def _dop853_step(y: np.ndarray, K: np.ndarray, h: float, f,
         f(x, K[i])
     e5, e3 = (float(np.hypot(np.linalg.norm(e[:-1]), w * e[-1])) for e in (_E5 @ K, _E3 @ K))
     den = np.hypot(e5, 0.1 * e3)
-    err = h * e5 * (e5 / den) if den > 0 else 0.0
+    err = h * e5 * (e5 / den) if den != 0 else 0.0      # NaN stays NaN: not a perfect step
     return y + h * (_B @ K), err
 
 
@@ -144,11 +145,14 @@ def _initial_step(y: np.ndarray, f0: np.ndarray, f, sc: float) -> float:
     d1 = |f0| / sc give the Euler step h0 = 0.01 d0 / d1 (1e-6 when
     d1 <= 1e-5), whose probe f1 = f(y + h0 f0) gives d2 = |f1 - f0| / (h0 sc);
     the step is min(100 h0, (0.01 / max(d1, d2))^(1/8)), the second term
-    max(1e-6, 1e-3 h0) when max(d1, d2) <= 1e-15.  One call of f."""
+    max(1e-6, 1e-3 h0) when max(d1, d2) <= 1e-15.  One call of f;
+    NonFiniteError when f1 is not finite."""
     d1 = np.linalg.norm(f0[:-1]) / sc
     h0 = 0.01 / (sc * d1) if d1 > 1e-5 else 1e-6
     f1 = np.empty_like(y)
     f(y + h0 * f0, f1)
+    if not np.isfinite(f1).all():
+        raise NonFiniteError("reaction term of the first-step probe is not finite")
     d = max(d1, np.linalg.norm(f1[:-1] - f0[:-1]) / (h0 * sc))
     return min(100.0 * h0, (0.01 / d) ** 0.125 if d > 1e-15 else max(1e-6, 1e-3 * h0))
 
@@ -192,7 +196,13 @@ def integrate_q_flow(R0: CurvatureTensor,
     when error * min(1, ||R||) of its new state is at most rel_tol, an error
     in M of rel_tol max(1, ||R||).  y' at an accepted state, and at the
     start, is the first stage of the next step, so an accepted step costs 12
-    reaction terms and a rejected one 11.  The step
+    reaction terms and a rejected one 11.  Only that first stage is
+    ``qform``, whose Bianchi check holds Q(U) of every state stepped from to
+    REACTION_TOL.  The other 11 stages and the Euler probe call the bare
+    kernel ``core._reaction_terms`` on the flat buffer: a stage input is a
+    projected state plus a combination of reaction terms, so its cyclic sums
+    are roundoff whenever the checked Q is right, and the stages are tested
+    for finiteness alone, once per attempt.  The step
     factor is 0.9 r^(-1/8) for the error ratio r, after an accepted step at
     most Gustafsson's predictive 0.9 (h / h_prev) (r_prev / r^2)^(1/8),
     r_prev >= 1e-2 (Hairer & Wanner, Solving ODEs II, IV.8), clipped to
@@ -201,9 +211,11 @@ def integrate_q_flow(R0: CurvatureTensor,
     at once.  The trace records t, scalar curvature, minimum isotropic
     curvature and tensor norm every ``monitor_every`` accepted steps and at
     both endpoints, searching the states ``_MONITOR_STACK`` at a time as one
-    ``_min_isotropic_stack``.  A step that overflows ends the flow with
-    ``terminated_by="non_finite"`` at the last accepted state; FlowError when
-    h e^(-l) underflows; CurvatureError for n < 4, before any step.
+    ``_min_isotropic_stack``.  A step with a non-finite stage, error estimate
+    or state ends the flow with ``terminated_by="non_finite"`` at the last
+    accepted state; NonFiniteError when the Euler probe is not finite;
+    FlowError when h e^(-l) underflows; CurvatureError for n < 4, before any
+    step, and when the checked Q of a state fails its Bianchi check.
     """
     cfg = cfg or FlowConfig()
     _require_four_frames(R0.n)
@@ -217,11 +229,17 @@ def integrate_q_flow(R0: CurvatureTensor,
     K = np.empty((len(_A), y.size))
     evals = 0
 
-    def f(x, out):
+    def stage_q(U):                  # bare: the stages are tested for finiteness
+        return _reaction_terms(U, n)[0]
+
+    def state_q(U):                  # checked to REACTION_TOL, once per state
+        return qform(_stored(U, n)).mat
+
+    def f(x, out, q=stage_q):
         nonlocal evals
         evals += 1
         U = x[:-2].reshape(shape)
-        QU = qform(_stored(U, n)).mat
+        QU = q(U)
         out[-2] = a = np.vdot(QU, U)
         np.subtract(QU, a * U, out=out[:-2].reshape(shape))
         out[-1] = np.exp(-x[-2])
@@ -253,7 +271,7 @@ def integrate_q_flow(R0: CurvatureTensor,
     elif scale > 0:
         f0 = np.empty_like(y)
         with np.errstate(over="ignore"):
-            f(y, f0)
+            f(y, f0, state_q)
             h = _initial_step(y, f0, f, cfg.rel_tol / min(1.0, R.norm()))
     else:                            # a fixed point takes no step
         h = 0.0
@@ -271,10 +289,12 @@ def integrate_q_flow(R0: CurvatureTensor,
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if f0 is None:
                     f0 = np.empty_like(y)
-                    f(y, f0)
+                    f(y, f0, state_q)
                 np.multiply(f0, el if landing else 1.0, out=K[0])
                 new, err = _dop853_step(y, K, left if landing else h, f_t if landing else f,
                                         el * np.linalg.norm(f0[:-1]))
+                if not np.isfinite(K).all():
+                    raise NonFiniteError("a stage's reaction term is not finite")
                 new_R = _project(_stored(np.exp(new[-2]) * new[:-2].reshape(shape), n))
                 size = new_R.norm()
                 new = np.append(new_R.mat / (0.5 * size),

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from curvkit import flow
+from curvkit import core, flow
 from curvkit.core import (CurvatureError, NonFiniteError, _stored, inner, model_sphere,
                           project_bianchi, qform, scalar_curvature, standard_quaternion_triple,
                           zero_tensor)
@@ -107,11 +107,12 @@ def test_monitoring_stack_size_does_not_change_the_trace(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_flow_refuses_n_below_4_before_any_step(monkeypatch, n):
     """The monitoring searches run after the steps, so the flow checks for
-    4-frames first: no reaction term is evaluated."""
-    def no_reaction(R):
+    4-frames first: no reaction term is evaluated, checked or bare."""
+    def no_reaction(*args):
         raise AssertionError("the flow stepped")
 
     monkeypatch.setattr(flow, "qform", no_reaction)
+    monkeypatch.setattr(flow, "_reaction_terms", no_reaction)
     with pytest.raises(CurvatureError, match="n >= 4"):
         integrate_q_flow(model_sphere(n, 1.0), FlowConfig(t_end=0.01))
 
@@ -164,6 +165,115 @@ def test_overflowing_reaction_term_raises_non_finite_error():
     assert issubclass(NonFiniteError, CurvatureError)
 
 
+@pytest.mark.parametrize("stage", range(1, 12))
+def test_dop853_nan_stage_gives_non_finite_error_estimate(stage):
+    """One NaN stage among finite ones makes the error estimate NaN, which
+    the acceptance test err < inf rejects; it must not read as 0, a perfect
+    step (constant finite stages give e5 and e3 of roundoff, err below 1e-15)."""
+    y, calls = np.zeros(38), []
+
+    def f(x, out):
+        calls.append(1)
+        out[:] = np.nan if len(calls) == stage else 1.0
+
+    K = np.empty((12, len(y)))
+    K[0] = 1.0
+    assert 0.0 <= flow._dop853_step(y, K.copy(), 0.1, lambda x, out: out.fill(1.0), 1.0)[1] < 1e-15
+    _, err = flow._dop853_step(y, K, 0.1, f, 1.0)
+    assert len(calls) == 11 and not err < np.inf
+
+
+def _nan_on_call(monkeypatch, k):
+    """Makes the flow's bare reaction kernel return NaN on its k-th call;
+    returns the list of its calls."""
+    calls, real = [], flow._reaction_terms
+
+    def terms(mats, n, S=None):
+        calls.append(1)
+        out, scales = real(mats, n, S)
+        return (np.full_like(out, np.nan) if len(calls) == k else out), scales
+
+    monkeypatch.setattr(flow, "_reaction_terms", terms)
+    return calls
+
+
+def test_non_finite_stage_ends_the_flow_at_the_last_accepted_state(monkeypatch):
+    """The stages skip qform's check, so a NaN stage is caught by the
+    finiteness test of the attempt: the flow ends with non_finite at its last
+    accepted state, the state a flow capped at that many steps returns."""
+    R0, cfg = _default_flow_start()
+    cfg = FlowConfig(t_end=cfg.t_end, dt_init=1e-3, rel_tol=cfg.rel_tol,
+                     monitor_every=cfg.monitor_every, optimizer=LIGHT_OPT)
+    calls = _nan_on_call(monkeypatch, 11 * 4 + 6)       # the sixth stage of the fifth attempt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, trace = integrate_q_flow(R0, cfg)
+    assert len(calls) == 11 * 5                         # the attempt ends, then is refused
+    assert trace.terminated_by == "non_finite" and np.isfinite(R.mat).all()
+    assert 1 <= trace.steps_accepted <= 4 and np.isfinite(trace.norm).all()
+    monkeypatch.undo()
+    capped = FlowConfig(t_end=cfg.t_end, dt_init=1e-3, rel_tol=cfg.rel_tol,
+                        max_steps=trace.steps_accepted, monitor_every=cfg.monitor_every,
+                        optimizer=LIGHT_OPT)
+    S, capped_trace = integrate_q_flow(R0, capped)
+    assert capped_trace.terminated_by == "max_steps"
+    assert np.array_equal(R.mat, S.mat)
+
+
+def test_non_finite_first_step_probe_raises(monkeypatch):
+    """The Euler probe of the estimated first step is a bare reaction term
+    too; a non-finite one raises, as the checked probe did, before any step."""
+    R0, cfg = _default_flow_start()
+    calls = _nan_on_call(monkeypatch, 1)
+    with pytest.raises(NonFiniteError, match="probe"):
+        integrate_q_flow(R0, cfg)
+    assert len(calls) == 1
+
+
+def test_bianchi_defect_of_the_reaction_kernel_is_caught_in_the_first_step(monkeypatch):
+    """Negative control of the guard left in the flow: a kernel whose every
+    output gains a cyclic-sum defect of 1e-6 |Q| passes the bare stages, but
+    qform of the first state stepped from checks Q to REACTION_TOL and
+    raises, within the first step."""
+    n = 12
+    E = np.random.default_rng(1910).standard_normal((66, 66))
+    D = E + E.T
+    D -= project_bianchi(D, n)                  # the cyclic part alone
+    D /= np.linalg.norm(D)
+    calls, real = [], core._reaction_terms
+
+    def defective(mats, n, S=None):
+        calls.append(1)
+        out, scales = real(mats, n, S)
+        return out + 1e-6 * np.linalg.norm(out, axis=(-2, -1))[..., None, None] * D, scales
+
+    monkeypatch.setattr(core, "_reaction_terms", defective)
+    monkeypatch.setattr(flow, "_reaction_terms", defective)
+    R0 = random_curvature(n, seed=1912)
+    with pytest.raises(CurvatureError, match="reaction term Bianchi defect"):
+        integrate_q_flow(R0 * (1.0 / R0.norm()), FlowConfig(t_end=1.0, monitor_every=10**6,
+                                                            optimizer=LIGHT_OPT))
+    assert 1 <= len(calls) <= 13
+
+
+def test_n12_flow_on_bare_stages_matches_checked_oracles():
+    """Bare stages change no bit: on a generic unit n = 12 tensor flowed
+    until |R| grows 16-fold, the flow is bit for bit the serial oracle whose
+    every stage is a checked public qform, with the same accepted and
+    rejected steps.  The oracle in t, another clock, agrees to 1e-6."""
+    R0 = random_curvature(12, seed=1912)
+    R0 = R0 * (1.0 / R0.norm())
+    cfg = FlowConfig(t_end=76.0 * default_horizon(R0), blowup_guard=1e6, monitor_every=10**6,
+                     optimizer=LIGHT_OPT)
+    R, trace = integrate_q_flow(R0, cfg)
+    S, accepted, rejected = projective_flow_serial(R0, cfg.t_end, rel_tol=cfg.rel_tol)
+    assert trace.terminated_by == "t_end" and R.norm() > 16.0
+    assert (trace.steps_accepted, trace.steps_rejected) == (accepted, rejected)
+    assert rejected > 0 and np.array_equal(R.mat, S.mat)
+    T = q_flow_serial(R0, cfg.t_end, rel_tol=cfg.rel_tol)[0]
+    assert (R - T).norm() <= 1e-6 * T.norm()
+
+
 def test_max_steps_cap():
     """The flow to t_end takes 4 accepted steps; a cap of 3 stops it."""
     cfg = FlowConfig(t_end=0.1, max_steps=3, optimizer=LIGHT_OPT)
@@ -195,22 +305,37 @@ def _generic_flow_start():
                           monitor_every=10**6, optimizer=LIGHT_OPT)
 
 
+def _count_reaction_calls(monkeypatch):
+    """Counts the flow's checked calls (``qform``, at a state) and bare calls
+    (``_reaction_terms``, at a stage or the Euler probe) into two lists."""
+    checked, bare = [], []
+    real_qform, real_terms = flow.qform, flow._reaction_terms
+
+    def counted_qform(R):
+        checked.append(R)
+        return real_qform(R)
+
+    def counted_terms(mats, n, S=None):
+        bare.append(mats)
+        return real_terms(mats, n, S)
+
+    monkeypatch.setattr(flow, "qform", counted_qform)
+    monkeypatch.setattr(flow, "_reaction_terms", counted_terms)
+    return checked, bare
+
+
 def test_dop853_makes_twelve_q_calls_per_accepted_step(monkeypatch):
     """Eleven new stages per attempt, and Q of each accepted state, the first
-    stage of the next attempt (first same as last); the trace counts them."""
-    calls = []
-    real = flow.qform
-
-    def counted(R):
-        calls.append(R)
-        return real(R)
-
-    monkeypatch.setattr(flow, "qform", counted)
+    stage of the next attempt (first same as last); the trace counts them.
+    Q is checked once at the start and at each accepted state stepped from,
+    the last state of a flow to t_end excluded; the stages are bare."""
+    checked, bare = _count_reaction_calls(monkeypatch)
     R0, cfg = _generic_flow_start()
     _, trace = integrate_q_flow(R0, cfg)
-    assert trace.steps_rejected > 0 and trace.steps_accepted > 0
-    assert len(calls) == trace.reaction_evals
-    assert len(calls) == 12 * trace.steps_accepted + 11 * trace.steps_rejected
+    accepted, rejected = trace.steps_accepted, trace.steps_rejected
+    assert trace.terminated_by == "t_end" and rejected > 0 and accepted > 0
+    assert len(checked) == accepted and len(bare) == 11 * (accepted + rejected)
+    assert len(checked) + len(bare) == trace.reaction_evals == 12 * accepted + 11 * rejected
 
 
 def test_dop853_matches_serial_oracle():
@@ -253,21 +378,15 @@ def test_estimated_start_matches_serial_oracle():
 
 
 def test_estimated_start_costs_one_reaction_term(monkeypatch):
-    """y' at the start is the first stage of the first step; the estimate
-    adds one reaction term, its explicit Euler probe."""
-    calls = []
-    real = flow.qform
-
-    def counted(R):
-        calls.append(R)
-        return real(R)
-
-    monkeypatch.setattr(flow, "qform", counted)
+    """y' at the start is the first stage of the first step, checked; the
+    estimate adds one bare reaction term, its explicit Euler probe."""
+    checked, bare = _count_reaction_calls(monkeypatch)
     R0, cfg = _default_flow_start()
     _, trace = integrate_q_flow(R0, cfg)
-    assert trace.steps_rejected > 0 and trace.steps_accepted > 0
-    assert len(calls) == trace.reaction_evals
-    assert len(calls) == 12 * trace.steps_accepted + 11 * trace.steps_rejected + 1
+    accepted, rejected = trace.steps_accepted, trace.steps_rejected
+    assert trace.terminated_by == "t_end" and rejected > 0 and accepted > 0
+    assert len(checked) == accepted and len(bare) == 11 * (accepted + rejected) + 1
+    assert len(checked) + len(bare) == trace.reaction_evals == 12 * accepted + 11 * rejected + 1
 
 
 @pytest.mark.parametrize("speed, step", [(0.0, 1e-6), (1e6, 1e-6)])
