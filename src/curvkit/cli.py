@@ -22,7 +22,7 @@ from .core import (CurvatureError, model_fubini_study, model_r0, model_sj,
                    model_sphere, ricci, scalar_curvature,
                    standard_complex_structure, standard_quaternion_triple, weyl)
 from .flow import FlowConfig, FlowError, cone_preservation_probe, integrate_q_flow
-from .frames import OptimizerConfig, _ky_fan_bound, _pinching_from_iso, min_isotropic
+from .frames import OptimizerConfig, _pinching_from_iso, min_isotropic
 from .spaces import MAX_BASIS_N
 from .tensor_io import load_tensor, save_tensor, write_trace_csv
 from .verify import run_verification_suite
@@ -120,11 +120,9 @@ def cmd_check(args) -> int:
         seed = _env_seed(args, 0)
         cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
         res = min_isotropic(R, cfg)
-        bound = res.lower_bound if res.lower_bound is not None else float(_ky_fan_bound(R.mat))
+        value, bound = res.value, res.lower_bound
         if args.what == "pinch":
-            value, bound = _pinching_from_iso(res.value), _pinching_from_iso(bound)
-        else:
-            value = res.value
+            value, bound = _pinching_from_iso(value), _pinching_from_iso(bound)
         # the bound is proven, the value is attained at a frame
         verdict = "certified" if bound >= -tol else "refuted" if value < -tol else "searched"
         report.update(value=value, lower_bound=bound, verdict=verdict, converged=res.converged,

@@ -299,10 +299,13 @@ def _require_same_n(R: "CurvatureTensor", other, what: str) -> None:
 
 
 def _require_vector(x, n: int, what: str) -> np.ndarray:
-    """``x`` as a float array, CurvatureError unless its shape is (n,)."""
+    """``x`` as a float array, CurvatureError unless its shape is (n,),
+    NonFiniteError unless its entries are finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise CurvatureError(f"{what} must have shape ({n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteError(f"{what} has non-finite entries")
     return x
 
 
@@ -693,7 +696,7 @@ class ComplexStructure:
         eye = np.eye(n)
         defect = max(float(np.max(np.abs(J.T @ J - eye))),
                      float(np.max(np.abs(J @ J + eye))))
-        if defect > CONSTRUCTION_TOL:
+        if not defect <= CONSTRUCTION_TOL:
             raise CurvatureError(f"complex-structure defect {defect:.3e} exceeds "
                                  f"{CONSTRUCTION_TOL:.1e}")
         object.__setattr__(self, "matrix", _frozen(J))
@@ -719,7 +722,7 @@ class QuaternionTriple:
         if self.J.n != n or self.K.n != n or n % 4 != 0:
             raise CurvatureError("quaternion triple needs matching structures on R^(4m)")
         defect = float(np.max(np.abs(self.I.matrix @ self.J.matrix - self.K.matrix)))
-        if defect > CONSTRUCTION_TOL:
+        if not defect <= CONSTRUCTION_TOL:
             raise CurvatureError(f"triple violates IJ = K by {defect:.3e}")
 
     @property
@@ -778,8 +781,8 @@ def standard_quaternion_triple(n: int) -> QuaternionTriple:
 def rotate_triple(T: QuaternionTriple, rot: np.ndarray) -> QuaternionTriple:
     """Replace (I, J, K) by an SO(3)-rotated triple spanning the same structure sphere."""
     rot = np.asarray(rot, dtype=float)
-    if rot.shape != (3, 3) or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-9 \
-            or np.linalg.det(rot) < 0:
+    if rot.shape != (3, 3) or not (np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-9
+                                   and np.linalg.det(rot) >= 0):
         raise CurvatureError("need a rotation matrix in SO(3)")
     mats = T.matrices
     new = [sum(rot[s, t] * mats[t] for t in range(3)) for s in range(3)]
@@ -804,11 +807,11 @@ _ISO_FORMS[[0, 0, 1, 1], [0, 1, 0, 1], [2, 3, 3, 2]] = [1.0, -1.0, 1.0, 1.0]
 _ISO_FORMS = _frozen(_ISO_FORMS - _ISO_FORMS.transpose(0, 2, 1))
 
 
-def _frame_forms(F: np.ndarray, C: np.ndarray = _ISO_FORMS) -> np.ndarray:
-    """The forms w_a = F C_a F^T of a stack of frames (..., n, k) for antisymmetric
-    C (A, k, k), by default the isotropic pair, on the 2-form basis: (..., A, N)."""
+def _frame_forms(F: np.ndarray) -> np.ndarray:
+    """The isotropic forms w_a = F C_a F^T (``_ISO_FORMS``) of a stack of frames
+    (..., n, 4), on the 2-form basis: (..., 2, N)."""
     iu, ju = pair_indices(F.shape[-2])
-    forms = (F[..., None, :, :] @ C) @ np.swapaxes(F, -1, -2)[..., None, :, :]
+    forms = (F[..., None, :, :] @ _ISO_FORMS) @ np.swapaxes(F, -1, -2)[..., None, :, :]
     return forms[..., iu, ju]
 
 

@@ -17,11 +17,14 @@ restart stopped (``stop_reason``), how long each restart ran and how many
 stack passes the search took; they report values, and frames are
 certificates, never compared directly.
 
-The isotropic search first tries to certify each tensor without a descent:
-by Ky Fan's inequality (Ky Fan 1949) every isotropic value is at least
-2 (lambda_1 + lambda_2) of M, so a tensor whose best axis-aligned frame
-attains that bound, to CERT_TOL |M|_max, has its minimum there
-(``stop_reason`` ``certified``, no passes; ``lower_bound`` carries the bound).
+Each search's certificate is computed here, one way.  By Ky Fan's
+inequality (Ky Fan 1949) every isotropic value is at least 2 (lambda_1 +
+lambda_2) of M: every isotropic result carries that bound as
+``lower_bound``, and a tensor whose best axis-aligned frame attains it, to
+CERT_TOL |M|_max, has its minimum there (``stop_reason`` ``certified``, no
+descent, no passes).  The holomorphic maximizer's certificate is its
+first-order conditions, taken over the complement of span{X, JX}, which
+the complete QR of those vectors spans (``_complement``).
 
 The holomorphic search finishes with Newton's method, as BB converges only
 linearly: rows below _NEWTON_TOL wait until no row is left, then take
@@ -35,12 +38,11 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import (_ISO_FORMS, ComplexStructure, CurvatureError, CurvatureTensor, FourFrame,
-                   NonFiniteError, QuaternionTriple, _bianchi_gather, _frame_forms,
-                   _holomorphic_frame, _invariance_defects, _reaction, _require_same_n,
-                   _require_vector, _unpack_two_form, curvature_map, isotropic_from_columns,
-                   pair_indices, qform, wedge)
-from .spaces import _nullspace
+from .core import (_ISO_FORMS, FEASIBILITY_TOL, ComplexStructure, CurvatureError,
+                   CurvatureTensor, FourFrame, NonFiniteError, QuaternionTriple,
+                   _bianchi_gather, _frame_forms, _holomorphic_frame, _invariance_defects,
+                   _reaction, _require_same_n, _require_vector, _unpack_two_form,
+                   curvature_map, isotropic_from_columns, pair_indices, qform, wedge)
 
 
 def _require_numbers(values: dict, integers, positives) -> None:
@@ -79,7 +81,7 @@ class FrameSearchResult:
     restart_iterations: list = field(default_factory=list)   # aligned with restart_values
     restart_stop_reasons: list = field(default_factory=list)  # likewise
     passes: int = 0                    # value-and-gradient calls of the descent stack
-    lower_bound: float | None = None   # Ky Fan's bound on the value, where it was computed
+    lower_bound: float | None = None   # Ky Fan's bound on the value; isotropic searches only
     newton_passes: int = 0             # of those passes, the holomorphic search's Newton ones
     newton_finished: int = 0           # rows of this tensor the Newton finish took to grad_tol
     newton_handed_back: int = 0        # rows of this tensor it handed back to BB
@@ -294,7 +296,7 @@ def _split_results(values, frames, iterations, reasons, passes: int, r: int, sca
         scaled = scale[t] * v
         results.append(FrameSearchResult(
             value=float(scaled[k]), frame_or_vector=report(f[k]),
-            converged=bool(rs[k] == "grad_tol"), iterations=int(it[k]),
+            converged=bool(rs[k] in ("grad_tol", "certified")), iterations=int(it[k]),
             restart_values=scaled.tolist(), restart_frames=list(f),
             stop_reason=str(rs[k]), restart_iterations=it.tolist(),
             restart_stop_reasons=rs.tolist(), passes=passes))
@@ -409,45 +411,32 @@ def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
                          on_iterate=None) -> list[FrameSearchResult]:
     """``min_isotropic`` of each tensor of a (T, N, N) stack, in order, bit for bit.
 
-    Tensor t is certified when its best axis-aligned frame (``_best_probe``)
-    attains Ky Fan's bound b_t (``_ky_fan_bound``): on M / s (``_unit_scale``),
-    p_t <= b_t + tol_t for its value p_t (``isotropic_from_columns``) and
-    tol_t = CERT_TOL |M_t / s_t|_max.  b_t is computed, in one batched
-    ``eigvalsh``, only where p_t <= 2 (d_1 + d_2) + tol_t for the two least
-    diagonal entries d of M_t / s_t, which b_t never exceeds.  A certified
-    tensor's result is that frame alone (``certified``, no iterations, no
-    passes); the others run through ``_search_isotropic`` as one stack, on
-    their scales, scaled tensors and probes, so each gets the result it would
-    get alone.  ``lower_bound`` is s_t b_t wherever b_t was computed, None
-    elsewhere.  Before any of it, NonFiniteError names the first tensor t
-    with a non-finite entry."""
+    Every tensor's Ky Fan bound b_t (``_ky_fan_bound``) of M / s
+    (``_unit_scale``) comes from one batched ``eigvalsh``, and tensor t is
+    certified when its best axis-aligned frame (``_best_probe``) attains it:
+    p_t <= b_t + CERT_TOL |M_t / s_t|_max for its value p_t
+    (``isotropic_from_columns``).  A certified tensor's result is that frame
+    alone (``certified``, no iterations, no passes); the others run through
+    ``_search_isotropic`` as one stack, on their scales, scaled tensors and
+    probes, so each gets the result it would get alone.  Both kinds of result
+    come from ``_split_results``, and every ``lower_bound`` is s_t b_t.
+    Before any of it, NonFiniteError names the first tensor t with a
+    non-finite entry."""
     _require_four_frames(n)
     for t in np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))[:1]:
         raise NonFiniteError(f"isotropic search: tensor {t} is not finite")
     s, unit, probes = _unit_probes(mats, n)
     p = isotropic_from_columns(unit, probes)
-    tol = CERT_TOL * np.abs(unit).max(axis=(1, 2))
-    d = np.partition(np.diagonal(unit, axis1=1, axis2=2), 1, axis=1)
-    bounded = p <= 2.0 * (d[:, 0] + d[:, 1]) + tol
-    b = np.full(len(unit), np.nan)
-    b[bounded] = _ky_fan_bound(unit[bounded])
-    certified = p <= b + tol
-    todo = np.flatnonzero(~certified)
+    b = _ky_fan_bound(unit)
+    certified = p <= b + CERT_TOL * np.abs(unit).max(axis=(1, 2))
+    c, todo = np.flatnonzero(certified), np.flatnonzero(~certified)
+    certs = iter(_split_results(p[c], probes[c], np.zeros(len(c), dtype=int),
+                                np.full(len(c), "certified"), 0, 1, s[c], FourFrame))
     searched = iter(_search_isotropic((s[todo], unit[todo], probes[todo]), n, cfg, on_iterate)
                     if len(todo) else ())
-    results = []
-    for t in range(len(unit)):
-        if certified[t]:
-            value = float(s[t] * p[t])
-            res = FrameSearchResult(
-                value=value, frame_or_vector=FourFrame(probes[t]), converged=True,
-                iterations=0, restart_values=[value], restart_frames=[probes[t]],
-                stop_reason="certified", restart_iterations=[0],
-                restart_stop_reasons=["certified"], passes=0)
-        else:
-            res = next(searched)
-        res.lower_bound = float(s[t] * b[t]) if bounded[t] else None
-        results.append(res)
+    results = [next(certs if cert else searched) for cert in certified]
+    for res, bound in zip(results, s * b):
+        res.lower_bound = float(bound)
     return results
 
 
@@ -639,6 +628,13 @@ def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
     return _max_holomorphic_stack(R.mat[None], J.matrix, cfg)[0]
 
 
+def _complement(V: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (..., n, n - k) spanning the orthogonal complement
+    of the span of a stack V (..., n, k) of full-rank columns: the last n - k
+    columns of its complete QR (empty for k = n)."""
+    return np.linalg.qr(V, mode="complete")[0][..., V.shape[-1]:]
+
+
 def _restricted_bisectional(Omega: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of W^T B W for Omega = R(x, Ax, ., .) and
     orthonormal columns W, where B = (Omega A + A Omega) / 2 is the symmetric
@@ -659,12 +655,14 @@ class FirstOrderReport:
     tol: float
 
 
-def _first_order(Omega: np.ndarray, Jm: np.ndarray, x: np.ndarray, W: np.ndarray,
+def _first_order(Omega: np.ndarray, Jm: np.ndarray, x: np.ndarray,
                  tol: float) -> list[FirstOrderReport]:
     """``maximizer_first_order_check`` at each x of a stack (T, n), from Omega = R(x, Jx, ., .)
-    (T, n, n) and orthonormal bases W (T, n, d), as columns, of the complements of span{x, Jx}."""
+    (T, n, n), over the ``_complement`` W of each span{x, Jx}."""
+    jx = x @ Jm.T
+    W = _complement(np.stack([x, jx], axis=-1))
     u = (x[:, None, :] @ Omega)[:, 0]        # u_i = R(x, jx, x, e_i)
-    h = np.einsum("ti,ti->t", u, x @ Jm.T)   # R(x,jx,x,jx)
+    h = np.einsum("ti,ti->t", u, jx)         # R(x,jx,x,jx)
     deriv = np.linalg.norm(np.stack([u, u @ Jm.T], axis=1) @ W, axis=-1)   # (T, 2): y, jy
     min_slack = h - 2.0 * _restricted_bisectional(Omega, Jm, W).max(axis=-1, initial=-np.inf)
     passed = (deriv <= tol).all(axis=-1) & (min_slack >= -tol)
@@ -682,13 +680,15 @@ def maximizer_first_order_check(R: CurvatureTensor, J: ComplexStructure,
     The extrema over Y are computed exactly (norm of a projected functional,
     top eigenvalue of the restricted bisectional form).  For n = 2 no such Y
     exists and the conditions hold vacuously (min_slack = +inf).  The T = 1
-    case of ``_first_order``, ``_restricted_bisectional`` and ``_nullspace``.
+    case of ``_first_order``, ``_restricted_bisectional`` and ``_complement``.
+    CurvatureError unless |x| = 1 to FEASIBILITY_TOL: the terms scale
+    differently in |x|.
     """
     _require_same_n(R, J, "complex structure")
     x = _require_vector(x, R.n, "x")
-    jx = J.matrix @ x
-    W = _nullspace(np.array([x, jx]))
-    return _first_order(curvature_map(R, x, jx)[None], J.matrix, x[None], W[None], tol)[0]
+    if not abs(float(x @ x) - 1.0) <= FEASIBILITY_TOL:
+        raise CurvatureError(f"x must be a unit vector, got |x|^2 = {float(x @ x):.6g}")
+    return _first_order(curvature_map(R, x, J.matrix @ x)[None], J.matrix, x[None], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +764,13 @@ def boundary_q_check(R: CurvatureTensor, frame: FourFrame, min_iso: float) -> Bo
     reaction term's isotropic value must be nonnegative as well.
 
     ``min_iso`` is the caller's certificate for min isotropic curvature of R;
-    a frame away from the boundary makes the check inapplicable, not failed.
-    Every comparison is to tol = CHECK_TOL, which the report carries.
+    a frame away from the boundary makes the check inapplicable, not failed,
+    and a non-finite one raises NonFiniteError.  Every comparison is to
+    tol = CHECK_TOL, which the report carries.
     """
     _require_same_n(R, frame, "frame")
+    if not np.isfinite(min_iso):
+        raise NonFiniteError(f"boundary check: min_iso is not finite, got {min_iso!r}")
     iso = float(isotropic_from_columns(R.mat, frame.matrix))
     applicable = abs(iso) <= CHECK_TOL and min_iso >= -CHECK_TOL
     q_val = float(isotropic_from_columns(qform(R).mat, frame.matrix))
@@ -832,8 +835,7 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
     anticommutes with J: its spectrum is +-lambda, each with even
     multiplicity, and the pairs {w, Iw} are its eigenvectors, one value per
     pair.  The maximum is therefore 4 max lambda^2, read off one symmetric
-    eigenvalue problem.  Omega and one basis of that complement also serve
-    the first-order check: with JX and KX it spans the complement of span{X, IX}.
+    eigenvalue problem.  Omega also serves the first-order check.
     """
     cfg = cfg or OptimizerConfig()
     single = isinstance(R1s, CurvatureTensor)
@@ -866,13 +868,9 @@ def _qk_reports(mats: np.ndarray, T: QuaternionTriple, searches: list,
     q_vals = (w[:, None, :] @ _reaction(mats, n) @ w[..., None])[:, 0, 0]
     bounds = (2 * (n // 4) + 4) * vals * vals
     Omega = _unpack_two_form((mats @ w[..., None])[..., 0], n)
-    # x, Ix, Jx, Kx are orthonormal, so JX, KX and the complement of all four
-    # span the complement of span{x, Ix}
-    W = _nullspace(np.stack([X, IX, JX, KX], axis=1))
-    W_first = np.concatenate([np.stack([JX, KX], axis=-1), W], axis=-1)
-    firsts = _first_order(Omega, T.I.matrix, X, W_first, FIRST_ORDER_TOL)
+    firsts = _first_order(Omega, T.I.matrix, X, FIRST_ORDER_TOL)
     # the paired diagnostic: B is +-lambda on the quaternionic complement of X
-    lam = _restricted_bisectional(Omega, T.I.matrix, W)
+    lam = _restricted_bisectional(Omega, T.I.matrix, _complement(np.stack([X, IX, JX, KX], -1)))
     excess = 4.0 * np.max(lam * lam, axis=-1, initial=0.0) - vals * vals
     return [QKBoundReport(j_coeffs=(1.0, 0.0, 0.0), max_value=res.value, q_value=float(q),
                           bound=float(b), slack=float(b - q), y2_max_excess=float(e),

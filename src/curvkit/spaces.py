@@ -36,7 +36,7 @@ from .core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteE
                    _pair_positions, _require_same_n, _stored, invariance_defect, num_pairs,
                    scalar_curvature, model_quaternionic_projective, two_form_action)
 
-SV_CUTOFF = 1e-8        # relative singular-value cutoff of _nullspace (hyper-Kahler, frames)
+SV_CUTOFF = 1e-8        # relative singular-value cutoff of the hyper-Kahler SVD (_nullspace)
 MAX_BASIS_N = 12        # dense basis construction is capped here
 
 
@@ -76,15 +76,12 @@ def _coord_maps(d: int):
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) with cutoff SV_CUTOFF relative to sigma_max,
-    of a matrix or of each of a stack; CurvatureError unless their ranks are equal."""
+    """Orthonormal nullspace basis (columns) of a matrix, with cutoff
+    SV_CUTOFF relative to sigma_max."""
     # a tall system's thin vh is already square; only a wide one needs the full vh
-    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
-    ranks = np.sum(s > SV_CUTOFF * s[..., :1], axis=-1)
-    rank = int(ranks.max(initial=0))
-    if (ranks != rank).any():
-        raise CurvatureError(f"stacked nullspaces differ in rank: {np.unique(ranks).tolist()}")
-    return np.swapaxes(vh[..., rank:, :], -1, -2)
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.sum(s > SV_CUTOFF * s[:1]))
+    return vh[rank:].T
 
 
 def _fixed_two_forms(structures) -> np.ndarray:

@@ -387,7 +387,8 @@ def test_assert_nonneg_fails_on_non_finite_value(tmp_path, capsys, monkeypatch):
     main(["model", "--kind", "sphere", "--n", "4", "--out", p])
     capsys.readouterr()
     monkeypatch.setattr(curvkit.cli, "min_isotropic",
-                        lambda R, cfg: FrameSearchResult(float("nan"), None, False, 0))
+                        lambda R, cfg: FrameSearchResult(float("nan"), None, False, 0,
+                                                         lower_bound=float("nan")))
     code, out, _ = run(capsys, "check", "--in", p, "--what", "iso-min",
                        "--assert-nonneg")
     assert code == 1

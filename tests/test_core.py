@@ -347,6 +347,17 @@ def test_complex_structure_validation():
         ComplexStructure(np.eye(6))
     with pytest.raises(CurvatureError):
         standard_complex_structure(5)
+    # a NaN defect fails the check: the structure is refused, not built
+    with pytest.raises(CurvatureError, match="complex-structure defect"):
+        ComplexStructure(np.full((4, 4), np.nan))
+
+
+def test_quaternion_triple_rejects_non_finite_structure(t8):
+    """A NaN structure that skipped its own check still fails IJ = K."""
+    K = object.__new__(ComplexStructure)
+    object.__setattr__(K, "matrix", np.full((8, 8), np.nan))
+    with pytest.raises(CurvatureError, match="violates IJ = K"):
+        QuaternionTriple(t8.I, t8.J, K)
 
 
 def test_four_frame_leaves_caller_array_writable():
@@ -386,6 +397,8 @@ def test_rotate_triple_preserves_relations(t8):
                                atol=1e-12)
     with pytest.raises(CurvatureError):
         rotate_triple(t8, np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(CurvatureError, match="rotation matrix"):
+        rotate_triple(t8, np.full((3, 3), np.nan))
 
 
 @settings(max_examples=20, deadline=None)

@@ -548,18 +548,3 @@ def test_nullspace_thin_svd_of_tall_matrix_is_exact():
     assert null.shape == (12, 5)
     np.testing.assert_array_equal(null, full[7:].T)
     assert np.max(np.abs(A @ null)) < 1e-12
-
-
-def test_nullspace_of_a_stack_is_each_matrix_nullspace_and_needs_equal_ranks():
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((3, 4, 9))                 # rank 4 each
-    null = _nullspace(A)
-    assert null.shape == (3, 9, 5)
-    for a, v in zip(A, null):
-        assert np.max(np.abs(a @ v)) < 1e-12
-        assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-12
-        single = _nullspace(a)
-        assert np.max(np.abs(v @ v.T - single @ single.T)) < 1e-12
-    A[1, 3] = A[1, 0]                                  # rank 3 at t = 1
-    with pytest.raises(CurvatureError, match=r"differ in rank: \[3, 4\]"):
-        _nullspace(A)

@@ -14,8 +14,8 @@ from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, Fou
                           two_form_action, wedge, zero_tensor)
 from curvkit import frames
 from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
-                            _best_probe, _iso_value_grad, _orthonormalize, _retract,
-                            _stiefel_tangent,
+                            _best_probe, _complement, _iso_value_grad, _orthonormalize,
+                            _retract, _stiefel_tangent,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -238,24 +238,22 @@ def _rotated(R, seed):
 @pytest.mark.parametrize("n", range(4, 13))
 def test_ky_fan_bound_is_below_the_sampled_and_searched_minima(n):
     """2 (lambda_1 + lambda_2) of M is at most the sampled minimum, the
-    search value and 2 (d_1 + d_2) of the diagonal; the search reports it
-    exactly when its probe frame passes the pre-test, and certifies none of
-    these tensors."""
+    search value and 2 (d_1 + d_2) of the diagonal; every search reports it
+    as ``lower_bound``, to 1e-12 |M|_max, and certifies none of these
+    tensors."""
     cfg = OptimizerConfig(restarts=4, seed=0)
     for seed in range(3):
         R = random_curvature(n, seed=1200 + 10 * n + seed)
-        bound = float(frames._ky_fan_bound(R.mat))
+        lam = np.linalg.eigvalsh(R.mat)
+        bound = 2.0 * (lam[0] + lam[1])
         scale = np.abs(R.mat).max()
         res = min_isotropic(R, cfg)
         assert bound <= sample_frames_min(R, num_samples=512, seed=seed)[0]
         assert bound <= res.value and res.stop_reason != "certified"
         d = np.sort(np.diagonal(R.mat / scale))
         assert bound / scale <= 2.0 * (d[0] + d[1])
-        probe = isotropic_from_columns(R.mat / scale, _best_probe(R.mat / scale, n))
-        pretest = probe <= 2.0 * (d[0] + d[1]) + frames.CERT_TOL
-        assert (res.lower_bound is not None) == pretest
-        if pretest:
-            assert abs(res.lower_bound - bound) <= 1e-12 * scale
+        assert isinstance(res.lower_bound, float)
+        assert abs(res.lower_bound - bound) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n, kind", [(4, "fs"), (6, "fs"), (8, "fs"), (8, "r0"), (12, "r0")])
@@ -398,6 +396,47 @@ def test_first_order_check_is_vacuous_at_n2():
     assert rep.passed and rep.min_slack == np.inf
     assert rep.deriv_y == rep.deriv_jy == 0.0
     assert np.isclose(rep.value, 1.0)
+
+
+def test_first_order_check_rejects_a_non_unit_vector():
+    """At x = 2 e_1 on the round sphere the terms would mix |X|^4 with unit-Y
+    ones (value 16, min_slack 16): x must be a unit vector."""
+    J = standard_complex_structure(4)
+    with pytest.raises(CurvatureError, match="unit vector"):
+        maximizer_first_order_check(model_sphere(4), J, 2.0 * np.eye(4)[0])
+    x = (1.0 + 1e-7) * np.eye(4)[0]        # within FEASIBILITY_TOL
+    assert maximizer_first_order_check(model_sphere(4), J, x).passed
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (8, 4), (12, 4), (9, 3)])
+def test_complement_is_orthonormal_and_orthogonal_to_its_input(n, k):
+    """The complete QR's last n - k columns are orthonormal and orthogonal to
+    the k input columns, for each matrix of a stack."""
+    V = _orthonormalize(np.random.default_rng(70 + n).standard_normal((3, n, k)))
+    W = _complement(V)
+    assert W.shape == (3, n, n - k)
+    eye = np.eye(n - k)
+    for v, w in zip(V, W):
+        assert np.abs(w.T @ w - eye).max() <= 1e-14
+        assert np.abs(v.T @ w).max() <= 1e-14
+
+
+def test_complement_is_empty_for_a_full_basis():
+    """[x, Jx] at n = 2 and [X, IX, JX, KX] at n = 4 span the space: no column is left."""
+    x = np.array([0.6, 0.8])
+    J = standard_complex_structure(2).matrix
+    assert _complement(np.stack([x, J @ x], axis=1)[None]).shape == (1, 2, 0)
+    X = np.array([0.5, 0.5, 0.5, 0.5])
+    V = np.stack([X] + [A @ X for A in standard_quaternion_triple(4).matrices], axis=-1)
+    assert _complement(V[None]).shape == (1, 4, 0)
+
+
+def test_complement_of_a_stack_is_each_matrix_complement():
+    """A stack's complements are those of its matrices one by one, bit for bit."""
+    V = _orthonormalize(np.random.default_rng(71).standard_normal((5, 8, 4)))
+    W = _complement(V)
+    for v, w in zip(V, W):
+        np.testing.assert_array_equal(w, _complement(v))
 
 
 def test_first_order_check_rejects_non_maximizer(kahler4):
@@ -571,6 +610,15 @@ def test_boundary_check_requires_cone_certificate(fs4, light_cfg):
     res = min_isotropic(R, light_cfg)
     rep = boundary_q_check(R, res.frame_or_vector, min_iso=-1.0)
     assert not rep.applicable
+
+
+@pytest.mark.parametrize("min_iso", [np.nan, np.inf, -np.inf])
+def test_boundary_check_rejects_a_non_finite_certificate(fs4, min_iso):
+    """A non-finite min_iso is no certificate: the check fails closed instead
+    of reporting itself inapplicable."""
+    R, _ = fs4
+    with pytest.raises(NonFiniteError, match="min_iso is not finite"):
+        boundary_q_check(R, FourFrame(np.eye(4)), min_iso=min_iso)
 
 
 def test_qk_bound_on_samples(t8, hk8):
@@ -816,10 +864,16 @@ _J6, _E6 = standard_complex_structure(6), np.eye(6)
 ], ids=["holomorphic_sectional", "orthogonal_bisectional-x", "orthogonal_bisectional-y",
         "maximizer_first_order_check", "evaluate-x", "evaluate-w", "curvature_map-z",
         "curvature_map-w"])
-@pytest.mark.parametrize("v", [np.ones(4), np.ones(7), np.ones((6, 1)), 1.0],
-                         ids=["short", "long", "column", "scalar"])
-def test_vector_length_mismatch_raises_curvature_error(call, v):
+@pytest.mark.parametrize("v, error, match", [
+    (np.ones(4), CurvatureError, r"must have shape \(6,\)"),
+    (np.ones(7), CurvatureError, r"must have shape \(6,\)"),
+    (np.ones((6, 1)), CurvatureError, r"must have shape \(6,\)"),
+    (1.0, CurvatureError, r"must have shape \(6,\)"),
+    (np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]), NonFiniteError, "has non-finite entries"),
+    (np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.inf]), NonFiniteError, "has non-finite entries"),
+], ids=["short", "long", "column", "scalar", "nan", "inf"])
+def test_vector_length_mismatch_raises_curvature_error(call, v, error, match):
     """A vector of another shape than (n,) fails at entry with CurvatureError,
-    not inside numpy."""
-    with pytest.raises(CurvatureError, match=r"must have shape \(6,\)"):
+    not inside numpy, and one with a non-finite entry with NonFiniteError."""
+    with pytest.raises(error, match=match):
         call(random_curvature(6, seed=1), v)
