@@ -41,10 +41,11 @@ cleared before each call (`kahler_subspace_first_call`),
 (seeds 0, 1, ...; 4 restarts, as in the verify suite), twice: one call per
 sample (`qk_q_bound_check`) and one call on the whole list, whose searches
 run as one descent stack (`qk_q_bound_check_batched`, whose stack passes are
-reported, and of them the Newton finish's passes with the rows it finished
-and handed back to BB), each timed by one pass divided by QK_SAMPLES;
-`maximizer_first_order_check` is timed at n = 8 on the first of those
-samples, at its maximizer for I.  The layers of `qk_q_bound_check` around
+reported from the reports' `search`, and of them the Newton finish's passes
+with the rows it finished and handed back to BB), each timed by one pass
+divided by QK_SAMPLES; `maximizer_first_order_check` is timed at n = 8 on
+the first of those samples, at its maximizer for I, read from that
+sample's `search`.  The layers of `qk_q_bound_check` around
 its search are timed at STACK_SIZES on QK_SAMPLES hyper-Kahler samples
 (one stacked draw of seeds 0, 1, ...), per tensor against one call on the
 stack: its residual gate, `invariance_defect` of each tensor against
@@ -93,8 +94,7 @@ from curvkit.core import (ComplexStructure, _einstein_stack,  # noqa: E402
 from curvkit.flow import _dop853_step, rk4_step  # noqa: E402
 from curvkit.frames import (STOP_REASONS, OptimizerConfig, _iso_value_grad,  # noqa: E402
                             _ky_fan_bound, _max_holomorphic_stack, _orthonormalize,
-                            _qk_reports, _retract,
-                            max_holomorphic_sectional, maximizer_first_order_check,
+                            _qk_reports, _retract, maximizer_first_order_check,
                             min_isotropic, min_orthogonal_bisectional, qk_q_bound_check)
 from curvkit.spaces import (_kahler_table, _sample_stack,  # noqa: E402
                             curvature_space_basis, hyperkahler_subspace, kahler_subspace,
@@ -242,12 +242,12 @@ def main() -> int:
         lambda: [qk_q_bound_check(R1, T, qk_cfg) for R1 in tensors], 1, QK_SAMPLES)
     layers["qk_q_bound_check_batched"]["8"] = timed(
         lambda: qk_q_bound_check(tensors, T, qk_cfg), 1, QK_SAMPLES)
-    qk_reports = qk_q_bound_check(tensors, T, qk_cfg)
-    qk_passes = qk_reports[0].passes
-    qk_newton = {"passes": qk_reports[0].newton_passes,
-                 "rows_finished": sum(rep.newton_finished for rep in qk_reports),
-                 "rows_handed_back": sum(rep.newton_handed_back for rep in qk_reports)}
-    x = max_holomorphic_sectional(tensors[0], T.I, qk_cfg).frame_or_vector
+    qk_searches = [rep.search for rep in qk_q_bound_check(tensors, T, qk_cfg)]
+    qk_passes = qk_searches[0].passes
+    qk_newton = {"passes": qk_searches[0].newton_passes,
+                 "rows_finished": sum(res.newton_finished for res in qk_searches),
+                 "rows_handed_back": sum(res.newton_handed_back for res in qk_searches)}
+    x = qk_searches[0].frame_or_vector
     layers["maximizer_first_order_check"]["8"] = timed(
         lambda: maximizer_first_order_check(tensors[0], T.I, x))
     seeds = list(range(STACK_SAMPLES))

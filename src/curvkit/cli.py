@@ -100,12 +100,8 @@ def cmd_model(args) -> int:
             raise CurvatureError("fubini-study requires even n")
         R = model_fubini_study(n // 2, args.param)[0]
     elif args.kind == "r0":
-        if n % 4:
-            raise CurvatureError("r0 requires n divisible by 4")
         R = model_r0(standard_quaternion_triple(n), scale=args.param)
     else:  # sj
-        if n % 2:
-            raise CurvatureError("sj requires even n")
         R = model_sj(standard_complex_structure(n), scale=args.param)
     save_tensor(R, args.out)
     return 0

@@ -690,10 +690,11 @@ class ComplexStructure:
 
     def __post_init__(self):
         J = np.array(self.matrix, dtype=float)
-        n = J.shape[0]
-        if J.ndim != 2 or J.shape != (n, n) or n % 2 != 0:
+        if J.ndim != 2 or J.shape[0] != J.shape[1] or len(J) % 2 != 0 or not J.size:
             raise CurvatureError("a complex structure needs a square matrix of even size")
-        eye = np.eye(n)
+        if not np.isfinite(J).all():
+            raise NonFiniteError("complex structure has non-finite entries")
+        eye = np.eye(len(J))
         defect = max(float(np.max(np.abs(J.T @ J - eye))),
                      float(np.max(np.abs(J @ J + eye))))
         if not defect <= CONSTRUCTION_TOL:

@@ -599,22 +599,21 @@ def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
     s = _unit_scale(mats)
     unit = mats / s[:, None, None]
     starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
-    newton, log = _hol_newton(unit, Jm, r), []
+    newton = _hol_newton(unit, Jm, r)
+    # _descend calls finish at most once: -2 marks a row with no Newton step
+    codes, newton_passes = np.full(len(starts), -2), np.zeros(1, dtype=int)
 
     def finish(X, val, P, rows, iters):
-        *res, codes, passes = _newton_finish(newton, X, val, P, rows, iters, cfg.max_iters)
-        log.append((rows, codes, passes))
-        return *res, passes
+        *res, codes[rows], newton_passes[0] = _newton_finish(
+            newton, X, val, P, rows, iters, cfg.max_iters)
+        return *res, int(newton_passes[0])
 
     negvals, X, iterations, reasons, passes = _descend(
         _hol_value_grad(unit, Jm, r), starts, cfg, finish=finish)
-    codes, newton_passes = np.full(len(X), -2), 0     # -2: no Newton step
-    for rows, code, newton_passes in log:
-        codes[rows] = code
     results = _split_results(negvals, X[:, :, 0], iterations, reasons, passes, r, -s,
                              lambda x: x)
     for res, own in zip(results, codes.reshape(-1, r)):
-        res.newton_passes = newton_passes
+        res.newton_passes = int(newton_passes[0])
         res.newton_finished = int(np.count_nonzero(own == 0))
         res.newton_handed_back = int(np.count_nonzero(own == -1))
     return results
@@ -783,7 +782,7 @@ def boundary_q_check(R: CurvatureTensor, frame: FourFrame, min_iso: float) -> Bo
 class QKBoundReport:
     """Sharp reaction bound at the joint maximizer over structures and vectors."""
 
-    j_coeffs: tuple[float, float, float]   # always (1, 0, 0): J = I, see qk_q_bound_check
+    search: FrameSearchResult   # the maximizer search for J = I, see qk_q_bound_check
     max_value: float        # R1(X,JX,X,JX) at the maximizer
     q_value: float          # Q(R1)(X,JX,X,JX)
     bound: float            # (2m+4) * max_value^2
@@ -793,13 +792,6 @@ class QKBoundReport:
     hk_residual: float
     passed: bool
     tol: float
-    stop_reason: str        # of the maximizer search's best row, one of STOP_REASONS
-    iterations: int         # of that row
-    restart_stop_reasons: tuple   # of every row of the search
-    passes: int             # of the descent stack, shared by every tensor of one call
-    newton_passes: int      # of those passes, the Newton finish's (see FrameSearchResult)
-    newton_finished: int    # rows of this tensor the finish took to grad_tol
-    newton_handed_back: int  # rows of this tensor it handed back to BB
 
 
 def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = None):
@@ -814,7 +806,9 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
     any search runs, so a bad tensor t raises CurvatureError naming t.  The
     searches, ``cfg.restarts`` ascents per tensor from the same seeded
     starts, run as one ``_descend`` stack; each tensor's X is the best of its
-    own rows, exactly as in ``max_holomorphic_sectional(R1, T.I, cfg)``.
+    own rows, exactly as in ``max_holomorphic_sectional(R1, T.I, cfg)``, and
+    its report's ``search`` is that tensor's result of the stack (stop
+    reasons, iterations, passes and Newton counts).
 
     The bound holds at the joint maximum of R1(X,JX,X,JX) over unit X and
     unit combinations J = aI + bJ + cK, and that maximum is reached at J = I.
@@ -822,8 +816,8 @@ def qk_q_bound_check(R1s, T: QuaternionTriple, cfg: OptimizerConfig | None = Non
     quaternions q = a + bI + cJ + dK acting on R^n, so R1 is q-invariant.  As
     q I q^-1 covers the structure sphere,
     R1(X, qIq^-1 X, X, qIq^-1 X) = R1(q^-1 X, I q^-1 X, q^-1 X, I q^-1 X).
-    X is therefore the multistart maximizer for I, and ``j_coeffs`` is
-    (1, 0, 0).  The hyper-Kahler residual gate is the precondition of this
+    X is therefore the multistart maximizer for I, and I is the J of every
+    report.  The hyper-Kahler residual gate is the precondition of this
     reduction: an input with R(., ., A., A.) != R for some A in T raises
     CurvatureError, since off Sym^2(sp(m)) the maximum over J need not be at I.
 
@@ -858,7 +852,7 @@ def _qk_reports(mats: np.ndarray, T: QuaternionTriple, searches: list,
                 residuals: np.ndarray) -> list[QKBoundReport]:
     """The reports of ``qk_q_bound_check`` on a (T, N, N) stack at its maximizer
     ``searches`` for I, from (T, ...) arrays and one Q of the whole stack
-    (``core._reaction``)."""
+    (``core._reaction``); each report carries its search unchanged."""
     n = T.n
     vals = np.array([res.value for res in searches])
     X = np.stack([res.frame_or_vector for res in searches])
@@ -872,11 +866,7 @@ def _qk_reports(mats: np.ndarray, T: QuaternionTriple, searches: list,
     # the paired diagnostic: B is +-lambda on the quaternionic complement of X
     lam = _restricted_bisectional(Omega, T.I.matrix, _complement(np.stack([X, IX, JX, KX], -1)))
     excess = 4.0 * np.max(lam * lam, axis=-1, initial=0.0) - vals * vals
-    return [QKBoundReport(j_coeffs=(1.0, 0.0, 0.0), max_value=res.value, q_value=float(q),
-                          bound=float(b), slack=float(b - q), y2_max_excess=float(e),
-                          first_order=first, hk_residual=float(r), passed=bool(q <= b + CHECK_TOL),
-                          tol=CHECK_TOL, stop_reason=res.stop_reason, iterations=res.iterations,
-                          restart_stop_reasons=tuple(res.restart_stop_reasons), passes=res.passes,
-                          newton_passes=res.newton_passes, newton_finished=res.newton_finished,
-                          newton_handed_back=res.newton_handed_back)
+    return [QKBoundReport(search=res, max_value=res.value, q_value=float(q), bound=float(b),
+                          slack=float(b - q), y2_max_excess=float(e), first_order=first,
+                          hk_residual=float(r), passed=bool(q <= b + CHECK_TOL), tol=CHECK_TOL)
             for res, q, b, e, first, r in zip(searches, q_vals, bounds, excess, firsts, residuals)]

@@ -34,7 +34,8 @@ import numpy as np
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
                    QuaternionTriple, _bianchi_gather, _frozen, _holomorphic_frame,
                    _pair_positions, _require_same_n, _stored, invariance_defect, num_pairs,
-                   scalar_curvature, model_quaternionic_projective, two_form_action)
+                   scalar_curvature, model_quaternionic_projective, standard_complex_structure,
+                   two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff of the hyper-Kahler SVD (_nullspace)
 MAX_BASIS_N = 12        # dense basis construction is capped here
@@ -220,7 +221,7 @@ def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
     M[elem, flat] = vals
     M = M.reshape(dim, N, N)
     Jm = J.matrix
-    if not np.array_equal(Jm, np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])):   # J0
+    if not np.array_equal(Jm, standard_complex_structure(n).matrix):   # J0
         # J = P J0 P^T for P e_2a = Re V_a, P e_2a+1 = -Im V_a, V_a the
         # columns of V; R0 in K(J0) pulls back to C_P M0 C_P^T in K(J).
         V = _holomorphic_frame(Jm)

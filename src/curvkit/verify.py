@@ -243,7 +243,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
         gap = max(rep.q_value - rep.bound for rep in reports)
         first = max(max(fo.deriv_y, fo.deriv_jy, -min(0.0, fo.min_slack))
                     for fo in (rep.first_order for rep in reports))
-        return [(gap, f"{samples} samples, {_stop_counts(reports)}"),
+        return [(gap, f"{samples} samples, {_stop_counts([rep.search for rep in reports])}"),
                 (first, f"{samples} samples")]
 
     run([("q-hol-bound-maximizer",

@@ -1,11 +1,13 @@
 """Core algebra: construction, symmetries, contractions, model tensors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor,
-                          FourFrame, QuaternionTriple, bform, curvature_map,
+                          FourFrame, NonFiniteError, QuaternionTriple, bform, curvature_map,
                           einstein_normalize, einstein_residual, evaluate,
                           holomorphic_sectional, inner, isotropic_curvature,
                           isotropic_from_columns,
@@ -347,9 +349,26 @@ def test_complex_structure_validation():
         ComplexStructure(np.eye(6))
     with pytest.raises(CurvatureError):
         standard_complex_structure(5)
-    # a NaN defect fails the check: the structure is refused, not built
-    with pytest.raises(CurvatureError, match="complex-structure defect"):
+    # a non-finite entry is refused before any product is formed
+    with pytest.raises(NonFiniteError, match="complex structure has non-finite entries"):
         ComplexStructure(np.full((4, 4), np.nan))
+
+
+@pytest.mark.parametrize("m", [np.array(1.0), np.zeros((0, 0)), np.zeros((2, 2, 2))],
+                         ids=["0-d", "empty", "3-d"])
+def test_complex_structure_rejects_a_non_matrix(m):
+    """The shape is checked before anything reads it."""
+    with pytest.raises(CurvatureError, match="square matrix of even size"):
+        ComplexStructure(m)
+
+
+def test_complex_structure_rejects_an_infinite_entry_without_a_warning():
+    """An infinite entry raises NonFiniteError, not numpy's RuntimeWarning of
+    an inf * 0 product, even when warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="non-finite entries"):
+            ComplexStructure(np.full((4, 4), np.inf))
 
 
 def test_quaternion_triple_rejects_non_finite_structure(t8):

@@ -13,9 +13,9 @@ from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor, Fou
                           rotate_triple, standard_complex_structure, standard_quaternion_triple,
                           two_form_action, wedge, zero_tensor)
 from curvkit import frames
-from curvkit.frames import (STOP_REASONS, FirstOrderReport, OptimizerConfig, QKBoundReport,
-                            _best_probe, _complement, _iso_value_grad, _orthonormalize,
-                            _retract, _stiefel_tangent,
+from curvkit.frames import (STOP_REASONS, FirstOrderReport, FrameSearchResult,
+                            OptimizerConfig, QKBoundReport, _best_probe, _complement,
+                            _iso_value_grad, _orthonormalize, _retract, _stiefel_tangent,
                             boundary_q_check, max_holomorphic_sectional,
                             maximizer_first_order_check, min_isotropic,
                             min_orthogonal_bisectional, pinching_constant,
@@ -629,7 +629,6 @@ def test_qk_bound_on_samples(t8, hk8):
         assert rep.q_value <= rep.bound + 1e-6
         assert rep.first_order.passed
         assert rep.y2_max_excess <= 1e-8
-        assert np.isclose(np.linalg.norm(rep.j_coeffs), 1.0)
 
 
 def test_qk_bound_zero_tensor(t8):
@@ -672,10 +671,8 @@ def test_qk_bound_reaches_the_joint_maximum_at_i(t8, kind):
     for seed in range(3):
         R1 = sample(hk, seed=seed)
         rep = qk_q_bound_check(R1, T, cfg)
-        v = rep.max_value
-        assert rep.j_coeffs == (1.0, 0.0, 0.0)
+        v, x = rep.max_value, rep.search.frame_or_vector
         assert v >= qk_joint_search_serial(R1, T, cfg)[0] - 1e-9 * max(1.0, abs(v))
-        x = max_holomorphic_sectional(R1, T.I, cfg).frame_or_vector
         ws = np.array([wedge(x, A @ x) for A in T.matrices])
         assert np.linalg.eigvalsh(ws @ R1.mat @ ws.T)[-1] - v <= 1e-12 * max(1.0, abs(v))
         # the closed-form paired diagnostic against the loop over I-pairs
@@ -716,18 +713,36 @@ def test_qk_bound_sequence_matches_one_search_per_tensor(hk_samples, hk_reports,
     assert len(hk_reports) == len(hk_samples)
     for R1, rep in zip(hk_samples, hk_reports):
         res = max_holomorphic_sectional(R1, t8.I, cfg)
-        assert abs(rep.max_value - res.value) <= 1e-12 * max(1.0, abs(res.value))
+        # passes count the whole stack, which runs as long as its slowest row
+        assert_all_fields_match(rep.search, res, skip=("passes", "newton_passes"))
+        assert rep.max_value == rep.search.value
         assert rep.passed and rep.first_order.passed
-        assert (rep.stop_reason, rep.iterations) == (res.stop_reason, res.iterations)
-        assert list(rep.restart_stop_reasons) == res.restart_stop_reasons
-        assert set(rep.restart_stop_reasons) <= set(STOP_REASONS)
+        assert set(rep.search.restart_stop_reasons) <= set(STOP_REASONS)
     # the tensors share one descent stack, and every report gives its passes
-    assert len({rep.passes for rep in hk_reports}) == 1 and hk_reports[0].passes > 1
+    passes = {(rep.search.passes, rep.search.newton_passes) for rep in hk_reports}
+    assert len(passes) == 1 and hk_reports[0].search.passes > 1
     # one tensor gives one report, the same as a sequence of one
     single = qk_q_bound_check(hk_samples[3], t8, cfg)
     assert isinstance(single, QKBoundReport)
     assert_reports_match(single, qk_q_bound_check(hk_samples[3:4], t8, cfg)[0])
     assert_reports_match(single, hk_reports[3])
+
+
+def test_qk_report_carries_its_search(monkeypatch, hk_samples, t8):
+    """Each report's ``search`` is the result the maximizer stack returned
+    for its tensor, and the report repeats none of its fields."""
+    searches, stack = [], frames._max_holomorphic_stack
+
+    def kept(*args):
+        searches.extend(stack(*args))
+        return searches
+
+    monkeypatch.setattr(frames, "_max_holomorphic_stack", kept)
+    reports = qk_q_bound_check(hk_samples[:3], t8, OptimizerConfig(restarts=2, seed=0))
+    assert len(searches) == 3 and all(rep.search is res for rep, res in zip(reports, searches))
+    assert [f.name for f in dataclasses.fields(QKBoundReport)] == [
+        "search", "max_value", "q_value", "bound", "slack", "y2_max_excess", "first_order",
+        "hk_residual", "passed", "tol"]
 
 
 def test_qk_bound_sequence_order_is_kept(hk_samples, hk_reports, t8):
@@ -785,15 +800,18 @@ def qk_case(request):
 
 
 def assert_all_fields_match(a, b, rtol=1e-12, skip=()):
-    """Every field of two QKBoundReports or FirstOrderReports but those named
-    in ``skip``: floats to rtol relative to max(1, |b|), reports field by
-    field, the rest exactly."""
+    """Every field of two QKBoundReports, FrameSearchResults or
+    FirstOrderReports but those named in ``skip``: floats to rtol relative to
+    max(1, |b|), reports and searches field by field (with the same skip),
+    arrays and restart frames exactly, the rest exactly."""
     for f in dataclasses.fields(b):
         if f.name in skip:
             continue
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(y, FirstOrderReport):
-            assert_all_fields_match(x, y, rtol)
+        if isinstance(y, (FirstOrderReport, FrameSearchResult)):
+            assert_all_fields_match(x, y, rtol, skip)
+        elif isinstance(y, np.ndarray) or f.name == "restart_frames":
+            assert np.array_equal(x, y), f.name
         elif isinstance(y, float):
             assert x == y or abs(x - y) <= rtol * max(1.0, abs(y)), f.name
         else:
@@ -806,7 +824,8 @@ def test_qk_stacked_reports_match_one_tensor_calls(qk_case):
         single = qk_q_bound_check(R1, T, cfg)
         # passes count the whole stack, which runs as long as its slowest row
         assert_all_fields_match(rep, single, skip=("passes", "newton_passes"))
-        assert rep.passes >= single.passes and rep.newton_passes >= single.newton_passes
+        assert rep.search.passes >= single.search.passes
+        assert rep.search.newton_passes >= single.search.newton_passes
 
 
 def test_qk_stacked_first_order_matches_maximizer_first_order_check(qk_case):
