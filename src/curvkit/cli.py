@@ -23,9 +23,8 @@ from .core import (CurvatureError, model_fubini_study, model_r0, model_sj,
                    standard_complex_structure, standard_quaternion_triple, weyl)
 from .flow import FlowConfig, FlowError, cone_preservation_probe, integrate_q_flow
 from .frames import OptimizerConfig, _pinching_from_iso, min_isotropic
-from .spaces import MAX_BASIS_N
 from .tensor_io import load_tensor, save_tensor, write_trace_csv
-from .verify import run_verification_suite
+from .verify import _require_basis_n, run_verification_suite
 
 
 def _env_seed(args, fallback: int) -> int:
@@ -63,6 +62,13 @@ def positive_float(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
+
+
+def basis_n(text: str) -> int:
+    try:
+        return _require_basis_n(int(text))
+    except CurvatureError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def finite_float(text: str) -> float:
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     v = sub.add_parser("verify", help="run the identity verification suite")
-    v.add_argument("--n", type=int, choices=range(4, MAX_BASIS_N + 1), default=8)
+    v.add_argument("--n", type=basis_n, default=8)
     v.add_argument("--seed", type=nonnegative_int, default=None)
     v.add_argument("--samples", type=nonnegative_int, default=20)
     v.add_argument("--out", default=None, help="also write the JSON report here")

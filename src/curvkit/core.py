@@ -298,14 +298,27 @@ def _require_same_n(R: "CurvatureTensor", other, what: str) -> None:
         raise CurvatureError(f"tensor and {what} dimensions differ: {R.n} and {other.n}")
 
 
-def _require_vector(x, n: int, what: str) -> np.ndarray:
-    """``x`` as a float array, CurvatureError unless its shape is (n,),
-    NonFiniteError unless its entries are finite."""
+def _require_finite(x, what: str) -> np.ndarray:
+    """``x`` as a float array, NonFiniteError unless it is finite: each boundary's first check."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise CurvatureError(f"{what} must have shape ({n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteError(f"{what} has non-finite entries")
+    return x
+
+
+def _require_table(table) -> np.ndarray:
+    """``table`` by :func:`_require_finite`, CurvatureError unless it is (n, n, n, n), n >= 2."""
+    T = _require_finite(table, "rank-4 table")
+    if T.ndim != 4 or len(set(T.shape)) != 1 or T.shape[0] < 2:
+        raise CurvatureError(f"expected an (n,n,n,n) table with n >= 2, got shape {T.shape}")
+    return T
+
+
+def _require_vector(x, n: int, what: str) -> np.ndarray:
+    """``x`` by :func:`_require_finite`, CurvatureError unless its shape is (n,)."""
+    x = _require_finite(x, what)
+    if x.shape != (n,):
+        raise CurvatureError(f"{what} must have shape ({n},), got {x.shape}")
     return x
 
 
@@ -344,12 +357,10 @@ class CurvatureTensor:
     def __init__(self, n: int, mat: np.ndarray, label: str | None = None):
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 2:
             raise CurvatureError(f"dimension must be an integer >= 2, got {n!r}")
-        mat = np.asarray(mat, dtype=float)
+        mat = _require_finite(mat, "coefficient matrix")
         if mat.shape != (num_pairs(n), num_pairs(n)):
             raise CurvatureError(f"coefficient matrix has shape {mat.shape}, "
                                  f"expected ({num_pairs(n)}, {num_pairs(n)}) for n={n}")
-        if not np.isfinite(mat).all():
-            raise NonFiniteError("coefficient matrix has non-finite entries")
         self.n = int(n)
         self.mat = _frozen(0.5 * (mat + mat.T))
         self.label = label
@@ -362,14 +373,10 @@ class CurvatureTensor:
         """Validate a rank-4 table against all curvature symmetries and store it.
 
         Raises :class:`CurvatureError` if any symmetry defect exceeds
-        ``tol * max(1, |table|_max)``.
+        ``tol * max(1, |table|_max)``, and as :func:`_require_table` does.
         """
-        T = np.asarray(table, dtype=float)
-        if T.ndim != 4 or len(set(T.shape)) != 1:
-            raise CurvatureError(f"expected an (n,n,n,n) table, got shape {T.shape}")
+        T = _require_table(table)
         n = T.shape[0]
-        if not np.all(np.isfinite(T)):
-            raise CurvatureError("rank-4 table has non-finite entries")
         defect = symmetry_defect(T)
         ref = max(1.0, float(np.max(np.abs(T))))
         if defect > tol * ref:
@@ -410,7 +417,7 @@ class CurvatureTensor:
         return CurvatureTensor(self.n, self.mat - other.mat)
 
     def __mul__(self, c: float) -> "CurvatureTensor":
-        return CurvatureTensor(self.n, float(c) * self.mat)
+        return CurvatureTensor(self.n, float(_require_finite(c, "factor")) * self.mat)
 
     __rmul__ = __mul__
 
@@ -452,21 +459,15 @@ def symmetry_defect(T: np.ndarray) -> float:
     return d
 
 
-def project_to_curvature(table: np.ndarray, n: int | None = None) -> CurvatureTensor:
+def project_to_curvature(table: np.ndarray) -> CurvatureTensor:
     """Orthogonal projection of an arbitrary rank-4 table onto curvature tensors.
 
     Antisymmetrizes both index pairs while gathering onto the pair basis,
     symmetrizes pair exchange, then removes the cyclic (Bianchi-violating)
     part with :func:`project_bianchi`.
     """
-    T = np.asarray(table, dtype=float)
-    if T.ndim != 4 or len(set(T.shape)) != 1:
-        raise CurvatureError(f"expected an (n,n,n,n) table, got shape {T.shape}")
-    if n is not None and n != T.shape[0]:
-        raise CurvatureError(f"dimension argument {n} does not match table shape {T.shape}")
+    T = _require_table(table)
     n = T.shape[0]
-    if n < 2:
-        raise CurvatureError("need n >= 2")
     iu, ju = pair_indices(n)
     i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
     M = 0.25 * (T[i, j, k, l] - T[j, i, k, l] - T[i, j, l, k] + T[j, i, l, k])
@@ -511,7 +512,13 @@ def scalar_curvature(R: CurvatureTensor) -> float:
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rank-4 product (h @ k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il
-    of symmetric n x n matrices h and k."""
+    of finite n x n matrices h and k, each symmetric to CONSTRUCTION_TOL * max(1, |.|_max)."""
+    h, k = _require_finite(h, "h"), _require_finite(k, "k")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape != k.shape:
+        raise CurvatureError(f"need two square matrices of one size, got {h.shape} and {k.shape}")
+    for a, what in ((h, "h"), (k, "k")):
+        if np.abs(a - a.T).max(initial=0.0) > CONSTRUCTION_TOL * np.abs(a).max(initial=1.0):
+            raise CurvatureError(f"{what} is not symmetric to {CONSTRUCTION_TOL:.1e}")
     return CurvatureTensor(len(h), _kulkarni_nomizu_mat(h, k)).rank4
 
 
@@ -550,7 +557,7 @@ def _einstein_stack(mats: np.ndarray, n: int, target: float | None = None) -> np
     index t."""
     if n < 3:
         raise CurvatureError("normalization requires n >= 3")
-    target = float(n - 1) if target is None else float(target)
+    target = float(n - 1) if target is None else float(_require_finite(target, "target"))
     g = np.eye(n)
     delta = target * g - _ricci_mat(mats, n)
     trh = np.trace(delta, axis1=-2, axis2=-1) / (2.0 * (n - 1))
@@ -642,18 +649,20 @@ def einstein_residual(R: CurvatureTensor, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _require_frames(F: np.ndarray) -> np.ndarray:
-    """F, an (n, 4) matrix or a (T, n, 4) stack of them with n >= 4, unless
-    some frame has a Gram defect above CONSTRUCTION_TOL (or a non-finite
-    one): then CurvatureError, which for a stack names the index t of the
-    first failing frame.  The check of :class:`FourFrame`."""
+    """F, an (n, 4) matrix or a (T, n, 4) stack of them with n >= 4, unless some
+    frame has a Gram defect above CONSTRUCTION_TOL: then CurvatureError (NonFiniteError
+    for a non-finite frame, whose defect is NaN), which for a stack names the index t
+    of the first failing frame.  The check of :class:`FourFrame`."""
     if F.ndim not in (2, 3) or F.shape[-1] != 4 or F.shape[-2] < 4:
         raise CurvatureError(f"a 4-frame needs an (n, 4) matrix with n >= 4, got {F.shape}")
-    defects = np.abs(np.swapaxes(F, -1, -2) @ F - np.eye(4)).max(axis=(-2, -1))
+    G = np.where(np.isfinite(F), F, np.nan)       # NaN propagates where inf * 0 would warn
+    defects = np.abs(np.swapaxes(G, -1, -2) @ G - np.eye(4)).max(axis=(-2, -1))
     bad = np.flatnonzero(~(defects <= CONSTRUCTION_TOL))
     if bad.size:
         which = f"frame {bad[0]}" if F.ndim == 3 else "frame"
-        raise CurvatureError(f"{which} Gram defect {defects.flat[bad[0]]:.3e} exceeds "
-                             f"{CONSTRUCTION_TOL:.1e}")
+        defect = defects.flat[bad[0]]
+        raise (NonFiniteError if np.isnan(defect) else CurvatureError)(
+            f"{which} Gram defect {defect:.3e} exceeds {CONSTRUCTION_TOL:.1e}")
     return F
 
 
@@ -692,8 +701,7 @@ class ComplexStructure:
         J = np.array(self.matrix, dtype=float)
         if J.ndim != 2 or J.shape[0] != J.shape[1] or len(J) % 2 != 0 or not J.size:
             raise CurvatureError("a complex structure needs a square matrix of even size")
-        if not np.isfinite(J).all():
-            raise NonFiniteError("complex structure has non-finite entries")
+        _require_finite(J, "complex structure")
         eye = np.eye(len(J))
         defect = max(float(np.max(np.abs(J.T @ J - eye))),
                      float(np.max(np.abs(J @ J + eye))))
@@ -757,31 +765,18 @@ def standard_quaternion_triple(n: int) -> QuaternionTriple:
     """Left multiplication by i, j, k on R^(4m) = H^m (basis 1, i, j, k per block)."""
     if n % 4 != 0 or n < 4:
         raise CurvatureError("need n divisible by 4")
-    I = np.zeros((n, n))
-    J = np.zeros((n, n))
-    K = np.zeros((n, n))
-    for b in range(0, n, 4):
-        # i: 1 -> i, i -> -1, j -> k, k -> -j
-        I[b + 1, b] = 1.0
-        I[b, b + 1] = -1.0
-        I[b + 3, b + 2] = 1.0
-        I[b + 2, b + 3] = -1.0
-        # j: 1 -> j, i -> -k, j -> -1, k -> i
-        J[b + 2, b] = 1.0
-        J[b + 3, b + 1] = -1.0
-        J[b, b + 2] = -1.0
-        J[b + 1, b + 3] = 1.0
-        # k: 1 -> k, i -> j, j -> -i, k -> -1
-        K[b + 3, b] = 1.0
-        K[b + 2, b + 1] = 1.0
-        K[b + 1, b + 2] = -1.0
-        K[b, b + 3] = -1.0
+    I, J, K = np.zeros((3, n, n))
+    b = np.arange(0, n, 4)[:, None]
+    col = b + np.arange(4)                  # per block, the images of 1, i, j, k:
+    I[b + [1, 0, 3, 2], col] = [1.0, -1.0, 1.0, -1.0]       # i, -1, k, -j
+    J[b + [2, 3, 0, 1], col] = [1.0, -1.0, -1.0, 1.0]       # j, -k, -1, i
+    K[b + [3, 2, 1, 0], col] = [1.0, 1.0, -1.0, -1.0]       # k, j, -i, -1
     return QuaternionTriple(ComplexStructure(I), ComplexStructure(J), ComplexStructure(K))
 
 
 def rotate_triple(T: QuaternionTriple, rot: np.ndarray) -> QuaternionTriple:
     """Replace (I, J, K) by an SO(3)-rotated triple spanning the same structure sphere."""
-    rot = np.asarray(rot, dtype=float)
+    rot = _require_finite(rot, "rotation matrix")
     if rot.shape != (3, 3) or not (np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-9
                                    and np.linalg.det(rot) >= 0):
         raise CurvatureError("need a rotation matrix in SO(3)")
@@ -855,9 +850,8 @@ def holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure, x) -> float:
 
 def model_sphere(n: int, lam: float = 1.0) -> CurvatureTensor:
     """Constant sectional curvature lam: R_{ijkl} = lam (g_ik g_jl - g_il g_jk)."""
-    if n < 2:
-        raise CurvatureError("need n >= 2")
-    return CurvatureTensor(n, float(lam) * np.eye(num_pairs(n)), label=f"sphere(n={n})")
+    lam = float(_require_finite(lam, "sectional curvature"))
+    return CurvatureTensor(n, lam * np.eye(num_pairs(n)), label=f"sphere(n={n})")
 
 
 def model_kahler_form(J: ComplexStructure, scale: float = 1.0) -> CurvatureTensor:
@@ -867,7 +861,7 @@ def model_kahler_form(J: ComplexStructure, scale: float = 1.0) -> CurvatureTenso
     """
     P = J.matrix.T  # P_{ij} = g(J e_i, e_j)
     p = P[pair_indices(J.n)]
-    mat = float(scale) * (2.0 * np.outer(p, p) + two_form_action(P))
+    mat = float(_require_finite(scale, "scale")) * (2.0 * np.outer(p, p) + two_form_action(P))
     return CurvatureTensor(J.n, mat, label="kahler-form")
 
 
@@ -876,6 +870,7 @@ def model_fubini_study(m: int, c: float = 4.0) -> tuple[CurvatureTensor, Complex
 
     Returns the tensor together with the complex structure it is built from.
     """
+    _require_finite(c, "holomorphic sectional curvature")
     if m < 2:
         raise CurvatureError("need complex dimension m >= 2")
     n = 2 * m
@@ -889,11 +884,11 @@ def model_quaternionic_projective(T: QuaternionTriple, scale: float = 1.0) -> Cu
 
     4 R0 = sphere(n, 1) + sum over A in {I, J, K} of the form of model_kahler_form(A).
     """
-    n = T.n
+    n, scale = T.n, float(_require_finite(scale, "scale"))
     R = model_sphere(n, 1.0)
     for A in (T.I, T.J, T.K):
         R = R + model_kahler_form(A)
-    return CurvatureTensor(n, (float(scale) / 4.0) * R.mat, label=f"quaternionic(n={n})")
+    return CurvatureTensor(n, (scale / 4.0) * R.mat, label=f"quaternionic(n={n})")
 
 
 # Short aliases matching the CLI model names.

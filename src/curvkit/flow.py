@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _reaction_terms, _stored,
-                   project_bianchi, qform, scalar_curvature)
+                   _require_finite, project_bianchi, qform, scalar_curvature)
 from .frames import (OptimizerConfig, _min_isotropic_stack, _require_four_frames,
                      _require_numbers, min_isotropic)
 
@@ -172,8 +172,10 @@ def scalar_blowup_oracle(c: float, lam0: float, t: float) -> float:
     """Closed-form scale of the self-similar ray solution lam' = c lam^2.
 
     For a tensor with qform(R) = c R, the flow from lam0 * R stays on the ray
-    with scale lam0 / (1 - c lam0 t); defined up to the blow-up time.
+    with scale lam0 / (1 - c lam0 t); defined up to the blow-up time.  ValueError
+    past it, and NonFiniteError, a ValueError, for a non-finite argument.
     """
+    _require_finite((c, lam0, t), "(c, lam0, t)")
     denom = 1.0 - c * lam0 * t
     if denom <= 0:
         raise ValueError("requested time is at or beyond the blow-up")

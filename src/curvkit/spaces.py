@@ -31,14 +31,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (ComplexStructure, CurvatureError, CurvatureTensor, NonFiniteError,
-                   QuaternionTriple, _bianchi_gather, _frozen, _holomorphic_frame,
-                   _pair_positions, _require_same_n, _stored, invariance_defect, num_pairs,
+from .core import (ComplexStructure, CurvatureError, CurvatureTensor, QuaternionTriple,
+                   _bianchi_gather, _frozen, _holomorphic_frame, _pair_positions,
+                   _require_finite, _require_same_n, _stored, invariance_defect, num_pairs,
                    scalar_curvature, model_quaternionic_projective, standard_complex_structure,
                    two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff of the hyper-Kahler SVD (_nullspace)
 MAX_BASIS_N = 12        # dense basis construction is capped here
+
+
+def _require_basis_n(n: int) -> int:
+    """n, or CurvatureError unless 4 <= n <= MAX_BASIS_N, the sizes every basis is built for."""
+    if not 4 <= n <= MAX_BASIS_N:
+        raise CurvatureError(f"subspace bases are built for 4 <= n <= {MAX_BASIS_N}, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -202,9 +209,7 @@ def _holonomy_space(n: int, U: np.ndarray, label: str,
 
 def curvature_space_basis(n: int) -> CurvatureSubspace:
     """Orthonormal basis of all curvature tensors on R^n; dimension n^2(n^2-1)/12."""
-    if not 4 <= n <= MAX_BASIS_N:
-        raise CurvatureError(f"generic basis supported for 4 <= n <= {MAX_BASIS_N}, got {n}")
-    return _generic_space(n)
+    return _generic_space(_require_basis_n(n))
 
 
 def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
@@ -212,9 +217,7 @@ def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
     K(u(m)), of dimension (m(m+1)/2)^2 for n = 2m, in closed form: the
     ``_kahler_table`` entries scattered into a zero stack, as they are for
     the standard J and conjugated by C_P for any other J = P J0 P^T."""
-    n = J.n
-    if not 4 <= n <= MAX_BASIS_N:
-        raise CurvatureError(f"subspace construction supported for 4 <= n <= {MAX_BASIS_N}")
+    n = _require_basis_n(J.n)
     N, dim = num_pairs(n), (n // 2 * (n // 2 + 1) // 2) ** 2
     elem, flat, vals = _kahler_table(n)
     M = np.zeros((dim, N * N))
@@ -234,33 +237,31 @@ def kahler_subspace(J: ComplexStructure) -> CurvatureSubspace:
 def hyperkahler_subspace(T: QuaternionTriple) -> CurvatureSubspace:
     """Curvature tensors invariant under all of I, J, K, for n = 4m;
     K(sp(m)), of dimension C(2m+3, 4)."""
-    n = T.n
-    if n > MAX_BASIS_N:
-        raise CurvatureError(f"subspace construction supported up to n = {MAX_BASIS_N}")
+    n = _require_basis_n(T.n)
     return _holonomy_space(n, _fixed_two_forms(T.matrices), "hyperkahler", T.matrices)
 
 
-def sample(space: CurvatureSubspace, seed: int, scale: float = 1.0) -> CurvatureTensor:
+def sample(space: CurvatureSubspace, seed: int) -> CurvatureTensor:
     """Deterministic Gaussian combination of the basis (numpy default_rng);
     the one-seed case of :func:`_sample_stack`."""
-    return _stored(_sample_stack(space, [seed], scale)[0], space.n)
+    return _stored(_sample_stack(space, [seed])[0], space.n)
 
 
-def _sample_stack(space: CurvatureSubspace, seeds, scale: float = 1.0) -> np.ndarray:
-    """The coefficient matrices of ``sample(space, s, scale)`` for each seed s
-    of ``seeds``, as a (T, N, N) stack: each seed's coefficient row drawn
-    from its own numpy default_rng, then one product of the (T, dimension)
-    rows with the basis for the whole stack, which reads the basis once.
-    Like the CurvatureTensor constructor, it raises NonFiniteError on a
-    non-finite entry and returns each matrix as 0.5 (M + M^T)."""
+def _sample_stack(space: CurvatureSubspace, seeds) -> np.ndarray:
+    """The coefficient matrices of ``sample(space, s)`` for each seed s of
+    ``seeds``, as a (T, N, N) stack: each seed's coefficient row drawn from
+    its own numpy default_rng, then one product of the (T, dimension) rows
+    with the basis for the whole stack, which reads the basis once.  A
+    non-finite product raises NonFiniteError, without numpy's warnings: a scan
+    of the basis would cost as much.  Each matrix is returned as 0.5 (M + M^T)."""
     if space.dimension == 0:
         raise CurvatureError("cannot sample from an empty subspace")
     coeffs = np.stack([np.random.default_rng(s).standard_normal(space.dimension)
-                       for s in seeds]) * float(scale)
-    mats = (coeffs @ space.stacked.reshape(space.dimension, -1)).reshape(
-        (len(coeffs),) + space.stacked.shape[1:])
-    if not np.isfinite(mats).all():
-        raise NonFiniteError("coefficient matrix has non-finite entries")
+                       for s in seeds])
+    with np.errstate(invalid="ignore", over="ignore"):
+        mats = (coeffs @ space.stacked.reshape(space.dimension, -1)).reshape(
+            (len(coeffs),) + space.stacked.shape[1:])
+    mats = _require_finite(mats, "coefficient matrix")
     mats += np.swapaxes(mats, 1, 2)
     mats *= 0.5
     return mats

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CurvatureError, CurvatureTensor, _require_bianchi, num_pairs
+from .core import (CONSTRUCTION_TOL, CurvatureError, CurvatureTensor, _require_bianchi,
+                   _require_finite, num_pairs)
 
 FORMAT_NAME = "lambda2_sym_dense"
-READ_TOL = 1e-9
 
 
 def tensor_to_dict(R: CurvatureTensor) -> dict:
@@ -41,23 +41,20 @@ def tensor_from_dict(d: dict) -> CurvatureTensor:
     if not isinstance(coeffs, list) or not set(map(type, coeffs)) <= {int, float}:
         raise CurvatureError("coefficients are not a flat list of numbers")
     try:
-        mat = np.asarray(coeffs, dtype=float)
+        mat = _require_finite(coeffs, "coefficient matrix")
     except OverflowError:
         raise CurvatureError("coefficients contain an integer too large for a float") from None
     if mat.size != N * N:
         raise CurvatureError(f"expected {N * N} coefficients for n={n}, got {mat.size}")
     mat = mat.reshape(N, N)
-    if not np.all(np.isfinite(mat)):
-        raise CurvatureError("coefficients contain NaN or infinite values")
-    scale = max(1.0, float(np.max(np.abs(mat))))
     sym = float(np.max(np.abs(mat - mat.T)))
-    if sym > READ_TOL * scale:
+    if sym > CONSTRUCTION_TOL * np.abs(mat).max(initial=1.0):
         raise CurvatureError(f"coefficient matrix is not symmetric: defect {sym:.3e}")
     label = d.get("label", "")
     if not isinstance(label, str):
         raise CurvatureError(f"label must be a string, got {label!r}")
     R = CurvatureTensor(n, mat, label=label)
-    _require_bianchi(R.mat, n, "coefficient matrix", READ_TOL)
+    _require_bianchi(R.mat, n, "coefficient matrix", CONSTRUCTION_TOL)
     return R
 
 

@@ -33,8 +33,8 @@ from .core import (ComplexStructure, _einstein_stack, _reaction, _require_frames
                    einstein_residual, isotropic_from_columns, model_fubini_study,
                    model_r0, model_sj, model_sphere, ricci,
                    standard_complex_structure, standard_quaternion_triple)
-from .spaces import (MAX_BASIS_N, _sample_stack, curvature_space_basis, hyperkahler_subspace,
-                     kahler_subspace, sample)
+from .spaces import (_require_basis_n, _sample_stack, curvature_space_basis,
+                     hyperkahler_subspace, kahler_subspace, sample)
 
 
 @dataclass
@@ -110,8 +110,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     """
     frames._require_numbers({"n": n, "seed": seed, "samples": samples},
                             (("n", 4), ("seed", 0), ("samples", 0)), ())
-    if n > MAX_BASIS_N:
-        raise ValueError(f"n must be an integer with 4 <= n <= {MAX_BASIS_N}, got {n!r}")
+    _require_basis_n(n)
     if inject_defect and n % 4:
         raise ValueError(f"inject_defect perturbs R0, which requires n divisible by 4, got {n}")
     t0 = lap = time.perf_counter()

@@ -18,7 +18,8 @@ from curvkit.core import (ComplexStructure, CurvatureError, CurvatureTensor,
                           standard_complex_structure, standard_quaternion_triple,
                           symmetry_defect, weyl, zero_tensor)
 from curvkit.core import _einstein_stack, _require_frames, _stored
-from curvkit.spaces import curvature_space_basis, sample
+from curvkit.spaces import CurvatureSubspace, curvature_space_basis, kahler_subspace, sample
+from curvkit.tensor_io import tensor_from_dict, tensor_to_dict
 
 from helpers import (bform_loops, einstein_normalize_rank4, evaluate_table, iso_table,
                      random_curvature)
@@ -206,6 +207,85 @@ def test_kulkarni_nomizu_ricci_rule():
     KN = CurvatureTensor.from_rank4(kulkarni_nomizu(h, np.eye(n)), tol=1e-8)
     np.testing.assert_allclose(ricci(KN), (n - 2) * h + np.trace(h) * np.eye(n),
                                atol=1e-10)
+
+
+def test_kulkarni_nomizu_fails_closed():
+    """Two square matrices of one size, each symmetric to CONSTRUCTION_TOL
+    relative to max(1, its largest entry), or CurvatureError."""
+    h = np.diag([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(CurvatureError, match="one size"):
+        kulkarni_nomizu(h, np.eye(5))
+    with pytest.raises(CurvatureError, match="one size"):
+        kulkarni_nomizu(np.ones((3, 4)), np.ones((3, 4)))
+    bent = h.copy()
+    bent[0, 1] = 1e-6
+    with pytest.raises(CurvatureError, match="h is not symmetric"):
+        kulkarni_nomizu(bent, np.eye(4))
+    with pytest.raises(CurvatureError, match="k is not symmetric"):
+        kulkarni_nomizu(np.eye(4), 1e3 * bent)
+    bent[0, 1] = 1e-10                       # within the tolerance: accepted
+    assert kulkarni_nomizu(bent, np.eye(4)).shape == (4,) * 4
+
+
+def _with_entry(a, index, bad):
+    a = np.array(a, dtype=float)
+    a[index] = bad
+    return a
+
+
+def _sample_bad_basis(bad):
+    """A caller's Kahler space whose basis holds ``bad`` at one entry of every element."""
+    stacked = kahler_subspace(standard_complex_structure(4)).stacked.copy()
+    stacked[:, 0, 0] = bad
+    return sample(CurvatureSubspace(n=4, label="kahler", stacked=stacked), 1)
+
+
+def _dict_with_entry(bad):
+    d = tensor_to_dict(model_sphere(4, 1.0))
+    d["coeffs"][0] = bad
+    return tensor_from_dict(d)
+
+
+# Each entry point and a call that puts ``bad`` into one of its inputs.
+BOUNDARIES = {
+    "FourFrame": lambda bad: FourFrame(_with_entry(np.eye(6)[:, :4], (0, 0), bad)),
+    "rotate_triple": lambda bad: rotate_triple(standard_quaternion_triple(4),
+                                               _with_entry(np.eye(3), (0, 0), bad)),
+    "project_to_curvature": lambda bad: project_to_curvature(
+        _with_entry(_with_entry(np.zeros((4,) * 4), (0, 1, 0, 1), bad), (1, 0, 0, 1), bad)),
+    "from_rank4": lambda bad: CurvatureTensor.from_rank4(
+        _with_entry(model_sphere(4, 1.0).rank4, (0, 1, 0, 1), bad)),
+    "tensor_from_dict": _dict_with_entry,
+    "model_sphere": lambda bad: model_sphere(4, bad),
+    "model_kahler_form": lambda bad: model_kahler_form(standard_complex_structure(4), bad),
+    "model_fubini_study": lambda bad: model_fubini_study(2, bad),
+    "model_quaternionic_projective": lambda bad: model_r0(standard_quaternion_triple(4), bad),
+    "mul": lambda bad: model_sphere(4, 1.0) * bad,
+    "rmul": lambda bad: bad * model_sphere(4, 1.0),
+    "einstein_normalize": lambda bad: einstein_normalize(model_sphere(4, 1.0), bad),
+    "kulkarni_nomizu": lambda bad: kulkarni_nomizu(_with_entry(np.eye(4), (1, 1), bad),
+                                                   np.eye(4)),
+    "sample": _sample_bad_basis,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOUNDARIES))
+def test_every_boundary_refuses_non_finite_input_before_arithmetic(entry):
+    """NaN, inf and -inf in any input of an entry point raise NonFiniteError,
+    with every warning an error: numpy never computed with the bad entry."""
+    for bad in (np.inf, -np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite|Gram defect nan"):
+                BOUNDARIES[entry](bad)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_tables_below_n2_raise_curvature_error(n):
+    """An empty table and a 1 x 1 x 1 x 1 one are refused by their shape."""
+    for build in (CurvatureTensor.from_rank4, project_to_curvature):
+        with pytest.raises(CurvatureError, match=r"\(n,n,n,n\) table with n >= 2"):
+            build(np.zeros((n,) * 4))
 
 
 def test_weyl_sphere_vanishes():

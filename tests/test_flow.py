@@ -40,6 +40,15 @@ def test_blowup_oracle_values():
         scalar_blowup_oracle(6.0, 1.0, 1.0 / 6.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_blowup_oracle_refuses_non_finite_arguments(bad):
+    """A non-finite c, lam0 or t raises ValueError, as a time past the
+    blow-up does, instead of returning NaN."""
+    for args in ((bad, 1.0, 0.1), (6.0, bad, 0.1), (6.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            scalar_blowup_oracle(*args)
+
+
 @pytest.mark.parametrize("n,lam0,t_end", [(4, 1.0, 0.1), (5, 0.5, 0.2)])
 def test_sphere_ray_matches_oracle(n, lam0, t_end):
     R0 = model_sphere(n, lam0)

@@ -8,8 +8,8 @@ import pytest
 from curvkit.core import (ComplexStructure, NonFiniteError, QuaternionTriple,
                           _invariance_defects, bianchi_sums, model_sphere, pair_indices, ricci,
                           standard_complex_structure, standard_quaternion_triple)
-from curvkit.spaces import (_fixed_two_forms, _holonomy_space, _kahler_table, _sample_stack,
-                            constraint_violation,
+from curvkit.spaces import (CurvatureSubspace, _fixed_two_forms, _holonomy_space, _kahler_table,
+                            _sample_stack, constraint_violation,
                             curvature_space_basis, hyperkahler_subspace, kahler_subspace,
                             project_onto, qk_decompose, sample)
 
@@ -251,7 +251,7 @@ def test_sample_and_projection_match_sequential_sums(hk8, generic_spaces):
 def test_sample_stack_matches_sample(label, n):
     """Row t of one stacked draw is ``sample`` at seeds[t], up to the
     roundoff of one basis product for the stack against one per seed; it
-    is exactly symmetric, and a scale of 2 doubles it exactly."""
+    is exactly symmetric."""
     space = {"generic": lambda: curvature_space_basis(n),
              "kahler": lambda: kahler_subspace(standard_complex_structure(n)),
              "hyperkahler": lambda: hyperkahler_subspace(standard_quaternion_triple(n))}[label]()
@@ -262,14 +262,18 @@ def test_sample_stack_matches_sample(label, n):
         want = sample(space, seed=s).mat
         np.testing.assert_allclose(stack[t], want, rtol=0, atol=1e-14 * np.abs(want).max())
     np.testing.assert_array_equal(stack, np.swapaxes(stack, 1, 2))
-    np.testing.assert_array_equal(_sample_stack(space, seeds, scale=2.0), 2.0 * stack)
 
 
 def test_sample_stack_fails_closed_on_non_finite(kahler4):
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite"):
-        _sample_stack(kahler4, [1, 2], scale=np.inf)
+    """A caller's space whose basis holds a NaN gives NonFiniteError, from
+    the stack and from ``sample``."""
+    stacked = kahler4.stacked.copy()
+    stacked[2, 0, 1] = np.nan
+    space = CurvatureSubspace(n=4, label="kahler", stacked=stacked)
     with pytest.raises(NonFiniteError, match="non-finite"):
-        sample(kahler4, seed=1, scale=np.nan)
+        _sample_stack(space, [1, 2])
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        sample(space, seed=1)
 
 
 def test_quaternionic_kahler_space_checks_qk_decompose(t8, r0_8):

@@ -47,9 +47,9 @@ def test_each_sampled_group_draws_one_stack(monkeypatch):
     draws = []
     stack = verify._sample_stack
 
-    def counted(space, seeds, scale=1.0):
+    def counted(space, seeds):
         draws.append((space.label, len(seeds)))
-        return stack(space, seeds, scale)
+        return stack(space, seeds)
 
     monkeypatch.setattr(verify, "_sample_stack", counted)
     monkeypatch.setattr(verify, "sample", None)
