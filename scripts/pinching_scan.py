@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from curvkit import model_r0
+from curvkit.cli import nonnegative_int, positive_int
 from curvkit.core import (model_fubini_study, model_sphere,
                           standard_quaternion_triple)
 from curvkit.frames import OptimizerConfig, _min_isotropic_stack, _pinching_from_iso
@@ -34,9 +35,9 @@ def main(argv=None) -> int:
     ap.add_argument("--target", choices=["fubini-study", "r0"],
                     default="fubini-study", help="far end of the family")
     ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--steps", type=int, default=11)
-    ap.add_argument("--restarts", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--steps", type=positive_int, default=11)
+    ap.add_argument("--restarts", type=positive_int, default=16)
+    ap.add_argument("--seed", type=nonnegative_int, default=0)
     ap.add_argument("--out-csv", default=None)
     args = ap.parse_args(argv)
 
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
     ts = [k / (args.steps - 1) if args.steps > 1 else 0.0 for k in range(args.steps)]
     family = [(1.0 - t) * sphere + t * M for t in ts]
     # the whole family is searched as one descent stack
-    searches = _min_isotropic_stack(np.stack([R.mat for R in family]), args.n, cfg) if ts else []
+    searches = _min_isotropic_stack(np.stack([R.mat for R in family]), args.n, cfg)
     rows = []
     print(f"{'t':>6} {'min_iso':>12} {'pinching':>12}  stop_reason")
     for t, res in zip(ts, searches):

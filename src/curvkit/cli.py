@@ -43,25 +43,23 @@ def _env_seed(args, fallback: int) -> int:
         raise SystemExit(2)
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _flag_type(name: str, parse, admits, what: str):
+    """The argparse type ``name``: ``parse(text)``, an error "must be
+    ``what``" unless ``admits`` the value; argparse names it on a parse error."""
+    def check(text: str):
+        value = parse(text)
+        if not admits(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    check.__name__ = name
+    return check
 
 
-def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+positive_int = _flag_type("positive_int", int, lambda v: v >= 1, "a positive integer")
+nonnegative_int = _flag_type("nonnegative_int", int, lambda v: v >= 0, "a nonnegative integer")
+positive_float = _flag_type("positive_float", float, lambda v: 0 < v < math.inf,
+                            "a positive finite number")
+finite_float = _flag_type("finite_float", float, math.isfinite, "a finite number")
 
 
 def basis_n(text: str) -> int:
@@ -69,13 +67,6 @@ def basis_n(text: str) -> int:
         return _require_basis_n(int(text))
     except CurvatureError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
 
 
 def _finite_json(obj):
@@ -91,10 +82,6 @@ def _finite_json(obj):
 
 def _dumps(obj) -> str:
     return json.dumps(_finite_json(obj), sort_keys=True, indent=2, allow_nan=False)
-
-
-def _emit(obj) -> None:
-    print(_dumps(obj))
 
 
 def cmd_model(args) -> int:
@@ -140,7 +127,7 @@ def cmd_check(args) -> int:
         asserted_value = float(eigs[0])
     else:  # weyl
         report.update(weyl_norm=weyl(R).norm(), norm=R.norm())
-    _emit(report)
+    print(_dumps(report))
     if args.assert_nonneg:
         if asserted_value is None:
             print("--assert-nonneg has no meaning for --what weyl", file=sys.stderr)
@@ -182,7 +169,7 @@ def cmd_verify(args) -> int:
     if args.format == "table":
         print(_verify_table(report))
     else:
-        _emit(payload)
+        print(_dumps(payload))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(_dumps(payload))
@@ -219,7 +206,7 @@ def cmd_flow(args) -> int:
                    reaction_evals=trace.reaction_evals, first_step=trace.first_step,
                    monitor_s=trace.monitor_s, min_iso_initial=float(trace.min_iso[0]),
                    min_iso_final=float(trace.min_iso[-1]))
-    _emit(summary)
+    print(_dumps(summary))
     if args.out_csv:
         write_trace_csv(trace, args.out_csv)
     return code

@@ -43,7 +43,7 @@ disjoint entries.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -306,6 +306,26 @@ def _require_finite(x, what: str) -> np.ndarray:
     return x
 
 
+# Decorates a boundary whose arithmetic on finite input may overflow, and
+# whose finiteness or defect check then refuses the result: the overflow
+# gives inf or NaN there, with no numpy warning first.
+_overflow_unwarned = np.errstate(over="ignore", invalid="ignore")
+
+
+def _require_numbers(values: dict, integers, positives) -> None:
+    """Raise ValueError naming the first bad entry of ``values``: ``integers``
+    are (name, low) pairs whose values must be non-bool integers >= low,
+    ``positives`` names values that must be finite positive non-bool numbers."""
+    for name, low in integers:
+        v = values[name]
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    for name in positives:
+        v = values[name]
+        if isinstance(v, bool) or not isinstance(v, Real) or not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+
+
 def _require_table(table) -> np.ndarray:
     """``table`` by :func:`_require_finite`, CurvatureError unless it is (n, n, n, n), n >= 2."""
     T = _require_finite(table, "rank-4 table")
@@ -348,12 +368,14 @@ class CurvatureTensor:
     Use :func:`CurvatureTensor.from_rank4` or :func:`project_to_curvature` to
     build one from a raw rank-4 table; the models below construct standard
     examples directly.  The constructor symmetrizes ``mat`` and raises
-    :class:`CurvatureError` for a bool or non-integer ``n``, a wrong shape or
-    a non-finite entry.
+    :class:`CurvatureError` for a bool or non-integer ``n`` or a wrong shape,
+    and :class:`NonFiniteError` for a non-finite entry of ``mat`` or of its
+    symmetrization, which overflows for entries near the float maximum.
     """
 
     __slots__ = ("n", "mat", "label")
 
+    @_overflow_unwarned
     def __init__(self, n: int, mat: np.ndarray, label: str | None = None):
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 2:
             raise CurvatureError(f"dimension must be an integer >= 2, got {n!r}")
@@ -362,7 +384,7 @@ class CurvatureTensor:
             raise CurvatureError(f"coefficient matrix has shape {mat.shape}, "
                                  f"expected ({num_pairs(n)}, {num_pairs(n)}) for n={n}")
         self.n = int(n)
-        self.mat = _frozen(0.5 * (mat + mat.T))
+        self.mat = _frozen(_require_finite(0.5 * (mat + mat.T), "symmetrized coefficient matrix"))
         self.label = label
 
     # -- construction ------------------------------------------------------
@@ -408,14 +430,17 @@ class CurvatureTensor:
 
     # -- linear structure ----------------------------------------------------
 
+    @_overflow_unwarned     # the constructor's check refuses an overflow
     def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
         self._check_same(other)
         return CurvatureTensor(self.n, self.mat + other.mat)
 
+    @_overflow_unwarned
     def __sub__(self, other: "CurvatureTensor") -> "CurvatureTensor":
         self._check_same(other)
         return CurvatureTensor(self.n, self.mat - other.mat)
 
+    @_overflow_unwarned
     def __mul__(self, c: float) -> "CurvatureTensor":
         return CurvatureTensor(self.n, float(_require_finite(c, "factor")) * self.mat)
 
@@ -510,6 +535,7 @@ def scalar_curvature(R: CurvatureTensor) -> float:
     return 2.0 * float(np.trace(R.mat))
 
 
+@_overflow_unwarned
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rank-4 product (h @ k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il
     of finite n x n matrices h and k, each symmetric to CONSTRUCTION_TOL * max(1, |.|_max)."""
@@ -549,6 +575,7 @@ def einstein_normalize(R: CurvatureTensor, target: float | None = None) -> Curva
     return _stored(_einstein_stack(R.mat[None], R.n, target)[0], R.n)
 
 
+@_overflow_unwarned          # an overflow fails the Bianchi check as not finite
 def _einstein_stack(mats: np.ndarray, n: int, target: float | None = None) -> np.ndarray:
     """:func:`einstein_normalize` of every coefficient matrix of a (T, N, N)
     stack, as a (T, N, N) stack: one Ricci gather and one Kulkarni-Nomizu
@@ -648,6 +675,7 @@ def einstein_residual(R: CurvatureTensor, rho: float) -> float:
 # Frames and complex/quaternionic structures
 # ---------------------------------------------------------------------------
 
+@_overflow_unwarned          # an overflow is an inf Gram defect
 def _require_frames(F: np.ndarray) -> np.ndarray:
     """F, an (n, 4) matrix or a (T, n, 4) stack of them with n >= 4, unless some
     frame has a Gram defect above CONSTRUCTION_TOL: then CurvatureError (NonFiniteError
@@ -697,6 +725,7 @@ class ComplexStructure:
 
     matrix: np.ndarray
 
+    @_overflow_unwarned      # an overflow is an inf structure defect
     def __post_init__(self):
         J = np.array(self.matrix, dtype=float)
         if J.ndim != 2 or J.shape[0] != J.shape[1] or len(J) % 2 != 0 or not J.size:
@@ -747,10 +776,8 @@ def standard_complex_structure(n: int) -> ComplexStructure:
     """J acting blockwise: e_{2a} -> e_{2a+1}, e_{2a+1} -> -e_{2a}."""
     if n % 2 != 0 or n < 2:
         raise CurvatureError("need even n >= 2")
-    J = np.zeros((n, n))
-    for a in range(n // 2):
-        J[2 * a + 1, 2 * a] = 1.0
-        J[2 * a, 2 * a + 1] = -1.0
+    J, a = np.zeros((n, n)), np.arange(0, n, 2)
+    J[a + 1, a], J[a, a + 1] = 1.0, -1.0
     return ComplexStructure(J)
 
 
@@ -854,6 +881,7 @@ def model_sphere(n: int, lam: float = 1.0) -> CurvatureTensor:
     return CurvatureTensor(n, lam * np.eye(num_pairs(n)), label=f"sphere(n={n})")
 
 
+@_overflow_unwarned
 def model_kahler_form(J: ComplexStructure, scale: float = 1.0) -> CurvatureTensor:
     """Curvature tensor built from the 2-form of J:
 
@@ -879,6 +907,7 @@ def model_fubini_study(m: int, c: float = 4.0) -> tuple[CurvatureTensor, Complex
     return CurvatureTensor(n, R.mat, label=f"fubini-study(m={m}, c={c})"), J
 
 
+@_overflow_unwarned
 def model_quaternionic_projective(T: QuaternionTriple, scale: float = 1.0) -> CurvatureTensor:
     """Quaternionic projective model R0 on R^(4m):
 

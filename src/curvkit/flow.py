@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CurvatureError, CurvatureTensor, NonFiniteError, _reaction_terms, _stored,
-                   _require_finite, project_bianchi, qform, scalar_curvature)
-from .frames import (OptimizerConfig, _min_isotropic_stack, _require_four_frames,
-                     _require_numbers, min_isotropic)
+                   _require_finite, _require_numbers, project_bianchi, qform, scalar_curvature)
+from .frames import OptimizerConfig, _min_isotropic_stack, _require_four_frames, min_isotropic
 
 
 class FlowError(RuntimeError):

@@ -15,7 +15,8 @@ multistart, on tensors scaled to |M|_max = 1.  One engine,
 (B, n, k) stack, each row with its own step size.  Results say why the best
 restart stopped (``stop_reason``), how long each restart ran and how many
 stack passes the search took; they report values, and frames are
-certificates, never compared directly.
+certificates, never compared directly.  Each result is built once, whole,
+by ``_split_results``, and is frozen.
 
 Each search's certificate is computed here, one way.  By Ky Fan's
 inequality (Ky Fan 1949) every isotropic value is at least 2 (lambda_1 +
@@ -27,36 +28,24 @@ first-order conditions, taken over the complement of span{X, JX}, which
 the complete QR of those vectors spans (``_complement``).
 
 The holomorphic search finishes with Newton's method, as BB converges only
-linearly: rows below _NEWTON_TOL wait until no row is left, then take
-batched Newton steps on the sphere from the closed-form Hessian
-(``_hol_newton``, ``_newton_finish``; Absil-Mahony-Sepulchre 2008, ch. 6).
-A refused row resumes BB where it stands; ``passes`` counts both phases.
+linearly: given the ``_hol_newton`` closure, ``_descend`` holds the rows
+below _NEWTON_TOL until no row is left, then runs their batched Newton
+steps on the sphere from the closed-form Hessian (``_newton_finish``;
+Absil-Mahony-Sepulchre 2008, ch. 6).  A refused row resumes BB where it
+stands; ``passes`` counts both phases, ``newton_passes`` the second, and
+each result counts its rows finished and handed back.
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .core import (_ISO_FORMS, FEASIBILITY_TOL, ComplexStructure, CurvatureError,
                    CurvatureTensor, FourFrame, NonFiniteError, QuaternionTriple,
                    _bianchi_gather, _frame_forms, _holomorphic_frame, _invariance_defects,
-                   _reaction, _require_same_n, _require_vector, _unpack_two_form,
-                   curvature_map, isotropic_from_columns, pair_indices, qform, wedge)
-
-
-def _require_numbers(values: dict, integers, positives) -> None:
-    """Raise ValueError naming the first bad entry of ``values``: ``integers``
-    are (name, low) pairs whose values must be non-bool integers >= low,
-    ``positives`` names values that must be finite positive non-bool numbers."""
-    for name, low in integers:
-        v = values[name]
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-    for name in positives:
-        v = values[name]
-        if isinstance(v, bool) or not isinstance(v, Real) or not (np.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+                   _reaction, _require_numbers, _require_same_n, _require_vector,
+                   _unpack_two_form, curvature_map, isotropic_from_columns, pair_indices, qform,
+                   wedge)
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,7 @@ class OptimizerConfig:
         _require_numbers(vars(self), (("restarts", 1), ("max_iters", 1), ("seed", 0)), ())
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSearchResult:
     value: float
     frame_or_vector: object            # FourFrame for frame searches, 1-d array else
@@ -150,7 +139,7 @@ def _stiefel_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return G - F @ (0.5 * (FtG + np.swapaxes(FtG, -1, -2).conj()))
 
 
-def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, finish=None):
+def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, newton=None):
     """Minimize value_grad over a (B, n, k) stack of starts, all rows at once.
 
     ``value_grad(F, rows)`` maps a (b, n, k) stack to values (b,) and
@@ -179,18 +168,17 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, 
     ``on_iterate(F, val, gnorm)`` is called with the (n, k) frame of each
     active row at the start of each of its iterations.
 
-    With ``finish``, a second-order finish, a row also leaves once its norm
-    is at most _NEWTON_TOL, and waits.  When no row is left, ``finish(F,
-    val, P, rows, iters)`` takes the waiting rows' frames, values, projected
-    gradients, F0 indices and iterations begun, and returns their new
-    values, frames, projected gradients and iterations, and its own passes.
-    Each row then stops as above, or goes on from where it stands, with its
-    step and reference value.  So each row's path is its own, whatever else
-    shares the stack.
+    With ``newton``, a ``_hol_newton`` closure (k = 1), a row also leaves at
+    norm <= _NEWTON_TOL and waits.  When no row is left, the waiting rows, in
+    F0 order, take ``_newton_finish`` once; each then stops as above, or goes
+    on from where it stands with its step and reference value, so each row's
+    path is its own, whatever else shares the stack.  A row is finished if
+    it is then at _GRAD_TOL, handed back if above it, within cfg.max_iters.
 
-    Returns (values, frames, iterations, stop reasons), aligned with F0's
-    rows, and the stack's passes: its calls of ``value_grad``, the first
-    one included, and those of ``finish``.
+    Returns (values, frames, iterations, stop reasons) aligned with F0's
+    rows, the passes (calls of ``value_grad``, the first included, and of
+    ``newton``), the Newton passes (0 without ``newton``), and the (B,)
+    masks of the rows finished and handed back.
     """
     F = _orthonormalize(np.asarray(F0))
     B = len(F)
@@ -205,8 +193,9 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, 
     tries, iters = np.zeros(B, dtype=int), np.ones(B, dtype=int)
     ok = np.ones(B, dtype=bool)         # last trial accepted: a new iteration begins
     out = (np.empty(B), np.empty_like(F), np.empty(B, dtype=int), np.empty(B, dtype=int))
-    passes = 1
-    held = []                           # the state of the rows that wait for finish
+    passes, newton_passes = 1, 0
+    finished, handed_back = np.zeros(B, dtype=bool), np.zeros(B, dtype=bool)
+    held = []                           # the state of the rows that wait for Newton
     while True:
         if on_iterate is not None:
             for i in np.flatnonzero(ok & (iters <= cfg.max_iters)):
@@ -214,7 +203,7 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, 
         # g2 changes only on acceptance, so a small g2 is met at an iteration start
         over = iters > cfg.max_iters
         done = leave = (g2 <= _GRAD_TOL ** 2) | over | (tries == _BACKTRACKS)
-        if finish is not None:
+        if newton is not None:
             wait = (g2 <= _NEWTON_TOL ** 2) & ~done
             if np.count_nonzero(wait):
                 held.append([x[wait] for x in (F, val, P, a, iters, rows, C, Qw)])
@@ -228,10 +217,14 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, 
                 state = [np.concatenate(x) for x in zip(*held)]
                 order = np.argsort(state[5])
                 F, val, P, a, iters, rows, C, Qw = (x[order] for x in state)
-                val, F, P, iters, more = finish(F, val, P, rows, iters)
-                passes, finish, held, ok = passes + more, None, [], np.ones(len(F), dtype=bool)
+                val, F, P, iters, newton_passes = _newton_finish(newton, F, val, P, rows, iters,
+                                                                 cfg.max_iters)
+                passes += newton_passes
+                newton, held, ok = None, [], np.ones(len(F), dtype=bool)
                 g2, tries = np.einsum("bij,bij->b", P.conj(), P).real, np.zeros(len(F), dtype=int)
-                continue                # each finished row stops at its next iteration start
+                within, at_tol = iters <= cfg.max_iters, g2 <= _GRAD_TOL ** 2
+                finished[rows], handed_back[rows] = within & at_tol, within & ~at_tol
+                continue                # each row stops, or resumes BB, at its next iteration start
             if leave.all():
                 break
             F, val, P, g2, a, tries, iters, rows, C, Qw = (
@@ -256,7 +249,8 @@ def _descend(value_grad, F0: np.ndarray, cfg: OptimizerConfig, on_iterate=None, 
         tries = np.where(ok, 0, tries + 1)
         iters += ok
     values, frames, iterations, codes = out
-    return values, frames, iterations, np.array(STOP_REASONS)[codes], passes
+    return (values, frames, iterations, np.array(STOP_REASONS)[codes], passes, newton_passes,
+            finished, handed_back)
 
 
 def _unit_scale(mats: np.ndarray) -> np.ndarray:
@@ -284,14 +278,18 @@ def _block_product(X: np.ndarray, rows: np.ndarray, mats: np.ndarray, r: int) ->
     return (block.reshape(T, -1, N) @ mats).reshape((T * r,) + X.shape[1:-1] + (M,)).take(rows, 0)
 
 
-def _split_results(values, frames, iterations, reasons, passes: int, r: int, scale,
-                   report) -> list[FrameSearchResult]:
-    """One result per tensor of a search whose tensor t owns rows t r ..
-    (t + 1) r - 1, in order: its values scale[t] * values, its best row k the
-    first minimum of ``values`` and its frame ``report(frames[k])``."""
+def _split_results(values, frames, iterations, reasons, passes: int, newton_passes: int,
+                   finished, handed_back, r: int, scale, report,
+                   lower_bounds=None) -> list[FrameSearchResult]:
+    """The whole result of each tensor t, owner of rows t r .. (t + 1) r - 1,
+    of a search, in order, from ``_descend``'s outputs: its values scale[t] *
+    values, its best row k the first minimum of ``values``, its frame
+    ``report(frames[k])``, the passes and Newton passes, its rows' counts in
+    ``finished`` and ``handed_back``, and lower_bounds[t] (or None)."""
     results = []
     for t, own in enumerate(range(0, len(values), r)):
-        v, f, it, rs = (x[own:own + r] for x in (values, frames, iterations, reasons))
+        v, f, it, rs, fin, back = (x[own:own + r] for x in (values, frames, iterations, reasons,
+                                                            finished, handed_back))
         k = int(np.argmin(v))
         scaled = scale[t] * v
         results.append(FrameSearchResult(
@@ -299,7 +297,10 @@ def _split_results(values, frames, iterations, reasons, passes: int, r: int, sca
             converged=bool(rs[k] in ("grad_tol", "certified")), iterations=int(it[k]),
             restart_values=scaled.tolist(), restart_frames=list(f),
             stop_reason=str(rs[k]), restart_iterations=it.tolist(),
-            restart_stop_reasons=rs.tolist(), passes=passes))
+            restart_stop_reasons=rs.tolist(), passes=passes,
+            lower_bound=None if lower_bounds is None else float(lower_bounds[t]),
+            newton_passes=newton_passes, newton_finished=int(np.count_nonzero(fin)),
+            newton_handed_back=int(np.count_nonzero(back))))
     return results
 
 
@@ -381,12 +382,13 @@ def _ky_fan_bound(mats: np.ndarray) -> np.ndarray:
 
 
 def _unit_probes(mats: np.ndarray, n: int):
-    """(s, M / s, probes) of a (T, N, N) stack: its scales (``_unit_scale``),
-    the scaled stack and each scaled tensor's best axis-aligned frame
-    (``_best_probe``)."""
+    """(s, M / s, probes, bounds) of a (T, N, N) stack: its scales
+    (``_unit_scale``), the scaled stack, each scaled tensor's best
+    axis-aligned frame (``_best_probe``) and its Ky Fan bound
+    (``_ky_fan_bound``, one batched ``eigvalsh``)."""
     s = _unit_scale(mats)
     unit = mats / s[:, None, None]
-    return s, unit, np.stack([_best_probe(m, n) for m in unit])
+    return s, unit, np.stack([_best_probe(m, n) for m in unit]), _ky_fan_bound(unit)
 
 
 def _search_isotropic(unit_probes: tuple, n: int, cfg: OptimizerConfig,
@@ -397,47 +399,45 @@ def _search_isotropic(unit_probes: tuple, n: int, cfg: OptimizerConfig,
     (``_best_probe``).  No row ends above its start beyond roundoff (see
     ``_descend``), so each value is at most every axis-aligned frame's.  Each
     tensor is searched as M / s (``_unit_scale``) and scaled back, as are the
-    values and gradient norms ``on_iterate`` sees (T = 1)."""
-    s, mats, probes = unit_probes
+    values and gradient norms ``on_iterate`` sees (T = 1), and its
+    ``lower_bound`` is s b for its Ky Fan bound b of M / s."""
+    s, mats, probes, bounds = unit_probes
     seeded = _random_starts(cfg, n, 4)
     starts = np.concatenate([np.concatenate([seeded, p[None]]) for p in probes])
     seen = None if on_iterate is None else lambda F, v, g: on_iterate(F, s[0] * v, s[0] * g)
     r = cfg.restarts + 1
     return _split_results(*_descend(_iso_value_grad(mats, n, r), starts, cfg, seen), r, s,
-                          FourFrame)
+                          FourFrame, s * bounds)
 
 
 def _min_isotropic_stack(mats: np.ndarray, n: int, cfg: OptimizerConfig,
                          on_iterate=None) -> list[FrameSearchResult]:
     """``min_isotropic`` of each tensor of a (T, N, N) stack, in order, bit for bit.
 
-    Every tensor's Ky Fan bound b_t (``_ky_fan_bound``) of M / s
-    (``_unit_scale``) comes from one batched ``eigvalsh``, and tensor t is
-    certified when its best axis-aligned frame (``_best_probe``) attains it:
-    p_t <= b_t + CERT_TOL |M_t / s_t|_max for its value p_t
-    (``isotropic_from_columns``).  A certified tensor's result is that frame
-    alone (``certified``, no iterations, no passes); the others run through
-    ``_search_isotropic`` as one stack, on their scales, scaled tensors and
-    probes, so each gets the result it would get alone.  Both kinds of result
-    come from ``_split_results``, and every ``lower_bound`` is s_t b_t.
-    Before any of it, NonFiniteError names the first tensor t with a
-    non-finite entry."""
+    Every tensor's Ky Fan bound b_t of M / s (``_unit_probes``) comes from
+    one batched ``eigvalsh``, and tensor t is certified when its best
+    axis-aligned frame attains it: p_t <= b_t + CERT_TOL |M_t / s_t|_max for
+    its value p_t (``isotropic_from_columns``).  A certified tensor's result
+    is that frame alone (``certified``, no iterations, no passes); the
+    others run through ``_search_isotropic`` as one stack, on their rows of
+    ``_unit_probes``, so each gets the result it would get alone.  Both
+    kinds of result come whole from ``_split_results``, and every
+    ``lower_bound`` is s_t b_t.  Before any of it, NonFiniteError names the
+    first tensor t with a non-finite entry."""
     _require_four_frames(n)
     for t in np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))[:1]:
         raise NonFiniteError(f"isotropic search: tensor {t} is not finite")
-    s, unit, probes = _unit_probes(mats, n)
+    s, unit, probes, b = _unit_probes(mats, n)
     p = isotropic_from_columns(unit, probes)
-    b = _ky_fan_bound(unit)
     certified = p <= b + CERT_TOL * np.abs(unit).max(axis=(1, 2))
     c, todo = np.flatnonzero(certified), np.flatnonzero(~certified)
+    none = np.zeros(len(c), dtype=bool)
     certs = iter(_split_results(p[c], probes[c], np.zeros(len(c), dtype=int),
-                                np.full(len(c), "certified"), 0, 1, s[c], FourFrame))
-    searched = iter(_search_isotropic((s[todo], unit[todo], probes[todo]), n, cfg, on_iterate)
-                    if len(todo) else ())
-    results = [next(certs if cert else searched) for cert in certified]
-    for res, bound in zip(results, s * b):
-        res.lower_bound = float(bound)
-    return results
+                                np.full(len(c), "certified"), 0, 0, none, none, 1, s[c],
+                                FourFrame, s[c] * b[c]))
+    searched = iter(_search_isotropic((s[todo], unit[todo], probes[todo], b[todo]), n, cfg,
+                                      on_iterate) if len(todo) else ())
+    return [next(certs if cert else searched) for cert in certified]
 
 
 def min_isotropic(R: CurvatureTensor, cfg: OptimizerConfig | None = None,
@@ -546,30 +546,30 @@ def _positive_definite(A: np.ndarray) -> np.ndarray:
 
 def _newton_finish(newton, X: np.ndarray, val: np.ndarray, P: np.ndarray, rows: np.ndarray,
                    iters: np.ndarray, max_iters: int):
-    """The second-order finish of ``_descend`` for unit columns X (b, n, 1),
-    their values and projected gradients P:
+    """The Newton finish of ``_descend`` for unit columns X (b, n, 1), their
+    values, projected gradients P, F0 indices and iterations begun:
     batched Newton steps x <- (x + xi) / |x + xi|, xi from the Newton system
     A xi = -Pg of ``newton`` (a ``_hol_newton`` closure).  A row steps only
     while A is positive definite, so that xi descends and no row converges
     to a saddle, and keeps a step only if its value does not get worse beyond
     roundoff, _ROUNDOFF max(1, |f|); each kept step is an iteration.  A row
-    stops at projected gradient norm <= _GRAD_TOL (code 0) or after
-    ``max_iters`` (code 2); otherwise, refused or still above after
-    _NEWTON_STEPS steps, it is handed back where it stands (code -1), with
-    its own value and P if no step moved it."""
+    stops at projected gradient norm <= _GRAD_TOL, after ``max_iters``, when
+    a step is refused or A is not positive definite, or after _NEWTON_STEPS
+    steps, where it stands: with its own value and P if no step moved it.
+    Returns the rows' values, columns, projected gradients and iterations,
+    and the finish's passes, its calls of ``newton``."""
     B = len(X)
     out = (np.empty(B), np.empty((B, X.shape[1])), np.empty((B, X.shape[1])),
-           np.empty(B, dtype=int), np.empty(B, dtype=int))
+           np.empty(B, dtype=int))
     x, Pg, live = X[:, :, 0], P[:, :, 0], np.arange(B)   # live: the rows still stepping
     A = newton(x, rows)[2]
     refused, steps = np.zeros(B, dtype=bool), 0
     while True:
-        g2 = np.einsum("bi,bi->b", Pg, Pg)
-        code = np.where(iters > max_iters, 2, np.where(g2 <= _GRAD_TOL ** 2, 0, -1))
-        stop = (code >= 0) | refused | (steps == _NEWTON_STEPS)
+        stop = ((iters > max_iters) | (np.einsum("bi,bi->b", Pg, Pg) <= _GRAD_TOL ** 2)
+                | refused | (steps == _NEWTON_STEPS))
         stop[~stop] = ~_positive_definite(A[~stop])
         if np.count_nonzero(stop):
-            for dst, src in zip(out, (val, x, Pg, iters, code)):
+            for dst, src in zip(out, (val, x, Pg, iters)):
                 dst[live[stop]] = src[stop]
             if stop.all():
                 break
@@ -582,8 +582,8 @@ def _newton_finish(newton, X: np.ndarray, val: np.ndarray, P: np.ndarray, rows: 
         refused, iters, m = ~ok, iters + ok, ok[:, None]
         # a refused row stops before its next step, so only the kept ones need A
         x, val, Pg, A = np.where(m, xt, x), np.where(ok, vt, val), np.where(m, Pt, Pg), At
-    values, x, Pg, iterations, codes = out
-    return values, x[..., None], Pg[..., None], iterations, codes, steps + 1
+    values, x, Pg, iterations = out
+    return values, x[..., None], Pg[..., None], iterations, steps + 1
 
 
 def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
@@ -592,39 +592,23 @@ def _max_holomorphic_stack(mats: np.ndarray, Jm: np.ndarray,
     T * cfg.restarts ascents run as one ``_descend`` stack, each tensor from
     the same seeded starts, and each result is the best of its own rows.
     Each tensor is searched as M / s (``_unit_scale``) and scaled back.  The
-    stack runs with ``_newton_finish`` (``_hol_newton``): its Newton passes
-    are ``newton_passes``, and each result counts the rows of its tensor
-    that Newton took to _GRAD_TOL and those it handed back."""
+    stack ends with ``_descend``'s Newton finish (``_hol_newton``): every
+    result carries the stack's Newton passes, and counts the rows of its
+    tensor that the finish took to _GRAD_TOL and those it handed back."""
     r = cfg.restarts
     s = _unit_scale(mats)
     unit = mats / s[:, None, None]
     starts = np.tile(_random_starts(cfg, len(Jm), 1), (len(mats), 1, 1))
-    newton = _hol_newton(unit, Jm, r)
-    # _descend calls finish at most once: -2 marks a row with no Newton step
-    codes, newton_passes = np.full(len(starts), -2), np.zeros(1, dtype=int)
-
-    def finish(X, val, P, rows, iters):
-        *res, codes[rows], newton_passes[0] = _newton_finish(
-            newton, X, val, P, rows, iters, cfg.max_iters)
-        return *res, int(newton_passes[0])
-
-    negvals, X, iterations, reasons, passes = _descend(
-        _hol_value_grad(unit, Jm, r), starts, cfg, finish=finish)
-    results = _split_results(negvals, X[:, :, 0], iterations, reasons, passes, r, -s,
-                             lambda x: x)
-    for res, own in zip(results, codes.reshape(-1, r)):
-        res.newton_passes = int(newton_passes[0])
-        res.newton_finished = int(np.count_nonzero(own == 0))
-        res.newton_handed_back = int(np.count_nonzero(own == -1))
-    return results
+    negvals, X, *rest = _descend(_hol_value_grad(unit, Jm, r), starts, cfg,
+                                 newton=_hol_newton(unit, Jm, r))
+    return _split_results(negvals, X[:, :, 0], *rest, r, -s, lambda x: x)
 
 
 def max_holomorphic_sectional(R: CurvatureTensor, J: ComplexStructure,
                               cfg: OptimizerConfig | None = None) -> FrameSearchResult:
     """Multistart maximization of R(X, JX, X, JX) over unit X."""
-    cfg = cfg or OptimizerConfig()
     _require_same_n(R, J, "complex structure")
-    return _max_holomorphic_stack(R.mat[None], J.matrix, cfg)[0]
+    return _max_holomorphic_stack(R.mat[None], J.matrix, cfg or OptimizerConfig())[0]
 
 
 def _complement(V: np.ndarray) -> np.ndarray:
@@ -736,10 +720,9 @@ def min_orthogonal_bisectional(R: CurvatureTensor, J: ComplexStructure,
     s = _unit_scale(R.mat[None])
     V = _holomorphic_frame(Jm)                                  # iJ V = -V
     starts = V.conj().T @ np.moveaxis(_random_starts(cfg, 2, n), 1, 2)   # x, then y, per seed
-    values, Z, iterations, reasons, passes = _descend(
+    values, Z, *rest = _descend(
         _bisectional_value_grad(R.mat[None] / s[0], Jm, V, cfg.restarts), starts, cfg)
-    return _split_results(values, (V @ Z).real, iterations, reasons, passes,
-                          cfg.restarts, s,   # (X, Y) to (X, JX, Y, JY)
+    return _split_results(values, (V @ Z).real, *rest, cfg.restarts, s,   # (X, Y) to (X, JX, Y, JY)
                           lambda XY: FourFrame(np.stack([XY, Jm @ XY], -1).reshape(n, 4)))[0]
 
 

@@ -32,10 +32,10 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (ComplexStructure, CurvatureError, CurvatureTensor, QuaternionTriple,
-                   _bianchi_gather, _frozen, _holomorphic_frame, _pair_positions,
-                   _require_finite, _require_same_n, _stored, invariance_defect, num_pairs,
-                   scalar_curvature, model_quaternionic_projective, standard_complex_structure,
-                   two_form_action)
+                   _bianchi_gather, _frozen, _holomorphic_frame, _overflow_unwarned,
+                   _pair_positions, _require_finite, _require_same_n, _stored,
+                   invariance_defect, num_pairs, scalar_curvature, model_quaternionic_projective,
+                   standard_complex_structure, two_form_action)
 
 SV_CUTOFF = 1e-8        # relative singular-value cutoff of the hyper-Kahler SVD (_nullspace)
 MAX_BASIS_N = 12        # dense basis construction is capped here
@@ -247,24 +247,23 @@ def sample(space: CurvatureSubspace, seed: int) -> CurvatureTensor:
     return _stored(_sample_stack(space, [seed])[0], space.n)
 
 
+@_overflow_unwarned
 def _sample_stack(space: CurvatureSubspace, seeds) -> np.ndarray:
     """The coefficient matrices of ``sample(space, s)`` for each seed s of
     ``seeds``, as a (T, N, N) stack: each seed's coefficient row drawn from
     its own numpy default_rng, then one product of the (T, dimension) rows
-    with the basis for the whole stack, which reads the basis once.  A
-    non-finite product raises NonFiniteError, without numpy's warnings: a scan
-    of the basis would cost as much.  Each matrix is returned as 0.5 (M + M^T)."""
+    with the basis for the whole stack, which reads the basis once.  Each
+    matrix is returned as 0.5 (M + M^T), and NonFiniteError, without numpy's
+    warnings, when one is not finite: a scan of the basis would cost as much."""
     if space.dimension == 0:
         raise CurvatureError("cannot sample from an empty subspace")
     coeffs = np.stack([np.random.default_rng(s).standard_normal(space.dimension)
                        for s in seeds])
-    with np.errstate(invalid="ignore", over="ignore"):
-        mats = (coeffs @ space.stacked.reshape(space.dimension, -1)).reshape(
-            (len(coeffs),) + space.stacked.shape[1:])
-    mats = _require_finite(mats, "coefficient matrix")
+    mats = (coeffs @ space.stacked.reshape(space.dimension, -1)).reshape(
+        (len(coeffs),) + space.stacked.shape[1:])
     mats += np.swapaxes(mats, 1, 2)
     mats *= 0.5
-    return mats
+    return _require_finite(mats, "coefficient matrix")
 
 
 def project_onto(space: CurvatureSubspace, R: CurvatureTensor):

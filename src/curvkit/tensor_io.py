@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CONSTRUCTION_TOL, CurvatureError, CurvatureTensor, _require_bianchi,
-                   _require_finite, num_pairs)
+from .core import (CONSTRUCTION_TOL, CurvatureError, CurvatureTensor, _overflow_unwarned,
+                   _require_bianchi, _require_finite, num_pairs)
 
 FORMAT_NAME = "lambda2_sym_dense"
 
@@ -27,6 +27,7 @@ def tensor_to_dict(R: CurvatureTensor) -> dict:
     return d
 
 
+@_overflow_unwarned          # an overflow is an inf symmetry defect
 def tensor_from_dict(d: dict) -> CurvatureTensor:
     try:
         fmt, n, coeffs = d["format"], d["n"], d["coeffs"]

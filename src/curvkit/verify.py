@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .core import (ComplexStructure, _einstein_stack, _reaction, _require_frames, _stored,
-                   einstein_residual, isotropic_from_columns, model_fubini_study,
-                   model_r0, model_sj, model_sphere, ricci,
-                   standard_complex_structure, standard_quaternion_triple)
+from .core import (_einstein_stack, _reaction, _require_frames, _require_numbers, _stored,
+                   einstein_residual, isotropic_from_columns, model_fubini_study, model_r0,
+                   model_sj, model_sphere, ricci, standard_complex_structure,
+                   standard_quaternion_triple)
 from .spaces import (_require_basis_n, _sample_stack, curvature_space_basis,
                      hyperkahler_subspace, kahler_subspace, sample)
 
@@ -108,8 +108,8 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     previous group was recorded, building the inputs it first uses included;
     the group's later checks carry 0.
     """
-    frames._require_numbers({"n": n, "seed": seed, "samples": samples},
-                            (("n", 4), ("seed", 0), ("samples", 0)), ())
+    _require_numbers({"n": n, "seed": seed, "samples": samples},
+                     (("n", 4), ("seed", 0), ("samples", 0)), ())
     _require_basis_n(n)
     if inject_defect and n % 4:
         raise ValueError(f"inject_defect perturbs R0, which requires n divisible by 4, got {n}")
@@ -151,7 +151,7 @@ def run_verification_suite(n: int = 8, seed: int = 7, samples: int = 20,
     # ---- structural checks (no sampling) ------------------------------------
     def bform_defects():
         basis_norms = _norms(hk.stacked)
-        for S in [sphere] + [model_sj(ComplexStructure(A)) for A in T.matrices]:
+        for S in [sphere] + [model_sj(A) for A in (T.I, T.J, T.K)]:
             B = _reaction(hk.stacked, n, S.mat)
             yield (float(np.max(_norms(B) / (basis_norms * S.norm()))),
                    f"max over {hk.dimension} basis elements")

@@ -280,6 +280,65 @@ def test_every_boundary_refuses_non_finite_input_before_arithmetic(entry):
                 BOUNDARIES[entry](bad)
 
 
+def test_constructor_refuses_a_matrix_whose_symmetrization_overflows():
+    """Finite entries near the float maximum overflow in 0.5 (M + M^T): the
+    constructor raises NonFiniteError, with no numpy warning first, and
+    stores any other matrix's symmetrization bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="symmetrized coefficient matrix"):
+            CurvatureTensor(4, np.full((6, 6), 1.7e308))
+    m = np.random.default_rng(5).standard_normal((6, 6))
+    assert CurvatureTensor(4, m).mat.tobytes() == (0.5 * (m + m.T)).tobytes()
+
+
+J4 = standard_complex_structure(4)
+HUGE = 1e308
+
+
+def _sample_overflowing_symmetrization():
+    """A one-element basis with 1e308 at (0, 1) and (1, 0), sampled at a seed
+    whose coefficient c has 0.95 < |c| < 1.7: c 1e308 is finite, 2 c 1e308 is not."""
+    seed = next(s for s in range(100)
+                if 0.95 < abs(np.random.default_rng(s).standard_normal(1)[0]) < 1.7)
+    stacked = np.zeros((1, 6, 6))
+    stacked[0, 0, 1] = stacked[0, 1, 0] = HUGE
+    return sample(CurvatureSubspace(n=4, label="kahler", stacked=stacked), seed)
+
+
+# Each entry point on finite inputs whose arithmetic overflows.
+OVERFLOWS = {
+    "FourFrame": lambda: FourFrame(np.eye(6)[:, :4] * 1e200),
+    "ComplexStructure": lambda: ComplexStructure(1e200 * J4.matrix),
+    "mul": lambda: model_sphere(4, 1e300) * 1e10,
+    "rmul": lambda: 1e10 * model_sphere(4, 1e300),
+    "add": lambda: model_sphere(4, HUGE) + model_sphere(4, HUGE),
+    "sub": lambda: model_sphere(4, HUGE) - model_sphere(4, HUGE),
+    "add_stored": lambda: _stored(np.full((6, 6), HUGE), 4) + _stored(np.full((6, 6), HUGE), 4),
+    "kulkarni_nomizu": lambda: kulkarni_nomizu(1e200 * np.eye(4), 1e200 * np.eye(4)),
+    "model_kahler_form": lambda: model_kahler_form(J4, HUGE),
+    "model_quaternionic_projective": lambda: model_r0(standard_quaternion_triple(4), HUGE),
+    "model_fubini_study": lambda: model_fubini_study(2, HUGE),
+    "einstein_normalize": lambda: einstein_normalize(model_sphere(4, 1.0), HUGE),
+    "sample": _sample_overflowing_symmetrization,
+    "tensor_from_dict": lambda: tensor_from_dict(   # entries (0, 1) and (1, 0): HUGE, -HUGE
+        {"format": "lambda2_sym_dense", "n": 4, "coeffs": [0.0, HUGE] + [0.0] * 4 + [-HUGE]
+         + [0.0] * 29}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOWS))
+def test_every_boundary_refuses_overflow_without_a_warning(entry):
+    """Finite inputs whose products or sums overflow are refused with a
+    CurvatureError (NonFiniteError where an entry overflows, else an inf
+    Gram, structure or symmetry defect), with every warning an error:
+    numpy's overflow warning never comes first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurvatureError, match="non-finite|not finite|defect inf"):
+            OVERFLOWS[entry]()
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_tables_below_n2_raise_curvature_error(n):
     """An empty table and a 1 x 1 x 1 x 1 one are refused by their shape."""

@@ -180,8 +180,8 @@ def test_batched_gradients_match_serial(n, seed):
 
 def assert_rows_match_separate_runs(mixed, separate, owner):
     """Each row of the mixed stack against the same row of its tensor's own run."""
-    values, _, iterations, reasons, _ = mixed
-    for t, (v, _, it, rs, _) in enumerate(separate):
+    values, _, iterations, reasons, *_ = mixed
+    for t, (v, _, it, rs, *_) in enumerate(separate):
         own = owner == t
         assert_values_match(values[own], v, rtol=1e-12)
         assert reasons[own].tolist() == rs.tolist()
@@ -366,7 +366,7 @@ def test_stop_reason_line_search_floor_on_inconsistent_gradient():
         return val, -G
 
     start = value_grad(_orthonormalize(F0), np.arange(len(F0)))[0]
-    values, _, iterations, reasons, _ = _descend(negated, F0, OptimizerConfig())
+    values, _, iterations, reasons, *_ = _descend(negated, F0, OptimizerConfig())
     assert reasons.tolist() == ["line_search_floor"] * len(F0)
     assert np.all(values <= start)
     assert np.all(iterations < 500)

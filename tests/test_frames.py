@@ -76,6 +76,30 @@ def test_result_internal_consistency(light_cfg):
     assert res.value == min(res.restart_values)
 
 
+def test_search_results_are_complete_and_frozen(light_cfg):
+    """Every search builds its results whole: no field can be assigned after
+    construction, isotropic results carry Ky Fan's bound and the others
+    none, and only the holomorphic search counts Newton passes and rows."""
+    n = 8
+    R, J = random_curvature(n, seed=44), standard_complex_structure(n)
+    certified = min_isotropic(model_sphere(n, 1.0), light_cfg)
+    searched = min_isotropic(R, light_cfg)
+    holomorphic = max_holomorphic_sectional(R, J, light_cfg)
+    bisectional = min_orthogonal_bisectional(R, J, light_cfg)
+    assert certified.stop_reason == "certified" != searched.stop_reason
+    for res in (certified, searched, holomorphic, bisectional):
+        for f in dataclasses.fields(FrameSearchResult):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, f.name, getattr(res, f.name))
+    for res in (certified, searched):
+        assert type(res.lower_bound) is float and res.lower_bound <= res.value
+    for res in (certified, searched, bisectional):
+        assert (res.newton_passes, res.newton_finished, res.newton_handed_back) == (0, 0, 0)
+    assert holomorphic.lower_bound is bisectional.lower_bound is None
+    assert 0 < holomorphic.newton_passes < holomorphic.passes
+    assert 0 < holomorphic.newton_finished + holomorphic.newton_handed_back <= light_cfg.restarts
+
+
 def test_iterates_stay_feasible_and_below_reference_value():
     """Each of the two rows of min_isotropic at restarts = 1, the seeded
     start and the probe start, descended alone so that its iterates are not
